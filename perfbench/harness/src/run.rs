@@ -19,7 +19,7 @@ use crate::spans::Spans;
 use crate::workload::{Inputs, Network, Workload};
 
 /// Serving accuracy of every workload (the ε the serving benches use).
-pub const EPSILON: f64 = 0.25;
+const EPSILON: f64 = 0.25;
 /// Set-up and recovery are repeated in every run and reported as the
 /// median: at least `MIN_REPS` times, and more while the repeats total
 /// under `REPS_BUDGET_S`, up to `MAX_REPS`.
@@ -28,19 +28,19 @@ const MAX_REPS: usize = 15;
 const REPS_BUDGET_S: f64 = 3.0;
 /// Every run times at least this many epochs, so at least ten samples
 /// lie above the 90th percentile.
-pub const MIN_TIMED_EPOCHS: usize = 100;
+const MIN_TIMED_EPOCHS: usize = 100;
 /// The seed-deterministic metrics (certified ratio, certificate quality,
 /// bytes per demand, engine counts) cover exactly the first this many
 /// timed epochs, so they repeat bit for bit whatever the run length.
-pub const DET_EPOCHS: usize = 100;
+const DET_EPOCHS: usize = 100;
 /// Every fourth durable epoch is latency-sensitive: it runs under this
 /// MIS-round cap, so its truncation does not depend on the clock.
-pub const SENSITIVE_EVERY: usize = 4;
-pub const SENSITIVE_ROUNDS: u64 = 2;
+const SENSITIVE_EVERY: usize = 4;
+const SENSITIVE_ROUNDS: u64 = 2;
 /// Snapshot cadence of the durable workload. One epoch in eight writes a
 /// snapshot, so more than a tenth of the epochs do and the 90th percentile
 /// lies among them rather than on the edge between two kinds of epoch.
-pub const SNAPSHOT_EVERY: u64 = 8;
+const SNAPSHOT_EVERY: u64 = 8;
 /// The durable workload copies its directory after this epoch, which comes
 /// after the `DET_EPOCHS` checkpoint, and times recovery from the copy: the
 /// newest snapshot (epoch 104) plus a 4-record log suffix, the same work
