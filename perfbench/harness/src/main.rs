@@ -2,15 +2,20 @@
 //!
 //! ```text
 //! netsched-perfbench --workload <line-1e5|tree-1e5|mixed-tree-durable>
-//!     [--seed N] [--seconds S] [--trace 0|1] [--out-dir DIR] [--revision REV]
+//!     [--seed N] [--scenario-seed M] [--seconds S] [--trace 0|1]
+//!     [--out-dir DIR] [--revision REV]
 //! ```
+//!
+//! `--seed` is the churn seed (the traffic), `--scenario-seed` the seed of
+//! the base instance (networks and initial demands); each defaults to the
+//! scenario's own.
 //!
 //! The last line of standard output is one JSON object with the keys
 //! `correct`, `attempted`, `failed` and `metrics`: the end-to-end metrics
 //! with `--trace 0`, the per-layer metrics with `--trace 1`. The line
 //! before it (`meta: {...}`) records the host, worker count, revision,
 //! seeds and run length; the same record, with the metrics, is written
-//! to `<out-dir>/result-<workload>-<seed>-trace<t>.json`, and a traced run
+//! to `<out-dir>/result-<workload>-<seeds>-trace<t>.json`, and a traced run
 //! also writes its spans as Chrome trace-event JSON next to it. See
 //! `perfbench/README.md` for the metric definitions.
 
@@ -29,6 +34,7 @@ use workload::Workload;
 struct Args {
     workload: Workload,
     seed: Option<u64>,
+    scenario_seed: Option<u64>,
     seconds: f64,
     trace: bool,
     out_dir: PathBuf,
@@ -38,6 +44,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut workload = None;
     let mut seed = None;
+    let mut scenario_seed = None;
     let mut seconds = 10.0;
     let mut trace = false;
     let mut out_dir = PathBuf::from("perfbench-out");
@@ -52,6 +59,13 @@ fn parse_args() -> Result<Args, String> {
                     Some(Workload::parse(&name).ok_or(format!("unknown workload `{name}`"))?);
             }
             "--seed" => seed = Some(value()?.parse().map_err(|e| format!("--seed: {e}"))?),
+            "--scenario-seed" => {
+                scenario_seed = Some(
+                    value()?
+                        .parse()
+                        .map_err(|e| format!("--scenario-seed: {e}"))?,
+                );
+            }
             "--seconds" => {
                 seconds = value()?.parse().map_err(|e| format!("--seconds: {e}"))?;
             }
@@ -70,6 +84,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed,
+        scenario_seed,
         seconds,
         trace,
         out_dir,
@@ -223,10 +238,10 @@ fn main() -> ExitCode {
         .expect("the rayon shim accepts any worker count");
     let workers = rayon::current_num_threads();
 
-    let seed = args.seed.unwrap_or(workload.default_seed());
-    let inputs = workload::generate(workload, seed);
+    let inputs = workload::generate(workload, args.scenario_seed, args.seed);
+    let seeds = format!("{}.{}", inputs.scenario_seed, inputs.churn_seed);
     let data_dir = args.out_dir.join(format!(
-        "data-{}-{seed}-{}",
+        "data-{}-{seeds}-{}",
         workload.name(),
         std::process::id()
     ));
@@ -275,7 +290,7 @@ fn main() -> ExitCode {
         tally.failed,
         metrics_json(&metrics)
     );
-    let stem = format!("{}-{seed}-trace{}", workload.name(), args.trace as u8);
+    let stem = format!("{}-{seeds}-trace{}", workload.name(), args.trace as u8);
     let written = std::fs::create_dir_all(&args.out_dir).and_then(|()| {
         std::fs::write(
             args.out_dir.join(format!("result-{stem}.json")),

@@ -2,6 +2,7 @@
 """Builds and runs the netsched serving benchmark for one workload.
 
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
+        [--scenario-seed <m>]
 
 Run it from the repository root. It builds the harness package in
 `perfbench/harness` (release, offline) into `$CARGO_TARGET_DIR`, or
@@ -77,6 +78,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--scenario-seed", type=int,
+                        help="seed of the base instance (default: the scenario's own)")
     args = parser.parse_args()
 
     target = target_dir()
@@ -97,7 +100,9 @@ def main() -> int:
          "--seconds", str(args.seconds),
          "--trace", str(args.trace),
          "--out-dir", str(target / "perfbench-out"),
-         "--revision", revision()],
+         "--revision", revision()]
+        + ([] if args.scenario_seed is None
+           else ["--scenario-seed", str(args.scenario_seed)]),
         cwd=ROOT,
     )
     return run.returncode
