@@ -77,6 +77,12 @@ impl Solution {
 
     /// Verifies the solution against a universe: feasibility (capacity and
     /// one-instance-per-demand) and the reported profit.
+    ///
+    /// One pass over the selection plus one prefix sum per network it
+    /// touches ([`DemandInstanceUniverse::is_feasible`]):
+    /// `O(|selected| runs + r + Σ E_t over touched networks)` for `r`
+    /// networks — cheap enough for the warm safety valve to run every
+    /// epoch in release builds.
     pub fn verify(&self, universe: &DemandInstanceUniverse) -> Result<(), String> {
         if !universe.is_feasible(&self.selected) {
             return Err("selection violates feasibility".to_string());

@@ -48,7 +48,7 @@
 //! | `len` / bounds | `O(1)` / `O(1)` | `O(runs)` / `O(1)` |
 //! | `contains(e)` | `O(log len)` | `O(log runs)` |
 //! | overlap test | `O(len_a + len_b)` merge | `O(runs_a + runs_b)` merge |
-//! | `edge_loads` / verify | `O(S)` | `O(|D| log n + E)` difference array |
+//! | `edge_loads` / verify | `O(S)` | `O(selected runs + E)` difference array, one pass over the selection |
 //! | conflict-graph build | `O(Σ bucket²)` HashMap buckets | sort-based interval sweep, CSR output |
 //! | capacitated `can_add` | `O(path len · selection)` | event sweep + `O(1)` range-min per segment |
 //! | universe sharding | — | `O(|D| log n)` [`ShardedUniverse::build`] |

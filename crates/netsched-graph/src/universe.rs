@@ -14,8 +14,9 @@
 //! Congestion accounting is run-based (see [`crate::path`]): instead of
 //! touching every edge of every selected path, [`edge_loads`] and
 //! [`is_feasible`] accumulate `+h` / `−h` at the interval endpoints of each
-//! run and take a single prefix-sum pass — `O(m + E)` instead of
-//! `O(Σ path length)`. [`LoadTracker`] offers the same accounting
+//! run and take a single prefix-sum pass — `O(selected runs + E)` instead
+//! of `O(Σ path length)`, with one pass over the selection however many
+//! networks it spans. [`LoadTracker`] offers the same accounting
 //! incrementally for greedy selection loops (the framework's second phase).
 //!
 //! [`edge_loads`]: DemandInstanceUniverse::edge_loads
@@ -362,65 +363,94 @@ impl DemandInstanceUniverse {
     /// Per-edge load of a selection on a given network: `load[e]` = sum of
     /// heights of selected instances through edge `e`.
     ///
-    /// Difference-array accounting: each interval run contributes `+h` at
-    /// its start and `−h` past its end, followed by one prefix-sum pass —
-    /// `O(|selection| + E_t)` instead of `O(Σ path length)`.
+    /// One scan of the selection plus one prefix-sum pass over the
+    /// network's edges: `O(|selection| + E_t)`.
     pub fn edge_loads(&self, network: NetworkId, selection: &[InstanceId]) -> Vec<f64> {
+        let mut load = Vec::new();
+        let on_network = selection
+            .iter()
+            .copied()
+            .filter(|&d| self.instances[d.index()].network == network);
+        self.loads_into(network, on_network, &mut load);
+        load
+    }
+
+    /// Difference-array accounting shared by [`edge_loads`] and
+    /// [`is_feasible`]: refills `load` with the per-edge load of
+    /// `instances` (all on `network`). Each interval run adds `+h` at its
+    /// start and `−h` past its end in iteration order, then one prefix-sum
+    /// pass turns the differences into loads — `O(k + E_t)` for `k`
+    /// instances, with no per-edge work per path.
+    ///
+    /// [`edge_loads`]: DemandInstanceUniverse::edge_loads
+    /// [`is_feasible`]: DemandInstanceUniverse::is_feasible
+    fn loads_into(
+        &self,
+        network: NetworkId,
+        instances: impl Iterator<Item = InstanceId>,
+        load: &mut Vec<f64>,
+    ) {
         let m = self.num_edges(network);
-        let mut diff = vec![0.0; m + 1];
-        for &d in selection {
+        load.clear();
+        load.resize(m + 1, 0.0);
+        for d in instances {
             let inst = &self.instances[d.index()];
-            if inst.network == network {
-                for run in inst.path.runs() {
-                    diff[run.start as usize] += inst.height;
-                    diff[run.end as usize + 1] -= inst.height;
-                }
+            debug_assert_eq!(inst.network, network);
+            for run in inst.path.runs() {
+                load[run.start as usize] += inst.height;
+                load[run.end as usize + 1] -= inst.height;
             }
         }
-        let mut acc = 0.0;
-        let mut load = diff;
         load.truncate(m);
-        for l in &mut load {
+        let mut acc = 0.0;
+        for l in load.iter_mut() {
             acc += *l;
             *l = acc;
         }
-        load
     }
 
     /// Returns `true` if the selection respects capacities on every edge and
     /// selects at most one instance per demand (the feasibility notion of
     /// the arbitrary-height / capacitated case, Section 6).
     ///
-    /// One difference-array pass per network actually touched by the
-    /// selection: `O(|selection| + Σ E_t over touched networks)`.
+    /// A single pass buckets the selection by network with a stable
+    /// counting sort, then each touched network's loads are accumulated
+    /// from its own bucket: `O(|selection| + r + Σ E_t over touched
+    /// networks)` for `r` networks. Buckets keep selection order, so the
+    /// loads compared against the capacities are bit-identical to
+    /// [`edge_loads`](DemandInstanceUniverse::edge_loads).
     pub fn is_feasible(&self, selection: &[InstanceId]) -> bool {
-        // At most one instance per demand, and no repeated instance.
+        // At most one instance per demand (which also rules out a repeated
+        // instance); count the selection per network on the way.
         let mut used = vec![false; self.num_demands];
-        let mut seen = vec![false; self.num_instances()];
-        let mut touched = vec![false; self.num_networks];
+        let mut bucket_start = vec![0usize; self.num_networks + 1];
         for &d in selection {
-            if seen[d.index()] {
+            let inst = &self.instances[d.index()];
+            if std::mem::replace(&mut used[inst.demand.index()], true) {
                 return false;
             }
-            seen[d.index()] = true;
-            let a = self.demand_of(d).index();
-            if used[a] {
-                return false;
-            }
-            used[a] = true;
-            touched[self.instances[d.index()].network.index()] = true;
+            bucket_start[inst.network.index() + 1] += 1;
+        }
+        for t in 0..self.num_networks {
+            bucket_start[t + 1] += bucket_start[t];
+        }
+        let mut fill = bucket_start.clone();
+        let mut bucketed = vec![InstanceId(0); selection.len()];
+        for &d in selection {
+            let t = self.instances[d.index()].network.index();
+            bucketed[fill[t]] = d;
+            fill[t] += 1;
         }
         // Capacity constraints per touched network.
-        for (t, touched) in touched.iter().enumerate() {
-            if !touched {
+        let mut load = Vec::new();
+        for (t, caps) in self.capacities.iter().enumerate() {
+            let bucket = &bucketed[bucket_start[t]..bucket_start[t + 1]];
+            if bucket.is_empty() {
                 continue;
             }
-            let network = NetworkId::new(t);
-            let load = self.edge_loads(network, selection);
-            for (e, &l) in load.iter().enumerate() {
-                if l > self.capacities[t][e] + EPS {
-                    return false;
-                }
+            self.loads_into(NetworkId::new(t), bucket.iter().copied(), &mut load);
+            if load.iter().zip(caps).any(|(&l, &cap)| l > cap + EPS) {
+                return false;
             }
         }
         true

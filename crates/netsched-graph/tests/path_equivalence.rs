@@ -261,6 +261,119 @@ proptest! {
             }
         }
     }
+
+    /// The single-pass `is_feasible` against the naive per-edge model on
+    /// selections spanning many networks, some of them untouched, with
+    /// repeated instances, two instances of one demand, and capacitated or
+    /// mixed-height universes. Heights and capacities lie on a 1/16 grid, so
+    /// every load sum is exact and the naive loads compare bit for bit.
+    #[test]
+    fn multi_network_feasibility_matches_naive(
+        seed in any::<u64>(),
+        networks in 8usize..14,
+        capacitated in any::<bool>(),
+        mixed_height in any::<bool>(),
+        density in 1u32..10,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFEED);
+        let edges: Vec<usize> = (0..networks).map(|_| rng.gen_range(4..24)).collect();
+        let capacities: Vec<Vec<f64>> = edges
+            .iter()
+            .map(|&m| {
+                (0..m)
+                    .map(|_| if capacitated { f64::from(rng.gen_range(4u32..20)) / 8.0 } else { 1.0 })
+                    .collect()
+            })
+            .collect();
+        // Demands with one to three instances each, on random networks;
+        // paths are multi-run edge sets, as on trees.
+        let mut instances = Vec::new();
+        let num_demands = rng.gen_range(6..30);
+        for a in 0..num_demands {
+            let height = if mixed_height { f64::from(rng.gen_range(1u32..=16)) / 16.0 } else { 1.0 };
+            for _ in 0..rng.gen_range(1..=3) {
+                let t = rng.gen_range(0..networks);
+                let path: Vec<EdgeId> = (0..rng.gen_range(1..6))
+                    .map(|_| EdgeId::new(rng.gen_range(0..edges[t])))
+                    .collect();
+                instances.push(DemandInstance {
+                    id: InstanceId::new(instances.len()),
+                    demand: DemandId::new(a),
+                    network: NetworkId::new(t),
+                    profit: 1.0,
+                    height,
+                    path: EdgePath::new(path),
+                    start: None,
+                });
+            }
+        }
+        let universe = DemandInstanceUniverse::new(instances, num_demands, edges, Some(capacities));
+
+        // Leave at least two networks untouched; select at most one
+        // instance per demand elsewhere, in shuffled order.
+        let untouched: Vec<bool> = (0..networks).map(|t| t < 2 || rng.gen_bool(0.2)).collect();
+        let mut taken = vec![false; num_demands];
+        let mut selection: Vec<InstanceId> = Vec::new();
+        for d in universe.instance_ids() {
+            let inst = universe.instance(d);
+            if !untouched[inst.network.index()]
+                && !taken[inst.demand.index()]
+                && rng.gen_bool(f64::from(density) / 16.0)
+            {
+                taken[inst.demand.index()] = true;
+                selection.push(d);
+            }
+        }
+        for i in (1..selection.len()).rev() {
+            selection.swap(i, rng.gen_range(0..=i));
+        }
+        // Sometimes repeat an instance, sometimes add a second instance
+        // of an already selected demand.
+        if !selection.is_empty() && rng.gen_bool(0.25) {
+            selection.push(selection[rng.gen_range(0..selection.len())]);
+        }
+        if rng.gen_bool(0.25) {
+            let twin = universe.instance_ids().find(|&d| {
+                let inst = universe.instance(d);
+                !selection.contains(&d)
+                    && taken[inst.demand.index()]
+                    && !untouched[inst.network.index()]
+            });
+            if let Some(d) = twin {
+                selection.insert(rng.gen_range(0..=selection.len()), d);
+            }
+        }
+
+        // Naive model: demand uniqueness plus explicit per-edge loads.
+        let mut used = vec![false; num_demands];
+        let mut naive_ok = true;
+        for &d in &selection {
+            naive_ok &= !std::mem::replace(&mut used[universe.demand_of(d).index()], true);
+        }
+        for (q, &untouched) in untouched.iter().enumerate() {
+            let t = NetworkId::new(q);
+            let mut naive = vec![0.0f64; universe.num_edges(t)];
+            for &d in &selection {
+                let inst = universe.instance(d);
+                if inst.network == t {
+                    for e in inst.path.iter() {
+                        naive[e.index()] += inst.height;
+                    }
+                }
+            }
+            for (e, &l) in naive.iter().enumerate() {
+                let cap = universe.capacity(netsched_graph::GlobalEdge { network: t, edge: EdgeId::new(e) });
+                naive_ok &= l <= cap + netsched_graph::EPS;
+            }
+            let loads = universe.edge_loads(t, &selection);
+            let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&loads), bits(&naive), "network {}", q);
+            if untouched {
+                prop_assert!(loads.iter().all(|&l| l == 0.0));
+            }
+        }
+        prop_assert_eq!(universe.is_feasible(&selection), naive_ok);
+    }
 }
 
 /// A universe assembled from raw instances with multi-run tree-style paths

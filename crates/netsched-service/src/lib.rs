@@ -99,6 +99,9 @@
 //! | tree layering | `O(|D| log n)` assignment + decompositions | decompositions cached; `O(B log n)` new assignments |
 //! | line layering | `O(|D|)` | `O(|D|)` |
 //! | solve | shard-parallel engine | identical engine |
+//! | warm safety-valve `verify` | — | one pass over the selection + `O(Σ E_t)` over touched networks |
+//! | ticket lookup | — | `O(log live)` binary search on the ticket-sorted live list |
+//! | schedule delta | — | `O(live)` placement scatter + one merge walk of the old and new ticket-sorted schedules |
 //!
 //! `BENCH_dynamic_serving.json` (from the `dynamic_serving` bench) records
 //! the resulting epoch speedups over from-scratch rebuilds across churn

@@ -17,9 +17,6 @@
 //! > from-scratch [`Scheduler`](netsched_core::Scheduler) built over the
 //! > surviving demand set.
 
-use std::collections::BTreeMap;
-
-use fxhash::FxHashMap;
 use netsched_core::{
     combine_wide_narrow, solve_wide_narrow_on_budgeted, AlgorithmConfig, Budget,
     CertificateQuality, EngineHalf, HalfOutcome, RaiseRule, RoundCalibration, Solution, WarmState,
@@ -380,14 +377,18 @@ pub struct ServiceSession {
     layerer: Option<TreeLayerer>,
     config: AlgorithmConfig,
     resolve: ResolveMode,
+    /// The live demands in dense-id order, which is also strictly
+    /// ascending ticket order: survivors keep their relative order and
+    /// arrivals take fresh, increasing tickets. A ticket's dense id is its
+    /// binary-search position.
     live: Vec<LiveDemand>,
-    /// Ticket → current dense demand id.
-    index: FxHashMap<u64, u32>,
+    /// Exceeds every ticket ever issued.
     next_ticket: u64,
     full: LiveCore,
     split: Option<SplitState>,
-    /// Ticket → placement of the standing schedule.
-    schedule: BTreeMap<u64, Placement>,
+    /// The standing schedule as `(ticket, placement)`, strictly ascending
+    /// by ticket.
+    schedule: Vec<(u64, Placement)>,
     epoch: u64,
     solved: bool,
     certificate: Certificate,
@@ -507,11 +508,6 @@ impl ServiceSession {
         full: LiveCore,
     ) -> Self {
         let next_ticket = live.len() as u64;
-        let index = live
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.ticket, i as u32))
-            .collect();
         let obs = ObsRegistry::default();
         let metrics = SessionMetrics::resolve(&obs);
         Self {
@@ -520,11 +516,10 @@ impl ServiceSession {
             config,
             resolve: ResolveMode::env_default(),
             live,
-            index,
             next_ticket,
             full,
             split: None,
-            schedule: BTreeMap::new(),
+            schedule: Vec::new(),
             epoch: 0,
             solved: false,
             certificate: Certificate::default(),
@@ -635,14 +630,25 @@ impl ServiceSession {
         self.live.len()
     }
 
-    /// The tickets of all live demands, in current dense-id order.
+    /// The tickets of all live demands, in current dense-id order — which
+    /// is strictly ascending ticket order (survivors keep their order,
+    /// arrivals take fresh increasing tickets). Allocates `O(live)`.
     pub fn live_tickets(&self) -> Vec<DemandTicket> {
         self.live.iter().map(|d| DemandTicket(d.ticket)).collect()
     }
 
-    /// `true` when the ticket names a live demand.
+    /// `true` when the ticket names a live demand (`O(log live)`).
     pub fn is_live(&self, ticket: DemandTicket) -> bool {
-        self.index.contains_key(&ticket.0)
+        self.dense_id(ticket).is_some()
+    }
+
+    /// The current dense demand id of a live ticket: its position in the
+    /// ticket-sorted live list.
+    fn dense_id(&self, ticket: DemandTicket) -> Option<DemandId> {
+        self.live
+            .binary_search_by_key(&ticket.0, |d| d.ticket)
+            .ok()
+            .map(DemandId::new)
     }
 
     /// The session's current demand-instance universe.
@@ -659,7 +665,7 @@ impl ServiceSession {
     pub fn schedule(&self) -> Vec<ScheduledDemand> {
         self.schedule
             .iter()
-            .map(|(&t, &placement)| ScheduledDemand {
+            .map(|&(t, placement)| ScheduledDemand {
                 ticket: DemandTicket(t),
                 placement,
             })
@@ -696,9 +702,11 @@ impl ServiceSession {
     /// [`view`](crate::view) module docs for the staleness contract).
     ///
     /// The view is shared: cloning the returned handle (or calling this
-    /// again) addresses the same slot. Publication costs one schedule
-    /// clone per epoch on the step path; sessions that never call this
-    /// pay nothing.
+    /// again) addresses the same slot. Publication costs, per epoch on the
+    /// step path, one copy of the ticket-sorted schedule vector plus one
+    /// fingerprint pass over it — `O(scheduled)`, no tree rebuild, since
+    /// the session already keeps the schedule in ascending ticket order.
+    /// Sessions that never call this pay nothing.
     pub fn schedule_view(&mut self) -> ScheduleView {
         if self.view.is_none() {
             let quality = self
@@ -929,6 +937,10 @@ impl ServiceSession {
         let validate_start = std::time::Instant::now();
         let mut arrivals: Vec<DemandRequest> = Vec::new();
         let mut expired: Vec<DemandId> = Vec::new();
+        // Per-live-demand expiry marks (sized at the first expiry): an O(1)
+        // duplicate check here, and the survivor filter of the live-set
+        // bookkeeping below.
+        let mut removed: Vec<bool> = Vec::new();
         for event in batch {
             match event {
                 DemandEvent::Arrive(request) => {
@@ -936,14 +948,14 @@ impl ServiceSession {
                     arrivals.push(normalize(request.clone()));
                 }
                 DemandEvent::Expire(ticket) => {
-                    let id = *self
-                        .index
-                        .get(&ticket.0)
+                    let id = self
+                        .dense_id(*ticket)
                         .ok_or(ServiceError::UnknownTicket(*ticket))?;
-                    if expired.contains(&DemandId(id)) {
+                    removed.resize(self.live.len(), false);
+                    if std::mem::replace(&mut removed[id.index()], true) {
                         return Err(ServiceError::DuplicateExpiry(*ticket));
                     }
-                    expired.push(DemandId(id));
+                    expired.push(id);
                 }
             }
         }
@@ -1042,33 +1054,11 @@ impl ServiceSession {
         let dirty_shards = self.full.apply(&expired, &arrivings, assignments.concat());
 
         // ---- live-set bookkeeping -------------------------------------
-        let mut removed = vec![false; self.live.len()];
-        for &a in &expired {
-            removed[a.index()] = true;
-        }
-        // Old dense id → new dense id for survivors (u32::MAX = expired);
-        // mirrors the universe's demand renumbering.
-        let mut demand_remap = vec![u32::MAX; self.live.len()];
-        let mut next = 0u32;
-        for (i, r) in removed.iter().enumerate() {
-            if !*r {
-                demand_remap[i] = next;
-                next += 1;
-            }
-        }
-        let mut expired_tickets: Vec<DemandTicket> = Vec::with_capacity(expired.len());
-        let mut keep = removed.iter().map(|r| !*r);
-        let old_live = std::mem::take(&mut self.live);
-        self.live = old_live
-            .into_iter()
-            .filter(|d| {
-                let kept = keep.next().unwrap();
-                if !kept {
-                    expired_tickets.push(DemandTicket(d.ticket));
-                }
-                kept
-            })
-            .collect();
+        // Survivors keep their order and arrivals take fresh, increasing
+        // tickets, so `live` stays strictly ascending by ticket.
+        removed.resize(self.live.len(), false);
+        let mut marks = removed.iter();
+        self.live.retain(|_| marks.next() == Some(&false));
         let mut new_tickets: Vec<DemandTicket> = Vec::with_capacity(arrivals.len());
         for request in &arrivals {
             let ticket = self.next_ticket;
@@ -1079,10 +1069,6 @@ impl ServiceSession {
                 request: request.clone(),
             });
         }
-        self.index.clear();
-        for (i, d) in self.live.iter().enumerate() {
-            self.index.insert(d.ticket, i as u32);
-        }
 
         // ---- wide/narrow split maintenance ----------------------------
         let any_wide = self.live.iter().any(|d| d.request.is_wide());
@@ -1090,7 +1076,7 @@ impl ServiceSession {
         let mixed = any_wide && any_narrow;
         let mut conflict_ns = self.full.conflict_rebuild_ns;
         if self.split.is_some() {
-            self.update_split(&expired, &demand_remap, &arrivals, &arrivings, &assignments);
+            self.update_split(&removed, &arrivals, &arrivings, &assignments);
             let split = self.split.as_ref().expect("split just updated");
             conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
         } else if mixed {
@@ -1182,38 +1168,45 @@ impl ServiceSession {
 
         // ---- delta extraction -----------------------------------------
         let delta_start = std::time::Instant::now();
-        let mut new_schedule: BTreeMap<u64, Placement> = BTreeMap::new();
+        // The new schedule in dense-demand order, which is ticket order.
+        let mut placed: Vec<Option<Placement>> = vec![None; self.live.len()];
         for &d in &solution.selected {
             let inst = self.full.universe.instance(d);
-            let ticket = self.live[inst.demand.index()].ticket;
-            new_schedule.insert(
-                ticket,
-                Placement {
-                    network: inst.network,
-                    start: inst.start,
-                },
-            );
+            placed[inst.demand.index()] = Some(Placement {
+                network: inst.network,
+                start: inst.start,
+            });
         }
+        let new_schedule: Vec<(u64, Placement)> = self
+            .live
+            .iter()
+            .zip(placed)
+            .filter_map(|(d, placement)| Some((d.ticket, placement?)))
+            .collect();
+        // One merge walk of the old and new ticket-sorted schedules.
         let mut admitted = Vec::new();
         let mut reassigned = Vec::new();
-        for (&ticket, &placement) in &new_schedule {
-            match self.schedule.get(&ticket) {
-                None => admitted.push(ScheduledDemand {
-                    ticket: DemandTicket(ticket),
-                    placement,
-                }),
-                Some(&old) if old != placement => reassigned.push(ScheduledDemand {
-                    ticket: DemandTicket(ticket),
-                    placement,
-                }),
+        let mut unscheduled = Vec::new();
+        let mut old = self.schedule.iter().peekable();
+        for &(ticket, placement) in &new_schedule {
+            while let Some(&(gone, _)) = old.next_if(|&&(t, _)| t < ticket) {
+                unscheduled.push(DemandTicket(gone));
+            }
+            let scheduled = ScheduledDemand {
+                ticket: DemandTicket(ticket),
+                placement,
+            };
+            match old.next_if(|&&(t, _)| t == ticket) {
+                None => admitted.push(scheduled),
+                Some(&(_, before)) if before != placement => reassigned.push(scheduled),
                 Some(_) => {}
             }
         }
-        let evicted: Vec<DemandTicket> = self
-            .schedule
-            .keys()
-            .filter(|t| !new_schedule.contains_key(t) && self.index.contains_key(t))
-            .map(|&t| DemandTicket(t))
+        unscheduled.extend(old.map(|&(t, _)| DemandTicket(t)));
+        // A demand that left because it expired is not evicted.
+        let evicted: Vec<DemandTicket> = unscheduled
+            .into_iter()
+            .filter(|&t| self.is_live(t))
             .collect();
 
         self.schedule = new_schedule;
@@ -1313,22 +1306,27 @@ impl ServiceSession {
     }
 
     /// Splices the epoch's (already full-core-applied) delta through the
-    /// existing split cores: each half receives the expiries and arrivals
-    /// of its height class, and the half→full demand maps are renumbered
-    /// through the full core's demand remap.
+    /// existing split cores: each half receives the expiries (`removed`,
+    /// indexed by pre-epoch dense id) and arrivals of its height class,
+    /// and the half→full demand maps are renumbered through the full
+    /// core's demand remap.
     fn update_split(
         &mut self,
-        expired: &[DemandId],
-        demand_remap: &[u32],
+        removed: &[bool],
         arrivals: &[DemandRequest],
         arrivings: &[ArrivingDemand],
         assignments: &[TreeAssignments],
     ) {
         let split = self.split.as_mut().expect("caller checked");
-        let survivors = demand_remap.iter().filter(|&&m| m != u32::MAX).count() as u32;
-        let mut removed = vec![false; demand_remap.len()];
-        for &a in expired {
-            removed[a.index()] = true;
+        // Old dense id → new dense id for survivors (u32::MAX = expired);
+        // mirrors the universe's demand renumbering.
+        let mut demand_remap = vec![u32::MAX; removed.len()];
+        let mut survivors = 0u32;
+        for (remap, &gone) in demand_remap.iter_mut().zip(removed) {
+            if !gone {
+                *remap = survivors;
+                survivors += 1;
+            }
         }
 
         for wide_half in [true, false] {
@@ -1518,7 +1516,7 @@ impl ServiceSession {
         let schedule = JsonValue::Array(
             self.schedule
                 .iter()
-                .map(|(&t, p)| JsonValue::Array(vec![JsonValue::u64_value(t), p.to_json()]))
+                .map(|&(t, p)| JsonValue::Array(vec![JsonValue::u64_value(t), p.to_json()]))
                 .collect(),
         );
         let warm_or_null = |core: &LiveCore| {
@@ -1634,15 +1632,18 @@ impl ServiceSession {
             other => return Err(format!("unknown session shape `{other}`")),
         };
         session.resolve = resolve;
-        session.index.clear();
-        for (i, (ticket, _)) in live.iter().enumerate() {
-            session.live[i].ticket = *ticket;
-            session.index.insert(*ticket, i as u32);
+        // Ticket lookups binary-search the live list, so its dense order
+        // must be strictly ascending ticket order.
+        if live.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err("snapshot live tickets are not strictly ascending".into());
         }
-        if session.index.len() != session.live.len() {
-            return Err("snapshot live tickets are not distinct".into());
+        for (demand, (ticket, _)) in session.live.iter_mut().zip(&live) {
+            demand.ticket = *ticket;
         }
         session.next_ticket = doc.field("next_ticket")?.as_u64()?;
+        if live.last().is_some_and(|&(t, _)| t >= session.next_ticket) {
+            return Err("snapshot next_ticket does not exceed every live ticket".into());
+        }
         session.epoch = doc.field("epoch")?.as_u64()?;
         session.solved = match doc.field("solved")? {
             JsonValue::Bool(b) => *b,
@@ -1659,9 +1660,16 @@ impl ServiceSession {
                 }
                 Ok((entry[0].as_u64()?, Placement::from_json(&entry[1])?))
             })
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        for ticket in session.schedule.keys() {
-            if !session.index.contains_key(ticket) {
+            .collect::<Result<Vec<_>, String>>()?;
+        if session
+            .schedule
+            .windows(2)
+            .any(|pair| pair[0].0 >= pair[1].0)
+        {
+            return Err("snapshot schedule tickets are not strictly ascending".into());
+        }
+        for &(ticket, _) in &session.schedule {
+            if !session.is_live(DemandTicket(ticket)) {
                 return Err(format!("scheduled ticket t{ticket} is not live"));
             }
         }

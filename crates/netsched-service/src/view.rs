@@ -32,7 +32,6 @@
 //! certified snapshot and staleness returns to zero). The
 //! `read.staleness_epochs` histogram records the observed distribution.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -54,7 +53,8 @@ fn mix(hash: u64, value: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ScheduleSnapshot {
     epoch: u64,
-    schedule: BTreeMap<u64, Placement>,
+    /// `(ticket, placement)`, strictly ascending by ticket.
+    schedule: Vec<(u64, Placement)>,
     certificate: Certificate,
     profit: f64,
     quality: CertificateQuality,
@@ -64,14 +64,14 @@ pub struct ScheduleSnapshot {
 impl ScheduleSnapshot {
     pub(crate) fn capture(
         epoch: u64,
-        schedule: &BTreeMap<u64, Placement>,
+        schedule: &[(u64, Placement)],
         certificate: Certificate,
         profit: f64,
         quality: CertificateQuality,
     ) -> Self {
         let mut snapshot = Self {
             epoch,
-            schedule: schedule.clone(),
+            schedule: schedule.to_vec(),
             certificate,
             profit,
             quality,
@@ -97,7 +97,7 @@ impl ScheduleSnapshot {
             },
         );
         hash = mix(hash, self.schedule.len() as u64);
-        for (&ticket, placement) in &self.schedule {
+        for &(ticket, placement) in &self.schedule {
             hash = mix(hash, ticket);
             hash = mix(hash, placement.network.index() as u64);
             hash = mix(hash, placement.start.map_or(0, |s| u64::from(s) + 1));
@@ -110,9 +110,12 @@ impl ScheduleSnapshot {
         self.epoch
     }
 
-    /// The placement of `ticket`, if it is scheduled.
+    /// The placement of `ticket`, if it is scheduled (`O(log scheduled)`).
     pub fn placement(&self, ticket: DemandTicket) -> Option<Placement> {
-        self.schedule.get(&ticket.0).copied()
+        self.schedule
+            .binary_search_by_key(&ticket.0, |&(t, _)| t)
+            .ok()
+            .map(|i| self.schedule[i].1)
     }
 
     /// The standing schedule, ascending by ticket (allocates; prefer
@@ -120,7 +123,7 @@ impl ScheduleSnapshot {
     pub fn schedule(&self) -> Vec<ScheduledDemand> {
         self.schedule
             .iter()
-            .map(|(&t, &placement)| ScheduledDemand {
+            .map(|&(t, placement)| ScheduledDemand {
                 ticket: DemandTicket(t),
                 placement,
             })
@@ -334,7 +337,7 @@ mod tests {
     use netsched_graph::NetworkId;
 
     fn snapshot(epoch: u64, tickets: &[u64]) -> ScheduleSnapshot {
-        let schedule: BTreeMap<u64, Placement> = tickets
+        let schedule: Vec<(u64, Placement)> = tickets
             .iter()
             .map(|&t| {
                 (

@@ -1,0 +1,270 @@
+//! The session's ticket bookkeeping against a reference model.
+//!
+//! `ServiceSession` keeps its live list and standing schedule as vectors
+//! sorted by ticket and answers ticket lookups by binary search. This suite
+//! replays churn traces and checks, every epoch, that `is_live`,
+//! `live_tickets`, `schedule()`, the published `ScheduleSnapshot` and the
+//! delta's admitted / evicted / reassigned lists agree with a plain
+//! `BTreeMap` model rebuilt from the engine's solution. It also pins the
+//! validation and restore edges the sorted layout relies on: duplicate
+//! expiries in large batches, and snapshots whose tickets are out of order.
+
+mod common;
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use common::{line_trace_with_heights, to_events, tree_trace};
+use netsched_core::AlgorithmConfig;
+use netsched_graph::{LineProblem, NetworkId};
+use netsched_service::{
+    DemandEvent, DemandTicket, Placement, ResolveMode, ScheduledDemand, ServiceError,
+    ServiceSession,
+};
+use netsched_workloads::json::JsonValue;
+use netsched_workloads::{EventTrace, HeightDistribution, TraceEvent};
+
+/// Replays `trace` and compares the session's bookkeeping with the model
+/// after every epoch.
+fn check_against_model(mut session: ServiceSession, trace: &EventTrace, label: &str) {
+    let view = session.schedule_view();
+    let mut reader = view.reader();
+    let mut tickets: Vec<DemandTicket> = session.live_tickets();
+    let mut live: BTreeSet<u64> = tickets.iter().map(|t| t.0).collect();
+    let mut expired: Vec<u64> = Vec::new();
+    let mut model: BTreeMap<u64, Placement> = BTreeMap::new();
+
+    // Epoch 0 solves the initial set; then one epoch per trace batch.
+    let batches = std::iter::once(&[][..]).chain(trace.batches.iter().map(Vec::as_slice));
+    for (epoch, batch) in batches.enumerate() {
+        let label = format!("{label} epoch {epoch}");
+        let events = to_events(batch, &tickets);
+        let delta = session
+            .step(&events)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        tickets.extend(delta.tickets.iter().copied());
+        for event in batch {
+            if let TraceEvent::Expire { arrival } = event {
+                live.remove(&tickets[*arrival].0);
+                expired.push(tickets[*arrival].0);
+            }
+        }
+        live.extend(delta.tickets.iter().map(|t| t.0));
+
+        // The live list: strictly ascending, equal to the model's set.
+        let live_tickets: Vec<u64> = session.live_tickets().iter().map(|t| t.0).collect();
+        assert_eq!(
+            live_tickets,
+            live.iter().copied().collect::<Vec<_>>(),
+            "{label}: live tickets"
+        );
+        for &t in &live {
+            assert!(session.is_live(DemandTicket(t)), "{label}: t{t} live");
+        }
+        for &t in &expired {
+            assert!(!session.is_live(DemandTicket(t)), "{label}: t{t} expired");
+        }
+        let unknown = DemandTicket(tickets.iter().map(|t| t.0).max().unwrap_or(0) + 1);
+        assert!(!session.is_live(unknown), "{label}: unissued ticket");
+
+        // The new schedule, rebuilt from the engine's solution.
+        let solution = session.last_solution().expect("stepped sessions solved");
+        let universe = session.universe();
+        let by_demand = session.live_tickets();
+        let next: BTreeMap<u64, Placement> = solution
+            .selected
+            .iter()
+            .map(|&d| {
+                let inst = universe.instance(d);
+                let placement = Placement {
+                    network: inst.network,
+                    start: inst.start,
+                };
+                (by_demand[inst.demand.index()].0, placement)
+            })
+            .collect();
+        let listed = |entries: Vec<(&u64, &Placement)>| -> Vec<ScheduledDemand> {
+            entries
+                .into_iter()
+                .map(|(&t, &placement)| ScheduledDemand {
+                    ticket: DemandTicket(t),
+                    placement,
+                })
+                .collect()
+        };
+        let admitted = listed(
+            next.iter()
+                .filter(|(t, _)| !model.contains_key(t))
+                .collect(),
+        );
+        let reassigned = listed(
+            next.iter()
+                .filter(|(t, p)| model.get(t).is_some_and(|old| old != *p))
+                .collect(),
+        );
+        let evicted: Vec<DemandTicket> = model
+            .keys()
+            .filter(|t| !next.contains_key(t) && live.contains(t))
+            .map(|&t| DemandTicket(t))
+            .collect();
+        assert_eq!(delta.admitted, admitted, "{label}: admitted");
+        assert_eq!(delta.reassigned, reassigned, "{label}: reassigned");
+        assert_eq!(delta.evicted, evicted, "{label}: evicted");
+        model = next;
+
+        // The standing schedule and the published snapshot.
+        let expected = listed(model.iter().collect());
+        assert_eq!(session.schedule(), expected, "{label}: schedule()");
+        let snapshot = reader.read();
+        assert_eq!(snapshot.epoch(), session.epoch(), "{label}: published");
+        assert!(snapshot.verify_fingerprint());
+        assert_eq!(snapshot.schedule(), expected, "{label}: snapshot schedule");
+        assert_eq!(snapshot.len(), model.len(), "{label}: snapshot len");
+        for &t in live.iter().chain(&expired).chain([&unknown.0]) {
+            assert_eq!(
+                snapshot.placement(DemandTicket(t)),
+                model.get(&t).copied(),
+                "{label}: placement of t{t}"
+            );
+        }
+    }
+}
+
+#[test]
+fn line_bookkeeping_matches_a_btreemap_model() {
+    let config = AlgorithmConfig::deterministic(0.1);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        // Mixed heights route the solve through the wide/narrow split.
+        for (heights, churn) in [
+            (HeightDistribution::Unit, 0.2),
+            (
+                HeightDistribution::Mixed {
+                    wide_fraction: 0.4,
+                    min_narrow: 0.1,
+                },
+                0.3,
+            ),
+        ] {
+            let (problem, trace) = line_trace_with_heights(3, 40, 11, churn, heights);
+            let session = ServiceSession::for_line(&problem, config).with_resolve_mode(mode);
+            check_against_model(session, &trace, &format!("line {mode:?} {heights:?}"));
+        }
+    }
+}
+
+#[test]
+fn tree_bookkeeping_matches_a_btreemap_model() {
+    let config = AlgorithmConfig::deterministic(0.1);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let (problem, trace) = tree_trace(
+            3,
+            30,
+            23,
+            0.3,
+            HeightDistribution::Mixed {
+                wide_fraction: 0.5,
+                min_narrow: 0.1,
+            },
+        );
+        let session = ServiceSession::for_tree(&problem, config).with_resolve_mode(mode);
+        check_against_model(session, &trace, &format!("tree {mode:?}"));
+    }
+}
+
+/// A batch expiring every live demand, with one duplicate late in it, is
+/// rejected with the first error in batch order and leaves the session
+/// unchanged.
+#[test]
+fn a_large_batch_with_one_duplicate_expiry_reports_the_first_error() {
+    // 1500 disjoint single-instance demands: cheap to build, large batch.
+    let mut problem = LineProblem::new(3000, 1);
+    for i in 0..1500u32 {
+        problem
+            .add_demand(2 * i, 2 * i + 1, 2, 1.0, 1.0, vec![NetworkId::new(0)])
+            .unwrap();
+    }
+    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
+    let tickets = session.live_tickets();
+    assert_eq!(tickets.len(), 1500);
+    let unknown = DemandTicket(u64::MAX);
+    let duplicate = tickets[700];
+
+    let mut batch: Vec<DemandEvent> = tickets.iter().map(|&t| DemandEvent::Expire(t)).collect();
+    batch.insert(1200, DemandEvent::Expire(duplicate));
+    batch.push(DemandEvent::Expire(unknown));
+    assert_eq!(
+        session.step(&batch),
+        Err(ServiceError::DuplicateExpiry(duplicate))
+    );
+
+    // An unknown ticket ahead of the duplicate is reported instead.
+    batch.insert(900, DemandEvent::Expire(unknown));
+    assert_eq!(
+        session.step(&batch),
+        Err(ServiceError::UnknownTicket(unknown))
+    );
+
+    assert_eq!(session.epoch(), 0);
+    assert_eq!(session.live_tickets(), tickets);
+    // Without the duplicate and the unknown ticket the batch applies.
+    let clean: Vec<DemandEvent> = tickets.iter().map(|&t| DemandEvent::Expire(t)).collect();
+    let delta = session.step(&clean).expect("distinct live expiries");
+    assert_eq!(delta.stats.expiries, 1500);
+    assert_eq!(session.live_demands(), 0);
+}
+
+/// Rewrites the `live` entries of a snapshot document.
+fn with_live_tickets(doc: &JsonValue, edit: impl FnOnce(&mut [JsonValue])) -> JsonValue {
+    let mut doc = doc.clone();
+    let JsonValue::Object(fields) = &mut doc else {
+        panic!("snapshots are objects");
+    };
+    let Some(JsonValue::Array(live)) = fields.get_mut("live") else {
+        panic!("snapshots carry a live array");
+    };
+    edit(live);
+    doc
+}
+
+fn set_ticket(entry: &mut JsonValue, ticket: u64) {
+    let JsonValue::Array(pair) = entry else {
+        panic!("live entries are pairs");
+    };
+    pair[0] = JsonValue::u64_value(ticket);
+}
+
+#[test]
+fn from_snapshot_rejects_live_tickets_out_of_ascending_order() {
+    let (problem, trace) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
+    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
+    let mut tickets = session.live_tickets();
+    session.step(&[]).unwrap();
+    let batch = to_events(&trace.batches[0], &tickets);
+    tickets.extend(session.step(&batch).unwrap().tickets);
+    let doc = session.snapshot();
+    assert!(ServiceSession::from_snapshot(&doc).is_ok());
+    let live = session.live_tickets();
+    assert!(live.len() >= 3);
+
+    // Two entries swapped: distinct, but descending.
+    let swapped = with_live_tickets(&doc, |entries| {
+        set_ticket(&mut entries[0], live[1].0);
+        set_ticket(&mut entries[1], live[0].0);
+    });
+    let err = ServiceSession::from_snapshot(&swapped).unwrap_err();
+    assert!(err.contains("strictly ascending"), "{err}");
+
+    // A repeated ticket is not strictly ascending either.
+    let repeated = with_live_tickets(&doc, |entries| {
+        set_ticket(&mut entries[1], live[0].0);
+    });
+    let err = ServiceSession::from_snapshot(&repeated).unwrap_err();
+    assert!(err.contains("strictly ascending"), "{err}");
+
+    // A live ticket at or past `next_ticket` would collide with arrivals.
+    let last = live.len() - 1;
+    let too_new = with_live_tickets(&doc, |entries| {
+        set_ticket(&mut entries[last], u64::from(u32::MAX));
+    });
+    let err = ServiceSession::from_snapshot(&too_new).unwrap_err();
+    assert!(err.contains("next_ticket"), "{err}");
+}
