@@ -131,7 +131,7 @@ pub fn run_ps_style(
 }
 
 /// The Panconesi–Sozio baseline for the unit-height case of line networks
-/// with windows (the `(20 + ε)`-approximation of [16]). Instance ids refer
+/// with windows (the `(20 + ε)`-approximation of \[16\]). Instance ids refer
 /// to `problem.universe()`.
 pub fn solve_ps_line_unit(problem: &LineProblem, config: &AlgorithmConfig) -> Solution {
     let universe = problem.universe();

@@ -10,7 +10,8 @@
 //!   sweeps driven through rayon) at 1/2/4/8 workers, and
 //! * **MIS epochs + engine** — [`run_two_phase_reference`] (simulator-driven
 //!   Luby, sequential filters and raises) versus [`run_two_phase_on`]
-//!   (shard-parallel MIS, filters and raises) at the same worker counts —
+//!   (shard-parallel MIS and filters, sequential raises) at the same
+//!   worker counts —
 //!   both engines produce identical schedules, so this is a pure
 //!   representation comparison.
 //!
@@ -21,7 +22,7 @@
 
 use criterion::black_box;
 use netsched_core::framework::{run_two_phase_on, run_two_phase_reference};
-use netsched_core::{AlgorithmConfig, RaiseRule};
+use netsched_core::{AlgorithmConfig, Budget, RaiseRule};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{ConflictGraph, MisStrategy, ShardedConflictGraph};
 use netsched_graph::DemandInstanceUniverse;
@@ -223,6 +224,7 @@ fn run_scenario(s: &Scenario, samples: usize) -> ScenarioResult {
                         &s.layering,
                         RaiseRule::Unit,
                         &config,
+                        &Budget::unlimited(),
                     )
                 }));
                 ThreadResult {

@@ -2,17 +2,17 @@
 //!
 //! The proofs of Lemma 3.1 and Lemma 5.1 reason about *which* instances were
 //! raised, in which step, by how much, and who "killed" whom (Claim 5.2).
-//! [`run_two_phase_traced`] runs the same engine as
-//! [`crate::framework::run_two_phase`] but records a [`Trace`] of every step,
-//! which the experiment harness and the tests use to inspect kill chains,
-//! per-stage step counts and the per-instance raise amounts δ(d).
+//! [`run_two_phase_traced`] is a [`crate::framework::run_two_phase`] whose
+//! engine records a [`Trace`] of every step as it runs, which the
+//! experiment harness and the tests use to inspect kill chains, per-stage
+//! step counts and the per-instance raise amounts δ(d).
 
-use crate::config::{stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
-use crate::duals::DualState;
-use crate::framework::{eligibility, run_two_phase};
+use crate::budget::Budget;
+use crate::config::{AlgorithmConfig, RaiseRule};
 use crate::solution::Solution;
+use crate::warm::{warm_impl, WarmState};
 use netsched_decomp::InstanceLayering;
-use netsched_distrib::{maximal_independent_set, ConflictGraph, MisStrategy, RoundStats};
+use netsched_distrib::{ConflictGraph, ShardedConflictGraph};
 use netsched_graph::{DemandInstanceUniverse, InstanceId};
 
 /// One first-phase step (one MIS computation plus the simultaneous raises).
@@ -78,11 +78,7 @@ impl Trace {
     /// later step of the same stage, then `d1` "killed" `d2` at step `i`.
     /// Returns, per stage, the longest chain `d_1 → d_2 → …` found; Claim
     /// 5.2 predicts that profits double along each chain.
-    pub fn longest_kill_chain(
-        &self,
-        universe: &DemandInstanceUniverse,
-        conflict: &ConflictGraph,
-    ) -> Vec<InstanceId> {
+    pub fn longest_kill_chain(&self, conflict: &ConflictGraph) -> Vec<InstanceId> {
         use std::collections::HashMap;
         // Group raised instances by (epoch, stage) with their step index.
         let mut by_stage: HashMap<(usize, usize), Vec<(usize, InstanceId)>> = HashMap::new();
@@ -119,87 +115,43 @@ impl Trace {
                 chain_to.insert(d, best_prev);
             }
         }
-        let _ = universe;
         best
     }
 }
 
-/// Runs the two-phase engine while recording a [`Trace`]. The returned
-/// [`Solution`] is produced by the same (untraced) engine with the same
-/// configuration, so it is identical to what [`run_two_phase`] returns for
-/// deterministic MIS strategies.
+/// Runs the two-phase engine while recording a [`Trace`]. The run is a
+/// fresh-state solve of the one engine with a step observer attached, so
+/// the returned [`Solution`] is exactly what
+/// [`run_two_phase`](crate::run_two_phase) returns and the trace describes
+/// that very run.
 pub fn run_two_phase_traced(
     universe: &DemandInstanceUniverse,
     layering: &InstanceLayering,
     rule: RaiseRule,
     config: &AlgorithmConfig,
 ) -> (Solution, Trace) {
-    // First, replay the first phase step by step to build the trace. This
-    // mirrors `run_two_phase`'s first phase exactly (same thresholds, same
-    // MIS strategy derivation) but keeps the per-step records.
     let mut trace = Trace::default();
-    if universe.num_instances() == 0 {
-        return (Solution::empty(), trace);
-    }
-    let conflict = ConflictGraph::build(universe);
-    let mut duals = DualState::new(universe, rule);
-    let (eligible, h_min) = eligibility(universe);
-    let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
-    let stages = stages_per_epoch(xi, config.epsilon);
-    let profit_ratio = (universe.max_profit() / universe.min_profit()).max(1.0);
-    let step_cap = 4 * (profit_ratio.log2().ceil() as u64 + 4) + 32;
-
-    let mut scratch_stats = RoundStats::new();
-    for (epoch, group) in layering.groups().iter().enumerate() {
-        for stage in 1..=stages {
-            let threshold = 1.0 - xi.powi(stage as i32);
-            let mut step = 0usize;
-            loop {
-                let unsatisfied: Vec<InstanceId> = group
-                    .iter()
-                    .copied()
-                    .filter(|&d| {
-                        eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold)
-                    })
-                    .collect();
-                if unsatisfied.is_empty() || step as u64 >= step_cap {
-                    break;
-                }
-                let strategy = match config.mis {
-                    MisStrategy::SequentialGreedy => MisStrategy::SequentialGreedy,
-                    MisStrategy::Luby { seed } => MisStrategy::Luby {
-                        seed: seed ^ ((epoch as u64) << 40 | (stage as u64) << 20 | step as u64),
-                    },
-                };
-                let mis =
-                    maximal_independent_set(&conflict, &unsatisfied, strategy, &mut scratch_stats);
-                let mut raised = Vec::with_capacity(mis.len());
-                for &d in &mis {
-                    let delta = duals.raise(universe, d, layering.critical(d));
-                    raised.push((d, delta));
-                }
-                trace.steps.push(StepRecord {
-                    epoch,
-                    stage,
-                    step,
-                    unsatisfied: unsatisfied.len(),
-                    raised,
-                });
-                step += 1;
-            }
-        }
-    }
-
-    // The solution itself comes from the canonical engine (identical
-    // configuration).
-    let solution = run_two_phase(universe, layering, rule, config);
+    let conflict = ShardedConflictGraph::build(universe);
+    let (solution, _) = warm_impl(
+        universe,
+        &conflict,
+        layering,
+        rule,
+        config,
+        &mut WarmState::new(universe, rule),
+        &Budget::unlimited(),
+        None::<fn()>,
+        Some(&mut trace),
+    );
     (solution, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::run_two_phase;
     use netsched_decomp::TreeDecompositionKind;
+    use netsched_distrib::MisStrategy;
     use netsched_graph::fixtures::figure6_problem;
     use netsched_graph::{NetworkId, TreeProblem, VertexId};
     use rand::rngs::StdRng;
@@ -251,6 +203,39 @@ mod tests {
     }
 
     #[test]
+    fn trace_describes_the_returned_run_under_luby() {
+        for seed in 0..8u64 {
+            let p = random_problem(100 + seed, 24, 30);
+            let u = p.universe();
+            let layering = InstanceLayering::for_tree_problem(&p, &u, TreeDecompositionKind::Ideal);
+            let cfg = AlgorithmConfig {
+                epsilon: 0.1,
+                mis: MisStrategy::Luby { seed: 31 + seed },
+                seed,
+            };
+            let (sol, trace) = run_two_phase_traced(&u, &layering, RaiseRule::Unit, &cfg);
+            let mut traced_raised = trace.raised_in_order();
+            traced_raised.sort_unstable();
+            assert_eq!(traced_raised, sol.raised_instances, "seed {seed}");
+            assert_eq!(
+                trace.num_steps() as u64,
+                sol.diagnostics.steps,
+                "seed {seed}"
+            );
+            assert_eq!(
+                trace.max_steps_per_stage() as u64,
+                sol.diagnostics.max_steps_per_stage,
+                "seed {seed}"
+            );
+            assert_eq!(
+                sol.selected,
+                run_two_phase(&u, &layering, RaiseRule::Unit, &cfg).selected,
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
     fn deltas_are_positive_and_sum_below_dual_objective() {
         let p = figure6_problem();
         let u = p.universe();
@@ -296,7 +281,7 @@ mod tests {
             &AlgorithmConfig::deterministic(0.1),
         );
         let conflict = ConflictGraph::build(&u);
-        let chain = trace.longest_kill_chain(&u, &conflict);
+        let chain = trace.longest_kill_chain(&conflict);
         assert!(!chain.is_empty());
         for w in chain.windows(2) {
             assert!(

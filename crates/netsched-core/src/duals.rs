@@ -17,16 +17,10 @@
 //! so the weighted constraint LHS is the same `O(runs · log E)` range sum
 //! instead of a per-edge loop; `ĥ(d)` queries ride on the universe's
 //! range-minimum [`CapacityIndex`](netsched_graph::CapacityIndex).
-//!
-//! Because the `β` trees are per-network and both an MIS and the paths
-//! within it are conflict-free, a whole MIS worth of raises decomposes by
-//! network: [`DualState::raise_batch`] executes them shard-parallel with
-//! float-identical results to the sequential loop.
 
 use crate::config::RaiseRule;
 use netsched_graph::{DemandInstanceUniverse, InstanceId, NetworkId};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
-use rayon::prelude::*;
 
 /// A Fenwick (binary indexed) tree over `f64` with point updates and
 /// prefix/range sums, plus a dense mirror so single-point reads stay `O(1)`
@@ -308,8 +302,7 @@ impl DualState {
 
     /// Applies the `β` side of one raise within the instance's own network
     /// trees and returns δ(d) (0 when the constraint is already tight).
-    /// The caller is responsible for the `α` update, which is what lets
-    /// [`DualState::raise_batch`] run the `β` work network-parallel.
+    /// The caller is responsible for the `α` update.
     fn raise_in_network(
         nd: &mut NetworkDuals,
         rule: RaiseRule,
@@ -355,72 +348,6 @@ impl DualState {
                     }
                 }
                 delta
-            }
-        }
-    }
-
-    /// Raises a whole MIS at once, shard-parallel by network.
-    ///
-    /// The instances of an MIS are pairwise conflict-free: their demands
-    /// are distinct (so the `α` updates never collide) and same-network
-    /// members have edge-disjoint paths (so the `β` reads and point updates
-    /// never interact). The raises are therefore order-independent and the
-    /// result is float-identical to raising the batch sequentially — the
-    /// per-network trees are farmed out through rayon and the `α` deltas
-    /// applied on return. Small batches skip the parallel machinery.
-    pub fn raise_batch(
-        &mut self,
-        universe: &DemandInstanceUniverse,
-        items: &[(InstanceId, &[netsched_graph::EdgeId])],
-    ) {
-        const PAR_MIN_BATCH: usize = 64;
-        if items.len() < PAR_MIN_BATCH || rayon::current_num_threads() <= 1 {
-            for &(d, pi) in items {
-                self.raise(universe, d, pi);
-            }
-            return;
-        }
-        // One raise work item: the instance, its critical edges and its
-        // demand's α value as of batch start.
-        type RaiseItem<'a> = (InstanceId, &'a [netsched_graph::EdgeId], f64);
-        let rule = self.rule;
-        let mut grouped: Vec<Vec<RaiseItem<'_>>> = vec![Vec::new(); self.beta.len()];
-        let mut touched = 0usize;
-        for &(d, pi) in items {
-            let inst = universe.instance(d);
-            let bucket = &mut grouped[inst.network.index()];
-            if bucket.is_empty() {
-                touched += 1;
-            }
-            bucket.push((d, pi, self.alpha[inst.demand.index()]));
-        }
-        if touched <= 1 {
-            for &(d, pi) in items {
-                self.raise(universe, d, pi);
-            }
-            return;
-        }
-        let nets = std::mem::take(&mut self.beta);
-        let work: Vec<(NetworkDuals, Vec<RaiseItem<'_>>)> = nets.into_iter().zip(grouped).collect();
-        let results: Vec<(NetworkDuals, Vec<(usize, f64)>)> = work
-            .into_par_iter()
-            .map(|(mut nd, batch)| {
-                let mut alpha_updates = Vec::with_capacity(batch.len());
-                for (d, pi, alpha_now) in batch {
-                    let delta =
-                        Self::raise_in_network(&mut nd, rule, universe, d, pi, alpha_now, true);
-                    if delta > 0.0 {
-                        alpha_updates.push((universe.instance(d).demand.index(), delta));
-                    }
-                }
-                (nd, alpha_updates)
-            })
-            .collect();
-        self.beta = Vec::with_capacity(results.len());
-        for (nd, updates) in results {
-            self.beta.push(nd);
-            for (demand, delta) in updates {
-                self.alpha[demand] += delta;
             }
         }
     }

@@ -15,24 +15,29 @@
 //! and raises all of them simultaneously, pushing the MIS onto a stack.
 //! Second phase: pop the stack and greedily keep every instance that stays
 //! feasible.
+//!
+//! There is one optimized implementation of that loop: the warm engine in
+//! [`crate::warm`]. A cold solve ([`run_two_phase`], [`run_two_phase_on`])
+//! is a solve on a fresh [`WarmState`], which repairs every shard from zero
+//! duals and so executes the paper's first phase step for step. This module
+//! keeps the cold entry points and [`run_two_phase_reference`], the
+//! independent sequential baseline the sharded engine is tested against.
 
 use crate::budget::{Budget, CertificateQuality};
 use crate::config::{stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 use crate::duals::DualState;
 use crate::solution::{RunDiagnostics, Solution};
+use crate::warm::{run_two_phase_warm_on, WarmState};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{
-    maximal_independent_set, sharded_mis, ConflictGraph, MisScratch, MisStrategy, RoundStats,
-    ShardedConflictGraph,
+    maximal_independent_set, ConflictGraph, MisStrategy, RoundStats, ShardedConflictGraph,
 };
 use netsched_graph::{DemandInstanceUniverse, InstanceId, LoadTracker, EPS};
-use rayon::prelude::*;
 
 /// Eligibility of every instance (those whose height fits every edge
 /// capacity on their path) together with the minimum relative height
-/// `h_min` over the eligible instances. Shared by the plain and traced
-/// engines; `O(|D|)` under uniform capacities.
-pub(crate) fn eligibility(universe: &DemandInstanceUniverse) -> (Vec<bool>, f64) {
+/// `h_min` over the eligible instances. `O(|D|)` under uniform capacities.
+fn eligibility(universe: &DemandInstanceUniverse) -> (Vec<bool>, f64) {
     let eligible: Vec<bool> = universe
         .instance_ids()
         .map(|d| DualState::max_relative_height(universe, d) <= 1.0 + EPS)
@@ -60,77 +65,10 @@ pub fn run_two_phase(
     rule: RaiseRule,
     config: &AlgorithmConfig,
 ) -> Solution {
-    if universe.num_instances() == 0 {
-        config.validate().expect("invalid algorithm configuration");
-        return Solution::empty();
-    }
     let conflict = ShardedConflictGraph::build(universe);
-    run_two_phase_on(universe, &conflict, layering, rule, config)
-}
-
-/// Positions within one layering group that are eligible and still below
-/// the stage threshold, in group order. The Fenwick-heavy satisfaction
-/// checks are evaluated shard-parallel (reads only); the order-preserving
-/// merge keeps the result identical to the sequential filter.
-pub(crate) fn unsatisfied_of_group(
-    universe: &DemandInstanceUniverse,
-    duals: &DualState,
-    eligible: &[bool],
-    group: &[InstanceId],
-    group_by_shard: &[Vec<u32>],
-    threshold: f64,
-) -> Vec<InstanceId> {
-    const PAR_MIN_GROUP: usize = 1024;
-    let keep =
-        |d: InstanceId| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold);
-    if group.len() < PAR_MIN_GROUP || group_by_shard.len() <= 1 || rayon::current_num_threads() <= 1
-    {
-        return group.iter().copied().filter(|&d| keep(d)).collect();
-    }
-    let kept_parts: Vec<Vec<u32>> = (0..group_by_shard.len())
-        .into_par_iter()
-        .map(|t| {
-            group_by_shard[t]
-                .iter()
-                .copied()
-                .filter(|&p| keep(group[p as usize]))
-                .collect()
-        })
-        .collect();
-    let mut mask = vec![false; group.len()];
-    for part in &kept_parts {
-        for &p in part {
-            mask[p as usize] = true;
-        }
-    }
-    group
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| mask[i])
-        .map(|(_, &d)| d)
-        .collect()
-}
-
-/// Runs the two-phase framework on a prebuilt sharded conflict graph.
-///
-/// The first phase is executed shard-parallel: the per-step satisfaction
-/// filters, the MIS of each step ([`sharded_mis`]) and the dual raises of
-/// each MIS ([`DualState::raise_batch`]) all decompose by network. Every
-/// decision — MIS contents, raise amounts, schedules, certificates — is
-/// identical to the sequential reference engine
-/// ([`run_two_phase_reference`]) at any thread count; only the Luby
-/// round/message accounting may differ from the message-passing simulator
-/// by small constants.
-pub fn run_two_phase_on(
-    universe: &DemandInstanceUniverse,
-    conflict: &ShardedConflictGraph,
-    layering: &InstanceLayering,
-    rule: RaiseRule,
-    config: &AlgorithmConfig,
-) -> Solution {
-    run_two_phase_on_budgeted(
+    run_two_phase_on(
         universe,
-        conflict,
+        &conflict,
         layering,
         rule,
         config,
@@ -138,15 +76,26 @@ pub fn run_two_phase_on(
     )
 }
 
-/// [`run_two_phase_on`] under a cooperative [`Budget`]: the first phase
-/// checks the budget before every MIS/raise round and cuts the moment it
-/// is exhausted. The second phase always runs (it replays whatever the
-/// stack holds, so the schedule is feasible regardless of where the cut
-/// landed) and the certificate is computed from the duals as raised so
-/// far — a *valid* optimum upper bound by weak duality, tagged
+/// Runs the two-phase framework on a prebuilt sharded conflict graph under
+/// a cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
+///
+/// This is a [`run_two_phase_warm_on`] over a fresh [`WarmState`]: the
+/// satisfaction filters and the MIS of each step
+/// ([`sharded_mis`](netsched_distrib::sharded_mis)) run shard-parallel, the
+/// raises of each MIS run sequentially. Every decision — MIS contents,
+/// raise amounts, schedules, certificates — is identical to the sequential
+/// reference engine ([`run_two_phase_reference`]) at any thread count; only
+/// the Luby round/message accounting may differ from the message-passing
+/// simulator by small constants.
+///
+/// The first phase checks the budget before every MIS/raise round and cuts
+/// the moment it is exhausted. The second phase always runs (it replays
+/// whatever the stack holds, so the schedule is feasible regardless of
+/// where the cut landed) and the certificate is computed from the duals as
+/// raised so far — a *valid* optimum upper bound by weak duality, tagged
 /// [`CertificateQuality::Truncated`] with the number of first-phase
 /// (group × stage) slots not yet drained.
-pub fn run_two_phase_on_budgeted(
+pub fn run_two_phase_on(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
     layering: &InstanceLayering,
@@ -154,178 +103,10 @@ pub fn run_two_phase_on_budgeted(
     config: &AlgorithmConfig,
     budget: &Budget,
 ) -> Solution {
-    config.validate().expect("invalid algorithm configuration");
-    if universe.num_instances() == 0 {
-        return Solution::empty();
-    }
-
-    let mut duals = DualState::new(universe, rule);
-    let mut stats = RoundStats::new();
-    let mut scratch = MisScratch::new(universe.num_instances());
-
-    let (eligible, h_min) = eligibility(universe);
-    let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
-    let stages = stages_per_epoch(xi, config.epsilon);
-
-    let profit_ratio = (universe.max_profit() / universe.min_profit()).max(1.0);
-    let step_cap = 4 * (profit_ratio.log2().ceil() as u64 + 4) + 32;
-
-    let groups = layering.groups();
-    let sharding = conflict.sharding();
-    let mut stack: Vec<Vec<InstanceId>> = Vec::new();
-    let mut steps: u64 = 0;
-    let mut max_steps_per_stage: u64 = 0;
-    let mut raised: u64 = 0;
-
-    // Budget accounting: `rounds_left` on a cut counts the first-phase
-    // (group × stage) slots not yet drained when the budget expired.
-    let total_slots = (groups.len() * stages) as u64;
-    let mut completed_slots: u64 = 0;
-    let mut cut = false;
-
-    // ---------------- First phase ----------------
-    'groups: for (epoch, group) in groups.iter().enumerate() {
-        // Group positions partitioned by shard, once per epoch.
-        let mut group_by_shard: Vec<Vec<u32>> = vec![Vec::new(); conflict.num_shards()];
-        for (i, &d) in group.iter().enumerate() {
-            group_by_shard[sharding.shard_of(d).index()].push(i as u32);
-        }
-        for stage in 1..=stages {
-            let threshold = 1.0 - xi.powi(stage as i32);
-            let mut stage_steps: u64 = 0;
-            loop {
-                let unsatisfied = unsatisfied_of_group(
-                    universe,
-                    &duals,
-                    &eligible,
-                    group,
-                    &group_by_shard,
-                    threshold,
-                );
-                if unsatisfied.is_empty() {
-                    break;
-                }
-                debug_assert!(
-                    stage_steps < step_cap,
-                    "stage exceeded the Claim 5.2 step bound ({step_cap})"
-                );
-                if stage_steps >= step_cap {
-                    break;
-                }
-                if !budget.consume_round() {
-                    cut = true;
-                    steps += stage_steps;
-                    max_steps_per_stage = max_steps_per_stage.max(stage_steps);
-                    break 'groups;
-                }
-
-                // One step: shard-parallel MIS among the unsatisfied
-                // instances of the group, then raise the whole MIS at once
-                // (also shard-parallel; an MIS is conflict-free, so the
-                // raises are independent).
-                let strategy = derive_strategy(config, epoch, stage, stage_steps);
-                let mis = sharded_mis(conflict, &unsatisfied, strategy, &mut stats, &mut scratch);
-
-                let batch: Vec<(InstanceId, &[netsched_graph::EdgeId])> =
-                    mis.iter().map(|&d| (d, layering.critical(d))).collect();
-                duals.raise_batch(universe, &batch);
-                let outgoing_messages: u64 = mis.iter().map(|&d| conflict.degree(d) as u64).sum();
-                raised += mis.len() as u64;
-                // Broadcasting the raised dual variables to the processors
-                // that share a resource costs one round; each message
-                // carries at most |π(d)| + 1 ≤ ∆ + 1 records.
-                stats.record_messages(outgoing_messages, layering.max_critical() as u64 + 1);
-                stats.record_round();
-                stack.push(mis);
-                stage_steps += 1;
-            }
-            steps += stage_steps;
-            max_steps_per_stage = max_steps_per_stage.max(stage_steps);
-            completed_slots += 1;
-        }
-    }
-
-    // ---------------- Second phase ----------------
-    // Incremental congestion tracking: each candidate costs O(path(d)),
-    // independent of how much has already been selected.
-    let selected = replay_stack(
-        universe,
-        conflict,
-        stack.iter().rev().map(Vec::as_slice),
-        &mut stats,
-    );
-
-    // The certificate: all eligible instances are λ-satisfied, so the dual
-    // assignment scaled by 1/λ upper-bounds the optimum (weak duality).
-    let lambda = universe
-        .instance_ids()
-        .filter(|d| eligible[d.index()])
-        .map(|d| duals.lhs(universe, d) / universe.profit(d))
-        .fold(1.0_f64, f64::min)
-        .max(EPS);
-    let dual_objective = duals.objective();
-
-    let mut raised_instances: Vec<InstanceId> = stack.iter().flatten().copied().collect();
-    raised_instances.sort_unstable();
-
-    let profit = universe.total_profit(&selected);
-    Solution {
-        selected,
-        raised_instances,
-        profit,
-        stats,
-        diagnostics: RunDiagnostics {
-            epochs: groups.len(),
-            stages_per_epoch: stages,
-            steps,
-            max_steps_per_stage,
-            raised,
-            delta: layering.max_critical(),
-            lambda,
-            dual_objective,
-            optimum_upper_bound: dual_objective / lambda,
-            quality: if cut {
-                CertificateQuality::Truncated {
-                    rounds_left: total_slots - completed_slots,
-                }
-            } else {
-                CertificateQuality::Full
-            },
-        },
-    }
-}
-
-/// The engine's second phase, factored to the **pipelining boundary**:
-/// pops the MIS layers newest-first and greedily commits every instance
-/// that still fits its edge capacities. It reads only the frozen
-/// first-phase output (the MIS stack) plus the immutable
-/// universe/conflict structures — no duals, no budget, no mutation of
-/// either input — which is exactly why a pipelined serving tier may run
-/// other work concurrently with it as long as that work touches neither
-/// (see [`run_two_phase_warm_overlapped`](crate::warm::run_two_phase_warm_overlapped)).
-/// Shared by the cold sharded engine and the warm-resume engine so their
-/// replays cannot drift apart.
-pub(crate) fn replay_stack<'a>(
-    universe: &DemandInstanceUniverse,
-    conflict: &ShardedConflictGraph,
-    mises: impl Iterator<Item = &'a [InstanceId]>,
-    stats: &mut RoundStats,
-) -> Vec<InstanceId> {
-    let mut tracker = LoadTracker::new(universe);
-    let mut selected: Vec<InstanceId> = Vec::new();
-    for mis in mises {
-        let mut announced = 0u64;
-        for &d in mis {
-            if tracker.try_commit(universe, d) {
-                selected.push(d);
-                announced += conflict.degree(d) as u64;
-            }
-        }
-        stats.record_messages(announced, 1);
-        stats.record_round();
-    }
-    selected.sort_unstable();
-    selected
+    let mut warm = WarmState::new(universe, rule);
+    run_two_phase_warm_on(
+        universe, conflict, layering, rule, config, &mut warm, budget,
+    )
 }
 
 /// The pre-shard reference engine: single flat CSR, simulator-driven MIS,
@@ -490,18 +271,6 @@ pub(crate) fn derive_strategy(
             MisStrategy::Luby { seed: x }
         }
     }
-}
-
-/// Verifies the *interference property* of a completed run (Section 3.2):
-/// replays the first phase deterministically is not possible, so instead we
-/// check the property that the layering guarantees — every pair of
-/// overlapping instances with `group(d1) ≤ group(d2)` has a critical edge of
-/// `d1` on `path(d2)`. Exposed mainly for tests and the experiment harness.
-pub fn check_interference_property(
-    universe: &DemandInstanceUniverse,
-    layering: &InstanceLayering,
-) -> Result<(), String> {
-    layering.check_layered_property(universe)
 }
 
 #[cfg(test)]
@@ -669,7 +438,7 @@ mod tests {
             let p = random_unit_tree_problem(seed, 24, 3, 20);
             let u = p.universe();
             let layering = InstanceLayering::for_tree_problem(&p, &u, TreeDecompositionKind::Ideal);
-            check_interference_property(&u, &layering).unwrap();
+            layering.check_layered_property(&u).unwrap();
             let cfg = AlgorithmConfig {
                 epsilon: 0.1,
                 mis: MisStrategy::Luby { seed: 99 + seed },

@@ -66,10 +66,7 @@ pub use analysis::{run_two_phase_traced, StepRecord, Trace};
 pub use budget::{Budget, CertificateQuality, RoundCalibration};
 pub use config::{approximation_bound, stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 pub use duals::DualState;
-pub use framework::{
-    check_interference_property, run_two_phase, run_two_phase_on, run_two_phase_on_budgeted,
-    run_two_phase_reference,
-};
+pub use framework::{run_two_phase, run_two_phase_on, run_two_phase_reference};
 pub use line::{
     solve_line_arbitrary, solve_line_arbitrary_on, solve_line_narrow, solve_line_narrow_on,
     solve_line_unit, solve_line_unit_on,
@@ -77,15 +74,13 @@ pub use line::{
 pub use sequential::{run_sequential, solve_sequential_on, solve_sequential_tree};
 pub use solution::{RunDiagnostics, Solution};
 pub use solver::{
-    combine_wide_narrow, registry, solve_wide_narrow_on, solve_wide_narrow_on_budgeted,
-    ArbitraryTreeSolver, BuildCounts, EngineHalf, HalfOutcome, LineArbitrarySolver,
-    LineNarrowSolver, LineUnitSolver, NarrowTreeSolver, Portfolio, PortfolioRun, Problem,
-    ProblemKind, Scheduler, SequentialTreeSolver, SolveContext, Solver, SplitPart, UnitTreeSolver,
+    combine_wide_narrow, registry, solve_wide_narrow_on, ArbitraryTreeSolver, BuildCounts,
+    EngineHalf, HalfOutcome, LineArbitrarySolver, LineNarrowSolver, LineUnitSolver,
+    NarrowTreeSolver, Portfolio, PortfolioRun, Problem, ProblemKind, Scheduler,
+    SequentialTreeSolver, SolveContext, Solver, SplitPart, UnitTreeSolver,
 };
 pub use tree::{
     solve_arbitrary_tree, solve_arbitrary_tree_on, solve_narrow_tree, solve_narrow_tree_on,
     solve_unit_tree, solve_unit_tree_on, subproblem,
 };
-pub use warm::{
-    run_two_phase_warm_on, run_two_phase_warm_on_budgeted, run_two_phase_warm_overlapped, WarmState,
-};
+pub use warm::{run_two_phase_warm_on, run_two_phase_warm_overlapped, WarmState};

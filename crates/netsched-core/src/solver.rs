@@ -11,7 +11,7 @@
 //! * [`Scheduler`] — a *session* around one problem that builds the
 //!   [`DemandInstanceUniverse`], the [`InstanceLayering`]s and the
 //!   wide/narrow split **once** and reuses them across repeated solves with
-//!   different `ε`, [`RaiseRule`](crate::RaiseRule) or seeds — the hot-path
+//!   different `ε`, [`RaiseRule`] or seeds — the hot-path
 //!   win for parameter sweeps, portfolios and the bench harness;
 //! * [`registry`] — the paper's algorithms as boxed solvers (baselines
 //!   register through the same trait in `netsched-baseline`);
@@ -73,7 +73,7 @@
 
 use crate::budget::Budget;
 use crate::config::{AlgorithmConfig, RaiseRule};
-use crate::framework::{run_two_phase_on, run_two_phase_on_budgeted};
+use crate::framework::run_two_phase_on;
 use crate::sequential::run_sequential;
 use crate::solution::{RunDiagnostics, Solution};
 use netsched_decomp::{InstanceLayering, TreeDecompositionKind};
@@ -729,21 +729,12 @@ impl<'a> EngineHalf<'a> {
 /// (via its split caches) and by the dynamic serving layer over a
 /// partially-rebuilt conflict graph; the output is a pure function of the
 /// halves and the configuration.
+///
+/// Both halves are charged against the **same** [`Budget`] (its round
+/// accounting is shared), so a cap bounds the total first-phase work of
+/// the combined solve. The combined certificate is tagged with the merge
+/// of the two halves' qualities.
 pub fn solve_wide_narrow_on(
-    universe: &DemandInstanceUniverse,
-    wide: EngineHalf<'_>,
-    narrow: EngineHalf<'_>,
-    config: &AlgorithmConfig,
-) -> Solution {
-    solve_wide_narrow_on_budgeted(universe, wide, narrow, config, &Budget::unlimited())
-}
-
-/// [`solve_wide_narrow_on`] under a cooperative [`Budget`]: both halves
-/// are charged against the **same** budget (its round accounting is
-/// shared), so the cap bounds the total first-phase work of the combined
-/// solve. The combined certificate is tagged with the merge of the two
-/// halves' qualities.
-pub fn solve_wide_narrow_on_budgeted(
     universe: &DemandInstanceUniverse,
     wide: EngineHalf<'_>,
     narrow: EngineHalf<'_>,
@@ -751,7 +742,7 @@ pub fn solve_wide_narrow_on_budgeted(
     budget: &Budget,
 ) -> Solution {
     let wide_solution = if wide.universe.num_instances() > 0 {
-        run_two_phase_on_budgeted(
+        run_two_phase_on(
             wide.universe,
             wide.conflict,
             wide.layering,
@@ -763,7 +754,7 @@ pub fn solve_wide_narrow_on_budgeted(
         Solution::empty()
     };
     let narrow_solution = if narrow.universe.num_instances() > 0 {
-        run_two_phase_on_budgeted(
+        run_two_phase_on(
             narrow.universe,
             narrow.conflict,
             narrow.layering,
@@ -903,6 +894,20 @@ fn solve_wide_narrow(ctx: &SolveContext<'_>) -> Solution {
         EngineHalf::of_split_part(ctx.wide()),
         EngineHalf::of_split_part(ctx.narrow()),
         ctx.config(),
+        &Budget::unlimited(),
+    )
+}
+
+/// The two-phase engine over the session's cached full-universe
+/// structures.
+fn solve_engine(ctx: &SolveContext<'_>, rule: RaiseRule) -> Solution {
+    run_two_phase_on(
+        ctx.universe(),
+        ctx.conflict(),
+        ctx.layering(),
+        rule,
+        ctx.config(),
+        &Budget::unlimited(),
     )
 }
 
@@ -926,13 +931,7 @@ impl Solver for UnitTreeSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Solution {
-        run_two_phase_on(
-            ctx.universe(),
-            ctx.conflict(),
-            ctx.layering(),
-            RaiseRule::Unit,
-            ctx.config(),
-        )
+        solve_engine(ctx, RaiseRule::Unit)
     }
 }
 
@@ -956,13 +955,7 @@ impl Solver for NarrowTreeSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Solution {
-        run_two_phase_on(
-            ctx.universe(),
-            ctx.conflict(),
-            ctx.layering(),
-            RaiseRule::Narrow,
-            ctx.config(),
-        )
+        solve_engine(ctx, RaiseRule::Narrow)
     }
 }
 
@@ -1034,13 +1027,7 @@ impl Solver for LineUnitSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Solution {
-        run_two_phase_on(
-            ctx.universe(),
-            ctx.conflict(),
-            ctx.layering(),
-            RaiseRule::Unit,
-            ctx.config(),
-        )
+        solve_engine(ctx, RaiseRule::Unit)
     }
 }
 
@@ -1064,13 +1051,7 @@ impl Solver for LineNarrowSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Solution {
-        run_two_phase_on(
-            ctx.universe(),
-            ctx.conflict(),
-            ctx.layering(),
-            RaiseRule::Narrow,
-            ctx.config(),
-        )
+        solve_engine(ctx, RaiseRule::Narrow)
     }
 }
 

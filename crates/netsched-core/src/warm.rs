@@ -28,28 +28,44 @@
 //! phase replays the whole stack (surviving seed + repair MISes, newest
 //! first), exactly like a cold run's stack pop.
 //!
+//! # The one engine
+//!
+//! This module holds the crate's only optimized first phase. A **fresh**
+//! [`WarmState`] has zero duals, an empty stack and every shard pending, so
+//! its repair pass is the paper's full group × stage × MIS/raise loop: the
+//! cold entry points ([`run_two_phase`](crate::run_two_phase),
+//! [`run_two_phase_on`](crate::run_two_phase_on)) are solves on a fresh
+//! state, and [`run_two_phase_traced`](crate::run_two_phase_traced) is one
+//! that records every step into a [`Trace`] as it goes. A fresh-state solve
+//! reproduces the independent sequential
+//! [`run_two_phase_reference`](crate::run_two_phase_reference) step for
+//! step — same MISes, raises, schedule, `λ` bits and step counts — which
+//! the unit tests below and `tests/shard_equivalence.rs` pin.
+//!
 //! # The relaxed equivalence contract
 //!
-//! A warm re-solve is **certificate-equivalent**, not byte-equivalent, to
-//! a cold solve: the schedule may differ, but every epoch's certificate
-//! must verify (`λ ≥ 1 − ε`, feasible schedule) and the certified ratio
-//! must stay within the solver's worst-case guarantee. Both are checked
-//! in-engine: in debug builds they are asserted outright; in all builds a
-//! failed check triggers the safety valve — the state is reset and the
-//! solve re-runs from zero duals over all shards, which reproduces the
-//! cold engine's output exactly (a fresh [`WarmState`] with every shard
-//! dirty executes the identical step sequence as
-//! [`run_two_phase_on`](crate::run_two_phase_on)).
+//! A warm re-solve on a **primed** state is **certificate-equivalent**, not
+//! byte-equivalent, to a cold solve: the schedule may differ, but every
+//! epoch's certificate must verify (`λ ≥ 1 − ε`, feasible schedule) and the
+//! certified ratio must stay within the solver's worst-case guarantee. Both
+//! are checked in-engine: in debug builds they are asserted outright; in
+//! all builds a failed check triggers the safety valve — the state is
+//! reset and the solve re-runs on a fresh state, which *is* the cold
+//! solve.
 
+use crate::analysis::{StepRecord, Trace};
 use crate::budget::{Budget, CertificateQuality};
 use crate::config::{approximation_bound, stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 use crate::duals::DualState;
-use crate::framework::{derive_strategy, replay_stack, unsatisfied_of_group};
+use crate::framework::derive_strategy;
 use crate::solution::{RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{sharded_mis, MisScratch, RoundStats, ShardedConflictGraph};
-use netsched_graph::{DemandInstanceUniverse, EdgeId, InstanceId, NetworkId, UniverseDelta, EPS};
+use netsched_graph::{
+    DemandInstanceUniverse, EdgeId, InstanceId, LoadTracker, NetworkId, UniverseDelta, EPS,
+};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
+use rayon::prelude::*;
 
 /// Linked-arena sentinel: "no entry".
 const NIL: u32 = u32::MAX;
@@ -123,7 +139,7 @@ pub struct WarmState {
     /// cached LHS entries are untouched.
     shard_min: Vec<f64>,
     /// `false` until a warm solve has completed on this state; a fresh
-    /// state repairs every shard, which reproduces the cold engine.
+    /// state repairs every shard: its first solve is the cold solve.
     primed: bool,
     /// Warm solves completed on this state (telemetry).
     epochs_resumed: u64,
@@ -132,7 +148,7 @@ pub struct WarmState {
 impl WarmState {
     /// A fresh state over a universe: zero duals, empty stack, every shard
     /// pending. The first [`run_two_phase_warm_on`] on a fresh state is
-    /// step-for-step identical to the cold engine.
+    /// the cold solve.
     pub fn new(universe: &DemandInstanceUniverse, rule: RaiseRule) -> Self {
         let n = universe.num_instances();
         let rel_height: Vec<f64> = universe
@@ -667,6 +683,80 @@ impl FromJson for WarmState {
     }
 }
 
+/// Positions within one layering group that are eligible and still below
+/// the stage threshold, in group order. The Fenwick-heavy satisfaction
+/// checks are evaluated shard-parallel (reads only); the order-preserving
+/// merge keeps the result identical to the sequential filter.
+fn unsatisfied_of_group(
+    universe: &DemandInstanceUniverse,
+    duals: &DualState,
+    eligible: &[bool],
+    group: &[InstanceId],
+    group_by_shard: &[Vec<u32>],
+    threshold: f64,
+) -> Vec<InstanceId> {
+    const PAR_MIN_GROUP: usize = 1024;
+    let keep =
+        |d: InstanceId| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold);
+    if group.len() < PAR_MIN_GROUP || group_by_shard.len() <= 1 || rayon::current_num_threads() <= 1
+    {
+        return group.iter().copied().filter(|&d| keep(d)).collect();
+    }
+    let kept_parts: Vec<Vec<u32>> = (0..group_by_shard.len())
+        .into_par_iter()
+        .map(|t| {
+            group_by_shard[t]
+                .iter()
+                .copied()
+                .filter(|&p| keep(group[p as usize]))
+                .collect()
+        })
+        .collect();
+    let mut mask = vec![false; group.len()];
+    for part in &kept_parts {
+        for &p in part {
+            mask[p as usize] = true;
+        }
+    }
+    group
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| mask[i])
+        .map(|(_, &d)| d)
+        .collect()
+}
+
+/// The engine's second phase, factored to the **pipelining boundary**:
+/// pops the MIS layers newest-first and greedily commits every instance
+/// that still fits its edge capacities. It reads only the frozen
+/// first-phase output (the MIS stack) plus the immutable
+/// universe/conflict structures — no duals, no budget, no mutation of
+/// either input — which is exactly why a pipelined serving tier may run
+/// other work concurrently with it as long as that work touches neither
+/// (see [`run_two_phase_warm_overlapped`]).
+fn replay_stack<'a>(
+    universe: &DemandInstanceUniverse,
+    conflict: &ShardedConflictGraph,
+    mises: impl Iterator<Item = &'a [InstanceId]>,
+    stats: &mut RoundStats,
+) -> Vec<InstanceId> {
+    let mut tracker = LoadTracker::new(universe);
+    let mut selected: Vec<InstanceId> = Vec::new();
+    for mis in mises {
+        let mut announced = 0u64;
+        for &d in mis {
+            if tracker.try_commit(universe, d) {
+                selected.push(d);
+                announced += conflict.degree(d) as u64;
+            }
+        }
+        stats.record_messages(announced, 1);
+        stats.record_round();
+    }
+    selected.sort_unstable();
+    selected
+}
+
 /// What one repair pass did, and where a [`Budget`] cut it (if it did).
 struct PassOutcome {
     steps: u64,
@@ -678,10 +768,11 @@ struct PassOutcome {
     rounds_left: u64,
 }
 
-/// One repair pass over the active instances: the cold engine's
+/// One repair pass over the active instances: the paper's
 /// group × stage × step loop, restricted to `active` and checked against
 /// `budget` before every MIS/raise round. Appends the new MIS sets
-/// directly to `warm`'s replay stack.
+/// directly to `warm`'s replay stack, and every step to `trace` if one is
+/// given.
 #[allow(clippy::too_many_arguments)]
 fn repair_pass(
     universe: &DemandInstanceUniverse,
@@ -697,6 +788,7 @@ fn repair_pass(
     budget: &Budget,
     stats: &mut RoundStats,
     scratch: &mut MisScratch,
+    mut trace: Option<&mut Trace>,
 ) -> PassOutcome {
     let sharding = conflict.sharding();
     let mut steps: u64 = 0;
@@ -750,6 +842,13 @@ fn repair_pass(
                 }
                 let strategy = derive_strategy(config, epoch, stage, stage_steps);
                 let mis = sharded_mis(conflict, &unsatisfied, strategy, stats, scratch);
+                let mut record = trace.as_ref().map(|_| StepRecord {
+                    epoch,
+                    stage,
+                    step: stage_steps as usize,
+                    unsatisfied: unsatisfied.len(),
+                    raised: Vec::with_capacity(mis.len()),
+                });
                 let mut outgoing_messages = 0u64;
                 for &d in &mis {
                     let pi = layering.critical(d);
@@ -761,7 +860,13 @@ fn repair_pass(
                         };
                         warm.record_raise(d, universe.instance(d).network, pi, per_edge);
                     }
+                    if let Some(record) = &mut record {
+                        record.raised.push((d, delta));
+                    }
                     outgoing_messages += conflict.degree(d) as u64;
+                }
+                if let (Some(trace), Some(record)) = (trace.as_deref_mut(), record) {
+                    trace.steps.push(record);
                 }
                 raised += mis.len() as u64;
                 stats.record_messages(outgoing_messages, layering.max_critical() as u64 + 1);
@@ -784,7 +889,8 @@ fn repair_pass(
 }
 
 /// Resumes the two-phase engine from a persisted [`WarmState`] after a
-/// universe splice (see the [module docs](self)).
+/// universe splice (see the [module docs](self)), under a cooperative
+/// [`Budget`] (pass [`Budget::unlimited`] for a full run).
 ///
 /// `rule` must match the state's rule; callers switching rules (the
 /// serving layer when the live height mix changes class) must reset the
@@ -792,31 +898,12 @@ fn repair_pass(
 /// [spliced](WarmState::splice) through every universe delta since the
 /// previous solve.
 ///
-/// On a fresh (never-solved) state this executes exactly the cold
-/// engine's step sequence and returns its exact output; on a primed state
-/// it repairs only the pending dirty shards and re-certifies.
-pub fn run_two_phase_warm_on(
-    universe: &DemandInstanceUniverse,
-    conflict: &ShardedConflictGraph,
-    layering: &InstanceLayering,
-    rule: RaiseRule,
-    config: &AlgorithmConfig,
-    warm: &mut WarmState,
-) -> Solution {
-    run_two_phase_warm_on_budgeted(
-        universe,
-        conflict,
-        layering,
-        rule,
-        config,
-        warm,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`run_two_phase_warm_on`] under a cooperative [`Budget`]: the repair
-/// loop checks the budget before every MIS/raise round and cuts when it
-/// is exhausted. On a cut the certificate is re-derived from the
+/// On a fresh (never-solved) state this is the cold solve
+/// ([`run_two_phase_on`](crate::run_two_phase_on)); on a primed state it
+/// repairs only the pending dirty shards and re-certifies.
+///
+/// The repair loop checks the budget before every MIS/raise round and cuts
+/// when it is exhausted. On a cut the certificate is re-derived from the
 /// per-network λ minima cache over everything the pass scanned — a valid
 /// (if weaker) bound by weak duality — the solution is tagged
 /// [`CertificateQuality::Truncated`], and the **unfinished repair work is
@@ -824,8 +911,7 @@ pub fn run_two_phase_warm_on(
 /// so an un-budgeted follow-up solve resumes the repair and reconverges
 /// to full certification. The in-engine certificate check and safety
 /// valve only apply to full (uncut) runs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_two_phase_warm_on_budgeted(
+pub fn run_two_phase_warm_on(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
     layering: &InstanceLayering,
@@ -835,7 +921,7 @@ pub fn run_two_phase_warm_on_budgeted(
     budget: &Budget,
 ) -> Solution {
     // `None` overlap takes the exact single-threaded path — no scope, no
-    // spawn — so this entry point is bit-for-bit the pre-pipelining one.
+    // spawn.
     warm_impl(
         universe,
         conflict,
@@ -845,19 +931,20 @@ pub fn run_two_phase_warm_on_budgeted(
         warm,
         budget,
         None::<fn()>,
+        None,
     )
     .0
 }
 
 /// The warm engine's **pipelined phase boundary**:
-/// [`run_two_phase_warm_on_budgeted`] that additionally runs `overlap` on
+/// [`run_two_phase_warm_on`] that additionally runs `overlap` on
 /// a scoped thread **concurrently with the second-phase stack replay**,
 /// returning the solution together with the closure's result.
 ///
 /// The second phase reads only the frozen first-phase output (the MIS
 /// stack arena) plus the immutable universe/conflict structures
-/// ([`replay_stack`](crate::framework) — factored so the boundary is a
-/// function call, not a convention), so any `overlap` work that touches
+/// (`replay_stack` — factored so the boundary is a function call, not a
+/// convention), so any `overlap` work that touches
 /// *neither the warm state nor this solve's universe/conflict/layering*
 /// is sound to interleave. The serving tier uses this to pre-materialize
 /// the **next** epoch's arrival instances (which read only the immutable
@@ -885,12 +972,16 @@ pub fn run_two_phase_warm_overlapped<R: Send>(
         warm,
         budget,
         Some(overlap),
+        None,
     );
     (solution, extra.expect("overlap closure runs exactly once"))
 }
 
+/// The engine behind every entry point: repair (or, on a fresh state, run)
+/// the first phase, replay the stack, certify. `overlap` runs alongside
+/// the replay; `trace` observes every first-phase step.
 #[allow(clippy::too_many_arguments)]
-fn warm_impl<R: Send>(
+pub(crate) fn warm_impl<R: Send>(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
     layering: &InstanceLayering,
@@ -899,6 +990,7 @@ fn warm_impl<R: Send>(
     warm: &mut WarmState,
     budget: &Budget,
     overlap: Option<impl FnOnce() -> R + Send>,
+    mut trace: Option<&mut Trace>,
 ) -> (Solution, Option<R>) {
     config.validate().expect("invalid algorithm configuration");
     assert_eq!(
@@ -975,6 +1067,7 @@ fn warm_impl<R: Send>(
             budget,
             &mut stats,
             &mut scratch,
+            trace.as_deref_mut(),
         );
         steps += pass.steps;
         max_steps_per_stage = max_steps_per_stage.max(pass.max_steps_per_stage);
@@ -1127,12 +1220,20 @@ fn warm_impl<R: Send>(
         && lambda >= lambda_target
         && ratio <= bound * (1.0 + 1e-9) + 1e-9;
     if !certified && !fresh {
-        // The repaired certificate did not re-verify: fall back to a full
-        // from-zero warm run, which reproduces the cold engine exactly.
-        // The overlap work already ran (alongside the discarded replay).
+        // The repaired certificate did not re-verify: fall back to a
+        // fresh-state run, which is the cold solve. The overlap work
+        // already ran (alongside the discarded replay).
         *warm = WarmState::new(universe, rule);
         return (
-            run_two_phase_warm_on(universe, conflict, layering, rule, config, warm),
+            run_two_phase_warm_on(
+                universe,
+                conflict,
+                layering,
+                rule,
+                config,
+                warm,
+                &Budget::unlimited(),
+            ),
             extra,
         );
     }
@@ -1152,7 +1253,7 @@ fn warm_impl<R: Send>(
 }
 
 /// `λ` from the cached LHS lower bounds: `min` over eligible instances of
-/// `LHS(d)/p(d)` (clamped exactly like the cold engine's certificate).
+/// `LHS(d)/p(d)` (clamped exactly like the reference engine's certificate).
 /// The full `O(|D|)` scan — superseded by [`WarmState::shard_lambda`] and
 /// kept as the debug/test reference the shard minima are checked against.
 #[cfg_attr(not(any(debug_assertions, test)), allow(dead_code))]
@@ -1168,7 +1269,8 @@ fn cached_lambda(universe: &DemandInstanceUniverse, warm: &WarmState) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::run_two_phase_on;
+    use crate::framework::run_two_phase_reference;
+    use netsched_distrib::MisStrategy;
     use netsched_graph::{ArrivingDemand, DemandId, EdgePath, LineProblem, NetworkId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1201,41 +1303,50 @@ mod tests {
         p.universe()
     }
 
-    fn solve_pair(
+    fn solve_fresh(
         universe: &DemandInstanceUniverse,
         warm: &mut WarmState,
         config: &AlgorithmConfig,
-    ) -> (Solution, Solution) {
+    ) -> Solution {
         let conflict = ShardedConflictGraph::build(universe);
         let layering = InstanceLayering::line_length_classes(universe);
-        let cold = run_two_phase_on(universe, &conflict, &layering, RaiseRule::Unit, config);
-        let warm_sol = run_two_phase_warm_on(
+        run_two_phase_warm_on(
             universe,
             &conflict,
             &layering,
             RaiseRule::Unit,
             config,
             warm,
-        );
-        (cold, warm_sol)
+            &Budget::unlimited(),
+        )
     }
 
     #[test]
-    fn fresh_warm_run_reproduces_the_cold_engine_exactly() {
+    fn fresh_state_reproduces_the_reference_engine_step_for_step() {
         let u = line_universe(3, 24);
-        let config = AlgorithmConfig::deterministic(0.1);
-        let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        let (cold, warm_sol) = solve_pair(&u, &mut warm, &config);
-        assert_eq!(cold.selected, warm_sol.selected);
-        assert_eq!(cold.raised_instances, warm_sol.raised_instances);
-        assert_eq!(cold.profit, warm_sol.profit);
-        assert_eq!(cold.diagnostics.lambda, warm_sol.diagnostics.lambda);
-        assert_eq!(
-            cold.diagnostics.dual_objective,
-            warm_sol.diagnostics.dual_objective
-        );
-        assert_eq!(cold.diagnostics.steps, warm_sol.diagnostics.steps);
-        assert_eq!(warm.epochs_resumed(), 1);
+        let layering = InstanceLayering::line_length_classes(&u);
+        for config in [
+            AlgorithmConfig::deterministic(0.1),
+            AlgorithmConfig {
+                epsilon: 0.1,
+                mis: MisStrategy::Luby { seed: 17 },
+                seed: 17,
+            },
+        ] {
+            let mut warm = WarmState::new(&u, RaiseRule::Unit);
+            let ours = solve_fresh(&u, &mut warm, &config);
+            let reference = run_two_phase_reference(&u, &layering, RaiseRule::Unit, &config);
+            assert_eq!(ours.selected, reference.selected);
+            assert_eq!(ours.raised_instances, reference.raised_instances);
+            assert_eq!(ours.profit.to_bits(), reference.profit.to_bits());
+            let (a, b) = (ours.diagnostics, reference.diagnostics);
+            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+            assert_eq!(a.dual_objective.to_bits(), b.dual_objective.to_bits());
+            assert_eq!(a.steps, b.steps);
+            assert_eq!(a.max_steps_per_stage, b.max_steps_per_stage);
+            assert_eq!(a.raised, b.raised);
+            assert_eq!(warm.epochs_resumed(), 1);
+        }
     }
 
     #[test]
@@ -1243,7 +1354,7 @@ mod tests {
         let mut u = line_universe(7, 26);
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        solve_pair(&u, &mut warm, &config);
+        solve_fresh(&u, &mut warm, &config);
 
         let mut delta = UniverseDelta::new();
         let mut rng = StdRng::seed_from_u64(11);
@@ -1278,6 +1389,7 @@ mod tests {
                 RaiseRule::Unit,
                 &config,
                 &mut warm,
+                &Budget::unlimited(),
             );
             sol.verify(&u).unwrap();
             assert!(
@@ -1299,7 +1411,7 @@ mod tests {
         let mut u = line_universe(13, 15);
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        solve_pair(&u, &mut warm, &config);
+        solve_fresh(&u, &mut warm, &config);
         assert!(warm.duals().objective() > 0.0);
 
         let everyone: Vec<DemandId> = (0..u.num_demands()).map(DemandId::new).collect();
@@ -1341,7 +1453,7 @@ mod tests {
         let mut u = line_universe(21, 24);
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        solve_pair(&u, &mut warm, &config);
+        solve_fresh(&u, &mut warm, &config);
         assert_eq!(
             warm.shard_lambda().to_bits(),
             cached_lambda(&u, &warm).to_bits()
@@ -1361,6 +1473,7 @@ mod tests {
                 RaiseRule::Unit,
                 &config,
                 &mut warm,
+                &Budget::unlimited(),
             );
             assert_eq!(
                 warm.shard_lambda().to_bits(),
@@ -1380,7 +1493,7 @@ mod tests {
         let mut u = line_universe(17, 22);
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        solve_pair(&u, &mut warm, &config);
+        solve_fresh(&u, &mut warm, &config);
         let mut delta = UniverseDelta::new();
         let mut rng = StdRng::seed_from_u64(9);
         let conflict_layering = |u: &DemandInstanceUniverse| {
@@ -1400,6 +1513,7 @@ mod tests {
                 RaiseRule::Unit,
                 &config,
                 &mut warm,
+                &Budget::unlimited(),
             );
         }
 
@@ -1426,6 +1540,7 @@ mod tests {
             RaiseRule::Unit,
             &config,
             &mut warm,
+            &Budget::unlimited(),
         );
         let from_restored = run_two_phase_warm_on(
             &u,
@@ -1434,6 +1549,7 @@ mod tests {
             RaiseRule::Unit,
             &config,
             &mut restored,
+            &Budget::unlimited(),
         );
         assert_eq!(from_original.selected, from_restored.selected);
         assert_eq!(from_original.profit, from_restored.profit);
@@ -1453,7 +1569,7 @@ mod tests {
         let u = line_universe(3, 12);
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
-        solve_pair(&u, &mut warm, &config);
+        solve_fresh(&u, &mut warm, &config);
         let restored =
             WarmState::from_json(&JsonValue::parse(&warm.to_json().render()).unwrap()).unwrap();
         let other = line_universe(4, 15);
@@ -1474,6 +1590,7 @@ mod tests {
                 RaiseRule::Unit,
                 &AlgorithmConfig::deterministic(0.1),
                 &mut warm,
+                &Budget::unlimited(),
             )
         }));
         assert!(result.is_err());

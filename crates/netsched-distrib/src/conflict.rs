@@ -647,13 +647,14 @@ impl Iterator for CrossNeighbors<'_> {
 }
 
 /// The conflict graph in sharded form: one local CSR per network plus the
-/// stable-id [`CrossGroups`] arena holding the same-demand cliques that
+/// stable-id `CrossGroups` arena holding the same-demand cliques that
 /// span networks (the only conflict edges that ever cross a shard
 /// boundary).
 ///
 /// The graph is *mutable over time*: [`ShardedConflictGraph::apply_delta`]
 /// re-synchronizes it with a universe splice by splicing only the dirty
-/// shards' local CSRs (through the sharding's [`ShardSplice`] records —
+/// shards' local CSRs (through the sharding's
+/// [`ShardSplice`](netsched_graph::ShardSplice) records —
 /// no re-sweep) and renumbering the cross-group arena in place, bumping a
 /// generation counter that also keys the cached
 /// [`merged`](ShardedConflictGraph::merged) fold.
@@ -740,7 +741,7 @@ impl ShardedConflictGraph {
     /// delta's **dirty** shards are spliced through the sharding's
     /// [`ShardSplice`](netsched_graph::ShardSplice) records (surviving
     /// pairs carry over renumbered, only arrival-driven pairs are swept
-    /// and sorted — see [`splice_shard`]; driven shard-parallel through
+    /// and sorted — see `splice_shard`; driven shard-parallel through
     /// rayon), clean shards are kept untouched, and the cross-group arena
     /// renumbers its member columns in place — **no wholesale cross
     /// re-assembly and no `O(|D|)` demand iteration**.
@@ -933,7 +934,7 @@ impl ShardedConflictGraph {
     /// The result is byte-identical to [`ConflictGraph::build`] on the same
     /// universe, at any thread count: local pair sets are per-shard
     /// deterministic and disjoint across shards, cross pairs are disjoint
-    /// from both, and [`assemble_csr`] is a pure function of the sorted
+    /// from both, and `assemble_csr` is a pure function of the sorted
     /// pair set.
     ///
     /// The fold is cached behind the graph's generation counter: repeated

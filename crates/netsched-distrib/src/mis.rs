@@ -2,9 +2,9 @@
 //!
 //! The first phase of the distributed algorithm repeatedly computes a
 //! maximal independent set among the still-unsatisfied demand instances
-//! (Section 5). The paper plugs in either Luby's randomized algorithm [14]
+//! (Section 5). The paper plugs in either Luby's randomized algorithm \[14\]
 //! (`O(log N)` rounds in expectation) or the deterministic
-//! network-decomposition algorithm [17]; we implement Luby's algorithm as a
+//! network-decomposition algorithm \[17\]; we implement Luby's algorithm as a
 //! genuine message-passing protocol on the [`SyncSimulator`], plus a
 //! sequential greedy MIS used as a deterministic baseline and for testing.
 

@@ -7,10 +7,9 @@
 //! height mix requires the wide/narrow split) one per split half; all three
 //! are driven by the same [`LiveCore::apply`].
 
-use netsched_core::framework::run_two_phase_on_budgeted;
 use netsched_core::{
-    run_two_phase_warm_on_budgeted, run_two_phase_warm_overlapped, AlgorithmConfig, Budget,
-    RaiseRule, Solution, WarmState,
+    run_two_phase_on, run_two_phase_warm_on, run_two_phase_warm_overlapped, AlgorithmConfig,
+    Budget, RaiseRule, Solution, WarmState,
 };
 use netsched_decomp::{line_assignment, InstanceLayering, TreeDecompositionKind, TreeLayerer};
 use netsched_distrib::ShardedConflictGraph;
@@ -22,6 +21,15 @@ use netsched_graph::{
 /// The layering assignments of one arriving demand's instances, in instance
 /// order (tree cores only; line cores re-derive length classes globally).
 pub(crate) type TreeAssignments = Vec<(usize, Vec<EdgeId>)>;
+
+/// What a warm solve borrows from a [`LiveCore`]: the universe, conflict
+/// graph and layering it reads, and the warm state it resumes.
+type WarmInputs<'a> = (
+    &'a DemandInstanceUniverse,
+    &'a ShardedConflictGraph,
+    &'a InstanceLayering,
+    &'a mut WarmState,
+);
 
 /// One universe + conflict graph + layering triple, spliced in place per
 /// epoch. Byte-identical to the from-scratch structures of a fresh
@@ -170,16 +178,18 @@ impl LiveCore {
         self.delta.num_dirty()
     }
 
-    /// Runs the shard-parallel two-phase engine on the core's structures
-    /// under a cooperative [`Budget`] (pass [`Budget::unlimited`] for a
-    /// full run).
+    /// Runs the two-phase engine on the core's structures under a
+    /// cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
+    /// A cold solve: the engine runs on a fresh [`WarmState`] that is
+    /// dropped afterwards, so the core's persisted warm state (if any) is
+    /// neither read nor changed.
     pub(crate) fn solve(
         &self,
         rule: RaiseRule,
         config: &AlgorithmConfig,
         budget: &Budget,
     ) -> Solution {
-        run_two_phase_on_budgeted(
+        run_two_phase_on(
             &self.universe,
             &self.conflict,
             &self.layering,
@@ -189,34 +199,32 @@ impl LiveCore {
         )
     }
 
+    /// The preamble of every warm solve: the engine's inputs plus the
+    /// persisted [`WarmState`] for `rule`, created (or, on a raise-rule
+    /// switch, reset) first.
+    fn warm_inputs(&mut self, rule: RaiseRule) -> WarmInputs<'_> {
+        if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
+            self.warm = Some(WarmState::new(&self.universe, rule));
+        }
+        let warm = self.warm.as_mut().expect("warm state just ensured");
+        (&self.universe, &self.conflict, &self.layering, warm)
+    }
+
     /// Resumes the warm-started engine from the core's persisted
-    /// [`WarmState`], creating (or, on a raise-rule switch, resetting) it
-    /// first. A fresh state reproduces the cold engine exactly, so the
-    /// first warm epoch of a session matches [`LiveCore::solve`]
-    /// bit-for-bit; later epochs repair only the shards the splices since
-    /// the previous solve dirtied. Under a binding [`Budget`] the repair
-    /// is cut cooperatively and the unfinished work stays pending in the
-    /// warm state (see
-    /// [`run_two_phase_warm_on_budgeted`]).
+    /// [`WarmState`]. A fresh state is the cold solve, so the first warm
+    /// epoch of a session matches [`LiveCore::solve`] bit-for-bit; later
+    /// epochs repair only the shards the splices since the previous solve
+    /// dirtied. Under a binding [`Budget`] the repair is cut cooperatively
+    /// and the unfinished work stays pending in the warm state (see
+    /// [`run_two_phase_warm_on`]).
     pub(crate) fn solve_warm(
         &mut self,
         rule: RaiseRule,
         config: &AlgorithmConfig,
         budget: &Budget,
     ) -> Solution {
-        if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
-            self.warm = Some(WarmState::new(&self.universe, rule));
-        }
-        let warm = self.warm.as_mut().expect("warm state just ensured");
-        run_two_phase_warm_on_budgeted(
-            &self.universe,
-            &self.conflict,
-            &self.layering,
-            rule,
-            config,
-            warm,
-            budget,
-        )
+        let (universe, conflict, layering, warm) = self.warm_inputs(rule);
+        run_two_phase_warm_on(universe, conflict, layering, rule, config, warm, budget)
     }
 
     /// [`LiveCore::solve_warm`], overlapping `overlap` with the engine's
@@ -232,19 +240,9 @@ impl LiveCore {
         budget: &Budget,
         overlap: impl FnOnce() -> R + Send,
     ) -> (Solution, R) {
-        if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
-            self.warm = Some(WarmState::new(&self.universe, rule));
-        }
-        let warm = self.warm.as_mut().expect("warm state just ensured");
+        let (universe, conflict, layering, warm) = self.warm_inputs(rule);
         run_two_phase_warm_overlapped(
-            &self.universe,
-            &self.conflict,
-            &self.layering,
-            rule,
-            config,
-            warm,
-            budget,
-            overlap,
+            universe, conflict, layering, rule, config, warm, budget, overlap,
         )
     }
 

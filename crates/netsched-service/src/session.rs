@@ -18,8 +18,8 @@
 //! > surviving demand set.
 
 use netsched_core::{
-    combine_wide_narrow, solve_wide_narrow_on_budgeted, AlgorithmConfig, Budget,
-    CertificateQuality, EngineHalf, HalfOutcome, RaiseRule, RoundCalibration, Solution, WarmState,
+    combine_wide_narrow, solve_wide_narrow_on, AlgorithmConfig, Budget, CertificateQuality,
+    EngineHalf, HalfOutcome, RaiseRule, RoundCalibration, Solution, WarmState,
 };
 use netsched_decomp::TreeLayerer;
 use netsched_distrib::ShardedConflictGraph;
@@ -44,7 +44,7 @@ use crate::view::{ScheduleSnapshot, ScheduleView};
 ///   from-scratch [`Scheduler`](netsched_core::Scheduler) over the
 ///   surviving demand set bit for bit.
 /// * [`Warm`](ResolveMode::Warm) resumes from the previous epoch's
-///   persisted [`WarmState`](netsched_core::WarmState): expired demands'
+///   persisted [`WarmState`]: expired demands'
 ///   dual contributions are point-cleared, clean shards keep their `β`/`α`
 ///   values, and the MIS/raise loop re-runs only over the dirty shards
 ///   until the repaired certificate verifies. This deliberately relaxes
@@ -1128,7 +1128,7 @@ impl ServiceSession {
                 )
             } else {
                 let split = self.split.as_ref().expect("split exists when mixed");
-                solve_wide_narrow_on_budgeted(
+                solve_wide_narrow_on(
                     &self.full.universe,
                     EngineHalf {
                         universe: &split.wide.universe,

@@ -92,9 +92,10 @@
 //! sweeps driven shard-parallel through rayon) plus a compact cross-shard
 //! adjacency for the same-demand cliques
 //! ([`ShardedConflictGraph`](prelude::ShardedConflictGraph)), and the
-//! engine's MIS rounds, satisfaction filters and dual raises all execute
-//! shard-parallel. Sharding is a pure representation change: the merged
-//! adjacency is byte-identical to the single-threaded CSR and schedules
+//! engine's MIS rounds and satisfaction filters execute shard-parallel;
+//! the dual raises of each MIS run sequentially. Sharding is a pure
+//! representation change: the merged adjacency is byte-identical to the
+//! single-threaded CSR and schedules
 //! match the sequential reference engine exactly at every thread count
 //! (`tests/shard_equivalence.rs`); `BENCH_shard_scaling.json` (from the
 //! `shard_scaling` bench) records the conflict-build + engine speedups

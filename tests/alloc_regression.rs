@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netsched_core::{run_two_phase_warm_on, AlgorithmConfig, RaiseRule, WarmState};
+use netsched_core::{run_two_phase_warm_on, AlgorithmConfig, Budget, RaiseRule, WarmState};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::ShardedConflictGraph;
 use netsched_graph::{ArrivingDemand, DemandId, EdgePath, NetworkId, UniverseDelta};
@@ -83,6 +83,7 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
         RaiseRule::Unit,
         &config,
         &mut warm,
+        &Budget::unlimited(),
     );
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..4 {

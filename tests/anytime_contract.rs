@@ -26,6 +26,12 @@
 //!    greedy MIS/raise rounds are the exact rounds the cold run would
 //!    have executed.
 //!
+//! 5. **Cold cuts** — the engine entry point itself, cut at `k` rounds
+//!    below the full run's step count, runs exactly `k` steps, reports
+//!    `Truncated` with work left, verifies and certifies a `λ` no larger
+//!    than the full run's; at or above the step count it is bit-identical
+//!    to the unlimited run.
+//!
 //! The round budget of the randomized sweep can be forced with the
 //! `NETSCHED_FORCE_DEADLINE_ROUNDS` environment variable (the CI
 //! fault-injection leg sets it to exercise hard cuts).
@@ -35,11 +41,17 @@ mod common;
 use std::time::Duration;
 
 use common::{to_events, ChurnCase, ChurnCases, ChurnShape, Mirror};
-use netsched_core::{AlgorithmConfig, Budget, CertificateQuality, Scheduler};
+use netsched_core::{
+    run_two_phase_on, AlgorithmConfig, Budget, CertificateQuality, RaiseRule, Scheduler, Solution,
+};
+use netsched_decomp::{InstanceLayering, TreeDecompositionKind};
+use netsched_distrib::{MisStrategy, ShardedConflictGraph};
+use netsched_graph::{DemandInstanceUniverse, NetworkId, TreeProblem, VertexId};
 use netsched_service::{
     AdmissionClass, BudgetSpec, DemandTicket, ResolveMode, Service, ServiceError, ServicePolicy,
     ServiceSession,
 };
+use netsched_workloads::{many_networks_line, many_networks_tree};
 use proptest::prelude::*;
 
 /// The round budget the CI fault leg forces on the randomized sweep.
@@ -258,4 +270,133 @@ fn bounded_submit_queues_reject_with_overloaded_backpressure() {
     assert_eq!(delta.epoch, 1);
     let second = service.submit(vec![]).expect("slot freed after drain");
     assert_eq!(netsched_service::block_on(second).unwrap().epoch, 2);
+}
+
+/// Line networks as path trees with non-uniform capacities and narrow
+/// heights, layered by the line length classes.
+fn capacitated_narrow_line() -> (DemandInstanceUniverse, InstanceLayering) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let slots = 40usize;
+    let mut rng = StdRng::seed_from_u64(2013);
+    let mut problem = TreeProblem::new(slots + 1);
+    let path: Vec<(VertexId, VertexId)> = (0..slots)
+        .map(|i| (VertexId::new(i), VertexId::new(i + 1)))
+        .collect();
+    let nets: Vec<NetworkId> = (0..3)
+        .map(|_| problem.add_network(path.clone()).unwrap())
+        .collect();
+    for &t in &nets {
+        for e in 0..slots {
+            problem
+                .set_capacity(t, e, 1.0 + (e % 4) as f64 * 0.5)
+                .unwrap();
+        }
+    }
+    for _ in 0..60 {
+        let len = rng.gen_range(1..=8usize);
+        let start = rng.gen_range(0..=slots - len);
+        let access: Vec<NetworkId> = nets.iter().copied().filter(|_| rng.gen_bool(0.6)).collect();
+        let access = if access.is_empty() {
+            vec![nets[0]]
+        } else {
+            access
+        };
+        problem
+            .add_demand(
+                VertexId::new(start),
+                VertexId::new(start + len),
+                rng.gen_range(1.0..16.0),
+                rng.gen_range(0.1..=0.5),
+                access,
+            )
+            .unwrap();
+    }
+    let universe = problem.universe();
+    assert!(!universe.is_uniform_capacity());
+    let layering = InstanceLayering::line_length_classes(&universe);
+    layering.check_layered_property(&universe).unwrap();
+    (universe, layering)
+}
+
+fn assert_bit_identical(a: &Solution, b: &Solution, label: &str) {
+    assert_eq!(a.selected, b.selected, "{label}: schedule");
+    assert_eq!(a.raised_instances, b.raised_instances, "{label}: raised");
+    assert_eq!(a.profit.to_bits(), b.profit.to_bits(), "{label}: profit");
+    let (da, db) = (a.diagnostics, b.diagnostics);
+    assert_eq!(da.steps, db.steps, "{label}: steps");
+    assert_eq!(da.lambda.to_bits(), db.lambda.to_bits(), "{label}: λ");
+    assert_eq!(
+        da.dual_objective.to_bits(),
+        db.dual_objective.to_bits(),
+        "{label}: dual"
+    );
+    assert_eq!(da.quality, db.quality, "{label}: quality");
+}
+
+#[test]
+fn cold_round_cuts_are_truncated_feasible_and_exact_once_the_budget_covers_the_run() {
+    let line = many_networks_line(4, 60, 9).build().unwrap();
+    let line_universe = line.universe();
+    let line_layering = InstanceLayering::line_length_classes(&line_universe);
+    let tree = many_networks_tree(6, 70, 3).build().unwrap();
+    let tree_universe = tree.universe();
+    let tree_layering =
+        InstanceLayering::for_tree_problem(&tree, &tree_universe, TreeDecompositionKind::Ideal);
+    let (cap_universe, cap_layering) = capacitated_narrow_line();
+    let cases = [
+        ("line-unit", &line_universe, &line_layering, RaiseRule::Unit),
+        (
+            "capacitated-line-narrow",
+            &cap_universe,
+            &cap_layering,
+            RaiseRule::Narrow,
+        ),
+        ("tree-unit", &tree_universe, &tree_layering, RaiseRule::Unit),
+    ];
+    let configs = [
+        AlgorithmConfig::deterministic(0.1),
+        AlgorithmConfig {
+            epsilon: 0.1,
+            mis: MisStrategy::Luby { seed: 5 },
+            seed: 5,
+        },
+    ];
+    for (name, universe, layering, rule) in cases {
+        let conflict = ShardedConflictGraph::build(universe);
+        for config in &configs {
+            let solve = |budget: &Budget| {
+                run_two_phase_on(universe, &conflict, layering, rule, config, budget)
+            };
+            let full = solve(&Budget::unlimited());
+            assert_eq!(full.diagnostics.quality, CertificateQuality::Full);
+            let steps = full.diagnostics.steps;
+            assert!(steps > 2, "{name}: need a multi-step run");
+            for k in [0, 1, steps / 2, steps - 1, steps, steps + 3] {
+                let label = format!("{name} / {:?} / k = {k}", config.mis);
+                let cut = solve(&Budget::rounds(k));
+                if k < steps {
+                    assert_eq!(cut.diagnostics.steps, k, "{label}: steps");
+                    assert!(
+                        matches!(
+                            cut.diagnostics.quality,
+                            CertificateQuality::Truncated { rounds_left } if rounds_left > 0
+                        ),
+                        "{label}: quality {:?}",
+                        cut.diagnostics.quality
+                    );
+                    cut.verify(universe)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(
+                        cut.diagnostics.lambda <= full.diagnostics.lambda,
+                        "{label}: λ {} above the full run's {}",
+                        cut.diagnostics.lambda,
+                        full.diagnostics.lambda
+                    );
+                } else {
+                    assert_bit_identical(&cut, &full, &label);
+                }
+            }
+        }
+    }
 }

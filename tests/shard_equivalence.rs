@@ -7,9 +7,13 @@
 //! certificates exactly. These tests pin that contract on random
 //! multi-network tree and line instances, under both MIS strategies,
 //! sweeping the worker count through the rayon shim's global configuration.
+//! The reference anchors both engine entry points: the cold one and the
+//! warm one on a fresh state.
 
 use netsched_core::framework::{run_two_phase, run_two_phase_on, run_two_phase_reference};
-use netsched_core::{AlgorithmConfig, RaiseRule, Scheduler, Solution};
+use netsched_core::{
+    run_two_phase_warm_on, AlgorithmConfig, Budget, RaiseRule, Scheduler, Solution, WarmState,
+};
 use netsched_decomp::{InstanceLayering, TreeDecompositionKind};
 use netsched_distrib::{
     maximal_independent_set, sharded_mis, ConflictGraph, MisScratch, MisStrategy, RoundStats,
@@ -141,7 +145,14 @@ fn engine_schedules_match_the_reference_engine_exactly() {
             for threads in [1usize, 4] {
                 let ours = with_threads(threads, || {
                     let conflict = ShardedConflictGraph::build(&universe);
-                    run_two_phase_on(&universe, &conflict, &layering, RaiseRule::Unit, config)
+                    run_two_phase_on(
+                        &universe,
+                        &conflict,
+                        &layering,
+                        RaiseRule::Unit,
+                        config,
+                        &Budget::unlimited(),
+                    )
                 });
                 ours.verify(&universe).unwrap();
                 assert_same_solution(
@@ -180,10 +191,10 @@ fn tree_sessions_match_the_reference_engine_through_the_scheduler() {
     }
 }
 
-#[test]
-fn narrow_rule_matches_reference_on_capacitated_instances() {
-    // Non-uniform capacities exercise the weighted-beta mirror tree and
-    // the range-minimum eligibility/can_add paths.
+/// A narrow-height tree instance under non-uniform capacities: exercises
+/// the weighted-beta mirror tree and the range-minimum eligibility/can_add
+/// paths.
+fn capacitated_narrow_tree() -> (DemandInstanceUniverse, InstanceLayering) {
     use netsched_workloads::HeightDistribution;
     let mut workload = many_networks_tree(5, 60, 31);
     workload.heights = HeightDistribution::Mixed {
@@ -202,11 +213,66 @@ fn narrow_rule_matches_reference_on_capacitated_instances() {
     assert!(!universe.is_uniform_capacity());
     let layering =
         InstanceLayering::for_tree_problem(&problem, &universe, TreeDecompositionKind::Ideal);
+    (universe, layering)
+}
+
+#[test]
+fn narrow_rule_matches_reference_on_capacitated_instances() {
+    let (universe, layering) = capacitated_narrow_tree();
     for rule in [RaiseRule::Unit, RaiseRule::Narrow] {
         let config = AlgorithmConfig::deterministic(0.1);
         let reference = run_two_phase_reference(&universe, &layering, rule, &config);
         let ours = run_two_phase(&universe, &layering, rule, &config);
         assert_same_solution(&reference, &ours, &format!("capacitated {rule:?}"));
+    }
+}
+
+#[test]
+fn fresh_warm_states_match_the_reference_engine_exactly() {
+    let configs = [
+        AlgorithmConfig::deterministic(0.1),
+        AlgorithmConfig {
+            epsilon: 0.1,
+            mis: MisStrategy::Luby { seed: 99 },
+            seed: 99,
+        },
+    ];
+    let mut cases: Vec<_> = universes()
+        .into_iter()
+        .map(|(name, u, l)| (name, u, l, RaiseRule::Unit))
+        .collect();
+    let (u, l) = capacitated_narrow_tree();
+    cases.push(("capacitated".to_string(), u, l, RaiseRule::Narrow));
+    for (name, universe, layering, rule) in &cases {
+        for config in &configs {
+            let reference = run_two_phase_reference(universe, layering, *rule, config);
+            for threads in [1usize, 2, 4] {
+                let ours = with_threads(threads, || {
+                    let conflict = ShardedConflictGraph::build(universe);
+                    let mut warm = WarmState::new(universe, *rule);
+                    run_two_phase_warm_on(
+                        universe,
+                        &conflict,
+                        layering,
+                        *rule,
+                        config,
+                        &mut warm,
+                        &Budget::unlimited(),
+                    )
+                });
+                let label = format!("{name} / {rule:?} / {:?} @ {threads} threads", config.mis);
+                assert_same_solution(&reference, &ours, &label);
+                let (a, b) = (reference.diagnostics, ours.diagnostics);
+                assert_eq!(reference.profit.to_bits(), ours.profit.to_bits(), "{label}");
+                assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{label}: λ bits");
+                assert_eq!(
+                    a.dual_objective.to_bits(),
+                    b.dual_objective.to_bits(),
+                    "{label}: dual bits"
+                );
+                assert_eq!(a.max_steps_per_stage, b.max_steps_per_stage, "{label}");
+            }
+        }
     }
 }
 
