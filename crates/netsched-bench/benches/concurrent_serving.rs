@@ -1,23 +1,23 @@
-//! Benchmark: wait-free schedule reads under pipelined epochs.
+//! Benchmark: wait-free schedule reads while the frontend steps epochs.
 //!
 //! Replays the `mega-churn-line` serving trace (10⁵ live demands) twice
 //! with concurrent reader threads polling the current schedule, and
 //! compares two serving arrangements:
 //!
-//! * **baseline_locked** — the synchronous read-after-step design this PR
-//!   replaces: one `Mutex<ServiceSession>` shared by the writer and the
-//!   readers. Every read waits for the lock, so a reader that lands while
-//!   an epoch is stepping blocks for the whole splice/rebuild/solve.
-//! * **pipelined** — a [`PipelinedService`] worker stepping epochs (queue
-//!   lookahead feeding `prefetch_arrivals`, so splice inputs for epoch
-//!   N+1 materialize during epoch N's replay) while readers observe the
-//!   published schedule through wait-free [`ScheduleReader`]s: one atomic
-//!   load per read, a mutex + `Arc` clone only on epoch change.
+//! * **baseline_locked** — the synchronous read-after-step design: one
+//!   `Mutex<ServiceSession>` shared by the writer and the readers. Every
+//!   read waits for the lock, so a reader that lands while an epoch is
+//!   stepping blocks for the whole splice/rebuild/solve.
+//! * **service** — the `Service` frontend, driven submit-then-wait per
+//!   batch (one epoch per submission), while readers observe the
+//!   published schedule through wait-free `ScheduleReader`s from
+//!   `Service::reader`: one atomic load per read, a mutex + `Arc` clone
+//!   only on epoch change.
 //!
 //! Both arms run the identical reader loop (read one consistent
 //! profit/certificate pair, then pause 200µs), so the reported
 //! `read_throughput` and reader latency percentiles differ only by the
-//! read path. The full-mode run asserts the pipelined reader p99 is at
+//! read path. The full-mode run asserts the service reader p99 is at
 //! least 10× lower than the locked baseline and that recorded staleness
 //! never exceeds one epoch.
 //!
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use netsched_core::AlgorithmConfig;
 use netsched_obs::ObsRegistry;
 use netsched_service::{
-    DemandEvent, DemandRequest, DemandTicket, PipelinedService, ResolveMode, ServiceSession,
+    DemandEvent, DemandRequest, DemandTicket, ResolveMode, Service, ServiceSession,
 };
 use netsched_workloads::json::JsonValue;
 use netsched_workloads::{
@@ -255,19 +255,18 @@ fn run_baseline(session: ServiceSession, batches: &[Vec<DemandEvent>]) -> ArmRes
     }
 }
 
-/// The pipelined arm: worker thread steps epochs with queue lookahead
-/// feeding the prefetch; readers poll wait-free `ScheduleReader`s.
-/// Returns the arm result plus staleness/prefetch telemetry from the
-/// session's registry.
-fn run_pipelined(session: ServiceSession, batches: Vec<Vec<DemandEvent>>) -> (ArmResult, u64, u64) {
+/// The frontend arm: submit-then-wait per batch through `Service`;
+/// readers poll wait-free `ScheduleReader`s. Returns the arm result
+/// plus the maximum staleness from the session's registry.
+fn run_service(session: ServiceSession, batches: Vec<Vec<DemandEvent>>) -> (ArmResult, u64) {
     let epochs = batches.len();
-    let service = PipelinedService::new(session);
+    let service = Service::new(session);
     let stop = AtomicBool::new(false);
     let start = Instant::now();
     let (reads, mut latencies, replay_s) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..READERS)
             .map(|_| {
-                let mut reader = service.reader();
+                let mut reader = service.reader().expect("session is live");
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut reads = 0u64;
@@ -286,12 +285,12 @@ fn run_pipelined(session: ServiceSession, batches: Vec<Vec<DemandEvent>>) -> (Ar
                 })
             })
             .collect();
-        let submissions: Vec<_> = batches
-            .into_iter()
-            .map(|events| service.submit(events).expect("unbounded queue accepts"))
-            .collect();
-        for handle in submissions {
-            handle.wait().expect("epoch ran");
+        for events in batches {
+            service
+                .submit(events)
+                .expect("unbounded queue accepts")
+                .wait()
+                .expect("epoch ran");
         }
         let replay_s = start.elapsed().as_secs_f64();
         stop.store(true, Ordering::Release);
@@ -305,22 +304,23 @@ fn run_pipelined(session: ServiceSession, batches: Vec<Vec<DemandEvent>>) -> (Ar
         (reads, latencies, replay_s)
     });
     latencies.sort_unstable();
-    let session = service.shutdown();
-    let report = session.obs_registry().snapshot();
+    let obs = service
+        .with_session(|s| s.obs_registry().clone())
+        .expect("session is live");
+    let report = obs.snapshot();
     let staleness_max = report
         .histogram("read.staleness_epochs")
         .map(|h| h.max)
         .unwrap_or(0);
-    let prefetch_hits = report.counter("pipeline.prefetch_hits").unwrap_or(0);
     let arm = ArmResult {
-        label: "pipelined",
+        label: "service",
         epochs,
         replay_s,
         reads,
         latencies_ns: latencies,
-        admission: session.obs_registry().histogram("epoch.step_ns").snapshot(),
+        admission: obs.histogram("epoch.step_ns").snapshot(),
     };
-    (arm, staleness_max, prefetch_hits)
+    (arm, staleness_max)
 }
 
 fn main() {
@@ -366,15 +366,11 @@ fn main() {
     let baseline = run_baseline(baseline_session, &batches);
     baseline.print();
 
-    let (pipelined, staleness_max, prefetch_hits) =
-        run_pipelined(prepared_session(&problem, config), batches);
-    pipelined.print();
+    let (served, staleness_max) = run_service(prepared_session(&problem, config), batches);
+    served.print();
 
-    let speedup_p99 = baseline.read_p99_ms() / pipelined.read_p99_ms().max(1e-9);
-    println!(
-        "  reader p99 speedup: {speedup_p99:>6.1}x   staleness max: {staleness_max} epoch(s)   \
-         prefetch hits: {prefetch_hits}"
-    );
+    let speedup_p99 = baseline.read_p99_ms() / served.read_p99_ms().max(1e-9);
+    println!("  reader p99 speedup: {speedup_p99:>6.1}x   staleness max: {staleness_max} epoch(s)");
     assert!(
         staleness_max <= 1,
         "published reads must never lag more than one epoch"
@@ -384,10 +380,6 @@ fn main() {
             speedup_p99 >= 10.0,
             "wait-free reads must beat the locked baseline by >=10x at p99 \
              (got {speedup_p99:.1}x)"
-        );
-        assert!(
-            prefetch_hits > 0,
-            "the full-mode replay must exercise the prefetch overlap"
         );
     }
 
@@ -400,23 +392,19 @@ fn main() {
         JsonValue::Object(
             vec![
                 ("baseline_locked".to_string(), baseline.to_json()),
-                ("pipelined".to_string(), pipelined.to_json()),
+                ("service".to_string(), served.to_json()),
             ]
             .into_iter()
             .collect(),
         ),
     ));
-    entries.push((
-        "read_throughput",
-        JsonValue::num(pipelined.read_throughput()),
-    ));
-    entries.push(("latency_p99_ms", JsonValue::num(pipelined.read_p99_ms())));
+    entries.push(("read_throughput", JsonValue::num(served.read_throughput())));
+    entries.push(("latency_p99_ms", JsonValue::num(served.read_p99_ms())));
     entries.push(("speedup_p99", JsonValue::num(speedup_p99)));
     entries.push((
         "staleness_max_epochs",
         JsonValue::int(staleness_max as usize),
     ));
-    entries.push(("prefetch_hits", JsonValue::int(prefetch_hits as usize)));
     let json = JsonValue::object(entries);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

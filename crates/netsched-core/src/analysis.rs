@@ -132,7 +132,7 @@ pub fn run_two_phase_traced(
 ) -> (Solution, Trace) {
     let mut trace = Trace::default();
     let conflict = ShardedConflictGraph::build(universe);
-    let (solution, _) = warm_impl(
+    let solution = warm_impl(
         universe,
         &conflict,
         layering,
@@ -140,7 +140,6 @@ pub fn run_two_phase_traced(
         config,
         &mut WarmState::new(universe, rule),
         &Budget::unlimited(),
-        None::<fn()>,
         Some(&mut trace),
     );
     (solution, trace)

@@ -83,4 +83,4 @@ pub use tree::{
     solve_arbitrary_tree, solve_arbitrary_tree_on, solve_narrow_tree, solve_narrow_tree_on,
     solve_unit_tree, solve_unit_tree_on, subproblem,
 };
-pub use warm::{run_two_phase_warm_on, run_two_phase_warm_overlapped, WarmState};
+pub use warm::{run_two_phase_warm_on, WarmState};

@@ -726,14 +726,10 @@ fn unsatisfied_of_group(
         .collect()
 }
 
-/// The engine's second phase, factored to the **pipelining boundary**:
-/// pops the MIS layers newest-first and greedily commits every instance
-/// that still fits its edge capacities. It reads only the frozen
-/// first-phase output (the MIS stack) plus the immutable
-/// universe/conflict structures — no duals, no budget, no mutation of
-/// either input — which is exactly why a pipelined serving tier may run
-/// other work concurrently with it as long as that work touches neither
-/// (see [`run_two_phase_warm_overlapped`]).
+/// The engine's second phase: pops the MIS layers newest-first and
+/// greedily commits every instance that still fits its edge capacities.
+/// It reads only the frozen first-phase output (the MIS stack) plus the
+/// immutable universe/conflict structures.
 fn replay_stack<'a>(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
@@ -920,68 +916,16 @@ pub fn run_two_phase_warm_on(
     warm: &mut WarmState,
     budget: &Budget,
 ) -> Solution {
-    // `None` overlap takes the exact single-threaded path — no scope, no
-    // spawn.
     warm_impl(
-        universe,
-        conflict,
-        layering,
-        rule,
-        config,
-        warm,
-        budget,
-        None::<fn()>,
-        None,
+        universe, conflict, layering, rule, config, warm, budget, None,
     )
-    .0
-}
-
-/// The warm engine's **pipelined phase boundary**:
-/// [`run_two_phase_warm_on`] that additionally runs `overlap` on
-/// a scoped thread **concurrently with the second-phase stack replay**,
-/// returning the solution together with the closure's result.
-///
-/// The second phase reads only the frozen first-phase output (the MIS
-/// stack arena) plus the immutable universe/conflict structures
-/// (`replay_stack` — factored so the boundary is a function call, not a
-/// convention), so any `overlap` work that touches
-/// *neither the warm state nor this solve's universe/conflict/layering*
-/// is sound to interleave. The serving tier uses this to pre-materialize
-/// the **next** epoch's arrival instances (which read only the immutable
-/// base topology) while the current epoch replays — the "rebuild of
-/// epoch N+1 under replay of epoch N" half of the pipelined serving
-/// design. The closure runs exactly once, even when the first phase was
-/// budget-cut; a panic inside it propagates after the replay finishes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_two_phase_warm_overlapped<R: Send>(
-    universe: &DemandInstanceUniverse,
-    conflict: &ShardedConflictGraph,
-    layering: &InstanceLayering,
-    rule: RaiseRule,
-    config: &AlgorithmConfig,
-    warm: &mut WarmState,
-    budget: &Budget,
-    overlap: impl FnOnce() -> R + Send,
-) -> (Solution, R) {
-    let (solution, extra) = warm_impl(
-        universe,
-        conflict,
-        layering,
-        rule,
-        config,
-        warm,
-        budget,
-        Some(overlap),
-        None,
-    );
-    (solution, extra.expect("overlap closure runs exactly once"))
 }
 
 /// The engine behind every entry point: repair (or, on a fresh state, run)
-/// the first phase, replay the stack, certify. `overlap` runs alongside
-/// the replay; `trace` observes every first-phase step.
+/// the first phase, replay the stack, certify. `trace` observes every
+/// first-phase step.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn warm_impl<R: Send>(
+pub(crate) fn warm_impl(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
     layering: &InstanceLayering,
@@ -989,9 +933,8 @@ pub(crate) fn warm_impl<R: Send>(
     config: &AlgorithmConfig,
     warm: &mut WarmState,
     budget: &Budget,
-    overlap: Option<impl FnOnce() -> R + Send>,
     mut trace: Option<&mut Trace>,
-) -> (Solution, Option<R>) {
+) -> Solution {
     config.validate().expect("invalid algorithm configuration");
     assert_eq!(
         rule, warm.rule,
@@ -1004,10 +947,7 @@ pub(crate) fn warm_impl<R: Send>(
     );
     if universe.num_instances() == 0 {
         *warm = WarmState::new(universe, rule);
-        // The overlap contract holds even for degenerate solves: the
-        // closure runs exactly once (inline — there is no replay to hide
-        // it behind).
-        return (Solution::empty(), overlap.map(|f| f()));
+        return Solution::empty();
     }
 
     let fresh = !warm.primed;
@@ -1129,37 +1069,13 @@ pub(crate) fn warm_impl<R: Send>(
     // ---------------- Second phase: replay the full stack ----------------
     // The repair passes appended their MISes directly onto warm's stack
     // arena, so the surviving seed + repair MISes are already in order;
-    // replay newest first, exactly like a cold run's stack pop. With an
-    // overlap closure, the replay shares the wall clock with it on a
-    // scoped thread — sound because the replay reads only the frozen
-    // stack and the immutable universe/conflict (see
-    // [`run_two_phase_warm_overlapped`]).
-    let mises = |warm: &WarmState| (0..warm.num_mises()).rev();
-    let (selected, extra) = match overlap {
-        None => (
-            replay_stack(
-                universe,
-                conflict,
-                mises(warm).map(|m| warm.mis(m)),
-                &mut stats,
-            ),
-            None,
-        ),
-        Some(f) => std::thread::scope(|scope| {
-            let handle = scope.spawn(f);
-            let selected = replay_stack(
-                universe,
-                conflict,
-                mises(warm).map(|m| warm.mis(m)),
-                &mut stats,
-            );
-            let extra = match handle.join() {
-                Ok(extra) => extra,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (selected, Some(extra))
-        }),
-    };
+    // replay newest first, exactly like a cold run's stack pop.
+    let selected = replay_stack(
+        universe,
+        conflict,
+        (0..warm.num_mises()).rev().map(|m| warm.mis(m)),
+        &mut stats,
+    );
 
     let mut raised_instances: Vec<InstanceId> = warm.stack_items.clone();
     raised_instances.sort_unstable();
@@ -1210,7 +1126,7 @@ pub(crate) fn warm_impl<R: Send>(
             solution.verify(universe).is_ok(),
             "truncated warm schedule failed feasibility verification"
         );
-        return (solution, extra);
+        return solution;
     }
 
     // ---------------- Certificate check + safety valve ----------------
@@ -1221,20 +1137,16 @@ pub(crate) fn warm_impl<R: Send>(
         && ratio <= bound * (1.0 + 1e-9) + 1e-9;
     if !certified && !fresh {
         // The repaired certificate did not re-verify: fall back to a
-        // fresh-state run, which is the cold solve. The overlap work
-        // already ran (alongside the discarded replay).
+        // fresh-state run, which is the cold solve.
         *warm = WarmState::new(universe, rule);
-        return (
-            run_two_phase_warm_on(
-                universe,
-                conflict,
-                layering,
-                rule,
-                config,
-                warm,
-                &Budget::unlimited(),
-            ),
-            extra,
+        return run_two_phase_warm_on(
+            universe,
+            conflict,
+            layering,
+            rule,
+            config,
+            warm,
+            &Budget::unlimited(),
         );
     }
     debug_assert!(
@@ -1249,7 +1161,7 @@ pub(crate) fn warm_impl<R: Send>(
         ratio <= bound * (1.0 + 1e-9) + 1e-9,
         "warm certified ratio {ratio} exceeds the {bound} guarantee"
     );
-    (solution, extra)
+    solution
 }
 
 /// `λ` from the cached LHS lower bounds: `min` over eligible instances of

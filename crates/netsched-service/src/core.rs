@@ -8,8 +8,8 @@
 //! are driven by the same [`LiveCore::apply`].
 
 use netsched_core::{
-    run_two_phase_on, run_two_phase_warm_on, run_two_phase_warm_overlapped, AlgorithmConfig,
-    Budget, RaiseRule, Solution, WarmState,
+    run_two_phase_on, run_two_phase_warm_on, AlgorithmConfig, Budget, RaiseRule, Solution,
+    WarmState,
 };
 use netsched_decomp::{line_assignment, InstanceLayering, TreeDecompositionKind, TreeLayerer};
 use netsched_distrib::ShardedConflictGraph;
@@ -21,15 +21,6 @@ use netsched_graph::{
 /// The layering assignments of one arriving demand's instances, in instance
 /// order (tree cores only; line cores re-derive length classes globally).
 pub(crate) type TreeAssignments = Vec<(usize, Vec<EdgeId>)>;
-
-/// What a warm solve borrows from a [`LiveCore`]: the universe, conflict
-/// graph and layering it reads, and the warm state it resumes.
-type WarmInputs<'a> = (
-    &'a DemandInstanceUniverse,
-    &'a ShardedConflictGraph,
-    &'a InstanceLayering,
-    &'a mut WarmState,
-);
 
 /// One universe + conflict graph + layering triple, spliced in place per
 /// epoch. Byte-identical to the from-scratch structures of a fresh
@@ -199,17 +190,6 @@ impl LiveCore {
         )
     }
 
-    /// The preamble of every warm solve: the engine's inputs plus the
-    /// persisted [`WarmState`] for `rule`, created (or, on a raise-rule
-    /// switch, reset) first.
-    fn warm_inputs(&mut self, rule: RaiseRule) -> WarmInputs<'_> {
-        if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
-            self.warm = Some(WarmState::new(&self.universe, rule));
-        }
-        let warm = self.warm.as_mut().expect("warm state just ensured");
-        (&self.universe, &self.conflict, &self.layering, warm)
-    }
-
     /// Resumes the warm-started engine from the core's persisted
     /// [`WarmState`]. A fresh state is the cold solve, so the first warm
     /// epoch of a session matches [`LiveCore::solve`] bit-for-bit; later
@@ -223,26 +203,20 @@ impl LiveCore {
         config: &AlgorithmConfig,
         budget: &Budget,
     ) -> Solution {
-        let (universe, conflict, layering, warm) = self.warm_inputs(rule);
-        run_two_phase_warm_on(universe, conflict, layering, rule, config, warm, budget)
-    }
-
-    /// [`LiveCore::solve_warm`], overlapping `overlap` with the engine's
-    /// phase-2 replay on a scoped thread (see
-    /// [`run_two_phase_warm_overlapped`]). The solution is bit-identical
-    /// to `solve_warm`'s — phase 2 only pops the frozen MIS stack — so the
-    /// pipelined session uses this to pre-materialize the next epoch's
-    /// arrivals for free.
-    pub(crate) fn solve_warm_overlapped<R: Send>(
-        &mut self,
-        rule: RaiseRule,
-        config: &AlgorithmConfig,
-        budget: &Budget,
-        overlap: impl FnOnce() -> R + Send,
-    ) -> (Solution, R) {
-        let (universe, conflict, layering, warm) = self.warm_inputs(rule);
-        run_two_phase_warm_overlapped(
-            universe, conflict, layering, rule, config, warm, budget, overlap,
+        // Create the persisted state on first use, and reset it on a
+        // raise-rule switch.
+        if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
+            self.warm = Some(WarmState::new(&self.universe, rule));
+        }
+        let warm = self.warm.as_mut().expect("warm state just ensured");
+        run_two_phase_warm_on(
+            &self.universe,
+            &self.conflict,
+            &self.layering,
+            rule,
+            config,
+            warm,
+            budget,
         )
     }
 

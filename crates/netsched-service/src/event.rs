@@ -124,24 +124,22 @@ pub enum ServiceError {
     Journal(String),
     /// Two or more events of one submission failed validation. Every
     /// failure is reported with the index of the offending event, so
-    /// async callers can drop or fix exactly the invalid tickets and
-    /// resubmit the rest (a single invalid event is returned as its bare
-    /// error instead).
+    /// callers can drop or fix exactly the invalid tickets and resubmit
+    /// the rest (a single invalid event is returned as its bare error
+    /// instead).
     InvalidBatch {
         /// `(event index, error)` for every invalid event, in batch order.
         failures: Vec<(usize, ServiceError)>,
     },
-    /// The async frontend's submit queue is full
+    /// The frontend's submit queue is full
     /// ([`ServicePolicy::max_queued`](crate::ServicePolicy::max_queued)):
     /// backpressure, not failure. Nothing was enqueued; resubmit after
-    /// roughly `retry_after_epochs` epochs have drained.
+    /// `retry_after_epochs` epochs have run.
     Overloaded {
         /// How many epochs must run before the queue has drained; a
-        /// polite client backs off at least this long.
+        /// polite client backs off at least this long. Always `1`:
         /// [`Service`](crate::Service) folds every queued submission into
-        /// the next epoch, so it always hints `1`; the threaded
-        /// [`PipelinedService`](crate::PipelinedService) steps one epoch
-        /// per queued submission and hints the current queue depth.
+        /// the next epoch.
         retry_after_epochs: u64,
     },
     /// The solve of this batch panicked. The batch is quarantined — the
@@ -149,6 +147,16 @@ pub enum ServiceError {
     /// operational; the offending batch must not be resubmitted verbatim.
     Quarantined {
         /// The panic payload (downcast to a string when possible).
+        reason: String,
+    },
+    /// An earlier epoch's solve panicked outside quarantine (a plain
+    /// [`step`](crate::ServiceSession::step) under the default
+    /// [`ServicePolicy`](crate::ServicePolicy)), so the session may be
+    /// half-mutated. [`Service`](crate::Service) refuses every later call
+    /// with this error; open a new session (a durable one restores from
+    /// its log).
+    SessionLost {
+        /// The panic payload of the lost epoch.
         reason: String,
     },
 }
@@ -178,6 +186,9 @@ impl fmt::Display for ServiceError {
                 f,
                 "solve panicked and the batch was quarantined (session restored): {reason}"
             ),
+            ServiceError::SessionLost { reason } => {
+                write!(f, "session lost to an unisolated solve panic: {reason}")
+            }
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Dynamic serving subsystem for `netsched`: incremental per-shard rebuild
-//! plus an async batch-admission scheduler service.
+//! plus a batch-admission scheduler service.
 //!
 //! The paper's framework assumes a static demand set; production traffic
 //! does not. This crate turns the cached one-shot
@@ -158,10 +158,9 @@
 //!   SLOs. Under [`AdmissionClass`], latency-sensitive submissions get
 //!   the budgeted path while bulk submissions batch into full epochs.
 //! * **Backpressure** — a [`ServicePolicy`] with `max_queued > 0` bounds
-//!   the async frontend's submission queue; a full queue rejects with
-//!   [`ServiceError::Overloaded`]`{ retry_after_epochs }` instead of
-//!   growing without bound. Clients should back off at least the hinted
-//!   number of epochs.
+//!   the frontend's submission queue exactly; a full queue rejects with
+//!   [`ServiceError::Overloaded`]`{ retry_after_epochs: 1 }` instead of
+//!   growing without bound (one epoch drains the whole queue).
 //! * **Quarantine** — [`ServiceSession::step_with_deadline`] runs the
 //!   epoch under `catch_unwind`; a panicking solve restores the session
 //!   from its pre-step snapshot, appends a rollback tombstone to any
@@ -169,8 +168,12 @@
 //!   batch) and returns [`ServiceError::Quarantined`] naming the panic.
 //!   The session stays fully operational; only the offending batch is
 //!   lost. The pre-step snapshot costs one serialization of the session
-//!   per epoch, so the async frontend applies it only to budgeted epochs
-//!   unless [`ServicePolicy::quarantine`] opts every epoch in.
+//!   per epoch, so the frontend applies it only to budgeted epochs
+//!   unless [`ServicePolicy::quarantine`] opts every epoch in. A panic in
+//!   an unisolated epoch propagates to the caller driving it, and the
+//!   frontend answers every later call with
+//!   [`ServiceError::SessionLost`] — never a panic, and never the
+//!   `Quarantined` promise of a restored session.
 //!
 //! Durability degrades independently in `netsched-persist`: injected or
 //! real fsync failures retry with backoff and then **downgrade** the
@@ -212,7 +215,6 @@
 //! | `read.count` | counter | wait-free snapshot reads served |
 //! | `read.staleness_epochs` | histogram | per-read lag behind the in-flight epoch (≤ 1) |
 //! | `read.refresh_wait_ns` | histogram | reader refresh contention (slot lock + `Arc` clone) |
-//! | `pipeline.prefetch_hits` | counter | epochs that consumed a pre-materialized batch |
 //!
 //! A snapshot exports in the Prometheus text exposition format, names
 //! prefixed `netsched_` and sanitized to the exposition charset
@@ -243,10 +245,9 @@
 //! [`ServiceSession::calibrated_budget`] uses to compile wall-clock
 //! deadlines ([`BudgetSpec::Millis`]) into deterministic round caps.
 //!
-//! # Pipelined serving & read consistency
+//! # Read consistency
 //!
 //! Epoch steps mutate the session; serving reads must not wait for them.
-//! The pipelined tier separates the two:
 //!
 //! * **Publication point** — [`ServiceSession::schedule_view`] attaches a
 //!   [`ScheduleView`]: every successful epoch ends by publishing an
@@ -266,35 +267,28 @@
 //!   continue on the last certified snapshot, so panic isolation and the
 //!   read path compose without coordination. `read.staleness_epochs`
 //!   records the observed distribution; its max is pinned ≤ 1.
-//! * **Pipelining** — [`ServiceSession::prefetch_arrivals`] announces the
-//!   next epoch's arrivals so their splice inputs (instance paths, tree
-//!   layering assignments) materialize on a scoped thread **overlapped
-//!   with the current epoch's phase-2 replay**, which only pops the
-//!   frozen MIS stack. [`PipelinedService`] wires this up end to end: a
-//!   writer thread steps one submission per epoch and uses its queue
-//!   lookahead to feed the prefetch, while readers hold
-//!   [`ScheduleReader`]s. Prefetching never changes results — schedules,
-//!   certificates and deltas are bit-identical with it on or off
-//!   (`tests/concurrent_serving.rs` pins both properties, and the
-//!   `concurrent_serving` bench measures read throughput and staleness
-//!   against a lock-the-session baseline).
 //!
 //! Sessions that never call [`ServiceSession::schedule_view`] pay nothing:
-//! the view is lazy and the single-threaded step path is unchanged bit
-//! for bit.
+//! the view is lazy and the step path is unchanged bit for bit
+//! (`tests/concurrent_serving.rs` pins both properties, and the
+//! `concurrent_serving` bench measures read latency and staleness against
+//! a lock-the-session baseline).
 //!
-//! # Async frontend
+//! # Frontend
 //!
-//! [`Service`] wraps a session behind a submission queue with hand-rolled
-//! waker plumbing (no tokio): [`Service::submit`] returns a future, and
-//! concurrent submissions are folded into **one** epoch by whichever
-//! future polls first — batch admission for free. [`block_on`] is provided
-//! for executor-less callers.
+//! [`Service`] wraps a session behind a submission queue, with no thread
+//! of its own: [`Service::submit`] returns a [`SubmitHandle`], and the
+//! first [`SubmitHandle::wait`] whose submission is still unresolved
+//! folds **everything queued** into one epoch — batch admission for free.
+//! Each submission is validated when its fold runs; an invalid one gets
+//! its own error and the rest of the fold steps without it.
+//! [`Service::reader`] hands out wait-free readers of the published
+//! schedule.
 //!
 //! ```
 //! use netsched_core::AlgorithmConfig;
 //! use netsched_graph::{TreeProblem, VertexId};
-//! use netsched_service::{block_on, DemandEvent, DemandRequest, Service, ServiceSession};
+//! use netsched_service::{DemandEvent, DemandRequest, Service, ServiceSession};
 //!
 //! let mut problem = TreeProblem::new(4);
 //! let t = problem.add_network(vec![
@@ -308,15 +302,17 @@
 //!     &problem,
 //!     AlgorithmConfig::deterministic(0.1),
 //! ));
-//! // Two concurrent submissions fold into a single epoch.
+//! let mut reader = service.reader().unwrap();
+//! // Two submissions queued before anyone waits fold into a single epoch.
 //! let a = service.submit(vec![DemandEvent::Arrive(DemandRequest::Tree {
 //!     u: VertexId(1), v: VertexId(3), profit: 2.0, height: 1.0, access: vec![t],
 //! })]).unwrap();
 //! let b = service.submit(vec![]).unwrap();
-//! let delta = block_on(a).unwrap();
+//! let delta = a.wait().unwrap();
 //! assert_eq!(delta.epoch, 1);
-//! assert_eq!(block_on(b).unwrap().epoch, 1); // same epoch, shared delta
+//! assert!(std::sync::Arc::ptr_eq(&delta, &b.wait().unwrap())); // one shared delta
 //! assert!(!delta.admitted.is_empty());
+//! assert_eq!(reader.read().epoch(), 1); // published for readers
 //! ```
 
 #![warn(missing_docs)]
@@ -324,7 +320,6 @@
 
 mod core;
 pub mod event;
-pub mod pipeline;
 pub mod replay;
 pub mod service;
 pub mod session;
@@ -332,9 +327,8 @@ pub mod snapshot;
 pub mod view;
 
 pub use event::{DemandEvent, DemandRequest, DemandTicket, ServiceError};
-pub use pipeline::PipelinedService;
 pub use replay::replay_trace;
-pub use service::{block_on, AdmissionClass, BudgetSpec, Service, ServicePolicy, SubmitFuture};
+pub use service::{AdmissionClass, BudgetSpec, Service, ServicePolicy, SubmitHandle};
 pub use session::{
     Certificate, CompactionReport, EpochJournal, EpochStats, MemoryFootprint, Placement,
     ResolveMode, ScheduleDelta, ScheduledDemand, ServiceSession,

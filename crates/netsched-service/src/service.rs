@@ -1,31 +1,37 @@
-//! The asynchronous, executor-agnostic frontend.
+//! The serving frontend.
 //!
-//! [`Service`] wraps a [`ServiceSession`] behind a submission queue:
+//! [`Service`] wraps a [`ServiceSession`] behind a submission queue.
 //! [`Service::submit`] enqueues a batch of events and returns a
-//! [`SubmitFuture`]; whichever future is polled first **drives** one epoch,
-//! folding every submission queued so far into a single
-//! [`ServiceSession::step`] call and resolving all of their futures with
-//! the same shared [`ScheduleDelta`]. Concurrent submitters therefore get
-//! automatic batch admission — many submissions, one epoch — without any
-//! background thread, timer or executor dependency (the waker/queue
-//! machinery is hand-rolled on `std::task`, consistent with the
-//! workspace's vendored-shim policy: no tokio).
+//! [`SubmitHandle`]; [`SubmitHandle::wait`] blocks until the epoch that
+//! admits the batch has run and returns its [`ScheduleDelta`].
 //!
-//! Any executor works: `block_on` (provided here for examples and tests),
-//! tokio, async-std, or manual polling. Submissions are validated eagerly
-//! inside [`Service::submit`], so a queued batch cannot poison its epoch.
+//! The frontend has no thread of its own. The first waiter whose
+//! submission is still unresolved **drives** one epoch: it takes the
+//! session lock, drains the whole queue, validates each submission against
+//! the live set (and against the expiries claimed by submissions earlier
+//! in the same fold), and steps one epoch over the valid ones. Every
+//! submission of that fold resolves with the same shared delta; an invalid
+//! one resolves with its own validation error and never poisons the fold.
+//! Concurrent submitters therefore get batch admission — many
+//! submissions, one epoch — and a closed-loop caller that submits and
+//! waits gets one epoch per submission.
+//!
+//! Submitting touches only the queue lock, so it never waits for a
+//! running epoch. Readers hold [`ScheduleReader`]s from
+//! [`Service::reader`] and observe the published schedule wait-free,
+//! touching neither lock.
 
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use fxhash::FxHashSet;
 use netsched_core::Budget;
+use netsched_obs::ObsRegistry;
 
 use crate::event::{DemandEvent, DemandTicket, ServiceError};
-use crate::session::{ScheduleDelta, ServiceSession};
+use crate::session::{panic_reason, ScheduleDelta, ServiceSession};
+use crate::view::{ScheduleReader, ScheduleView};
 
 /// How urgently a submission needs its epoch — the tiered admission
 /// classes of the degraded-operation layer.
@@ -70,15 +76,16 @@ impl BudgetSpec {
     }
 }
 
-/// Tuning of the async frontend: queue bound and latency budget. The
-/// default policy is fully backward compatible — unbounded queue,
-/// unlimited budget.
+/// Tuning of the frontend: queue bound, latency budget and panic
+/// isolation. The default policy is an unbounded queue, an unlimited
+/// budget and no isolation of unbudgeted epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServicePolicy {
     /// Maximum submissions waiting in the queue (`0` = unbounded). When
     /// the queue is full, [`Service::submit`] returns
-    /// [`ServiceError::Overloaded`] with a drain-time estimate instead of
-    /// queueing — bounded backpressure instead of unbounded memory.
+    /// [`ServiceError::Overloaded`] instead of queueing — bounded
+    /// backpressure instead of unbounded memory. The bound is checked
+    /// under the queue lock, so it is exact under any concurrency.
     pub max_queued: usize,
     /// The budget epochs admitting latency-sensitive submissions run
     /// under; bulk-only epochs always run unlimited.
@@ -96,76 +103,94 @@ pub struct ServicePolicy {
 /// Outcome delivered to every submission folded into an epoch.
 type EpochResult = Result<Arc<ScheduleDelta>, ServiceError>;
 
-enum SlotState {
-    Waiting(Option<Waker>),
-    Done(EpochResult),
-}
-
-/// The per-submission completion slot shared between the queue and the
-/// future.
-struct Slot {
-    state: Mutex<SlotState>,
-}
-
-impl Slot {
-    fn fill(&self, result: EpochResult) {
-        let mut state = self.state.lock().expect("slot lock poisoned");
-        if let SlotState::Waiting(waker) = &mut *state {
-            let waker = waker.take();
-            *state = SlotState::Done(result);
-            if let Some(waker) = waker {
-                waker.wake();
-            }
-        }
-    }
-}
+/// One submission's result, set once by the fold that drains it.
+type Slot = Arc<OnceLock<EpochResult>>;
 
 struct Pending {
     events: Vec<DemandEvent>,
     class: AdmissionClass,
-    slot: Arc<Slot>,
-    /// When the submission entered the queue; the drive records the
+    slot: Slot,
+    /// When the submission entered the queue; the fold records the
     /// submit-to-delta latency per admission class from it.
     submitted_at: Instant,
 }
 
-struct State {
+/// The session behind the session lock.
+struct SessionState {
     session: ServiceSession,
-    queue: Vec<Pending>,
-    /// Tickets with an expiry already queued (so two queued submissions
-    /// cannot both expire the same demand).
-    queued_expiries: FxHashSet<u64>,
-    policy: ServicePolicy,
+    /// Set when a solve panicked outside quarantine: the session may be
+    /// half-mutated, so every later call fails with
+    /// [`ServiceError::SessionLost`] carrying this panic message.
+    lost: Option<String>,
 }
 
-impl State {
-    /// Drains the queue and steps one epoch over the folded batch,
-    /// resolving every drained slot with the shared outcome. The epoch
-    /// runs under the policy's latency budget when any drained submission
-    /// is latency-sensitive (bulk-only epochs certify fully). Budgeted
-    /// epochs — and every epoch under a `quarantine: true` policy — go
-    /// through [`ServiceSession::step_with_deadline`], so a panicking
-    /// solve quarantines the folded batch instead of poisoning the
-    /// session; unbudgeted epochs under the default policy take the plain
-    /// [`step`](ServiceSession::step) path and skip its per-epoch
-    /// pre-step serialization.
-    fn drive(&mut self) -> EpochResult {
-        let pending: Vec<Pending> = self.queue.drain(..).collect();
-        self.queued_expiries.clear();
+/// The state a [`Service`] shares with its [`SubmitHandle`]s.
+struct Shared {
+    policy: ServicePolicy,
+    /// The session's registry, reachable without the session lock.
+    obs: ObsRegistry,
+    queue: Mutex<Vec<Pending>>,
+    session: Mutex<SessionState>,
+    /// The session's publication point, attached on first use.
+    view: OnceLock<ScheduleView>,
+}
+
+impl Shared {
+    /// Takes the session lock, or fails once the session is lost. A
+    /// poisoned lock is not a lost session: only a [`Service::with_session`]
+    /// closure can panic under it outside a fold, and it cannot mutate
+    /// the session.
+    fn session(&self) -> Result<MutexGuard<'_, SessionState>, ServiceError> {
+        let state = self.session.lock().unwrap_or_else(PoisonError::into_inner);
+        match &state.lost {
+            Some(reason) => Err(ServiceError::SessionLost {
+                reason: reason.clone(),
+            }),
+            None => Ok(state),
+        }
+    }
+
+    /// Drains the queue and steps one epoch over its valid submissions,
+    /// resolving every drained slot. Returns the epoch's outcome, or `None`
+    /// when every drained submission was rejected and `force` is off (no
+    /// epoch runs then, so a rejected submission leaves the session
+    /// untouched).
+    ///
+    /// The epoch runs under the policy's latency budget when any admitted
+    /// submission is latency-sensitive (bulk-only epochs certify fully).
+    /// Budgeted epochs — and every epoch under a `quarantine: true`
+    /// policy — go through [`ServiceSession::step_with_deadline`], so a
+    /// panicking solve quarantines the folded batch; unbudgeted epochs
+    /// under the default policy take the plain
+    /// [`step`](ServiceSession::step) path and skip its pre-step
+    /// serialization. A panic there loses the session: the panic
+    /// propagates to the driving caller and every co-folded submission
+    /// resolves with [`ServiceError::SessionLost`].
+    fn fold(&self, state: &mut SessionState, force: bool) -> Option<EpochResult> {
+        let pending = std::mem::take(&mut *self.queue.lock().expect("queue lock poisoned"));
         // Decrement-by-delta rather than `set(0)`: the registry may be
-        // shared across services (`with_obs`), and the gauge must come
-        // back to zero on *every* outcome — the drained submissions are
-        // dequeued whether the epoch below succeeds, aborts on a journal
-        // error, or quarantines.
-        self.session
-            .obs_registry()
+        // shared across services (`with_obs`).
+        self.obs
             .gauge("service.queue_depth")
             .add(-(pending.len() as i64));
-        let batch: Vec<DemandEvent> = pending
-            .iter()
-            .flat_map(|p| p.events.iter().cloned())
-            .collect();
-        let budget = if pending
+        let mut claimed: FxHashSet<u64> = FxHashSet::default();
+        let mut batch: Vec<DemandEvent> = Vec::new();
+        let mut admitted: Vec<Pending> = Vec::with_capacity(pending.len());
+        for mut p in pending {
+            match validate(&state.session, &p.events, &mut claimed) {
+                Ok(()) => {
+                    batch.append(&mut p.events);
+                    admitted.push(p);
+                }
+                Err(error) => {
+                    let _ = p.slot.set(Err(error));
+                }
+            }
+        }
+        if admitted.is_empty() && !force {
+            return None;
+        }
+        let budget = if admitted
             .iter()
             .any(|p| p.class == AdmissionClass::LatencySensitive)
         {
@@ -173,38 +198,101 @@ impl State {
                 // A wall-clock budget goes through the session's online
                 // calibration: once primed, the deadline is compiled into
                 // a deterministic round cap as well (tightest limit wins).
-                BudgetSpec::Millis(ms) => self.session.calibrated_budget(Duration::from_millis(ms)),
+                BudgetSpec::Millis(ms) => {
+                    state.session.calibrated_budget(Duration::from_millis(ms))
+                }
                 spec => spec.to_budget(),
             }
         } else {
             Budget::unlimited()
         };
-        let outcome: EpochResult = if budget.is_limited() || self.policy.quarantine {
-            self.session.step_with_deadline(&batch, &budget)
-        } else {
-            self.session.step(&batch)
-        }
-        .map(Arc::new);
-        let obs = self.session.obs_registry();
-        let bulk = obs.histogram("service.latency_bulk_ns");
-        let sensitive = obs.histogram("service.latency_sensitive_ns");
-        for p in &pending {
+        let isolated = budget.is_limited() || self.policy.quarantine;
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            if isolated {
+                state.session.step_with_deadline(&batch, &budget)
+            } else {
+                state.session.step(&batch)
+            }
+        }));
+        let outcome: EpochResult = match stepped {
+            Ok(outcome) => outcome.map(Arc::new),
+            Err(payload) => {
+                let reason = panic_reason(payload.as_ref());
+                for p in &admitted {
+                    let _ = p.slot.set(Err(ServiceError::SessionLost {
+                        reason: reason.clone(),
+                    }));
+                }
+                state.lost = Some(reason);
+                resume_unwind(payload);
+            }
+        };
+        let bulk = self.obs.histogram("service.latency_bulk_ns");
+        let sensitive = self.obs.histogram("service.latency_sensitive_ns");
+        for p in &admitted {
             match p.class {
                 AdmissionClass::Bulk => bulk.record_duration(p.submitted_at.elapsed()),
                 AdmissionClass::LatencySensitive => {
                     sensitive.record_duration(p.submitted_at.elapsed())
                 }
             }
-            p.slot.fill(outcome.clone());
+            let _ = p.slot.set(outcome.clone());
         }
-        outcome
+        Some(outcome)
     }
 }
 
-/// An async batch-admission scheduler service over a [`ServiceSession`];
-/// see the [module docs](self).
+/// Validates one submission against the live set and the expiries
+/// `claimed` by submissions earlier in the same fold; on success its own
+/// expiries join `claimed`.
+///
+/// The **whole** submission is checked before rejecting: when several
+/// events are invalid, the error is [`ServiceError::InvalidBatch`] listing
+/// every failure with its event index (a single invalid event comes back
+/// as its bare error), so callers can resubmit precisely the valid
+/// remainder instead of discovering failures one at a time.
+fn validate(
+    session: &ServiceSession,
+    events: &[DemandEvent],
+    claimed: &mut FxHashSet<u64>,
+) -> Result<(), ServiceError> {
+    // This submission's claims, released again if it is rejected.
+    let mut expiries: Vec<u64> = Vec::new();
+    let mut failures: Vec<(usize, ServiceError)> = Vec::new();
+    for (index, event) in events.iter().enumerate() {
+        match event {
+            DemandEvent::Arrive(request) => {
+                if let Err(error) = session.validate_request(request) {
+                    failures.push((index, error));
+                }
+            }
+            DemandEvent::Expire(ticket) => {
+                if !session.is_live(*ticket) {
+                    failures.push((index, ServiceError::UnknownTicket(*ticket)));
+                } else if !claimed.insert(ticket.0) {
+                    failures.push((index, ServiceError::DuplicateExpiry(*ticket)));
+                } else {
+                    expiries.push(ticket.0);
+                }
+            }
+        }
+    }
+    if !failures.is_empty() {
+        for ticket in &expiries {
+            claimed.remove(ticket);
+        }
+    }
+    match failures.len() {
+        0 => Ok(()),
+        1 => Err(failures.pop().expect("one failure").1),
+        _ => Err(ServiceError::InvalidBatch { failures }),
+    }
+}
+
+/// A batch-admission scheduler service over a [`ServiceSession`]; see the
+/// [module docs](self).
 pub struct Service {
-    state: Arc<Mutex<State>>,
+    shared: Arc<Shared>,
 }
 
 impl Service {
@@ -219,38 +307,34 @@ impl Service {
     /// for epochs admitting latency-sensitive submissions.
     pub fn with_policy(session: ServiceSession, policy: ServicePolicy) -> Self {
         Self {
-            state: Arc::new(Mutex::new(State {
-                session,
-                queue: Vec::new(),
-                queued_expiries: FxHashSet::default(),
+            shared: Arc::new(Shared {
                 policy,
-            })),
+                obs: session.obs_registry().clone(),
+                queue: Mutex::new(Vec::new()),
+                session: Mutex::new(SessionState {
+                    session,
+                    lost: None,
+                }),
+                view: OnceLock::new(),
+            }),
         }
     }
 
     /// The frontend's policy.
     pub fn policy(&self) -> ServicePolicy {
-        self.state.lock().expect("service lock poisoned").policy
+        self.shared.policy
     }
 
-    /// Enqueues a batch of events and returns the future of the epoch that
-    /// will admit it ([`AdmissionClass::Bulk`]; see
-    /// [`submit_with_class`](Service::submit_with_class)). Validation
-    /// happens here, eagerly: invalid arrivals, unknown tickets and
-    /// expiries already queued by an earlier (unprocessed) submission are
-    /// rejected without touching the queue.
-    ///
-    /// The **whole** batch is validated before rejecting: when several
-    /// events are invalid, the error is [`ServiceError::InvalidBatch`]
-    /// listing every failure with its event index (a single invalid event
-    /// comes back as its bare error), so callers can resubmit precisely
-    /// the valid remainder instead of discovering failures one at a time.
+    /// Enqueues a batch of events ([`AdmissionClass::Bulk`]; see
+    /// [`submit_with_class`](Service::submit_with_class)) and returns the
+    /// handle of the epoch that will admit it. Validation happens when the
+    /// batch is folded into an epoch: invalid arrivals, unknown tickets
+    /// and expiries already claimed earlier in the fold surface through
+    /// [`SubmitHandle::wait`].
     ///
     /// When the policy bounds the queue and it is full, the submission is
-    /// rejected with [`ServiceError::Overloaded`] before validation —
-    /// backpressure is cheaper than validating work that cannot be
-    /// queued.
-    pub fn submit(&self, events: Vec<DemandEvent>) -> Result<SubmitFuture, ServiceError> {
+    /// rejected with [`ServiceError::Overloaded`] and nothing is queued.
+    pub fn submit(&self, events: Vec<DemandEvent>) -> Result<SubmitHandle, ServiceError> {
         self.submit_with_class(events, AdmissionClass::Bulk)
     }
 
@@ -262,151 +346,104 @@ impl Service {
         &self,
         events: Vec<DemandEvent>,
         class: AdmissionClass,
-    ) -> Result<SubmitFuture, ServiceError> {
-        let mut state = self.state.lock().expect("service lock poisoned");
-        if state.policy.max_queued > 0 && state.queue.len() >= state.policy.max_queued {
-            state
-                .session
-                .obs_registry()
-                .counter("service.overloaded")
-                .inc();
-            // Drain-time estimate: every drive folds the *whole* queue
-            // into one epoch, so however many submissions are waiting,
-            // one epoch drains them all. The hint is exactly 1 — a larger
-            // value would make well-behaved clients back off for epochs
-            // that will never be needed.
+    ) -> Result<SubmitHandle, ServiceError> {
+        let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
+        let max_queued = self.shared.policy.max_queued;
+        if max_queued > 0 && queue.len() >= max_queued {
+            self.shared.obs.counter("service.overloaded").inc();
+            // Every fold drains the whole queue into one epoch, so one
+            // epoch empties it however full it is.
             return Err(ServiceError::Overloaded {
                 retry_after_epochs: 1,
             });
         }
-        let mut batch_expiries: Vec<u64> = Vec::new();
-        let mut failures: Vec<(usize, ServiceError)> = Vec::new();
-        for (index, event) in events.iter().enumerate() {
-            match event {
-                DemandEvent::Arrive(request) => {
-                    if let Err(error) = state.session.validate_request(request) {
-                        failures.push((index, error));
-                    }
-                }
-                DemandEvent::Expire(ticket) => {
-                    if !state.session.is_live(*ticket) {
-                        failures.push((index, ServiceError::UnknownTicket(*ticket)));
-                    } else if state.queued_expiries.contains(&ticket.0)
-                        || batch_expiries.contains(&ticket.0)
-                    {
-                        failures.push((index, ServiceError::DuplicateExpiry(*ticket)));
-                    } else {
-                        batch_expiries.push(ticket.0);
-                    }
-                }
-            }
-        }
-        match failures.len() {
-            0 => {}
-            1 => return Err(failures.pop().expect("one failure").1),
-            _ => return Err(ServiceError::InvalidBatch { failures }),
-        }
-        state.queued_expiries.extend(batch_expiries);
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState::Waiting(None)),
-        });
-        state.queue.push(Pending {
+        let slot = Slot::default();
+        queue.push(Pending {
             events,
             class,
             slot: slot.clone(),
             submitted_at: Instant::now(),
         });
-        state
-            .session
-            .obs_registry()
-            .gauge("service.queue_depth")
-            .add(1);
-        Ok(SubmitFuture {
-            state: self.state.clone(),
+        self.shared.obs.gauge("service.queue_depth").add(1);
+        Ok(SubmitHandle {
+            shared: self.shared.clone(),
             slot,
         })
     }
 
     /// Expires a demand; sugar for a one-event submission.
-    pub fn expire(&self, ticket: DemandTicket) -> Result<SubmitFuture, ServiceError> {
+    pub fn expire(&self, ticket: DemandTicket) -> Result<SubmitHandle, ServiceError> {
         self.submit(vec![DemandEvent::Expire(ticket)])
     }
 
-    /// Synchronously drives one epoch over everything queued (an empty
-    /// batch if nothing is queued) and returns its delta. Useful for
-    /// non-async callers and for forcing a quiescent re-solve.
+    /// Drives one epoch over everything queued (an empty batch if nothing
+    /// valid is queued) and returns its delta. Useful for forcing a
+    /// quiescent re-solve.
     pub fn flush(&self) -> EpochResult {
-        self.state.lock().expect("service lock poisoned").drive()
+        let mut state = self.shared.session()?;
+        self.shared
+            .fold(&mut state, true)
+            .expect("a forced fold steps an epoch")
     }
 
-    /// Reads the wrapped session under the service lock.
-    pub fn with_session<R>(&self, f: impl FnOnce(&ServiceSession) -> R) -> R {
-        f(&self.state.lock().expect("service lock poisoned").session)
+    /// Reads the wrapped session under the session lock (waiting for a
+    /// running epoch).
+    pub fn with_session<R>(&self, f: impl FnOnce(&ServiceSession) -> R) -> Result<R, ServiceError> {
+        Ok(f(&self.shared.session()?.session))
     }
 
     /// Number of submissions waiting to be folded into the next epoch.
     pub fn queued(&self) -> usize {
-        self.state
-            .lock()
-            .expect("service lock poisoned")
-            .queue
-            .len()
+        self.shared.queue.lock().expect("queue lock poisoned").len()
+    }
+
+    /// The session's publication point
+    /// ([`ServiceSession::schedule_view`]), attached on the first call;
+    /// clone readers off it freely.
+    pub fn view(&self) -> Result<ScheduleView, ServiceError> {
+        if let Some(view) = self.shared.view.get() {
+            return Ok(view.clone());
+        }
+        let mut state = self.shared.session()?;
+        Ok(self
+            .shared
+            .view
+            .get_or_init(|| state.session.schedule_view())
+            .clone())
+    }
+
+    /// A new wait-free reader of the published schedule.
+    pub fn reader(&self) -> Result<ScheduleReader, ServiceError> {
+        Ok(self.view()?.reader())
     }
 }
 
-/// The future of one submission's epoch. The first submission polled
-/// drives the epoch for everyone queued; the others observe the shared
-/// result (their wakers fire if they were polled before completion).
-pub struct SubmitFuture {
-    state: Arc<Mutex<State>>,
-    slot: Arc<Slot>,
+/// The pending result of one submission; resolve it with
+/// [`wait`](SubmitHandle::wait).
+pub struct SubmitHandle {
+    shared: Arc<Shared>,
+    slot: Slot,
 }
 
-impl Future for SubmitFuture {
-    type Output = EpochResult;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        {
-            let mut slot = self.slot.state.lock().expect("slot lock poisoned");
-            match &mut *slot {
-                SlotState::Done(result) => return Poll::Ready(result.clone()),
-                SlotState::Waiting(waker) => *waker = Some(cx.waker().clone()),
-            }
+impl SubmitHandle {
+    /// Blocks until the submission's epoch has run and returns its delta,
+    /// shared with every submission of the same fold — or the
+    /// submission's own validation error. When no other waiter has folded
+    /// the submission yet, this call drives the epoch itself.
+    pub fn wait(self) -> EpochResult {
+        if let Some(result) = self.slot.get() {
+            return result.clone();
         }
-        // Not resolved yet: this poller becomes the driver. Re-check under
-        // the service lock (another thread may have driven in between).
-        let mut state = self.state.lock().expect("service lock poisoned");
-        if let SlotState::Done(result) = &*self.slot.state.lock().expect("slot lock poisoned") {
-            return Poll::Ready(result.clone());
+        let mut state = self.shared.session()?;
+        // Another waiter may have folded this submission while this one
+        // waited for the lock.
+        if self.slot.get().is_none() {
+            self.shared.fold(&mut state, false);
         }
-        // The epoch outcome reaches this future through its slot below.
-        let _ = state.drive();
-        let slot = self.slot.state.lock().expect("slot lock poisoned");
-        match &*slot {
-            SlotState::Done(result) => Poll::Ready(result.clone()),
-            SlotState::Waiting(_) => unreachable!("drive resolves every queued slot"),
-        }
-    }
-}
-
-/// Minimal single-future executor: polls to completion, parking the thread
-/// between wake-ups. Enough to drive [`SubmitFuture`]s from synchronous
-/// code (examples, benches, tests) without an async runtime.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    struct ThreadWaker(std::thread::Thread);
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => std::thread::park(),
-        }
+        self.slot
+            .get()
+            .expect("a fold resolves every submission it drains")
+            .clone()
     }
 }
 
@@ -418,21 +455,26 @@ mod tests {
     use netsched_core::AlgorithmConfig;
     use netsched_graph::{LineProblem, NetworkId};
 
-    fn service() -> Service {
+    fn session() -> ServiceSession {
         let mut problem = LineProblem::new(20, 2);
         problem
             .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
             .unwrap();
-        Service::new(ServiceSession::for_line(
-            &problem,
-            AlgorithmConfig::deterministic(0.1),
-        ))
+        ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+    }
+
+    fn service() -> Service {
+        Service::new(session())
     }
 
     fn valid_arrival() -> DemandEvent {
+        arrival(2)
+    }
+
+    fn arrival(release: u32) -> DemandEvent {
         DemandEvent::Arrive(DemandRequest::Line {
-            release: 2,
-            deadline: 12,
+            release,
+            deadline: release + 10,
             processing: 3,
             profit: 1.0,
             height: 1.0,
@@ -451,8 +493,12 @@ mod tests {
         })
     }
 
+    fn epoch(service: &Service) -> u64 {
+        service.with_session(|s| s.epoch()).unwrap()
+    }
+
     #[test]
-    fn submit_reports_every_invalid_event_of_a_batch() {
+    fn wait_reports_every_invalid_event_of_a_batch() {
         let service = service();
         // Three failures of three different kinds, interleaved with valid
         // events: all of them must come back, each with its batch index.
@@ -464,7 +510,7 @@ mod tests {
             DemandEvent::Expire(DemandTicket(0)),
             DemandEvent::Expire(DemandTicket(0)),
         ];
-        let err = match service.submit(batch) {
+        let err = match service.submit(batch).unwrap().wait() {
             Err(err) => err,
             Ok(_) => panic!("invalid batch accepted"),
         };
@@ -488,20 +534,49 @@ mod tests {
         assert!(message.contains("#1:"), "{message}");
         assert!(message.contains("#2:"), "{message}");
         assert!(message.contains("#5:"), "{message}");
-        // Nothing was queued: the valid remainder resubmits cleanly.
+        // Nothing stayed queued and no epoch ran: the valid remainder
+        // resubmits cleanly.
         assert_eq!(service.queued(), 0);
+        assert_eq!(epoch(&service), 0);
         assert!(service
             .submit(vec![valid_arrival(), DemandEvent::Expire(DemandTicket(0))])
+            .unwrap()
+            .wait()
             .is_ok());
     }
 
     #[test]
-    fn quarantine_policy_isolates_a_panicking_solve() {
-        let mut problem = LineProblem::new(20, 2);
-        problem
-            .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
+    fn expiries_claimed_earlier_in_a_fold_reject_later_duplicates() {
+        let service = service();
+        let first = service.expire(DemandTicket(0)).unwrap();
+        let second = service.expire(DemandTicket(0)).unwrap();
+        let delta = first.wait().unwrap();
+        assert_eq!(delta.stats.expiries, 1);
+        assert!(matches!(
+            second.wait(),
+            Err(ServiceError::DuplicateExpiry(DemandTicket(0)))
+        ));
+
+        // A rejected submission claims nothing: a later submission of the
+        // same fold may still expire the ticket it named.
+        let fresh = Service::new(session());
+        let rejected = fresh
+            .submit(vec![
+                DemandEvent::Expire(DemandTicket(0)),
+                invalid_arrival(),
+            ])
             .unwrap();
-        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
+        let accepted = fresh.expire(DemandTicket(0)).unwrap();
+        assert!(matches!(
+            rejected.wait(),
+            Err(ServiceError::InvalidDemand(_))
+        ));
+        assert_eq!(accepted.wait().unwrap().stats.expiries, 1);
+    }
+
+    #[test]
+    fn quarantine_policy_isolates_a_panicking_solve() {
+        let mut session = session();
         session.inject_solve_panics(vec![1]);
         let service = Service::with_policy(
             session,
@@ -519,7 +594,7 @@ mod tests {
         // queries and accepts new submissions (the armed fault stays
         // armed, so the next epoch would quarantine again — the point is
         // the service is degraded, not down).
-        assert_eq!(service.with_session(|s| s.epoch()), 0);
+        assert_eq!(epoch(&service), 0);
         assert!(service.submit(vec![valid_arrival()]).is_ok());
     }
 
@@ -528,11 +603,7 @@ mod tests {
         // The default policy takes the plain `step` path for bulk-only
         // epochs — no pre-step snapshot, so an armed panic propagates
         // instead of being quarantined.
-        let mut problem = LineProblem::new(20, 2);
-        problem
-            .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
-            .unwrap();
-        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
+        let mut session = session();
         session.inject_solve_panics(vec![1]);
         let service = Service::new(session);
         service.submit(vec![valid_arrival()]).unwrap();
@@ -541,13 +612,35 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_hints_one_epoch_because_drives_fold_the_whole_queue() {
-        let mut problem = LineProblem::new(20, 2);
-        problem
-            .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
-            .unwrap();
+    fn an_unisolated_panic_loses_the_session_without_later_panics() {
+        let mut session = session();
+        session.inject_solve_panics(vec![1]);
+        let service = Service::new(session);
+        let leader = service.submit(vec![valid_arrival()]).unwrap();
+        let co_folded = service.submit(vec![arrival(5)]).unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| leader.wait()));
+        assert!(outcome.is_err(), "the driving wait propagates the panic");
+
+        let lost = |result: Result<(), ServiceError>| match result {
+            Err(ServiceError::SessionLost { reason }) => {
+                assert!(reason.contains("injected"), "{reason}")
+            }
+            other => panic!("expected SessionLost, got {other:?}"),
+        };
+        lost(co_folded.wait().map(drop));
+        lost(service.flush().map(drop));
+        lost(service.with_session(|_| ()));
+        lost(service.reader().map(drop));
+        let later = service.submit(vec![valid_arrival()]).unwrap();
+        lost(later.wait().map(drop));
+        // Dropping the service is quiet too.
+        drop(service);
+    }
+
+    #[test]
+    fn overloaded_hints_one_epoch_because_folds_drain_the_whole_queue() {
         let service = Service::with_policy(
-            ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1)),
+            session(),
             ServicePolicy {
                 max_queued: 2,
                 ..ServicePolicy::default()
@@ -557,9 +650,9 @@ mod tests {
         let _b = service.submit(vec![valid_arrival()]).unwrap();
         match service.submit(vec![valid_arrival()]) {
             Err(ServiceError::Overloaded { retry_after_epochs }) => {
-                // One drive folds every queued submission into one epoch,
-                // so the queue drains in exactly one epoch no matter how
-                // full it is (the old estimate said 2+ here).
+                // One fold drains every queued submission into one epoch,
+                // so the queue empties in exactly one epoch no matter how
+                // full it is.
                 assert_eq!(retry_after_epochs, 1);
             }
             Err(other) => panic!("expected Overloaded, got {other:?}"),
@@ -574,12 +667,14 @@ mod tests {
     #[test]
     fn queue_depth_gauge_returns_to_zero_on_every_dequeue_path() {
         let depth = |service: &Service| {
-            service.with_session(|s| {
-                s.obs_registry()
-                    .snapshot()
-                    .gauge("service.queue_depth")
-                    .unwrap_or(0)
-            })
+            service
+                .with_session(|s| {
+                    s.obs_registry()
+                        .snapshot()
+                        .gauge("service.queue_depth")
+                        .unwrap_or(0)
+                })
+                .unwrap()
         };
 
         // Success path.
@@ -590,10 +685,16 @@ mod tests {
         service.flush().unwrap();
         assert_eq!(depth(&service), 0);
 
-        // Rejected submissions (InvalidBatch and bare errors) never touch
-        // the gauge.
+        // Rejected submissions (InvalidBatch and bare errors) dequeue too.
         assert!(service
             .submit(vec![invalid_arrival(), invalid_arrival()])
+            .unwrap()
+            .wait()
+            .is_err());
+        assert!(service
+            .submit(vec![invalid_arrival()])
+            .unwrap()
+            .wait()
             .is_err());
         assert_eq!(depth(&service), 0);
 
@@ -605,27 +706,19 @@ mod tests {
                 Err("disk on fire".into())
             }
         }
-        let mut problem = LineProblem::new(20, 2);
-        problem
-            .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
-            .unwrap();
-        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
-        session.attach_journal(Box::new(RefusingJournal));
-        let service = Service::new(session);
+        let mut journaled = session();
+        journaled.attach_journal(Box::new(RefusingJournal));
+        let service = Service::new(journaled);
         service.submit(vec![valid_arrival()]).unwrap();
         assert_eq!(depth(&service), 1);
         assert!(matches!(service.flush(), Err(ServiceError::Journal(_))));
         assert_eq!(depth(&service), 0);
 
         // Quarantine path: the epoch rolls back, the dequeue still counts.
-        let mut problem = LineProblem::new(20, 2);
-        problem
-            .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
-            .unwrap();
-        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
-        session.inject_solve_panics(vec![1]);
+        let mut faulty = session();
+        faulty.inject_solve_panics(vec![1]);
         let service = Service::with_policy(
-            session,
+            faulty,
             ServicePolicy {
                 quarantine: true,
                 ..ServicePolicy::default()
@@ -643,7 +736,11 @@ mod tests {
     #[test]
     fn single_failures_keep_their_bare_error() {
         let service = service();
-        let err = match service.submit(vec![valid_arrival(), invalid_arrival()]) {
+        let err = match service
+            .submit(vec![valid_arrival(), invalid_arrival()])
+            .unwrap()
+            .wait()
+        {
             Err(err) => err,
             Ok(_) => panic!("invalid batch accepted"),
         };
@@ -651,5 +748,59 @@ mod tests {
             matches!(err, ServiceError::InvalidDemand(_)),
             "a lone failure is not wrapped: {err}"
         );
+    }
+
+    #[test]
+    fn submit_then_wait_steps_in_order_and_publishes() {
+        let service = service();
+        let mut reader = service.reader().unwrap();
+        for i in 0..4 {
+            let delta = service
+                .submit(vec![arrival(2 * i)])
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(delta.epoch, u64::from(i) + 1);
+        }
+        let snap = reader.read();
+        assert_eq!(snap.epoch(), 4, "the last epoch was published");
+        assert!(snap.verify_fingerprint());
+        service
+            .with_session(|session| {
+                assert_eq!(session.epoch(), 4);
+                assert!((snap.profit() - session.profit()).abs() < 1e-12);
+                assert_eq!(snap.schedule(), session.schedule());
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn invalid_submissions_fail_through_the_handle_without_poisoning_the_fold() {
+        let service = service();
+        let bad = service.submit(vec![invalid_arrival()]).unwrap();
+        let good = service.submit(vec![arrival(0)]).unwrap();
+        assert!(matches!(bad.wait(), Err(ServiceError::InvalidDemand(_))));
+        assert_eq!(good.wait().unwrap().epoch, 1);
+    }
+
+    #[test]
+    fn bounded_queue_fails_fast_at_the_exact_bound() {
+        let service = Service::with_policy(
+            session(),
+            ServicePolicy {
+                max_queued: 1,
+                ..ServicePolicy::default()
+            },
+        );
+        let first = service.submit(vec![arrival(0)]).unwrap();
+        match service.submit(vec![arrival(1)]) {
+            Err(ServiceError::Overloaded { retry_after_epochs }) => {
+                assert_eq!(retry_after_epochs, 1);
+            }
+            Err(other) => panic!("expected Overloaded, got {other:?}"),
+            Ok(_) => panic!("a queue bounded at 1 accepted a second submission"),
+        }
+        assert_eq!(first.wait().unwrap().epoch, 1);
+        assert!(service.submit(vec![arrival(1)]).is_ok());
     }
 }

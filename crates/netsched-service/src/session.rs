@@ -421,25 +421,6 @@ pub struct ServiceSession {
     /// sessions that never hand out readers pay nothing on the step path.
     /// Never serialized; carried across a quarantine restore.
     view: Option<ScheduleView>,
-    /// Next epoch's announced arrivals ([`ServiceSession::prefetch_arrivals`]),
-    /// normalized and awaiting materialization overlapped with this
-    /// epoch's phase-2 replay.
-    lookahead: Vec<DemandRequest>,
-    /// A pre-materialized arrival batch (splice inputs computed during the
-    /// previous epoch's solve). Consumed by the next step whose arrivals
-    /// start with the staged requests; dropped otherwise. Materialization
-    /// reads only the immutable base topology and tree decompositions, so
-    /// a staged batch never goes stale structurally.
-    staged: Option<StagedBatch>,
-}
-
-/// Splice inputs pre-computed for an announced arrival batch; see
-/// [`ServiceSession::prefetch_arrivals`].
-struct StagedBatch {
-    /// The normalized requests the inputs were materialized from.
-    arrivals: Vec<DemandRequest>,
-    arrivings: Vec<ArrivingDemand>,
-    assignments: Vec<TreeAssignments>,
 }
 
 impl ServiceSession {
@@ -532,8 +513,6 @@ impl ServiceSession {
             metrics,
             calibration: RoundCalibration::new(),
             view: None,
-            lookahead: Vec::new(),
-            staged: None,
         }
     }
 
@@ -726,31 +705,6 @@ impl ServiceSession {
         self.view.clone().expect("view just ensured")
     }
 
-    /// Announces the arrivals expected in the **next** step so the session
-    /// can pre-materialize their splice inputs (instance paths and tree
-    /// layering assignments) **overlapped with the current epoch's
-    /// phase-2 replay** on a scoped thread — the pipelining half of the
-    /// serving tier. Requests are validated now (topology never changes,
-    /// so validity is stable) and normalized.
-    ///
-    /// The staged work is consumed when the next step's arrival list
-    /// *starts with* the announced requests, in order (`pipeline.prefetch_hits`
-    /// counts consumptions); extra arrivals are materialized inline and a
-    /// non-matching batch simply drops the staged work. Prefetching is a
-    /// pure optimization: schedules, certificates and deltas are
-    /// bit-identical with or without it — materialization is
-    /// deterministic and reads only immutable topology. The overlap runs
-    /// on the unmixed warm-resolve solve path; other paths carry no
-    /// overlap thread and the announcement is dropped at the end of the
-    /// step.
-    pub fn prefetch_arrivals(&mut self, arrivals: &[DemandRequest]) -> Result<(), ServiceError> {
-        for request in arrivals {
-            self.validate_request(request)?;
-        }
-        self.lookahead = arrivals.iter().map(|r| normalize(r.clone())).collect();
-        Ok(())
-    }
-
     /// Attaches a write-ahead [`EpochJournal`]; every subsequent
     /// [`step`](ServiceSession::step) records its validated batch through
     /// it before executing. Replaces any previously attached journal.
@@ -866,11 +820,7 @@ impl ServiceSession {
         match outcome {
             Ok(result) => result,
             Err(payload) => {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let reason = panic_reason(payload.as_ref());
                 // The panic may have left the live structures mid-splice:
                 // rebuild everything from the pre-step snapshot and carry
                 // over what the snapshot does not serialize.
@@ -1030,27 +980,8 @@ impl ServiceSession {
         // ---- splice the full core -------------------------------------
         let rebuild_start = std::time::Instant::now();
         let rebuild_span = netsched_obs::span!("epoch.rebuild");
-        let (arrivings, assignments) = match self.staged.take() {
-            // Consume work pre-materialized during the previous epoch's
-            // solve when this batch's arrivals start with the announced
-            // ones; anything beyond the staged prefix is materialized
-            // inline. Bit-identical to the unstaged path: materialization
-            // is deterministic over immutable topology.
-            Some(staged) if arrivals.starts_with(&staged.arrivals) => {
-                self.obs.counter("pipeline.prefetch_hits").inc();
-                let mut arrivings = staged.arrivings;
-                let mut assignments = staged.assignments;
-                let (rest_arrivings, rest_assignments) = materialize_arrivals(
-                    &self.base,
-                    self.layerer.as_ref(),
-                    &arrivals[staged.arrivals.len()..],
-                );
-                arrivings.extend(rest_arrivings);
-                assignments.extend(rest_assignments);
-                (arrivings, assignments)
-            }
-            _ => materialize_arrivals(&self.base, self.layerer.as_ref(), &arrivals),
-        };
+        let (arrivings, assignments) =
+            materialize_arrivals(&self.base, self.layerer.as_ref(), &arrivals);
         let dirty_shards = self.full.apply(&expired, &arrivings, assignments.concat());
 
         // ---- live-set bookkeeping -------------------------------------
@@ -1146,21 +1077,18 @@ impl ServiceSession {
                     budget,
                 )
             }
-        } else if any_narrow {
-            if warm {
-                self.solve_full_warm(RaiseRule::Narrow, budget)
-            } else {
-                self.full.solve(RaiseRule::Narrow, &self.config, budget)
-            }
-        } else if warm {
-            self.solve_full_warm(RaiseRule::Unit, budget)
         } else {
-            self.full.solve(RaiseRule::Unit, &self.config, budget)
+            let rule = if any_narrow {
+                RaiseRule::Narrow
+            } else {
+                RaiseRule::Unit
+            };
+            if warm {
+                self.full.solve_warm(rule, &self.config, budget)
+            } else {
+                self.full.solve(rule, &self.config, budget)
+            }
         };
-        // An announcement not consumed by an overlapped solve (cold mode,
-        // mixed split, empty live set) is dropped: the next step simply
-        // materializes its batch inline.
-        self.lookahead.clear();
         let solve_elapsed = solve_start.elapsed();
         drop(solve_span);
         let solve_seconds = solve_elapsed.as_secs_f64();
@@ -1274,35 +1202,6 @@ impl ServiceSession {
                 quality,
             },
         })
-    }
-
-    /// [`LiveCore::solve_warm`] on the full core, overlapping the
-    /// materialization of any announced lookahead batch with the engine's
-    /// phase-2 replay on a scoped thread. Phase 2 only pops the frozen MIS
-    /// stack, and materialization reads only the immutable topology, so
-    /// the solution is bit-identical to the sequential path (no
-    /// announcement → exactly the sequential path, no thread spawned).
-    fn solve_full_warm(&mut self, rule: RaiseRule, budget: &Budget) -> Solution {
-        if self.lookahead.is_empty() {
-            return self.full.solve_warm(rule, &self.config, budget);
-        }
-        let lookahead = std::mem::take(&mut self.lookahead);
-        // Disjoint field borrows: the solve holds `self.full` mutably
-        // while the overlap thread reads only `base` and `layerer`.
-        let base = &self.base;
-        let layerer = self.layerer.as_ref();
-        let (solution, (arrivals, (arrivings, assignments))) =
-            self.full
-                .solve_warm_overlapped(rule, &self.config, budget, move || {
-                    let materialized = materialize_arrivals(base, layerer, &lookahead);
-                    (lookahead, materialized)
-                });
-        self.staged = Some(StagedBatch {
-            arrivals,
-            arrivings,
-            assignments,
-        });
-        solution
     }
 
     /// Splices the epoch's (already full-core-applied) delta through the
@@ -1714,12 +1613,20 @@ impl ServiceSession {
     }
 }
 
+/// A panic payload as text (the message of `panic!` with a literal or a
+/// format string).
+pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Computes the universe splice inputs of a validated arrival batch: one
 /// [`ArrivingDemand`] per request (instances in the canonical
 /// `problem.universe()` enumeration order) and, for tree sessions, the
-/// per-instance layering assignments. A free function over the immutable
-/// topology (not a session method) so the overlapped solve can run it on
-/// a scoped thread while the session's cores are mutably borrowed.
+/// per-instance layering assignments.
 fn materialize_arrivals(
     base: &BaseProblem,
     layerer: Option<&TreeLayerer>,

@@ -1,7 +1,7 @@
 //! Wait-free, epoch-stamped read access to the last certified schedule.
 //!
-//! [`ScheduleView`] is the **publication point** of the pipelined serving
-//! tier: after every successful epoch the session publishes an immutable
+//! [`ScheduleView`] is the **publication point** of the serving tier:
+//! after every successful epoch the session publishes an immutable
 //! [`ScheduleSnapshot`] (schedule, certificate, profit, quality — all
 //! behind one `Arc`), and any number of [`ScheduleReader`]s observe it
 //! without ever waiting on the write side.

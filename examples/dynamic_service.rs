@@ -1,19 +1,19 @@
-//! Dynamic serving: drive the async batch-admission service over a churn
+//! Dynamic serving: drive the batch-admission service over a churn
 //! trace and watch the per-epoch schedule deltas.
 //!
 //! Opens a [`ServiceSession`] on the `churn-line` scenario's initial pool,
-//! wraps it in the executor-agnostic [`Service`], and replays the
-//! scenario's Poisson tenant-replacement trace — submitting each epoch's
-//! events as **two concurrent submissions** to show the batch admission:
-//! both futures resolve with the *same* epoch delta, because whichever is
-//! polled first folds everything queued into one incremental epoch.
+//! wraps it in the [`Service`] frontend, and replays the scenario's
+//! Poisson tenant-replacement trace — submitting each epoch's events as
+//! **two submissions** to show the batch admission: both handles resolve
+//! with the *same* epoch delta, because the first `wait` folds everything
+//! queued into one incremental epoch. The folding is deterministic: it
+//! depends on what is queued when the first waiter arrives, never on
+//! timing.
 //!
 //! Run with: `cargo run --release --example dynamic_service`
 
 use netsched::core::AlgorithmConfig;
-use netsched::service::{
-    block_on, DemandEvent, DemandRequest, DemandTicket, Service, ServiceSession,
-};
+use netsched::service::{DemandEvent, DemandRequest, DemandTicket, Service, ServiceSession};
 use netsched::workloads::{
     poisson_arrivals_line, scenario_by_name, ChurnSpec, Scenario, TraceEvent,
 };
@@ -49,7 +49,10 @@ fn main() {
     ));
 
     // Epoch 0: solve the initial pool (an empty submission).
-    let first = block_on(service.submit(vec![]).expect("empty batch is valid"))
+    let first = service
+        .submit(vec![])
+        .expect("unbounded queue accepts")
+        .wait()
         .expect("initial epoch solves");
     println!(
         "\nepoch {:>2}   scheduled {:>3} demands   profit {:>8.1}   certified OPT ≤ {:>8.1}",
@@ -61,7 +64,9 @@ fn main() {
 
     // Tickets of every arrival so far, in arrival order (the session seeds
     // tickets 0..m for the initial demands).
-    let mut tickets: Vec<DemandTicket> = service.with_session(|s| s.live_tickets());
+    let mut tickets: Vec<DemandTicket> = service
+        .with_session(|s| s.live_tickets())
+        .expect("session is live");
 
     for batch in &trace.batches {
         let events: Vec<DemandEvent> = batch
@@ -87,13 +92,15 @@ fn main() {
             })
             .collect();
 
-        // Two tenants submit concurrently; one epoch admits both.
+        // Two tenants submit before either waits; one epoch admits both.
         let mid = events.len() / 2;
         let (first_half, second_half) = (events[..mid].to_vec(), events[mid..].to_vec());
-        let a = service.submit(first_half).expect("validated at submit");
-        let b = service.submit(second_half).expect("validated at submit");
-        let delta = block_on(a).expect("epoch succeeds");
-        let same = block_on(b).expect("epoch succeeds");
+        let a = service.submit(first_half).expect("unbounded queue accepts");
+        let b = service
+            .submit(second_half)
+            .expect("unbounded queue accepts");
+        let delta = a.wait().expect("epoch succeeds");
+        let same = b.wait().expect("epoch succeeds");
         assert_eq!(delta.epoch, same.epoch, "both submissions share the epoch");
         tickets.extend(delta.tickets.iter().copied());
 
@@ -113,8 +120,9 @@ fn main() {
         );
     }
 
-    let (live, scheduled, epoch) =
-        service.with_session(|s| (s.live_demands(), s.schedule().len(), s.epoch()));
+    let (live, scheduled, epoch) = service
+        .with_session(|s| (s.live_demands(), s.schedule().len(), s.epoch()))
+        .expect("session is live");
     println!(
         "\nafter {epoch} epochs: {live} live demands, {scheduled} scheduled — every epoch paid \
          only for the shards its batch touched."

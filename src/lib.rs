@@ -120,12 +120,12 @@
 //! pinned by `tests/dynamic_equivalence.rs`; `BENCH_dynamic_serving.json`
 //! (from the `dynamic_serving` bench) records 3–5× epoch speedups over
 //! from-scratch rebuilds on the 8-shard churn scenarios (rebuild-only
-//! speedups 6–20×). [`Service`](prelude::Service) adds the async,
-//! executor-agnostic frontend: concurrent `submit` futures are folded into
-//! a single epoch by whichever polls first (hand-rolled waker/queue, no
-//! tokio).
+//! speedups 6–20×). [`Service`](prelude::Service) adds the frontend, with
+//! no thread of its own: `submit` returns a handle, and the first `wait`
+//! whose submission is unresolved folds everything queued into a single
+//! epoch.
 //!
-//! ## Pipelined serving & read consistency
+//! ## Read consistency
 //!
 //! Epoch steps mutate the session, but serving reads must never wait for
 //! a solve. [`ServiceSession::schedule_view`](prelude::ServiceSession::schedule_view)
@@ -138,13 +138,10 @@
 //! suite verifies under concurrent churn). Readers lag the in-flight
 //! epoch by **at most one**; a quarantined epoch never publishes, so the
 //! rollback path composes with wait-free reads for free.
-//! [`ServiceSession::prefetch_arrivals`](prelude::ServiceSession::prefetch_arrivals)
-//! additionally overlaps the next epoch's splice-input materialization
-//! with the current epoch's phase-2 replay on a scoped thread, and
-//! [`PipelinedService`](prelude::PipelinedService) packages the whole
-//! pipeline behind a writer thread with queue-lookahead prefetch and
-//! depth-counter backpressure. Results are bit-identical with the
-//! pipeline on or off (`tests/concurrent_serving.rs`);
+//! [`Service::reader`](prelude::Service::reader) hands out the same
+//! readers from the frontend. Results are bit-identical with a view
+//! attached or not, and stepping through the frontend matches direct
+//! `step` calls (`tests/concurrent_serving.rs`);
 //! `BENCH_concurrent_serving.json` (the `concurrent_serving` bench)
 //! records reader throughput, staleness and the p99 gap against a
 //! lock-the-session baseline at the 10⁵ live-demand point.
@@ -234,7 +231,7 @@
 //!   reproduces the uninterrupted solve bit for bit. The contract is
 //!   pinned by `tests/anytime_contract.rs` and the latency/quality
 //!   frontier recorded in `BENCH_anytime.json` (the `anytime` bench).
-//!   The async frontend layers admission classes on top
+//!   The frontend layers admission classes on top
 //!   ([`AdmissionClass`](prelude::AdmissionClass) /
 //!   [`ServicePolicy`](prelude::ServicePolicy)): latency-sensitive
 //!   batches run under the policy budget, and a bounded submit queue
@@ -248,10 +245,13 @@
 //!   [`ServiceError::Quarantined`](prelude::ServiceError) — one
 //!   poisoned batch cannot take the session (or the queued batches
 //!   behind it) down, live or across a crash. Panic isolation costs a
-//!   pre-step serialization of the session, so the async frontend
-//!   applies it to budgeted epochs by default and to every epoch under
-//!   a `quarantine: true`
-//!   [`ServicePolicy`](prelude::ServicePolicy).
+//!   pre-step serialization of the session, so the frontend applies it
+//!   to budgeted epochs by default and to every epoch under a
+//!   `quarantine: true` [`ServicePolicy`](prelude::ServicePolicy). A
+//!   panic in an unisolated epoch reaches the caller driving it; the
+//!   frontend then answers every later call with
+//!   [`ServiceError::SessionLost`](prelude::ServiceError) instead of
+//!   panicking.
 //! * **The durability ladder.** Persistent fsync failures in the
 //!   write-ahead log *degrade* the effective durability one rung at a
 //!   time (`Batch → Epoch → None`) instead of failing epochs, after
@@ -365,7 +365,7 @@
 //!   counters/gauges, log-bucketed latency histograms, JSON/Prometheus
 //!   exporters and the near-zero-cost span tracer;
 //! * [`service`] (`netsched-service`) — the dynamic serving subsystem:
-//!   incremental per-shard rebuild epochs and the async batch-admission
+//!   incremental per-shard rebuild epochs and the batch-admission
 //!   scheduler service;
 //! * [`persist`] (`netsched-persist`) — the durable serving tier:
 //!   write-ahead event log, periodic snapshots and crash recovery;
@@ -454,10 +454,9 @@ pub mod prelude {
     };
     // The dynamic serving subsystem.
     pub use netsched_service::{
-        block_on, replay_trace, AdmissionClass, BudgetSpec, CompactionReport, DemandEvent,
-        DemandRequest, DemandTicket, EpochJournal, PipelinedService, ResolveMode, ScheduleDelta,
-        ScheduleReader, ScheduleSnapshot, ScheduleView, Service, ServiceError, ServicePolicy,
-        ServiceSession,
+        replay_trace, AdmissionClass, BudgetSpec, CompactionReport, DemandEvent, DemandRequest,
+        DemandTicket, EpochJournal, ResolveMode, ScheduleDelta, ScheduleReader, ScheduleSnapshot,
+        ScheduleView, Service, ServiceError, ServicePolicy, ServiceSession, SubmitHandle,
     };
     // The durable serving tier.
     pub use netsched_persist::{

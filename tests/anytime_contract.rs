@@ -251,8 +251,8 @@ fn bounded_submit_queues_reject_with_overloaded_backpressure() {
             ..ServicePolicy::default()
         },
     );
-    // First submission occupies the queue's single slot (nothing polls
-    // it yet, so it stays queued).
+    // First submission occupies the queue's single slot (nothing waits
+    // on it yet, so it stays queued).
     let first = service
         .submit_with_class(vec![], AdmissionClass::LatencySensitive)
         .expect("first submission fits");
@@ -266,10 +266,10 @@ fn bounded_submit_queues_reject_with_overloaded_backpressure() {
     }
     // Draining the queue frees the slot; the latency-sensitive epoch ran
     // under the policy budget and the service stays usable.
-    let delta = netsched_service::block_on(first).expect("queued epoch serves");
+    let delta = first.wait().expect("queued epoch serves");
     assert_eq!(delta.epoch, 1);
     let second = service.submit(vec![]).expect("slot freed after drain");
-    assert_eq!(netsched_service::block_on(second).unwrap().epoch, 2);
+    assert_eq!(second.wait().unwrap().epoch, 2);
 }
 
 /// Line networks as path trees with non-uniform capacities and narrow

@@ -1,59 +1,38 @@
-//! Contract suite of the pipelined serving tier (`ScheduleView` /
-//! `prefetch_arrivals` / `PipelinedService`).
+//! Contract suite of the serving tier: the wait-free publication point
+//! (`ScheduleView`) and the `Service` frontend.
 //!
-//! Three properties, none of them assumed:
+//! Four properties, none of them assumed:
 //!
 //! 1. **No torn or uncertified reads.** Readers spinning on a
 //!    [`ScheduleReader`] while the writer churns epochs only ever see
 //!    whole published snapshots: every observation passes its publish-time
 //!    fingerprint check, epochs are monotone, and the recorded staleness
 //!    never exceeds one epoch.
-//! 2. **Publication and prefetching are invisible to results.** A session
-//!    with a view attached — and a session whose batches are announced
-//!    via [`ServiceSession::prefetch_arrivals`] — produce bit-identical
-//!    deltas, schedules and certificates to a plain session over the same
-//!    trace.
-//! 3. **The pipelined frontend is just a seating arrangement.** Replaying
-//!    a trace through [`PipelinedService`] (one submission per epoch,
-//!    queue lookahead feeding the prefetch) matches direct
-//!    [`ServiceSession::step`] calls exactly.
+//! 2. **Publication is invisible to results.** A session with a view
+//!    attached produces bit-identical deltas, schedules and certificates
+//!    to a plain session over the same trace.
+//! 3. **The frontend is just a seating arrangement.** Submitting and
+//!    waiting on each trace batch through [`Service`] matches direct
+//!    [`ServiceSession::step`] calls exactly, and a fold of several
+//!    queued submissions is one `step` over their valid batches,
+//!    concatenated in queue order.
+//! 4. **The frontend holds under real concurrency.** Threads racing a
+//!    bounded queue never get more submissions accepted than the bound,
+//!    and every waiter of one fold receives the same shared delta.
 
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
-use common::line_trace;
+use common::{line_trace, to_events};
 use netsched_core::AlgorithmConfig;
+use netsched_graph::LineProblem;
 use netsched_service::{
-    replay_trace, DemandEvent, DemandRequest, DemandTicket, PipelinedService, ResolveMode,
-    ScheduleDelta, ServiceSession,
+    replay_trace, DemandEvent, DemandRequest, DemandTicket, ResolveMode, ScheduleDelta, Service,
+    ServiceError, ServicePolicy, ServiceSession,
 };
-use netsched_workloads::{EventTrace, TraceEvent};
-
-fn to_events(batch: &[TraceEvent], tickets: &[DemandTicket]) -> Vec<DemandEvent> {
-    batch
-        .iter()
-        .map(|event| match event {
-            TraceEvent::ArriveLine {
-                release,
-                deadline,
-                processing,
-                profit,
-                height,
-                access,
-            } => DemandEvent::Arrive(DemandRequest::Line {
-                release: *release,
-                deadline: *deadline,
-                processing: *processing,
-                profit: *profit,
-                height: *height,
-                access: access.clone(),
-            }),
-            TraceEvent::Expire { arrival } => DemandEvent::Expire(tickets[*arrival]),
-            TraceEvent::ArriveTree { .. } => unreachable!("line traces only"),
-        })
-        .collect()
-}
+use netsched_workloads::EventTrace;
 
 /// Zeroes the wall-clock timing fields so deltas compare on structure:
 /// everything else — tickets, admissions, evictions, reassignments,
@@ -66,16 +45,6 @@ fn scrub(mut deltas: Vec<ScheduleDelta>) -> Vec<ScheduleDelta> {
         delta.stats.journal_seconds = 0.0;
     }
     deltas
-}
-
-fn arrivals_of(events: &[DemandEvent]) -> Vec<DemandRequest> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            DemandEvent::Arrive(r) => Some(r.clone()),
-            DemandEvent::Expire(_) => None,
-        })
-        .collect()
 }
 
 /// The trace's batches as `DemandEvent` batches, resolving expiries
@@ -96,6 +65,22 @@ fn event_batches(trace: &EventTrace, initial: Vec<DemandTicket>) -> Vec<Vec<Dema
         batches.push(events);
     }
     batches
+}
+
+fn session(problem: &LineProblem, mode: ResolveMode) -> ServiceSession {
+    ServiceSession::for_line(problem, AlgorithmConfig::deterministic(0.1)).with_resolve_mode(mode)
+}
+
+/// An arrival no line session accepts (its window closes before it opens).
+fn invalid_arrival() -> DemandEvent {
+    DemandEvent::Arrive(DemandRequest::Line {
+        release: 9,
+        deadline: 3,
+        processing: 2,
+        profit: 1.0,
+        height: 1.0,
+        access: vec![netsched_graph::NetworkId::new(0)],
+    })
 }
 
 #[test]
@@ -162,21 +147,20 @@ fn concurrent_readers_see_only_whole_certified_snapshots() {
 }
 
 #[test]
-fn views_and_prefetching_never_change_results() {
+fn views_never_change_results() {
     let (problem, trace) = line_trace(4, 28, 41, 0.25);
-    let config = AlgorithmConfig::deterministic(0.1);
 
     for mode in [ResolveMode::Cold, ResolveMode::Warm] {
         // Baseline: plain session.
-        let mut plain = ServiceSession::for_line(&problem, config).with_resolve_mode(mode);
+        let mut plain = session(&problem, mode);
         let plain_deltas = replay_trace(&mut plain, &trace).expect("plain replay");
 
         // A view attached before the first epoch.
-        let mut viewed = ServiceSession::for_line(&problem, config).with_resolve_mode(mode);
+        let mut viewed = session(&problem, mode);
         let view = viewed.schedule_view();
         let viewed_deltas = replay_trace(&mut viewed, &trace).expect("viewed replay");
         assert_eq!(
-            scrub(plain_deltas.clone()),
+            scrub(plain_deltas),
             scrub(viewed_deltas),
             "{mode:?}: view changed results"
         );
@@ -185,63 +169,207 @@ fn views_and_prefetching_never_change_results() {
         assert_eq!(snap.schedule(), viewed.schedule());
         assert_eq!(snap.certificate(), plain.certificate());
         assert!((snap.profit() - plain.profit()).abs() < 1e-12);
-
-        // Every batch announced one epoch ahead.
-        let mut prefetched = ServiceSession::for_line(&problem, config).with_resolve_mode(mode);
-        let batches = event_batches(&trace, prefetched.live_tickets());
-        let mut prefetched_deltas: Vec<ScheduleDelta> = Vec::new();
-        for (i, events) in batches.iter().enumerate() {
-            if let Some(next) = batches.get(i + 1) {
-                let upcoming = arrivals_of(next);
-                if !upcoming.is_empty() {
-                    prefetched.prefetch_arrivals(&upcoming).expect("valid");
-                }
-            }
-            prefetched_deltas.push(prefetched.step(events).expect("prefetched replay"));
-        }
-        assert_eq!(
-            scrub(plain_deltas),
-            scrub(prefetched_deltas),
-            "{mode:?}: prefetch changed results"
-        );
-        if mode == ResolveMode::Warm {
-            // The warm path actually exercised the overlapped solve.
-            let hits = prefetched
-                .obs_registry()
-                .snapshot()
-                .counter("pipeline.prefetch_hits")
-                .unwrap_or(0);
-            assert!(hits > 0, "warm replay never consumed a staged batch");
-        }
     }
 }
 
 #[test]
-fn pipelined_service_matches_direct_stepping() {
+fn submit_then_wait_matches_direct_stepping() {
     let (problem, trace) = line_trace(3, 24, 7, 0.3);
-    let config = AlgorithmConfig::deterministic(0.1);
 
-    let mut direct =
-        ServiceSession::for_line(&problem, config).with_resolve_mode(ResolveMode::Warm);
-    let direct_deltas = replay_trace(&mut direct, &trace).expect("direct replay");
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let mut direct = session(&problem, mode);
+        let direct_deltas = replay_trace(&mut direct, &trace).expect("direct replay");
 
-    let session = ServiceSession::for_line(&problem, config).with_resolve_mode(ResolveMode::Warm);
-    let batches = event_batches(&trace, session.live_tickets());
-    let service = PipelinedService::new(session);
-    // Submit everything up front so the worker's queue lookahead (and thus
-    // the prefetch path) engages, then collect in order.
-    let handles: Vec<_> = batches
-        .into_iter()
-        .map(|events| service.submit(events).expect("accepted"))
-        .collect();
-    let piped_deltas: Vec<ScheduleDelta> = handles
-        .into_iter()
-        .map(|h| h.wait().expect("epoch ran"))
-        .collect();
-    assert_eq!(scrub(direct_deltas), scrub(piped_deltas));
+        let served = session(&problem, mode);
+        let batches = event_batches(&trace, served.live_tickets());
+        let service = Service::new(served);
+        let served_deltas: Vec<ScheduleDelta> = batches
+            .into_iter()
+            .map(|events| {
+                let handle = service.submit(events).expect("unbounded queue accepts");
+                (*handle.wait().expect("epoch ran")).clone()
+            })
+            .collect();
+        assert_eq!(scrub(direct_deltas), scrub(served_deltas), "{mode:?}");
 
-    let session = service.shutdown();
-    assert_eq!(session.epoch(), direct.epoch());
-    assert_eq!(session.schedule(), direct.schedule());
-    assert_eq!(session.certificate(), direct.certificate());
+        service
+            .with_session(|served| {
+                assert_eq!(served.epoch(), direct.epoch());
+                assert_eq!(served.schedule(), direct.schedule());
+                assert_eq!(served.certificate(), direct.certificate());
+            })
+            .expect("session is live");
+    }
+}
+
+#[test]
+fn a_fold_is_one_step_over_its_batches_in_queue_order() {
+    let (problem, trace) = line_trace(4, 28, 41, 0.25);
+    let mut direct = session(&problem, ResolveMode::Cold);
+    let served = session(&problem, ResolveMode::Cold);
+    let batches = event_batches(&trace, served.live_tickets());
+    let service = Service::new(served);
+
+    for events in batches {
+        // Three submissions queued before anyone waits: one fold, one
+        // epoch over their concatenation.
+        let third = events.len().div_ceil(3).max(1);
+        let handles: Vec<_> = events
+            .chunks(third)
+            .map(|chunk| service.submit(chunk.to_vec()).expect("accepted"))
+            .collect();
+        let deltas: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.wait().expect("fold ran"))
+            .collect();
+        let expected = direct.step(&events).expect("direct step");
+        for delta in &deltas {
+            assert_eq!(
+                scrub(vec![(**delta).clone()]),
+                scrub(vec![expected.clone()])
+            );
+        }
+    }
+    service
+        .with_session(|served| {
+            assert_eq!(served.epoch(), direct.epoch());
+            assert_eq!(served.schedule(), direct.schedule());
+            assert_eq!(served.certificate(), direct.certificate());
+        })
+        .expect("session is live");
+}
+
+#[test]
+fn an_invalid_submission_never_poisons_its_fold() {
+    let (problem, trace) = line_trace(4, 28, 41, 0.25);
+    let mut direct = session(&problem, ResolveMode::Cold);
+    let served = session(&problem, ResolveMode::Cold);
+    let batches = event_batches(&trace, served.live_tickets());
+    let service = Service::new(served);
+
+    for events in batches {
+        let invalid = service.submit(vec![invalid_arrival()]).expect("accepted");
+        let valid = service.submit(events.clone()).expect("accepted");
+        assert!(matches!(
+            invalid.wait(),
+            Err(ServiceError::InvalidDemand(_))
+        ));
+        let delta = valid.wait().expect("the valid submission steps");
+        let expected = direct.step(&events).expect("direct step");
+        assert_eq!(scrub(vec![(*delta).clone()]), scrub(vec![expected]));
+    }
+    service
+        .with_session(|served| {
+            assert_eq!(served.epoch(), direct.epoch());
+            assert_eq!(served.schedule(), direct.schedule());
+            assert_eq!(served.certificate(), direct.certificate());
+        })
+        .expect("session is live");
+}
+
+#[test]
+fn racing_submitters_never_exceed_the_queue_bound() {
+    const THREADS: usize = 8;
+    const BOUND: usize = 3;
+    let (problem, _) = line_trace(2, 12, 5, 0.2);
+    let service = Service::with_policy(
+        session(&problem, ResolveMode::Warm),
+        ServicePolicy {
+            max_queued: BOUND,
+            ..ServicePolicy::default()
+        },
+    );
+
+    for round in 0..4 {
+        // Nobody waits while the threads race, so nothing drains: exactly
+        // `BOUND` submissions fit and every other one bounces.
+        let start = Barrier::new(THREADS);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        service.submit(vec![])
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("submitter"))
+                .collect()
+        });
+        let mut accepted = Vec::new();
+        for outcome in outcomes {
+            match outcome {
+                Ok(handle) => accepted.push(handle),
+                Err(ServiceError::Overloaded { retry_after_epochs }) => {
+                    assert_eq!(retry_after_epochs, 1)
+                }
+                Err(other) => panic!("expected Overloaded, got {other:?}"),
+            }
+        }
+        assert_eq!(accepted.len(), BOUND, "round {round}");
+        assert_eq!(service.queued(), BOUND);
+        for handle in accepted {
+            assert_eq!(handle.wait().expect("fold ran").epoch, round + 1);
+        }
+        assert_eq!(service.queued(), 0);
+    }
+
+    // Submitters that also wait, racing each other: the queue never holds
+    // more than the bound.
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..16 {
+                    if let Ok(handle) = service.submit(vec![]) {
+                        assert!(service.queued() <= BOUND);
+                        handle.wait().expect("fold ran");
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(service.queued(), 0);
+}
+
+#[test]
+fn every_waiter_of_one_fold_receives_the_same_delta() {
+    const THREADS: usize = 6;
+    let (problem, trace) = line_trace(4, 28, 41, 0.25);
+    let served = session(&problem, ResolveMode::Warm);
+    let first = event_batches(&trace, served.live_tickets()).swap_remove(0);
+    let service = Service::new(served);
+    let submitted = Barrier::new(THREADS);
+
+    let deltas: Vec<Arc<ScheduleDelta>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|i| {
+                // One thread carries the trace batch; the others submit
+                // empty batches into the same fold.
+                let events = if i == 0 { first.clone() } else { Vec::new() };
+                let service = &service;
+                let submitted = &submitted;
+                scope.spawn(move || {
+                    let handle = service.submit(events).expect("accepted");
+                    // Everyone is queued before anyone waits.
+                    submitted.wait();
+                    handle.wait().expect("fold ran")
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("waiter"))
+            .collect()
+    });
+    assert_eq!(deltas[0].epoch, 1);
+    assert_eq!(
+        deltas[0].stats.arrivals + deltas[0].stats.expiries,
+        first.len()
+    );
+    for delta in &deltas {
+        assert!(Arc::ptr_eq(delta, &deltas[0]), "one fold, one shared delta");
+    }
+    assert_eq!(service.with_session(|s| s.epoch()).unwrap(), 1);
 }
