@@ -10,22 +10,19 @@
 //!
 //! A [`Budget`] makes that cut point explicit: the engine calls
 //! [`Budget::consume_round`] between rounds and stops cooperatively the
-//! first time it returns `false`. Three limits compose, any subset may be
+//! first time it returns `false`. Two limits compose, either or both may be
 //! set:
 //!
 //! * a **round cap** ([`Budget::rounds`]) — deterministic, the form the
 //!   anytime proptest contract is stated against;
 //! * a **wall-clock deadline** ([`Budget::deadline`]) — what a serving
-//!   tier's latency budget compiles to;
-//! * a **cancellation flag** ([`Budget::with_cancel`]) — cooperative
-//!   cancellation from another thread.
+//!   tier's latency budget compiles to.
 //!
 //! Solutions report where they landed through
 //! [`CertificateQuality`] in
 //! [`RunDiagnostics::quality`](crate::RunDiagnostics::quality).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A cooperative limit on first-phase MIS/raise rounds; see the
@@ -33,11 +30,10 @@ use std::time::{Duration, Instant};
 /// (the wide/narrow split solves both halves against the same budget):
 /// round accounting is internal and atomic, so the cap applies to the
 /// *total* across everything charged against it.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Budget {
     deadline: Option<Instant>,
     max_rounds: Option<u64>,
-    cancel: Option<Arc<AtomicBool>>,
     rounds_used: AtomicU64,
 }
 
@@ -60,14 +56,6 @@ impl Budget {
         Self::default().with_deadline(budget)
     }
 
-    /// Cut at the given instant.
-    pub fn until(deadline: Instant) -> Self {
-        Self {
-            deadline: Some(deadline),
-            ..Self::default()
-        }
-    }
-
     /// Adds a round cap to this budget (the tighter of the limits wins).
     pub fn with_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = Some(max_rounds);
@@ -80,30 +68,18 @@ impl Budget {
         self
     }
 
-    /// Adds a cancellation flag: once another thread stores `true`, the
-    /// next round check cuts.
-    pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// `true` when any limit is set; an unlimited budget lets engines
     /// skip all accounting.
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.max_rounds.is_some() || self.cancel.is_some()
+        self.deadline.is_some() || self.max_rounds.is_some()
     }
 
     /// Charges one first-phase round. Returns `false` when the round must
-    /// **not** run — the budget is exhausted (round cap reached, deadline
-    /// passed or cancellation flagged) and the engine should cut.
+    /// **not** run — the budget is exhausted (round cap reached or
+    /// deadline passed) and the engine should cut.
     pub fn consume_round(&self) -> bool {
         if !self.is_limited() {
             return true;
-        }
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return false;
-            }
         }
         let used = self.rounds_used.fetch_add(1, Ordering::Relaxed);
         if let Some(cap) = self.max_rounds {
@@ -123,20 +99,6 @@ impl Budget {
     /// any).
     pub fn rounds_used(&self) -> u64 {
         self.rounds_used.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Budget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Budget")
-            .field("deadline", &self.deadline)
-            .field("max_rounds", &self.max_rounds)
-            .field(
-                "cancelled",
-                &self.cancel.as_ref().map(|c| c.load(Ordering::Relaxed)),
-            )
-            .field("rounds_used", &self.rounds_used())
-            .finish()
     }
 }
 
@@ -385,17 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_flags_cut_cooperatively() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let budget = Budget::unlimited().with_cancel(flag.clone());
-        assert!(budget.consume_round());
-        flag.store(true, Ordering::Relaxed);
-        assert!(!budget.consume_round());
-    }
-
-    #[test]
     fn elapsed_deadlines_cut() {
-        let budget = Budget::until(Instant::now() - Duration::from_millis(1));
+        let budget = Budget::deadline(Duration::ZERO);
         assert!(!budget.consume_round());
         let generous = Budget::deadline(Duration::from_secs(3600));
         assert!(generous.consume_round());

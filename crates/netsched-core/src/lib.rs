@@ -29,6 +29,13 @@
 //! | line | all narrow | [`LineNarrowSolver`] | Section 7 (narrow) | `19/(1−ε)` |
 //! | line | mixed | [`LineArbitrarySolver`] | Theorem 7.2 | `23/(1−ε)` |
 //!
+//! The two mixed rows run the unit rule on the wide half of the demands and
+//! the narrow rule on the narrow half, each a cold [`run_two_phase_on`],
+//! and keep the better schedule per network through
+//! [`combine_wide_narrow`]. That combination step is the only one: the
+//! serving layer (`netsched-service`) feeds its own cold or warm-resumed
+//! halves through it too.
+//!
 //! [`SequentialTreeSolver`] (Appendix A, sequential `3`-approximation) is in
 //! the [`registry`] but never auto-selected: it trades polylogarithmic round
 //! complexity for the better constant.
@@ -74,10 +81,10 @@ pub use line::{
 pub use sequential::{run_sequential, solve_sequential_on, solve_sequential_tree};
 pub use solution::{RunDiagnostics, Solution};
 pub use solver::{
-    combine_wide_narrow, registry, solve_wide_narrow_on, ArbitraryTreeSolver, BuildCounts,
-    EngineHalf, HalfOutcome, LineArbitrarySolver, LineNarrowSolver, LineUnitSolver,
-    NarrowTreeSolver, Portfolio, PortfolioRun, Problem, ProblemKind, Scheduler,
-    SequentialTreeSolver, SolveContext, Solver, SplitPart, UnitTreeSolver,
+    combine_wide_narrow, registry, ArbitraryTreeSolver, BuildCounts, HalfOutcome,
+    LineArbitrarySolver, LineNarrowSolver, LineUnitSolver, NarrowTreeSolver, Portfolio,
+    PortfolioRun, Problem, ProblemKind, Scheduler, SequentialTreeSolver, SolveContext, Solver,
+    SplitPart, UnitTreeSolver,
 };
 pub use tree::{
     solve_arbitrary_tree, solve_arbitrary_tree_on, solve_narrow_tree, solve_narrow_tree_on,

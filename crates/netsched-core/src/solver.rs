@@ -687,105 +687,13 @@ pub fn translate_split_selection(
         .collect()
 }
 
-/// One half of a wide/narrow split as borrowed engine inputs: the
-/// sub-universe, its (pre-built) sharded conflict graph and layering, and
-/// the map from sub-problem demand indices back to the original demand ids.
-///
-/// [`Scheduler`] sessions feed their cached [`SplitPart`]s through this
-/// view; the dynamic serving layer (`netsched-service`) feeds its
-/// incrementally maintained split cores — both run the exact same
-/// combination code, [`solve_wide_narrow_on`].
-#[derive(Clone, Copy)]
-pub struct EngineHalf<'a> {
-    /// The half's sub-universe.
-    pub universe: &'a DemandInstanceUniverse,
-    /// The sharded conflict graph of the sub-universe.
-    pub conflict: &'a ShardedConflictGraph,
-    /// The layering of the sub-universe.
-    pub layering: &'a InstanceLayering,
-    /// Sub-problem demand index → original demand id.
-    pub demand_map: &'a [DemandId],
-}
-
-impl<'a> EngineHalf<'a> {
-    /// The engine view of a cached [`SplitPart`].
-    pub fn of_split_part(part: &'a SplitPart) -> Self {
-        Self {
-            universe: &part.universe,
-            conflict: part.conflict(),
-            layering: &part.layering,
-            demand_map: &part.map,
-        }
-    }
-}
-
-/// The wide/narrow combination of Theorems 6.3 and 7.2 over
-/// externally-owned halves: run the unit-height engine on the wide half and
-/// the narrow engine on the narrow half, translate both schedules back into
-/// `universe`'s instance ids, then per network keep the more profitable
-/// schedule. The dual certificates add (`OPT ≤ ub_w + ub_n`).
-///
-/// This is the engine entry used both by the cached [`Scheduler`] session
-/// (via its split caches) and by the dynamic serving layer over a
-/// partially-rebuilt conflict graph; the output is a pure function of the
-/// halves and the configuration.
-///
-/// Both halves are charged against the **same** [`Budget`] (its round
-/// accounting is shared), so a cap bounds the total first-phase work of
-/// the combined solve. The combined certificate is tagged with the merge
-/// of the two halves' qualities.
-pub fn solve_wide_narrow_on(
-    universe: &DemandInstanceUniverse,
-    wide: EngineHalf<'_>,
-    narrow: EngineHalf<'_>,
-    config: &AlgorithmConfig,
-    budget: &Budget,
-) -> Solution {
-    let wide_solution = if wide.universe.num_instances() > 0 {
-        run_two_phase_on(
-            wide.universe,
-            wide.conflict,
-            wide.layering,
-            RaiseRule::Unit,
-            config,
-            budget,
-        )
-    } else {
-        Solution::empty()
-    };
-    let narrow_solution = if narrow.universe.num_instances() > 0 {
-        run_two_phase_on(
-            narrow.universe,
-            narrow.conflict,
-            narrow.layering,
-            RaiseRule::Narrow,
-            config,
-            budget,
-        )
-    } else {
-        Solution::empty()
-    };
-    combine_wide_narrow(
-        universe,
-        HalfOutcome {
-            universe: wide.universe,
-            demand_map: wide.demand_map,
-            solution: wide_solution,
-        },
-        HalfOutcome {
-            universe: narrow.universe,
-            demand_map: narrow.demand_map,
-            solution: narrow_solution,
-        },
-    )
-}
-
 /// One solved half of a wide/narrow split, ready for
 /// [`combine_wide_narrow`]: the half's sub-universe, the map from its
 /// demand indices back to the original demand ids, and the half's engine
-/// solution (cold **or** warm — the combination is agnostic to how the
-/// half was solved, which is what lets the serving layer feed its
-/// warm-resumed split cores through the same Theorem 6.3 / 7.2 code).
+/// solution. The combination does not care how the half was solved:
+/// [`Scheduler`] feeds cold runs over its cached [`SplitPart`]s, and the
+/// serving layer (`netsched-service`) feeds cold or warm-resumed runs over
+/// its incrementally maintained split cores.
 pub struct HalfOutcome<'a> {
     /// The half's sub-universe.
     pub universe: &'a DemandInstanceUniverse,
@@ -799,6 +707,14 @@ pub struct HalfOutcome<'a> {
 /// translate both schedules into `universe`'s instance ids, keep the more
 /// profitable schedule per network, and add the dual certificates
 /// (`OPT ≤ ub_w + ub_n`).
+///
+/// This is the one combination step of every mixed-height solve. The
+/// caller runs the unit rule on the wide half and the narrow rule on the
+/// narrow half, in that order; an empty half is an empty [`Solution`]
+/// (the engine returns one for an empty universe). When both halves are
+/// charged against one [`Budget`], a round cap bounds their total
+/// first-phase work, and the combined certificate carries the merge of
+/// the two halves' qualities.
 pub fn combine_wide_narrow(
     universe: &DemandInstanceUniverse,
     wide: HalfOutcome<'_>,
@@ -887,14 +803,35 @@ pub fn combine_wide_narrow(
     }
 }
 
-/// [`solve_wide_narrow_on`] over the session's cached split.
+/// The wide/narrow combination over the session's cached split: the unit
+/// rule on the wide half, then the narrow rule on the narrow half, each a
+/// cold [`run_two_phase_on`], combined by [`combine_wide_narrow`].
 fn solve_wide_narrow(ctx: &SolveContext<'_>) -> Solution {
-    solve_wide_narrow_on(
+    let half = |part: &SplitPart, rule: RaiseRule| {
+        run_two_phase_on(
+            &part.universe,
+            part.conflict(),
+            &part.layering,
+            rule,
+            ctx.config(),
+            &Budget::unlimited(),
+        )
+    };
+    let (wide, narrow) = (ctx.wide(), ctx.narrow());
+    let wide_solution = half(wide, RaiseRule::Unit);
+    let narrow_solution = half(narrow, RaiseRule::Narrow);
+    combine_wide_narrow(
         ctx.universe(),
-        EngineHalf::of_split_part(ctx.wide()),
-        EngineHalf::of_split_part(ctx.narrow()),
-        ctx.config(),
-        &Budget::unlimited(),
+        HalfOutcome {
+            universe: &wide.universe,
+            demand_map: &wide.map,
+            solution: wide_solution,
+        },
+        HalfOutcome {
+            universe: &narrow.universe,
+            demand_map: &narrow.map,
+            solution: narrow_solution,
+        },
     )
 }
 

@@ -35,8 +35,6 @@ use netsched_graph::{
     DemandInstanceUniverse, InstanceId, NetworkId, ShardedUniverse, UniverseDelta, UniverseShard,
 };
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// The conflict graph of a demand-instance universe, in CSR form.
 #[derive(Debug, Clone)]
@@ -656,9 +654,8 @@ impl Iterator for CrossNeighbors<'_> {
 /// shards' local CSRs (through the sharding's
 /// [`ShardSplice`](netsched_graph::ShardSplice) records —
 /// no re-sweep) and renumbering the cross-group arena in place, bumping a
-/// generation counter that also keys the cached
-/// [`merged`](ShardedConflictGraph::merged) fold.
-#[derive(Debug)]
+/// generation counter.
+#[derive(Debug, Clone)]
 pub struct ShardedConflictGraph {
     sharding: ShardedUniverse,
     shards: Vec<ShardConflict>,
@@ -666,31 +663,11 @@ pub struct ShardedConflictGraph {
     cross: CrossGroups,
     /// Reusable per-shard splice scratch, indexed by shard.
     splice_scratch: Vec<SpliceScratch>,
-    /// Bumped by every [`ShardedConflictGraph::apply_delta`]; keys the
-    /// merged-fold cache.
+    /// Bumped by every [`ShardedConflictGraph::apply_delta`].
     generation: u64,
-    /// Cached result of [`ShardedConflictGraph::merged`] for `generation`.
-    merged_cache: Mutex<Option<(u64, ConflictGraph)>>,
-    /// How many times the merged fold actually ran (tests pin the caching).
-    merged_folds: AtomicU64,
     /// How many times the cross-group arena was assembled wholesale from
     /// the universe (tests pin that splices never do this).
-    cross_assemblies: AtomicU64,
-}
-
-impl Clone for ShardedConflictGraph {
-    fn clone(&self) -> Self {
-        Self {
-            sharding: self.sharding.clone(),
-            shards: self.shards.clone(),
-            cross: self.cross.clone(),
-            splice_scratch: self.splice_scratch.clone(),
-            generation: self.generation,
-            merged_cache: Mutex::new(self.merged_cache.lock().unwrap().clone()),
-            merged_folds: AtomicU64::new(self.merged_folds.load(Ordering::Relaxed)),
-            cross_assemblies: AtomicU64::new(self.cross_assemblies.load(Ordering::Relaxed)),
-        }
-    }
+    cross_assemblies: u64,
 }
 
 impl ShardedConflictGraph {
@@ -729,9 +706,7 @@ impl ShardedConflictGraph {
             cross,
             splice_scratch: vec![SpliceScratch::default(); num_shards],
             generation: 0,
-            merged_cache: Mutex::new(None),
-            merged_folds: AtomicU64::new(0),
-            cross_assemblies: AtomicU64::new(1),
+            cross_assemblies: 1,
         }
     }
 
@@ -817,27 +792,17 @@ impl ShardedConflictGraph {
         self.generation
     }
 
-    /// How many times the merged fold has actually run (as opposed to being
-    /// served from the generation-keyed cache).
-    #[inline]
-    pub fn merged_fold_count(&self) -> u64 {
-        self.merged_folds.load(Ordering::Relaxed)
-    }
-
-    /// Advances the generation counter to at least `to` and drops the
-    /// cached merged fold.
+    /// Advances the generation counter to at least `to`.
     ///
     /// A graph rebuilt from a **restored** session snapshot starts over at
     /// generation 0, so any external cache keyed by
-    /// [`generation`](ShardedConflictGraph::generation) (including the
-    /// internal merged-fold cache of a state that outlived the rebuild)
-    /// could serve a pre-crash fold for a post-restore graph. The restore
-    /// path calls this with the recovered epoch counter, re-establishing
-    /// the invariant that generations never repeat across the lifetime of
-    /// a logical session.
+    /// [`generation`](ShardedConflictGraph::generation) could serve a
+    /// pre-crash entry for a post-restore graph. The restore path calls
+    /// this with the recovered epoch counter, re-establishing the
+    /// invariant that generations never repeat across the lifetime of a
+    /// logical session.
     pub fn advance_generation(&mut self, to: u64) {
         self.generation = self.generation.max(to);
-        *self.merged_cache.lock().expect("merged cache poisoned") = None;
     }
 
     /// The universe partition the graph was built on.
@@ -903,7 +868,7 @@ impl ShardedConflictGraph {
     /// arena renumbers in place).
     #[inline]
     pub fn cross_assembly_count(&self) -> u64 {
-        self.cross_assemblies.load(Ordering::Relaxed)
+        self.cross_assemblies
     }
 
     /// Heap bytes committed by the sharded graph: the sharding index, the
@@ -935,28 +900,10 @@ impl ShardedConflictGraph {
     /// universe, at any thread count: local pair sets are per-shard
     /// deterministic and disjoint across shards, cross pairs are disjoint
     /// from both, and `assemble_csr` is a pure function of the sorted
-    /// pair set.
-    ///
-    /// The fold is cached behind the graph's generation counter: repeated
-    /// calls between mutations return a clone of the cached CSR (one
-    /// `memcpy`-class copy) instead of re-folding, and
-    /// [`ShardedConflictGraph::apply_delta`] invalidates the cache by
-    /// bumping the generation.
+    /// pair set. Every call folds afresh: the solve path never calls it,
+    /// it exists so tests can compare the sharded graph with the flat
+    /// build.
     pub fn merged(&self) -> ConflictGraph {
-        let mut cache = self.merged_cache.lock().expect("merged cache poisoned");
-        if let Some((generation, graph)) = cache.as_ref() {
-            if *generation == self.generation {
-                return graph.clone();
-            }
-        }
-        let graph = self.fold_merged();
-        self.merged_folds.fetch_add(1, Ordering::Relaxed);
-        *cache = Some((self.generation, graph.clone()));
-        graph
-    }
-
-    /// The uncached merged fold behind [`ShardedConflictGraph::merged`].
-    fn fold_merged(&self) -> ConflictGraph {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         let shard_pairs: Vec<Vec<(u32, u32)>> = (0..self.shards.len())
             .into_par_iter()
@@ -1259,25 +1206,18 @@ mod tests {
 
         let mut universe = two_tree_problem().universe();
         let mut sharded = ShardedConflictGraph::build(&universe);
-        assert_eq!(sharded.merged_fold_count(), 0);
         let a = sharded.merged();
         let b = sharded.merged();
         assert_eq!(a.offsets, b.offsets);
         assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(
-            sharded.merged_fold_count(),
-            1,
-            "second call must be served from the cache"
-        );
 
-        // A delta bumps the generation and invalidates the cache once.
+        // A delta bumps the generation.
         let mut delta = UniverseDelta::new();
         universe.apply_demand_delta(&[DemandId(0)], &[], &mut delta);
         sharded.apply_delta(&universe, &delta);
         assert_eq!(sharded.generation(), 1);
         let c = sharded.merged();
         let _ = sharded.merged();
-        assert_eq!(sharded.merged_fold_count(), 2);
         assert_eq!(c.offsets, ConflictGraph::build(&universe).offsets);
     }
 
@@ -1286,14 +1226,11 @@ mod tests {
         let universe = two_tree_problem().universe();
         let mut sharded = ShardedConflictGraph::build(&universe);
         let _ = sharded.merged();
-        assert_eq!(sharded.merged_fold_count(), 1);
 
-        // A restore-style advance must both raise the counter and force
-        // the next merged() to re-fold.
+        // A restore-style advance must raise the counter.
         sharded.advance_generation(17);
         assert_eq!(sharded.generation(), 17);
         let refolded = sharded.merged();
-        assert_eq!(sharded.merged_fold_count(), 2);
         assert_eq!(refolded.offsets, ConflictGraph::build(&universe).offsets);
 
         // Advancing backwards never regresses the counter.

@@ -28,7 +28,13 @@
 //!    length classes re-derive in `O(|D|)` arithmetic.
 //! 5. **Re-solve** with the existing shard-parallel two-phase engine and
 //!    emit a [`ScheduleDelta`] — admissions, evictions, reassignments and
-//!    the updated dual certificate — instead of a full schedule.
+//!    the updated dual certificate — instead of a full schedule. Every
+//!    core solves through one dispatch (a warm resume or a cold solve, by
+//!    [`ResolveMode`]). A single-class live set solves on the full core; a
+//!    mixed-height one solves the wide half under the unit rule and the
+//!    narrow half under the narrow rule, and
+//!    [`combine_wide_narrow`](netsched_core::combine_wide_narrow) keeps the
+//!    better schedule per network (Theorems 6.3 and 7.2).
 //!
 //! # Delta semantics
 //!
@@ -127,9 +133,11 @@
 //!   recovery time: frequent snapshots shorten the log suffix a restore
 //!   must replay, sparse snapshots make epochs cheaper but recovery
 //!   longer.
-//! * **Restore** — [`ServiceSession::from_snapshot`] rebuilds every
-//!   derived structure through the normal constructors and re-applies the
-//!   logged suffix through the normal [`step`](ServiceSession::step) path.
+//! * **Restore** — [`ServiceSession::from_snapshot`] rebuilds every core
+//!   from the base topology and the live requests, through the same
+//!   request-to-core builder that creates the split cores, and re-applies
+//!   the logged suffix through the normal [`step`](ServiceSession::step)
+//!   path.
 //!   The recovered session therefore inherits the session's own
 //!   equivalence contract: **Cold** restores are byte-identical to the
 //!   uninterrupted run (schedule, certificate, merged conflict CSR);
@@ -148,7 +156,7 @@
 //!   budget and still emit a feasible schedule with a **valid** (weaker)
 //!   optimum bound. [`ServiceSession::step_with_deadline`] threads a
 //!   cooperative [`Budget`](netsched_core::Budget) (round cap, wall-clock
-//!   deadline or cancellation flag) into the engine; a cut epoch's
+//!   deadline or both) into the engine; a cut epoch's
 //!   `stats.quality` is
 //!   [`Truncated`](netsched_core::CertificateQuality::Truncated) and the
 //!   unfinished certification work stays pending in the session — the

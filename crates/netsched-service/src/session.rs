@@ -18,13 +18,14 @@
 //! > surviving demand set.
 
 use netsched_core::{
-    combine_wide_narrow, solve_wide_narrow_on, AlgorithmConfig, Budget, CertificateQuality,
-    EngineHalf, HalfOutcome, RaiseRule, RoundCalibration, Solution, WarmState,
+    combine_wide_narrow, subproblem, AlgorithmConfig, Budget, CertificateQuality, HalfOutcome,
+    RaiseRule, RoundCalibration, Solution, WarmState,
 };
 use netsched_decomp::TreeLayerer;
 use netsched_distrib::ShardedConflictGraph;
 use netsched_graph::{
-    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, LineProblem, NetworkId, TreeProblem,
+    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, GraphError, LineProblem, NetworkId,
+    TreeProblem,
 };
 use netsched_obs::{Counter, Histogram, ObsRegistry};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
@@ -268,10 +269,127 @@ impl ScheduleDelta {
     }
 }
 
-/// The demand-free topology a session was opened on.
+/// The demand-free topology a session was opened on. A tree base carries
+/// the per-network decompositions every tree core layers with: networks
+/// never change, so they are built once per session.
 enum BaseProblem {
-    Tree(TreeProblem),
+    Tree(TreeProblem, TreeLayerer),
     Line(LineProblem),
+}
+
+impl BaseProblem {
+    /// A core over this topology holding `requests` as its demands, in
+    /// order — the one place live requests become problem demands. Fails
+    /// on a request of the other shape or one the topology rejects.
+    fn core<'a>(
+        &self,
+        requests: impl IntoIterator<Item = &'a DemandRequest>,
+    ) -> Result<LiveCore, String> {
+        let rejected = |e: GraphError| format!("live demand rejected: {e}");
+        match self {
+            BaseProblem::Tree(base, layerer) => {
+                let mut problem = base.clone();
+                for request in requests {
+                    let DemandRequest::Tree {
+                        u,
+                        v,
+                        profit,
+                        height,
+                        access,
+                    } = request
+                    else {
+                        return Err("line request in a tree session".into());
+                    };
+                    problem
+                        .add_demand(*u, *v, *profit, *height, access.clone())
+                        .map_err(rejected)?;
+                }
+                Ok(LiveCore::new_tree(&problem, layerer))
+            }
+            BaseProblem::Line(base) => {
+                let mut problem = base.clone();
+                for request in requests {
+                    let DemandRequest::Line {
+                        release,
+                        deadline,
+                        processing,
+                        profit,
+                        height,
+                        access,
+                    } = request
+                    else {
+                        return Err("tree request in a line session".into());
+                    };
+                    problem
+                        .add_demand(
+                            *release,
+                            *deadline,
+                            *processing,
+                            *profit,
+                            *height,
+                            access.clone(),
+                        )
+                        .map_err(rejected)?;
+                }
+                Ok(LiveCore::new_line(&problem))
+            }
+        }
+    }
+
+    /// Computes the universe splice inputs of a validated arrival batch:
+    /// one [`ArrivingDemand`] per request (instances in the canonical
+    /// `problem.universe()` enumeration order) and, for tree sessions, the
+    /// per-instance layering assignments.
+    fn materialize(
+        &self,
+        arrivals: &[DemandRequest],
+    ) -> (Vec<ArrivingDemand>, Vec<TreeAssignments>) {
+        let mut arrivings = Vec::with_capacity(arrivals.len());
+        let mut assignments = Vec::with_capacity(arrivals.len());
+        for request in arrivals {
+            let mut instances = Vec::new();
+            let mut assigns: TreeAssignments = Vec::new();
+            match (self, request) {
+                (BaseProblem::Tree(base, layerer), DemandRequest::Tree { u, v, access, .. }) => {
+                    for &t in access {
+                        let tree = base.network(t);
+                        let path = tree.path_edges(*u, *v);
+                        assigns.push(layerer.assign(tree, t, *u, *v, &path));
+                        instances.push((t, path, None));
+                    }
+                }
+                (
+                    BaseProblem::Line(_),
+                    DemandRequest::Line {
+                        release,
+                        deadline,
+                        processing,
+                        ..
+                    },
+                ) => {
+                    let last_start = deadline + 1 - processing;
+                    for &t in request.access() {
+                        for start in *release..=last_start {
+                            let end = start + processing - 1;
+                            instances.push((
+                                t,
+                                EdgePath::interval(start as usize, end as usize),
+                                Some(start),
+                            ));
+                        }
+                    }
+                }
+                _ => unreachable!("validated requests match the session shape"),
+            }
+            arrivings.push(ArrivingDemand {
+                profit: request.profit(),
+                height: request.height(),
+                instances,
+            });
+            assignments.push(assigns);
+        }
+        (arrivings, assignments)
+    }
 }
 
 /// One live demand: its stable ticket plus the validated request.
@@ -372,9 +490,6 @@ impl SessionMetrics {
 /// amortized cost table.
 pub struct ServiceSession {
     base: BaseProblem,
-    /// Shared per-network tree decompositions (tree sessions only); built
-    /// once — networks never change.
-    layerer: Option<TreeLayerer>,
     config: AlgorithmConfig,
     resolve: ResolveMode,
     /// The live demands in dense-id order, which is also strictly
@@ -428,7 +543,8 @@ impl ServiceSession {
     /// initial live set (tickets `0..m` in problem order). The schedule is
     /// computed by the first [`step`](ServiceSession::step).
     pub fn for_tree(problem: &TreeProblem, config: AlgorithmConfig) -> Self {
-        let layerer = TreeLayerer::new(problem, TREE_LAYERING);
+        let (base, _) = subproblem(problem, |_| false);
+        let layerer = TreeLayerer::new(&base, TREE_LAYERING);
         let full = LiveCore::new_tree(problem, &layerer);
         let live: Vec<LiveDemand> = problem
             .demands()
@@ -444,18 +560,7 @@ impl ServiceSession {
                 },
             })
             .collect();
-        let mut base = TreeProblem::new(problem.num_vertices());
-        for t in 0..problem.num_networks() {
-            let network = NetworkId::new(t);
-            let edges = problem.network(network).edges().map(|(_, uv)| uv).collect();
-            let id = base.add_network(edges).expect("copied network is valid");
-            for (e, &cap) in problem.capacities(network).iter().enumerate() {
-                if (cap - 1.0).abs() > f64::EPSILON {
-                    base.set_capacity(id, e, cap).expect("copied capacity");
-                }
-            }
-        }
-        Self::assemble(BaseProblem::Tree(base), Some(layerer), config, live, full)
+        Self::assemble(BaseProblem::Tree(base, layerer), config, live, full)
     }
 
     /// Opens a session over a line problem; see
@@ -478,12 +583,11 @@ impl ServiceSession {
             })
             .collect();
         let base = LineProblem::new(problem.timeslots(), problem.num_resources());
-        Self::assemble(BaseProblem::Line(base), None, config, live, full)
+        Self::assemble(BaseProblem::Line(base), config, live, full)
     }
 
     fn assemble(
         base: BaseProblem,
-        layerer: Option<TreeLayerer>,
         config: AlgorithmConfig,
         live: Vec<LiveDemand>,
         full: LiveCore,
@@ -493,7 +597,6 @@ impl ServiceSession {
         let metrics = SessionMetrics::resolve(&obs);
         Self {
             base,
-            layerer,
             config,
             resolve: ResolveMode::env_default(),
             live,
@@ -730,7 +833,7 @@ impl ServiceSession {
     pub fn validate_request(&self, request: &DemandRequest) -> Result<(), ServiceError> {
         match (&self.base, request) {
             (
-                BaseProblem::Tree(base),
+                BaseProblem::Tree(base, _),
                 DemandRequest::Tree {
                     u,
                     v,
@@ -754,7 +857,7 @@ impl ServiceSession {
             ) => base
                 .validate_demand(*release, *deadline, *processing, *profit, *height, access)
                 .map_err(|e| ServiceError::InvalidDemand(e.to_string())),
-            (BaseProblem::Tree(_), DemandRequest::Line { .. }) => {
+            (BaseProblem::Tree(..), DemandRequest::Line { .. }) => {
                 Err(ServiceError::ShapeMismatch { expected: "tree" })
             }
             (BaseProblem::Line(_), DemandRequest::Tree { .. }) => {
@@ -980,8 +1083,7 @@ impl ServiceSession {
         // ---- splice the full core -------------------------------------
         let rebuild_start = std::time::Instant::now();
         let rebuild_span = netsched_obs::span!("epoch.rebuild");
-        let (arrivings, assignments) =
-            materialize_arrivals(&self.base, self.layerer.as_ref(), &arrivals);
+        let (arrivings, assignments) = self.base.materialize(&arrivals);
         let dirty_shards = self.full.apply(&expired, &arrivings, assignments.concat());
 
         // ---- live-set bookkeeping -------------------------------------
@@ -1002,15 +1104,13 @@ impl ServiceSession {
         }
 
         // ---- wide/narrow split maintenance ----------------------------
-        let any_wide = self.live.iter().any(|d| d.request.is_wide());
-        let any_narrow = self.live.iter().any(|d| !d.request.is_wide());
-        let mixed = any_wide && any_narrow;
+        let rule = self.uniform_rule();
         let mut conflict_ns = self.full.conflict_rebuild_ns;
         if self.split.is_some() {
             self.update_split(&removed, &arrivals, &arrivings, &assignments);
             let split = self.split.as_ref().expect("split just updated");
             conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
-        } else if mixed {
+        } else if rule.is_none() {
             self.split = Some(self.build_split());
         }
 
@@ -1028,66 +1128,40 @@ impl ServiceSession {
         if self.panic_epochs.contains(&(self.epoch + 1)) {
             panic!("injected solve fault at epoch {}", self.epoch + 1);
         }
+        // One dispatch for every core: a warm resume or a cold solve.
         let warm = self.resolve == ResolveMode::Warm;
+        let config = &self.config;
+        let solve = |core: &mut LiveCore, rule: RaiseRule| {
+            if warm {
+                core.solve_warm(rule, config, budget)
+            } else {
+                core.solve(rule, config, budget)
+            }
+        };
         let solution = if self.live.is_empty() {
             Solution::empty()
-        } else if mixed {
-            if warm {
-                // Each half resumes its own persisted warm state (wide
-                // under the unit rule, narrow under the narrow rule); the
-                // Theorem 6.3 / 7.2 combination is solve-agnostic. Both
-                // halves charge the same budget.
-                let split = self.split.as_mut().expect("split exists when mixed");
-                let wide_solution = split.wide.solve_warm(RaiseRule::Unit, &self.config, budget);
-                let narrow_solution =
-                    split
-                        .narrow
-                        .solve_warm(RaiseRule::Narrow, &self.config, budget);
-                let split = self.split.as_ref().expect("split exists when mixed");
-                combine_wide_narrow(
-                    &self.full.universe,
-                    HalfOutcome {
-                        universe: &split.wide.universe,
-                        demand_map: &split.wide_map,
-                        solution: wide_solution,
-                    },
-                    HalfOutcome {
-                        universe: &split.narrow.universe,
-                        demand_map: &split.narrow_map,
-                        solution: narrow_solution,
-                    },
-                )
-            } else {
-                let split = self.split.as_ref().expect("split exists when mixed");
-                solve_wide_narrow_on(
-                    &self.full.universe,
-                    EngineHalf {
-                        universe: &split.wide.universe,
-                        conflict: &split.wide.conflict,
-                        layering: &split.wide.layering,
-                        demand_map: &split.wide_map,
-                    },
-                    EngineHalf {
-                        universe: &split.narrow.universe,
-                        conflict: &split.narrow.conflict,
-                        layering: &split.narrow.layering,
-                        demand_map: &split.narrow_map,
-                    },
-                    &self.config,
-                    budget,
-                )
-            }
+        } else if let Some(rule) = rule {
+            solve(&mut self.full, rule)
         } else {
-            let rule = if any_narrow {
-                RaiseRule::Narrow
-            } else {
-                RaiseRule::Unit
-            };
-            if warm {
-                self.full.solve_warm(rule, &self.config, budget)
-            } else {
-                self.full.solve(rule, &self.config, budget)
-            }
+            // Theorems 6.3 / 7.2: the unit rule on the wide half, then the
+            // narrow rule on the narrow half, both charged to the same
+            // budget; the better schedule per network is kept.
+            let split = self.split.as_mut().expect("split exists when mixed");
+            let wide_solution = solve(&mut split.wide, RaiseRule::Unit);
+            let narrow_solution = solve(&mut split.narrow, RaiseRule::Narrow);
+            combine_wide_narrow(
+                &self.full.universe,
+                HalfOutcome {
+                    universe: &split.wide.universe,
+                    demand_map: &split.wide_map,
+                    solution: wide_solution,
+                },
+                HalfOutcome {
+                    universe: &split.narrow.universe,
+                    demand_map: &split.narrow_map,
+                    solution: narrow_solution,
+                },
+            )
         };
         let solve_elapsed = solve_start.elapsed();
         drop(solve_span);
@@ -1268,76 +1342,37 @@ impl ServiceSession {
         }
     }
 
+    /// The raise rule the whole live set solves under — [`RaiseRule::Unit`]
+    /// when no demand is narrow, [`RaiseRule::Narrow`] when none is wide —
+    /// or `None` when the height mix is mixed and the wide/narrow split
+    /// solves the epoch.
+    fn uniform_rule(&self) -> Option<RaiseRule> {
+        let any_wide = self.live.iter().any(|d| d.request.is_wide());
+        let any_narrow = self.live.iter().any(|d| !d.request.is_wide());
+        match (any_wide, any_narrow) {
+            (true, true) => None,
+            (false, true) => Some(RaiseRule::Narrow),
+            _ => Some(RaiseRule::Unit),
+        }
+    }
+
     /// Builds the split cores from scratch over the current live set — the
     /// one-time cost paid on the first epoch whose height mix is mixed
     /// (identical to what a fresh `Scheduler`'s split caches would hold).
     fn build_split(&self) -> SplitState {
-        let mut wide_map = Vec::new();
-        let mut narrow_map = Vec::new();
-        for (i, d) in self.live.iter().enumerate() {
-            if d.request.is_wide() {
-                wide_map.push(DemandId::new(i));
-            } else {
-                narrow_map.push(DemandId::new(i));
-            }
-        }
-        let (wide, narrow) = match &self.base {
-            BaseProblem::Tree(base) => {
-                let layerer = self.layerer.as_ref().expect("tree sessions have a layerer");
-                let build = |keep_wide: bool| {
-                    let mut p = base.clone();
-                    for d in &self.live {
-                        if d.request.is_wide() != keep_wide {
-                            continue;
-                        }
-                        if let DemandRequest::Tree {
-                            u,
-                            v,
-                            profit,
-                            height,
-                            access,
-                        } = &d.request
-                        {
-                            p.add_demand(*u, *v, *profit, *height, access.clone())
-                                .expect("live demands are valid");
-                        }
-                    }
-                    LiveCore::new_tree(&p, layerer)
-                };
-                (build(true), build(false))
-            }
-            BaseProblem::Line(base) => {
-                let build = |keep_wide: bool| {
-                    let mut p = base.clone();
-                    for d in &self.live {
-                        if d.request.is_wide() != keep_wide {
-                            continue;
-                        }
-                        if let DemandRequest::Line {
-                            release,
-                            deadline,
-                            processing,
-                            profit,
-                            height,
-                            access,
-                        } = &d.request
-                        {
-                            p.add_demand(
-                                *release,
-                                *deadline,
-                                *processing,
-                                *profit,
-                                *height,
-                                access.clone(),
-                            )
-                            .expect("live demands are valid");
-                        }
-                    }
-                    LiveCore::new_line(&p)
-                };
-                (build(true), build(false))
-            }
+        let half = |wide: bool| {
+            let (map, requests): (Vec<DemandId>, Vec<&DemandRequest>) = self
+                .live
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.request.is_wide() == wide)
+                .map(|(i, d)| (DemandId::new(i), &d.request))
+                .unzip();
+            let core = self.base.core(requests).expect("live demands are valid");
+            (core, map)
         };
+        let (wide, wide_map) = half(true);
+        let (narrow, narrow_map) = half(false);
         SplitState {
             wide,
             narrow,
@@ -1368,11 +1403,8 @@ impl ServiceSession {
     ///   the next warm solve re-primes from zero duals (a cold re-epoch)
     ///   and certifies like any fresh state.
     pub fn compact(&mut self) -> CompactionReport {
-        let any_wide = self.live.iter().any(|d| d.request.is_wide());
-        let any_narrow = self.live.iter().any(|d| !d.request.is_wide());
-        let mixed = any_wide && any_narrow;
         let mut report = CompactionReport::default();
-        if self.split.is_some() && !mixed {
+        if self.split.is_some() && self.uniform_rule().is_some() {
             self.split = None;
             report.split_dropped = true;
         }
@@ -1401,7 +1433,7 @@ impl ServiceSession {
     /// `last` engine solution is transient telemetry and is not captured.
     pub fn snapshot(&self) -> JsonValue {
         let (shape, base) = match &self.base {
-            BaseProblem::Tree(p) => ("tree", p.to_json()),
+            BaseProblem::Tree(p, _) => ("tree", p.to_json()),
             BaseProblem::Line(p) => ("line", p.to_json()),
         };
         let live = JsonValue::Array(
@@ -1451,15 +1483,16 @@ impl ServiceSession {
     }
 
     /// Reconstructs a session from a [`snapshot`](ServiceSession::snapshot)
-    /// document: the base problem plus the live requests (in recorded
-    /// dense order) rebuild every derived structure through the normal
-    /// constructors — so the restored universe, conflict CSRs and
+    /// document: the base topology plus the live requests (in recorded
+    /// dense order) rebuild every core through the same request-to-core
+    /// builder the split uses — so the restored universe, conflict CSRs and
     /// layerings are byte-identical to the uninterrupted session's — and
     /// the recorded tickets, counters, schedule, certificate and warm
     /// states are installed on top. Warm states are validated against the
     /// rebuilt universes before installation. The cores' conflict-graph
-    /// generations are advanced past the recovered epoch so
-    /// generation-keyed merged-CSR caches can never alias pre-crash folds.
+    /// generations are advanced past the recovered epoch so a cache keyed
+    /// by [`ShardedConflictGraph::generation`] can never alias a pre-crash
+    /// graph.
     pub fn from_snapshot(doc: &JsonValue) -> Result<Self, String> {
         let format = doc.field("format")?.as_u32()?;
         if format != SNAPSHOT_FORMAT_VERSION {
@@ -1469,7 +1502,7 @@ impl ServiceSession {
         }
         let config = AlgorithmConfig::from_json(doc.field("config")?)?;
         let resolve = ResolveMode::from_json(doc.field("resolve")?)?;
-        let live: Vec<(u64, DemandRequest)> = doc
+        let live: Vec<LiveDemand> = doc
             .field("live")?
             .as_array()?
             .iter()
@@ -1478,69 +1511,37 @@ impl ServiceSession {
                 if entry.len() != 2 {
                     return Err("live entries are [ticket, request] pairs".to_string());
                 }
-                Ok((entry[0].as_u64()?, DemandRequest::from_json(&entry[1])?))
+                Ok(LiveDemand {
+                    ticket: entry[0].as_u64()?,
+                    request: normalize(DemandRequest::from_json(&entry[1])?),
+                })
             })
             .collect::<Result<_, String>>()?;
-        let mut session = match doc.field("shape")?.as_str()? {
-            "tree" => {
-                let mut problem = TreeProblem::from_json(doc.field("base")?)?;
-                for (_, request) in &live {
-                    let DemandRequest::Tree {
-                        u,
-                        v,
-                        profit,
-                        height,
-                        access,
-                    } = request
-                    else {
-                        return Err("line request in a tree snapshot".into());
-                    };
-                    problem
-                        .add_demand(*u, *v, *profit, *height, access.clone())
-                        .map_err(|e| format!("snapshot live demand rejected: {e}"))?;
-                }
-                Self::for_tree(&problem, config)
-            }
-            "line" => {
-                let mut problem = LineProblem::from_json(doc.field("base")?)?;
-                for (_, request) in &live {
-                    let DemandRequest::Line {
-                        release,
-                        deadline,
-                        processing,
-                        profit,
-                        height,
-                        access,
-                    } = request
-                    else {
-                        return Err("tree request in a line snapshot".into());
-                    };
-                    problem
-                        .add_demand(
-                            *release,
-                            *deadline,
-                            *processing,
-                            *profit,
-                            *height,
-                            access.clone(),
-                        )
-                        .map_err(|e| format!("snapshot live demand rejected: {e}"))?;
-                }
-                Self::for_line(&problem, config)
-            }
-            other => return Err(format!("unknown session shape `{other}`")),
-        };
-        session.resolve = resolve;
         // Ticket lookups binary-search the live list, so its dense order
         // must be strictly ascending ticket order.
-        if live.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        if live.windows(2).any(|pair| pair[0].ticket >= pair[1].ticket) {
             return Err("snapshot live tickets are not strictly ascending".into());
         }
-        for (demand, (ticket, _)) in session.live.iter_mut().zip(&live) {
-            demand.ticket = *ticket;
-        }
+        let base = match doc.field("shape")?.as_str()? {
+            "tree" => {
+                let base = TreeProblem::from_json(doc.field("base")?)?;
+                let layerer = TreeLayerer::new(&base, TREE_LAYERING);
+                BaseProblem::Tree(base, layerer)
+            }
+            "line" => BaseProblem::Line(LineProblem::from_json(doc.field("base")?)?),
+            other => return Err(format!("unknown session shape `{other}`")),
+        };
+        let full = base
+            .core(live.iter().map(|d| &d.request))
+            .map_err(|e| format!("snapshot {e}"))?;
+        let mut session = Self::assemble(base, config, live, full);
+        session.resolve = resolve;
         session.next_ticket = doc.field("next_ticket")?.as_u64()?;
-        if live.last().is_some_and(|&(t, _)| t >= session.next_ticket) {
+        if session
+            .live
+            .last()
+            .is_some_and(|d| d.ticket >= session.next_ticket)
+        {
             return Err("snapshot next_ticket does not exceed every live ticket".into());
         }
         session.epoch = doc.field("epoch")?.as_u64()?;
@@ -1582,9 +1583,7 @@ impl ServiceSession {
                 session.full.set_warm_state(Some(warm));
             }
         }
-        let any_wide = session.live.iter().any(|d| d.request.is_wide());
-        let any_narrow = session.live.iter().any(|d| !d.request.is_wide());
-        if any_wide && any_narrow {
+        if session.uniform_rule().is_none() {
             let mut split = session.build_split();
             let split_doc = doc.field("split")?;
             if !matches!(split_doc, JsonValue::Null) {
@@ -1621,63 +1620,6 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Computes the universe splice inputs of a validated arrival batch: one
-/// [`ArrivingDemand`] per request (instances in the canonical
-/// `problem.universe()` enumeration order) and, for tree sessions, the
-/// per-instance layering assignments.
-fn materialize_arrivals(
-    base: &BaseProblem,
-    layerer: Option<&TreeLayerer>,
-    arrivals: &[DemandRequest],
-) -> (Vec<ArrivingDemand>, Vec<TreeAssignments>) {
-    let mut arrivings = Vec::with_capacity(arrivals.len());
-    let mut assignments = Vec::with_capacity(arrivals.len());
-    for request in arrivals {
-        let mut instances = Vec::new();
-        let mut assigns: TreeAssignments = Vec::new();
-        match (base, request) {
-            (BaseProblem::Tree(base), DemandRequest::Tree { u, v, access, .. }) => {
-                let layerer = layerer.expect("tree sessions have a layerer");
-                for &t in access {
-                    let tree = base.network(t);
-                    let path = tree.path_edges(*u, *v);
-                    assigns.push(layerer.assign(tree, t, *u, *v, &path));
-                    instances.push((t, path, None));
-                }
-            }
-            (
-                BaseProblem::Line(_),
-                DemandRequest::Line {
-                    release,
-                    deadline,
-                    processing,
-                    ..
-                },
-            ) => {
-                let last_start = deadline + 1 - processing;
-                for &t in request.access() {
-                    for start in *release..=last_start {
-                        let end = start + processing - 1;
-                        instances.push((
-                            t,
-                            EdgePath::interval(start as usize, end as usize),
-                            Some(start),
-                        ));
-                    }
-                }
-            }
-            _ => unreachable!("validated requests match the session shape"),
-        }
-        arrivings.push(ArrivingDemand {
-            profit: request.profit(),
-            height: request.height(),
-            instances,
-        });
-        assignments.push(assigns);
-    }
-    (arrivings, assignments)
 }
 
 /// Sorts and deduplicates the access set, mirroring `add_demand`.

@@ -344,13 +344,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (multi-byte aware).
-                        let rest = &bytes[*pos..];
-                        let text = std::str::from_utf8(rest)
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        let c = text.chars().next().unwrap();
-                        s.push(c);
-                        *pos += c.len_utf8();
+                        // Copy the run of plain bytes up to the next `"` or
+                        // `\` as one slice. Both are ASCII, so the run ends
+                        // on a char boundary.
+                        let start = *pos;
+                        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                            *pos += 1;
+                        }
+                        s.push_str(
+                            std::str::from_utf8(&bytes[start..*pos])
+                                .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                        );
                     }
                 }
             }
@@ -482,5 +486,8 @@ mod tests {
     fn unicode_and_escapes() {
         let doc = JsonValue::parse("\"caf\\u00e9 \\t π\"").unwrap();
         assert_eq!(doc.as_str().unwrap(), "café \t π");
+        // Multi-byte characters right next to escapes.
+        let doc = JsonValue::parse("\"π\\n€\\\"日\\u00e9本\\\\\"").unwrap();
+        assert_eq!(doc.as_str().unwrap(), "π\n€\"日é本\\");
     }
 }

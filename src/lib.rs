@@ -221,7 +221,7 @@
 //! * **Anytime admission.**
 //!   [`step_with_deadline`](prelude::ServiceSession::step_with_deadline)
 //!   runs the epoch under a cooperative [`Budget`](prelude::Budget)
-//!   (wall-clock deadline, MIS-round cap, or external cancellation).
+//!   (wall-clock deadline, MIS-round cap, or both).
 //!   A cut epoch still returns a *feasible* schedule with a valid —
 //!   merely weaker — dual certificate, tagged
 //!   [`CertificateQuality::Truncated`](prelude::CertificateQuality) in

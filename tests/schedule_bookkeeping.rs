@@ -7,7 +7,9 @@
 //! delta's admitted / evicted / reassigned lists agree with a plain
 //! `BTreeMap` model rebuilt from the engine's solution. It also pins the
 //! validation and restore edges the sorted layout relies on: duplicate
-//! expiries in large batches, and snapshots whose tickets are out of order.
+//! expiries in large batches, snapshots whose tickets are out of order or
+//! whose requests the base topology cannot hold, and snapshots that must
+//! survive a restore unchanged.
 
 mod common;
 
@@ -17,10 +19,10 @@ use common::{line_trace_with_heights, to_events, tree_trace};
 use netsched_core::AlgorithmConfig;
 use netsched_graph::{LineProblem, NetworkId};
 use netsched_service::{
-    DemandEvent, DemandTicket, Placement, ResolveMode, ScheduledDemand, ServiceError,
-    ServiceSession,
+    DemandEvent, DemandRequest, DemandTicket, Placement, ResolveMode, ScheduledDemand,
+    ServiceError, ServiceSession,
 };
-use netsched_workloads::json::JsonValue;
+use netsched_workloads::json::{JsonValue, ToJson};
 use netsched_workloads::{EventTrace, HeightDistribution, TraceEvent};
 
 /// Replays `trace` and compares the session's bookkeeping with the model
@@ -267,4 +269,88 @@ fn from_snapshot_rejects_live_tickets_out_of_ascending_order() {
     });
     let err = ServiceSession::from_snapshot(&too_new).unwrap_err();
     assert!(err.contains("next_ticket"), "{err}");
+}
+
+fn set_request(entry: &mut JsonValue, request: &DemandRequest) {
+    let JsonValue::Array(pair) = entry else {
+        panic!("live entries are pairs");
+    };
+    pair[1] = request.to_json();
+}
+
+#[test]
+fn from_snapshot_rejects_requests_the_base_cannot_hold() {
+    let config = AlgorithmConfig::deterministic(0.1);
+    let line_request = |access: Vec<NetworkId>| DemandRequest::Line {
+        release: 0,
+        deadline: 5,
+        processing: 2,
+        profit: 1.0,
+        height: 1.0,
+        access,
+    };
+
+    // A line request in a tree snapshot.
+    let (tree, _) = tree_trace(2, 12, 5, 0.3, HeightDistribution::Unit);
+    let mut session = ServiceSession::for_tree(&tree, config);
+    session.step(&[]).unwrap();
+    let doc = session.snapshot();
+    assert!(ServiceSession::from_snapshot(&doc).is_ok());
+    let wrong_shape = with_live_tickets(&doc, |entries| {
+        set_request(&mut entries[0], &line_request(vec![NetworkId::new(0)]));
+    });
+    assert!(ServiceSession::from_snapshot(&wrong_shape).is_err());
+
+    // A request that accesses a network the base does not have.
+    let (line, _) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
+    let mut session = ServiceSession::for_line(&line, config);
+    session.step(&[]).unwrap();
+    let doc = session.snapshot();
+    assert!(ServiceSession::from_snapshot(&doc).is_ok());
+    let no_such_network = with_live_tickets(&doc, |entries| {
+        set_request(&mut entries[0], &line_request(vec![NetworkId::new(99)]));
+    });
+    assert!(ServiceSession::from_snapshot(&no_such_network).is_err());
+}
+
+/// After every churn epoch, restoring a snapshot and snapshotting the
+/// restored session renders the same document — split cores and warm
+/// states included.
+#[test]
+fn snapshots_round_trip_through_from_snapshot_after_every_epoch() {
+    let config = AlgorithmConfig::deterministic(0.1);
+    let heights = HeightDistribution::Uniform { min: 0.1, max: 1.0 };
+    let (line, line_churn) = line_trace_with_heights(3, 40, 17, 0.3, heights);
+    let (tree, tree_churn) = tree_trace(3, 30, 29, 0.3, heights);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        for (session, trace, shape) in [
+            (ServiceSession::for_line(&line, config), &line_churn, "line"),
+            (ServiceSession::for_tree(&tree, config), &tree_churn, "tree"),
+        ] {
+            let mut session = session.with_resolve_mode(mode);
+            let mut tickets = session.live_tickets();
+            let mut split_epochs = 0;
+            let batches = std::iter::once(&[][..]).chain(trace.batches.iter().map(Vec::as_slice));
+            for (epoch, batch) in batches.enumerate() {
+                let label = format!("{shape} {mode:?} epoch {epoch}");
+                let events = to_events(batch, &tickets);
+                tickets.extend(session.step(&events).unwrap().tickets);
+                let doc = session.snapshot();
+                if !matches!(doc.field("split").unwrap(), JsonValue::Null) {
+                    split_epochs += 1;
+                }
+                let restored =
+                    ServiceSession::from_snapshot(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(
+                    restored.snapshot().render(),
+                    doc.render(),
+                    "{label}: round trip"
+                );
+            }
+            assert!(
+                split_epochs > 0,
+                "{shape} {mode:?}: the split was never built"
+            );
+        }
+    }
 }
