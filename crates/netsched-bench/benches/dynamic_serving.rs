@@ -6,7 +6,7 @@
 //!
 //! * **incremental** — one long-lived `ServiceSession`: per epoch, splice
 //!   the universe, rebuild only the dirty shards' CSRs, splice the
-//!   layering, re-solve with the shard-parallel engine;
+//!   layering, re-solve with the two-phase engine;
 //! * **from-scratch** — what a naive server does per batch: open a fresh
 //!   `Scheduler` over the surviving demand set (universe + sharding +
 //!   conflict sweep + decompositions + layering) and solve. Problem

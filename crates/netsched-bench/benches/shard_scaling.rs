@@ -1,24 +1,23 @@
 //! Benchmark: the sharded conflict engine versus the pre-shard reference
-//! path, across shard counts and worker-thread counts.
+//! path, across shard counts.
 //!
 //! Scenarios come from the `netsched-workloads` multi-network generators:
 //! balanced line workloads at 1/2/4/8 shards, a skewed-shard workload (one
 //! hot network) and an 8-network tree workload. For each we measure
 //!
 //! * **conflict build** — [`ConflictGraph::build`] (single flat CSR, the
-//!   pre-shard path) versus [`ShardedConflictGraph::build`] (per-shard
-//!   sweeps driven through rayon) at 1/2/4/8 workers, and
+//!   pre-shard path) versus [`ShardedConflictGraph::build`] (one sweep per
+//!   shard), and
 //! * **MIS epochs + engine** — [`run_two_phase_reference`] (simulator-driven
-//!   Luby, sequential filters and raises) versus [`run_two_phase_on`]
-//!   (shard-parallel MIS and filters, sequential raises) at the same
-//!   worker counts —
+//!   Luby) versus [`run_two_phase_on`] (array-based Luby on the sharded
+//!   graph) —
 //!   both engines produce identical schedules, so this is a pure
 //!   representation comparison.
 //!
+//! Both paths run on the calling thread, so the worker count of the
+//! default pool (recorded in the JSON header) does not affect them.
 //! Results are written to `BENCH_shard_scaling.json`. Run with `--quick`
-//! for the reduced CI configuration. Worker counts beyond the machine's
-//! cores measure oversubscription, not speedup; the JSON records
-//! `host_threads` so readers can judge.
+//! for the reduced CI configuration.
 
 use criterion::black_box;
 use netsched_core::framework::{run_two_phase_on, run_two_phase_reference};
@@ -28,10 +27,7 @@ use netsched_distrib::{ConflictGraph, MisStrategy, ShardedConflictGraph};
 use netsched_graph::DemandInstanceUniverse;
 use netsched_workloads::json::JsonValue;
 use netsched_workloads::{many_networks_line, many_networks_tree, skewed_networks_line};
-use rayon::ThreadPoolBuilder;
 use std::time::{Duration, Instant};
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Median wall-clock time of `samples` runs of `f`.
 fn measure<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
@@ -48,13 +44,6 @@ fn measure<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
-}
-
-fn with_threads<O>(n: usize, f: impl FnOnce() -> O) -> O {
-    ThreadPoolBuilder::new().num_threads(n).build_global().ok();
-    let out = f();
-    ThreadPoolBuilder::new().num_threads(0).build_global().ok();
-    out
 }
 
 struct Scenario {
@@ -110,12 +99,6 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     out
 }
 
-struct ThreadResult {
-    threads: usize,
-    conflict_s: f64,
-    engine_s: f64,
-}
-
 struct ScenarioResult {
     name: String,
     networks: usize,
@@ -123,19 +106,14 @@ struct ScenarioResult {
     conflict_edges: usize,
     conflict_reference_s: f64,
     engine_reference_s: f64,
-    per_thread: Vec<ThreadResult>,
+    conflict_sharded_s: f64,
+    engine_sharded_s: f64,
 }
 
 impl ScenarioResult {
-    fn combined_speedup(&self, tr: &ThreadResult) -> f64 {
-        (self.conflict_reference_s + self.engine_reference_s) / (tr.conflict_s + tr.engine_s)
-    }
-
-    fn best_speedup(&self) -> f64 {
-        self.per_thread
-            .iter()
-            .map(|tr| self.combined_speedup(tr))
-            .fold(0.0, f64::max)
+    fn combined_speedup(&self) -> f64 {
+        (self.conflict_reference_s + self.engine_reference_s)
+            / (self.conflict_sharded_s + self.engine_sharded_s)
     }
 
     fn to_json(&self) -> JsonValue {
@@ -152,27 +130,11 @@ impl ScenarioResult {
                 JsonValue::num(self.engine_reference_s),
             ),
             (
-                "threads",
-                JsonValue::Object(
-                    self.per_thread
-                        .iter()
-                        .map(|tr| {
-                            (
-                                format!("{}", tr.threads),
-                                JsonValue::object(vec![
-                                    ("conflict_sharded_s", JsonValue::num(tr.conflict_s)),
-                                    ("engine_sharded_s", JsonValue::num(tr.engine_s)),
-                                    (
-                                        "combined_speedup",
-                                        JsonValue::num(self.combined_speedup(tr)),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
+                "conflict_sharded_s",
+                JsonValue::num(self.conflict_sharded_s),
             ),
-            ("best_combined_speedup", JsonValue::num(self.best_speedup())),
+            ("engine_sharded_s", JsonValue::num(self.engine_sharded_s)),
+            ("combined_speedup", JsonValue::num(self.combined_speedup())),
         ])
     }
 
@@ -186,15 +148,12 @@ impl ScenarioResult {
             "  reference     conflict {:>11.6}s   engine {:>11.6}s",
             self.conflict_reference_s, self.engine_reference_s
         );
-        for tr in &self.per_thread {
-            println!(
-                "  sharded x{}    conflict {:>11.6}s   engine {:>11.6}s   combined speedup {:.2}x",
-                tr.threads,
-                tr.conflict_s,
-                tr.engine_s,
-                self.combined_speedup(tr)
-            );
-        }
+        println!(
+            "  sharded       conflict {:>11.6}s   engine {:>11.6}s   combined speedup {:.2}x",
+            self.conflict_sharded_s,
+            self.engine_sharded_s,
+            self.combined_speedup()
+        );
     }
 }
 
@@ -209,32 +168,20 @@ fn run_scenario(s: &Scenario, samples: usize) -> ScenarioResult {
     let engine_reference_s = secs(measure(samples, || {
         run_two_phase_reference(&s.universe, &s.layering, RaiseRule::Unit, &config)
     }));
-    let per_thread = THREAD_COUNTS
-        .iter()
-        .map(|&threads| {
-            with_threads(threads, || {
-                let conflict_s = secs(measure(samples, || {
-                    ShardedConflictGraph::build(&s.universe)
-                }));
-                let conflict = ShardedConflictGraph::build(&s.universe);
-                let engine_s = secs(measure(samples, || {
-                    run_two_phase_on(
-                        &s.universe,
-                        &conflict,
-                        &s.layering,
-                        RaiseRule::Unit,
-                        &config,
-                        &Budget::unlimited(),
-                    )
-                }));
-                ThreadResult {
-                    threads,
-                    conflict_s,
-                    engine_s,
-                }
-            })
-        })
-        .collect();
+    let conflict_sharded_s = secs(measure(samples, || {
+        ShardedConflictGraph::build(&s.universe)
+    }));
+    let conflict = ShardedConflictGraph::build(&s.universe);
+    let engine_sharded_s = secs(measure(samples, || {
+        run_two_phase_on(
+            &s.universe,
+            &conflict,
+            &s.layering,
+            RaiseRule::Unit,
+            &config,
+            &Budget::unlimited(),
+        )
+    }));
     ScenarioResult {
         name: s.name.clone(),
         networks: s.universe.num_networks(),
@@ -242,7 +189,8 @@ fn run_scenario(s: &Scenario, samples: usize) -> ScenarioResult {
         conflict_edges: flat.num_edges(),
         conflict_reference_s,
         engine_reference_s,
-        per_thread,
+        conflict_sharded_s,
+        engine_sharded_s,
     }
 }
 
@@ -250,9 +198,7 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let sizes = if quick { 3 } else { 5 };
     let mode = if quick { "quick" } else { "full" };
-    // The sweep exercises every worker count in THREAD_COUNTS; the header
-    // records the widest one (per-thread timings carry the rest).
-    let workers = *THREAD_COUNTS.iter().max().unwrap();
+    let workers = rayon::current_num_threads();
 
     let results: Vec<ScenarioResult> = scenarios(quick)
         .iter()

@@ -79,14 +79,13 @@ pub fn run_two_phase(
 /// Runs the two-phase framework on a prebuilt sharded conflict graph under
 /// a cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
 ///
-/// This is a [`run_two_phase_warm_on`] over a fresh [`WarmState`]: the
-/// satisfaction filters and the MIS of each step
-/// ([`sharded_mis`](netsched_distrib::sharded_mis)) run shard-parallel, the
-/// raises of each MIS run sequentially. Every decision — MIS contents,
-/// raise amounts, schedules, certificates — is identical to the sequential
-/// reference engine ([`run_two_phase_reference`]) at any thread count; only
-/// the Luby round/message accounting may differ from the message-passing
-/// simulator by small constants.
+/// This is a [`run_two_phase_warm_on`] over a fresh [`WarmState`], with
+/// the MIS of each step computed on the sharded graph
+/// ([`sharded_mis`](netsched_distrib::sharded_mis)). Every decision — MIS
+/// contents, raise amounts, schedules, certificates — is identical to the
+/// reference engine ([`run_two_phase_reference`]); only the Luby
+/// round/message accounting may differ from the message-passing simulator
+/// by small constants.
 ///
 /// The first phase checks the budget before every MIS/raise round and cuts
 /// the moment it is exhausted. The second phase always runs (it replays

@@ -417,8 +417,8 @@ impl<'p> Scheduler<'p> {
     }
 
     /// The sharded conflict graph over the session universe, built on
-    /// first use (shard-parallel) and cached; every subsequent solve reuses
-    /// it instead of re-sweeping the conflict structure.
+    /// first use and cached; every subsequent solve reuses it instead of
+    /// re-sweeping the conflict structure.
     pub fn conflict(&self) -> &ShardedConflictGraph {
         self.conflict.get_or_init(|| {
             self.conflict_builds.fetch_add(1, Ordering::Relaxed);

@@ -65,7 +65,6 @@ use netsched_graph::{
     DemandInstanceUniverse, EdgeId, InstanceId, LoadTracker, NetworkId, UniverseDelta, EPS,
 };
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
-use rayon::prelude::*;
 
 /// Linked-arena sentinel: "no entry".
 const NIL: u32 = u32::MAX;
@@ -684,45 +683,18 @@ impl FromJson for WarmState {
 }
 
 /// Positions within one layering group that are eligible and still below
-/// the stage threshold, in group order. The Fenwick-heavy satisfaction
-/// checks are evaluated shard-parallel (reads only); the order-preserving
-/// merge keeps the result identical to the sequential filter.
+/// the stage threshold, in group order.
 fn unsatisfied_of_group(
     universe: &DemandInstanceUniverse,
     duals: &DualState,
     eligible: &[bool],
     group: &[InstanceId],
-    group_by_shard: &[Vec<u32>],
     threshold: f64,
 ) -> Vec<InstanceId> {
-    const PAR_MIN_GROUP: usize = 1024;
-    let keep =
-        |d: InstanceId| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold);
-    if group.len() < PAR_MIN_GROUP || group_by_shard.len() <= 1 || rayon::current_num_threads() <= 1
-    {
-        return group.iter().copied().filter(|&d| keep(d)).collect();
-    }
-    let kept_parts: Vec<Vec<u32>> = (0..group_by_shard.len())
-        .into_par_iter()
-        .map(|t| {
-            group_by_shard[t]
-                .iter()
-                .copied()
-                .filter(|&p| keep(group[p as usize]))
-                .collect()
-        })
-        .collect();
-    let mut mask = vec![false; group.len()];
-    for part in &kept_parts {
-        for &p in part {
-            mask[p as usize] = true;
-        }
-    }
     group
         .iter()
-        .enumerate()
-        .filter(|&(i, _)| mask[i])
-        .map(|(_, &d)| d)
+        .copied()
+        .filter(|&d| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold))
         .collect()
 }
 
@@ -786,7 +758,6 @@ fn repair_pass(
     scratch: &mut MisScratch,
     mut trace: Option<&mut Trace>,
 ) -> PassOutcome {
-    let sharding = conflict.sharding();
     let mut steps: u64 = 0;
     let mut max_steps_per_stage: u64 = 0;
     let mut raised: u64 = 0;
@@ -804,10 +775,6 @@ fn repair_pass(
             completed_slots += stages as u64;
             continue;
         }
-        let mut group_by_shard: Vec<Vec<u32>> = vec![Vec::new(); conflict.num_shards()];
-        for (i, &d) in filtered.iter().enumerate() {
-            group_by_shard[sharding.shard_of(d).index()].push(i as u32);
-        }
         for stage in 1..=stages {
             let threshold = 1.0 - xi.powi(stage as i32);
             let mut stage_steps: u64 = 0;
@@ -817,7 +784,6 @@ fn repair_pass(
                     &warm.duals,
                     &warm.eligible,
                     &filtered,
-                    &group_by_shard,
                     threshold,
                 );
                 if unsatisfied.is_empty() {

@@ -21,20 +21,20 @@
 //!
 //! Overlap edges never cross networks, so the sweep decomposes perfectly
 //! along the shards of a [`ShardedUniverse`]: [`ShardedConflictGraph`]
-//! builds one local CSR per shard (sweep, sort and CSR assembly all inside
-//! the shard task, driven shard-parallel through rayon) and keeps the only
-//! cross-shard edges — same-demand cliques spanning networks — in a
-//! compact global cross-shard CSR. [`ShardedConflictGraph::merged`] folds
-//! the per-shard CSRs and the cross adjacency back into a single
-//! [`ConflictGraph`] that is **byte-identical** to what the
-//! single-threaded [`ConflictGraph::build`] produces, at any thread count
-//! (the per-shard pair sets are disjoint and deterministic, so the merge
-//! is a permutation-free set union).
+//! builds one local CSR per shard (sweep, sort and CSR assembly per shard)
+//! and keeps the only cross-shard edges — same-demand cliques spanning
+//! networks — in a compact cross-group arena. The split is what makes the
+//! graph cheap to keep current: a universe splice touches only the dirty
+//! shards' CSRs ([`ShardedConflictGraph::apply_delta`]).
+//! [`ShardedConflictGraph::merged`] folds the per-shard CSRs and the cross
+//! adjacency back into a single [`ConflictGraph`] that is
+//! **byte-identical** to what [`ConflictGraph::build`] produces (the
+//! per-shard pair sets are disjoint and deterministic, so the merge is a
+//! permutation-free set union).
 
 use netsched_graph::{
     DemandInstanceUniverse, InstanceId, NetworkId, ShardedUniverse, UniverseDelta, UniverseShard,
 };
-use rayon::prelude::*;
 
 /// The conflict graph of a demand-instance universe, in CSR form.
 #[derive(Debug, Clone)]
@@ -224,18 +224,6 @@ pub struct ShardConflict {
     num_edges: usize,
 }
 
-impl Default for ShardConflict {
-    /// A valid zero-vertex CSR; the placeholder the splice path swaps in
-    /// while a shard's real CSR is being rebuilt on a worker.
-    fn default() -> Self {
-        Self {
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            num_edges: 0,
-        }
-    }
-}
-
 impl ShardConflict {
     /// Builds the local CSR from sorted, deduplicated local pairs.
     fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
@@ -304,9 +292,9 @@ fn route_demand_cliques(
     demand_pairs
 }
 
-/// Reusable per-shard scratch of the incremental local-CSR splice; every
-/// buffer is cleared and refilled in place, so steady-state dirty epochs
-/// allocate nothing once capacities have warmed up.
+/// Reusable scratch of the incremental local-CSR splice, shared by every
+/// shard; each buffer is cleared and refilled in place, so steady-state
+/// dirty epochs allocate nothing once capacities have warmed up.
 #[derive(Debug, Clone, Default)]
 struct SpliceScratch {
     /// Surviving old pairs, renumbered through the local remap (sorted by
@@ -340,7 +328,7 @@ struct SpliceScratch {
 /// pairs persist if and only if both endpoints survive, and every other
 /// pair has at least one arrival endpoint), and the CSR assembly is a pure
 /// function of the sorted pair set — so the output is byte-identical to
-/// [`sweep_shard`] at any thread count.
+/// [`sweep_shard`].
 fn splice_shard(
     universe: &DemandInstanceUniverse,
     shard: &UniverseShard,
@@ -661,8 +649,8 @@ pub struct ShardedConflictGraph {
     shards: Vec<ShardConflict>,
     /// Cross-shard same-demand cliques under stable group indirection.
     cross: CrossGroups,
-    /// Reusable per-shard splice scratch, indexed by shard.
-    splice_scratch: Vec<SpliceScratch>,
+    /// Reusable splice scratch, shared by every shard's splice.
+    splice_scratch: SpliceScratch,
     /// Bumped by every [`ShardedConflictGraph::apply_delta`].
     generation: u64,
     /// How many times the cross-group arena was assembled wholesale from
@@ -679,32 +667,30 @@ impl ShardedConflictGraph {
 
     /// Builds the sharded conflict graph on an existing partition.
     ///
-    /// The per-shard interval sweeps (and their sorts and CSR assemblies)
-    /// run shard-parallel through rayon; the same-demand cliques are split
-    /// serially beforehand into per-shard and cross-shard pair lists
-    /// (`O(Σ |Inst(a)|²)`, the size of the cliques themselves).
+    /// The same-demand cliques are first split into per-shard and
+    /// cross-shard pair lists (`O(Σ |Inst(a)|²)`, the size of the cliques
+    /// themselves); then each shard runs its own interval sweep, sort and
+    /// CSR assembly.
     pub fn build_with(universe: &DemandInstanceUniverse, sharding: ShardedUniverse) -> Self {
         // Same-demand cliques on a single network, routed to the owning
         // shard; spanning cliques live in the cross-group arena.
         let demand_pairs = route_demand_cliques(universe, &sharding);
 
-        // One task per shard: interval sweep + same-demand pairs → local CSR.
-        let work: Vec<(usize, Vec<(u32, u32)>)> = demand_pairs.into_iter().enumerate().collect();
-        let sharding_ref = &sharding;
-        let shards: Vec<ShardConflict> = work
-            .into_par_iter()
-            .map(move |(t, pairs)| sweep_shard(&sharding_ref.shards()[t], pairs))
+        // Per shard: interval sweep + same-demand pairs → local CSR.
+        let shards: Vec<ShardConflict> = demand_pairs
+            .into_iter()
+            .zip(sharding.shards())
+            .map(|(pairs, shard)| sweep_shard(shard, pairs))
             .collect();
 
         let mut cross = CrossGroups::default();
         cross.rebuild(universe);
 
-        let num_shards = sharding.num_shards();
         Self {
             sharding,
             shards,
             cross,
-            splice_scratch: vec![SpliceScratch::default(); num_shards],
+            splice_scratch: SpliceScratch::default(),
             generation: 0,
             cross_assemblies: 1,
         }
@@ -716,71 +702,26 @@ impl ShardedConflictGraph {
     /// delta's **dirty** shards are spliced through the sharding's
     /// [`ShardSplice`](netsched_graph::ShardSplice) records (surviving
     /// pairs carry over renumbered, only arrival-driven pairs are swept
-    /// and sorted — see `splice_shard`; driven shard-parallel through
-    /// rayon), clean shards are kept untouched, and the cross-group arena
-    /// renumbers its member columns in place — **no wholesale cross
-    /// re-assembly and no `O(|D|)` demand iteration**.
+    /// and sorted — see `splice_shard`), clean shards are kept untouched,
+    /// and the cross-group arena renumbers its member columns in place —
+    /// **no wholesale cross re-assembly and no `O(|D|)` demand iteration**.
     ///
     /// Cost: `O(cross members + Σ_dirty (runs + pairs))`, with sort work
     /// proportional to the arrival batch only. The result is byte-identical
     /// to `ShardedConflictGraph::build(universe)`.
     ///
-    /// Bumps the [`generation`](ShardedConflictGraph::generation) counter,
-    /// invalidating the cached [`merged`](ShardedConflictGraph::merged)
-    /// fold.
+    /// Bumps the [`generation`](ShardedConflictGraph::generation) counter.
     pub fn apply_delta(&mut self, universe: &DemandInstanceUniverse, delta: &UniverseDelta) {
         self.sharding.apply_delta(universe, delta);
-        self.splice_scratch
-            .resize_with(self.shards.len(), SpliceScratch::default);
-
-        let dirty = delta.dirty();
-        let dirty_shards: Vec<usize> = (0..self.shards.len()).filter(|&t| dirty[t]).collect();
-        if dirty_shards.len() <= 1 || rayon::current_num_threads() <= 1 {
-            // Serial splice in place (the common focused-churn shape).
-            for t in dirty_shards {
-                let network = NetworkId::new(t);
-                splice_shard(
-                    universe,
-                    self.sharding.shard(network),
-                    self.sharding.shard_splice(network),
-                    &mut self.shards[t],
-                    &mut self.splice_scratch[t],
-                );
-            }
-        } else {
-            // Shard-parallel: move each dirty shard's CSR + scratch into a
-            // work list, splice on workers, move back.
-            let work: Vec<(usize, ShardConflict, SpliceScratch)> = dirty_shards
-                .into_iter()
-                .map(|t| {
-                    (
-                        t,
-                        std::mem::take(&mut self.shards[t]),
-                        std::mem::take(&mut self.splice_scratch[t]),
-                    )
-                })
-                .collect();
-            let sharding_ref = &self.sharding;
-            let spliced: Vec<(usize, ShardConflict, SpliceScratch)> = work
-                .into_par_iter()
-                .map(move |(t, mut csr, mut scratch)| {
-                    let network = NetworkId::new(t);
-                    splice_shard(
-                        universe,
-                        sharding_ref.shard(network),
-                        sharding_ref.shard_splice(network),
-                        &mut csr,
-                        &mut scratch,
-                    );
-                    (t, csr, scratch)
-                })
-                .collect();
-            for (t, csr, scratch) in spliced {
-                self.shards[t] = csr;
-                self.splice_scratch[t] = scratch;
-            }
+        for network in delta.dirty_networks() {
+            splice_shard(
+                universe,
+                self.sharding.shard(network),
+                self.sharding.shard_splice(network),
+                &mut self.shards[network.index()],
+                &mut self.splice_scratch,
+            );
         }
-
         self.cross.splice(universe, delta);
         self.generation += 1;
     }
@@ -880,50 +821,38 @@ impl ShardedConflictGraph {
             bytes += shard.neighbors.capacity() * std::mem::size_of::<u32>();
         }
         bytes += self.shards.capacity() * std::mem::size_of::<ShardConflict>();
-        for scratch in &self.splice_scratch {
-            bytes += (scratch.spliced.capacity()
-                + scratch.fresh.capacity()
-                + scratch.active_old.capacity()
-                + scratch.active_new.capacity()
-                + scratch.merged.capacity())
-                * std::mem::size_of::<(u32, u32)>();
-            bytes += scratch.cursor.capacity() * std::mem::size_of::<u32>();
-        }
-        bytes += self.splice_scratch.capacity() * std::mem::size_of::<SpliceScratch>();
-        bytes
+        let scratch = &self.splice_scratch;
+        bytes += (scratch.spliced.capacity()
+            + scratch.fresh.capacity()
+            + scratch.active_old.capacity()
+            + scratch.active_new.capacity()
+            + scratch.merged.capacity())
+            * std::mem::size_of::<(u32, u32)>();
+        bytes + scratch.cursor.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Folds the per-shard CSRs and the cross-shard adjacency into a single
     /// global [`ConflictGraph`].
     ///
     /// The result is byte-identical to [`ConflictGraph::build`] on the same
-    /// universe, at any thread count: local pair sets are per-shard
+    /// universe: local pair sets are per-shard
     /// deterministic and disjoint across shards, cross pairs are disjoint
     /// from both, and `assemble_csr` is a pure function of the sorted
     /// pair set. Every call folds afresh: the solve path never calls it,
     /// it exists so tests can compare the sharded graph with the flat
     /// build.
     pub fn merged(&self) -> ConflictGraph {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let shard_pairs: Vec<Vec<(u32, u32)>> = (0..self.shards.len())
-            .into_par_iter()
-            .map(|t| {
-                let shard = &self.shards[t];
-                let globals = self.sharding.shards()[t].globals();
-                let mut out = Vec::with_capacity(shard.num_edges());
-                for v in 0..shard.num_vertices() as u32 {
-                    let g = globals[v as usize].0;
-                    for &u in shard.neighbors(v) {
-                        if u > v {
-                            out.push((g, globals[u as usize].0));
-                        }
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(self.num_edges());
+        for (shard, part) in self.shards.iter().zip(self.sharding.shards()) {
+            let globals = part.globals();
+            for v in 0..shard.num_vertices() as u32 {
+                let g = globals[v as usize].0;
+                for &u in shard.neighbors(v) {
+                    if u > v {
+                        pairs.push((g, globals[u as usize].0));
                     }
                 }
-                out
-            })
-            .collect();
-        for sp in shard_pairs {
-            pairs.extend(sp);
+            }
         }
         for g in 0..self.cross.offsets.len() - 1 {
             let (s, e) = (

@@ -10,15 +10,15 @@
 //!   message accounting ([`simulator::SyncSimulator`], [`simulator::Agent`]);
 //! * [`conflict::ConflictGraph`] — the conflict graph over demand instances;
 //! * [`conflict::ShardedConflictGraph`] — the same graph sharded by
-//!   network: one local CSR per shard built by rayon-parallel interval
-//!   sweeps, plus a compact cross-shard adjacency holding the same-demand
+//!   network: one local CSR per shard built by a per-shard interval
+//!   sweep, plus a compact cross-shard adjacency holding the same-demand
 //!   cliques that span networks (the only edges crossing shard
 //!   boundaries);
 //! * [`comm::CommGraph`] — the communication graph over processors;
 //! * [`mis`] — Luby's randomized MIS run as a real message-passing protocol
 //!   on the simulator, a sequential greedy baseline, and
-//!   [`mis::sharded_mis`] — the shard-parallel executions of both that
-//!   reproduce the flat results exactly at any thread count;
+//!   [`mis::sharded_mis`] — both strategies evaluated directly on the
+//!   sharded graph, reproducing the flat results exactly;
 //! * [`stats::RoundStats`] — round/message accounting used to reproduce the
 //!   round-complexity claims of Theorems 5.3, 6.3, 7.1 and 7.2.
 //!
@@ -26,23 +26,26 @@
 //!
 //! The conflict structure is a union of per-network interval graphs joined
 //! only by same-demand cliques, so everything overlap-driven decomposes by
-//! [`NetworkId`](netsched_graph::NetworkId). With `k` shards, `R` interval
-//! runs, `E_c` conflict edges (`E_x` of them cross-shard) and `P` workers:
+//! [`NetworkId`](netsched_graph::NetworkId). The serving path keeps the
+//! graph sharded so that a universe splice touches only what changed.
+//! With `R` interval runs, `E_c` conflict edges (`E_x` of them
+//! cross-shard):
 //!
 //! | operation | flat (pre-shard) | sharded |
 //! |---|---|---|
-//! | interval sweep | `O(R log R + E_c)` serial | per-shard, `≈ /P` wall-clock |
-//! | CSR assembly | `O(E_c)` serial | per-shard, `≈ /P` wall-clock |
-//! | cross-shard clique split | — | `O(E_x)` serial |
+//! | interval sweep + CSR assembly | `O(R log R + E_c)` | the same, one shard at a time |
+//! | cross-shard clique split | — | `O(E_x)` |
 //! | merge back to flat CSR | — | `O(E_c log E_c)`, byte-identical |
-//! | greedy MIS | `O(E_c)` serial | per-shard sweeps + boundary fixpoint |
-//! | Luby phase | simulator messages | per-shard array scans |
+//! | greedy MIS | `O(E_c)` sweep | the same sweep over local + cross rows |
+//! | Luby phase | simulator messages | flat array scans |
 //! | demand splice | `O(R log R + E_c)` rebuild | dirty shards only, clean shards untouched |
 //! | cross-shard rows | rebuilt wholesale | stable-id group arena, spliced locally |
 //!
-//! Determinism is a hard contract: the merged CSR is byte-identical to
-//! [`conflict::ConflictGraph::build`] and both MIS strategies return the
-//! exact flat-path sets at every thread count (see the
+//! Everything runs on the caller's thread. The paper's parallelism is the
+//! simulated rounds and messages [`stats::RoundStats`] counts, not OS
+//! threads. Determinism is a hard contract: the merged CSR is
+//! byte-identical to [`conflict::ConflictGraph::build`] and both MIS
+//! strategies return the exact flat-path sets (see the
 //! `shard_equivalence` suite at the workspace root).
 //!
 //! # Scale & memory layout

@@ -15,7 +15,6 @@ use fxhash::{FxHashMap, FxHashSet};
 use netsched_graph::InstanceId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// How to compute maximal independent sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,26 +226,8 @@ pub fn greedy_mis(graph: &ConflictGraph, active: &[InstanceId]) -> Vec<InstanceI
 }
 
 // ---------------------------------------------------------------------------
-// Shard-parallel MIS over a ShardedConflictGraph.
+// MIS over a ShardedConflictGraph.
 // ---------------------------------------------------------------------------
-
-/// Active sets below this size run the shard loops serially: the per-phase
-/// thread-spawn overhead of the scoped-thread rayon shim outweighs the work.
-const PAR_MIN_ACTIVE: usize = 1024;
-
-/// Runs `f` once per shard, either serially or shard-parallel, collecting
-/// the results in shard order (identical output either way).
-fn run_per_shard<R, F>(num_shards: usize, parallel: bool, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if parallel && num_shards > 1 {
-        (0..num_shards).into_par_iter().map(f).collect()
-    } else {
-        (0..num_shards).map(f).collect()
-    }
-}
 
 /// Reusable buffers for [`sharded_mis`]: a global instance → active-position
 /// table, allocated once per engine run instead of once per MIS call.
@@ -264,19 +245,51 @@ impl MisScratch {
             pos: vec![u32::MAX; num_instances],
         }
     }
+
+    /// Records each instance's position in `active`.
+    fn index(&mut self, active: &[InstanceId]) {
+        for (i, &d) in active.iter().enumerate() {
+            self.pos[d.index()] = i as u32;
+        }
+    }
+
+    /// Restores the sentinel for every instance of `active`.
+    fn clear(&mut self, active: &[InstanceId]) {
+        for &d in active {
+            self.pos[d.index()] = u32::MAX;
+        }
+    }
+}
+
+/// The active positions of `d`'s neighbors (local CSR neighbors first,
+/// then cross-shard ones) that are in the active list `scratch` indexes.
+fn active_neighbors<'a>(
+    graph: &'a ShardedConflictGraph,
+    scratch: &'a MisScratch,
+    d: InstanceId,
+) -> impl Iterator<Item = u32> + 'a {
+    let sharding = graph.sharding();
+    let network = sharding.shard_of(d);
+    let part = sharding.shard(network);
+    graph
+        .shard(network)
+        .neighbors(sharding.local_of(d))
+        .iter()
+        .map(|&ln| part.global_of(ln))
+        .chain(graph.cross_neighbors(d))
+        .map(|g| scratch.pos[g.index()])
+        .filter(|&q| q != u32::MAX)
 }
 
 /// Computes a maximal independent set of the subgraph induced by `active`
-/// on a sharded conflict graph, shard-parallel.
+/// on a sharded conflict graph.
 ///
 /// Produces **exactly** the same set as [`maximal_independent_set`] on the
-/// merged graph for either strategy, at any thread count: the greedy path
-/// iterates per-shard lexicographic sweeps to the (unique) fixpoint that
-/// equals the global lowest-id-first MIS, and the Luby path executes the
+/// merged graph for either strategy: the greedy path is the same
+/// lowest-id-first sweep as [`greedy_mis`], and the Luby path executes the
 /// same phase protocol as the message-passing simulator with identical
-/// per-vertex random streams, evaluating each phase shard-parallel.
-/// Communication accounting follows the same model (3 rounds per Luby
-/// phase; broadcasts along conflict edges).
+/// per-vertex random streams. Communication accounting follows the same
+/// model (3 rounds per Luby phase; broadcasts along conflict edges).
 pub fn sharded_mis(
     graph: &ShardedConflictGraph,
     active: &[InstanceId],
@@ -297,12 +310,9 @@ pub fn sharded_mis(
     }
 }
 
-/// The lowest-id-first greedy MIS, computed by iterating per-shard
-/// lexicographic sweeps with cross-shard membership exchange until the
-/// fixpoint. Cross-shard edges are same-demand cliques only, so the
-/// exchange settles in a handful of rounds; the fixpoint is consistent
-/// ("chosen iff no lower-id chosen neighbor" for every vertex), which
-/// pins it to the unique global greedy MIS of [`greedy_mis`].
+/// The lowest-id-first greedy MIS of [`greedy_mis`] on a sharded conflict
+/// graph: one sweep over the sorted candidates, each chosen vertex
+/// blocking its local and cross-shard neighbors.
 pub fn sharded_greedy_mis(
     graph: &ShardedConflictGraph,
     active: &[InstanceId],
@@ -311,88 +321,26 @@ pub fn sharded_greedy_mis(
     let mut sorted: Vec<InstanceId> = active.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let n = sorted.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sharding = graph.sharding();
-    for (i, &d) in sorted.iter().enumerate() {
-        scratch.pos[d.index()] = i as u32;
-    }
-    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); graph.num_shards()];
-    for (i, &d) in sorted.iter().enumerate() {
-        by_shard[sharding.shard_of(d).index()].push(i as u32);
-    }
-    let parallel = n >= PAR_MIN_ACTIVE && rayon::current_num_threads() > 1;
-
-    let mut belief = vec![false; n];
-    let mut rounds = 0usize;
-    loop {
-        assert!(
-            rounds <= n + 2,
-            "sharded greedy MIS failed to reach a fixpoint"
-        );
-        let pos = &scratch.pos;
-        let belief_ref = &belief;
-        let sorted_ref = &sorted;
-        let by_shard_ref = &by_shard;
-        let chosen_parts: Vec<Vec<u32>> = run_per_shard(graph.num_shards(), parallel, |t| {
-            let csr = &graph.shards()[t];
-            let part = &sharding.shards()[t];
-            let mut blocked = vec![false; part.len()];
-            let mut chosen = Vec::new();
-            for &p in &by_shard_ref[t] {
-                let d = sorted_ref[p as usize];
-                let local = sharding.local_of(d);
-                if blocked[local as usize] {
-                    continue;
-                }
-                let mut cross_blocked = false;
-                for g in graph.cross_neighbors(d) {
-                    if g >= d {
-                        break;
-                    }
-                    let q = pos[g.index()];
-                    if q != u32::MAX && belief_ref[q as usize] {
-                        cross_blocked = true;
-                        break;
-                    }
-                }
-                if cross_blocked {
-                    continue;
-                }
-                chosen.push(p);
-                for &ln in csr.neighbors(local) {
-                    blocked[ln as usize] = true;
-                }
-            }
-            chosen
-        });
-        let mut new_belief = vec![false; n];
-        for part in &chosen_parts {
-            for &p in part {
-                new_belief[p as usize] = true;
-            }
+    scratch.index(&sorted);
+    let mut blocked = vec![false; sorted.len()];
+    let mut chosen = Vec::new();
+    for (p, &d) in sorted.iter().enumerate() {
+        if blocked[p] {
+            continue;
         }
-        if new_belief == belief {
-            break;
+        chosen.push(d);
+        for q in active_neighbors(graph, scratch, d) {
+            blocked[q as usize] = true;
         }
-        belief = new_belief;
-        rounds += 1;
     }
-
-    let result: Vec<InstanceId> = (0..n).filter(|&i| belief[i]).map(|i| sorted[i]).collect();
-    for &d in &sorted {
-        scratch.pos[d.index()] = u32::MAX;
-    }
-    result
+    scratch.clear(&sorted);
+    chosen
 }
 
 /// Luby's algorithm, phase-synchronous over flat arrays instead of the
-/// message-passing simulator, with every sub-round evaluated
-/// shard-parallel. Per-vertex random streams, tie-breaking and knockout
-/// timing replicate the [`LubyAgent`] protocol exactly, so the chosen set
-/// is identical to the simulator's for every seed.
+/// message-passing simulator. Per-vertex random streams, tie-breaking and
+/// knockout timing replicate the [`LubyAgent`] protocol exactly, so the
+/// chosen set is identical to the simulator's for every seed.
 fn sharded_luby(
     graph: &ShardedConflictGraph,
     active: &[InstanceId],
@@ -405,54 +353,13 @@ fn sharded_luby(
     const OUT: u8 = 2;
 
     let n = active.len();
-    let sharding = graph.sharding();
-    for (i, &d) in active.iter().enumerate() {
-        scratch.pos[d.index()] = i as u32;
-    }
-    let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); graph.num_shards()];
-    for (i, &d) in active.iter().enumerate() {
-        by_shard[sharding.shard_of(d).index()].push(i as u32);
-    }
-    let parallel = n >= PAR_MIN_ACTIVE && rayon::current_num_threads() > 1;
-    let num_shards = graph.num_shards();
-
-    // Induced adjacency in active-position space, built shard-parallel.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    {
-        let pos = &scratch.pos;
-        let active_ref = active;
-        let by_shard_ref = &by_shard;
-        let parts: Vec<Vec<(u32, Vec<u32>)>> = run_per_shard(num_shards, parallel, |t| {
-            let csr = &graph.shards()[t];
-            let part = &sharding.shards()[t];
-            by_shard_ref[t]
-                .iter()
-                .map(|&p| {
-                    let d = active_ref[p as usize];
-                    let local = sharding.local_of(d);
-                    let mut nbrs: Vec<u32> = Vec::with_capacity(csr.degree(local));
-                    for &ln in csr.neighbors(local) {
-                        let q = pos[part.global_of(ln).index()];
-                        if q != u32::MAX {
-                            nbrs.push(q);
-                        }
-                    }
-                    for g in graph.cross_neighbors(d) {
-                        let q = pos[g.index()];
-                        if q != u32::MAX {
-                            nbrs.push(q);
-                        }
-                    }
-                    (p, nbrs)
-                })
-                .collect()
-        });
-        for part in parts {
-            for (p, nbrs) in part {
-                adj[p as usize] = nbrs;
-            }
-        }
-    }
+    scratch.index(active);
+    // Induced adjacency in active-position space.
+    let adj: Vec<Vec<u32>> = active
+        .iter()
+        .map(|&d| active_neighbors(graph, scratch, d).collect())
+        .collect();
+    scratch.clear(active);
     let deg: Vec<u32> = adj.iter().map(|a| a.len() as u32).collect();
 
     let mut state = vec![ACTIVE; n];
@@ -465,6 +372,7 @@ fn sharded_luby(
     let mut anbrs: Vec<i64> = deg.iter().map(|&d| d as i64).collect();
     let mut pending_drops: Vec<u32> = Vec::new();
     let mut active_list: Vec<u32> = (0..n as u32).collect();
+    let mut joined: Vec<u32> = Vec::new();
 
     // Same phase budget as the simulator's round cap (3 rounds per phase).
     let max_phases = 4 * (usize::BITS - n.leading_zeros()) as usize + 16;
@@ -493,60 +401,30 @@ fn sharded_luby(
         }
 
         // Sub-round B: join when the local (value, index) beats every
-        // active neighbor (read-only, shard-parallel).
-        let joined_parts: Vec<Vec<u32>> = {
-            let state_ref = &state;
-            let values_ref = &values;
-            let adj_ref = &adj;
-            let by_shard_ref = &by_shard;
-            run_per_shard(num_shards, parallel, |t| {
-                by_shard_ref[t]
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        state_ref[p as usize] == ACTIVE && {
-                            let me = (values_ref[p as usize], p as usize);
-                            adj_ref[p as usize].iter().all(|&q| {
-                                state_ref[q as usize] != ACTIVE
-                                    || me > (values_ref[q as usize], q as usize)
-                            })
-                        }
-                    })
-                    .collect()
-            })
-        };
-        for part in &joined_parts {
-            for &p in part {
-                state[p as usize] = IN_MIS;
-                remaining -= 1;
-                messages += deg[p as usize] as u64;
-                for &q in &adj[p as usize] {
-                    anbrs[q as usize] -= 1;
-                }
+        // active neighbor. All decisions read the phase-start states, so
+        // the joiners are collected before any is applied.
+        joined.clear();
+        joined.extend(active_list.iter().copied().filter(|&p| {
+            let me = (values[p as usize], p as usize);
+            adj[p as usize]
+                .iter()
+                .all(|&q| state[q as usize] != ACTIVE || me > (values[q as usize], q as usize))
+        }));
+        for &p in &joined {
+            state[p as usize] = IN_MIS;
+            remaining -= 1;
+            messages += deg[p as usize] as u64;
+            for &q in &adj[p as usize] {
+                anbrs[q as usize] -= 1;
             }
         }
 
         // Sub-round C: active vertices adjacent to a joiner drop out and
         // (if they still have undecided neighbors) announce it.
-        let out_parts: Vec<Vec<u32>> = {
-            let state_ref = &state;
-            let adj_ref = &adj;
-            let by_shard_ref = &by_shard;
-            run_per_shard(num_shards, parallel, |t| {
-                by_shard_ref[t]
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        state_ref[p as usize] == ACTIVE
-                            && adj_ref[p as usize]
-                                .iter()
-                                .any(|&q| state_ref[q as usize] == IN_MIS)
-                    })
-                    .collect()
-            })
-        };
-        for part in &out_parts {
-            for &p in part {
+        for &p in &active_list {
+            if state[p as usize] == ACTIVE
+                && adj[p as usize].iter().any(|&q| state[q as usize] == IN_MIS)
+            {
                 state[p as usize] = OUT;
                 remaining -= 1;
                 if anbrs[p as usize] > 0 {
@@ -566,9 +444,6 @@ fn sharded_luby(
         .map(|i| active[i])
         .collect();
     set.sort_unstable();
-    for &d in active {
-        scratch.pos[d.index()] = u32::MAX;
-    }
     set
 }
 

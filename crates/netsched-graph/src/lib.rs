@@ -18,9 +18,9 @@
 //!   accounting, and [`LoadTracker`] for incremental greedy selection,
 //! * [`ShardedUniverse`] — the universe partitioned by [`NetworkId`]: one
 //!   shard per network with a global↔local id table and pre-sorted
-//!   per-shard run arrays, the unit of parallelism for the sharded
-//!   conflict engine in `netsched-distrib` and the shard-parallel MIS
-//!   epochs in `netsched-core`,
+//!   per-shard run arrays, the unit of incremental splicing for the
+//!   sharded conflict engine in `netsched-distrib` and the dirty-network
+//!   repair in `netsched-core`,
 //! * [`CapacityIndex`] — per-network sparse tables answering
 //!   range-minimum capacity queries in `O(1)`, which keep the capacitated
 //!   `can_add`/eligibility paths at the uniform path's `O(runs log E)`

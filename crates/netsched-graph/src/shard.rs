@@ -12,10 +12,11 @@
 //!
 //! The sharded view is purely a secondary index over a
 //! [`DemandInstanceUniverse`]; it stores no profits, heights or paths of its
-//! own and is cheap to rebuild (`O(|D| log n)` for the run sort). Consumers
-//! (`netsched-distrib::conflict`, the two-phase engine in `netsched-core`)
-//! drive one task per shard through rayon and translate local results back
-//! through the id table.
+//! own and is cheap to rebuild (`O(|D| log n)` for the run sort). It exists
+//! for incremental splicing: a demand delta dirties only the networks it
+//! touches, so consumers (`netsched-distrib::conflict`, the two-phase
+//! engine in `netsched-core`) rebuild or repair those shards alone and
+//! translate local results back through the id table.
 
 use crate::ids::{InstanceId, NetworkId};
 use crate::universe::{DemandInstanceUniverse, UniverseDelta};

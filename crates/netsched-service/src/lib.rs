@@ -20,13 +20,13 @@
 //!    instances append — ids renumber exactly as a from-scratch build over
 //!    the surviving set would number them.
 //! 3. **Rebuild only the dirty shards**: the conflict engine re-sweeps the
-//!    local CSRs of the networks that gained or lost instances
-//!    (shard-parallel) and re-assembles the cross-shard same-demand rows;
+//!    local CSRs of the networks that gained or lost instances and
+//!    re-assembles the cross-shard same-demand rows;
 //!    clean shards are renumbered in `O(shard)` with no sort or sweep.
 //! 4. **Re-layer** incrementally: tree assignments are per-instance and
 //!    position-independent (only arrivals pay the `O(path)` cost); line
 //!    length classes re-derive in `O(|D|)` arithmetic.
-//! 5. **Re-solve** with the existing shard-parallel two-phase engine and
+//! 5. **Re-solve** with the existing two-phase engine and
 //!    emit a [`ScheduleDelta`] — admissions, evictions, reassignments and
 //!    the updated dual certificate — instead of a full schedule. Every
 //!    core solves through one dispatch (a warm resume or a cold solve, by
@@ -104,7 +104,7 @@
 //! | cross-shard rows | full clique scan | full clique scan (renumbered) |
 //! | tree layering | `O(|D| log n)` assignment + decompositions | decompositions cached; `O(B log n)` new assignments |
 //! | line layering | `O(|D|)` | `O(|D|)` |
-//! | solve | shard-parallel engine | identical engine |
+//! | solve | two-phase engine | identical engine |
 //! | warm safety-valve `verify` | — | one pass over the selection + `O(Σ E_t)` over touched networks |
 //! | ticket lookup | — | `O(log live)` binary search on the ticket-sorted live list |
 //! | schedule delta | — | `O(live)` placement scatter + one merge walk of the old and new ticket-sorted schedules |

@@ -7,7 +7,7 @@
 //! sharded conflict graph, layerings, (lazily) the wide/narrow split — and
 //! advances it one *epoch* at a time: [`ServiceSession::step`] takes a
 //! batch of [`DemandEvent`]s, splices them through every cached structure,
-//! re-solves with the shard-parallel two-phase engine, and returns a
+//! re-solves with the two-phase engine, and returns a
 //! [`ScheduleDelta`] describing only what changed. The invariant
 //! maintained by every epoch (and pinned by `tests/dynamic_equivalence.rs`)
 //! is:

@@ -182,7 +182,7 @@ pub fn named_scenarios() -> Vec<Scenario> {
             name: "many-networks-tree".to_string(),
             description: "Twelve spanning trees of one shared fabric with \
                           transfers routed over a few trees each: many \
-                          medium shards for shard-parallel sweeps and MIS \
+                          medium shards for the sharded sweeps and MIS \
                           epochs."
                 .to_string(),
             workload: many_networks_tree(12, 110, 1202),
@@ -193,7 +193,7 @@ pub fn named_scenarios() -> Vec<Scenario> {
             description: "Eight machine timelines with power-law popularity: \
                           the first machine owns most reservations, the last \
                           almost none — the skewed shard sizes that stress \
-                          shard-parallel load balance."
+                          the sharded conflict engine."
                 .to_string(),
             workload: skewed_networks_line(8, 130, 1.5, 813),
             churn: None,

@@ -88,19 +88,19 @@
 //!
 //! The universe is additionally **sharded by network**
 //! ([`ShardedUniverse`](prelude::ShardedUniverse)): overlap conflicts never
-//! cross networks, so the conflict graph is one CSR per shard (interval
-//! sweeps driven shard-parallel through rayon) plus a compact cross-shard
-//! adjacency for the same-demand cliques
-//! ([`ShardedConflictGraph`](prelude::ShardedConflictGraph)), and the
-//! engine's MIS rounds and satisfaction filters execute shard-parallel;
-//! the dual raises of each MIS run sequentially. Sharding is a pure
-//! representation change: the merged adjacency is byte-identical to the
-//! single-threaded CSR and schedules
-//! match the sequential reference engine exactly at every thread count
-//! (`tests/shard_equivalence.rs`); `BENCH_shard_scaling.json` (from the
-//! `shard_scaling` bench) records the conflict-build + engine speedups
-//! across shard and worker counts. Sessions cache the sharded graph, so
-//! repeated solves never re-sweep.
+//! cross networks, so the conflict graph is one CSR per shard plus a
+//! compact cross-shard adjacency for the same-demand cliques
+//! ([`ShardedConflictGraph`](prelude::ShardedConflictGraph)). Sharding
+//! serves incremental splicing: a demand delta re-splices only the shards
+//! of the networks it touches. The engine runs single-threaded; the
+//! paper's parallelism is the simulated rounds and messages it counts.
+//! Sharding is a pure representation change: the merged adjacency is
+//! byte-identical to the flat CSR and schedules match the sequential
+//! reference engine exactly (`tests/shard_equivalence.rs`);
+//! `BENCH_shard_scaling.json` (from the `shard_scaling` bench) records
+//! the sharded conflict build and engine against the flat reference
+//! across shard counts. Sessions cache the sharded graph, so repeated
+//! solves never re-sweep.
 //!
 //! ## Dynamic serving
 //!
@@ -112,7 +112,7 @@
 //! [`DemandEvent`](prelude::DemandEvent)s in *epochs* — each epoch splices
 //! the universe (ids renumber exactly as a from-scratch rebuild would),
 //! re-sweeps **only the dirty shards'** conflict CSRs, splices the
-//! layerings, re-solves shard-parallel and emits a
+//! layerings, re-solves and emits a
 //! [`ScheduleDelta`](prelude::ScheduleDelta) (admitted / evicted /
 //! reassigned demands plus the updated dual certificate). The differential
 //! invariant — incremental state byte-identical to a from-scratch

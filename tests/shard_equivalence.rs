@@ -348,6 +348,77 @@ fn hot_shard_churn_case(seed: u64) {
     }
 }
 
+/// Active subsets of one universe for the MIS property: a random subset
+/// (about `percent`% of the instances) in shuffled order, since the engine
+/// hands MIS calls group order, not id order; then a singleton and the
+/// empty set.
+fn active_subsets(
+    universe: &DemandInstanceUniverse,
+    rng: &mut StdRng,
+    percent: u32,
+) -> Vec<Vec<InstanceId>> {
+    let n = universe.num_instances();
+    let mut random: Vec<InstanceId> = universe
+        .instance_ids()
+        .filter(|_| rng.gen_range(0..100u32) < percent)
+        .collect();
+    for i in (1..random.len()).rev() {
+        random.swap(i, rng.gen_range(0..=i));
+    }
+    vec![
+        random,
+        vec![InstanceId::new(rng.gen_range(0..n))],
+        Vec::new(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The sharded MIS equals the flat-graph MIS on random active subsets
+    /// (empty and singleton included) of multi-network tree and line
+    /// universes, whose multi-network demands form cross-shard cliques,
+    /// under both strategies. One scratch serves every call, so a call
+    /// that left a stale position behind would corrupt the next one.
+    #[test]
+    fn sharded_mis_equals_flat_mis_on_random_active_subsets(
+        seed in any::<u64>(),
+        percent in 0u32..=100,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (name, universe, _) in universes() {
+            let flat = ConflictGraph::build(&universe);
+            let sharded = ShardedConflictGraph::build(&universe);
+            let mut scratch = MisScratch::new(universe.num_instances());
+            let subsets = active_subsets(&universe, &mut rng, percent);
+            for strategy in [
+                MisStrategy::SequentialGreedy,
+                MisStrategy::Luby { seed: rng.gen() },
+            ] {
+                for active in &subsets {
+                    let reference =
+                        maximal_independent_set(&flat, active, strategy, &mut RoundStats::new());
+                    let ours = sharded_mis(
+                        &sharded,
+                        active,
+                        strategy,
+                        &mut RoundStats::new(),
+                        &mut scratch,
+                    );
+                    prop_assert_eq!(
+                        reference,
+                        ours,
+                        "{} / {:?} / {} active",
+                        name,
+                        strategy,
+                        active.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
