@@ -127,6 +127,7 @@ pub fn run_ps_style(
             optimum_upper_bound: dual_objective / lambda,
             quality: netsched_core::CertificateQuality::Full,
         },
+        timings: netsched_core::EngineTimings::default(),
     }
 }
 

@@ -26,13 +26,14 @@
 use crate::budget::{Budget, CertificateQuality};
 use crate::config::{stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 use crate::duals::DualState;
-use crate::solution::{RunDiagnostics, Solution};
+use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use crate::warm::{run_two_phase_warm_on, WarmState};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{
     maximal_independent_set, ConflictGraph, MisStrategy, RoundStats, ShardedConflictGraph,
 };
 use netsched_graph::{DemandInstanceUniverse, InstanceId, LoadTracker, EPS};
+use std::time::Instant;
 
 /// Eligibility of every instance (those whose height fits every edge
 /// capacity on their path) together with the minimum relative height
@@ -102,10 +103,15 @@ pub fn run_two_phase_on(
     config: &AlgorithmConfig,
     budget: &Budget,
 ) -> Solution {
+    let started = Instant::now();
     let mut warm = WarmState::new(universe, rule);
-    run_two_phase_warm_on(
+    let built = started.elapsed();
+    let mut solution = run_two_phase_warm_on(
         universe, conflict, layering, rule, config, &mut warm, budget,
-    )
+    );
+    // Building the fresh state is part of a cold solve's setup.
+    solution.timings.setup += built;
+    solution
 }
 
 /// The pre-shard reference engine: single flat CSR, simulator-driven MIS,
@@ -245,6 +251,7 @@ pub fn run_two_phase_reference(
             optimum_upper_bound: dual_objective / lambda,
             quality: CertificateQuality::Full,
         },
+        timings: EngineTimings::default(),
     }
 }
 

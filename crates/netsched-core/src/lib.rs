@@ -79,7 +79,7 @@ pub use line::{
     solve_line_unit, solve_line_unit_on,
 };
 pub use sequential::{run_sequential, solve_sequential_on, solve_sequential_tree};
-pub use solution::{RunDiagnostics, Solution};
+pub use solution::{EngineTimings, RunDiagnostics, Solution};
 pub use solver::{
     combine_wide_narrow, registry, ArbitraryTreeSolver, BuildCounts, HalfOutcome,
     LineArbitrarySolver, LineNarrowSolver, LineUnitSolver, NarrowTreeSolver, Portfolio,

@@ -10,7 +10,7 @@
 
 use crate::config::RaiseRule;
 use crate::duals::DualState;
-use crate::solution::{RunDiagnostics, Solution};
+use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::RoundStats;
 use netsched_graph::{
@@ -126,6 +126,7 @@ pub fn run_sequential(universe: &DemandInstanceUniverse, layering: &InstanceLaye
             optimum_upper_bound: dual_objective / lambda,
             quality: crate::budget::CertificateQuality::Full,
         },
+        timings: EngineTimings::default(),
     }
 }
 

@@ -3,6 +3,7 @@
 use crate::budget::CertificateQuality;
 use netsched_distrib::RoundStats;
 use netsched_graph::{DemandId, DemandInstanceUniverse, InstanceId, NetworkId};
+use std::time::Duration;
 
 /// Diagnostics reported by a two-phase run; these are the quantities the
 /// paper's theorems bound (∆, λ, epochs, stages, steps) plus the dual
@@ -35,8 +36,62 @@ pub struct RunDiagnostics {
     pub quality: CertificateQuality,
 }
 
+/// Wall-clock time the two-phase engine spent in each of its phases.
+///
+/// The phases are consecutive laps of one clock, so they add up to the
+/// whole engine call. Timings are measurements, not outputs:
+/// [`Solution`]'s equality ignores them. Solvers without the two-phase
+/// engine report zeros.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineTimings {
+    /// Checks, the active list and its group buckets, and the stage
+    /// schedule (plus the fresh warm state of a cold solve).
+    pub setup: Duration,
+    /// The first-phase repair passes (MIS and dual raises).
+    pub repair: Duration,
+    /// The LHS cache refresh and the per-network λ minima.
+    pub refresh: Duration,
+    /// The second phase: the replay of the MIS stack.
+    pub replay: Duration,
+    /// Building the sorted raised-instance set.
+    pub raised_set: Duration,
+    /// Certification: schedule verification, the λ and ratio checks and
+    /// the bookkeeping that closes the solve.
+    pub certify: Duration,
+}
+
+impl EngineTimings {
+    /// The phases in field order: setup, repair, refresh, replay, raised
+    /// set, certify.
+    pub fn phases(&self) -> [Duration; 6] {
+        [
+            self.setup,
+            self.repair,
+            self.refresh,
+            self.replay,
+            self.raised_set,
+            self.certify,
+        ]
+    }
+
+    /// Phase-wise sum of two engine calls' timings.
+    pub fn merged(self, other: Self) -> Self {
+        Self {
+            setup: self.setup + other.setup,
+            repair: self.repair + other.repair,
+            refresh: self.refresh + other.refresh,
+            replay: self.replay + other.replay,
+            raised_set: self.raised_set + other.raised_set,
+            certify: self.certify + other.certify,
+        }
+    }
+}
+
 /// The outcome of one scheduling algorithm run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two solutions are equal when their outputs are: the
+/// [`timings`](Solution::timings) do not take part.
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// The selected demand instances (indices into the universe the
     /// algorithm was run on).
@@ -51,6 +106,26 @@ pub struct Solution {
     pub stats: RoundStats,
     /// Framework diagnostics.
     pub diagnostics: RunDiagnostics,
+    /// Where the engine's time went.
+    pub timings: EngineTimings,
+}
+
+impl PartialEq for Solution {
+    fn eq(&self, other: &Self) -> bool {
+        let Solution {
+            selected,
+            raised_instances,
+            profit,
+            stats,
+            diagnostics,
+            timings: _,
+        } = self;
+        *selected == other.selected
+            && *raised_instances == other.raised_instances
+            && *profit == other.profit
+            && *stats == other.stats
+            && *diagnostics == other.diagnostics
+    }
 }
 
 impl Solution {
@@ -62,6 +137,7 @@ impl Solution {
             profit: 0.0,
             stats: RoundStats::default(),
             diagnostics: RunDiagnostics::default(),
+            timings: EngineTimings::default(),
         }
     }
 

@@ -800,6 +800,7 @@ pub fn combine_wide_narrow(
             optimum_upper_bound: wd.optimum_upper_bound + nd.optimum_upper_bound,
             quality: wd.quality.merge(nd.quality),
         },
+        timings: wide_solution.timings.merged(narrow_solution.timings),
     }
 }
 

@@ -28,6 +28,23 @@
 //! phase replays the whole stack (surviving seed + repair MISes, newest
 //! first), exactly like a cold run's stack pop.
 //!
+//! # What a repair pass touches
+//!
+//! A solve gathers its **active list** once — the instances of the dirty
+//! networks (every instance on a fresh state), in ascending id order — and
+//! buckets it by layering group; the repair passes and the LHS refresh
+//! walk only that list. (The second phase still replays, and the raised
+//! set still sorts, the whole stack; the narrow rule's `ξ` still reads
+//! every relative height.)
+//!
+//! Within one pass the duals only grow, so an instance that is satisfied
+//! stays satisfied. Each group therefore selects once the instances still
+//! below the *final* stage's threshold `1 − ξ^stages`; each stage filters
+//! that list at its own threshold, and each MIS step re-checks only the
+//! previous step's unsatisfied list. The lists keep group order, so every
+//! MIS sees exactly the input a full rescan of the group would give it
+//! (debug builds assert this at every step).
+//!
 //! # The one engine
 //!
 //! This module holds the crate's only optimized first phase. A **fresh**
@@ -58,13 +75,14 @@ use crate::budget::{Budget, CertificateQuality};
 use crate::config::{approximation_bound, stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 use crate::duals::DualState;
 use crate::framework::derive_strategy;
-use crate::solution::{RunDiagnostics, Solution};
+use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{sharded_mis, MisScratch, RoundStats, ShardedConflictGraph};
 use netsched_graph::{
     DemandInstanceUniverse, EdgeId, InstanceId, LoadTracker, NetworkId, UniverseDelta, EPS,
 };
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
+use std::time::Instant;
 
 /// Linked-arena sentinel: "no entry".
 const NIL: u32 = u32::MAX;
@@ -142,6 +160,11 @@ pub struct WarmState {
     primed: bool,
     /// Warm solves completed on this state (telemetry).
     epochs_resumed: u64,
+    /// The MIS position table, sized to the universe on every splice. Every
+    /// entry holds its sentinel between MIS calls, so it carries no state:
+    /// it is not serialized, and [`WarmState::committed_bytes`] leaves it
+    /// out.
+    mis_scratch: MisScratch,
 }
 
 impl WarmState {
@@ -176,6 +199,7 @@ impl WarmState {
             shard_min: vec![f64::INFINITY; universe.num_networks()],
             primed: false,
             epochs_resumed: 0,
+            mis_scratch: MisScratch::new(n),
         };
         for t in 0..universe.num_networks() {
             state.recompute_shard_min(universe, NetworkId::new(t));
@@ -452,6 +476,7 @@ impl WarmState {
             self.rel_height[d] = rel;
             self.eligible[d] = rel <= 1.0 + EPS;
         }
+        self.mis_scratch.resize(n_new);
 
         // 4. Renumber the stack, keeping only the newest occurrence (an
         //    older duplicate below a newer one can never commit in the
@@ -670,6 +695,7 @@ impl FromJson for WarmState {
             shard_min,
             primed: bool_from_json(value.field("primed")?)?,
             epochs_resumed: value.field("epochs_resumed")?.as_u64()?,
+            mis_scratch: MisScratch::new(record_rows.len()),
         };
         let n = state.instance_count();
         if state.lhs.len() != n || state.eligible.len() != n || state.rel_height.len() != n {
@@ -682,20 +708,46 @@ impl FromJson for WarmState {
     }
 }
 
-/// Positions within one layering group that are eligible and still below
-/// the stage threshold, in group order.
+/// The instances of `list` that are eligible and still below `threshold`,
+/// in list order.
 fn unsatisfied_of_group(
     universe: &DemandInstanceUniverse,
     duals: &DualState,
     eligible: &[bool],
-    group: &[InstanceId],
+    list: &[InstanceId],
     threshold: f64,
 ) -> Vec<InstanceId> {
-    group
-        .iter()
+    list.iter()
         .copied()
         .filter(|&d| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold))
         .collect()
+}
+
+/// The instances on the marked networks, in ascending id order.
+fn instances_on(universe: &DemandInstanceUniverse, networks: &[bool]) -> Vec<InstanceId> {
+    if networks.iter().all(|&on| on) {
+        return universe.instance_ids().collect();
+    }
+    let mut list: Vec<InstanceId> = networks
+        .iter()
+        .enumerate()
+        .filter(|&(_, &on)| on)
+        .flat_map(|(t, _)| universe.instances_on_network(NetworkId::new(t)))
+        .copied()
+        .collect();
+    list.sort_unstable();
+    list
+}
+
+/// `active` (ascending) split by layering group, each bucket ascending —
+/// what the group lists of [`InstanceLayering::groups`] filtered to
+/// `active` would be.
+fn group_buckets(layering: &InstanceLayering, active: &[InstanceId]) -> Vec<Vec<InstanceId>> {
+    let mut buckets = vec![Vec::new(); layering.num_groups()];
+    for &d in active {
+        buckets[layering.group(d)].push(d);
+    }
+    buckets
 }
 
 /// The engine's second phase: pops the MIS layers newest-first and
@@ -736,11 +788,17 @@ struct PassOutcome {
     rounds_left: u64,
 }
 
-/// One repair pass over the active instances: the paper's
-/// group × stage × step loop, restricted to `active` and checked against
-/// `budget` before every MIS/raise round. Appends the new MIS sets
-/// directly to `warm`'s replay stack, and every step to `trace` if one is
-/// given.
+/// One repair pass: the paper's group × stage × step loop over `groups`
+/// (the active instances bucketed by group), checked against `budget`
+/// before every MIS/raise round. Appends the new MIS sets directly to
+/// `warm`'s replay stack, and every step to `trace` if one is given.
+///
+/// Duals only grow during the pass, so the instances of a group that can
+/// still need a raise are those below the final threshold `1 − ξ^stages`
+/// when the group opens. Each stage filters that list at its own
+/// threshold, and each step re-checks only the previous step's
+/// unsatisfied list. Debug builds assert at every step that the shrunk
+/// list equals a full rescan of the group.
 #[allow(clippy::too_many_arguments)]
 fn repair_pass(
     universe: &DemandInstanceUniverse,
@@ -748,14 +806,12 @@ fn repair_pass(
     layering: &InstanceLayering,
     config: &AlgorithmConfig,
     warm: &mut WarmState,
-    active: &[bool],
     groups: &[Vec<InstanceId>],
     stages: usize,
     xi: f64,
     step_cap: u64,
     budget: &Budget,
     stats: &mut RoundStats,
-    scratch: &mut MisScratch,
     mut trace: Option<&mut Trace>,
 ) -> PassOutcome {
     let mut steps: u64 = 0;
@@ -765,26 +821,35 @@ fn repair_pass(
     let mut completed_slots: u64 = 0;
     let mut cut = false;
     'groups: for (epoch, group) in groups.iter().enumerate() {
-        let filtered: Vec<InstanceId> = group
-            .iter()
-            .copied()
-            .filter(|d| active[d.index()])
-            .collect();
-        if filtered.is_empty() {
+        if group.is_empty() {
             // Nothing to repair in this group: its slots count as drained.
             completed_slots += stages as u64;
             continue;
         }
+        let final_threshold = 1.0 - xi.powi(stages as i32);
+        let candidates = unsatisfied_of_group(
+            universe,
+            &warm.duals,
+            &warm.eligible,
+            group,
+            final_threshold,
+        );
         for stage in 1..=stages {
             let threshold = 1.0 - xi.powi(stage as i32);
+            let mut unsatisfied = unsatisfied_of_group(
+                universe,
+                &warm.duals,
+                &warm.eligible,
+                &candidates,
+                threshold,
+            );
             let mut stage_steps: u64 = 0;
             loop {
-                let unsatisfied = unsatisfied_of_group(
-                    universe,
-                    &warm.duals,
-                    &warm.eligible,
-                    &filtered,
-                    threshold,
+                debug_assert_eq!(
+                    unsatisfied,
+                    unsatisfied_of_group(universe, &warm.duals, &warm.eligible, group, threshold),
+                    "group {epoch}, stage {stage}, step {stage_steps}: the shrunk \
+                     unsatisfied list diverged from a full rescan of the group"
                 );
                 if unsatisfied.is_empty() {
                     break;
@@ -803,7 +868,13 @@ fn repair_pass(
                     break 'groups;
                 }
                 let strategy = derive_strategy(config, epoch, stage, stage_steps);
-                let mis = sharded_mis(conflict, &unsatisfied, strategy, stats, scratch);
+                let mis = sharded_mis(
+                    conflict,
+                    &unsatisfied,
+                    strategy,
+                    stats,
+                    &mut warm.mis_scratch,
+                );
                 let mut record = trace.as_ref().map(|_| StepRecord {
                     epoch,
                     stage,
@@ -835,6 +906,7 @@ fn repair_pass(
                 stats.record_round();
                 warm.push_mis(&mis);
                 stage_steps += 1;
+                unsatisfied.retain(|&d| !warm.duals.is_xi_satisfied(universe, d, threshold));
             }
             steps += stage_steps;
             max_steps_per_stage = max_steps_per_stage.max(stage_steps);
@@ -873,6 +945,9 @@ fn repair_pass(
 /// so an un-budgeted follow-up solve resumes the repair and reconverges
 /// to full certification. The in-engine certificate check and safety
 /// valve only apply to full (uncut) runs.
+///
+/// The returned [`Solution::timings`] split the call into the engine's
+/// phases.
 pub fn run_two_phase_warm_on(
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
@@ -901,6 +976,14 @@ pub(crate) fn warm_impl(
     budget: &Budget,
     mut trace: Option<&mut Trace>,
 ) -> Solution {
+    // Each lap is the time since the previous one, so the phases add up
+    // to the whole call.
+    let mut mark = Instant::now();
+    let mut lap = move || {
+        let now = Instant::now();
+        now - std::mem::replace(&mut mark, now)
+    };
+    let mut timings = EngineTimings::default();
     config.validate().expect("invalid algorithm configuration");
     assert_eq!(
         rule, warm.rule,
@@ -913,7 +996,9 @@ pub(crate) fn warm_impl(
     );
     if universe.num_instances() == 0 {
         *warm = WarmState::new(universe, rule);
-        return Solution::empty();
+        let mut empty = Solution::empty();
+        empty.timings.setup = lap();
+        return empty;
     }
 
     let fresh = !warm.primed;
@@ -922,35 +1007,26 @@ pub(crate) fn warm_impl(
     } else {
         warm.pending_dirty.clone()
     };
-    let mut active: Vec<bool> = if fresh {
-        vec![true; universe.num_instances()]
-    } else {
-        let mut mask = vec![false; universe.num_instances()];
-        for (t, &dirty) in warm.pending_dirty.iter().enumerate() {
-            if dirty {
-                for &d in universe.instances_on_network(NetworkId::new(t)) {
-                    mask[d.index()] = true;
-                }
-            }
-        }
-        mask
-    };
+    let mut active = instances_on(universe, &active_networks);
+    let mut groups = group_buckets(layering, &active);
 
-    let h_min = warm
-        .rel_height
-        .iter()
-        .zip(&warm.eligible)
-        .filter(|&(_, &e)| e)
-        .map(|(&h, _)| h)
-        .fold(1.0_f64, f64::min);
+    // Only the narrow rule's ξ depends on the smallest relative height.
+    let h_min = match rule {
+        RaiseRule::Unit => 1.0,
+        RaiseRule::Narrow => warm
+            .rel_height
+            .iter()
+            .zip(&warm.eligible)
+            .filter(|&(_, &e)| e)
+            .map(|(&h, _)| h)
+            .fold(1.0_f64, f64::min),
+    };
     let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
     let stages = stages_per_epoch(xi, config.epsilon);
     let profit_ratio = (universe.max_profit() / universe.min_profit()).max(1.0);
     let step_cap = 4 * (profit_ratio.log2().ceil() as u64 + 4) + 32;
-
-    let groups = layering.groups();
     let mut stats = RoundStats::new();
-    let mut scratch = MisScratch::new(universe.num_instances());
+    timings.setup = lap();
 
     // ---------------- First phase: certificate repair ----------------
     let mut steps = 0u64;
@@ -965,23 +1041,22 @@ pub(crate) fn warm_impl(
             layering,
             config,
             warm,
-            &active,
             &groups,
             stages,
             xi,
             step_cap,
             budget,
             &mut stats,
-            &mut scratch,
             trace.as_deref_mut(),
         );
         steps += pass.steps;
         max_steps_per_stage = max_steps_per_stage.max(pass.max_steps_per_stage);
         raised += pass.raised;
+        timings.repair += lap();
 
         // Refresh the LHS cache exactly for everything this pass scanned,
         // then fold the scanned networks' λ minima from it.
-        for d in universe.instance_ids().filter(|d| active[d.index()]) {
+        for &d in &active {
             warm.lhs[d.index()] = warm.duals.lhs(universe, d);
         }
         for (t, &scanned) in active_networks.iter().enumerate() {
@@ -995,6 +1070,7 @@ pub(crate) fn warm_impl(
             cached_lambda(universe, warm).to_bits(),
             "per-network λ minima diverged from the full cached-LHS scan"
         );
+        timings.refresh += lap();
         if pass.cut {
             // Budget exhausted mid-repair: certify from the (just
             // refreshed) per-network minima cache and stop here — the
@@ -1002,15 +1078,17 @@ pub(crate) fn warm_impl(
             truncated = Some(pass.rounds_left);
             break;
         }
-        let all_active = active.iter().all(|&a| a);
+        let all_active = active.len() == universe.num_instances();
         if lambda >= lambda_target || all_active || attempt == 1 {
             break;
         }
         // A clean shard's satisfaction regressed beyond what the dirty
         // bookkeeping predicted (should not happen — clean duals only
         // grow); repair everything before certifying.
-        active = vec![true; universe.num_instances()];
         active_networks = vec![true; universe.num_networks()];
+        active = instances_on(universe, &active_networks);
+        groups = group_buckets(layering, &active);
+        timings.setup += lap();
     }
 
     // In debug builds, prove the LHS cache is a true lower bound.
@@ -1031,6 +1109,7 @@ pub(crate) fn warm_impl(
         "per-network λ minima diverged from the full cached-LHS scan"
     );
     let dual_objective = warm.duals.objective();
+    timings.refresh += lap();
 
     // ---------------- Second phase: replay the full stack ----------------
     // The repair passes appended their MISes directly onto warm's stack
@@ -1042,10 +1121,12 @@ pub(crate) fn warm_impl(
         (0..warm.num_mises()).rev().map(|m| warm.mis(m)),
         &mut stats,
     );
+    timings.replay = lap();
 
     let mut raised_instances: Vec<InstanceId> = warm.stack_items.clone();
     raised_instances.sort_unstable();
     raised_instances.dedup();
+    timings.raised_set = lap();
 
     if truncated.is_some() {
         // Dirty-work carry: the networks this (cut) repair was scanning
@@ -1061,7 +1142,7 @@ pub(crate) fn warm_impl(
     warm.epochs_resumed += 1;
 
     let profit = universe.total_profit(&selected);
-    let solution = Solution {
+    let mut solution = Solution {
         selected,
         raised_instances,
         profit,
@@ -1081,6 +1162,7 @@ pub(crate) fn warm_impl(
                 None => CertificateQuality::Full,
             },
         },
+        timings,
     };
 
     // A truncated run is only held to the anytime contract: a feasible
@@ -1092,6 +1174,7 @@ pub(crate) fn warm_impl(
             solution.verify(universe).is_ok(),
             "truncated warm schedule failed feasibility verification"
         );
+        solution.timings.certify = lap();
         return solution;
     }
 
@@ -1105,7 +1188,8 @@ pub(crate) fn warm_impl(
         // The repaired certificate did not re-verify: fall back to a
         // fresh-state run, which is the cold solve.
         *warm = WarmState::new(universe, rule);
-        return run_two_phase_warm_on(
+        solution.timings.certify = lap();
+        let mut cold = run_two_phase_warm_on(
             universe,
             conflict,
             layering,
@@ -1114,6 +1198,8 @@ pub(crate) fn warm_impl(
             warm,
             &Budget::unlimited(),
         );
+        cold.timings = cold.timings.merged(solution.timings);
+        return cold;
     }
     debug_assert!(
         solution.verify(universe).is_ok(),
@@ -1127,6 +1213,7 @@ pub(crate) fn warm_impl(
         ratio <= bound * (1.0 + 1e-9) + 1e-9,
         "warm certified ratio {ratio} exceeds the {bound} guarantee"
     );
+    solution.timings.certify = lap();
     solution
 }
 
@@ -1148,8 +1235,11 @@ fn cached_lambda(universe: &DemandInstanceUniverse, warm: &WarmState) -> f64 {
 mod tests {
     use super::*;
     use crate::framework::run_two_phase_reference;
+    use netsched_decomp::{TreeDecompositionKind, TreeLayerer};
     use netsched_distrib::MisStrategy;
-    use netsched_graph::{ArrivingDemand, DemandId, EdgePath, LineProblem, NetworkId};
+    use netsched_graph::{
+        ArrivingDemand, DemandId, EdgePath, LineProblem, NetworkId, TreeProblem, VertexId,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1324,6 +1414,163 @@ mod tests {
             )],
         };
         u.apply_demand_delta(&expired, &[arrival], delta);
+    }
+
+    /// Primes a state on `u`, then runs traced warm solves through churn
+    /// rounds (`churn` splices the universe and the layering) and checks
+    /// the repair's shrinking unsatisfied lists: within a stage the
+    /// `unsatisfied` count never grows, some stage takes two or more
+    /// steps (so the per-step re-check and its debug cross-check against a
+    /// full group rescan both run), and every solve certifies.
+    fn assert_repairs_shrink(
+        mut u: DemandInstanceUniverse,
+        mut layering: InstanceLayering,
+        mut churn: impl FnMut(&mut DemandInstanceUniverse, &mut UniverseDelta, &mut InstanceLayering),
+    ) {
+        let config = AlgorithmConfig::deterministic(0.1);
+        let mut warm = WarmState::new(&u, RaiseRule::Unit);
+        run_two_phase_warm_on(
+            &u,
+            &ShardedConflictGraph::build(&u),
+            &layering,
+            RaiseRule::Unit,
+            &config,
+            &mut warm,
+            &Budget::unlimited(),
+        );
+        let mut delta = UniverseDelta::new();
+        let mut longest_stage = 0;
+        for round in 0..8 {
+            churn(&mut u, &mut delta, &mut layering);
+            warm.splice(&u, &delta);
+            let conflict = ShardedConflictGraph::build(&u);
+            let mut trace = Trace::default();
+            let sol = warm_impl(
+                &u,
+                &conflict,
+                &layering,
+                RaiseRule::Unit,
+                &config,
+                &mut warm,
+                &Budget::unlimited(),
+                Some(&mut trace),
+            );
+            for pair in trace.steps.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                if (a.epoch, a.stage) == (b.epoch, b.stage) {
+                    assert_eq!(b.step, a.step + 1, "round {round}: steps out of order");
+                    assert!(
+                        b.unsatisfied <= a.unsatisfied,
+                        "round {round}: group {} stage {} grew from {} to {} unsatisfied",
+                        a.epoch,
+                        a.stage,
+                        a.unsatisfied,
+                        b.unsatisfied
+                    );
+                }
+            }
+            longest_stage = longest_stage.max(trace.max_steps_per_stage());
+            sol.verify(&u).unwrap();
+            assert!(
+                sol.diagnostics.lambda >= 0.9 - 1e-6,
+                "round {round}: λ = {} below 1 − ε",
+                sol.diagnostics.lambda
+            );
+        }
+        assert!(
+            longest_stage >= 2,
+            "no repair stage took a second step (longest: {longest_stage})"
+        );
+    }
+
+    #[test]
+    fn repair_lists_shrink_on_a_line_universe() {
+        let u = line_universe(29, 40);
+        let layering = InstanceLayering::line_length_classes(&u);
+        let mut rng = StdRng::seed_from_u64(31);
+        assert_repairs_shrink(u, layering, |u, delta, layering| {
+            let m = u.num_demands();
+            let mut expired: Vec<DemandId> =
+                (0..4).map(|_| DemandId::new(rng.gen_range(0..m))).collect();
+            expired.sort_unstable();
+            expired.dedup();
+            let arrivals: Vec<ArrivingDemand> = (0..6)
+                .map(|_| {
+                    let start = rng.gen_range(10..16u32);
+                    ArrivingDemand {
+                        profit: 2f64.powi(rng.gen_range(0..12)),
+                        height: 1.0,
+                        instances: vec![(
+                            NetworkId::new(rng.gen_range(0..3)),
+                            EdgePath::interval(start as usize, start as usize + 4),
+                            Some(start),
+                        )],
+                    }
+                })
+                .collect();
+            u.apply_demand_delta(&expired, &arrivals, delta);
+            *layering = InstanceLayering::line_length_classes(u);
+        });
+    }
+
+    #[test]
+    fn repair_lists_shrink_on_a_tree_universe() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let n = 24;
+        let mut problem = TreeProblem::new(n);
+        for _ in 0..3 {
+            let edges = (1..n)
+                .map(|v| (VertexId::new(rng.gen_range(0..v)), VertexId::new(v)))
+                .collect();
+            problem.add_network(edges).unwrap();
+        }
+        let random_pair = |rng: &mut StdRng| loop {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                return (VertexId::new(a), VertexId::new(b));
+            }
+        };
+        for _ in 0..40 {
+            let (a, b) = random_pair(&mut rng);
+            let access = (0..3)
+                .map(NetworkId::new)
+                .filter(|_| rng.gen_bool(0.6))
+                .collect::<Vec<_>>();
+            let access = if access.is_empty() {
+                vec![NetworkId::new(0)]
+            } else {
+                access
+            };
+            problem
+                .add_unit_demand(a, b, rng.gen_range(1.0..10.0), access)
+                .unwrap();
+        }
+        let u = problem.universe();
+        let layerer = TreeLayerer::new(&problem, TreeDecompositionKind::Ideal);
+        let layering = layerer.layering(&problem, &u);
+        assert_repairs_shrink(u, layering, |u, delta, layering| {
+            let m = u.num_demands();
+            let mut expired: Vec<DemandId> =
+                (0..4).map(|_| DemandId::new(rng.gen_range(0..m))).collect();
+            expired.sort_unstable();
+            expired.dedup();
+            let mut arrivals = Vec::new();
+            let mut assignments = Vec::new();
+            for _ in 0..6 {
+                let (a, b) = random_pair(&mut rng);
+                let t = NetworkId::new(rng.gen_range(0..3));
+                let tree = problem.network(t);
+                let path = tree.path_edges(a, b);
+                assignments.push(layerer.assign(tree, t, a, b, &path));
+                arrivals.push(ArrivingDemand {
+                    profit: 2f64.powi(rng.gen_range(0..12)),
+                    height: 1.0,
+                    instances: vec![(t, path, None)],
+                });
+            }
+            u.apply_demand_delta(&expired, &arrivals, delta);
+            layering.splice(delta.instance_remap(), assignments);
+        });
     }
 
     #[test]

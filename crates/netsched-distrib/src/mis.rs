@@ -230,7 +230,8 @@ pub fn greedy_mis(graph: &ConflictGraph, active: &[InstanceId]) -> Vec<InstanceI
 // ---------------------------------------------------------------------------
 
 /// Reusable buffers for [`sharded_mis`]: a global instance → active-position
-/// table, allocated once per engine run instead of once per MIS call.
+/// table, allocated once and reused across MIS calls (and, resized with
+/// [`MisScratch::resize`], across solves of a changing universe).
 #[derive(Debug, Clone)]
 pub struct MisScratch {
     /// Instance id → position in the current active list (`u32::MAX` when
@@ -244,6 +245,14 @@ impl MisScratch {
         Self {
             pos: vec![u32::MAX; num_instances],
         }
+    }
+
+    /// Re-sizes the table for a universe of `num_instances` instances.
+    /// Every entry holds the sentinel between calls, so no entry needs
+    /// resetting: survivors of a shrink and new slots of a growth alike
+    /// read "absent".
+    pub fn resize(&mut self, num_instances: usize) {
+        self.pos.resize(num_instances, u32::MAX);
     }
 
     /// Records each instance's position in `active`.

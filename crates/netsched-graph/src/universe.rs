@@ -104,7 +104,13 @@ pub struct DemandInstanceUniverse {
     /// Range-minimum index over the capacities; built only in the
     /// non-uniform setting (the uniform one never consults it).
     capacity_index: Option<CapacityIndex>,
+    /// Cached `(p_min, p_max)` over all instances, refreshed by every
+    /// splice; see [`DemandInstanceUniverse::min_profit`].
+    profit_range: (f64, f64),
 }
+
+/// Empty-universe convention for the cached profit range.
+const NO_PROFITS: (f64, f64) = (1.0, 1.0);
 
 impl DemandInstanceUniverse {
     /// Assembles a universe from its parts.
@@ -135,10 +141,18 @@ impl DemandInstanceUniverse {
         }
         let mut by_demand = vec![Vec::new(); num_demands];
         let mut by_network = vec![Vec::new(); num_networks];
+        let mut profit_range = (f64::INFINITY, f64::NEG_INFINITY);
         for (i, inst) in instances.iter().enumerate() {
             assert_eq!(inst.id.index(), i, "instance ids must be dense");
             by_demand[inst.demand.index()].push(inst.id);
             by_network[inst.network.index()].push(inst.id);
+            profit_range = (
+                profit_range.0.min(inst.profit),
+                profit_range.1.max(inst.profit),
+            );
+        }
+        if instances.is_empty() {
+            profit_range = NO_PROFITS;
         }
         let uniform_capacity = capacities
             .iter()
@@ -159,6 +173,7 @@ impl DemandInstanceUniverse {
             by_network,
             uniform_capacity,
             capacity_index,
+            profit_range,
         }
     }
 
@@ -266,27 +281,17 @@ impl DemandInstanceUniverse {
     }
 
     /// Maximum profit over all instances (`p_max`); 1.0 for an empty
-    /// universe.
+    /// universe. `O(1)`: cached at construction and on every splice.
+    #[inline]
     pub fn max_profit(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 1.0;
-        }
-        self.instances
-            .iter()
-            .map(|d| d.profit)
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.profit_range.1
     }
 
     /// Minimum profit over all instances (`p_min`); 1.0 for an empty
-    /// universe.
+    /// universe. `O(1)`: cached at construction and on every splice.
+    #[inline]
     pub fn min_profit(&self) -> f64 {
-        if self.instances.is_empty() {
-            return 1.0;
-        }
-        self.instances
-            .iter()
-            .map(|d| d.profit)
-            .fold(f64::INFINITY, f64::min)
+        self.profit_range.0
     }
 
     /// Minimum height over all instances (`h_min`); 1.0 for an empty
@@ -831,10 +836,20 @@ impl DemandInstanceUniverse {
         for group in &mut self.by_network {
             group.clear();
         }
+        let mut profit_range = (f64::INFINITY, f64::NEG_INFINITY);
         for inst in &self.instances {
             self.by_demand[inst.demand.index()].push(inst.id);
             self.by_network[inst.network.index()].push(inst.id);
+            profit_range = (
+                profit_range.0.min(inst.profit),
+                profit_range.1.max(inst.profit),
+            );
         }
+        self.profit_range = if self.instances.is_empty() {
+            NO_PROFITS
+        } else {
+            profit_range
+        };
     }
 }
 
@@ -1115,6 +1130,8 @@ mod tests {
             u.instances_on_network(NetworkId(0)),
             fresh.instances_on_network(NetworkId(0))
         );
+        assert_eq!((u.min_profit(), u.max_profit()), (1.0, 4.0));
+        assert_eq!((fresh.min_profit(), fresh.max_profit()), (1.0, 4.0));
         // Delta bookkeeping: old instance 1 survived as 0, the rest removed,
         // the two new instances form the tail.
         assert_eq!(delta.instance_remap(), &[u32::MAX, 0, u32::MAX]);
@@ -1128,6 +1145,10 @@ mod tests {
             delta.dirty_networks().collect::<Vec<_>>(),
             vec![NetworkId(0)]
         );
+
+        // The cached profit range shrinks when its maximum expires.
+        u.apply_demand_delta(&[DemandId(1)], &[], &mut delta);
+        assert_eq!((u.min_profit(), u.max_profit()), (1.0, 1.0));
     }
 
     #[test]

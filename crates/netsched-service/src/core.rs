@@ -17,6 +17,7 @@ use netsched_graph::{
     ArrivingDemand, DemandId, DemandInstanceUniverse, EdgeId, LineProblem, TreeProblem,
     UniverseDelta,
 };
+use std::time::Instant;
 
 /// The layering assignments of one arriving demand's instances, in instance
 /// order (tree cores only; line cores re-derive length classes globally).
@@ -204,12 +205,14 @@ impl LiveCore {
         budget: &Budget,
     ) -> Solution {
         // Create the persisted state on first use, and reset it on a
-        // raise-rule switch.
+        // raise-rule switch; that counts as the solve's setup.
+        let started = Instant::now();
         if self.warm.as_ref().map(WarmState::rule) != Some(rule) {
             self.warm = Some(WarmState::new(&self.universe, rule));
         }
+        let built = started.elapsed();
         let warm = self.warm.as_mut().expect("warm state just ensured");
-        run_two_phase_warm_on(
+        let mut solution = run_two_phase_warm_on(
             &self.universe,
             &self.conflict,
             &self.layering,
@@ -217,7 +220,9 @@ impl LiveCore {
             config,
             warm,
             budget,
-        )
+        );
+        solution.timings.setup += built;
+        solution
     }
 
     /// The persisted warm state, if any (read by snapshot serialization

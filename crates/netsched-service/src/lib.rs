@@ -211,6 +211,12 @@
 //! | `epoch.conflict_rebuild_ns` | histogram | dirty conflict-shard rebuilds |
 //! | `epoch.solve_ns` | histogram | two-phase engine solve |
 //! | `epoch.delta_emit_ns` | histogram | schedule diff + delta assembly |
+//! | `engine.setup_ns` | histogram | solve setup: active list, group buckets, stage schedule |
+//! | `engine.repair_ns` | histogram | first-phase repair passes (MIS + raises) |
+//! | `engine.refresh_ns` | histogram | LHS cache refresh + per-network λ minima |
+//! | `engine.replay_ns` | histogram | second-phase replay of the MIS stack |
+//! | `engine.raised_set_ns` | histogram | sorted raised-instance set |
+//! | `engine.certify_ns` | histogram | verification, certificate checks, safety valve |
 //! | `epoch.count` | counter | epochs stepped |
 //! | `epoch.quarantined` | counter | batches rolled back by quarantine |
 //! | `engine.mis_rounds` | counter | first-phase MIS/raise rounds |

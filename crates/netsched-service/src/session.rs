@@ -451,6 +451,10 @@ struct SessionMetrics {
     conflict_rebuild_ns: Histogram,
     /// `epoch.solve_ns` — the two-phase engine solve.
     solve_ns: Histogram,
+    /// `engine.setup_ns` … `engine.certify_ns` — the solve's engine
+    /// phases, in [`EngineTimings::phases`](netsched_core::EngineTimings::phases)
+    /// order, summed over both halves of a mixed solve.
+    engine_phases: [Histogram; 6],
     /// `epoch.delta_emit_ns` — schedule diffing and delta assembly.
     delta_emit_ns: Histogram,
     /// `epoch.count` — epochs stepped (including empty fast-path epochs).
@@ -475,6 +479,14 @@ impl SessionMetrics {
             splice_ns: obs.histogram("epoch.splice_ns"),
             conflict_rebuild_ns: obs.histogram("epoch.conflict_rebuild_ns"),
             solve_ns: obs.histogram("epoch.solve_ns"),
+            engine_phases: [
+                obs.histogram("engine.setup_ns"),
+                obs.histogram("engine.repair_ns"),
+                obs.histogram("engine.refresh_ns"),
+                obs.histogram("engine.replay_ns"),
+                obs.histogram("engine.raised_set_ns"),
+                obs.histogram("engine.certify_ns"),
+            ],
             delta_emit_ns: obs.histogram("epoch.delta_emit_ns"),
             epochs: obs.counter("epoch.count"),
             quarantined: obs.counter("epoch.quarantined"),
@@ -1167,6 +1179,10 @@ impl ServiceSession {
         drop(solve_span);
         let solve_seconds = solve_elapsed.as_secs_f64();
         self.metrics.solve_ns.record_duration(solve_elapsed);
+        let phases = solution.timings.phases();
+        for (histogram, phase) in self.metrics.engine_phases.iter().zip(phases) {
+            histogram.record_duration(phase);
+        }
 
         // ---- delta extraction -----------------------------------------
         let delta_start = std::time::Instant::now();

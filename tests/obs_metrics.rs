@@ -9,7 +9,8 @@
 //!   `epoch.solve_ns`) are recorded from the *same clock reads* that
 //!   produce `DeltaStats::rebuild_seconds` / `solve_seconds`, so their
 //!   sums must agree to nanosecond-conversion rounding, not merely
-//!   correlate.
+//!   correlate; the engine-phase histograms (`engine.setup_ns` …
+//!   `engine.certify_ns`) tile `epoch.solve_ns` to within 2%.
 //! * **Enabled overhead** — a traced + metered epoch pays well under 5%
 //!   of the epoch's own duration for its spans and histogram records.
 //! * **Calibrated deadlines** — after a few epochs the session's
@@ -132,6 +133,33 @@ fn phase_histograms_tile_the_epoch_telemetry() {
         phases as f64 >= 0.80 * step.sum as f64,
         "phases cover only {phases}ns of {}ns step time",
         step.sum
+    );
+
+    // The engine's own phases are consecutive laps inside the solve, so
+    // they tile `epoch.solve_ns`: never more, and short of it only by the
+    // session's dispatch around the engine call.
+    let mut engine = 0u64;
+    for name in [
+        "engine.setup_ns",
+        "engine.repair_ns",
+        "engine.refresh_ns",
+        "engine.replay_ns",
+        "engine.raised_set_ns",
+        "engine.certify_ns",
+    ] {
+        let phase = hist(name);
+        assert_eq!(phase.count, solve.count, "`{name}` samples every solve");
+        engine += phase.sum;
+    }
+    assert!(
+        engine <= solve.sum,
+        "engine phases {engine}ns exceed the solve total {}ns",
+        solve.sum
+    );
+    assert!(
+        engine as f64 >= 0.98 * solve.sum as f64,
+        "engine phases cover only {engine}ns of {}ns solve time",
+        solve.sum
     );
 
     // Exporters carry the same histograms.

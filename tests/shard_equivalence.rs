@@ -1,12 +1,13 @@
 //! Determinism and equivalence suite for the sharded conflict engine.
 //!
-//! The sharding refactor is a pure representation change: on every input,
-//! at every thread count, the sharded build must produce a merged adjacency
-//! byte-identical to the pre-shard single-CSR path, and the shard-parallel
-//! two-phase engine must reproduce the reference engine's schedules and
-//! certificates exactly. These tests pin that contract on random
-//! multi-network tree and line instances, under both MIS strategies,
-//! sweeping the worker count through the rayon shim's global configuration.
+//! The sharding refactor is a pure representation change: on every input
+//! the sharded build must produce a merged adjacency byte-identical to the
+//! pre-shard single-CSR path, and the two-phase engine, which runs serially
+//! over the sharded graph, must reproduce the reference engine's schedules
+//! and certificates exactly. These tests pin that contract on random
+//! multi-network tree and line instances, under both MIS strategies. Some
+//! of them run under several rayon worker counts: the engine uses no
+//! worker pool, so those runs pin that no output depends on the pool size.
 //! The reference anchors both engine entry points: the cold one and the
 //! warm one on a fresh state.
 
@@ -104,8 +105,9 @@ fn merged_adjacency_is_byte_identical_across_paths_and_thread_counts() {
 
 #[test]
 fn sharded_mis_equals_flat_mis_at_every_thread_count() {
-    // A windowed line instance large enough to clear the engine's parallel
-    // gates, so the shard-parallel code paths really execute.
+    // A windowed line instance with over a thousand instances on eight
+    // networks, so the MIS walks both the per-shard neighbors and the
+    // cross-shard same-demand cliques.
     let universe = many_networks_line(8, 150, 5).build().unwrap().universe();
     assert!(universe.num_instances() >= 1024, "need a large active set");
     let flat = ConflictGraph::build(&universe);
