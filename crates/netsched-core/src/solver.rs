@@ -83,6 +83,7 @@ use netsched_graph::{
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The two network shapes of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -714,12 +715,14 @@ pub struct HalfOutcome<'a> {
 /// (the engine returns one for an empty universe). When both halves are
 /// charged against one [`Budget`], a round cap bounds their total
 /// first-phase work, and the combined certificate carries the merge of
-/// the two halves' qualities.
+/// the two halves' qualities. The combined timings are the halves' phase
+/// sums, with the combination's own time added to the `certify` phase.
 pub fn combine_wide_narrow(
     universe: &DemandInstanceUniverse,
     wide: HalfOutcome<'_>,
     narrow: HalfOutcome<'_>,
 ) -> Solution {
+    let started = Instant::now();
     let wide_solution = wide.solution;
     let narrow_solution = narrow.solution;
     let wide_selected = translate_split_selection(
@@ -770,6 +773,8 @@ pub fn combine_wide_narrow(
     let wd = wide_solution.diagnostics;
     let nd = narrow_solution.diagnostics;
     let profit = universe.total_profit(&selected);
+    let mut timings = wide_solution.timings.merged(narrow_solution.timings);
+    timings.certify += started.elapsed();
     Solution {
         selected,
         raised_instances,
@@ -800,7 +805,7 @@ pub fn combine_wide_narrow(
             optimum_upper_bound: wd.optimum_upper_bound + nd.optimum_upper_bound,
             quality: wd.quality.merge(nd.quality),
         },
-        timings: wide_solution.timings.merged(narrow_solution.timings),
+        timings,
     }
 }
 
@@ -1100,6 +1105,25 @@ mod tests {
         // The split and both layerings were each built at most once.
         assert!(session.build_counts().split <= 1);
         assert_eq!(session.build_counts().universe, 1);
+    }
+
+    #[test]
+    fn the_combination_counts_as_certify_time() {
+        // Two empty halves carry zero timings, so every nanosecond of the
+        // combined timings is the combination's own.
+        let universe = figure1_line_problem().universe();
+        let half = || HalfOutcome {
+            universe: &universe,
+            demand_map: &[],
+            solution: Solution::empty(),
+        };
+        let timings = combine_wide_narrow(&universe, half(), half()).timings;
+        let [setup, repair, refresh, replay, raised_set, certify] = timings.phases();
+        assert!(certify > std::time::Duration::ZERO);
+        assert_eq!(
+            setup + repair + refresh + replay + raised_set,
+            Default::default()
+        );
     }
 
     #[test]

@@ -67,7 +67,10 @@ pub struct RecoveredSession {
 ///    the rest replay in order through the normal
 ///    [`step`](ServiceSession::step) path — so the recovered session
 ///    inherits the session's own equivalence contract (cold:
-///    byte-identical; warm: certificate-equivalent).
+///    byte-identical; warm: certificate-equivalent). A record that
+///    follows a quarantine replays after
+///    [`reset_warm_states`](ServiceSession::reset_warm_states), as the
+///    quarantine left the session.
 ///
 /// Fails only when no snapshot in the directory is valid or a valid
 /// record fails to replay (which indicates a log/snapshot mismatch, not
@@ -128,8 +131,12 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
         offset: usize,
         epoch: u64,
         batch: Vec<DemandEvent>,
+        /// A quarantine cancelled a record since the previous survivor, so
+        /// the session ran this batch with its warm states reset.
+        after_quarantine: bool,
     }
     let mut resolved: Vec<Resolved> = Vec::new();
+    let mut quarantined = false;
     let mut offset = 0usize;
     for (i, frame) in scan.frames.iter().enumerate() {
         let frame_offset = offset;
@@ -143,11 +150,13 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
                 while resolved.last().is_some_and(|r| r.epoch >= epoch) {
                     resolved.pop();
                     rolled_back_records += 1;
+                    quarantined = true;
                 }
                 resolved.push(Resolved {
                     offset: frame_offset,
                     epoch,
                     batch,
+                    after_quarantine: std::mem::take(&mut quarantined),
                 });
             }
             Ok(WalRecord::Rollback { epoch }) => {
@@ -155,6 +164,7 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
                     resolved.pop();
                     rolled_back_records += 1;
                 }
+                quarantined = true;
             }
             Err(_) => {
                 // A CRC-valid frame that does not decode as a record:
@@ -189,10 +199,18 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
             truncate_at = Some(record.offset);
             break;
         }
+        if record.after_quarantine {
+            session.reset_warm_states();
+        }
         session
             .step(&record.batch)
             .map_err(|e| format!("replaying logged epoch {} failed: {e}", record.epoch))?;
         replayed_epochs += 1;
+    }
+    // A quarantine after the last surviving record reset the live
+    // session's warm states as well.
+    if quarantined {
+        session.reset_warm_states();
     }
 
     session

@@ -143,7 +143,7 @@ pub enum ServiceError {
         retry_after_epochs: u64,
     },
     /// The solve of this batch panicked. The batch is quarantined — the
-    /// session was restored from its pre-step structures and is fully
+    /// session was restored to its pre-step live set and is fully
     /// operational; the offending batch must not be resubmitted verbatim.
     Quarantined {
         /// The panic payload (downcast to a string when possible).

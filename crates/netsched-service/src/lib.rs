@@ -170,14 +170,17 @@
 //!   [`ServiceError::Overloaded`]`{ retry_after_epochs: 1 }` instead of
 //!   growing without bound (one epoch drains the whole queue).
 //! * **Quarantine** — [`ServiceSession::step_with_deadline`] runs the
-//!   epoch under `catch_unwind`; a panicking solve restores the session
-//!   from its pre-step snapshot, appends a rollback tombstone to any
-//!   attached journal (so crash recovery never resurrects the poisoned
-//!   batch) and returns [`ServiceError::Quarantined`] naming the panic.
-//!   The session stays fully operational; only the offending batch is
-//!   lost. The pre-step snapshot costs one serialization of the session
-//!   per epoch, so the frontend applies it only to budgeted epochs
-//!   unless [`ServicePolicy::quarantine`] opts every epoch in. A panic in
+//!   epoch under `catch_unwind`; a panicking solve restores the session's
+//!   pre-step live set by inverting the batch and rebuilds its cores,
+//!   appends a rollback tombstone to any attached journal (so crash
+//!   recovery never resurrects the poisoned batch) and returns
+//!   [`ServiceError::Quarantined`] naming the panic. The session stays
+//!   fully operational; only the offending batch is lost. Isolation
+//!   costs O(batch) per epoch on the happy path (the ticket counter and
+//!   the batch's expiring demands are kept aside) and O(live) for the
+//!   rebuild when a quarantine happens. The frontend applies it to
+//!   budgeted epochs, and to every epoch when
+//!   [`ServicePolicy::quarantine`] opts them all in. A panic in
 //!   an unisolated epoch propagates to the caller driving it, and the
 //!   frontend answers every later call with
 //!   [`ServiceError::SessionLost`] — never a panic, and never the

@@ -92,11 +92,12 @@ pub struct ServicePolicy {
     pub latency_budget: BudgetSpec,
     /// Run **every** epoch — including unlimited bulk-only ones — through
     /// [`ServiceSession::step_with_deadline`] so a panicking solve is
-    /// quarantined instead of poisoning the session. Costs one pre-step
-    /// serialization of the session per epoch, so it is opt-in; with the
-    /// default `false`, only budgeted epochs (which pay that cost anyway)
-    /// get panic isolation and bulk-only epochs take the plain
-    /// [`step`](ServiceSession::step) path.
+    /// quarantined instead of poisoning the session. Isolation costs
+    /// O(batch) per epoch on the happy path and an O(live) core rebuild
+    /// only when a quarantine happens. With the default `false`, only
+    /// budgeted epochs get panic isolation and bulk-only epochs take the
+    /// plain [`step`](ServiceSession::step) path, where a panic loses the
+    /// session.
     pub quarantine: bool,
 }
 
@@ -160,12 +161,13 @@ impl Shared {
     /// submission is latency-sensitive (bulk-only epochs certify fully).
     /// Budgeted epochs — and every epoch under a `quarantine: true`
     /// policy — go through [`ServiceSession::step_with_deadline`], so a
-    /// panicking solve quarantines the folded batch; unbudgeted epochs
+    /// panicking solve quarantines the folded batch (O(batch) on the
+    /// happy path, an O(live) rebuild on a quarantine); unbudgeted epochs
     /// under the default policy take the plain
-    /// [`step`](ServiceSession::step) path and skip its pre-step
-    /// serialization. A panic there loses the session: the panic
-    /// propagates to the driving caller and every co-folded submission
-    /// resolves with [`ServiceError::SessionLost`].
+    /// [`step`](ServiceSession::step) path without isolation. A panic
+    /// there loses the session: the panic propagates to the driving
+    /// caller and every co-folded submission resolves with
+    /// [`ServiceError::SessionLost`].
     fn fold(&self, state: &mut SessionState, force: bool) -> Option<EpochResult> {
         let pending = std::mem::take(&mut *self.queue.lock().expect("queue lock poisoned"));
         // Decrement-by-delta rather than `set(0)`: the registry may be
@@ -601,8 +603,8 @@ mod tests {
     #[test]
     fn default_policy_drives_unbudgeted_epochs_without_isolation() {
         // The default policy takes the plain `step` path for bulk-only
-        // epochs — no pre-step snapshot, so an armed panic propagates
-        // instead of being quarantined.
+        // epochs — no isolation, so an armed panic propagates instead of
+        // being quarantined.
         let mut session = session();
         session.inject_solve_panics(vec![1]);
         let service = Service::new(session);

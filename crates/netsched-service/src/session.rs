@@ -390,9 +390,71 @@ impl BaseProblem {
         }
         (arrivings, assignments)
     }
+
+    /// Builds the split cores from scratch over `live` — the one-time
+    /// cost paid on the first epoch whose height mix is mixed (identical
+    /// to what a fresh `Scheduler`'s split caches would hold).
+    fn split(&self, live: &[LiveDemand]) -> SplitState {
+        let half = |wide: bool| {
+            let (map, requests): (Vec<DemandId>, Vec<&DemandRequest>) = live
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| d.request.is_wide() == wide)
+                .map(|(i, d)| (DemandId::new(i), &d.request))
+                .unzip();
+            let core = self.core(requests).expect("live demands are valid");
+            (core, map)
+        };
+        let (wide, wide_map) = half(true);
+        let (narrow, narrow_map) = half(false);
+        SplitState {
+            wide,
+            narrow,
+            wide_map,
+            narrow_map,
+        }
+    }
+
+    /// Every core over `live`, built from scratch without warm states: the
+    /// full core and, when the height mix is mixed, the split. By the
+    /// session's differential invariant these are byte-identical to the
+    /// incrementally maintained cores of a session over the same live set.
+    /// Their conflict-graph generations are advanced past `epoch`, so a
+    /// cache keyed by [`ShardedConflictGraph::generation`] can never alias
+    /// a rebuilt graph with the one it replaced.
+    fn cores(
+        &self,
+        live: &[LiveDemand],
+        epoch: u64,
+    ) -> Result<(LiveCore, Option<SplitState>), String> {
+        let mut full = self.core(live.iter().map(|d| &d.request))?;
+        full.conflict.advance_generation(epoch);
+        let split = uniform_rule(live).is_none().then(|| {
+            let mut split = self.split(live);
+            split.wide.conflict.advance_generation(epoch);
+            split.narrow.conflict.advance_generation(epoch);
+            split
+        });
+        Ok((full, split))
+    }
+}
+
+/// The raise rule a live set solves under — [`RaiseRule::Unit`] when no
+/// demand is narrow, [`RaiseRule::Narrow`] when none is wide — or `None`
+/// when the height mix is mixed and the wide/narrow split solves the
+/// epoch.
+fn uniform_rule(live: &[LiveDemand]) -> Option<RaiseRule> {
+    let any_wide = live.iter().any(|d| d.request.is_wide());
+    let any_narrow = live.iter().any(|d| !d.request.is_wide());
+    match (any_wide, any_narrow) {
+        (true, true) => None,
+        (false, true) => Some(RaiseRule::Narrow),
+        _ => Some(RaiseRule::Unit),
+    }
 }
 
 /// One live demand: its stable ticket plus the validated request.
+#[derive(Clone)]
 struct LiveDemand {
     ticket: u64,
     request: DemandRequest,
@@ -546,7 +608,7 @@ pub struct ServiceSession {
     /// The wait-free publication point, created lazily by
     /// [`ServiceSession::schedule_view`]. `None` until a reader asks:
     /// sessions that never hand out readers pay nothing on the step path.
-    /// Never serialized; carried across a quarantine restore.
+    /// Never serialized; a quarantine leaves it alone.
     view: Option<ScheduleView>,
 }
 
@@ -908,12 +970,17 @@ impl ServiceSession {
     /// certification.
     ///
     /// *Quarantine*: the step runs under `catch_unwind`. If the solve
-    /// panics, the batch is **quarantined** — the session is restored
-    /// from its pre-step snapshot (journal re-attached), the call returns
-    /// [`ServiceError::Quarantined`], and the session remains fully
-    /// operational. The pre-step snapshot costs one serialization of the
-    /// session per call; latency-sensitive tiers pay it in exchange for
-    /// not losing the session to a poisoned batch. The write-ahead
+    /// panics, the batch is **quarantined** — the call returns
+    /// [`ServiceError::Quarantined`] and the session remains fully
+    /// operational on its pre-step live set. The happy path costs
+    /// O(batch): the call keeps only the ticket counter and clones of the
+    /// batch's expiring demands. A quarantine inverts the batch on the
+    /// live list and rebuilds every core from it in O(live). The standing
+    /// schedule, profit, certificate, epoch and pending anytime work are
+    /// untouched: the step commits them only after its last panic site.
+    /// Warm states restart from zero duals, so a Warm session is
+    /// certificate-equivalent after a quarantine (the contract of a warm
+    /// durable recovery) and a Cold one byte-identical. The write-ahead
     /// journal records the batch *before* the solve, so a quarantined
     /// batch leaves a dead record in the log; after the restore a
     /// **rollback tombstone** ([`EpochJournal::record_rollback`]) is
@@ -927,8 +994,17 @@ impl ServiceSession {
         batch: &[DemandEvent],
         budget: &Budget,
     ) -> Result<ScheduleDelta, ServiceError> {
-        let doc = self.snapshot();
-        let pending_anytime = self.pending_anytime;
+        // What a panic could destroy and the batch alone cannot give back:
+        // the ticket counter and the expiring demands. O(batch).
+        let next_ticket = self.next_ticket;
+        let expiring: Vec<LiveDemand> = batch
+            .iter()
+            .filter_map(|event| match event {
+                DemandEvent::Expire(ticket) => self.dense_id(*ticket),
+                DemandEvent::Arrive(_) => None,
+            })
+            .map(|id| self.live[id.index()].clone())
+            .collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.step_inner(batch, budget)
         }));
@@ -936,22 +1012,23 @@ impl ServiceSession {
             Ok(result) => result,
             Err(payload) => {
                 let reason = panic_reason(payload.as_ref());
-                // The panic may have left the live structures mid-splice:
-                // rebuild everything from the pre-step snapshot and carry
-                // over what the snapshot does not serialize.
-                let journal = self.journal.take();
-                let panic_epochs = std::mem::take(&mut self.panic_epochs);
-                let view = self.view.take();
-                let mut restored =
-                    Self::from_snapshot(&doc).expect("pre-step snapshot must round-trip");
-                restored.journal = journal;
-                restored.panic_epochs = panic_epochs;
-                restored.pending_anytime = pending_anytime;
-                restored.metrics = self.metrics.clone();
-                restored.obs = self.obs.clone();
-                restored.calibration = self.calibration;
-                restored.view = view;
-                *self = restored;
+                // The panic may have left the live list and the cores
+                // mid-splice. Invert the batch on the live list — drop its
+                // arrivals (tickets from `next_ticket` on), put back the
+                // expiries it already removed — and rebuild the cores over
+                // it. The step commits nothing else before its last panic
+                // site.
+                self.next_ticket = next_ticket;
+                self.live.retain(|d| d.ticket < next_ticket);
+                self.live.extend(expiring);
+                // An ascending run plus a batch-sized tail: the stable sort
+                // merges them in O(live + batch log batch).
+                self.live.sort_by_key(|d| d.ticket);
+                self.live.dedup_by_key(|d| d.ticket);
+                (self.full, self.split) = self
+                    .base
+                    .cores(&self.live, self.epoch)
+                    .expect("pre-step live demands are valid");
                 // The poisoned epoch never published: clear its in-flight
                 // bit so readers' staleness returns to zero on the last
                 // certified snapshot.
@@ -979,13 +1056,26 @@ impl ServiceSession {
         self.pending_anytime
     }
 
+    /// Drops every core's warm state, so the next warm solve re-primes
+    /// from zero duals (a no-op for Cold sessions). A quarantine leaves
+    /// the session this way; crash recovery calls this where a
+    /// quarantined record sat in the log, so the replay runs the same
+    /// solves the live session ran.
+    pub fn reset_warm_states(&mut self) {
+        self.full.set_warm_state(None);
+        if let Some(split) = &mut self.split {
+            split.wide.set_warm_state(None);
+            split.narrow.set_warm_state(None);
+        }
+    }
+
     /// Arms the fault-injection hook: the solve of each listed epoch (the
     /// 1-based epoch the step would advance the session to) panics with
     /// `"injected solve fault"` before the engine runs. Harness plumbing
     /// for exercising the quarantine path of
     /// [`step_with_deadline`](ServiceSession::step_with_deadline) —
     /// production solves have no panic sites reachable from a validated
-    /// batch. Never serialized; survives a quarantine restore.
+    /// batch. Never serialized; a quarantine leaves it armed.
     pub fn inject_solve_panics(&mut self, epochs: Vec<u64>) {
         self.panic_epochs = epochs;
     }
@@ -1055,16 +1145,16 @@ impl ServiceSession {
         // Skipped while truncated work is pending: an empty step is then
         // exactly the "finish the certification" epoch.
         if batch.is_empty() && self.solved && !self.pending_anytime {
-            self.epoch += 1;
             if let Some(view) = &self.view {
                 view.publish(ScheduleSnapshot::capture(
-                    self.epoch,
+                    self.epoch + 1,
                     &self.schedule,
                     self.certificate,
                     self.profit,
                     CertificateQuality::Full,
                 ));
             }
+            self.epoch += 1;
             self.metrics.epochs.inc();
             self.metrics.step_ns.record_duration(step_start.elapsed());
             return Ok(ScheduleDelta {
@@ -1116,14 +1206,14 @@ impl ServiceSession {
         }
 
         // ---- wide/narrow split maintenance ----------------------------
-        let rule = self.uniform_rule();
+        let rule = uniform_rule(&self.live);
         let mut conflict_ns = self.full.conflict_rebuild_ns;
         if self.split.is_some() {
             self.update_split(&removed, &arrivals, &arrivings, &assignments);
             let split = self.split.as_ref().expect("split just updated");
             conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
         } else if rule.is_none() {
-            self.split = Some(self.build_split());
+            self.split = Some(self.base.split(&self.live));
         }
 
         // ---- solve -----------------------------------------------------
@@ -1226,18 +1316,31 @@ impl ServiceSession {
             .into_iter()
             .filter(|&t| self.is_live(t))
             .collect();
-
-        self.schedule = new_schedule;
-        self.profit = solution.profit;
-        self.certificate = Certificate {
+        let certificate = Certificate {
             optimum_upper_bound: solution.diagnostics.optimum_upper_bound,
             lambda: solution.diagnostics.lambda,
             dual_objective: solution.diagnostics.dual_objective,
         };
-        self.solved = true;
-        self.pending_anytime = solution.diagnostics.quality.is_truncated();
-        self.epoch += 1;
         let quality = solution.diagnostics.quality;
+        if let Some(view) = &self.view {
+            view.publish(ScheduleSnapshot::capture(
+                self.epoch + 1,
+                &new_schedule,
+                certificate,
+                solution.profit,
+                quality,
+            ));
+        }
+
+        // ---- commit ----------------------------------------------------
+        // Nothing below can panic, so a quarantined step never reaches
+        // these fields and `step_with_deadline` need not restore them.
+        self.schedule = new_schedule;
+        self.profit = solution.profit;
+        self.certificate = certificate;
+        self.solved = true;
+        self.pending_anytime = quality.is_truncated();
+        self.epoch += 1;
         self.metrics.epochs.inc();
         self.metrics.mis_rounds.add(solution.diagnostics.steps);
         self.metrics.raises.add(solution.diagnostics.raised);
@@ -1253,15 +1356,6 @@ impl ServiceSession {
         if quality.is_full() {
             self.calibration
                 .observe(solution.diagnostics.steps, solve_seconds);
-        }
-        if let Some(view) = &self.view {
-            view.publish(ScheduleSnapshot::capture(
-                self.epoch,
-                &self.schedule,
-                self.certificate,
-                self.profit,
-                quality,
-            ));
         }
         self.last = Some(solution);
         self.metrics
@@ -1358,45 +1452,6 @@ impl ServiceSession {
         }
     }
 
-    /// The raise rule the whole live set solves under — [`RaiseRule::Unit`]
-    /// when no demand is narrow, [`RaiseRule::Narrow`] when none is wide —
-    /// or `None` when the height mix is mixed and the wide/narrow split
-    /// solves the epoch.
-    fn uniform_rule(&self) -> Option<RaiseRule> {
-        let any_wide = self.live.iter().any(|d| d.request.is_wide());
-        let any_narrow = self.live.iter().any(|d| !d.request.is_wide());
-        match (any_wide, any_narrow) {
-            (true, true) => None,
-            (false, true) => Some(RaiseRule::Narrow),
-            _ => Some(RaiseRule::Unit),
-        }
-    }
-
-    /// Builds the split cores from scratch over the current live set — the
-    /// one-time cost paid on the first epoch whose height mix is mixed
-    /// (identical to what a fresh `Scheduler`'s split caches would hold).
-    fn build_split(&self) -> SplitState {
-        let half = |wide: bool| {
-            let (map, requests): (Vec<DemandId>, Vec<&DemandRequest>) = self
-                .live
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.request.is_wide() == wide)
-                .map(|(i, d)| (DemandId::new(i), &d.request))
-                .unzip();
-            let core = self.base.core(requests).expect("live demands are valid");
-            (core, map)
-        };
-        let (wide, wide_map) = half(true);
-        let (narrow, narrow_map) = half(false);
-        SplitState {
-            wide,
-            narrow,
-            wide_map,
-            narrow_map,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Durability: compaction, snapshot, restore
     // ------------------------------------------------------------------
@@ -1420,7 +1475,7 @@ impl ServiceSession {
     ///   and certifies like any fresh state.
     pub fn compact(&mut self) -> CompactionReport {
         let mut report = CompactionReport::default();
-        if self.split.is_some() && self.uniform_rule().is_some() {
+        if self.split.is_some() && uniform_rule(&self.live).is_some() {
             self.split = None;
             report.split_dropped = true;
         }
@@ -1547,11 +1602,14 @@ impl ServiceSession {
             "line" => BaseProblem::Line(LineProblem::from_json(doc.field("base")?)?),
             other => return Err(format!("unknown session shape `{other}`")),
         };
-        let full = base
-            .core(live.iter().map(|d| &d.request))
+        let epoch = doc.field("epoch")?.as_u64()?;
+        let (full, split) = base
+            .cores(&live, epoch)
             .map_err(|e| format!("snapshot {e}"))?;
         let mut session = Self::assemble(base, config, live, full);
+        session.split = split;
         session.resolve = resolve;
+        session.epoch = epoch;
         session.next_ticket = doc.field("next_ticket")?.as_u64()?;
         if session
             .live
@@ -1560,7 +1618,6 @@ impl ServiceSession {
         {
             return Err("snapshot next_ticket does not exceed every live ticket".into());
         }
-        session.epoch = doc.field("epoch")?.as_u64()?;
         session.solved = match doc.field("solved")? {
             JsonValue::Bool(b) => *b,
             other => return Err(format!("expected boolean `solved`, got {}", other.render())),
@@ -1599,8 +1656,7 @@ impl ServiceSession {
                 session.full.set_warm_state(Some(warm));
             }
         }
-        if session.uniform_rule().is_none() {
-            let mut split = session.build_split();
+        if let Some(split) = &mut session.split {
             let split_doc = doc.field("split")?;
             if !matches!(split_doc, JsonValue::Null) {
                 for (key, core) in [
@@ -1617,12 +1673,6 @@ impl ServiceSession {
                     }
                 }
             }
-            session.split = Some(split);
-        }
-        session.full.conflict.advance_generation(session.epoch);
-        if let Some(split) = &mut session.split {
-            split.wide.conflict.advance_generation(session.epoch);
-            split.narrow.conflict.advance_generation(session.epoch);
         }
         Ok(session)
     }

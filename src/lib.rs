@@ -239,15 +239,16 @@
 //!   [`ServiceError::Overloaded`](prelude::ServiceError) (backpressure,
 //!   not unbounded buffering).
 //! * **Quarantine.** A panic inside the solve is caught at the epoch
-//!   boundary: the session restores its pre-step snapshot, tombstones
-//!   the batch's write-ahead record (so crash recovery skips it instead
-//!   of replaying the poisoned batch) and reports
-//!   [`ServiceError::Quarantined`](prelude::ServiceError) — one
-//!   poisoned batch cannot take the session (or the queued batches
-//!   behind it) down, live or across a crash. Panic isolation costs a
-//!   pre-step serialization of the session, so the frontend applies it
-//!   to budgeted epochs by default and to every epoch under a
-//!   `quarantine: true` [`ServicePolicy`](prelude::ServicePolicy). A
+//!   boundary: the session inverts the batch on its live set and
+//!   rebuilds its cores, tombstones the batch's write-ahead record (so
+//!   crash recovery skips it instead of replaying the poisoned batch)
+//!   and reports [`ServiceError::Quarantined`](prelude::ServiceError) —
+//!   one poisoned batch cannot take the session (or the queued batches
+//!   behind it) down, live or across a crash. Panic isolation costs
+//!   O(batch) per epoch on the happy path and an O(live) rebuild only
+//!   when a quarantine happens. The frontend applies it to budgeted
+//!   epochs by default and to every epoch under a `quarantine: true`
+//!   [`ServicePolicy`](prelude::ServicePolicy). A
 //!   panic in an unisolated epoch reaches the caller driving it; the
 //!   frontend then answers every later call with
 //!   [`ServiceError::SessionLost`](prelude::ServiceError) instead of

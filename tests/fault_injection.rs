@@ -16,19 +16,23 @@
 //!   retry loop, each downgrade operator-visible as a [`DegradeEvent`].
 //! * **Injected solve panics** are quarantined by
 //!   [`step_with_deadline`](netsched_service::ServiceSession::step_with_deadline):
-//!   the session restores from its pre-step structures, tombstones the
-//!   dead write-ahead record (replay skips it — or, if the tombstone
-//!   append fails too, the retried epoch supersedes it) and keeps
-//!   serving.
+//!   the session inverts the batch on its live set and rebuilds its
+//!   cores, tombstones the dead write-ahead record (replay skips it — or,
+//!   if the tombstone append fails too, the retried epoch supersedes it)
+//!   and keeps serving. A Cold session then serves bit-identically to a
+//!   twin that never saw the batch; a Warm one re-primes to a full
+//!   certificate.
 //!
 //! A final scenario combines injected faults with deadline-bounded
 //! epochs and a crash, asserting recovery replays the survivors.
 
 use netsched_core::{AlgorithmConfig, Budget, CertificateQuality};
-use netsched_graph::{LineProblem, NetworkId};
+use netsched_graph::{LineProblem, NetworkId, TreeProblem, VertexId};
 use netsched_persist::{Durability, DurableSession, PersistConfig};
-use netsched_service::{DemandEvent, DemandRequest, ServiceError, ServiceSession};
-use netsched_workloads::FaultPlan;
+use netsched_service::{
+    DemandEvent, DemandRequest, ResolveMode, ScheduleDelta, ServiceError, ServiceSession,
+};
+use netsched_workloads::{many_networks_tree, FaultPlan, HeightDistribution};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -232,6 +236,124 @@ fn injected_solve_panics_quarantine_the_batch_and_restore_the_session() {
         .expect("restored session serves");
     assert_eq!(delta.stats.quality, CertificateQuality::Full);
     assert_eq!(session.epoch(), epoch + 1);
+    session
+        .last_solution()
+        .expect("solved")
+        .verify(session.universe())
+        .expect("post-quarantine schedule feasible");
+}
+
+/// A tree problem whose demands mix wide and narrow heights, so every
+/// epoch solves through the wide/narrow split.
+fn mixed_tree_problem() -> TreeProblem {
+    let mut base = many_networks_tree(3, 40, 17);
+    base.heights = HeightDistribution::Mixed {
+        wide_fraction: 0.4,
+        min_narrow: 0.1,
+    };
+    base.build().unwrap()
+}
+
+fn tree_arrival(u: u32, v: u32, profit: f64, height: f64) -> DemandEvent {
+    DemandEvent::Arrive(DemandRequest::Tree {
+        u: VertexId(u),
+        v: VertexId(v),
+        profit,
+        height,
+        access: vec![NetworkId::new(0), NetworkId::new(1)],
+    })
+}
+
+/// The delta with its wall-clock fields zeroed, so two runs compare.
+fn untimed(mut delta: ScheduleDelta) -> ScheduleDelta {
+    delta.stats.rebuild_seconds = 0.0;
+    delta.stats.solve_seconds = 0.0;
+    delta.stats.journal_seconds = 0.0;
+    delta
+}
+
+/// Quarantines a batch with arrivals and expiries on a mixed-height tree
+/// session whose previous epoch was deadline-cut, checks that nothing the
+/// step commits moved, then re-submits the batch disarmed on the session
+/// and on a twin that never saw the poisoned attempt. Returns both deltas.
+fn quarantine_and_resubmit(mode: ResolveMode) -> (ServiceSession, ScheduleDelta, ScheduleDelta) {
+    let problem = mixed_tree_problem();
+    let open = || {
+        ServiceSession::for_tree(&problem, AlgorithmConfig::deterministic(0.1))
+            .with_resolve_mode(mode)
+    };
+    let mut session = open();
+    let mut twin = open();
+    let warmup = [tree_arrival(3, 40, 6.0, 0.8), tree_arrival(7, 22, 4.0, 0.3)];
+    for s in [&mut session, &mut twin] {
+        // A first solve cut after one round leaves certification work
+        // pending.
+        s.step_with_deadline(&warmup, &Budget::rounds(1)).unwrap();
+    }
+
+    let live = session.live_tickets();
+    let epoch = session.epoch();
+    let schedule = session.schedule();
+    let profit = session.profit();
+    let certificate = session.certificate();
+    let pending = session.anytime_pending();
+    assert!(pending, "the one-round epoch was expected to truncate");
+    let scheduled = schedule[0].ticket;
+    let unscheduled = *live
+        .iter()
+        .find(|t| schedule.iter().all(|s| s.ticket != **t))
+        .expect("some live demand is unscheduled");
+    let batch = vec![
+        tree_arrival(2, 50, 9.0, 0.9),
+        DemandEvent::Expire(scheduled),
+        tree_arrival(5, 31, 3.0, 0.25),
+        DemandEvent::Expire(unscheduled),
+    ];
+
+    session.inject_solve_panics(vec![epoch + 1]);
+    match session.step_with_deadline(&batch, &Budget::unlimited()) {
+        Err(ServiceError::Quarantined { reason }) => {
+            assert!(reason.contains("injected solve fault"), "{reason}");
+        }
+        other => panic!("expected quarantine, got {other:?}"),
+    }
+    assert_eq!(session.live_tickets(), live, "live set not restored");
+    assert_eq!(session.epoch(), epoch);
+    assert_eq!(session.schedule(), schedule);
+    assert_eq!(session.profit(), profit);
+    assert_eq!(session.certificate(), certificate);
+    assert_eq!(session.anytime_pending(), pending);
+
+    session.inject_solve_panics(Vec::new());
+    let ours = session
+        .step_with_deadline(&batch, &Budget::unlimited())
+        .expect("restored session serves");
+    let theirs = twin
+        .step_with_deadline(&batch, &Budget::unlimited())
+        .expect("twin serves");
+    assert_eq!(
+        ours.tickets, theirs.tickets,
+        "the ticket counter was not restored"
+    );
+    (session, ours, theirs)
+}
+
+#[test]
+fn cold_quarantine_leaves_the_next_delta_bit_identical() {
+    let (_, ours, theirs) = quarantine_and_resubmit(ResolveMode::Cold);
+    assert_eq!(untimed(ours), untimed(theirs));
+}
+
+#[test]
+fn warm_quarantine_reprimes_to_a_full_certificate() {
+    let (session, ours, _) = quarantine_and_resubmit(ResolveMode::Warm);
+    assert_eq!(ours.stats.quality, CertificateQuality::Full);
+    assert!(
+        ours.certificate.lambda >= 1.0 - 0.1 - 1e-6,
+        "λ = {} after a quarantine",
+        ours.certificate.lambda
+    );
+    assert!(ours.certificate.optimum_upper_bound + 1e-9 >= ours.profit);
     session
         .last_solution()
         .expect("solved")

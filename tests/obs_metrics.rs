@@ -10,7 +10,8 @@
 //!   produce `DeltaStats::rebuild_seconds` / `solve_seconds`, so their
 //!   sums must agree to nanosecond-conversion rounding, not merely
 //!   correlate; the engine-phase histograms (`engine.setup_ns` …
-//!   `engine.certify_ns`) tile `epoch.solve_ns` to within 2%.
+//!   `engine.certify_ns`) tile `epoch.solve_ns` to within 2%, on a
+//!   single-rule line session and on a mixed-height tree session.
 //! * **Enabled overhead** — a traced + metered epoch pays well under 5%
 //!   of the epoch's own duration for its spans and histogram records.
 //! * **Calibrated deadlines** — after a few epochs the session's
@@ -26,13 +27,17 @@ use std::time::{Duration, Instant};
 
 use netsched_core::{AlgorithmConfig, Budget};
 use netsched_graph::{LineProblem, NetworkId};
+use netsched_obs::MetricsReport;
 use netsched_persist::{Durability, DurableSession, PersistConfig};
 use netsched_service::{
     parse_wal_record, replay_trace, wal_record, DemandEvent, DemandRequest, ServiceError,
     ServiceSession, WalRecord,
 };
 use netsched_workloads::json::JsonValue;
-use netsched_workloads::{many_networks_line, poisson_arrivals_line, ChurnSpec, FaultPlan};
+use netsched_workloads::{
+    many_networks_line, many_networks_tree, poisson_arrivals_line, poisson_arrivals_tree,
+    ChurnSpec, FaultPlan, HeightDistribution,
+};
 
 static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
@@ -135,9 +140,25 @@ fn phase_histograms_tile_the_epoch_telemetry() {
         step.sum
     );
 
-    // The engine's own phases are consecutive laps inside the solve, so
-    // they tile `epoch.solve_ns`: never more, and short of it only by the
-    // session's dispatch around the engine call.
+    assert_engine_phases_tile_the_solve(&report);
+
+    // Exporters carry the same histograms.
+    let json = report.to_json();
+    assert!(json.contains("epoch.step_ns"));
+    let prom = report.to_prometheus();
+    assert!(prom.contains("netsched_epoch_step_ns"));
+}
+
+/// The engine's own phases are consecutive laps inside the solve, so they
+/// tile `epoch.solve_ns`: never more, and short of it only by the
+/// session's dispatch around the engine call.
+fn assert_engine_phases_tile_the_solve(report: &MetricsReport) {
+    let hist = |name: &str| {
+        *report
+            .histogram(name)
+            .unwrap_or_else(|| panic!("histogram `{name}` missing from the report"))
+    };
+    let solve = hist("epoch.solve_ns");
     let mut engine = 0u64;
     for name in [
         "engine.setup_ns",
@@ -161,12 +182,32 @@ fn phase_histograms_tile_the_epoch_telemetry() {
         "engine phases cover only {engine}ns of {}ns solve time",
         solve.sum
     );
+}
 
-    // Exporters carry the same histograms.
-    let json = report.to_json();
-    assert!(json.contains("epoch.step_ns"));
-    let prom = report.to_prometheus();
-    assert!(prom.contains("netsched_epoch_step_ns"));
+#[test]
+fn engine_phases_tile_mixed_height_solves() {
+    // Wide and narrow demands together: every epoch solves both halves of
+    // the split and combines them, and the combination counts as the
+    // `certify` phase.
+    let mut base = many_networks_tree(4, 80, 5);
+    base.heights = HeightDistribution::Mixed {
+        wide_fraction: 0.4,
+        min_narrow: 0.1,
+    };
+    let spec = ChurnSpec {
+        epochs: 16,
+        churn: 0.05,
+        focus: 2,
+        seed: 9,
+    };
+    let trace = poisson_arrivals_tree(&base, &spec);
+    let problem = base.build().unwrap();
+    let heights: Vec<f64> = problem.demands().iter().map(|d| d.height).collect();
+    assert!(heights.iter().any(|&h| h > 0.5) && heights.iter().any(|&h| h <= 0.5));
+    let mut session = ServiceSession::for_tree(&problem, AlgorithmConfig::deterministic(0.25));
+    session.step(&[]).expect("initial solve");
+    replay_trace(&mut session, &trace).expect("trace replays");
+    assert_engine_phases_tile_the_solve(&session.obs_registry().snapshot());
 }
 
 #[test]
