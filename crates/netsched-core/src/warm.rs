@@ -143,11 +143,6 @@ pub struct WarmState {
     eligible: Vec<bool>,
     /// Cached maximum relative height `ĥ(d)` (static per instance).
     rel_height: Vec<f64>,
-    /// The narrow rule's `h_min`: the smallest `rel_height` of an eligible
-    /// instance, capped at 1 ([`eligible_h_min`]); 1 in unit-rule states,
-    /// which never read it. Splices of a narrow-rule state keep it current
-    /// and rescan only when an expiring instance held it.
-    h_min: f64,
     /// Networks whose duals were perturbed by splices since the last
     /// completed warm solve.
     pending_dirty: Vec<bool>,
@@ -182,9 +177,8 @@ impl WarmState {
             .instance_ids()
             .map(|d| DualState::max_relative_height(universe, d))
             .collect();
-        let eligible: Vec<bool> = rel_height.iter().map(|&h| h <= 1.0 + EPS).collect();
+        let eligible = rel_height.iter().map(|&h| h <= 1.0 + EPS).collect();
         let mut state = Self {
-            h_min: narrow_h_min(rule, &rel_height, &eligible),
             rule,
             duals: DualState::new(universe, rule),
             rec_network: vec![NetworkId::new(0); n],
@@ -418,8 +412,6 @@ impl WarmState {
         // Survivors form a prefix of the new id space; no removals means
         // the remap is the identity on everything that existed before.
         let has_removals = first_added < delta.old_num_instances();
-        let narrow = self.rule == RaiseRule::Narrow;
-        let mut rescan_h_min = false;
 
         if has_removals {
             // 1. Point-clear the removed instances' β contributions and
@@ -428,9 +420,6 @@ impl WarmState {
             //    the raises accumulated — the float behavior of the old
             //    per-record vector is preserved bit for bit.
             for old in delta.removed_instances() {
-                rescan_h_min |= narrow
-                    && self.eligible[old.index()]
-                    && self.rel_height[old.index()] <= self.h_min;
                 let network = self.rec_network[old.index()];
                 let mut cur = self.rec_head[old.index()];
                 while cur != NIL {
@@ -486,13 +475,6 @@ impl WarmState {
             let rel = DualState::max_relative_height(universe, InstanceId::new(d));
             self.rel_height[d] = rel;
             self.eligible[d] = rel <= 1.0 + EPS;
-        }
-        if rescan_h_min {
-            self.h_min = eligible_h_min(&self.rel_height, &self.eligible);
-        } else if narrow {
-            let arrived = first_added..n_new;
-            self.h_min = eligible_h_min(&self.rel_height[arrived.clone()], &self.eligible[arrived])
-                .min(self.h_min);
         }
         self.mis_scratch.resize(n_new);
 
@@ -692,12 +674,8 @@ impl FromJson for WarmState {
                 other => other.as_f64(),
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let rule = RaiseRule::from_json(value.field("rule")?)?;
-        let eligible = bools("eligible")?;
-        let rel_height = floats("rel_height")?;
         let state = Self {
-            h_min: narrow_h_min(rule, &rel_height, &eligible),
-            rule,
+            rule: RaiseRule::from_json(value.field("rule")?)?,
             duals: DualState::from_json(value.field("duals")?)?,
             rec_network,
             rec_head,
@@ -711,8 +689,8 @@ impl FromJson for WarmState {
             seen: Vec::new(),
             keep: Vec::new(),
             lhs: floats("lhs")?,
-            eligible,
-            rel_height,
+            eligible: bools("eligible")?,
+            rel_height: floats("rel_height")?,
             pending_dirty: bools("pending_dirty")?,
             shard_min,
             primed: bool_from_json(value.field("primed")?)?,
@@ -727,27 +705,6 @@ impl FromJson for WarmState {
             return Err("per-network vectors disagree on the network count".into());
         }
         Ok(state)
-    }
-}
-
-/// The smallest relative height among eligible instances, capped at 1:
-/// the narrow rule's `h_min`. `f64::min` is exact, so folding the minimum
-/// of two parts gives the same bits as folding the whole.
-fn eligible_h_min(rel_height: &[f64], eligible: &[bool]) -> f64 {
-    rel_height
-        .iter()
-        .zip(eligible)
-        .filter(|&(_, &e)| e)
-        .map(|(&h, _)| h)
-        .fold(1.0_f64, f64::min)
-}
-
-/// A fresh state's [`WarmState::h_min`]: the scan under the narrow rule,
-/// 1 under the unit rule.
-fn narrow_h_min(rule: RaiseRule, rel_height: &[f64], eligible: &[bool]) -> f64 {
-    match rule {
-        RaiseRule::Unit => 1.0,
-        RaiseRule::Narrow => eligible_h_min(rel_height, eligible),
     }
 }
 
@@ -1054,12 +1011,17 @@ pub(crate) fn warm_impl(
     let mut groups = group_buckets(layering, &active);
 
     // Only the narrow rule's ξ depends on the smallest relative height.
-    debug_assert_eq!(
-        warm.h_min.to_bits(),
-        narrow_h_min(rule, &warm.rel_height, &warm.eligible).to_bits(),
-        "spliced h_min diverged from the full scan"
-    );
-    let xi = stage_xi(rule, layering.max_critical().max(1), warm.h_min);
+    let h_min = match rule {
+        RaiseRule::Unit => 1.0,
+        RaiseRule::Narrow => warm
+            .rel_height
+            .iter()
+            .zip(&warm.eligible)
+            .filter(|&(_, &e)| e)
+            .map(|(&h, _)| h)
+            .fold(1.0_f64, f64::min),
+    };
+    let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
     let stages = stages_per_epoch(xi, config.epsilon);
     let profit_ratio = (universe.max_profit() / universe.min_profit()).max(1.0);
     let step_cap = 4 * (profit_ratio.log2().ceil() as u64 + 4) + 32;

@@ -43,10 +43,10 @@
 //! accepted batch re-uses the dead record's epoch and replay lets the
 //! **last record of a duplicated epoch supersede** the earlier ones;
 //! either way the cancelled records are counted in
-//! [`RestoreReport::rolled_back_records`]. A quarantine restarts the
-//! session's warm states from zero duals, so the record after a
-//! cancelled one replays on reset warm states too, and a warm recovery
-//! runs the solves the live session ran. [`DurableSession::recover`]
+//! [`RestoreReport::rolled_back_records`]. Where a record was
+//! cancelled, replay calls
+//! [`replay_after_quarantine`](netsched_service::ServiceSession::replay_after_quarantine),
+//! so a warm recovery runs the solves the live session ran. [`DurableSession::recover`]
 //! additionally truncates the log at the first record that could *not*
 //! replay (corrupt frame, undecodable payload or epoch discontinuity),
 //! so records acknowledged after a recovery are never stranded behind a

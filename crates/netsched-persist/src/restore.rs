@@ -67,10 +67,10 @@ pub struct RecoveredSession {
 ///    the rest replay in order through the normal
 ///    [`step`](ServiceSession::step) path — so the recovered session
 ///    inherits the session's own equivalence contract (cold:
-///    byte-identical; warm: certificate-equivalent). A record that
-///    follows a quarantine replays after
-///    [`reset_warm_states`](ServiceSession::reset_warm_states), as the
-///    quarantine left the session.
+///    byte-identical; warm: certificate-equivalent). Where a quarantine
+///    cancelled a record, replay calls
+///    [`replay_after_quarantine`](ServiceSession::replay_after_quarantine)
+///    so the session continues as the quarantine left it.
 ///
 /// Fails only when no snapshot in the directory is valid or a valid
 /// record fails to replay (which indicates a log/snapshot mismatch, not
@@ -131,8 +131,7 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
         offset: usize,
         epoch: u64,
         batch: Vec<DemandEvent>,
-        /// A quarantine cancelled a record since the previous survivor, so
-        /// the session ran this batch with its warm states reset.
+        /// A quarantine cancelled a record since the previous survivor.
         after_quarantine: bool,
     }
     let mut resolved: Vec<Resolved> = Vec::new();
@@ -200,17 +199,16 @@ pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport
             break;
         }
         if record.after_quarantine {
-            session.reset_warm_states();
+            session.replay_after_quarantine();
         }
         session
             .step(&record.batch)
             .map_err(|e| format!("replaying logged epoch {} failed: {e}", record.epoch))?;
         replayed_epochs += 1;
     }
-    // A quarantine after the last surviving record reset the live
-    // session's warm states as well.
+    // A quarantine after the last surviving record.
     if quarantined {
-        session.reset_warm_states();
+        session.replay_after_quarantine();
     }
 
     session

@@ -1025,10 +1025,7 @@ impl ServiceSession {
                 // merges them in O(live + batch log batch).
                 self.live.sort_by_key(|d| d.ticket);
                 self.live.dedup_by_key(|d| d.ticket);
-                (self.full, self.split) = self
-                    .base
-                    .cores(&self.live, self.epoch)
-                    .expect("pre-step live demands are valid");
+                self.rebuild_cores();
                 // The poisoned epoch never published: clear its in-flight
                 // bit so readers' staleness returns to zero on the last
                 // certified snapshot.
@@ -1056,17 +1053,22 @@ impl ServiceSession {
         self.pending_anytime
     }
 
-    /// Drops every core's warm state, so the next warm solve re-primes
-    /// from zero duals (a no-op for Cold sessions). A quarantine leaves
-    /// the session this way; crash recovery calls this where a
-    /// quarantined record sat in the log, so the replay runs the same
+    /// Puts the session in the state a quarantine leaves it in: every
+    /// core rebuilt over the live list, warm states from zero duals (a
+    /// Cold session's solves do not change). Log replay calls this where
+    /// a quarantine cancelled a record, so a recovered session runs the
     /// solves the live session ran.
-    pub fn reset_warm_states(&mut self) {
-        self.full.set_warm_state(None);
-        if let Some(split) = &mut self.split {
-            split.wide.set_warm_state(None);
-            split.narrow.set_warm_state(None);
-        }
+    pub fn replay_after_quarantine(&mut self) {
+        self.rebuild_cores();
+    }
+
+    /// Rebuilds every core from scratch over the live list, in O(live):
+    /// what a quarantine does once it has put the live list back.
+    fn rebuild_cores(&mut self) {
+        (self.full, self.split) = self
+            .base
+            .cores(&self.live, self.epoch)
+            .expect("live demands are valid");
     }
 
     /// Arms the fault-injection hook: the solve of each listed epoch (the
