@@ -78,25 +78,68 @@ impl Fenwick {
         self.prefix(self.tree.len() - 1)
     }
 
-    /// Serializes the tree as its dense point values (the prefix structure
-    /// is derived data and is rebuilt on load).
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.dense.iter().map(|&x| JsonValue::num(x)).collect())
+    /// The prefix nodes the point values give when summed bottom-up in
+    /// index order (`O(len)`).
+    fn bottom_up(points: &[f64]) -> Vec<f64> {
+        let mut tree = vec![0.0; points.len() + 1];
+        for j in 1..tree.len() {
+            tree[j] += points[j - 1];
+            let parent = j + (j & j.wrapping_neg());
+            if parent < tree.len() {
+                tree[parent] += tree[j];
+            }
+        }
+        tree
     }
 
-    /// Rebuilds a tree from its dense point values. The internal prefix
-    /// nodes are re-accumulated in index order, so range sums may differ
-    /// from the original tree's in the last few bits — point reads and the
-    /// dense mirror are exact, which is all the certificate-equivalence
-    /// contract of restore needs.
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let entries = value.as_array()?;
-        let mut fen = Fenwick::new(entries.len());
-        for (i, v) in entries.iter().enumerate() {
-            let x = v.as_f64()?;
-            if x != 0.0 {
-                fen.add(i, x);
+    /// Serializes the tree as its dense point values plus the prefix nodes
+    /// [`Fenwick::bottom_up`] does not reproduce bit for bit: a node sums
+    /// its range in the order the updates came, so it can differ from the
+    /// bottom-up sum in the last bits. Only those nodes are stored, as a
+    /// flat `[node, value, node, value, …]` list, and restore is exact.
+    fn to_json(&self) -> JsonValue {
+        let rebuilt = Self::bottom_up(&self.dense);
+        let mut drift = Vec::new();
+        for (j, (&x, &y)) in self.tree.iter().zip(&rebuilt).enumerate() {
+            if x.to_bits() != y.to_bits() {
+                drift.extend([JsonValue::int(j), JsonValue::num(x)]);
             }
+        }
+        JsonValue::object(vec![
+            (
+                "points",
+                JsonValue::Array(self.dense.iter().map(|&x| JsonValue::num(x)).collect()),
+            ),
+            ("drift", JsonValue::Array(drift)),
+        ])
+    }
+
+    /// Rebuilds a tree bit for bit from its [`to_json`](Fenwick::to_json)
+    /// document.
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let points = value
+            .field("points")?
+            .as_array()?
+            .iter()
+            .map(JsonValue::as_f64)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut fen = Self {
+            tree: Self::bottom_up(&points),
+            dense: points,
+        };
+        let drift = value.field("drift")?.as_array()?;
+        if drift.len() % 2 != 0 {
+            return Err("Fenwick drift is a flat list of node, value pairs".into());
+        }
+        for pair in drift.chunks_exact(2) {
+            let node = pair[0].as_usize()?;
+            if !(1..fen.tree.len()).contains(&node) {
+                return Err(format!(
+                    "Fenwick drift names node {node} of {}",
+                    fen.tree.len()
+                ));
+            }
+            fen.tree[node] = pair[1].as_f64()?;
         }
         Ok(fen)
     }
@@ -282,44 +325,15 @@ impl DualState {
         include_alpha: bool,
     ) -> f64 {
         let inst = universe.instance(d);
-        let alpha_now = self.alpha[inst.demand.index()];
         let rule = self.rule;
-        let delta = Self::raise_in_network(
-            &mut self.beta[inst.network.index()],
-            rule,
-            universe,
-            d,
-            pi,
-            alpha_now,
-            include_alpha,
-        );
-        let touch_alpha = include_alpha || rule == RaiseRule::Narrow;
-        if touch_alpha && delta > 0.0 {
-            self.alpha[inst.demand.index()] += delta;
-        }
-        delta
-    }
-
-    /// Applies the `β` side of one raise within the instance's own network
-    /// trees and returns δ(d) (0 when the constraint is already tight).
-    /// The caller is responsible for the `α` update.
-    fn raise_in_network(
-        nd: &mut NetworkDuals,
-        rule: RaiseRule,
-        universe: &DemandInstanceUniverse,
-        d: InstanceId,
-        pi: &[netsched_graph::EdgeId],
-        alpha_now: f64,
-        include_alpha: bool,
-    ) -> f64 {
-        let inst = universe.instance(d);
-        let lhs = alpha_now + Self::lhs_in_network(nd, rule, universe, d);
+        let nd = &mut self.beta[inst.network.index()];
+        let lhs = self.alpha[inst.demand.index()] + Self::lhs_in_network(nd, rule, universe, d);
         let s = (universe.profit(d) - lhs).max(0.0);
         if s <= 0.0 {
             return 0.0;
         }
         let k = pi.len() as f64;
-        match rule {
+        let delta = match rule {
             RaiseRule::Unit => {
                 let denom = if include_alpha { k + 1.0 } else { k.max(1.0) };
                 let delta = s / denom;
@@ -349,7 +363,11 @@ impl DualState {
                 }
                 delta
             }
+        };
+        if (include_alpha || rule == RaiseRule::Narrow) && delta > 0.0 {
+            self.alpha[inst.demand.index()] += delta;
         }
+        delta
     }
 
     /// Subtracts a previously raised `β` contribution of `amount` from edge
@@ -636,8 +654,7 @@ mod tests {
         let back = DualState::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         back.validate_shape(&u).unwrap();
         assert_eq!(back.rule(), duals.rule());
-        // Point values roundtrip bit-exactly; range sums are re-accumulated
-        // and may differ only in the last bits.
+        // Point values and range sums both roundtrip bit-exactly.
         for d in u.instance_ids() {
             let demand = u.instance(d).demand;
             assert_eq!(back.alpha(demand).to_bits(), duals.alpha(demand).to_bits());
@@ -645,9 +662,9 @@ mod tests {
                 let net = u.instance(d).network;
                 assert_eq!(back.beta(net, e).to_bits(), duals.beta(net, e).to_bits());
             }
-            assert!((back.lhs(&u, d) - duals.lhs(&u, d)).abs() < 1e-12);
+            assert_eq!(back.lhs(&u, d).to_bits(), duals.lhs(&u, d).to_bits());
         }
-        assert!((back.objective() - duals.objective()).abs() < 1e-12);
+        assert_eq!(back.objective().to_bits(), duals.objective().to_bits());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   out point by point — the "Fenwick point-clears"),
 //! * the surviving first-phase **stack** (the selection seed the second
 //!   phase replays), and
-//! * cached eligibility / relative heights / constraint-LHS lower bounds.
+//! * cached constraint-LHS lower bounds (and, recomputed from the universe
+//!   on [restore](WarmState::restore), relative heights and per-network
+//!   `λ` minima).
 //!
 //! [`WarmState::splice`] follows a universe splice: expired instances'
 //! `β` contributions are subtracted, expired demands' `α` variables are
@@ -61,7 +63,7 @@
 //!
 //! # The relaxed equivalence contract
 //!
-//! A warm re-solve on a **primed** state is **certificate-equivalent**, not
+//! A warm re-solve on a resumed state is **certificate-equivalent**, not
 //! byte-equivalent, to a cold solve: the schedule may differ, but every
 //! epoch's certificate must verify (`λ ≥ 1 − ε`, feasible schedule) and the
 //! certified ratio must stay within the solver's worst-case guarantee. Both
@@ -138,10 +140,9 @@ pub struct WarmState {
     /// instance's last visit by a repair pass (later raises only grow the
     /// true LHS, so the cache never over-estimates).
     lhs: Vec<f64>,
-    /// Cached eligibility (static per instance: heights and capacities
-    /// never change after admission).
-    eligible: Vec<bool>,
-    /// Cached maximum relative height `ĥ(d)` (static per instance).
+    /// Cached maximum relative height `ĥ(d)` (static per instance: heights
+    /// and capacities never change after admission). An instance is
+    /// eligible when `ĥ(d) ≤ 1`.
     rel_height: Vec<f64>,
     /// Networks whose duals were perturbed by splices since the last
     /// completed warm solve.
@@ -155,10 +156,8 @@ pub struct WarmState {
     /// across splices because a clean network's instance membership and
     /// cached LHS entries are untouched.
     shard_min: Vec<f64>,
-    /// `false` until a warm solve has completed on this state; a fresh
-    /// state repairs every shard: its first solve is the cold solve.
-    primed: bool,
-    /// Warm solves completed on this state (telemetry).
+    /// Warm solves completed on this state. A state with none is fresh: it
+    /// repairs every shard, so its first solve is the cold solve.
     epochs_resumed: u64,
     /// The MIS position table, sized to the universe on every splice. Every
     /// entry holds its sentinel between MIS calls, so it carries no state:
@@ -173,12 +172,7 @@ impl WarmState {
     /// the cold solve.
     pub fn new(universe: &DemandInstanceUniverse, rule: RaiseRule) -> Self {
         let n = universe.num_instances();
-        let rel_height: Vec<f64> = universe
-            .instance_ids()
-            .map(|d| DualState::max_relative_height(universe, d))
-            .collect();
-        let eligible = rel_height.iter().map(|&h| h <= 1.0 + EPS).collect();
-        let mut state = Self {
+        Self {
             rule,
             duals: DualState::new(universe, rule),
             rec_network: vec![NetworkId::new(0); n],
@@ -193,18 +187,27 @@ impl WarmState {
             seen: Vec::new(),
             keep: Vec::new(),
             lhs: vec![0.0; n],
-            eligible,
-            rel_height,
+            rel_height: Vec::new(),
             pending_dirty: vec![false; universe.num_networks()],
-            shard_min: vec![f64::INFINITY; universe.num_networks()],
-            primed: false,
+            shard_min: Vec::new(),
             epochs_resumed: 0,
             mis_scratch: MisScratch::new(n),
-        };
-        for t in 0..universe.num_networks() {
-            state.recompute_shard_min(universe, NetworkId::new(t));
         }
-        state
+        .derive(universe)
+    }
+
+    /// Fills in what the state derives from the universe and its stored
+    /// LHS cache: every relative height and every network's `λ` minimum.
+    fn derive(mut self, universe: &DemandInstanceUniverse) -> Self {
+        self.rel_height = universe
+            .instance_ids()
+            .map(|d| DualState::max_relative_height(universe, d))
+            .collect();
+        self.shard_min = vec![f64::INFINITY; universe.num_networks()];
+        for t in 0..universe.num_networks() {
+            self.recompute_shard_min(universe, NetworkId::new(t));
+        }
+        self
     }
 
     /// The raise rule this state resumes.
@@ -320,7 +323,6 @@ impl WarmState {
             + self.keep.capacity()
             + (self.lhs.capacity() + self.rel_height.capacity() + self.shard_min.capacity())
                 * size_of::<f64>()
-            + self.eligible.capacity()
             + self.pending_dirty.capacity()
     }
 
@@ -330,7 +332,7 @@ impl WarmState {
             .instances_on_network(network)
             .iter()
             .copied()
-            .filter(|d| self.eligible[d.index()])
+            .filter(|d| self.rel_height[d.index()] <= 1.0 + EPS)
             .map(|d| self.lhs[d.index()] / universe.profit(d))
             .fold(f64::INFINITY, f64::min);
     }
@@ -346,43 +348,6 @@ impl WarmState {
             .max(EPS)
     }
 
-    /// Checks a deserialized state's dimensions against a universe; see
-    /// [`DualState::validate_shape`] for the dual-side checks.
-    pub fn validate_shape(&self, universe: &DemandInstanceUniverse) -> Result<(), String> {
-        let n = universe.num_instances();
-        if self.instance_count() != n {
-            return Err(format!(
-                "warm state has {} instance records, universe has {n} instances",
-                self.instance_count()
-            ));
-        }
-        if self.pending_dirty.len() != universe.num_networks() {
-            return Err(format!(
-                "warm state has {} networks, universe has {}",
-                self.pending_dirty.len(),
-                universe.num_networks()
-            ));
-        }
-        for network in &self.rec_network {
-            if network.index() >= universe.num_networks() {
-                return Err(format!(
-                    "raise record names network {} of a {}-network universe",
-                    network.index(),
-                    universe.num_networks()
-                ));
-            }
-        }
-        for &d in &self.stack_items {
-            if d.index() >= n {
-                return Err(format!(
-                    "stack names instance {} of a {n}-instance universe",
-                    d.index()
-                ));
-            }
-        }
-        self.duals.validate_shape(universe)
-    }
-
     /// Splices one universe delta through the persisted state. Must be
     /// called **after** the universe splice, with the same
     /// [`UniverseDelta`], exactly once per splice:
@@ -391,8 +356,8 @@ impl WarmState {
     ///    subtracted from the Fenwick trees (point-clears),
     /// 2. expired demands' `α` variables are dropped and survivors
     ///    compacted through the demand id map,
-    /// 3. the per-instance vectors (records, LHS cache, eligibility,
-    ///    relative heights) renumber through the instance id map, with the
+    /// 3. the per-instance vectors (records, LHS cache, relative heights)
+    ///    renumber through the instance id map, with the
     ///    arrivals' entries freshly computed,
     /// 4. the stack renumbers likewise (expired members drop out; only the
     ///    newest occurrence of a re-raised instance is kept — an older
@@ -455,7 +420,6 @@ impl WarmState {
                 self.rec_head[new] = self.rec_head[old];
                 self.rec_tail[new] = self.rec_tail[old];
                 self.lhs[new] = self.lhs[old];
-                self.eligible[new] = self.eligible[old];
                 self.rel_height[new] = self.rel_height[old];
             }
         }
@@ -467,15 +431,11 @@ impl WarmState {
         self.rec_tail.resize(n_new, NIL);
         self.lhs.truncate(first_added);
         self.lhs.resize(n_new, 0.0);
-        self.eligible.truncate(first_added);
-        self.eligible.resize(n_new, false);
         self.rel_height.truncate(first_added);
-        self.rel_height.resize(n_new, 0.0);
-        for d in first_added..n_new {
-            let rel = DualState::max_relative_height(universe, InstanceId::new(d));
-            self.rel_height[d] = rel;
-            self.eligible[d] = rel <= 1.0 + EPS;
-        }
+        self.rel_height.extend(
+            (first_added..n_new)
+                .map(|d| DualState::max_relative_height(universe, InstanceId::new(d))),
+        );
         self.mis_scratch.resize(n_new);
 
         // 4. Renumber the stack, keeping only the newest occurrence (an
@@ -535,16 +495,13 @@ impl ToJson for WarmState {
                 let mut beta = Vec::new();
                 let mut cur = self.rec_head[d];
                 while cur != NIL {
-                    beta.push(JsonValue::Array(vec![
+                    beta.extend([
                         JsonValue::int(self.beta_edge[cur as usize].index()),
                         JsonValue::num(self.beta_amount[cur as usize]),
-                    ]));
+                    ]);
                     cur = self.beta_next[cur as usize];
                 }
-                JsonValue::object(vec![
-                    ("network", JsonValue::int(self.rec_network[d].index())),
-                    ("beta", JsonValue::Array(beta)),
-                ])
+                JsonValue::Array(beta)
             })
             .collect();
         let stack = (0..self.num_mises())
@@ -557,19 +514,6 @@ impl ToJson for WarmState {
                 )
             })
             .collect();
-        // `+∞` (a network with no eligible instances) is not a JSON number;
-        // it travels as `null`.
-        let shard_min = self
-            .shard_min
-            .iter()
-            .map(|&x| {
-                if x.is_finite() {
-                    JsonValue::num(x)
-                } else {
-                    JsonValue::Null
-                }
-            })
-            .collect();
         JsonValue::object(vec![
             ("rule", self.rule.to_json()),
             ("duals", self.duals.to_json()),
@@ -580,14 +524,6 @@ impl ToJson for WarmState {
                 JsonValue::Array(self.lhs.iter().map(|&x| JsonValue::num(x)).collect()),
             ),
             (
-                "eligible",
-                JsonValue::Array(self.eligible.iter().map(|&b| JsonValue::Bool(b)).collect()),
-            ),
-            (
-                "rel_height",
-                JsonValue::Array(self.rel_height.iter().map(|&x| JsonValue::num(x)).collect()),
-            ),
-            (
                 "pending_dirty",
                 JsonValue::Array(
                     self.pending_dirty
@@ -596,40 +532,63 @@ impl ToJson for WarmState {
                         .collect(),
                 ),
             ),
-            ("shard_min", JsonValue::Array(shard_min)),
-            ("primed", JsonValue::Bool(self.primed)),
             ("epochs_resumed", JsonValue::u64_value(self.epochs_resumed)),
         ])
     }
 }
 
-fn bool_from_json(value: &JsonValue) -> Result<bool, String> {
-    match value {
-        JsonValue::Bool(b) => Ok(*b),
-        other => Err(format!("expected a boolean, got {}", other.render())),
-    }
-}
-
-impl FromJson for WarmState {
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let record_rows = value.field("records")?.as_array()?;
-        let mut rec_network = Vec::with_capacity(record_rows.len());
-        let mut rec_head = Vec::with_capacity(record_rows.len());
-        let mut rec_tail = Vec::with_capacity(record_rows.len());
+impl WarmState {
+    /// Rebuilds a state from its [`to_json`](ToJson::to_json) document over
+    /// the universe it was rendered against. The document holds only what
+    /// cannot be recomputed: the duals (with the Fenwick prefix nodes their
+    /// range sums need to come back bit for bit), each instance's raise
+    /// amounts per edge, the stack, the LHS cache, the pending-dirty
+    /// networks and the solve count. Its shape is checked against
+    /// `universe` first ([`DualState::validate_shape`] for the dual side);
+    /// then the rest is recomputed from the universe: each raise record's
+    /// network (the instance's own), every relative height (as
+    /// [`new`](WarmState::new) and [`splice`](WarmState::splice) compute
+    /// them) and every network's `λ` minimum from the stored LHS cache. A
+    /// recomputed minimum equals the one the rendered state held on every
+    /// network that is not pending dirty, and the engine recomputes every
+    /// pending-dirty one before it reads `λ`, so a restored state solves
+    /// bit-identically to the original.
+    pub fn restore(doc: &JsonValue, universe: &DemandInstanceUniverse) -> Result<Self, String> {
+        let (n, networks) = (universe.num_instances(), universe.num_networks());
+        let record_rows = doc.field("records")?.as_array()?;
+        if record_rows.len() != n {
+            return Err(format!(
+                "warm state has {} instance records, universe has {n} instances",
+                record_rows.len()
+            ));
+        }
+        // An instance's raises all live on its own network.
+        let rec_network: Vec<NetworkId> = universe
+            .instance_ids()
+            .map(|d| universe.instance(d).network)
+            .collect();
+        let mut rec_head = Vec::with_capacity(n);
+        let mut rec_tail = Vec::with_capacity(n);
         let mut beta_edge = Vec::new();
         let mut beta_amount = Vec::new();
         let mut beta_next = Vec::new();
-        for r in record_rows {
-            rec_network.push(NetworkId::new(r.field("network")?.as_usize()?));
+        for (row, &network) in record_rows.iter().zip(&rec_network) {
+            let row = row.as_array()?;
+            if row.len() % 2 != 0 {
+                return Err("raise records are flat lists of edge, amount pairs".into());
+            }
             let mut head = NIL;
             let mut tail = NIL;
-            for pair in r.field("beta")?.as_array()? {
-                let pair = pair.as_array()?;
-                if pair.len() != 2 {
-                    return Err("raise record entries are [edge, amount] pairs".into());
+            for pair in row.chunks_exact(2) {
+                let edge = pair[0].as_usize()?;
+                if edge >= universe.num_edges(network) {
+                    return Err(format!(
+                        "raise record names edge {edge} of a {}-edge network",
+                        universe.num_edges(network)
+                    ));
                 }
                 let slot = beta_edge.len() as u32;
-                beta_edge.push(EdgeId::new(pair[0].as_usize()?));
+                beta_edge.push(EdgeId::new(edge));
                 beta_amount.push(pair[1].as_f64()?);
                 beta_next.push(NIL);
                 match tail {
@@ -643,40 +602,50 @@ impl FromJson for WarmState {
         }
         let mut stack_items = Vec::new();
         let mut stack_offsets = vec![0u32];
-        for mis in value.field("stack")?.as_array()? {
+        for mis in doc.field("stack")?.as_array()? {
             for d in mis.as_array()? {
-                stack_items.push(InstanceId::new(d.as_usize()?));
+                let d = d.as_usize()?;
+                if d >= n {
+                    return Err(format!(
+                        "stack names instance {d} of a {n}-instance universe"
+                    ));
+                }
+                stack_items.push(InstanceId::new(d));
             }
             stack_offsets.push(stack_items.len() as u32);
         }
-        let floats = |name: &str| -> Result<Vec<f64>, String> {
-            value
-                .field(name)?
-                .as_array()?
-                .iter()
-                .map(JsonValue::as_f64)
-                .collect()
-        };
-        let bools = |name: &str| -> Result<Vec<bool>, String> {
-            value
-                .field(name)?
-                .as_array()?
-                .iter()
-                .map(bool_from_json)
-                .collect()
-        };
-        let shard_min = value
-            .field("shard_min")?
+        let lhs = doc
+            .field("lhs")?
             .as_array()?
             .iter()
-            .map(|x| match x {
-                JsonValue::Null => Ok(f64::INFINITY),
-                other => other.as_f64(),
+            .map(JsonValue::as_f64)
+            .collect::<Result<Vec<_>, String>>()?;
+        if lhs.len() != n {
+            return Err(format!(
+                "warm state has {} LHS entries, universe has {n} instances",
+                lhs.len()
+            ));
+        }
+        let pending_dirty = doc
+            .field("pending_dirty")?
+            .as_array()?
+            .iter()
+            .map(|b| match b {
+                JsonValue::Bool(b) => Ok(*b),
+                other => Err(format!("expected a boolean, got {}", other.render())),
             })
             .collect::<Result<Vec<_>, String>>()?;
+        if pending_dirty.len() != networks {
+            return Err(format!(
+                "warm state has {} networks, universe has {networks}",
+                pending_dirty.len()
+            ));
+        }
+        let duals = DualState::from_json(doc.field("duals")?)?;
+        duals.validate_shape(universe)?;
         let state = Self {
-            rule: RaiseRule::from_json(value.field("rule")?)?,
-            duals: DualState::from_json(value.field("duals")?)?,
+            rule: RaiseRule::from_json(doc.field("rule")?)?,
+            duals,
             rec_network,
             rec_head,
             rec_tail,
@@ -688,38 +657,31 @@ impl FromJson for WarmState {
             stack_offsets,
             seen: Vec::new(),
             keep: Vec::new(),
-            lhs: floats("lhs")?,
-            eligible: bools("eligible")?,
-            rel_height: floats("rel_height")?,
-            pending_dirty: bools("pending_dirty")?,
-            shard_min,
-            primed: bool_from_json(value.field("primed")?)?,
-            epochs_resumed: value.field("epochs_resumed")?.as_u64()?,
-            mis_scratch: MisScratch::new(record_rows.len()),
+            lhs,
+            rel_height: Vec::new(),
+            pending_dirty,
+            shard_min: Vec::new(),
+            epochs_resumed: doc.field("epochs_resumed")?.as_u64()?,
+            mis_scratch: MisScratch::new(n),
         };
-        let n = state.instance_count();
-        if state.lhs.len() != n || state.eligible.len() != n || state.rel_height.len() != n {
-            return Err("per-instance vectors disagree on the instance count".into());
-        }
-        if state.shard_min.len() != state.pending_dirty.len() {
-            return Err("per-network vectors disagree on the network count".into());
-        }
-        Ok(state)
+        Ok(state.derive(universe))
     }
 }
 
-/// The instances of `list` that are eligible and still below `threshold`,
-/// in list order.
+/// The instances of `list` that are eligible (relative height at most 1)
+/// and still below `threshold`, in list order.
 fn unsatisfied_of_group(
     universe: &DemandInstanceUniverse,
     duals: &DualState,
-    eligible: &[bool],
+    rel_height: &[f64],
     list: &[InstanceId],
     threshold: f64,
 ) -> Vec<InstanceId> {
     list.iter()
         .copied()
-        .filter(|&d| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold))
+        .filter(|&d| {
+            rel_height[d.index()] <= 1.0 + EPS && !duals.is_xi_satisfied(universe, d, threshold)
+        })
         .collect()
 }
 
@@ -830,7 +792,7 @@ fn repair_pass(
         let candidates = unsatisfied_of_group(
             universe,
             &warm.duals,
-            &warm.eligible,
+            &warm.rel_height,
             group,
             final_threshold,
         );
@@ -839,7 +801,7 @@ fn repair_pass(
             let mut unsatisfied = unsatisfied_of_group(
                 universe,
                 &warm.duals,
-                &warm.eligible,
+                &warm.rel_height,
                 &candidates,
                 threshold,
             );
@@ -847,7 +809,7 @@ fn repair_pass(
             loop {
                 debug_assert_eq!(
                     unsatisfied,
-                    unsatisfied_of_group(universe, &warm.duals, &warm.eligible, group, threshold),
+                    unsatisfied_of_group(universe, &warm.duals, &warm.rel_height, group, threshold),
                     "group {epoch}, stage {stage}, step {stage_steps}: the shrunk \
                      unsatisfied list diverged from a full rescan of the group"
                 );
@@ -933,7 +895,7 @@ fn repair_pass(
 /// previous solve.
 ///
 /// On a fresh (never-solved) state this is the cold solve
-/// ([`run_two_phase_on`](crate::run_two_phase_on)); on a primed state it
+/// ([`run_two_phase_on`](crate::run_two_phase_on)); on a resumed state it
 /// repairs only the pending dirty shards and re-certifies.
 ///
 /// The repair loop checks the budget before every MIS/raise round and cuts
@@ -1001,7 +963,7 @@ pub(crate) fn warm_impl(
         return empty;
     }
 
-    let fresh = !warm.primed;
+    let fresh = warm.epochs_resumed == 0;
     let mut active_networks: Vec<bool> = if fresh {
         vec![true; universe.num_networks()]
     } else {
@@ -1016,9 +978,8 @@ pub(crate) fn warm_impl(
         RaiseRule::Narrow => warm
             .rel_height
             .iter()
-            .zip(&warm.eligible)
-            .filter(|&(_, &e)| e)
-            .map(|(&h, _)| h)
+            .copied()
+            .filter(|&h| h <= 1.0 + EPS)
             .fold(1.0_f64, f64::min),
     };
     let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
@@ -1138,7 +1099,6 @@ pub(crate) fn warm_impl(
     } else {
         warm.pending_dirty.iter_mut().for_each(|d| *d = false);
     }
-    warm.primed = true;
     warm.epochs_resumed += 1;
 
     let profit = universe.total_profit(&selected);
@@ -1225,7 +1185,7 @@ pub(crate) fn warm_impl(
 fn cached_lambda(universe: &DemandInstanceUniverse, warm: &WarmState) -> f64 {
     universe
         .instance_ids()
-        .filter(|d| warm.eligible[d.index()])
+        .filter(|d| warm.rel_height[d.index()] <= 1.0 + EPS)
         .map(|d| warm.lhs[d.index()] / universe.profit(d))
         .fold(1.0_f64, f64::min)
         .max(EPS)
@@ -1610,7 +1570,55 @@ mod tests {
                 warm.shard_lambda().to_bits(),
                 "round {round}: reported λ is not the shard fold"
             );
+            for t in 0..u.num_networks() {
+                let kept = warm.shard_min[t];
+                warm.recompute_shard_min(&u, NetworkId::new(t));
+                assert_eq!(
+                    kept.to_bits(),
+                    warm.shard_min[t].to_bits(),
+                    "round {round}: network {t}'s λ minimum diverged from a recompute"
+                );
+            }
         }
+    }
+
+    /// Renders `warm` and restores it over `u`.
+    fn render_and_restore(warm: &WarmState, u: &DemandInstanceUniverse) -> WarmState {
+        let doc = JsonValue::parse(&warm.to_json().render()).unwrap();
+        WarmState::restore(&doc, u).unwrap()
+    }
+
+    /// Solves `u` from both states and asserts the solutions match bit for
+    /// bit: selection, raised set, `λ`, dual objective and round stats.
+    fn assert_same_next_solve(u: &DemandInstanceUniverse, a: &mut WarmState, b: &mut WarmState) {
+        let config = AlgorithmConfig::deterministic(0.1);
+        let conflict = ShardedConflictGraph::build(u);
+        let layering = InstanceLayering::line_length_classes(u);
+        let solve = |warm: &mut WarmState| {
+            run_two_phase_warm_on(
+                u,
+                &conflict,
+                &layering,
+                RaiseRule::Unit,
+                &config,
+                warm,
+                &Budget::unlimited(),
+            )
+        };
+        let (x, y) = (solve(a), solve(b));
+        assert_eq!(x.selected, y.selected);
+        assert_eq!(x.raised_instances, y.raised_instances);
+        assert_eq!(
+            x.diagnostics.lambda.to_bits(),
+            y.diagnostics.lambda.to_bits()
+        );
+        assert_eq!(
+            x.diagnostics.dual_objective.to_bits(),
+            y.diagnostics.dual_objective.to_bits()
+        );
+        assert_eq!(x.stats, y.stats);
+        assert_eq!(x.diagnostics.quality, y.diagnostics.quality);
+        assert_eq!(a.epochs_resumed(), b.epochs_resumed());
     }
 
     #[test]
@@ -1621,72 +1629,97 @@ mod tests {
         solve_fresh(&u, &mut warm, &config);
         let mut delta = UniverseDelta::new();
         let mut rng = StdRng::seed_from_u64(9);
-        let conflict_layering = |u: &DemandInstanceUniverse| {
-            (
-                ShardedConflictGraph::build(u),
-                InstanceLayering::line_length_classes(u),
-            )
-        };
         for _ in 0..3 {
             churn_round(&mut u, &mut rng, &mut delta);
             warm.splice(&u, &delta);
-            let (conflict, layering) = conflict_layering(&u);
-            run_two_phase_warm_on(
-                &u,
-                &conflict,
-                &layering,
-                RaiseRule::Unit,
-                &config,
-                &mut warm,
-                &Budget::unlimited(),
-            );
+            solve_fresh(&u, &mut warm, &config);
         }
 
         let text = warm.to_json().render();
-        let mut restored = WarmState::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        restored.validate_shape(&u).unwrap();
+        for key in ["eligible", "rel_height", "shard_min", "primed"] {
+            assert!(
+                !text.contains(&format!("\"{key}\"")),
+                "rendered warm state carries the derived `{key}`"
+            );
+        }
+        let mut restored = render_and_restore(&warm, &u);
         assert_eq!(restored.rule(), warm.rule());
         assert_eq!(restored.epochs_resumed(), warm.epochs_resumed());
         assert_eq!(restored.stack_mass(), warm.stack_mass());
         assert_eq!(
-            restored.shard_lambda().to_bits(),
-            warm.shard_lambda().to_bits()
+            restored
+                .rel_height
+                .iter()
+                .map(|h| h.to_bits())
+                .collect::<Vec<_>>(),
+            warm.rel_height
+                .iter()
+                .map(|h| h.to_bits())
+                .collect::<Vec<_>>()
         );
+        assert_eq!(
+            restored
+                .shard_min
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            warm.shard_min
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        );
+        assert_same_next_solve(&u, &mut warm, &mut restored);
 
-        // Re-solving from the restored state must match re-solving from the
-        // original: the stack replay and the cached-LHS certificate are
-        // exact copies (only Fenwick-internal prefix nodes are
-        // re-accumulated, which no quiescent solve reads).
-        let (conflict, layering) = conflict_layering(&u);
-        let from_original = run_two_phase_warm_on(
+        // Expiries point-clear the restored raise records exactly as the
+        // original's.
+        for _ in 0..3 {
+            churn_round(&mut u, &mut rng, &mut delta);
+            warm.splice(&u, &delta);
+            restored.splice(&u, &delta);
+            assert_same_next_solve(&u, &mut warm, &mut restored);
+        }
+    }
+
+    #[test]
+    fn restore_with_pending_dirt_solves_like_the_original() {
+        let mut u = line_universe(23, 30);
+        let config = AlgorithmConfig::deterministic(0.1);
+        let mut warm = WarmState::new(&u, RaiseRule::Unit);
+        solve_fresh(&u, &mut warm, &config);
+        let mut delta = UniverseDelta::new();
+        let mut rng = StdRng::seed_from_u64(13);
+
+        // (a) Spliced but not yet solved: the dirty networks are pending.
+        churn_round(&mut u, &mut rng, &mut delta);
+        warm.splice(&u, &delta);
+        assert!(warm.pending_dirty.iter().any(|&d| d));
+        let mut restored = render_and_restore(&warm, &u);
+        assert_same_next_solve(&u, &mut warm, &mut restored);
+
+        // (b) After a budget-cut solve: the scanned networks stay pending.
+        for _ in 0..4 {
+            churn_round(&mut u, &mut rng, &mut delta);
+            warm.splice(&u, &delta);
+        }
+        let cut = run_two_phase_warm_on(
             &u,
-            &conflict,
-            &layering,
+            &ShardedConflictGraph::build(&u),
+            &InstanceLayering::line_length_classes(&u),
             RaiseRule::Unit,
             &config,
             &mut warm,
-            &Budget::unlimited(),
+            &Budget::rounds(1),
         );
-        let from_restored = run_two_phase_warm_on(
-            &u,
-            &conflict,
-            &layering,
-            RaiseRule::Unit,
-            &config,
-            &mut restored,
-            &Budget::unlimited(),
-        );
-        assert_eq!(from_original.selected, from_restored.selected);
-        assert_eq!(from_original.profit, from_restored.profit);
-        assert_eq!(
-            from_original.diagnostics.lambda.to_bits(),
-            from_restored.diagnostics.lambda.to_bits()
-        );
-        assert!(
-            (from_original.diagnostics.dual_objective - from_restored.diagnostics.dual_objective)
-                .abs()
-                < 1e-9
-        );
+        assert!(cut.diagnostics.quality.is_truncated());
+        assert!(warm.pending_dirty.iter().any(|&d| d));
+        let mut restored = render_and_restore(&warm, &u);
+        assert_same_next_solve(&u, &mut warm, &mut restored);
+
+        // (c) A fresh state restores fresh: its next solve is the cold one.
+        let fresh = WarmState::new(&u, RaiseRule::Unit);
+        let mut restored = render_and_restore(&fresh, &u);
+        assert_eq!(restored.epochs_resumed(), 0);
+        assert_same_next_solve(&u, &mut fresh.clone(), &mut restored);
     }
 
     #[test]
@@ -1695,10 +1728,10 @@ mod tests {
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
         solve_fresh(&u, &mut warm, &config);
-        let restored =
-            WarmState::from_json(&JsonValue::parse(&warm.to_json().render()).unwrap()).unwrap();
+        let doc = JsonValue::parse(&warm.to_json().render()).unwrap();
+        assert!(WarmState::restore(&doc, &u).is_ok());
         let other = line_universe(4, 15);
-        assert!(restored.validate_shape(&other).is_err());
+        assert!(WarmState::restore(&doc, &other).is_err());
     }
 
     #[test]

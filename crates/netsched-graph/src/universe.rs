@@ -197,7 +197,8 @@ impl DemandInstanceUniverse {
 
     /// Heap bytes committed by the universe's own buffers (instance table,
     /// path run arenas, secondary indices, capacities) — the memory-audit
-    /// input the `mega_scale` bench reports as bytes/demand. Counts
+    /// input the `perfbench` harness reports as `universe.bytes` and
+    /// folds into `bytes_per_demand`. Counts
     /// capacities, not lengths, so it reflects what the allocator holds.
     pub fn committed_bytes(&self) -> usize {
         let mut bytes = self.instances.capacity() * std::mem::size_of::<DemandInstance>();

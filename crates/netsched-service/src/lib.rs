@@ -124,10 +124,11 @@
 //!   unchanged. The persistence crate records batches as framed,
 //!   CRC-checksummed JSON records and offers fsync policies from "never"
 //!   to "every batch".
-//! * **Snapshots** — [`ServiceSession::snapshot`] serializes the full
-//!   session (base topology, live ticket table, schedule, certificate,
-//!   per-core [`WarmState`](netsched_core::WarmState)s) behind a versioned
-//!   header; [`ServiceSession::compact`] runs first, dropping stale split
+//! * **Snapshots** — [`ServiceSession::snapshot`] serializes what of the
+//!   session cannot be recomputed (base topology, live ticket table,
+//!   counters, pending-anytime flag, schedule, certificate, per-core
+//!   [`WarmState`](netsched_core::WarmState)s without their derived
+//!   columns) behind a versioned header; [`ServiceSession::compact`] runs first, dropping stale split
 //!   cores and oversized warm replay stacks so snapshots don't grow
 //!   without bound. Snapshot cadence trades write amplification against
 //!   recovery time: frequent snapshots shorten the log suffix a restore

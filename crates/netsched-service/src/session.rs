@@ -579,7 +579,6 @@ pub struct ServiceSession {
     /// by ticket.
     schedule: Vec<(u64, Placement)>,
     epoch: u64,
-    solved: bool,
     certificate: Certificate,
     profit: f64,
     last: Option<Solution>,
@@ -679,7 +678,6 @@ impl ServiceSession {
             split: None,
             schedule: Vec::new(),
             epoch: 0,
-            solved: false,
             certificate: Certificate::default(),
             profit: 0.0,
             last: None,
@@ -1144,9 +1142,11 @@ impl ServiceSession {
         }
 
         // ---- empty-batch fast path ------------------------------------
+        // Only a session that has solved has a schedule to keep; `epoch >
+        // 0` says so, since the first epoch to complete always solves.
         // Skipped while truncated work is pending: an empty step is then
         // exactly the "finish the certification" epoch.
-        if batch.is_empty() && self.solved && !self.pending_anytime {
+        if batch.is_empty() && self.epoch > 0 && !self.pending_anytime {
             if let Some(view) = &self.view {
                 view.publish(ScheduleSnapshot::capture(
                     self.epoch + 1,
@@ -1340,7 +1340,6 @@ impl ServiceSession {
         self.schedule = new_schedule;
         self.profit = solution.profit;
         self.certificate = certificate;
-        self.solved = true;
         self.pending_anytime = quality.is_truncated();
         self.epoch += 1;
         self.metrics.epochs.inc();
@@ -1496,11 +1495,16 @@ impl ServiceSession {
         report
     }
 
-    /// Serializes the session as a versioned snapshot document: base
-    /// topology, live ticket table (dense order), resolve mode, epoch
-    /// counter, standing schedule + certificate, and every core's
-    /// persisted [`WarmState`]. The split cores themselves are **not**
-    /// serialized — [`from_snapshot`](ServiceSession::from_snapshot)
+    /// Serializes the session as a versioned snapshot document holding
+    /// only what cannot be recomputed: base topology, algorithm config,
+    /// resolve mode, live ticket table (dense order), ticket and epoch
+    /// counters, whether truncated certification work is pending
+    /// (`anytime_pending`), the standing schedule, its profit and
+    /// certificate, and every core's persisted [`WarmState`] (see
+    /// [`WarmState::restore`] for what that keeps). The schedule is stored,
+    /// not replayed: a Cold session has no stack to replay, and a
+    /// mixed-height schedule combines two halves. The cores themselves are
+    /// **not** serialized — [`from_snapshot`](ServiceSession::from_snapshot)
     /// rebuilds them from the live set (byte-identical by the session's
     /// differential invariant) — only their warm states travel. The
     /// `last` engine solution is transient telemetry and is not captured.
@@ -1537,7 +1541,7 @@ impl ServiceSession {
             ("live", live),
             ("next_ticket", JsonValue::u64_value(self.next_ticket)),
             ("epoch", JsonValue::u64_value(self.epoch)),
-            ("solved", JsonValue::Bool(self.solved)),
+            ("anytime_pending", JsonValue::Bool(self.pending_anytime)),
             ("schedule", schedule),
             ("profit", JsonValue::num(self.profit)),
             ("certificate", self.certificate.to_json()),
@@ -1560,9 +1564,11 @@ impl ServiceSession {
     /// dense order) rebuild every core through the same request-to-core
     /// builder the split uses — so the restored universe, conflict CSRs and
     /// layerings are byte-identical to the uninterrupted session's — and
-    /// the recorded tickets, counters, schedule, certificate and warm
-    /// states are installed on top. Warm states are validated against the
-    /// rebuilt universes before installation. The cores' conflict-graph
+    /// the recorded tickets, counters, pending-anytime flag, schedule,
+    /// profit, certificate and warm states are installed on top. Each warm
+    /// state is rebuilt by [`WarmState::restore`] against its rebuilt
+    /// universe, which checks its shape and recomputes what the snapshot
+    /// leaves out. The cores' conflict-graph
     /// generations are advanced past the recovered epoch so a cache keyed
     /// by [`ShardedConflictGraph::generation`] can never alias a pre-crash
     /// graph.
@@ -1620,9 +1626,14 @@ impl ServiceSession {
         {
             return Err("snapshot next_ticket does not exceed every live ticket".into());
         }
-        session.solved = match doc.field("solved")? {
+        session.pending_anytime = match doc.field("anytime_pending")? {
             JsonValue::Bool(b) => *b,
-            other => return Err(format!("expected boolean `solved`, got {}", other.render())),
+            other => {
+                return Err(format!(
+                    "expected boolean `anytime_pending`, got {}",
+                    other.render()
+                ))
+            }
         };
         session.schedule = doc
             .field("schedule")?
@@ -1653,8 +1664,7 @@ impl ServiceSession {
         match doc.field("full_warm")? {
             JsonValue::Null => {}
             warm_doc => {
-                let warm = WarmState::from_json(warm_doc)?;
-                warm.validate_shape(&session.full.universe)?;
+                let warm = WarmState::restore(warm_doc, &session.full.universe)?;
                 session.full.set_warm_state(Some(warm));
             }
         }
@@ -1668,8 +1678,7 @@ impl ServiceSession {
                     match split_doc.field(key)? {
                         JsonValue::Null => {}
                         warm_doc => {
-                            let warm = WarmState::from_json(warm_doc)?;
-                            warm.validate_shape(&core.universe)?;
+                            let warm = WarmState::restore(warm_doc, &core.universe)?;
                             core.set_warm_state(Some(warm));
                         }
                     }

@@ -9,10 +9,13 @@
 //!   [`netsched_workloads::framing`];
 //! * **session snapshots** —
 //!   [`ServiceSession::snapshot`](crate::ServiceSession::snapshot)
-//!   documents carrying the full session state (base problem, live ticket
-//!   table, standing schedule, certificate, per-core warm states) behind a
-//!   versioned header ([`SNAPSHOT_FORMAT_VERSION`]), so the format can
-//!   evolve without stranding old snapshot files.
+//!   documents carrying the session state that cannot be recomputed (base
+//!   problem, config, resolve mode, live ticket table, ticket and epoch
+//!   counters, the pending-anytime flag, standing schedule, profit,
+//!   certificate, per-core warm states without their derived relative
+//!   heights and `λ` minima) behind a versioned header
+//!   ([`SNAPSHOT_FORMAT_VERSION`]). A reader accepts exactly its own
+//!   version and rejects every other one.
 
 use netsched_graph::{NetworkId, VertexId};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
@@ -24,8 +27,9 @@ use crate::session::{Certificate, Placement, ResolveMode};
 /// [`ServiceSession::snapshot`](crate::ServiceSession::snapshot). Bump on
 /// any incompatible change;
 /// [`from_snapshot`](crate::ServiceSession::from_snapshot) rejects
-/// unknown versions instead of mis-parsing them.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+/// unknown versions instead of mis-parsing them. Version 2 dropped the
+/// recomputable warm-state columns and added `anytime_pending`.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
 
 fn access_to_json(access: &[NetworkId]) -> JsonValue {
     JsonValue::Array(access.iter().map(|t| JsonValue::int(t.index())).collect())

@@ -352,7 +352,8 @@ mod tests {
         for scenario in named_scenarios() {
             // The mega scenarios carry 10⁵ demands; build a same-shaped
             // miniature here so the debug-mode test stays fast (full-size
-            // builds are exercised by the mega_scale bench).
+            // builds are exercised by the perfbench `line-1e5` and
+            // `tree-1e5` workloads).
             match &scenario {
                 Scenario::Tree { workload, .. } => {
                     let mut workload = workload.clone();

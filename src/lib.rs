@@ -277,9 +277,13 @@
 //! arena-backed struct-of-arrays layouts keyed by dense `u32` ids, and
 //! each layer reports its heap commitment through a `committed_bytes()`
 //! audit ([`ServiceSession::memory_footprint`](prelude::ServiceSession::memory_footprint)
-//! sums them per session). Measured on the full-mode `mega-churn-line`
-//! scenario (99,886 live demands / 271,867 instances over 256 networks,
-//! `BENCH_mega_scale.json`, regenerated by the `mega_scale` bench):
+//! sums them per session). Measured on the `mega-churn-line` scenario
+//! (99,886 live demands / 271,867 instances over 256 networks) when this
+//! layout landed; the `line-1e5` workload of the repo benchmark
+//! (`python3 perfbench/run.py --workload line-1e5 --seed 20260 --seconds
+//! 36 --trace 1`) replays the same scenario and reports the current
+//! figures (`bytes_per_demand`, `universe.bytes`, `conflict.bytes`,
+//! `warm.bytes`):
 //!
 //! | layer | committed | bytes/demand |
 //! |---|---|---|
@@ -305,11 +309,11 @@
 //!   splices locally — the cross CSR is assembled exactly once per
 //!   session (pinned by an assembly-counter test).
 //!
-//! Sustained serving throughput and peak RSS at the 10⁵ live-demand
-//! point are recorded in `BENCH_mega_scale.json`; every bench JSON
-//! header carries `physical_cores` / `rayon_workers` / `peak_rss_kb`
-//! provenance so single-core and multicore artifacts are
-//! distinguishable.
+//! Sustained serving throughput (`epochs_per_s`, `epoch_p50_ms`,
+//! `epoch_p90_ms`) and peak RSS at the 10⁵ live-demand point come from
+//! the same `line-1e5` harness run; every committed bench JSON header
+//! carries `physical_cores` / `rayon_workers` / `peak_rss_kb` provenance
+//! so single-core and multicore artifacts are distinguishable.
 //!
 //! ## Observability
 //!
@@ -341,8 +345,9 @@
 //! along with the < 5% enabled-overhead and disabled-mode
 //! zero-allocation contracts), and the serving benches publish their
 //! p50/p95/p99 admission latency from the same histograms
-//! (`latency_p99_ms` in `BENCH_dynamic_serving.json` /
-//! `BENCH_mega_scale.json`). The per-session
+//! (`latency_p99_ms` in `BENCH_dynamic_serving.json`; the `perfbench`
+//! harness reports `epoch_p50_ms` / `epoch_p90_ms` from raw samples).
+//! The per-session
 //! [`RoundCalibration`](prelude::RoundCalibration) EWMA learns
 //! rounds/second online and compiles wall-clock deadlines
 //! ([`BudgetSpec::Millis`](prelude::BudgetSpec)) into engine round caps

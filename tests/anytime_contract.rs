@@ -400,3 +400,56 @@ fn cold_round_cuts_are_truncated_feasible_and_exact_once_the_budget_covers_the_r
         }
     }
 }
+
+#[test]
+fn a_restored_session_keeps_its_pending_anytime_work() {
+    let problem = many_networks_line(3, 150, 7).build().unwrap();
+    let config = AlgorithmConfig::deterministic(0.1);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let mut session = ServiceSession::for_line(&problem, config).with_resolve_mode(mode);
+        let cut = session.step_with_deadline(&[], &Budget::rounds(1)).unwrap();
+        assert!(
+            cut.stats.quality.is_truncated(),
+            "{mode:?}: the first epoch must be cut"
+        );
+        let text = session.snapshot().render();
+        for key in ["eligible", "rel_height", "shard_min", "primed", "solved"] {
+            assert!(
+                !text.contains(&format!("\"{key}\"")),
+                "{mode:?}: the snapshot stores the recomputable `{key}`"
+            );
+        }
+        let doc = netsched_workloads::json::JsonValue::parse(&text).unwrap();
+        assert_eq!(
+            doc.field("anytime_pending").unwrap(),
+            &netsched_workloads::json::JsonValue::Bool(true),
+            "{mode:?}"
+        );
+        let mut restored = ServiceSession::from_snapshot(&doc).unwrap();
+        assert!(
+            restored.anytime_pending(),
+            "{mode:?}: the restored session lost its pending anytime work"
+        );
+        let resumed = session.step(&[]).unwrap();
+        let resumed_restored = restored.step(&[]).unwrap();
+        for (side, delta) in [("original", &resumed), ("restored", &resumed_restored)] {
+            assert!(delta.stats.resolved, "{mode:?} {side}: no re-solve");
+            assert_eq!(
+                delta.stats.quality,
+                CertificateQuality::Full,
+                "{mode:?} {side}"
+            );
+            assert!(
+                delta.certificate.lambda >= 0.9 - 1e-6,
+                "{mode:?} {side}: λ = {} below 1 − ε",
+                delta.certificate.lambda
+            );
+        }
+        assert_eq!(
+            resumed.certificate, resumed_restored.certificate,
+            "{mode:?}"
+        );
+        assert_eq!(resumed.profit.to_bits(), resumed_restored.profit.to_bits());
+        assert_eq!(session.schedule(), restored.schedule(), "{mode:?}");
+    }
+}

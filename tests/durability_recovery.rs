@@ -371,8 +371,8 @@ fn snapshot_cadence_bounds_the_replayed_suffix() {
 }
 
 // ---------------------------------------------------------------------
-// S2 regression: restored merged CSR is byte-identical and the
-// generation-keyed cache cannot alias pre-crash folds
+// S2 regression: a restored conflict graph folds to the same merged CSR
+// as the original, and its generation advances past the recovered epoch
 // ---------------------------------------------------------------------
 
 #[test]
@@ -384,14 +384,14 @@ fn restored_sessions_never_serve_a_stale_merged_csr() {
 
     let mut original = base.session(config, ResolveMode::Cold);
     drive(&mut original, &trace, 0..4, &tickets);
-    // Fold (and cache) the merged CSR on the original before snapshotting.
+    // Fold the merged CSR on the original before snapshotting (`merged`
+    // folds the sharded CSRs afresh on every call; nothing caches it).
     let pre_crash = original.conflict().merged();
 
     let mut restored = ServiceSession::from_snapshot(&original.snapshot()).expect("restores");
     // The restored core's generation must have advanced past the
-    // recovered epoch: a generation-keyed merged cache keyed off a fresh
-    // build() would otherwise alias the pre-crash fold across the next
-    // splice.
+    // recovered epoch, so nothing keyed by `generation()` can mistake the
+    // rebuilt graph for a pre-crash one.
     assert!(
         restored.conflict().generation() >= original.epoch(),
         "restored generation {} behind the recovered epoch {}",
@@ -401,7 +401,7 @@ fn restored_sessions_never_serve_a_stale_merged_csr() {
     assert_same_graph(&pre_crash, &restored.conflict().merged(), "post-restore");
 
     // Splice both one more epoch: the merged CSRs must stay identical
-    // byte for byte (the regression was a stale cache surviving this).
+    // byte for byte, and so must the solves.
     drive(&mut original, &trace, 4..5, &tickets);
     drive(&mut restored, &trace, 4..5, &tickets);
     assert_same_graph(
