@@ -5,7 +5,7 @@
 //! batch, give me the schedule of the surviving demand set"):
 //!
 //! * **incremental** — one long-lived `ServiceSession`: per epoch, splice
-//!   the universe, rebuild only the dirty shards' CSRs, splice the
+//!   the universe, update only the dirty shards' conflict degrees, splice the
 //!   layering, re-solve with the two-phase engine;
 //! * **from-scratch** — what a naive server does per batch: open a fresh
 //!   `Scheduler` over the surviving demand set (universe + sharding +

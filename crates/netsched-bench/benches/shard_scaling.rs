@@ -1,16 +1,17 @@
-//! Benchmark: the sharded conflict engine versus the pre-shard reference
-//! path, across shard counts.
+//! Benchmark: the serving engine's conflict structures versus the
+//! reference path, across shard counts.
 //!
 //! Scenarios come from the `netsched-workloads` multi-network generators:
 //! balanced line workloads at 1/2/4/8 shards, a skewed-shard workload (one
 //! hot network) and an 8-network tree workload. For each we measure
 //!
-//! * **conflict build** — [`ConflictGraph::build`] (single flat CSR, the
-//!   pre-shard path) versus [`ShardedConflictGraph::build`] (one sweep per
-//!   shard), and
+//! * **conflict build** — [`ConflictGraph::build`] (the whole graph as one
+//!   flat CSR, what the reference engine reads) versus
+//!   [`ShardedConflictGraph::build`] (per-instance conflict degrees, one
+//!   sweep per shard, all the serving engine keeps), and
 //! * **MIS epochs + engine** — [`run_two_phase_reference`] (simulator-driven
-//!   Luby) versus [`run_two_phase_on`] (array-based Luby on the sharded
-//!   graph) —
+//!   Luby on the flat CSR) versus [`run_two_phase_on`] (array-based Luby on
+//!   the adjacency each MIS call induces among its candidates) —
 //!   both engines produce identical schedules, so this is a pure
 //!   representation comparison.
 //!

@@ -56,9 +56,9 @@ fn eligibility(universe: &DemandInstanceUniverse) -> (Vec<bool>, f64) {
 /// this crate (Theorems 5.3, 6.3, 7.1 and 7.2 only differ in the layering,
 /// the raise rule and the universe they pass in).
 ///
-/// Builds the sharded conflict graph and delegates to
+/// Builds the conflict degrees and delegates to
 /// [`run_two_phase_on`]; callers that solve the same universe repeatedly
-/// (the `Scheduler` session) should build the graph once and call
+/// (the `Scheduler` session) should build them once and call
 /// [`run_two_phase_on`] directly.
 pub fn run_two_phase(
     universe: &DemandInstanceUniverse,
@@ -77,11 +77,11 @@ pub fn run_two_phase(
     )
 }
 
-/// Runs the two-phase framework on a prebuilt sharded conflict graph under
-/// a cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
+/// Runs the two-phase framework on prebuilt conflict degrees under a
+/// cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
 ///
 /// This is a [`run_two_phase_warm_on`] over a fresh [`WarmState`], with
-/// the MIS of each step computed on the sharded graph
+/// the MIS of each step computed on the adjacency its candidates induce
 /// ([`sharded_mis`](netsched_distrib::sharded_mis)). Every decision — MIS
 /// contents, raise amounts, schedules, certificates — is identical to the
 /// reference engine ([`run_two_phase_reference`]); only the Luby

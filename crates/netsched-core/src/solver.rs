@@ -40,9 +40,10 @@
 //! Every cached structure is built on the implicit interval-path
 //! representation of `netsched-graph`: universes store `O(log n)` interval
 //! runs per tree instance (one run per line instance), universe
-//! construction is `O(|D| log n)` rather than `O(Σ path length)`, and the
-//! conflict graph is assembled by a deterministic interval sweep into a
-//! flat CSR. Sessions therefore stay cheap to open even for deep trees and
+//! construction is `O(|D| log n)` rather than `O(Σ path length)`, and
+//! conflicts are found by a deterministic interval sweep: once per shard
+//! for the cached conflict degrees, and per MIS call among its candidates.
+//! Sessions therefore stay cheap to open even for deep trees and
 //! wide windows; see the `netsched-graph` crate docs for the complexity
 //! table.
 //!
@@ -256,8 +257,8 @@ impl SplitPart {
         &self.layering
     }
 
-    /// The sharded conflict graph of this half, built on first use and
-    /// cached for the lifetime of the session.
+    /// The conflict degrees of this half, built on first use and cached
+    /// for the lifetime of the session.
     pub fn conflict(&self) -> &ShardedConflictGraph {
         self.conflict
             .get_or_init(|| ShardedConflictGraph::build(&self.universe))
@@ -417,9 +418,9 @@ impl<'p> Scheduler<'p> {
         })
     }
 
-    /// The sharded conflict graph over the session universe, built on
-    /// first use and cached; every subsequent solve reuses it instead of
-    /// re-sweeping the conflict structure.
+    /// The conflict degrees over the session universe, built on first use
+    /// and cached; every subsequent solve reuses them instead of
+    /// re-sweeping the universe.
     pub fn conflict(&self) -> &ShardedConflictGraph {
         self.conflict.get_or_init(|| {
             self.conflict_builds.fetch_add(1, Ordering::Relaxed);
@@ -554,7 +555,7 @@ impl<'a> SolveContext<'a> {
         self.session.layering()
     }
 
-    /// The cached sharded conflict graph.
+    /// The cached conflict degrees.
     pub fn conflict(&self) -> &'a ShardedConflictGraph {
         self.session.conflict()
     }

@@ -79,7 +79,7 @@ use crate::duals::DualState;
 use crate::framework::derive_strategy;
 use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
-use netsched_distrib::{sharded_mis, MisScratch, RoundStats, ShardedConflictGraph};
+use netsched_distrib::{sharded_mis, RoundStats, ShardedConflictGraph};
 use netsched_graph::{
     DemandInstanceUniverse, EdgeId, InstanceId, LoadTracker, NetworkId, UniverseDelta, EPS,
 };
@@ -159,11 +159,6 @@ pub struct WarmState {
     /// Warm solves completed on this state. A state with none is fresh: it
     /// repairs every shard, so its first solve is the cold solve.
     epochs_resumed: u64,
-    /// The MIS position table, sized to the universe on every splice. Every
-    /// entry holds its sentinel between MIS calls, so it carries no state:
-    /// it is not serialized, and [`WarmState::committed_bytes`] leaves it
-    /// out.
-    mis_scratch: MisScratch,
 }
 
 impl WarmState {
@@ -191,7 +186,6 @@ impl WarmState {
             pending_dirty: vec![false; universe.num_networks()],
             shard_min: Vec::new(),
             epochs_resumed: 0,
-            mis_scratch: MisScratch::new(n),
         }
         .derive(universe)
     }
@@ -436,7 +430,6 @@ impl WarmState {
             (first_added..n_new)
                 .map(|d| DualState::max_relative_height(universe, InstanceId::new(d))),
         );
-        self.mis_scratch.resize(n_new);
 
         // 4. Renumber the stack, keeping only the newest occurrence (an
         //    older duplicate below a newer one can never commit in the
@@ -662,7 +655,6 @@ impl WarmState {
             pending_dirty,
             shard_min: Vec::new(),
             epochs_resumed: doc.field("epochs_resumed")?.as_u64()?,
-            mis_scratch: MisScratch::new(n),
         };
         Ok(state.derive(universe))
     }
@@ -830,13 +822,7 @@ fn repair_pass(
                     break 'groups;
                 }
                 let strategy = derive_strategy(config, epoch, stage, stage_steps);
-                let mis = sharded_mis(
-                    conflict,
-                    &unsatisfied,
-                    strategy,
-                    stats,
-                    &mut warm.mis_scratch,
-                );
+                let mis = sharded_mis(universe, &unsatisfied, strategy, stats);
                 let mut record = trace.as_ref().map(|_| StepRecord {
                     epoch,
                     stage,

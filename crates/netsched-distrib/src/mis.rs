@@ -8,11 +8,11 @@
 //! genuine message-passing protocol on the [`SyncSimulator`], plus a
 //! sequential greedy MIS used as a deterministic baseline and for testing.
 
-use crate::conflict::{ConflictGraph, ShardedConflictGraph};
+use crate::conflict::{ConflictGraph, InducedConflicts};
 use crate::simulator::{Agent, Outbox, SyncSimulator, Topology};
 use crate::stats::RoundStats;
 use fxhash::{FxHashMap, FxHashSet};
-use netsched_graph::InstanceId;
+use netsched_graph::{DemandInstanceUniverse, InstanceId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -225,152 +225,70 @@ pub fn greedy_mis(graph: &ConflictGraph, active: &[InstanceId]) -> Vec<InstanceI
     chosen
 }
 
-// ---------------------------------------------------------------------------
-// MIS over a ShardedConflictGraph.
-// ---------------------------------------------------------------------------
-
-/// Reusable buffers for [`sharded_mis`]: a global instance → active-position
-/// table, allocated once and reused across MIS calls (and, resized with
-/// [`MisScratch::resize`], across solves of a changing universe).
-#[derive(Debug, Clone)]
-pub struct MisScratch {
-    /// Instance id → position in the current active list (`u32::MAX` when
-    /// absent). Always reset to the sentinel between calls.
-    pos: Vec<u32>,
-}
-
-impl MisScratch {
-    /// Creates scratch space for a universe of `num_instances` instances.
-    pub fn new(num_instances: usize) -> Self {
-        Self {
-            pos: vec![u32::MAX; num_instances],
-        }
-    }
-
-    /// Re-sizes the table for a universe of `num_instances` instances.
-    /// Every entry holds the sentinel between calls, so no entry needs
-    /// resetting: survivors of a shrink and new slots of a growth alike
-    /// read "absent".
-    pub fn resize(&mut self, num_instances: usize) {
-        self.pos.resize(num_instances, u32::MAX);
-    }
-
-    /// Records each instance's position in `active`.
-    fn index(&mut self, active: &[InstanceId]) {
-        for (i, &d) in active.iter().enumerate() {
-            self.pos[d.index()] = i as u32;
-        }
-    }
-
-    /// Restores the sentinel for every instance of `active`.
-    fn clear(&mut self, active: &[InstanceId]) {
-        for &d in active {
-            self.pos[d.index()] = u32::MAX;
-        }
-    }
-}
-
-/// The active positions of `d`'s neighbors (local CSR neighbors first,
-/// then cross-shard ones) that are in the active list `scratch` indexes.
-fn active_neighbors<'a>(
-    graph: &'a ShardedConflictGraph,
-    scratch: &'a MisScratch,
-    d: InstanceId,
-) -> impl Iterator<Item = u32> + 'a {
-    let sharding = graph.sharding();
-    let network = sharding.shard_of(d);
-    let part = sharding.shard(network);
-    graph
-        .shard(network)
-        .neighbors(sharding.local_of(d))
-        .iter()
-        .map(|&ln| part.global_of(ln))
-        .chain(graph.cross_neighbors(d))
-        .map(|g| scratch.pos[g.index()])
-        .filter(|&q| q != u32::MAX)
-}
-
 /// Computes a maximal independent set of the subgraph induced by `active`
-/// on a sharded conflict graph.
+/// (no instance twice), building that subgraph from the universe with
+/// [`InducedConflicts::build`]: one interval sweep per network over the
+/// candidates' runs, plus their same-demand cliques.
 ///
 /// Produces **exactly** the same set as [`maximal_independent_set`] on the
-/// merged graph for either strategy: the greedy path is the same
+/// flat graph for either strategy: the greedy path is the same
 /// lowest-id-first sweep as [`greedy_mis`], and the Luby path executes the
 /// same phase protocol as the message-passing simulator with identical
-/// per-vertex random streams. Communication accounting follows the same
+/// per-position random streams. Communication accounting follows the same
 /// model (3 rounds per Luby phase; broadcasts along conflict edges).
 pub fn sharded_mis(
-    graph: &ShardedConflictGraph,
+    universe: &DemandInstanceUniverse,
     active: &[InstanceId],
     strategy: MisStrategy,
     stats: &mut RoundStats,
-    scratch: &mut MisScratch,
 ) -> Vec<InstanceId> {
     if active.is_empty() {
         return Vec::new();
     }
     match strategy {
         MisStrategy::SequentialGreedy => {
-            let set = sharded_greedy_mis(graph, active, scratch);
+            let mut sorted: Vec<InstanceId> = active.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let graph = InducedConflicts::build(universe, &sorted);
+            let mut blocked = vec![false; sorted.len()];
+            let mut chosen = Vec::new();
+            for (p, &d) in sorted.iter().enumerate() {
+                if blocked[p] {
+                    continue;
+                }
+                chosen.push(d);
+                for &q in graph.neighbors(p) {
+                    blocked[q as usize] = true;
+                }
+            }
             stats.record_mis(1);
-            set
+            chosen
         }
-        MisStrategy::Luby { seed } => sharded_luby(graph, active, seed, stats, scratch),
+        MisStrategy::Luby { seed } => induced_luby(
+            &InducedConflicts::build(universe, active),
+            active,
+            seed,
+            stats,
+        ),
     }
-}
-
-/// The lowest-id-first greedy MIS of [`greedy_mis`] on a sharded conflict
-/// graph: one sweep over the sorted candidates, each chosen vertex
-/// blocking its local and cross-shard neighbors.
-pub fn sharded_greedy_mis(
-    graph: &ShardedConflictGraph,
-    active: &[InstanceId],
-    scratch: &mut MisScratch,
-) -> Vec<InstanceId> {
-    let mut sorted: Vec<InstanceId> = active.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    scratch.index(&sorted);
-    let mut blocked = vec![false; sorted.len()];
-    let mut chosen = Vec::new();
-    for (p, &d) in sorted.iter().enumerate() {
-        if blocked[p] {
-            continue;
-        }
-        chosen.push(d);
-        for q in active_neighbors(graph, scratch, d) {
-            blocked[q as usize] = true;
-        }
-    }
-    scratch.clear(&sorted);
-    chosen
 }
 
 /// Luby's algorithm, phase-synchronous over flat arrays instead of the
 /// message-passing simulator. Per-vertex random streams, tie-breaking and
 /// knockout timing replicate the [`LubyAgent`] protocol exactly, so the
 /// chosen set is identical to the simulator's for every seed.
-fn sharded_luby(
-    graph: &ShardedConflictGraph,
+fn induced_luby(
+    adj: &InducedConflicts,
     active: &[InstanceId],
     seed: u64,
     stats: &mut RoundStats,
-    scratch: &mut MisScratch,
 ) -> Vec<InstanceId> {
     const ACTIVE: u8 = 0;
     const IN_MIS: u8 = 1;
     const OUT: u8 = 2;
 
     let n = active.len();
-    scratch.index(active);
-    // Induced adjacency in active-position space.
-    let adj: Vec<Vec<u32>> = active
-        .iter()
-        .map(|&d| active_neighbors(graph, scratch, d).collect())
-        .collect();
-    scratch.clear(active);
-    let deg: Vec<u32> = adj.iter().map(|a| a.len() as u32).collect();
-
     let mut state = vec![ACTIVE; n];
     let mut values = vec![0u64; n];
     let mut rngs: Vec<SmallRng> = (0..n)
@@ -378,7 +296,7 @@ fn sharded_luby(
         .collect();
     // Remaining active-neighbor counts, mirroring the simulator's
     // `active_neighbors` sets for the Dropped-broadcast condition.
-    let mut anbrs: Vec<i64> = deg.iter().map(|&d| d as i64).collect();
+    let mut anbrs: Vec<i64> = (0..n).map(|p| adj.degree(p) as i64).collect();
     let mut pending_drops: Vec<u32> = Vec::new();
     let mut active_list: Vec<u32> = (0..n as u32).collect();
     let mut joined: Vec<u32> = Vec::new();
@@ -396,7 +314,7 @@ fn sharded_luby(
         );
         // Dropped notifications from the previous phase arrive first.
         for &p in &pending_drops {
-            for &q in &adj[p as usize] {
+            for &q in adj.neighbors(p as usize) {
                 anbrs[q as usize] -= 1;
             }
         }
@@ -406,7 +324,7 @@ fn sharded_luby(
         active_list.retain(|&p| state[p as usize] == ACTIVE);
         for &p in &active_list {
             values[p as usize] = rngs[p as usize].gen();
-            messages += deg[p as usize] as u64;
+            messages += adj.degree(p as usize) as u64;
         }
 
         // Sub-round B: join when the local (value, index) beats every
@@ -415,15 +333,15 @@ fn sharded_luby(
         joined.clear();
         joined.extend(active_list.iter().copied().filter(|&p| {
             let me = (values[p as usize], p as usize);
-            adj[p as usize]
+            adj.neighbors(p as usize)
                 .iter()
                 .all(|&q| state[q as usize] != ACTIVE || me > (values[q as usize], q as usize))
         }));
         for &p in &joined {
             state[p as usize] = IN_MIS;
             remaining -= 1;
-            messages += deg[p as usize] as u64;
-            for &q in &adj[p as usize] {
+            messages += adj.degree(p as usize) as u64;
+            for &q in adj.neighbors(p as usize) {
                 anbrs[q as usize] -= 1;
             }
         }
@@ -432,12 +350,15 @@ fn sharded_luby(
         // (if they still have undecided neighbors) announce it.
         for &p in &active_list {
             if state[p as usize] == ACTIVE
-                && adj[p as usize].iter().any(|&q| state[q as usize] == IN_MIS)
+                && adj
+                    .neighbors(p as usize)
+                    .iter()
+                    .any(|&q| state[q as usize] == IN_MIS)
             {
                 state[p as usize] = OUT;
                 remaining -= 1;
                 if anbrs[p as usize] > 0 {
-                    messages += deg[p as usize] as u64;
+                    messages += adj.degree(p as usize) as u64;
                     pending_drops.push(p);
                 }
             }
@@ -489,7 +410,7 @@ pub fn is_maximal_independent(
 mod tests {
     use super::*;
     use netsched_graph::fixtures::two_tree_problem;
-    use netsched_graph::{DemandInstanceUniverse, NetworkId, TreeProblem, VertexId};
+    use netsched_graph::{NetworkId, TreeProblem, VertexId};
     use rand::rngs::StdRng;
 
     fn random_universe(seed: u64, n: usize, r: usize, m: usize) -> DemandInstanceUniverse {
@@ -589,8 +510,6 @@ mod tests {
         for seed in 0..6u64 {
             let u = random_universe(seed, 28, 4, 45);
             let flat = ConflictGraph::build(&u);
-            let sharded = ShardedConflictGraph::build(&u);
-            let mut scratch = MisScratch::new(u.num_instances());
             // Full active set and an induced subset, several Luby seeds.
             let full: Vec<InstanceId> = u.instance_ids().collect();
             let subset: Vec<InstanceId> = u.instance_ids().filter(|d| d.index() % 3 != 1).collect();
@@ -598,19 +517,9 @@ mod tests {
                 for luby_seed in [1u64, 42, 0xDEAD] {
                     let mut s1 = RoundStats::new();
                     let mut s2 = RoundStats::new();
-                    let reference = maximal_independent_set(
-                        &flat,
-                        active,
-                        MisStrategy::Luby { seed: luby_seed },
-                        &mut s1,
-                    );
-                    let ours = sharded_mis(
-                        &sharded,
-                        active,
-                        MisStrategy::Luby { seed: luby_seed },
-                        &mut s2,
-                        &mut scratch,
-                    );
+                    let strategy = MisStrategy::Luby { seed: luby_seed };
+                    let reference = maximal_independent_set(&flat, active, strategy, &mut s1);
+                    let ours = sharded_mis(&u, active, strategy, &mut s2);
                     assert_eq!(reference, ours, "seed {seed}, luby seed {luby_seed}");
                     assert!(s2.rounds > 0 && s2.messages > 0 && s2.mis_invocations == 1);
                 }
@@ -623,15 +532,15 @@ mod tests {
         for seed in 0..8u64 {
             let u = random_universe(100 + seed, 24, 5, 40);
             let flat = ConflictGraph::build(&u);
-            let sharded = ShardedConflictGraph::build(&u);
-            let mut scratch = MisScratch::new(u.num_instances());
             let full: Vec<InstanceId> = u.instance_ids().collect();
             let subset: Vec<InstanceId> = u.instance_ids().filter(|d| d.index() % 2 == 0).collect();
             for active in [&full, &subset] {
                 let reference = greedy_mis(&flat, active);
-                let ours = sharded_greedy_mis(&sharded, active, &mut scratch);
+                let mut stats = RoundStats::new();
+                let ours = sharded_mis(&u, active, MisStrategy::SequentialGreedy, &mut stats);
                 assert_eq!(reference, ours, "seed {seed}");
                 assert!(is_maximal_independent(&flat, active, &ours));
+                assert_eq!(stats.rounds, 1);
             }
         }
     }
@@ -639,28 +548,11 @@ mod tests {
     #[test]
     fn sharded_mis_handles_empty_and_singleton_inputs() {
         let u = two_tree_problem().universe();
-        let sharded = ShardedConflictGraph::build(&u);
-        let mut scratch = MisScratch::new(u.num_instances());
         let mut stats = RoundStats::new();
-        assert!(sharded_mis(
-            &sharded,
-            &[],
-            MisStrategy::Luby { seed: 3 },
-            &mut stats,
-            &mut scratch
-        )
-        .is_empty());
+        let strategy = MisStrategy::Luby { seed: 3 };
+        assert!(sharded_mis(&u, &[], strategy, &mut stats).is_empty());
         let single = vec![InstanceId::new(0)];
-        let set = sharded_mis(
-            &sharded,
-            &single,
-            MisStrategy::Luby { seed: 3 },
-            &mut stats,
-            &mut scratch,
-        );
-        assert_eq!(set, single);
-        // The scratch sentinel is restored after every call.
-        assert!(scratch.pos.iter().all(|&p| p == u32::MAX));
+        assert_eq!(sharded_mis(&u, &single, strategy, &mut stats), single);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`ShardedUniverse`] — the universe partitioned by [`NetworkId`]: one
 //!   shard per network with a global↔local id table and pre-sorted
 //!   per-shard run arrays, the unit of incremental splicing for the
-//!   sharded conflict engine in `netsched-distrib` and the dirty-network
+//!   conflict-degree upkeep in `netsched-distrib` and the dirty-network
 //!   repair in `netsched-core`,
 //! * [`CapacityIndex`] — per-network sparse tables answering
 //!   range-minimum capacity queries in `O(1)`, which keep the capacitated

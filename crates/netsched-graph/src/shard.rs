@@ -92,8 +92,8 @@ impl UniverseShard {
 
 /// The per-shard record of what the last [`ShardedUniverse::apply_delta`]
 /// did to one **dirty** shard's local id space — the splice contract the
-/// incremental conflict-CSR maintenance in `netsched-distrib` consumes
-/// instead of re-sweeping the shard from scratch.
+/// conflict-degree upkeep in `netsched-distrib` compacts its per-shard
+/// degree columns through.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSplice {
     /// Old local id → new local id; `u32::MAX` for removed instances.

@@ -1,8 +1,8 @@
 //! A live, incrementally maintained solving core.
 //!
 //! A [`LiveCore`] bundles the three structures the two-phase engine reads —
-//! the demand-instance universe, its sharded conflict graph and its
-//! layering — and keeps them synchronized with a stream of demand splices.
+//! the demand-instance universe, its conflict degrees and its layering —
+//! and keeps them synchronized with a stream of demand splices.
 //! The session owns one core for the full live set and (lazily, once the
 //! height mix requires the wide/narrow split) one per split half; all three
 //! are driven by the same [`LiveCore::apply`].
@@ -23,8 +23,8 @@ use std::time::Instant;
 /// order (tree cores only; line cores re-derive length classes globally).
 pub(crate) type TreeAssignments = Vec<(usize, Vec<EdgeId>)>;
 
-/// One universe + conflict graph + layering triple, spliced in place per
-/// epoch. Byte-identical to the from-scratch structures of a fresh
+/// One universe + conflict degrees + layering triple, spliced in place per
+/// epoch. Equal to the from-scratch structures of a fresh
 /// [`Scheduler`](netsched_core::Scheduler) over the same surviving demand
 /// set — the differential invariant the dynamic-equivalence suite pins.
 pub(crate) struct LiveCore {
@@ -44,8 +44,8 @@ pub(crate) struct LiveCore {
     /// selection seed carried across epochs. `None` until the first warm
     /// solve; reset whenever the required raise rule changes.
     warm: Option<WarmState>,
-    /// Nanoseconds the most recent [`LiveCore::apply`] spent rebuilding
-    /// dirty conflict-graph shards — the session reads this after each
+    /// Nanoseconds the most recent [`LiveCore::apply`] spent updating the
+    /// dirty shards' conflict degrees — the session reads this after each
     /// splice to split the epoch's rebuild time into its
     /// `epoch.conflict_rebuild_ns` / `epoch.splice_ns` histograms.
     pub(crate) conflict_rebuild_ns: u64,
@@ -102,8 +102,8 @@ impl LiveCore {
     ///
     /// 1. the universe compacts expired instances and appends arrivals
     ///    (`O(|D|)`, no path recomputation),
-    /// 2. the sharded conflict graph rebuilds **only** the dirty shards'
-    ///    local CSRs plus the renumbered cross-shard rows,
+    /// 2. the conflict degrees change **only** in the dirty shards, whose
+    ///    departures and arrivals are swept against their runs,
     /// 3. the layering splices survivor assignments and appends the
     ///    arrivals' — tree assignments come pre-computed in `assignments`;
     ///    line length classes are assigned on the spot against the

@@ -149,10 +149,8 @@ pub enum ServiceError {
         /// The panic payload (downcast to a string when possible).
         reason: String,
     },
-    /// An earlier epoch's solve panicked outside quarantine (a plain
-    /// [`step`](crate::ServiceSession::step) under the default
-    /// [`ServicePolicy`](crate::ServicePolicy)), so the session may be
-    /// half-mutated. [`Service`](crate::Service) refuses every later call
+    /// A panic escaped an earlier epoch's quarantine (the quarantine
+    /// itself panicked), so the session may be half-mutated. [`Service`](crate::Service) refuses every later call
     /// with this error; open a new session (a durable one restores from
     /// its log).
     SessionLost {

@@ -10,7 +10,7 @@
 //! # Epoch model
 //!
 //! A [`ServiceSession`] owns a mutable solving state — the live demand set,
-//! the demand-instance universe, the sharded conflict graph, the layerings
+//! the demand-instance universe, its conflict degrees, the layerings
 //! and (lazily) the wide/narrow split. [`ServiceSession::step`] admits one
 //! batch of [`DemandEvent`]s:
 //!
@@ -19,10 +19,11 @@
 //! 2. **Splice** the universe: expired instances compact out, arriving
 //!    instances append — ids renumber exactly as a from-scratch build over
 //!    the surviving set would number them.
-//! 3. **Rebuild only the dirty shards**: the conflict engine re-sweeps the
-//!    local CSRs of the networks that gained or lost instances and
-//!    re-assembles the cross-shard same-demand rows;
-//!    clean shards are renumbered in `O(shard)` with no sort or sweep.
+//! 3. **Update only the dirty shards' conflict degrees**: the departures
+//!    and arrivals of each network that gained or lost instances are swept
+//!    against its runs; clean shards are renumbered in `O(shard)` with no
+//!    sort or sweep. No conflict edge is stored: each MIS call sweeps the
+//!    edges among its own candidates.
 //! 4. **Re-layer** incrementally: tree assignments are per-instance and
 //!    position-independent (only arrivals pay the `O(path)` cost); line
 //!    length classes re-derive in `O(|D|)` arithmetic.
@@ -56,7 +57,7 @@
 //! * **[`ResolveMode::Cold`]** (the default) re-solves from zero. The
 //!   session is **byte-equivalent** to a fresh
 //!   [`Scheduler`](netsched_core::Scheduler): schedule, certificate and
-//!   merged conflict CSR match bit for bit (`tests/dynamic_equivalence.rs`
+//!   conflict degrees match bit for bit (`tests/dynamic_equivalence.rs`
 //!   pins this, including for warm-capable sessions pinned to Cold).
 //! * **[`ResolveMode::Warm`]** resumes from a persisted
 //!   [`WarmState`](netsched_core::WarmState): expired demands' dual
@@ -100,8 +101,7 @@
 //! |---|---|---|
 //! | universe | `O(|D| log n)` path construction | `O(|D| + B log n)` splice |
 //! | shard partition | `O(|D| log |D|)` sort | clean shards `O(|D|)` renumber, dirty re-sort |
-//! | conflict CSRs | every shard sweeps | only `k` dirty shards sweep |
-//! | cross-shard rows | full clique scan | full clique scan (renumbered) |
+//! | conflict degrees | every shard sweeps | only `k` dirty shards sweep their departures and arrivals |
 //! | tree layering | `O(|D| log n)` assignment + decompositions | decompositions cached; `O(B log n)` new assignments |
 //! | line layering | `O(|D|)` | `O(|D|)` |
 //! | solve | two-phase engine | identical engine |
@@ -141,7 +141,7 @@
 //!   path.
 //!   The recovered session therefore inherits the session's own
 //!   equivalence contract: **Cold** restores are byte-identical to the
-//!   uninterrupted run (schedule, certificate, merged conflict CSR);
+//!   uninterrupted run (schedule, certificate, conflict degrees);
 //!   **Warm** restores are certificate-equivalent (every replayed epoch
 //!   re-certifies `λ ≥ 1 − ε` within the worst-case ratio). The
 //!   kill-and-recover suite (`tests/durability_recovery.rs`) pins both,
@@ -179,13 +179,11 @@
 //!   fully operational; only the offending batch is lost. Isolation
 //!   costs O(batch) per epoch on the happy path (the ticket counter and
 //!   the batch's expiring demands are kept aside) and O(live) for the
-//!   rebuild when a quarantine happens. The frontend applies it to
-//!   budgeted epochs, and to every epoch when
-//!   [`ServicePolicy::quarantine`] opts them all in. A panic in
-//!   an unisolated epoch propagates to the caller driving it, and the
-//!   frontend answers every later call with
-//!   [`ServiceError::SessionLost`] — never a panic, and never the
-//!   `Quarantined` promise of a restored session.
+//!   rebuild when a quarantine happens. The frontend runs every epoch
+//!   through it. A panic that escapes the quarantine itself propagates
+//!   to the caller driving the epoch, and the frontend answers every
+//!   later call with [`ServiceError::SessionLost`] — never a panic, and
+//!   never the `Quarantined` promise of a restored session.
 //!
 //! Durability degrades independently in `netsched-persist`: injected or
 //! real fsync failures retry with backoff and then **downgrade** the

@@ -76,9 +76,8 @@ impl BudgetSpec {
     }
 }
 
-/// Tuning of the frontend: queue bound, latency budget and panic
-/// isolation. The default policy is an unbounded queue, an unlimited
-/// budget and no isolation of unbudgeted epochs.
+/// Tuning of the frontend: queue bound and latency budget. The default
+/// policy is an unbounded queue and an unlimited budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServicePolicy {
     /// Maximum submissions waiting in the queue (`0` = unbounded). When
@@ -90,15 +89,6 @@ pub struct ServicePolicy {
     /// The budget epochs admitting latency-sensitive submissions run
     /// under; bulk-only epochs always run unlimited.
     pub latency_budget: BudgetSpec,
-    /// Run **every** epoch — including unlimited bulk-only ones — through
-    /// [`ServiceSession::step_with_deadline`] so a panicking solve is
-    /// quarantined instead of poisoning the session. Isolation costs
-    /// O(batch) per epoch on the happy path and an O(live) core rebuild
-    /// only when a quarantine happens. With the default `false`, only
-    /// budgeted epochs get panic isolation and bulk-only epochs take the
-    /// plain [`step`](ServiceSession::step) path, where a panic loses the
-    /// session.
-    pub quarantine: bool,
 }
 
 /// Outcome delivered to every submission folded into an epoch.
@@ -119,7 +109,7 @@ struct Pending {
 /// The session behind the session lock.
 struct SessionState {
     session: ServiceSession,
-    /// Set when a solve panicked outside quarantine: the session may be
+    /// Set when a panic escaped the quarantine itself: the session may be
     /// half-mutated, so every later call fails with
     /// [`ServiceError::SessionLost`] carrying this panic message.
     lost: Option<String>,
@@ -159,15 +149,12 @@ impl Shared {
     ///
     /// The epoch runs under the policy's latency budget when any admitted
     /// submission is latency-sensitive (bulk-only epochs certify fully).
-    /// Budgeted epochs — and every epoch under a `quarantine: true`
-    /// policy — go through [`ServiceSession::step_with_deadline`], so a
-    /// panicking solve quarantines the folded batch (O(batch) on the
-    /// happy path, an O(live) rebuild on a quarantine); unbudgeted epochs
-    /// under the default policy take the plain
-    /// [`step`](ServiceSession::step) path without isolation. A panic
-    /// there loses the session: the panic propagates to the driving
-    /// caller and every co-folded submission resolves with
-    /// [`ServiceError::SessionLost`].
+    /// Every epoch goes through [`ServiceSession::step_with_deadline`], so
+    /// a panicking solve quarantines the folded batch (O(batch) on the
+    /// happy path, an O(live) rebuild on a quarantine) and the next fold
+    /// is served. Only a panic that escapes the quarantine itself loses
+    /// the session: it propagates to the driving caller and every
+    /// co-folded submission resolves with [`ServiceError::SessionLost`].
     fn fold(&self, state: &mut SessionState, force: bool) -> Option<EpochResult> {
         let pending = std::mem::take(&mut *self.queue.lock().expect("queue lock poisoned"));
         // Decrement-by-delta rather than `set(0)`: the registry may be
@@ -208,13 +195,8 @@ impl Shared {
         } else {
             Budget::unlimited()
         };
-        let isolated = budget.is_limited() || self.policy.quarantine;
         let stepped = catch_unwind(AssertUnwindSafe(|| {
-            if isolated {
-                state.session.step_with_deadline(&batch, &budget)
-            } else {
-                state.session.step(&batch)
-            }
+            state.session.step_with_deadline(&batch, &budget)
         }));
         let outcome: EpochResult = match stepped {
             Ok(outcome) => outcome.map(Arc::new),
@@ -577,16 +559,10 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_policy_isolates_a_panicking_solve() {
+    fn a_panicking_solve_is_quarantined() {
         let mut session = session();
         session.inject_solve_panics(vec![1]);
-        let service = Service::with_policy(
-            session,
-            ServicePolicy {
-                quarantine: true,
-                ..ServicePolicy::default()
-            },
-        );
+        let service = Service::new(session);
         service.submit(vec![valid_arrival()]).unwrap();
         match service.flush() {
             Err(ServiceError::Quarantined { .. }) => {}
@@ -601,22 +577,54 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_drives_unbudgeted_epochs_without_isolation() {
-        // The default policy takes the plain `step` path for bulk-only
-        // epochs — no isolation, so an armed panic propagates instead of
-        // being quarantined.
+    fn a_panicking_unbudgeted_bulk_epoch_is_quarantined_and_the_next_submission_served() {
+        // The first epoch panics inside the step (its journal record),
+        // the later ones do not.
+        struct PanicsOnce(bool);
+        impl crate::session::EpochJournal for PanicsOnce {
+            fn record(&mut self, _epoch: u64, _batch: &[DemandEvent]) -> Result<(), String> {
+                if !std::mem::replace(&mut self.0, true) {
+                    panic!("journal fault");
+                }
+                Ok(())
+            }
+        }
         let mut session = session();
-        session.inject_solve_panics(vec![1]);
+        session.attach_journal(Box::new(PanicsOnce(false)));
         let service = Service::new(session);
-        service.submit(vec![valid_arrival()]).unwrap();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.flush()));
-        assert!(outcome.is_err(), "plain step must not swallow the panic");
+        let poisoned = service.submit(vec![valid_arrival()]).unwrap();
+        match poisoned.wait() {
+            Err(ServiceError::Quarantined { reason }) => {
+                assert!(reason.contains("journal fault"), "{reason}")
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert_eq!(epoch(&service), 0);
+        let delta = service
+            .submit(vec![valid_arrival()])
+            .unwrap()
+            .wait()
+            .expect("the next submission is served");
+        assert_eq!(delta.epoch, 1);
+        assert_eq!(delta.stats.arrivals, 1);
     }
 
     #[test]
-    fn an_unisolated_panic_loses_the_session_without_later_panics() {
+    fn a_panic_escaping_the_quarantine_loses_the_session_without_later_panics() {
+        // The solve panics, and so does the quarantine's journal
+        // tombstone: nothing is left to restore the session.
+        struct PanickingRollback;
+        impl crate::session::EpochJournal for PanickingRollback {
+            fn record(&mut self, _epoch: u64, _batch: &[DemandEvent]) -> Result<(), String> {
+                Ok(())
+            }
+            fn record_rollback(&mut self, _epoch: u64) -> Result<(), String> {
+                panic!("tombstone fault after an injected solve fault")
+            }
+        }
         let mut session = session();
         session.inject_solve_panics(vec![1]);
+        session.attach_journal(Box::new(PanickingRollback));
         let service = Service::new(session);
         let leader = service.submit(vec![valid_arrival()]).unwrap();
         let co_folded = service.submit(vec![arrival(5)]).unwrap();
@@ -719,13 +727,7 @@ mod tests {
         // Quarantine path: the epoch rolls back, the dequeue still counts.
         let mut faulty = session();
         faulty.inject_solve_panics(vec![1]);
-        let service = Service::with_policy(
-            faulty,
-            ServicePolicy {
-                quarantine: true,
-                ..ServicePolicy::default()
-            },
-        );
+        let service = Service::new(faulty);
         service.submit(vec![valid_arrival()]).unwrap();
         assert_eq!(depth(&service), 1);
         assert!(matches!(

@@ -4,7 +4,7 @@
 //! # Epoch model
 //!
 //! A session owns a **mutable** solving state — live demand set, universe,
-//! sharded conflict graph, layerings, (lazily) the wide/narrow split — and
+//! conflict degrees, layerings, (lazily) the wide/narrow split — and
 //! advances it one *epoch* at a time: [`ServiceSession::step`] takes a
 //! batch of [`DemandEvent`]s, splices them through every cached structure,
 //! re-solves with the two-phase engine, and returns a
@@ -12,10 +12,11 @@
 //! maintained by every epoch (and pinned by `tests/dynamic_equivalence.rs`)
 //! is:
 //!
-//! > after any event sequence, the session's conflict graph is
-//! > byte-identical to, and its schedule and certificate equal to, a
-//! > from-scratch [`Scheduler`](netsched_core::Scheduler) built over the
-//! > surviving demand set.
+//! > after any event sequence, the session's conflict degrees and the
+//! > conflicts among its instances equal, and its schedule and certificate
+//! > equal, those of a from-scratch
+//! > [`Scheduler`](netsched_core::Scheduler) built over the surviving
+//! > demand set.
 
 use netsched_core::{
     combine_wide_narrow, subproblem, AlgorithmConfig, Budget, CertificateQuality, HalfOutcome,
@@ -41,7 +42,7 @@ use crate::view::{ScheduleSnapshot, ScheduleView};
 ///
 /// * [`Cold`](ResolveMode::Cold) re-runs the two-phase engine from zero
 ///   duals every epoch. This preserves the PR-4 **byte-equivalence
-///   anchor** exactly: schedule, certificate and conflict CSR match a
+///   anchor** exactly: schedule, certificate and conflict degrees match a
 ///   from-scratch [`Scheduler`](netsched_core::Scheduler) over the
 ///   surviving demand set bit for bit.
 /// * [`Warm`](ResolveMode::Warm) resumes from the previous epoch's
@@ -199,7 +200,8 @@ pub struct EpochStats {
     pub arrivals: usize,
     /// Expiries applied this epoch.
     pub expiries: usize,
-    /// Shards whose local CSR was rebuilt (dirty networks of the splice).
+    /// Shards whose conflict degrees were updated (dirty networks of the
+    /// splice).
     pub dirty_shards: usize,
     /// Total shards (== networks) of the session.
     pub num_shards: usize,
@@ -419,22 +421,9 @@ impl BaseProblem {
     /// full core and, when the height mix is mixed, the split. By the
     /// session's differential invariant these are byte-identical to the
     /// incrementally maintained cores of a session over the same live set.
-    /// Their conflict-graph generations are advanced past `epoch`, so a
-    /// cache keyed by [`ShardedConflictGraph::generation`] can never alias
-    /// a rebuilt graph with the one it replaced.
-    fn cores(
-        &self,
-        live: &[LiveDemand],
-        epoch: u64,
-    ) -> Result<(LiveCore, Option<SplitState>), String> {
-        let mut full = self.core(live.iter().map(|d| &d.request))?;
-        full.conflict.advance_generation(epoch);
-        let split = uniform_rule(live).is_none().then(|| {
-            let mut split = self.split(live);
-            split.wide.conflict.advance_generation(epoch);
-            split.narrow.conflict.advance_generation(epoch);
-            split
-        });
+    fn cores(&self, live: &[LiveDemand]) -> Result<(LiveCore, Option<SplitState>), String> {
+        let full = self.core(live.iter().map(|d| &d.request))?;
+        let split = uniform_rule(live).is_none().then(|| self.split(live));
         Ok((full, split))
     }
 }
@@ -478,8 +467,8 @@ pub struct MemoryFootprint {
     /// Demand/instance columns, paths and the secondary indexes of every
     /// live universe.
     pub universe_bytes: usize,
-    /// Sharding index, per-shard CSRs, cross-group arena and splice
-    /// scratch of every live sharded conflict graph.
+    /// Sharding index, per-shard conflict-degree columns and sweep
+    /// buffers of every live core.
     pub conflict_bytes: usize,
     /// Warm-resolve state: Fenwick duals, the raise-record arena and the
     /// replay stack (0 for cold sessions).
@@ -507,9 +496,9 @@ struct SessionMetrics {
     /// `epoch.journal_ns` — write-ahead journal record (0 when detached).
     journal_ns: Histogram,
     /// `epoch.splice_ns` — universe/layering/warm/split splicing (the
-    /// rebuild window minus the conflict shard rebuilds).
+    /// rebuild window minus the conflict-degree upkeep).
     splice_ns: Histogram,
-    /// `epoch.conflict_rebuild_ns` — dirty conflict-shard CSR rebuilds.
+    /// `epoch.conflict_rebuild_ns` — dirty shards' conflict-degree upkeep.
     conflict_rebuild_ns: Histogram,
     /// `epoch.solve_ns` — the two-phase engine solve.
     solve_ns: Histogram,
@@ -810,7 +799,7 @@ impl ServiceSession {
         &self.full.universe
     }
 
-    /// The session's incrementally maintained sharded conflict graph.
+    /// The session's incrementally maintained conflict degrees.
     pub fn conflict(&self) -> &ShardedConflictGraph {
         &self.full.conflict
     }
@@ -1063,10 +1052,7 @@ impl ServiceSession {
     /// Rebuilds every core from scratch over the live list, in O(live):
     /// what a quarantine does once it has put the live list back.
     fn rebuild_cores(&mut self) {
-        (self.full, self.split) = self
-            .base
-            .cores(&self.live, self.epoch)
-            .expect("live demands are valid");
+        (self.full, self.split) = self.base.cores(&self.live).expect("live demands are valid");
     }
 
     /// Arms the fault-injection hook: the solve of each listed epoch (the
@@ -1562,16 +1548,13 @@ impl ServiceSession {
     /// Reconstructs a session from a [`snapshot`](ServiceSession::snapshot)
     /// document: the base topology plus the live requests (in recorded
     /// dense order) rebuild every core through the same request-to-core
-    /// builder the split uses — so the restored universe, conflict CSRs and
+    /// builder the split uses — so the restored universe, conflict degrees and
     /// layerings are byte-identical to the uninterrupted session's — and
     /// the recorded tickets, counters, pending-anytime flag, schedule,
     /// profit, certificate and warm states are installed on top. Each warm
     /// state is rebuilt by [`WarmState::restore`] against its rebuilt
     /// universe, which checks its shape and recomputes what the snapshot
-    /// leaves out. The cores' conflict-graph
-    /// generations are advanced past the recovered epoch so a cache keyed
-    /// by [`ShardedConflictGraph::generation`] can never alias a pre-crash
-    /// graph.
+    /// leaves out.
     pub fn from_snapshot(doc: &JsonValue) -> Result<Self, String> {
         let format = doc.field("format")?.as_u32()?;
         if format != SNAPSHOT_FORMAT_VERSION {
@@ -1611,9 +1594,7 @@ impl ServiceSession {
             other => return Err(format!("unknown session shape `{other}`")),
         };
         let epoch = doc.field("epoch")?.as_u64()?;
-        let (full, split) = base
-            .cores(&live, epoch)
-            .map_err(|e| format!("snapshot {e}"))?;
+        let (full, split) = base.cores(&live).map_err(|e| format!("snapshot {e}"))?;
         let mut session = Self::assemble(base, config, live, full);
         session.split = split;
         session.resolve = resolve;

@@ -88,19 +88,19 @@
 //!
 //! The universe is additionally **sharded by network**
 //! ([`ShardedUniverse`](prelude::ShardedUniverse)): overlap conflicts never
-//! cross networks, so the conflict graph is one CSR per shard plus a
-//! compact cross-shard adjacency for the same-demand cliques
-//! ([`ShardedConflictGraph`](prelude::ShardedConflictGraph)). Sharding
-//! serves incremental splicing: a demand delta re-splices only the shards
-//! of the networks it touches. The engine runs single-threaded; the
-//! paper's parallelism is the simulated rounds and messages it counts.
-//! Sharding is a pure representation change: the merged adjacency is
-//! byte-identical to the flat CSR and schedules match the sequential
-//! reference engine exactly (`tests/shard_equivalence.rs`);
-//! `BENCH_shard_scaling.json` (from the `shard_scaling` bench) records
-//! the sharded conflict build and engine against the flat reference
-//! across shard counts. Sessions cache the sharded graph, so repeated
-//! solves never re-sweep.
+//! cross networks, so a demand delta re-sweeps only the shards of the
+//! networks it touches. The engine stores no conflict edges: each MIS
+//! call sweeps the conflicts among its own candidates, as the paper's
+//! induced-subgraph MIS prescribes, and
+//! [`ShardedConflictGraph`](prelude::ShardedConflictGraph) keeps only each
+//! instance's conflict degree for the message counters. The engine runs
+//! single-threaded; the paper's parallelism is the simulated rounds and
+//! messages it counts. The degrees and induced adjacency equal the flat
+//! CSR's, and schedules match the sequential reference engine exactly
+//! (`tests/shard_equivalence.rs`); `BENCH_shard_scaling.json` (from the
+//! `shard_scaling` bench) records the degree build and engine against the
+//! flat reference across shard counts. Sessions cache the degrees, so
+//! repeated solves never re-sweep.
 //!
 //! ## Dynamic serving
 //!
@@ -111,7 +111,7 @@
 //! state and admits batches of
 //! [`DemandEvent`](prelude::DemandEvent)s in *epochs* — each epoch splices
 //! the universe (ids renumber exactly as a from-scratch rebuild would),
-//! re-sweeps **only the dirty shards'** conflict CSRs, splices the
+//! updates **only the dirty shards'** conflict degrees, splices the
 //! layerings, re-solves and emits a
 //! [`ScheduleDelta`](prelude::ScheduleDelta) (admitted / evicted /
 //! reassigned demands plus the updated dual certificate). The differential
@@ -246,11 +246,9 @@
 //!   one poisoned batch cannot take the session (or the queued batches
 //!   behind it) down, live or across a crash. Panic isolation costs
 //!   O(batch) per epoch on the happy path and an O(live) rebuild only
-//!   when a quarantine happens. The frontend applies it to budgeted
-//!   epochs by default and to every epoch under a `quarantine: true`
-//!   [`ServicePolicy`](prelude::ServicePolicy). A
-//!   panic in an unisolated epoch reaches the caller driving it; the
-//!   frontend then answers every later call with
+//!   when a quarantine happens. The frontend runs every epoch through
+//!   it. A panic that escapes the quarantine itself reaches the caller
+//!   driving the epoch; the frontend then answers every later call with
 //!   [`ServiceError::SessionLost`](prelude::ServiceError) instead of
 //!   panicking.
 //! * **The durability ladder.** Persistent fsync failures in the
@@ -272,7 +270,7 @@
 //!
 //! The serving path is sized for **10⁵–10⁶ live demands across 10²–10³
 //! networks**. Every hot per-shard structure — universe columns and
-//! interval paths, shard run arrays, CSR offsets/neighbors, Fenwick
+//! interval paths, shard run arrays, conflict-degree columns, Fenwick
 //! duals, raise records and the warm replay stack — lives in
 //! arena-backed struct-of-arrays layouts keyed by dense `u32` ids, and
 //! each layer reports its heap commitment through a `committed_bytes()`
@@ -283,14 +281,16 @@
 //! (`python3 perfbench/run.py --workload line-1e5 --seed 20260 --seconds
 //! 36 --trace 1`) replays the same scenario and reports the current
 //! figures (`bytes_per_demand`, `universe.bytes`, `conflict.bytes`,
-//! `warm.bytes`):
+//! `warm.bytes`). The conflict row was re-measured by that traced run
+//! (2-vCPU x86-64 VM) when per-shard conflict CSRs gave way to degree
+//! columns:
 //!
 //! | layer | committed | bytes/demand |
 //! |---|---|---|
 //! | universe (demand/instance columns, inline interval paths, indexes) | 49.8 MiB | ≈ 523 |
-//! | conflict (sharding tables, per-shard CSRs, cross-group arena) | 28.5 MiB | ≈ 299 |
+//! | conflict (sharding tables, per-shard degree columns, sweep buffers) | 12.7 MiB | ≈ 133 |
 //! | warm state (Fenwick duals, raise-record arena, replay stack) | 33.4 MiB | ≈ 351 |
-//! | **total** | **111.8 MiB** | **≈ 1,174** |
+//! | **total** | **95.9 MiB** | **≈ 1,007** |
 //!
 //! Two properties keep epochs cheap at that scale, both pinned by tests
 //! rather than promised:
@@ -304,10 +304,9 @@
 //!   `tests/alloc_regression.rs`.
 //! * **No wholesale rebuilds.** Dirty shards maintain their run order
 //!   sub-shard-incrementally (survivor compaction + one merge pass, not
-//!   a full re-sweep, equivalence proptested at 1/2/4 workers), and the
-//!   cross-shard same-demand rows live in a stable-id group arena that
-//!   splices locally — the cross CSR is assembled exactly once per
-//!   session (pinned by an assembly-counter test).
+//!   a full re-sweep, equivalence proptested at 1/2/4 workers), and
+//!   their conflict degrees change only by the departures' and arrivals'
+//!   overlaps (proptested against the flat build under churn).
 //!
 //! Sustained serving throughput (`epochs_per_s`, `epoch_p50_ms`,
 //! `epoch_p90_ms`) and peak RSS at the 10⁵ live-demand point come from

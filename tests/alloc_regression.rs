@@ -129,7 +129,6 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     let depth_gauge = obs.gauge("service.queue_depth");
 
     let live_before = universe.num_instances();
-    let cross_before = conflict.cross_assembly_count();
     let before = allocations();
     for i in 0..8 {
         let _epoch_span = netsched_obs::span!("epoch.step");
@@ -150,9 +149,4 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     );
     // The epochs were real splices, not no-ops short-circuited upstream.
     assert_eq!(universe.num_instances(), live_before);
-    assert_eq!(
-        conflict.cross_assembly_count(),
-        cross_before,
-        "clean-shard epochs must splice, never re-assemble, the cross CSR"
-    );
 }

@@ -248,7 +248,6 @@ fn bounded_submit_queues_reject_with_overloaded_backpressure() {
         ServicePolicy {
             max_queued: 1,
             latency_budget: BudgetSpec::Rounds(2),
-            ..ServicePolicy::default()
         },
     );
     // First submission occupies the queue's single slot (nothing waits

@@ -16,8 +16,10 @@
 #![allow(dead_code)]
 
 use netsched_core::{AlgorithmConfig, Scheduler, Solution};
-use netsched_distrib::ConflictGraph;
-use netsched_graph::{InstanceId, LineProblem, NetworkId, TreeProblem, VertexId};
+use netsched_distrib::{ConflictGraph, InducedConflicts, ShardedConflictGraph};
+use netsched_graph::{
+    DemandInstanceUniverse, InstanceId, LineProblem, NetworkId, TreeProblem, VertexId,
+};
 use netsched_service::{DemandEvent, DemandRequest, DemandTicket, ScheduleDelta, ServiceSession};
 use netsched_workloads::{
     many_networks_line, many_networks_tree, poisson_arrivals_line, poisson_arrivals_tree,
@@ -42,14 +44,45 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 // Byte-level equality helpers
 // ---------------------------------------------------------------------
 
-/// Byte-level equality of the incremental merged CSR and the flat build.
-pub fn assert_same_graph(a: &ConflictGraph, b: &ConflictGraph, label: &str) {
-    assert_eq!(a.num_vertices(), b.num_vertices(), "{label}: vertex count");
-    assert_eq!(a.num_edges(), b.num_edges(), "{label}: edge count");
-    for v in 0..a.num_vertices() {
-        let d = InstanceId::new(v);
-        assert_eq!(a.neighbors(d), b.neighbors(d), "{label}: adjacency of {d}");
+/// Maintained conflict structures against the flat build of a
+/// from-scratch universe: every incrementally maintained degree, and the
+/// adjacency the engine induces over **all** of `universe`'s instances.
+pub fn assert_graph_matches(
+    flat: &ConflictGraph,
+    universe: &DemandInstanceUniverse,
+    conflict: &ShardedConflictGraph,
+    label: &str,
+) {
+    assert_eq!(
+        conflict.num_vertices(),
+        flat.num_vertices(),
+        "{label}: vertex count"
+    );
+    let all: Vec<InstanceId> = universe.instance_ids().collect();
+    let induced = InducedConflicts::build(universe, &all);
+    for &d in &all {
+        assert_eq!(conflict.degree(d), flat.degree(d), "{label}: degree of {d}");
+        let row: Vec<InstanceId> = induced
+            .neighbors(d.index())
+            .iter()
+            .map(|&p| InstanceId::new(p as usize))
+            .collect();
+        assert_eq!(row, flat.neighbors(d), "{label}: adjacency of {d}");
     }
+}
+
+/// [`assert_graph_matches`] on a session's universe and conflict degrees.
+pub fn assert_conflicts_match(flat: &ConflictGraph, session: &ServiceSession, label: &str) {
+    assert_graph_matches(flat, session.universe(), session.conflict(), label);
+}
+
+/// Two sessions over the same live set (an uninterrupted reference and a
+/// recovered or restored one) both match the flat build of the
+/// reference's universe.
+pub fn assert_same_conflicts(reference: &ServiceSession, other: &ServiceSession, label: &str) {
+    let flat = ConflictGraph::build(reference.universe());
+    assert_conflicts_match(&flat, reference, &format!("{label} (reference)"));
+    assert_conflicts_match(&flat, other, label);
 }
 
 /// Exact equality of everything the solution certifies.
@@ -290,8 +323,8 @@ pub fn to_events(batch: &[TraceEvent], tickets: &[DemandTicket]) -> Vec<DemandEv
 // ---------------------------------------------------------------------
 
 /// Replays a trace epoch by epoch, asserting the **byte-equivalence**
-/// invariant after every epoch: merged CSR byte-identical to the flat
-/// build of the rebuilt universe, schedule and certificate equal to a
+/// invariant after every epoch: conflict degrees and induced adjacency
+/// equal to the flat build of the rebuilt universe, schedule and certificate equal to a
 /// from-scratch `Scheduler` solve. Sessions passed here must be in
 /// `ResolveMode::Cold` (warm sessions deliberately relax this contract —
 /// use [`TraceOracle`] for those).
@@ -315,7 +348,7 @@ pub fn check_trace(
         let label = format!("{label} epoch {epoch}");
         let rebuilt = mirror.rebuild();
         let (reference, flat) = rebuilt.solve(config);
-        assert_same_graph(&flat, &session.conflict().merged(), &label);
+        assert_conflicts_match(&flat, &session, &label);
         let ours = session.last_solution().expect("stepped sessions solved");
         assert_same_solution(&reference, ours, &label);
         assert_eq!(delta.profit, reference.profit, "{label}: delta profit");

@@ -6,7 +6,7 @@
 //! through the normal `step` path), then driven through the rest of the
 //! trace, must be indistinguishable from the uninterrupted session —
 //! **byte-identical** in [`ResolveMode::Cold`] (schedule, certificate,
-//! merged conflict CSR), **certificate-equivalent** in
+//! conflict degrees and adjacency), **certificate-equivalent** in
 //! [`ResolveMode::Warm`] (feasible schedule, `λ ≥ 1 − ε`, upper bound
 //! dominating the uninterrupted profit) — at every thread count.
 //!
@@ -18,10 +18,11 @@
 mod common;
 
 use common::{
-    assert_same_graph, assert_same_solution, line_trace, to_events, tree_trace, with_threads,
-    ChurnCase, ChurnCases, ChurnShape,
+    assert_conflicts_match, assert_same_conflicts, assert_same_solution, line_trace, to_events,
+    tree_trace, with_threads, ChurnCase, ChurnCases, ChurnShape,
 };
 use netsched_core::AlgorithmConfig;
+use netsched_distrib::ConflictGraph;
 use netsched_graph::{LineProblem, TreeProblem};
 use netsched_persist::{
     restore, snapshot_path, Durability, DurableSession, PersistConfig, RestoreReport, WAL_FILE,
@@ -156,18 +157,14 @@ fn check_kill_and_recover(
     let recovered = recovered.into_session();
 
     // The incremental structures are mode-independent: live set, epoch
-    // counter and merged conflict CSR must match exactly in both modes.
+    // counter and conflict structures must match exactly in both modes.
     assert_eq!(recovered.epoch(), reference.epoch(), "{label}: epoch");
     assert_eq!(
         recovered.live_tickets(),
         reference.live_tickets(),
         "{label}: live tickets"
     );
-    assert_same_graph(
-        &reference.conflict().merged(),
-        &recovered.conflict().merged(),
-        label,
-    );
+    assert_same_conflicts(&reference, &recovered, label);
     match mode {
         ResolveMode::Cold => {
             // Byte-identical: schedule, certificate, standing state.
@@ -371,12 +368,12 @@ fn snapshot_cadence_bounds_the_replayed_suffix() {
 }
 
 // ---------------------------------------------------------------------
-// S2 regression: a restored conflict graph folds to the same merged CSR
-// as the original, and its generation advances past the recovered epoch
+// S2 regression: a restored session's conflict structures match the
+// original's, before and after one more splice
 // ---------------------------------------------------------------------
 
 #[test]
-fn restored_sessions_never_serve_a_stale_merged_csr() {
+fn restored_sessions_keep_the_original_conflict_structures() {
     let (problem, trace) = line_trace(4, 20, 3, 0.25);
     let base = Base::Line(problem);
     let config = AlgorithmConfig::deterministic(0.1);
@@ -384,31 +381,17 @@ fn restored_sessions_never_serve_a_stale_merged_csr() {
 
     let mut original = base.session(config, ResolveMode::Cold);
     drive(&mut original, &trace, 0..4, &tickets);
-    // Fold the merged CSR on the original before snapshotting (`merged`
-    // folds the sharded CSRs afresh on every call; nothing caches it).
-    let pre_crash = original.conflict().merged();
+    // Build the flat graph of the original before snapshotting.
+    let pre_crash = ConflictGraph::build(original.universe());
 
     let mut restored = ServiceSession::from_snapshot(&original.snapshot()).expect("restores");
-    // The restored core's generation must have advanced past the
-    // recovered epoch, so nothing keyed by `generation()` can mistake the
-    // rebuilt graph for a pre-crash one.
-    assert!(
-        restored.conflict().generation() >= original.epoch(),
-        "restored generation {} behind the recovered epoch {}",
-        restored.conflict().generation(),
-        original.epoch()
-    );
-    assert_same_graph(&pre_crash, &restored.conflict().merged(), "post-restore");
+    assert_conflicts_match(&pre_crash, &restored, "post-restore");
 
-    // Splice both one more epoch: the merged CSRs must stay identical
-    // byte for byte, and so must the solves.
+    // Splice both one more epoch: degrees and induced adjacency must stay
+    // identical, and so must the solves.
     drive(&mut original, &trace, 4..5, &tickets);
     drive(&mut restored, &trace, 4..5, &tickets);
-    assert_same_graph(
-        &original.conflict().merged(),
-        &restored.conflict().merged(),
-        "post-restore splice",
-    );
+    assert_same_conflicts(&original, &restored, "post-restore splice");
     match (original.last_solution(), restored.last_solution()) {
         (Some(a), Some(b)) => assert_same_solution(a, b, "post-restore splice"),
         (None, None) => {}
@@ -475,11 +458,7 @@ fn truncated_tail_record_recovers_to_the_last_valid_prefix() {
     let reference = reference_at(&base, &trace, config, epochs - 1);
     assert_eq!(recovered.session.profit(), reference.profit());
     assert_eq!(recovered.session.schedule(), reference.schedule());
-    assert_same_graph(
-        &reference.conflict().merged(),
-        &recovered.session.conflict().merged(),
-        "truncated tail",
-    );
+    assert_same_conflicts(&reference, &recovered.session, "truncated tail");
 
     // Recovering through DurableSession truncates the torn suffix, so
     // the next append starts at a clean frame boundary.
@@ -560,11 +539,7 @@ fn zero_length_log_recovers_the_snapshot_alone() {
     let reference = reference_at(&base, &trace, config, snapshot_epoch as usize);
     assert_eq!(recovered.session.profit(), reference.profit());
     assert_eq!(recovered.session.schedule(), reference.schedule());
-    assert_same_graph(
-        &reference.conflict().merged(),
-        &recovered.session.conflict().merged(),
-        "zero-length log",
-    );
+    assert_same_conflicts(&reference, &recovered.session, "zero-length log");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,12 @@
-//! Determinism and equivalence suite for the sharded conflict engine.
+//! Determinism and equivalence suite for the serving path's conflict
+//! structures.
 //!
-//! The sharding refactor is a pure representation change: on every input
-//! the sharded build must produce a merged adjacency byte-identical to the
-//! pre-shard single-CSR path, and the two-phase engine, which runs serially
-//! over the sharded graph, must reproduce the reference engine's schedules
-//! and certificates exactly. These tests pin that contract on random
+//! The serving path keeps no conflict edges: it keeps per-instance
+//! conflict degrees, and each MIS call induces the adjacency among its own
+//! candidates. On every input the degrees and the induced adjacency must
+//! equal the flat single-CSR build, the MIS over the induced adjacency
+//! must return the flat MIS, and the two-phase engine must reproduce the
+//! reference engine's schedules and certificates exactly. These tests pin that contract on random
 //! multi-network tree and line instances, under both MIS strategies. Some
 //! of them run under several rayon worker counts: the engine uses no
 //! worker pool, so those runs pin that no output depends on the pool size.
@@ -17,37 +19,21 @@ use netsched_core::{
 };
 use netsched_decomp::{InstanceLayering, TreeDecompositionKind};
 use netsched_distrib::{
-    maximal_independent_set, sharded_mis, ConflictGraph, MisScratch, MisStrategy, RoundStats,
+    maximal_independent_set, sharded_mis, ConflictGraph, InducedConflicts, MisStrategy, RoundStats,
     ShardedConflictGraph,
 };
 use netsched_graph::{
-    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, InstanceId, NetworkId,
-    UniverseDelta,
+    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, InstanceId, NetworkId, TreeProblem,
+    UniverseDelta, VertexId,
 };
 use netsched_workloads::{many_networks_line, many_networks_tree, skewed_networks_line};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::ThreadPoolBuilder;
 
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new().num_threads(n).build_global().ok();
-    let out = f();
-    ThreadPoolBuilder::new().num_threads(0).build_global().ok();
-    out
-}
+mod common;
 
-/// Byte-level equality of two conflict graphs: identical per-vertex
-/// neighbor slices (which pins the CSR `offsets`/`neighbors` arrays) and
-/// edge counts.
-fn assert_same_graph(a: &ConflictGraph, b: &ConflictGraph, label: &str) {
-    assert_eq!(a.num_vertices(), b.num_vertices(), "{label}: vertex count");
-    assert_eq!(a.num_edges(), b.num_edges(), "{label}: edge count");
-    for v in 0..a.num_vertices() {
-        let d = InstanceId::new(v);
-        assert_eq!(a.neighbors(d), b.neighbors(d), "{label}: adjacency of {d}");
-    }
-}
+use common::{assert_graph_matches, with_threads};
 
 /// Exact equality of everything the solution certifies (stats are allowed
 /// to differ between the simulator-driven and array-driven Luby by
@@ -89,16 +75,13 @@ fn universes() -> Vec<(String, DemandInstanceUniverse, InstanceLayering)> {
 }
 
 #[test]
-fn merged_adjacency_is_byte_identical_across_paths_and_thread_counts() {
+fn degrees_and_induced_adjacency_match_the_flat_build_across_thread_counts() {
     for (name, universe, _) in universes() {
         let flat = ConflictGraph::build(&universe);
         for threads in [1usize, 2, 4] {
-            let merged = with_threads(threads, || {
-                let sharded = ShardedConflictGraph::build(&universe);
-                assert_eq!(sharded.num_edges(), flat.num_edges());
-                sharded.merged()
-            });
-            assert_same_graph(&flat, &merged, &format!("{name} @ {threads} threads"));
+            let sharded = with_threads(threads, || ShardedConflictGraph::build(&universe));
+            let label = format!("{name} @ {threads} threads");
+            assert_graph_matches(&flat, &universe, &sharded, &label);
         }
     }
 }
@@ -111,7 +94,6 @@ fn sharded_mis_equals_flat_mis_at_every_thread_count() {
     let universe = many_networks_line(8, 150, 5).build().unwrap().universe();
     assert!(universe.num_instances() >= 1024, "need a large active set");
     let flat = ConflictGraph::build(&universe);
-    let sharded = ShardedConflictGraph::build(&universe);
     let active: Vec<InstanceId> = universe.instance_ids().collect();
     for strategy in [
         MisStrategy::SequentialGreedy,
@@ -122,9 +104,7 @@ fn sharded_mis_equals_flat_mis_at_every_thread_count() {
         let reference = maximal_independent_set(&flat, &active, strategy, &mut stats);
         for threads in [1usize, 2, 4] {
             let ours = with_threads(threads, || {
-                let mut scratch = MisScratch::new(universe.num_instances());
-                let mut stats = RoundStats::new();
-                sharded_mis(&sharded, &active, strategy, &mut stats, &mut scratch)
+                sharded_mis(&universe, &active, strategy, &mut RoundStats::new())
             });
             assert_eq!(reference, ours, "{strategy:?} @ {threads} threads");
         }
@@ -187,7 +167,7 @@ fn tree_sessions_match_the_reference_engine_through_the_scheduler() {
         let b = session.solve(&config);
         assert_same_solution(&reference, &a, "session vs reference");
         assert_same_solution(&a, &b, "repeat solve");
-        // The sharded conflict graph is a session cache: one build for any
+        // The conflict degrees are a session cache: one build for any
         // number of solves.
         assert_eq!(session.build_counts().conflict, 1);
     }
@@ -283,8 +263,8 @@ fn fresh_warm_states_match_the_reference_engine_exactly() {
 /// spliced over and over. After every epoch the incrementally maintained
 /// sharding (per-shard run arrays and global-id columns, kept up to date by
 /// the sub-shard run-order maintenance in `ShardedUniverse::apply_delta`)
-/// must match a from-scratch rebuild exactly, and the merged adjacency must
-/// stay byte-identical.
+/// must match a from-scratch rebuild exactly, and the degrees and induced
+/// adjacency must equal the flat build.
 fn hot_shard_churn_case(seed: u64) {
     let base = many_networks_line(6, 90, seed ^ 0x9e37_79b9);
     let timeslots = base.timeslots as usize;
@@ -342,10 +322,11 @@ fn hot_shard_churn_case(seed: u64) {
             );
             assert_eq!(inc.runs(), full.runs(), "round {round}: shard {t} runs");
         }
-        assert_same_graph(
-            &fresh.merged(),
-            &conflict.merged(),
-            &format!("round {round}: merged adjacency"),
+        assert_graph_matches(
+            &ConflictGraph::build(&universe),
+            &universe,
+            &conflict,
+            &format!("round {round}"),
         );
     }
 }
@@ -380,8 +361,7 @@ proptest! {
     /// The sharded MIS equals the flat-graph MIS on random active subsets
     /// (empty and singleton included) of multi-network tree and line
     /// universes, whose multi-network demands form cross-shard cliques,
-    /// under both strategies. One scratch serves every call, so a call
-    /// that left a stale position behind would corrupt the next one.
+    /// under both strategies.
     #[test]
     fn sharded_mis_equals_flat_mis_on_random_active_subsets(
         seed in any::<u64>(),
@@ -390,8 +370,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for (name, universe, _) in universes() {
             let flat = ConflictGraph::build(&universe);
-            let sharded = ShardedConflictGraph::build(&universe);
-            let mut scratch = MisScratch::new(universe.num_instances());
             let subsets = active_subsets(&universe, &mut rng, percent);
             for strategy in [
                 MisStrategy::SequentialGreedy,
@@ -400,13 +378,7 @@ proptest! {
                 for active in &subsets {
                     let reference =
                         maximal_independent_set(&flat, active, strategy, &mut RoundStats::new());
-                    let ours = sharded_mis(
-                        &sharded,
-                        active,
-                        strategy,
-                        &mut RoundStats::new(),
-                        &mut scratch,
-                    );
+                    let ours = sharded_mis(&universe, active, strategy, &mut RoundStats::new());
                     prop_assert_eq!(
                         reference,
                         ours,
@@ -431,5 +403,138 @@ proptest! {
         for threads in [1usize, 2, 4] {
             with_threads(threads, || hot_shard_churn_case(seed));
         }
+    }
+}
+
+/// The base problem of one churn universe: a line base arrives windowed
+/// placements, a tree base multi-run paths.
+enum ChurnBase {
+    Line { timeslots: usize },
+    Tree(TreeProblem),
+}
+
+impl ChurnBase {
+    /// A demand with one to three instances on random networks. Line
+    /// demands may place several overlapping windows on one network, so
+    /// same-demand and overlap conflicts coincide.
+    fn arrival(&self, networks: usize, rng: &mut StdRng) -> ArrivingDemand {
+        let instances = (0..rng.gen_range(1..=3))
+            .map(|_| {
+                let t = NetworkId::new(rng.gen_range(0..networks));
+                match self {
+                    ChurnBase::Line { timeslots } => {
+                        let len: usize = rng.gen_range(1..8);
+                        let start: usize = rng.gen_range(0..timeslots - len);
+                        let path = EdgePath::interval(start, start + len - 1);
+                        (t, path, Some(start as u32))
+                    }
+                    ChurnBase::Tree(problem) => {
+                        let n = problem.num_vertices();
+                        let u = rng.gen_range(0..n);
+                        let v = (u + rng.gen_range(1..n)) % n;
+                        let path = problem
+                            .network(t)
+                            .path_edges(VertexId::new(u), VertexId::new(v));
+                        (t, path, None)
+                    }
+                }
+            })
+            .collect();
+        ArrivingDemand {
+            profit: rng.gen_range(1.0..8.0),
+            height: 1.0,
+            instances,
+        }
+    }
+}
+
+/// After every splice of a random churn trace: each maintained degree
+/// equals the flat build's; the induced adjacency of a random candidate
+/// subset, listed sorted and shuffled, equals the flat neighbors filtered
+/// to the subset; and the MIS over it equals the flat MIS under both
+/// strategies.
+fn churned_conflicts_case(base: ChurnBase, mut universe: DemandInstanceUniverse, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut conflict = ShardedConflictGraph::build(&universe);
+    let mut delta = UniverseDelta::new();
+    for round in 0..4 {
+        let networks = universe.num_networks();
+        let mut expired: Vec<DemandId> = (0..rng.gen_range(0..4))
+            .map(|_| DemandId::new(rng.gen_range(0..universe.num_demands())))
+            .collect();
+        expired.sort_unstable();
+        expired.dedup();
+        let arrivals: Vec<ArrivingDemand> = (0..rng.gen_range(0..4))
+            .map(|_| base.arrival(networks, &mut rng))
+            .collect();
+        universe.apply_demand_delta(&expired, &arrivals, &mut delta);
+        conflict.apply_delta(&universe, &delta);
+
+        let flat = ConflictGraph::build(&universe);
+        for d in universe.instance_ids() {
+            assert_eq!(
+                conflict.degree(d),
+                flat.degree(d),
+                "round {round}: degree of {d}"
+            );
+        }
+        let percent = rng.gen_range(10..90u32);
+        let sorted: Vec<InstanceId> = universe
+            .instance_ids()
+            .filter(|_| rng.gen_range(0..100u32) < percent)
+            .collect();
+        let mut shuffled = sorted.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let mut member = vec![false; universe.num_instances()];
+        for &d in &sorted {
+            member[d.index()] = true;
+        }
+        for active in [&sorted, &shuffled] {
+            let induced = InducedConflicts::build(&universe, active);
+            for (p, &d) in active.iter().enumerate() {
+                let mut ours: Vec<InstanceId> = induced
+                    .neighbors(p)
+                    .iter()
+                    .map(|&q| active[q as usize])
+                    .collect();
+                ours.sort_unstable();
+                let expected: Vec<InstanceId> = flat
+                    .neighbors(d)
+                    .iter()
+                    .copied()
+                    .filter(|n| member[n.index()])
+                    .collect();
+                assert_eq!(ours, expected, "round {round}: induced adjacency of {d}");
+            }
+            for strategy in [
+                MisStrategy::SequentialGreedy,
+                MisStrategy::Luby { seed: rng.gen() },
+            ] {
+                let reference =
+                    maximal_independent_set(&flat, active, strategy, &mut RoundStats::new());
+                let ours = sharded_mis(&universe, active, strategy, &mut RoundStats::new());
+                assert_eq!(reference, ours, "round {round}: {strategy:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Degrees, induced adjacency and MIS stay equal to the flat graph's
+    /// through random churn on line and tree universes.
+    #[test]
+    fn degrees_induced_adjacency_and_mis_match_the_flat_graph_under_churn(seed in any::<u64>()) {
+        let line = many_networks_line(5, 70, seed ^ 0x5eed);
+        let timeslots = line.timeslots as usize;
+        let universe = line.build().unwrap().universe();
+        churned_conflicts_case(ChurnBase::Line { timeslots }, universe, seed);
+
+        let tree = many_networks_tree(4, 60, seed ^ 0x7ee).build().unwrap();
+        let universe = tree.universe();
+        churned_conflicts_case(ChurnBase::Tree(tree), universe, seed);
     }
 }

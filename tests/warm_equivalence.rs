@@ -21,7 +21,7 @@
 //! generated Poisson churn traces AND proptest-randomized shrinkable
 //! traces. A final section pins the **Cold regression**: a warm-capable
 //! session pinned to `ResolveMode::Cold` stays byte-identical to the PR-4
-//! behavior (merged CSR bytes, schedule, certificate), so the new mode
+//! behavior (conflict structures, schedule, certificate), so the new mode
 //! cannot silently perturb the existing anchor.
 
 mod common;
@@ -234,7 +234,7 @@ proptest! {
 #[test]
 fn cold_mode_sessions_stay_byte_identical_to_the_pr4_anchor() {
     // A warm-capable session pinned to Cold must not perturb the existing
-    // byte-equivalence anchor in any way: merged CSR bytes, schedule and
+    // byte-equivalence anchor in any way: conflict structures, schedule and
     // certificate all equal a from-scratch Scheduler, exactly as before
     // the warm engine existed — regardless of the environment default.
     let (line, line_events) = line_trace(4, 26, 47, 0.25);
