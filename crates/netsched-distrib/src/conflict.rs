@@ -27,12 +27,23 @@
 //! * [`ShardedConflictGraph`] — the serving path's per-instance conflict
 //!   **degrees** (they feed the engine's message counters), kept current
 //!   across universe splices by sweeping only the dirty networks. It
-//!   stores no edge.
+//!   stores no edge, only each network's sorted runs, keyed by the
+//!   instances' positions in the universe's own per-network index.
 
-use netsched_graph::{
-    DemandInstanceUniverse, InstanceId, NetworkId, ShardRun, ShardedUniverse, UniverseDelta,
-    UniverseShard,
-};
+use netsched_graph::{DemandInstanceUniverse, InstanceId, NetworkId, UniverseDelta};
+
+/// One interval run of one instance, ready for sweeping; runs sort by
+/// `(start, end, local)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ShardRun {
+    /// First edge index of the run (inclusive).
+    start: u32,
+    /// Last edge index of the run (inclusive).
+    end: u32,
+    /// The instance the run belongs to, as an index into whatever list
+    /// the sweep covers.
+    local: u32,
+}
 
 /// The conflict graph of a demand-instance universe, in CSR form.
 #[derive(Debug, Clone)]
@@ -255,6 +266,10 @@ struct Sweep {
     highs: Vec<u32>,
     /// Per local: the low end of the last pair visited with it as high end.
     stamp: Vec<u32>,
+    /// The arrivals' runs, sorted before they are merged in.
+    fresh: Vec<ShardRun>,
+    /// The merged run array, swapped with the network's.
+    merged: Vec<ShardRun>,
 }
 
 impl Sweep {
@@ -289,19 +304,20 @@ impl Sweep {
     }
 
     /// Calls `visit(low, high)` once for every distinct overlap pair of
-    /// one shard with at least one `marked` local. The pairs are bucketed
-    /// by low end (a counting sort) and repeats dropped by stamping each
-    /// high end with the bucket it was last seen in: linear in the pairs,
-    /// where a comparison sort would dominate a dense shard's sweep.
+    /// one network's `runs`, over locals `0..n`, with at least one
+    /// `marked` local. The pairs are bucketed by low end (a counting sort)
+    /// and repeats dropped by stamping each high end with the bucket it
+    /// was last seen in: linear in the pairs, where a comparison sort
+    /// would dominate a dense network's sweep.
     fn distinct_overlaps(
         &mut self,
-        shard: &UniverseShard,
+        runs: &[ShardRun],
+        n: usize,
         marked: impl Fn(u32) -> bool,
         mut visit: impl FnMut(u32, u32),
     ) {
         self.pairs.clear();
-        self.overlaps(shard.runs().iter().copied(), marked);
-        let n = shard.len();
+        self.overlaps(runs.iter().copied(), marked);
         self.bucket.clear();
         self.bucket.resize(n + 1, 0);
         for &(a, _) in &self.pairs {
@@ -336,155 +352,204 @@ impl Sweep {
             * std::mem::size_of::<(u32, u32)>()
             + (self.bucket.capacity() + self.highs.capacity() + self.stamp.capacity())
                 * std::mem::size_of::<u32>()
+            + (self.fresh.capacity() + self.merged.capacity()) * std::mem::size_of::<ShardRun>()
     }
 
-    /// Adds the conflicts of a shard's arrivals (locals from `first_new`
-    /// on) to `degree`: one per distinct overlap pair with an arrival
-    /// endpoint, unless both ends belong to one demand, plus each
-    /// arrival's same-demand clique. Demands arrive whole, so a survivor
-    /// never shares a demand with an arrival, and the clique is final.
+    /// Merges the runs of a network's arrivals — the instances at
+    /// positions `first_new..` of its list `list` — into its sorted
+    /// `runs`, then adds their conflicts to `degree` (indexed by instance
+    /// id): one per distinct overlap pair with an arrival endpoint,
+    /// unless both ends belong to one demand, plus each arrival's
+    /// same-demand clique. Demands arrive whole, so a survivor never
+    /// shares a demand with an arrival, and the clique is final. Only the
+    /// arrivals' runs are sorted.
     fn add_arrivals(
         &mut self,
         universe: &DemandInstanceUniverse,
-        shard: &UniverseShard,
-        first_new: u32,
+        list: &[InstanceId],
+        first_new: usize,
+        runs: &mut Vec<ShardRun>,
         degree: &mut [u32],
     ) {
-        let demand = |local: u32| universe.demand_of(shard.global_of(local));
+        self.fresh.clear();
+        for (local, &d) in list.iter().enumerate().skip(first_new) {
+            self.fresh
+                .extend(universe.instance(d).path.runs().iter().map(|run| ShardRun {
+                    start: run.start,
+                    end: run.end,
+                    local: local as u32,
+                }));
+        }
+        self.fresh.sort_unstable();
+        self.merged.clear();
+        self.merged.reserve(runs.len() + self.fresh.len());
+        let (mut i, mut j) = (0, 0);
+        while i < runs.len() && j < self.fresh.len() {
+            if runs[i] <= self.fresh[j] {
+                self.merged.push(runs[i]);
+                i += 1;
+            } else {
+                self.merged.push(self.fresh[j]);
+                j += 1;
+            }
+        }
+        self.merged.extend_from_slice(&runs[i..]);
+        self.merged.extend_from_slice(&self.fresh[j..]);
+        std::mem::swap(runs, &mut self.merged);
+
+        let demand = |local: u32| universe.demand_of(list[local as usize]);
         self.distinct_overlaps(
-            shard,
-            |local| local >= first_new,
+            runs,
+            list.len(),
+            |local| local as usize >= first_new,
             |a, b| {
                 if demand(a) != demand(b) {
-                    degree[a as usize] += 1;
-                    degree[b as usize] += 1;
+                    degree[list[a as usize].index()] += 1;
+                    degree[list[b as usize].index()] += 1;
                 }
             },
         );
-        for local in first_new..shard.len() as u32 {
-            degree[local as usize] += universe.instances_of_demand(demand(local)).len() as u32 - 1;
+        for &d in &list[first_new..] {
+            let clique = universe.instances_of_demand(universe.demand_of(d)).len();
+            degree[d.index()] += clique as u32 - 1;
         }
-    }
-
-    /// Subtracts from the survivors' degrees their distinct overlaps with
-    /// the shard's departures (the locals whose global ids `remap` drops),
-    /// sweeping the shard's runs **before** the splice. Demands expire
-    /// whole, so no survivor loses a same-demand neighbor.
-    fn remove_departures(&mut self, shard: &UniverseShard, remap: &[u32], degree: &mut [u32]) {
-        let gone = |local: u32| remap[shard.global_of(local).index()] == u32::MAX;
-        self.distinct_overlaps(shard, gone, |a, b| match (gone(a), gone(b)) {
-            (false, true) => degree[a as usize] -= 1,
-            (true, false) => degree[b as usize] -= 1,
-            _ => {}
-        });
     }
 }
 
-/// The conflict degree of every instance, kept per network shard and
-/// current across universe splices — all the serving path keeps of the
-/// conflict graph. The two-phase engine builds each MIS call's adjacency
-/// with [`InducedConflicts::build`] and reads only degrees from here.
+/// The conflict degree of every instance, current across universe splices
+/// — all the serving path keeps of the conflict graph. The two-phase
+/// engine builds each MIS call's adjacency with
+/// [`InducedConflicts::build`] and reads only degrees from here.
+///
+/// Beside the degrees it keeps, per network, the runs of the network's
+/// instances sorted for sweeping, each tagged with the instance's
+/// position in [`DemandInstanceUniverse::instances_on_network`]. A splice
+/// leaves a clean network's list unchanged up to renumbering and keeps a
+/// dirty network's survivors as a prefix, so positions change only where
+/// the batch landed.
 #[derive(Debug, Clone)]
 pub struct ShardedConflictGraph {
-    sharding: ShardedUniverse,
-    /// Per network, by local id: each instance's degree in the full
-    /// conflict graph.
-    degrees: Vec<Vec<u32>>,
+    /// Per network: the runs of its instances, sorted by
+    /// `(start, end, local)`, `local` being the instance's position in
+    /// the network's instance list.
+    runs: Vec<Vec<ShardRun>>,
+    /// Per instance id: its degree in the full conflict graph.
+    degree: Vec<u32>,
     /// Sweep buffers reused by every splice.
     sweep: Sweep,
 }
 
 impl ShardedConflictGraph {
-    /// Partitions a universe by network and counts every instance's
-    /// conflicts: one sweep per shard, as if every instance arrived into
-    /// an empty shard.
+    /// Sorts every network's runs and counts every instance's conflicts:
+    /// one sweep per network, as if every instance arrived into an empty
+    /// network.
     pub fn build(universe: &DemandInstanceUniverse) -> Self {
-        let sharding = ShardedUniverse::build(universe);
         let mut sweep = Sweep::default();
-        let degrees = sharding
-            .shards()
-            .iter()
-            .map(|shard| {
-                let mut degree = vec![0; shard.len()];
-                sweep.add_arrivals(universe, shard, 0, &mut degree);
-                degree
+        let mut degree = vec![0; universe.num_instances()];
+        let runs = (0..universe.num_networks())
+            .map(|t| {
+                let list = universe.instances_on_network(NetworkId::new(t));
+                let mut runs = Vec::new();
+                sweep.add_arrivals(universe, list, 0, &mut runs, &mut degree);
+                runs
             })
             .collect();
-        // The build's buffers are sized for whole shards; splices grow
+        // The build's buffers are sized for whole networks; splices grow
         // their own.
         Self {
-            sharding,
-            degrees,
+            runs,
+            degree,
             sweep: Sweep::default(),
         }
     }
 
-    /// Re-synchronizes the degrees with a universe splice
-    /// ([`DemandInstanceUniverse::apply_demand_delta`]). For each **dirty**
-    /// shard, the departures are swept against the old runs and their
-    /// survivors' degrees lowered; the owned [`ShardedUniverse`] is then
-    /// spliced, the degree column compacted through the shard's local
-    /// remap, and the arrivals swept against the new runs. Clean shards
-    /// are not touched, so a clean-shard epoch allocates nothing.
+    /// Re-synchronizes the degrees with a universe that was just spliced
+    /// by [`DemandInstanceUniverse::apply_demand_delta`]:
     ///
-    /// Cost: `O(Σ_dirty (runs + arrival- and departure-driven pairs))`.
-    /// The result equals `ShardedConflictGraph::build(universe)`.
+    /// 1. the degree column is compacted through the delta's instance
+    ///    remap;
+    /// 2. on each **dirty** network, the departures (the delta's
+    ///    [`removed_positions`](UniverseDelta::removed_positions)) are
+    ///    swept against the old runs, and each survivor they overlapped
+    ///    loses one degree at its new id;
+    /// 3. the departures' runs are dropped and the survivors' positions
+    ///    renumbered in place — the map is monotone, so the run order
+    ///    holds;
+    /// 4. the arrivals' runs (the list's suffix from the delta's
+    ///    [`first_added`](UniverseDelta::first_added) on) are merged in
+    ///    and swept.
+    ///
+    /// Clean networks keep their positions, so they are not touched, and
+    /// a clean-network epoch allocates nothing. Demands expire whole, so
+    /// no survivor loses a same-demand neighbor.
+    ///
+    /// Cost: `O(|D|)` for the compaction plus
+    /// `O(Σ_dirty (runs + arrival- and departure-driven pairs))`. The
+    /// result equals `ShardedConflictGraph::build(universe)`.
     pub fn apply_delta(&mut self, universe: &DemandInstanceUniverse, delta: &UniverseDelta) {
-        for network in delta.dirty_networks() {
-            self.sweep.remove_departures(
-                self.sharding.shard(network),
-                delta.instance_remap(),
-                &mut self.degrees[network.index()],
-            );
-        }
-        self.sharding.apply_delta(universe, delta);
-        for network in delta.dirty_networks() {
-            let splice = self.sharding.shard_splice(network);
-            let shard = self.sharding.shard(network);
-            let degree = &mut self.degrees[network.index()];
-            for (old, &new) in splice.local_remap().iter().enumerate() {
-                if new != u32::MAX {
-                    degree[new as usize] = degree[old];
-                }
-            }
-            degree.truncate(splice.first_new_local() as usize);
-            degree.resize(shard.len(), 0);
-            self.sweep
-                .add_arrivals(universe, shard, splice.first_new_local(), degree);
-        }
-    }
+        let mut remap = delta.instance_remap().iter();
+        self.degree.retain(|_| remap.next() != Some(&u32::MAX));
+        self.degree.resize(universe.num_instances(), 0);
 
-    /// The universe partition the degrees are kept on.
-    #[inline]
-    pub fn sharding(&self) -> &ShardedUniverse {
-        &self.sharding
+        let mut removed = delta.removed_positions();
+        for network in delta.dirty_networks() {
+            let (gone, rest) = removed.split_at(removed.partition_point(|&(t, _)| t == network));
+            removed = rest;
+            let list = universe.instances_on_network(network);
+            let survivors = list.partition_point(|d| d.index() < delta.first_added());
+            // Old position → new position; `None` for a departure.
+            let moved = |local: u32| match gone.binary_search_by_key(&local, |&(_, p)| p) {
+                Ok(_) => None,
+                Err(before) => Some(local as usize - before),
+            };
+            let runs = &mut self.runs[network.index()];
+            let degree = &mut self.degree;
+            self.sweep.distinct_overlaps(
+                runs,
+                survivors + gone.len(),
+                |local| moved(local).is_none(),
+                |a, b| match (moved(a), moved(b)) {
+                    (Some(a), None) | (None, Some(a)) => degree[list[a].index()] -= 1,
+                    _ => {}
+                },
+            );
+            runs.retain_mut(|run| match moved(run.local) {
+                Some(new) => {
+                    run.local = new as u32;
+                    true
+                }
+                None => false,
+            });
+            self.sweep
+                .add_arrivals(universe, list, survivors, runs, &mut self.degree);
+        }
     }
 
     /// Number of shards (== networks).
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.degrees.len()
+        self.runs.len()
     }
 
     /// Number of vertices (demand instances).
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.sharding.num_instances()
+        self.degree.len()
     }
 
-    /// Degree of a global instance in the full conflict graph.
+    /// Degree of an instance in the full conflict graph.
     #[inline]
     pub fn degree(&self, d: InstanceId) -> usize {
-        self.degrees[self.sharding.shard_of(d).index()][self.sharding.local_of(d) as usize] as usize
+        self.degree[d.index()] as usize
     }
 
-    /// Heap bytes committed by the sharding index, the degree columns and
-    /// the sweep buffers.
+    /// Heap bytes committed by the run arrays, the degree column and the
+    /// sweep buffers.
     pub fn committed_bytes(&self) -> usize {
-        let columns: usize = self.degrees.iter().map(Vec::capacity).sum();
-        self.sharding.committed_bytes()
-            + columns * std::mem::size_of::<u32>()
-            + self.degrees.capacity() * std::mem::size_of::<Vec<u32>>()
+        let runs: usize = self.runs.iter().map(Vec::capacity).sum();
+        runs * std::mem::size_of::<ShardRun>()
+            + self.runs.capacity() * std::mem::size_of::<Vec<ShardRun>>()
+            + self.degree.capacity() * std::mem::size_of::<u32>()
             + self.sweep.committed_bytes()
     }
 }
@@ -607,8 +672,46 @@ mod tests {
         }
     }
 
+    /// A spliced graph holds exactly a fresh build's run arrays and
+    /// degrees.
+    fn assert_matches_fresh_build(universe: &DemandInstanceUniverse, graph: &ShardedConflictGraph) {
+        let fresh = ShardedConflictGraph::build(universe);
+        assert_eq!(graph.runs.len(), fresh.runs.len());
+        for (t, (ours, theirs)) in graph.runs.iter().zip(&fresh.runs).enumerate() {
+            assert_eq!(ours, theirs, "runs of network {t}");
+        }
+        assert_eq!(graph.degree, fresh.degree);
+    }
+
     #[test]
-    fn apply_delta_keeps_degrees_equal_to_a_from_scratch_build() {
+    fn build_keys_each_networks_sorted_runs_by_list_position() {
+        for universe in [
+            figure1_line_problem().universe(),
+            two_tree_problem().universe(),
+            figure6_problem().universe(),
+        ] {
+            let graph = ShardedConflictGraph::build(&universe);
+            assert_eq!(graph.num_shards(), universe.num_networks());
+            let mut total = 0;
+            for (t, runs) in graph.runs.iter().enumerate() {
+                let list = universe.instances_on_network(NetworkId::new(t));
+                assert!(runs.windows(2).all(|w| w[0] < w[1]), "network {t}");
+                for run in runs {
+                    let path = &universe.instance(list[run.local as usize]).path;
+                    assert!(path
+                        .runs()
+                        .iter()
+                        .any(|r| (r.start, r.end) == (run.start, run.end)));
+                }
+                total += runs.len();
+            }
+            let expected: usize = universe.instances().map(|d| d.path.num_runs()).sum();
+            assert_eq!(total, expected);
+        }
+    }
+
+    #[test]
+    fn apply_delta_keeps_runs_and_degrees_equal_to_a_from_scratch_build() {
         use netsched_graph::{ArrivingDemand, DemandId, TreeProblem, UniverseDelta, VertexId};
 
         let mut p = TreeProblem::new(8);
@@ -629,37 +732,51 @@ mod tests {
         let mut universe = p.universe();
         let mut incremental = ShardedConflictGraph::build(&universe);
         let mut delta = UniverseDelta::new();
+        let arrival = |networks: &[NetworkId], from: u32, to: u32| ArrivingDemand {
+            profit: 9.0,
+            height: 1.0,
+            instances: networks
+                .iter()
+                .map(|&t| {
+                    (
+                        t,
+                        p.network(t).path_edges(VertexId(from), VertexId(to)),
+                        None,
+                    )
+                })
+                .collect(),
+        };
 
         // Epoch 1: expire demand 1 (network 0), add a demand on networks
-        // 0 and 2. Epoch 2: expire demand 0, empty arrivals.
+        // 0 and 2. Epoch 2: expire demand 0, no arrivals. Epoch 3: expire
+        // the demand first listed as 2 (now id 0), which empties network
+        // 1. Epoch 4: a demand arrives on the empty network 1.
         let batches: Vec<(Vec<DemandId>, Vec<ArrivingDemand>)> = vec![
-            (
-                vec![DemandId(1)],
-                vec![ArrivingDemand {
-                    profit: 9.0,
-                    height: 1.0,
-                    instances: vec![
-                        (t0, p.network(t0).path_edges(VertexId(3), VertexId(6)), None),
-                        (t2, p.network(t2).path_edges(VertexId(3), VertexId(6)), None),
-                    ],
-                }],
-            ),
+            (vec![DemandId(1)], vec![arrival(&[t0, t2], 3, 6)]),
             (vec![DemandId(0)], vec![]),
+            (vec![DemandId(0)], vec![]),
+            (vec![], vec![arrival(&[t1], 0, 5)]),
         ];
-        for (expired, arrivals) in batches {
+        for (epoch, (expired, arrivals)) in batches.into_iter().enumerate() {
             universe.apply_demand_delta(&expired, &arrivals, &mut delta);
             incremental.apply_delta(&universe, &delta);
+            assert_eq!(
+                universe.instances_on_network(t1).is_empty(),
+                epoch == 2,
+                "epoch {epoch}"
+            );
+            assert_matches_fresh_build(&universe, &incremental);
             assert_matches_flat(&universe, &incremental);
         }
     }
 
     #[test]
-    fn clean_shard_epochs_leave_clean_degree_columns_untouched() {
+    fn clean_network_run_arrays_are_untouched_by_a_splice() {
         use netsched_graph::{ArrivingDemand, DemandId, TreeProblem, UniverseDelta, VertexId};
 
         // Networks 0 and 1; a demand spanning both plus a local demand per
-        // network. Churn only network 0: shard 1's column must keep its
-        // buffer and its values.
+        // network. Churn only network 0: network 1's runs must keep their
+        // buffer and their values.
         let mut p = TreeProblem::new(8);
         let line: Vec<(VertexId, VertexId)> = (0..7)
             .map(|i| (VertexId::new(i), VertexId::new(i + 1)))
@@ -686,11 +803,12 @@ mod tests {
             &mut delta,
         );
         assert_eq!(delta.dirty(), &[true, false]);
-        let before = graph.degrees[1].clone();
-        let buffer = graph.degrees[1].as_ptr();
+        let before = graph.runs[1].clone();
+        let buffer = graph.runs[1].as_ptr();
         graph.apply_delta(&universe, &delta);
-        assert_eq!(graph.degrees[1], before);
-        assert_eq!(graph.degrees[1].as_ptr(), buffer);
+        assert_eq!(graph.runs[1], before);
+        assert_eq!(graph.runs[1].as_ptr(), buffer);
+        assert_matches_fresh_build(&universe, &graph);
         assert_matches_flat(&universe, &graph);
     }
 

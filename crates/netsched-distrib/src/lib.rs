@@ -13,7 +13,8 @@
 //! * [`conflict::InducedConflicts`] — the subgraph induced by one MIS
 //!   call's candidates, swept from their own runs and demand ids;
 //! * [`conflict::ShardedConflictGraph`] — per-instance conflict degrees,
-//!   kept per network shard and updated under universe splices;
+//!   updated under universe splices by re-sweeping only the networks the
+//!   splice touched;
 //! * [`comm::CommGraph`] — the communication graph over processors;
 //! * [`mis`] — Luby's randomized MIS run as a real message-passing protocol
 //!   on the simulator, a sequential greedy baseline, and
@@ -28,15 +29,17 @@
 //! engine reads nothing else of the graph's edges. So the serving path
 //! stores none: each MIS call sweeps the conflicts among its candidates,
 //! and the only per-instance conflict state kept across epochs is the
-//! degree, which the engine's message counters read. With `k` candidate
-//! runs, `R` runs in a dirty shard and `E_c` conflict edges in the whole
-//! graph:
+//! degree, which the engine's message counters read. To re-sweep a
+//! network it also keeps the network's runs sorted, tagged with the
+//! instances' positions in the universe's own per-network index. With
+//! `k` candidate runs, `R` runs in a dirty network and `E_c` conflict
+//! edges in the whole graph:
 //!
 //! | operation | flat CSR | serving path |
 //! |---|---|---|
 //! | build | `O(R log R + E_c)` sweep, sort and CSR assembly | the same sweep, counted into degrees |
-//! | memory | `O(E_c)` | `O(|D|)` degrees plus the universe sharding |
-//! | demand splice | full rebuild | dirty shards only: departures swept against the old runs, arrivals against the new; clean shards untouched |
+//! | memory | `O(E_c)` | `O(|D|)`: one degree per instance, one sorted run array per network |
+//! | demand splice | full rebuild | `O(|D|)` degree compaction; dirty networks only: departures swept against the old runs, arrivals against the new; clean networks untouched |
 //! | MIS adjacency | read from the CSR | `O(k log k + induced pairs)` sweep per call |
 //! | Luby phase | simulator messages | flat array scans |
 //!
@@ -50,11 +53,11 @@
 //! # Memory
 //!
 //! [`ShardedConflictGraph::committed_bytes`](conflict::ShardedConflictGraph::committed_bytes)
-//! audits the sharding index, one `u32` degree per instance and the sweep
+//! audits the run arrays, one `u32` degree per instance and the sweep
 //! buffers; it grows with the instances, not with the conflict edges, so
-//! dense tree shards cost no more per instance than line shards.
+//! dense tree networks cost no more per instance than line networks.
 //! [`ShardedConflictGraph::apply_delta`](conflict::ShardedConflictGraph::apply_delta)
-//! touches dirty shards only, and clean-shard epochs allocate nothing
+//! sweeps dirty networks only, and clean-network epochs allocate nothing
 //! (pinned by `alloc_regression`).
 
 #![warn(missing_docs)]

@@ -15,12 +15,12 @@
 //! * [`DemandInstanceUniverse`] — the flattened set of *demand instances*
 //!   (demand × accessible network × placement) that all algorithms operate
 //!   on, together with conflict/overlap predicates and per-edge load
-//!   accounting, and [`LoadTracker`] for incremental greedy selection,
-//! * [`ShardedUniverse`] — the universe partitioned by [`NetworkId`]: one
-//!   shard per network with a global↔local id table and pre-sorted
-//!   per-shard run arrays, the unit of incremental splicing for the
-//!   conflict-degree upkeep in `netsched-distrib` and the dirty-network
-//!   repair in `netsched-core`,
+//!   accounting, and [`LoadTracker`] for incremental greedy selection;
+//!   its per-network index ([`DemandInstanceUniverse::instances_on_network`])
+//!   is the universe's partition by [`NetworkId`], and a splice's
+//!   [`UniverseDelta`] says which networks changed and where their lists
+//!   lost instances, which is all the conflict-degree upkeep in
+//!   `netsched-distrib` needs to update only those networks,
 //! * [`CapacityIndex`] — per-network sparse tables answering
 //!   range-minimum capacity queries in `O(1)`, which keep the capacitated
 //!   `can_add`/eligibility paths at the uniform path's `O(runs log E)`
@@ -51,24 +51,20 @@
 //! | `edge_loads` / verify | `O(S)` | `O(selected runs + E)` difference array, one pass over the selection |
 //! | conflict-graph build | `O(Σ bucket²)` HashMap buckets | sort-based interval sweep, CSR output |
 //! | capacitated `can_add` | `O(path len · selection)` | event sweep + `O(1)` range-min per segment |
-//! | universe sharding | — | `O(|D| log n)` [`ShardedUniverse::build`] |
-//! | demand splice | `O(|D| log n)` rebuild | `O(expired + new)` [`DemandInstanceUniverse::apply_demand_delta`] |
-//! | shard run-order upkeep | `O(R log R)` re-sweep per shard | survivor compaction + `O(new log new)` merge [`ShardedUniverse::apply_delta`] |
+//! | demand splice | `O(|D| log n)` rebuild | `O(|D| + new)` moves, no path work [`DemandInstanceUniverse::apply_demand_delta`] |
 //!
 //! # Scale & memory layout
 //!
 //! All hot structures are struct-of-arrays over dense `u32` ids: demand
 //! and instance attributes live in parallel column vectors, interval
-//! paths are inline (single run) or arena-packed, and every shard keeps
-//! flat run arrays plus a global↔local id table. Each layer exposes a
+//! paths are inline (single run) or arena-packed, and the per-demand and
+//! per-network indexes are flat id lists. Each layer exposes a
 //! `committed_bytes()` audit; at the 10⁵-live-demand operating point
 //! (full-mode `mega-churn-line`, 99,886 demands / 271,867 instances)
 //! the universe commits **49.8 MiB ≈ 523 bytes/demand**. Splices reuse
-//! persistent scratch (id remaps, merge buffers), so steady-state
-//! clean-shard epochs allocate nothing — pinned by the
-//! `alloc_regression` suite at the workspace root, with incremental
-//! run-order maintenance proptested against a full re-sweep at 1/2/4
-//! workers in `shard_equivalence`.
+//! persistent scratch (id remaps, removed positions, per-network
+//! counters), so steady-state clean-network epochs allocate nothing —
+//! pinned by the `alloc_regression` suite at the workspace root.
 //!
 //! The paper being reproduced is "Distributed Algorithms for Scheduling on
 //! Line and Tree Networks" (Chakaravarthy, Roy, Sabharwal; arXiv:1205.1924,
@@ -87,7 +83,6 @@ pub mod lca;
 pub mod line;
 pub mod path;
 pub mod problem;
-pub mod shard;
 pub mod tree;
 pub mod universe;
 
@@ -100,7 +95,6 @@ pub use lca::LcaIndex;
 pub use line::{LineDemand, LineNetwork, LineProblem};
 pub use path::{EdgePath, EdgeRun};
 pub use problem::TreeProblem;
-pub use shard::{ShardRun, ShardSplice, ShardedUniverse, UniverseShard};
 pub use tree::TreeNetwork;
 pub use universe::{
     ArrivingDemand, DemandInstance, DemandInstanceUniverse, LoadTracker, UniverseDelta,

@@ -610,11 +610,13 @@ pub struct ArrivingDemand {
 /// and instance ids so the result is **byte-identical** to a from-scratch
 /// universe over the surviving demand set (survivors keep their relative
 /// order; arrivals follow). The delta records the old→new id maps, which
-/// instances are new, and the *dirty networks* — the networks that gained
-/// or lost at least one instance. Everything outside a dirty network is
-/// untouched up to renumbering, which is what lets
-/// [`crate::ShardedUniverse::apply_delta`] and the sharded conflict engine
-/// rebuild per-shard state only where the batch actually landed.
+/// instances are new, the *dirty networks* — the networks that gained or
+/// lost at least one instance — and where each removed instance stood in
+/// its network's [`instances_on_network`](DemandInstanceUniverse::instances_on_network)
+/// list. A clean network's list changes only by the renumbering, and a
+/// dirty one keeps its survivors as a prefix, so per-network state keyed
+/// by list position (the conflict-degree upkeep in `netsched-distrib`)
+/// is updated where the batch actually landed and nowhere else.
 #[derive(Debug, Clone, Default)]
 pub struct UniverseDelta {
     /// Old instance id → new instance id; `u32::MAX` for removed instances.
@@ -625,9 +627,15 @@ pub struct UniverseDelta {
     first_added: u32,
     /// Per-network flag: `true` when the network gained or lost instances.
     dirty: Vec<bool>,
+    /// `(network, position)` of every removed instance, its position
+    /// being its index in the network's pre-splice instance list; sorted.
+    removed_positions: Vec<(NetworkId, u32)>,
     /// Splice scratch: per-old-demand expiry marks, reused across epochs so
     /// a steady-state splice allocates nothing.
     expired_mark: Vec<bool>,
+    /// Splice scratch: per network, the pre-splice instances visited so
+    /// far (the next one's position in the network's list).
+    network_seen: Vec<u32>,
 }
 
 impl UniverseDelta {
@@ -643,8 +651,11 @@ impl UniverseDelta {
         self.demand_remap.reserve(old_demands);
         self.dirty.clear();
         self.dirty.resize(networks, false);
+        self.removed_positions.clear();
         self.expired_mark.clear();
         self.expired_mark.resize(old_demands, false);
+        self.network_seen.clear();
+        self.network_seen.resize(networks, 0);
         self.first_added = 0;
     }
 
@@ -720,6 +731,16 @@ impl UniverseDelta {
         self.demand_remap.len()
     }
 
+    /// `(network, position)` of every instance the splice removed, where
+    /// `position` is its index in the network's **pre-splice**
+    /// [`instances_on_network`](DemandInstanceUniverse::instances_on_network)
+    /// list; sorted by network, then position. Each named network is
+    /// dirty.
+    #[inline]
+    pub fn removed_positions(&self) -> &[(NetworkId, u32)] {
+        &self.removed_positions
+    }
+
     /// Iterates over the **old** ids of the instances the splice removed —
     /// the stable id-map query the warm re-solve engine uses to clear the
     /// expired instances' dual contributions.
@@ -745,9 +766,9 @@ impl DemandInstanceUniverse {
     /// surviving instances are moved, not recomputed — the splice costs
     /// `O(|D| + Σ new instances)` with no per-edge or per-path work.
     ///
-    /// `delta` is cleared and refilled with the old→new id maps and the
-    /// dirty-network bitmap (reuse one [`UniverseDelta`] across epochs to
-    /// avoid reallocation).
+    /// `delta` is cleared and refilled with the old→new id maps, the
+    /// dirty-network bitmap and the removed instances' list positions
+    /// (reuse one [`UniverseDelta`] across epochs to avoid reallocation).
     ///
     /// # Panics
     ///
@@ -786,13 +807,19 @@ impl DemandInstanceUniverse {
                 instance_remap,
                 demand_remap,
                 dirty,
+                removed_positions,
                 expired_mark,
+                network_seen,
                 ..
             } = delta;
             self.instances.retain_mut(|inst| {
+                let t = inst.network.index();
+                let position = network_seen[t];
+                network_seen[t] += 1;
                 if expired_mark[inst.demand.index()] {
                     instance_remap.push(u32::MAX);
-                    dirty[inst.network.index()] = true;
+                    dirty[t] = true;
+                    removed_positions.push((inst.network, position));
                     false
                 } else {
                     instance_remap.push(next_instance);
@@ -804,6 +831,9 @@ impl DemandInstanceUniverse {
             });
         }
         delta.first_added = next_instance;
+        // Positions were recorded in instance order; each network's are
+        // already ascending.
+        delta.removed_positions.sort_unstable();
 
         // Append the arrivals.
         for arrival in arrivals {
@@ -1178,6 +1208,78 @@ mod tests {
         // Survivors keep relative order under renumbered ids.
         assert_eq!(u.instance(InstanceId(1)).demand, DemandId(1));
         assert_eq!(u.instances_on_network(NetworkId(1)), &[] as &[InstanceId]);
+    }
+
+    /// The recorded positions are the removed instances' indices in the
+    /// pre-splice per-network lists, sorted by network although the
+    /// splice visits them in instance order; network 2 loses every
+    /// instance. A batch that expires nothing records nothing.
+    #[test]
+    fn splice_records_removed_list_positions() {
+        // (demand, network) of instances 0..8.
+        let layout = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (2, 2),
+            (3, 0),
+            (3, 1),
+            (4, 2),
+            (5, 1),
+        ];
+        let instances = layout
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, t))| DemandInstance {
+                id: InstanceId::new(i),
+                demand: DemandId::new(a),
+                network: NetworkId::new(t),
+                profit: 1.0,
+                height: 1.0,
+                path: EdgePath::interval(0, 1),
+                start: None,
+            })
+            .collect();
+        let mut u = DemandInstanceUniverse::new(instances, 6, vec![3, 3, 3], None);
+        let before: Vec<Vec<InstanceId>> = (0..3)
+            .map(|t| u.instances_on_network(NetworkId::new(t)).to_vec())
+            .collect();
+        let mut delta = UniverseDelta::new();
+        u.apply_demand_delta(&[DemandId(2), DemandId(3), DemandId(4)], &[], &mut delta);
+
+        let mut expected = Vec::new();
+        for (t, list) in before.iter().enumerate() {
+            for (position, &d) in list.iter().enumerate() {
+                if delta.map_instance(d).is_none() {
+                    expected.push((NetworkId::new(t), position as u32));
+                }
+            }
+        }
+        assert_eq!(delta.removed_positions(), &expected[..]);
+        assert_eq!(
+            expected,
+            vec![
+                (NetworkId(0), 2),
+                (NetworkId(1), 1),
+                (NetworkId(2), 0),
+                (NetworkId(2), 1)
+            ]
+        );
+        assert!(u.instances_on_network(NetworkId(2)).is_empty());
+
+        // Arrivals alone dirty a network but remove nothing; so does an
+        // empty batch.
+        let arrival = ArrivingDemand {
+            profit: 2.0,
+            height: 1.0,
+            instances: vec![(NetworkId(2), EdgePath::interval(0, 2), None)],
+        };
+        u.apply_demand_delta(&[], std::slice::from_ref(&arrival), &mut delta);
+        assert_eq!(delta.dirty(), &[false, false, true]);
+        assert!(delta.removed_positions().is_empty());
+        u.apply_demand_delta(&[], &[], &mut delta);
+        assert_eq!(delta.num_dirty(), 0);
+        assert!(delta.removed_positions().is_empty());
     }
 
     #[test]

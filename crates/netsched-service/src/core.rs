@@ -170,6 +170,12 @@ impl LiveCore {
         self.delta.num_dirty()
     }
 
+    /// Old demand id → new demand id of the most recent
+    /// [`LiveCore::apply`] (`u32::MAX` = expired).
+    pub(crate) fn demand_remap(&self) -> &[u32] {
+        self.delta.demand_remap()
+    }
+
     /// Runs the two-phase engine on the core's structures under a
     /// cooperative [`Budget`] (pass [`Budget::unlimited`] for a full run).
     /// A cold solve: the engine runs on a fresh [`WarmState`] that is

@@ -1197,7 +1197,7 @@ impl ServiceSession {
         let rule = uniform_rule(&self.live);
         let mut conflict_ns = self.full.conflict_rebuild_ns;
         if self.split.is_some() {
-            self.update_split(&removed, &arrivals, &arrivings, &assignments);
+            self.update_split(&arrivals, &arrivings, &assignments);
             let split = self.split.as_ref().expect("split just updated");
             conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
         } else if rule.is_none() {
@@ -1376,28 +1376,19 @@ impl ServiceSession {
     }
 
     /// Splices the epoch's (already full-core-applied) delta through the
-    /// existing split cores: each half receives the expiries (`removed`,
-    /// indexed by pre-epoch dense id) and arrivals of its height class,
-    /// and the half→full demand maps are renumbered through the full
-    /// core's demand remap.
+    /// existing split cores: each half receives the expiries and arrivals
+    /// of its height class, and the half→full demand maps are renumbered
+    /// through the full core's demand remap (the dense live ids are the
+    /// full universe's demand ids).
     fn update_split(
         &mut self,
-        removed: &[bool],
         arrivals: &[DemandRequest],
         arrivings: &[ArrivingDemand],
         assignments: &[TreeAssignments],
     ) {
         let split = self.split.as_mut().expect("caller checked");
-        // Old dense id → new dense id for survivors (u32::MAX = expired);
-        // mirrors the universe's demand renumbering.
-        let mut demand_remap = vec![u32::MAX; removed.len()];
-        let mut survivors = 0u32;
-        for (remap, &gone) in demand_remap.iter_mut().zip(removed) {
-            if !gone {
-                *remap = survivors;
-                survivors += 1;
-            }
-        }
+        let demand_remap = self.full.demand_remap();
+        let survivors = (self.full.universe.num_demands() - arrivals.len()) as u32;
 
         for wide_half in [true, false] {
             let (core, map) = if wide_half {
@@ -1409,7 +1400,7 @@ impl ServiceSession {
             let half_expired: Vec<DemandId> = map
                 .iter()
                 .enumerate()
-                .filter(|&(_, full_id)| removed[full_id.index()])
+                .filter(|&(_, full_id)| demand_remap[full_id.index()] == u32::MAX)
                 .map(|(i, _)| DemandId::new(i))
                 .collect();
             // This half's arrivals, in batch order.

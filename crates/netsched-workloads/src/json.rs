@@ -131,8 +131,6 @@ impl JsonValue {
     }
 
     fn render_into(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => {
@@ -150,12 +148,10 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&pad_in);
+                    newline(out, indent + 1);
                     item.render_into(out, indent + 1);
                 }
-                out.push('\n');
-                out.push_str(&pad);
+                newline(out, indent);
                 out.push(']');
             }
             JsonValue::Object(map) => {
@@ -168,14 +164,12 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&pad_in);
+                    newline(out, indent + 1);
                     render_string(out, key);
                     out.push_str(": ");
                     value.render_into(out, indent + 1);
                 }
-                out.push('\n');
-                out.push_str(&pad);
+                newline(out, indent);
                 out.push('}');
             }
         }
@@ -191,6 +185,14 @@ impl JsonValue {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
+    }
+}
+
+/// Starts a new line indented by `indent` levels of two spaces.
+fn newline(out: &mut String, indent: usize) {
+    out.push('\n');
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 
@@ -434,6 +436,35 @@ mod tests {
         let text = doc.render();
         let back = JsonValue::parse(&text).unwrap();
         assert_eq!(doc, back);
+    }
+
+    #[test]
+    fn render_pins_the_exact_bytes_of_a_nested_document() {
+        let doc = JsonValue::object(vec![
+            (
+                "outer",
+                JsonValue::Array(vec![
+                    JsonValue::object(vec![("n", JsonValue::int(7)), ("x", JsonValue::num(0.5))]),
+                    JsonValue::Array(vec![]),
+                    JsonValue::object(vec![]),
+                ]),
+            ),
+            ("s", JsonValue::String("a\"b\\c\n\u{1}".to_string())),
+        ]);
+        let expected = concat!(
+            "{\n",
+            "  \"outer\": [\n",
+            "    {\n",
+            "      \"n\": 7,\n",
+            "      \"x\": 0.5\n",
+            "    },\n",
+            "    [],\n",
+            "    {}\n",
+            "  ],\n",
+            "  \"s\": \"a\\\"b\\\\c\\n\\u0001\"\n",
+            "}",
+        );
+        assert_eq!(doc.render(), expected);
     }
 
     #[test]

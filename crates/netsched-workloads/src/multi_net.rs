@@ -1,10 +1,11 @@
 //! Multi-network workload generators for the sharded conflict engine.
 //!
-//! The sharded universe (`netsched-graph::ShardedUniverse`) partitions
-//! instances by network, so its interesting workloads have *many* networks
-//! — both balanced (every shard roughly the same size) and skewed (a few
-//! hot networks own most instances, the regime where static shard
-//! scheduling is hardest). These generators parameterize the existing
+//! The serving path splits its conflict work by network (overlaps never
+//! cross networks, so a splice re-sweeps only the networks it touches),
+//! so its interesting workloads have *many* networks — both balanced
+//! (every network roughly the same size) and skewed (a few hot networks
+//! own most instances, where one splice lands on the same large network
+//! over and over). These generators parameterize the existing
 //! [`TreeWorkload`]/[`LineWorkload`] descriptions for exactly those shapes;
 //! [`crate::scenarios::named_scenarios`] registers instances of each so the
 //! scenario index, the end-to-end suite and the `shard_scaling` bench all

@@ -86,10 +86,10 @@
 //!
 //! ## Sharded conflict engine
 //!
-//! The universe is additionally **sharded by network**
-//! ([`ShardedUniverse`](prelude::ShardedUniverse)): overlap conflicts never
-//! cross networks, so a demand delta re-sweeps only the shards of the
-//! networks it touches. The engine stores no conflict edges: each MIS
+//! Overlap conflicts never cross networks, so the conflict work is
+//! **sharded by network**: a demand delta re-sweeps only the networks it
+//! touches, keyed by the universe's own per-network index. The engine
+//! stores no conflict edges: each MIS
 //! call sweeps the conflicts among its own candidates, as the paper's
 //! induced-subgraph MIS prescribes, and
 //! [`ShardedConflictGraph`](prelude::ShardedConflictGraph) keeps only each
@@ -269,8 +269,8 @@
 //! ## Scale & memory layout
 //!
 //! The serving path is sized for **10⁵–10⁶ live demands across 10²–10³
-//! networks**. Every hot per-shard structure — universe columns and
-//! interval paths, shard run arrays, conflict-degree columns, Fenwick
+//! networks**. Every hot structure — universe columns and interval
+//! paths, per-network run arrays, the conflict-degree column, Fenwick
 //! duals, raise records and the warm replay stack — lives in
 //! arena-backed struct-of-arrays layouts keyed by dense `u32` ids, and
 //! each layer reports its heap commitment through a `committed_bytes()`
@@ -282,15 +282,15 @@
 //! 36 --trace 1`) replays the same scenario and reports the current
 //! figures (`bytes_per_demand`, `universe.bytes`, `conflict.bytes`,
 //! `warm.bytes`). The conflict row was re-measured by that traced run
-//! (2-vCPU x86-64 VM) when per-shard conflict CSRs gave way to degree
-//! columns:
+//! (2-vCPU x86-64 VM) when the conflict degrees moved onto the
+//! universe's own per-network index:
 //!
 //! | layer | committed | bytes/demand |
 //! |---|---|---|
 //! | universe (demand/instance columns, inline interval paths, indexes) | 49.8 MiB | ≈ 523 |
-//! | conflict (sharding tables, per-shard degree columns, sweep buffers) | 12.7 MiB | ≈ 133 |
+//! | conflict (per-network run arrays, degree column, sweep buffers) | 7.3 MiB | ≈ 76 |
 //! | warm state (Fenwick duals, raise-record arena, replay stack) | 33.4 MiB | ≈ 351 |
-//! | **total** | **95.9 MiB** | **≈ 1,007** |
+//! | **total** | **90.5 MiB** | **≈ 950** |
 //!
 //! Two properties keep epochs cheap at that scale, both pinned by tests
 //! rather than promised:
@@ -302,11 +302,11 @@
 //!   **zero heap allocations** once capacities reach steady state —
 //!   enforced by a counting global allocator in
 //!   `tests/alloc_regression.rs`.
-//! * **No wholesale rebuilds.** Dirty shards maintain their run order
-//!   sub-shard-incrementally (survivor compaction + one merge pass, not
-//!   a full re-sweep, equivalence proptested at 1/2/4 workers), and
-//!   their conflict degrees change only by the departures' and arrivals'
-//!   overlaps (proptested against the flat build under churn).
+//! * **No wholesale rebuilds.** Dirty networks maintain their run order
+//!   incrementally (survivor compaction + one merge pass, not a full
+//!   re-sort, unit-tested against a fresh build), and their conflict
+//!   degrees change only by the departures' and arrivals' overlaps
+//!   (proptested against the flat build under churn).
 //!
 //! Sustained serving throughput (`epochs_per_s`, `epoch_p50_ms`,
 //! `epoch_p90_ms`) and peak RSS at the 10⁵ live-demand point come from
@@ -449,8 +449,7 @@ pub mod prelude {
     // The data model.
     pub use netsched_graph::{
         CapacityIndex, Demand, DemandId, DemandInstanceUniverse, EdgeId, GlobalEdge, InstanceId,
-        LineProblem, NetworkId, Processor, ProcessorId, ShardedUniverse, TreeNetwork, TreeProblem,
-        VertexId,
+        LineProblem, NetworkId, Processor, ProcessorId, TreeNetwork, TreeProblem, VertexId,
     };
     // The observability layer.
     pub use netsched_obs::{

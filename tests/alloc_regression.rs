@@ -1,12 +1,14 @@
 //! Allocation regression pin for the dynamic serving splice path.
 //!
-//! The million-demand scale push moved the per-shard hot structures to
-//! arena-backed layouts with persistent reusable scratch; the contract is
-//! that a **steady-state clean-shard epoch** — a splice whose delta leaves
-//! every shard clean — performs **zero heap allocations** across all three
-//! layers (`DemandInstanceUniverse::apply_demand_delta`,
-//! `ShardedConflictGraph::apply_delta`, `WarmState::splice`) once the
-//! session's scratch buffers have reached steady capacity — including
+//! The serving path's hot structures keep persistent reusable scratch;
+//! the contract is that a **steady-state clean-shard epoch** — a splice
+//! whose delta leaves every network clean — performs **zero heap
+//! allocations** across all three layers
+//! (`DemandInstanceUniverse::apply_demand_delta`, whose delta reuses its
+//! remaps, removed-position list and per-network counters;
+//! `ShardedConflictGraph::apply_delta`, which compacts its degree column
+//! in place; `WarmState::splice`) once the session's scratch buffers
+//! have reached steady capacity — including
 //! the observability hooks the serving path runs every epoch (disabled
 //! spans, pre-resolved histogram/counter/gauge handles). This binary
 //! installs a counting global allocator and pins that contract; a

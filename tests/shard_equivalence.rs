@@ -259,12 +259,11 @@ fn fresh_warm_states_match_the_reference_engine_exactly() {
 }
 
 /// One randomized hot-shard churn trace: several epochs whose expiries and
-/// arrivals concentrate on two "hot" networks, so the same shards are
+/// arrivals concentrate on two "hot" networks, so the same networks are
 /// spliced over and over. After every epoch the incrementally maintained
-/// sharding (per-shard run arrays and global-id columns, kept up to date by
-/// the sub-shard run-order maintenance in `ShardedUniverse::apply_delta`)
-/// must match a from-scratch rebuild exactly, and the degrees and induced
-/// adjacency must equal the flat build.
+/// degrees and the induced adjacency must equal the flat build. (That the
+/// spliced run arrays equal a fresh build's is pinned by the unit tests
+/// of `netsched_distrib::conflict`, which can see them.)
 fn hot_shard_churn_case(seed: u64) {
     let base = many_networks_line(6, 90, seed ^ 0x9e37_79b9);
     let timeslots = base.timeslots as usize;
@@ -311,17 +310,6 @@ fn hot_shard_churn_case(seed: u64) {
         universe.apply_demand_delta(&expired, &arrivals, &mut delta);
         conflict.apply_delta(&universe, &delta);
 
-        let fresh = ShardedConflictGraph::build(&universe);
-        for t in (0..universe.num_networks()).map(NetworkId::new) {
-            let inc = conflict.sharding().shard(t);
-            let full = fresh.sharding().shard(t);
-            assert_eq!(
-                inc.globals(),
-                full.globals(),
-                "round {round}: shard {t} global ids"
-            );
-            assert_eq!(inc.runs(), full.runs(), "round {round}: shard {t} runs");
-        }
         assert_graph_matches(
             &ConflictGraph::build(&universe),
             &universe,
