@@ -51,6 +51,7 @@ pub fn run_ps_style(
     let mut steps = 0u64;
     let mut max_steps_per_stage = 0u64;
     let mut raised = 0u64;
+    let mut capped_stages = 0u64;
 
     for (epoch, group) in groups.iter().enumerate() {
         let mut epoch_steps = 0u64;
@@ -60,7 +61,11 @@ pub fn run_ps_style(
                 .copied()
                 .filter(|&d| eligible[d.index()] && !duals.is_xi_satisfied(universe, d, threshold))
                 .collect();
-            if unsatisfied.is_empty() || epoch_steps >= step_cap {
+            if unsatisfied.is_empty() {
+                break;
+            }
+            if epoch_steps >= step_cap {
+                capped_stages += 1;
                 break;
             }
             let strategy = match config.mis {
@@ -121,6 +126,7 @@ pub fn run_ps_style(
             steps,
             max_steps_per_stage,
             raised,
+            capped_stages,
             delta: layering.max_critical(),
             lambda,
             dual_objective,

@@ -153,6 +153,7 @@ pub fn run_two_phase_reference(
     let mut steps: u64 = 0;
     let mut max_steps_per_stage: u64 = 0;
     let mut raised: u64 = 0;
+    let mut capped_stages: u64 = 0;
 
     // ---------------- First phase ----------------
     for (epoch, group) in groups.iter().enumerate() {
@@ -175,6 +176,7 @@ pub fn run_two_phase_reference(
                     "stage exceeded the Claim 5.2 step bound ({step_cap})"
                 );
                 if stage_steps >= step_cap {
+                    capped_stages += 1;
                     break;
                 }
 
@@ -245,6 +247,7 @@ pub fn run_two_phase_reference(
             steps,
             max_steps_per_stage,
             raised,
+            capped_stages,
             delta: layering.max_critical(),
             lambda,
             dual_objective,

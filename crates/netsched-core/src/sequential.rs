@@ -120,6 +120,7 @@ pub fn run_sequential(universe: &DemandInstanceUniverse, layering: &InstanceLaye
             steps: raised,
             max_steps_per_stage: raised,
             raised,
+            capped_stages: 0,
             delta: layering.max_critical(),
             lambda,
             dual_objective,

@@ -21,6 +21,9 @@ pub struct RunDiagnostics {
     pub max_steps_per_stage: u64,
     /// Number of demand instances raised.
     pub raised: u64,
+    /// Stages cut by the Claim 5.2 step cap while instances were still
+    /// unsatisfied (0 when the paper's bound holds).
+    pub capped_stages: u64,
     /// The critical-set size ∆ of the layering actually used.
     pub delta: usize,
     /// The slackness λ achieved at the end of the first phase.
@@ -36,12 +39,13 @@ pub struct RunDiagnostics {
     pub quality: CertificateQuality,
 }
 
-/// Wall-clock time the two-phase engine spent in each of its phases.
+/// Wall-clock time the two-phase engine spent in each of its phases, and
+/// how many stack items its second phase re-decided.
 ///
 /// The phases are consecutive laps of one clock, so they add up to the
-/// whole engine call. Timings are measurements, not outputs:
-/// [`Solution`]'s equality ignores them. Solvers without the two-phase
-/// engine report zeros.
+/// whole engine call. Timings and the item count are measurements of work
+/// done, not outputs: [`Solution`]'s equality ignores them. Solvers without
+/// the two-phase engine report zeros.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineTimings {
     /// Checks, the active list and its group buckets, and the stage
@@ -51,13 +55,17 @@ pub struct EngineTimings {
     pub repair: Duration,
     /// The LHS cache refresh and the per-network λ minima.
     pub refresh: Duration,
-    /// The second phase: the replay of the MIS stack.
+    /// The second phase: re-deciding the marked networks' stack items and
+    /// reading the selection off the commit decisions.
     pub replay: Duration,
-    /// Building the sorted raised-instance set.
+    /// Reading the sorted raised-instance set off the newest-layer column.
     pub raised_set: Duration,
     /// Certification: schedule verification, the λ and ratio checks and
     /// the bookkeeping that closes the solve.
     pub certify: Duration,
+    /// Stack items the second phase re-decided: the whole stack on a fresh
+    /// or restored state, none on an epoch no splice touched.
+    pub replayed_items: u64,
 }
 
 impl EngineTimings {
@@ -83,6 +91,7 @@ impl EngineTimings {
             replay: self.replay + other.replay,
             raised_set: self.raised_set + other.raised_set,
             certify: self.certify + other.certify,
+            replayed_items: self.replayed_items + other.replayed_items,
         }
     }
 }
@@ -106,7 +115,7 @@ pub struct Solution {
     pub stats: RoundStats,
     /// Framework diagnostics.
     pub diagnostics: RunDiagnostics,
-    /// Where the engine's time went.
+    /// Where the engine's time went, and how much the replay re-decided.
     pub timings: EngineTimings,
 }
 

@@ -787,6 +787,7 @@ pub fn combine_wide_narrow(
             steps: wd.steps + nd.steps,
             max_steps_per_stage: wd.max_steps_per_stage.max(nd.max_steps_per_stage),
             raised: wd.raised + nd.raised,
+            capped_stages: wd.capped_stages + nd.capped_stages,
             delta: wd.delta.max(nd.delta),
             // Two genuinely empty (fully certified) halves mean an empty
             // universe: λ = 1 by convention. A budget-truncated half that

@@ -13,7 +13,8 @@
 //!   raises added, so an expiring demand's contributions can be cleared
 //!   out point by point — the "Fenwick point-clears"),
 //! * the surviving first-phase **stack** (the selection seed the second
-//!   phase replays), and
+//!   phase replays), its layers numbered in replay order, with each
+//!   stack item's commit decision from the last solve, and
 //! * cached constraint-LHS lower bounds (and, recomputed from the universe
 //!   on [restore](WarmState::restore), relative heights and per-network
 //!   `λ` minima).
@@ -27,17 +28,16 @@
 //! a clean network's `β` range sums are untouched and `α` variables only
 //! ever grow — so the MIS/raise loop re-runs over the dirty shards alone,
 //! until every eligible instance is `(1 − ε)`-satisfied again. The second
-//! phase replays the whole stack (surviving seed + repair MISes, newest
-//! first), exactly like a cold run's stack pop.
+//! phase then re-decides only the stack items whose decision can have
+//! moved (see below).
 //!
 //! # What a repair pass touches
 //!
 //! A solve gathers its **active list** once — the instances of the dirty
 //! networks (every instance on a fresh state), in ascending id order — and
 //! buckets it by layering group; the repair passes and the LHS refresh
-//! walk only that list. (The second phase still replays, and the raised
-//! set still sorts, the whole stack; the narrow rule's `ξ` still reads
-//! every relative height.)
+//! walk only that list. The narrow rule's `ξ` folds one minimum relative
+//! height per network, and only the dirty networks' minima are recomputed.
 //!
 //! Within one pass the duals only grow, so an instance that is satisfied
 //! stays satisfied. Each group therefore selects once the instances still
@@ -46,6 +46,29 @@
 //! previous step's unsatisfied list. The lists keep group order, so every
 //! MIS sees exactly the input a full rescan of the group would give it
 //! (debug builds assert this at every step).
+//!
+//! # The second phase, incremental
+//!
+//! The paper's second phase pops the stack newest layer first and commits
+//! every instance that still fits its edge capacities and whose demand no
+//! newer commit already serves. The instances of one layer form an
+//! independent set: they share no demand and no edge. So a decision
+//! depends only on the decisions of newer layers: on its own network
+//! through the edge loads, and on other networks only through the other
+//! instances of its demand.
+//!
+//! A solve therefore re-decides, from zero loads and in replay order, only
+//! the stack items of the networks whose own inputs moved: where a splice
+//! removed a committed instance, or where the repair pushed an item (every
+//! network, on a fresh or restored state). Every other network keeps its
+//! decisions from the previous solve. When a re-decided commit moves, the
+//! networks holding an older-layer instance of the same demand whose
+//! decision can move with it are replayed in a further round, re-deciding
+//! from that instance's layer down, until nothing moves. By induction over
+//! replay order that fixpoint is the full replay's unique assignment;
+//! debug builds assert it against the full replay after every solve. The
+//! selection and the raised set are read off the per-instance commit and
+//! newest-layer columns, which are already in id order.
 //!
 //! # The one engine
 //!
@@ -80,9 +103,7 @@ use crate::framework::derive_strategy;
 use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{sharded_mis, RoundStats, ShardedConflictGraph};
-use netsched_graph::{
-    DemandInstanceUniverse, EdgeId, InstanceId, LoadTracker, NetworkId, UniverseDelta, EPS,
-};
+use netsched_graph::{DemandInstanceUniverse, EdgeId, InstanceId, NetworkId, UniverseDelta, EPS};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
 use std::time::Instant;
 
@@ -104,12 +125,13 @@ const NIL: u32 = u32::MAX;
 ///   steady-state repair epochs never allocate; an expiring instance's
 ///   chain is point-cleared and returned to the freelist.
 /// * **Replay stack**: `stack_items` + `stack_offsets` (one `[start, end)`
-///   range per MIS, oldest first). Splices compact both in place.
+///   range per MIS, oldest first) + `layer_seq`. Splices compact all three
+///   in place.
 #[derive(Debug, Clone)]
 pub struct WarmState {
     rule: RaiseRule,
     duals: DualState,
-    /// Per instance: the network its recorded raises live on.
+    /// Per instance: its network, where its recorded raises live.
     rec_network: Vec<NetworkId>,
     /// Per instance: head of its `β` entry chain in the arena (`NIL` =
     /// no recorded raises).
@@ -132,10 +154,29 @@ pub struct WarmState {
     /// MIS `m` of the stack is `stack_items[stack_offsets[m] ..
     /// stack_offsets[m + 1]]`.
     stack_offsets: Vec<u32>,
-    /// Splice scratch: newest-occurrence marks (per new instance id).
-    seen: Vec<bool>,
-    /// Splice scratch: per stack item, survives-the-splice flag.
-    keep: Vec<bool>,
+    /// MIS `m` of the stack has sequence number `layer_seq[m]`. Numbers
+    /// grow from 1, oldest to newest, and splices drop empty layers without
+    /// renumbering the rest, so two numbers order their layers in replay
+    /// order across networks and across epochs.
+    layer_seq: Vec<u32>,
+    /// Per instance: the sequence number of the newest layer holding it
+    /// (0 = not on the stack). Only that occurrence can commit: an older
+    /// duplicate would see loads and served demands that only grew.
+    newest_layer: Vec<u32>,
+    /// Per instance: the sequence number of the layer the second phase
+    /// committed it in (its newest layer when it was decided), 0 when it is
+    /// not selected. A commit in layer `s` serves its demand for every
+    /// older layer.
+    committed_in: Vec<u32>,
+    /// Per demand: the largest `committed_in` over its instances, the
+    /// newest layer its demand is committed in (0 = none). An item in
+    /// layer `s` finds its demand served when this exceeds `s`.
+    demand_commit: Vec<u32>,
+    /// Networks whose commit decisions the next replay must re-derive: a
+    /// splice removed a committed instance there, or a repair pushed a
+    /// stack item there. Every network on a fresh or restored state, whose
+    /// decisions are not derived yet.
+    replay_pending: Vec<bool>,
     /// Per-instance lower bound on the constraint LHS, exact as of the
     /// instance's last visit by a repair pass (later raises only grow the
     /// true LHS, so the cache never over-estimates).
@@ -156,6 +197,12 @@ pub struct WarmState {
     /// across splices because a clean network's instance membership and
     /// cached LHS entries are untouched.
     shard_min: Vec<f64>,
+    /// Per-network minimum relative height over eligible instances (`+∞`
+    /// for a network with none). Heights are static, so only a network
+    /// whose membership a splice changed needs a recompute; the fold over
+    /// networks is the narrow rule's `h_min`, bit for bit. Only narrow-rule
+    /// solves read it, so only they keep it current.
+    shard_h_min: Vec<f64>,
     /// Warm solves completed on this state. A state with none is fresh: it
     /// repairs every shard, so its first solve is the cold solve.
     epochs_resumed: u64,
@@ -170,7 +217,7 @@ impl WarmState {
         Self {
             rule,
             duals: DualState::new(universe, rule),
-            rec_network: vec![NetworkId::new(0); n],
+            rec_network: Vec::new(),
             rec_head: vec![NIL; n],
             rec_tail: vec![NIL; n],
             beta_edge: Vec::new(),
@@ -179,28 +226,50 @@ impl WarmState {
             free_head: NIL,
             stack_items: Vec::new(),
             stack_offsets: vec![0],
-            seen: Vec::new(),
-            keep: Vec::new(),
+            layer_seq: Vec::new(),
+            newest_layer: Vec::new(),
+            committed_in: Vec::new(),
+            demand_commit: Vec::new(),
+            replay_pending: Vec::new(),
             lhs: vec![0.0; n],
             rel_height: Vec::new(),
             pending_dirty: vec![false; universe.num_networks()],
             shard_min: Vec::new(),
+            shard_h_min: Vec::new(),
             epochs_resumed: 0,
         }
         .derive(universe)
     }
 
-    /// Fills in what the state derives from the universe and its stored
-    /// LHS cache: every relative height and every network's `λ` minimum.
+    /// Fills in what the state derives from the universe, its stored LHS
+    /// cache and its stack: every instance's network and relative height,
+    /// every network's `λ` and height minima, and each instance's newest
+    /// stack layer. The commit decisions start undecided, so the next solve
+    /// replays every network.
     fn derive(mut self, universe: &DemandInstanceUniverse) -> Self {
+        let (n, networks) = (universe.num_instances(), universe.num_networks());
+        self.rec_network = universe.instances().map(|inst| inst.network).collect();
         self.rel_height = universe
             .instance_ids()
             .map(|d| DualState::max_relative_height(universe, d))
             .collect();
-        self.shard_min = vec![f64::INFINITY; universe.num_networks()];
-        for t in 0..universe.num_networks() {
+        self.shard_min = vec![f64::INFINITY; networks];
+        self.shard_h_min = vec![f64::INFINITY; networks];
+        for t in 0..networks {
             self.recompute_shard_min(universe, NetworkId::new(t));
+            self.recompute_shard_h_min(universe, NetworkId::new(t));
         }
+        self.newest_layer = vec![0; n];
+        for m in 0..self.num_mises() {
+            let seq = self.layer_seq[m];
+            let (s, e) = (self.stack_offsets[m], self.stack_offsets[m + 1]);
+            for &d in &self.stack_items[s as usize..e as usize] {
+                self.newest_layer[d.index()] = seq;
+            }
+        }
+        self.committed_in = vec![0; n];
+        self.demand_commit = vec![0; universe.num_demands()];
+        self.replay_pending = vec![true; networks];
         self
     }
 
@@ -222,9 +291,10 @@ impl WarmState {
         &self.duals
     }
 
-    /// Total instance entries across the persisted first-phase stack — the
-    /// replay cost the second phase pays every epoch. Lifecycle policies
-    /// reset states whose stack mass has grown far beyond the live
+    /// Total instance entries across the persisted first-phase stack: what
+    /// a splice walks and a fresh or restored state's first solve replays
+    /// (later solves re-decide only the marked networks' items). Lifecycle
+    /// policies reset states whose stack mass has grown far beyond the live
     /// instance count (a cold re-epoch is certificate-safe by
     /// construction).
     #[inline]
@@ -251,12 +321,41 @@ impl WarmState {
         &self.stack_items[self.stack_offsets[m] as usize..self.stack_offsets[m + 1] as usize]
     }
 
-    /// Appends one MIS to the replay stack (no per-MIS allocation once
-    /// the flat arena has warmed up).
+    /// Appends one MIS to the replay stack as its newest layer (no
+    /// per-MIS allocation once the flat arena has warmed up).
     #[inline]
     fn push_mis(&mut self, mis: &[InstanceId]) {
+        let seq = self.layer_seq.last().map_or(1, |&last| last + 1);
+        for &d in mis {
+            self.newest_layer[d.index()] = seq;
+            self.replay_pending[self.rec_network[d.index()].index()] = true;
+        }
         self.stack_items.extend_from_slice(mis);
         self.stack_offsets.push(self.stack_items.len() as u32);
+        self.layer_seq.push(seq);
+    }
+
+    /// Renumbers the stack layers 1, 2, … oldest first, keeping their
+    /// order, and every per-instance layer number with them. Splices call
+    /// it before the numbers run out.
+    fn relabel_layers(&mut self) {
+        let layers = &self.layer_seq;
+        let columns = self
+            .newest_layer
+            .iter_mut()
+            .chain(&mut self.committed_in)
+            .chain(&mut self.demand_commit);
+        for seq in columns {
+            if *seq != 0 {
+                let m = layers
+                    .binary_search(seq)
+                    .expect("a per-instance layer number names a live layer");
+                *seq = m as u32 + 1;
+            }
+        }
+        for (m, seq) in self.layer_seq.iter_mut().enumerate() {
+            *seq = m as u32 + 1;
+        }
     }
 
     /// Allocates one `β` arena slot (freelist first, then growth).
@@ -281,8 +380,7 @@ impl WarmState {
     /// instance `d`'s record chain, so a long-lived instance's record
     /// stays `O(|π|)` no matter how many repair epochs re-raise it; the
     /// point-clear subtracts the running totals.
-    fn record_raise(&mut self, d: InstanceId, network: NetworkId, pi: &[EdgeId], per_edge: f64) {
-        self.rec_network[d.index()] = network;
+    fn record_raise(&mut self, d: InstanceId, pi: &[EdgeId], per_edge: f64) {
         'edges: for &e in pi {
             let mut cur = self.rec_head[d.index()];
             while cur != NIL {
@@ -312,10 +410,16 @@ impl WarmState {
             + self.beta_amount.capacity() * size_of::<f64>()
             + self.beta_next.capacity() * size_of::<u32>()
             + self.stack_items.capacity() * size_of::<InstanceId>()
-            + self.stack_offsets.capacity() * size_of::<u32>()
-            + self.seen.capacity()
-            + self.keep.capacity()
-            + (self.lhs.capacity() + self.rel_height.capacity() + self.shard_min.capacity())
+            + (self.stack_offsets.capacity()
+                + self.layer_seq.capacity()
+                + self.newest_layer.capacity()
+                + self.committed_in.capacity()
+                + self.demand_commit.capacity())
+                * size_of::<u32>()
+            + (self.lhs.capacity()
+                + self.rel_height.capacity()
+                + self.shard_min.capacity()
+                + self.shard_h_min.capacity())
                 * size_of::<f64>()
             + self.pending_dirty.capacity()
     }
@@ -328,6 +432,16 @@ impl WarmState {
             .copied()
             .filter(|d| self.rel_height[d.index()] <= 1.0 + EPS)
             .map(|d| self.lhs[d.index()] / universe.profit(d))
+            .fold(f64::INFINITY, f64::min);
+    }
+
+    /// Recomputes one network's minimum eligible relative height.
+    fn recompute_shard_h_min(&mut self, universe: &DemandInstanceUniverse, network: NetworkId) {
+        self.shard_h_min[network.index()] = universe
+            .instances_on_network(network)
+            .iter()
+            .map(|d| self.rel_height[d.index()])
+            .filter(|&h| h <= 1.0 + EPS)
             .fold(f64::INFINITY, f64::min);
     }
 
@@ -350,15 +464,15 @@ impl WarmState {
     ///    subtracted from the Fenwick trees (point-clears),
     /// 2. expired demands' `α` variables are dropped and survivors
     ///    compacted through the demand id map,
-    /// 3. the per-instance vectors (records, LHS cache, relative heights)
-    ///    renumber through the instance id map, with the
-    ///    arrivals' entries freshly computed,
+    /// 3. the per-instance vectors (records, LHS cache, relative heights,
+    ///    newest layers, commit decisions) renumber through the instance
+    ///    id map, with the arrivals' entries freshly computed,
     /// 4. the stack renumbers likewise (expired members drop out; only the
     ///    newest occurrence of a re-raised instance is kept — an older
     ///    duplicate below a newer one can never commit in the second
-    ///    phase, since tracker loads only grow), and
+    ///    phase, since loads and served demands only grow), and
     /// 5. the delta's dirty networks accumulate into the pending set the
-    ///    next repair consumes.
+    ///    next repair and replay consume.
     pub fn splice(&mut self, universe: &DemandInstanceUniverse, delta: &UniverseDelta) {
         assert_eq!(
             delta.old_num_instances(),
@@ -380,6 +494,10 @@ impl WarmState {
             //    per-record vector is preserved bit for bit.
             for old in delta.removed_instances() {
                 let network = self.rec_network[old.index()];
+                // A committed instance loaded its network's edges.
+                if self.committed_in[old.index()] != 0 {
+                    self.replay_pending[network.index()] = true;
+                }
                 let mut cur = self.rec_head[old.index()];
                 while cur != NIL {
                     let next = self.beta_next[cur as usize];
@@ -396,9 +514,19 @@ impl WarmState {
             }
         }
 
-        // 2. Compact α through the demand renumbering.
+        // 2. Compact α and the demands' commit layers through the demand
+        //    renumbering (monotone on survivors, like the instance remap).
         self.duals
             .compact_alpha(delta.demand_remap(), universe.num_demands());
+        let mut survivors = 0;
+        for (old, &new) in delta.demand_remap().iter().enumerate() {
+            if new != u32::MAX {
+                self.demand_commit[new as usize] = self.demand_commit[old];
+                survivors += 1;
+            }
+        }
+        self.demand_commit.truncate(survivors);
+        self.demand_commit.resize(universe.num_demands(), 0);
 
         // 3. Renumber the per-instance columns in place. The remap is
         //    monotone on survivors (new ≤ old), so a single forward pass
@@ -415,10 +543,13 @@ impl WarmState {
                 self.rec_tail[new] = self.rec_tail[old];
                 self.lhs[new] = self.lhs[old];
                 self.rel_height[new] = self.rel_height[old];
+                self.newest_layer[new] = self.newest_layer[old];
+                self.committed_in[new] = self.committed_in[old];
             }
         }
         self.rec_network.truncate(first_added);
-        self.rec_network.resize(n_new, NetworkId::new(0));
+        self.rec_network
+            .extend((first_added..n_new).map(|d| universe.instance(InstanceId::new(d)).network));
         self.rec_head.truncate(first_added);
         self.rec_head.resize(n_new, NIL);
         self.rec_tail.truncate(first_added);
@@ -430,49 +561,47 @@ impl WarmState {
             (first_added..n_new)
                 .map(|d| DualState::max_relative_height(universe, InstanceId::new(d))),
         );
+        self.newest_layer.truncate(first_added);
+        self.newest_layer.resize(n_new, 0);
+        self.committed_in.truncate(first_added);
+        self.committed_in.resize(n_new, 0);
 
         // 4. Renumber the stack, keeping only the newest occurrence (an
         //    older duplicate below a newer one can never commit in the
-        //    second phase, since tracker loads only grow). Pass one walks
-        //    newest → oldest marking keepers; pass two compacts forward in
-        //    place (the write cursor never passes the read cursor).
-        self.seen.clear();
-        self.seen.resize(n_new, false);
-        self.keep.clear();
-        self.keep.resize(self.stack_items.len(), false);
-        let num_mises = self.num_mises();
-        for m in (0..num_mises).rev() {
-            for i in self.stack_offsets[m] as usize..self.stack_offsets[m + 1] as usize {
-                let new = remap[self.stack_items[i].index()];
-                if new != u32::MAX && !self.seen[new as usize] {
-                    self.seen[new as usize] = true;
-                    self.keep[i] = true;
-                }
-            }
-        }
+        //    second phase, since loads and served demands only grow): an
+        //    item stays when its layer is its instance's newest. One
+        //    forward pass compacts in place (the write cursor never passes
+        //    the read cursor); empty layers drop out, the rest keep their
+        //    numbers.
         let mut iw = 0usize;
         let mut ow = 0usize;
-        for m in 0..num_mises {
+        for m in 0..self.num_mises() {
             let (s, e) = (
                 self.stack_offsets[m] as usize,
                 self.stack_offsets[m + 1] as usize,
             );
+            let seq = self.layer_seq[m];
             let start_iw = iw;
             for i in s..e {
-                if self.keep[i] {
-                    self.stack_items[iw] =
-                        InstanceId::new(remap[self.stack_items[i].index()] as usize);
+                let new = remap[self.stack_items[i].index()];
+                if new != u32::MAX && self.newest_layer[new as usize] == seq {
+                    self.stack_items[iw] = InstanceId::new(new as usize);
                     iw += 1;
                 }
             }
             if iw > start_iw {
                 self.stack_offsets[ow] = start_iw as u32;
+                self.layer_seq[ow] = seq;
                 ow += 1;
             }
         }
         self.stack_offsets[ow] = iw as u32;
         self.stack_offsets.truncate(ow + 1);
         self.stack_items.truncate(iw);
+        self.layer_seq.truncate(ow);
+        if self.layer_seq.last().is_some_and(|&seq| seq > u32::MAX / 2) {
+            self.relabel_layers();
+        }
 
         // 5. Accumulate the dirt for the next repair.
         for (pending, &dirty) in self.pending_dirty.iter_mut().zip(delta.dirty()) {
@@ -541,11 +670,13 @@ impl WarmState {
     /// then the rest is recomputed from the universe: each raise record's
     /// network (the instance's own), every relative height (as
     /// [`new`](WarmState::new) and [`splice`](WarmState::splice) compute
-    /// them) and every network's `λ` minimum from the stored LHS cache. A
+    /// them), every network's `λ` and height minima and each instance's
+    /// newest stack layer (the layers are numbered afresh, in order). A
     /// recomputed minimum equals the one the rendered state held on every
     /// network that is not pending dirty, and the engine recomputes every
-    /// pending-dirty one before it reads `λ`, so a restored state solves
-    /// bit-identically to the original.
+    /// pending-dirty one before it reads it. The commit decisions are not
+    /// stored: the first solve after a restore replays every network. So a
+    /// restored state solves bit-identically to the original.
     pub fn restore(doc: &JsonValue, universe: &DemandInstanceUniverse) -> Result<Self, String> {
         let (n, networks) = (universe.num_instances(), universe.num_networks());
         let record_rows = doc.field("records")?.as_array()?;
@@ -555,17 +686,14 @@ impl WarmState {
                 record_rows.len()
             ));
         }
-        // An instance's raises all live on its own network.
-        let rec_network: Vec<NetworkId> = universe
-            .instance_ids()
-            .map(|d| universe.instance(d).network)
-            .collect();
         let mut rec_head = Vec::with_capacity(n);
         let mut rec_tail = Vec::with_capacity(n);
         let mut beta_edge = Vec::new();
         let mut beta_amount = Vec::new();
         let mut beta_next = Vec::new();
-        for (row, &network) in record_rows.iter().zip(&rec_network) {
+        for (d, row) in universe.instance_ids().zip(record_rows) {
+            // An instance's raises all live on its own network.
+            let network = universe.instance(d).network;
             let row = row.as_array()?;
             if row.len() % 2 != 0 {
                 return Err("raise records are flat lists of edge, amount pairs".into());
@@ -595,7 +723,8 @@ impl WarmState {
         }
         let mut stack_items = Vec::new();
         let mut stack_offsets = vec![0u32];
-        for mis in doc.field("stack")?.as_array()? {
+        let mut layer_seq = Vec::new();
+        for (m, mis) in doc.field("stack")?.as_array()?.iter().enumerate() {
             for d in mis.as_array()? {
                 let d = d.as_usize()?;
                 if d >= n {
@@ -606,6 +735,7 @@ impl WarmState {
                 stack_items.push(InstanceId::new(d));
             }
             stack_offsets.push(stack_items.len() as u32);
+            layer_seq.push(m as u32 + 1);
         }
         let lhs = doc
             .field("lhs")?
@@ -639,7 +769,7 @@ impl WarmState {
         let state = Self {
             rule: RaiseRule::from_json(doc.field("rule")?)?,
             duals,
-            rec_network,
+            rec_network: Vec::new(),
             rec_head,
             rec_tail,
             beta_edge,
@@ -648,12 +778,16 @@ impl WarmState {
             free_head: NIL,
             stack_items,
             stack_offsets,
-            seen: Vec::new(),
-            keep: Vec::new(),
+            layer_seq,
+            newest_layer: Vec::new(),
+            committed_in: Vec::new(),
+            demand_commit: Vec::new(),
+            replay_pending: Vec::new(),
             lhs,
             rel_height: Vec::new(),
             pending_dirty,
             shard_min: Vec::new(),
+            shard_h_min: Vec::new(),
             epochs_resumed: doc.field("epochs_resumed")?.as_u64()?,
         };
         Ok(state.derive(universe))
@@ -704,28 +838,148 @@ fn group_buckets(layering: &InstanceLayering, active: &[InstanceId]) -> Vec<Vec<
     buckets
 }
 
-/// The engine's second phase: pops the MIS layers newest-first and
-/// greedily commits every instance that still fits its edge capacities.
-/// It reads only the frozen first-phase output (the MIS stack) plus the
-/// immutable universe/conflict structures.
-fn replay_stack<'a>(
+/// The engine's second phase, incremental (see the [module docs](self)):
+/// replays the stack items of the `marked` networks from zero loads, all
+/// of them merged in replay order (newest layer first), re-deciding each
+/// one, and holds the other networks' decisions fixed. When a decision
+/// moves, every network holding an older-layer instance of the same
+/// demand whose decision can move with it joins the next round, replayed
+/// from zero loads but re-deciding only from that instance's layer down;
+/// rounds repeat until none is left. Updates `warm`'s commit decisions and
+/// returns the number of stack items it re-decided.
+fn replay_networks(
     universe: &DemandInstanceUniverse,
-    conflict: &ShardedConflictGraph,
-    mises: impl Iterator<Item = &'a [InstanceId]>,
-    stats: &mut RoundStats,
-) -> Vec<InstanceId> {
-    let mut tracker = LoadTracker::new(universe);
-    let mut selected: Vec<InstanceId> = Vec::new();
-    for mis in mises {
-        let mut announced = 0u64;
-        for &d in mis {
-            if tracker.try_commit(universe, d) {
-                selected.push(d);
-                announced += conflict.degree(d) as u64;
+    warm: &mut WarmState,
+    marked: Vec<bool>,
+) -> u64 {
+    // Per network: re-decide the items in layers up to this number (0 =
+    // not in the round); the items above keep their decisions.
+    let mut from: Vec<u32> = marked
+        .iter()
+        .map(|&on| if on { u32::MAX } else { 0 })
+        .collect();
+    let mut next = vec![0u32; from.len()];
+    // Per-round scratch: the round's networks' loads, laid end to end.
+    let mut load_start = vec![0usize; from.len()];
+    let mut loads: Vec<f64> = Vec::new();
+    // One key per item: the layer number inverted into the high half, so
+    // an ascending sort is replay order (ties are one layer, which never
+    // shares a demand or an edge, so their order does not matter).
+    let mut order: Vec<u64> = Vec::new();
+    let mut replayed = 0u64;
+    while from.iter().any(|&f| f != 0) {
+        loads.clear();
+        order.clear();
+        for t in (0..from.len()).filter(|&t| from[t] != 0) {
+            let network = NetworkId::new(t);
+            load_start[t] = loads.len();
+            loads.resize(loads.len() + universe.num_edges(network), 0.0);
+            order.extend(
+                universe
+                    .instances_on_network(network)
+                    .iter()
+                    .filter(|d| warm.newest_layer[d.index()] != 0)
+                    .map(|d| u64::from(!warm.newest_layer[d.index()]) << 32 | d.index() as u64),
+            );
+        }
+        order.sort_unstable();
+        for &key in &order {
+            let seq = !((key >> 32) as u32);
+            let d = InstanceId::new((key & u64::from(u32::MAX)) as usize);
+            let inst = universe.instance(d);
+            let t = inst.network.index();
+            let a = inst.demand.index();
+            let net_loads =
+                &mut loads[load_start[t]..load_start[t] + universe.num_edges(inst.network)];
+            if seq > from[t] {
+                // Above every layer that changed: the decision stands.
+                if warm.committed_in[d.index()] != 0 {
+                    inst.add_load(net_loads);
+                }
+                continue;
+            }
+            replayed += 1;
+            // A newer commit of the demand serves it. `d`'s own commit never
+            // counts: it is at most `seq`.
+            let commit = if inst.fits_under(net_loads, universe.capacities(inst.network))
+                && warm.demand_commit[a] <= seq
+            {
+                inst.add_load(net_loads);
+                seq
+            } else {
+                0
+            };
+            let old = std::mem::replace(&mut warm.committed_in[d.index()], commit);
+            if old != commit {
+                let siblings = universe.instances_of_demand(inst.demand);
+                if commit > warm.demand_commit[a] {
+                    warm.demand_commit[a] = commit;
+                } else if old == warm.demand_commit[a] {
+                    warm.demand_commit[a] = siblings
+                        .iter()
+                        .map(|e| warm.committed_in[e.index()])
+                        .max()
+                        .unwrap_or(0);
+                }
+                // A sibling in layer `s` reads "served" as `committed_in > s`.
+                // Its decision can move only if its demand became served
+                // while it is committed, or stopped being served while it
+                // is not. Siblings this round re-decides come later in it.
+                for &e in siblings {
+                    let s = warm.newest_layer[e.index()];
+                    let (was, now) = (old > s, commit > s);
+                    let te = universe.instance(e).network.index();
+                    if s != 0
+                        && was != now
+                        && now == (warm.committed_in[e.index()] != 0)
+                        && s > from[te]
+                    {
+                        next[te] = next[te].max(s);
+                    }
+                }
             }
         }
-        stats.record_messages(announced, 1);
-        stats.record_round();
+        std::mem::swap(&mut from, &mut next);
+        next.fill(0);
+        #[cfg(test)]
+        if from.iter().any(|&f| f != 0) {
+            tests::CASCADE_ROUNDS.with(|rounds| rounds.set(rounds.get() + 1));
+        }
+    }
+    replayed
+}
+
+/// The instances whose entry in a per-instance `column` is non-zero,
+/// ascending. The fill is branch-free: at scale the filter's outcome is
+/// too irregular to predict.
+fn nonzero_ids(column: &[u32]) -> Vec<InstanceId> {
+    let count = column.iter().filter(|&&x| x != 0).count();
+    // One spare slot takes the writes after the last non-zero entry.
+    let mut ids = vec![InstanceId::new(0); count + 1];
+    let mut len = 0;
+    for (d, &x) in column.iter().enumerate() {
+        ids[len] = InstanceId::new(d);
+        len += usize::from(x != 0);
+    }
+    ids.truncate(count);
+    ids
+}
+
+/// The full second phase, the reference the incremental
+/// [`replay_networks`] is checked against: pops the MIS layers
+/// newest-first into a fresh [`LoadTracker`](netsched_graph::LoadTracker)
+/// and greedily commits every instance that still fits. Returns the
+/// sorted selection.
+#[cfg(any(test, debug_assertions))]
+fn replay_stack(universe: &DemandInstanceUniverse, warm: &WarmState) -> Vec<InstanceId> {
+    let mut tracker = netsched_graph::LoadTracker::new(universe);
+    let mut selected: Vec<InstanceId> = Vec::new();
+    for m in (0..warm.num_mises()).rev() {
+        for &d in warm.mis(m) {
+            if tracker.try_commit(universe, d) {
+                selected.push(d);
+            }
+        }
     }
     selected.sort_unstable();
     selected
@@ -736,6 +990,9 @@ struct PassOutcome {
     steps: u64,
     max_steps_per_stage: u64,
     raised: u64,
+    /// Stages cut by the Claim 5.2 step cap with instances still
+    /// unsatisfied.
+    capped_stages: u64,
     /// `true` when the budget cut the pass before it drained every stage.
     cut: bool,
     /// First-phase (group × stage) slots not yet drained at the cut.
@@ -771,6 +1028,7 @@ fn repair_pass(
     let mut steps: u64 = 0;
     let mut max_steps_per_stage: u64 = 0;
     let mut raised: u64 = 0;
+    let mut capped_stages: u64 = 0;
     let total_slots = (groups.len() * stages) as u64;
     let mut completed_slots: u64 = 0;
     let mut cut = false;
@@ -808,11 +1066,8 @@ fn repair_pass(
                 if unsatisfied.is_empty() {
                     break;
                 }
-                debug_assert!(
-                    stage_steps < step_cap,
-                    "stage exceeded the Claim 5.2 step bound ({step_cap})"
-                );
                 if stage_steps >= step_cap {
+                    capped_stages += 1;
                     break;
                 }
                 if !budget.consume_round() {
@@ -839,7 +1094,7 @@ fn repair_pass(
                             RaiseRule::Unit => delta,
                             RaiseRule::Narrow => 2.0 * pi.len() as f64 * delta,
                         };
-                        warm.record_raise(d, universe.instance(d).network, pi, per_edge);
+                        warm.record_raise(d, pi, per_edge);
                     }
                     if let Some(record) = &mut record {
                         record.raised.push((d, delta));
@@ -865,6 +1120,7 @@ fn repair_pass(
         steps,
         max_steps_per_stage,
         raised,
+        capped_stages,
         cut,
         rounds_left: total_slots - completed_slots,
     }
@@ -958,16 +1214,31 @@ pub(crate) fn warm_impl(
     let mut active = instances_on(universe, &active_networks);
     let mut groups = group_buckets(layering, &active);
 
-    // Only the narrow rule's ξ depends on the smallest relative height.
+    // Only the narrow rule's ξ depends on the smallest relative height;
+    // only the networks the splices touched changed their minima.
     let h_min = match rule {
         RaiseRule::Unit => 1.0,
-        RaiseRule::Narrow => warm
-            .rel_height
-            .iter()
-            .copied()
-            .filter(|&h| h <= 1.0 + EPS)
-            .fold(1.0_f64, f64::min),
+        RaiseRule::Narrow => {
+            for t in 0..universe.num_networks() {
+                if warm.pending_dirty[t] {
+                    warm.recompute_shard_h_min(universe, NetworkId::new(t));
+                }
+            }
+            warm.shard_h_min.iter().copied().fold(1.0_f64, f64::min)
+        }
     };
+    debug_assert!(
+        rule == RaiseRule::Unit
+            || h_min.to_bits()
+                == warm
+                    .rel_height
+                    .iter()
+                    .copied()
+                    .filter(|&h| h <= 1.0 + EPS)
+                    .fold(1.0_f64, f64::min)
+                    .to_bits(),
+        "per-network height minima diverged from the full fold"
+    );
     let xi = stage_xi(rule, layering.max_critical().max(1), h_min);
     let stages = stages_per_epoch(xi, config.epsilon);
     let profit_ratio = (universe.max_profit() / universe.min_profit()).max(1.0);
@@ -979,6 +1250,7 @@ pub(crate) fn warm_impl(
     let mut steps = 0u64;
     let mut max_steps_per_stage = 0u64;
     let mut raised = 0u64;
+    let mut capped_stages = 0u64;
     let lambda_target = 1.0 - config.epsilon - 1e-6;
     let mut truncated: Option<u64> = None;
     for attempt in 0..2 {
@@ -999,6 +1271,11 @@ pub(crate) fn warm_impl(
         steps += pass.steps;
         max_steps_per_stage = max_steps_per_stage.max(pass.max_steps_per_stage);
         raised += pass.raised;
+        capped_stages += pass.capped_stages;
+        debug_assert_eq!(
+            pass.capped_stages, 0,
+            "a stage exceeded the Claim 5.2 step bound ({step_cap})"
+        );
         timings.repair += lap();
 
         // Refresh the LHS cache exactly for everything this pass scanned,
@@ -1058,21 +1335,34 @@ pub(crate) fn warm_impl(
     let dual_objective = warm.duals.objective();
     timings.refresh += lap();
 
-    // ---------------- Second phase: replay the full stack ----------------
-    // The repair passes appended their MISes directly onto warm's stack
-    // arena, so the surviving seed + repair MISes are already in order;
-    // replay newest first, exactly like a cold run's stack pop.
-    let selected = replay_stack(
-        universe,
-        conflict,
-        (0..warm.num_mises()).rev().map(|m| warm.mis(m)),
-        &mut stats,
+    // ---------------- Second phase: replay what changed ----------------
+    // The repair passes appended their MISes onto warm's stack as its
+    // newest layers. The networks they pushed onto, and those where a
+    // splice removed a commit (every network, on a fresh or restored
+    // state), are re-decided; the rest keep their commits. Each layer is
+    // one round.
+    let marked = std::mem::replace(
+        &mut warm.replay_pending,
+        vec![false; universe.num_networks()],
     );
+    timings.replayed_items = replay_networks(universe, warm, marked);
+    let selected = nonzero_ids(&warm.committed_in);
+    #[cfg(any(test, debug_assertions))]
+    assert_eq!(
+        selected,
+        replay_stack(universe, warm),
+        "incremental replay diverged from the full replay"
+    );
+    // Every commit announces itself to its conflicting instances.
+    let layers = warm.num_mises() as u64;
+    if layers > 0 {
+        let messages = selected.iter().map(|&d| conflict.degree(d) as u64).sum();
+        stats.record_messages(messages, 1);
+    }
+    stats.rounds += layers;
     timings.replay = lap();
 
-    let mut raised_instances: Vec<InstanceId> = warm.stack_items.clone();
-    raised_instances.sort_unstable();
-    raised_instances.dedup();
+    let raised_instances = nonzero_ids(&warm.newest_layer);
     timings.raised_set = lap();
 
     if truncated.is_some() {
@@ -1099,6 +1389,7 @@ pub(crate) fn warm_impl(
             steps,
             max_steps_per_stage,
             raised,
+            capped_stages,
             delta: layering.max_critical(),
             lambda,
             dual_objective,
@@ -1701,6 +1992,16 @@ mod tests {
         let mut restored = render_and_restore(&warm, &u);
         assert_same_next_solve(&u, &mut warm, &mut restored);
 
+        // The restored state's first solve re-derived every commit
+        // decision; its later solves replay only what churn touches, and
+        // still match the original's.
+        for _ in 0..2 {
+            churn_round(&mut u, &mut rng, &mut delta);
+            warm.splice(&u, &delta);
+            restored.splice(&u, &delta);
+            assert_same_next_solve(&u, &mut warm, &mut restored);
+        }
+
         // (c) A fresh state restores fresh: its next solve is the cold one.
         let fresh = WarmState::new(&u, RaiseRule::Unit);
         let mut restored = render_and_restore(&fresh, &u);
@@ -1738,5 +2039,383 @@ mod tests {
             )
         }));
         assert!(result.is_err());
+    }
+
+    thread_local! {
+        /// Cascade rounds the second phase ran on this thread: rounds after
+        /// the first of a solve, for networks a moved commit re-marked.
+        pub(super) static CASCADE_ROUNDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    #[test]
+    fn repair_pass_counts_stages_cut_by_the_step_cap() {
+        // One slot window shared by demands of doubling profit: each raise
+        // leaves the next, twice as profitable, still unsatisfied.
+        let mut p = LineProblem::new(12, 1);
+        for k in 0..10 {
+            p.add_demand(0, 5, 6, 2f64.powi(k), 1.0, vec![NetworkId::new(0)])
+                .unwrap();
+        }
+        let u = p.universe();
+        let layering = InstanceLayering::line_length_classes(&u);
+        let config = AlgorithmConfig::deterministic(0.1);
+        let conflict = ShardedConflictGraph::build(&u);
+        let all: Vec<InstanceId> = u.instance_ids().collect();
+        let groups = group_buckets(&layering, &all);
+        let xi = stage_xi(RaiseRule::Unit, layering.max_critical().max(1), 1.0);
+        let stages = stages_per_epoch(xi, config.epsilon);
+        let pass = |step_cap| {
+            let mut warm = WarmState::new(&u, RaiseRule::Unit);
+            repair_pass(
+                &u,
+                &conflict,
+                &layering,
+                &config,
+                &mut warm,
+                &groups,
+                stages,
+                xi,
+                step_cap,
+                &Budget::unlimited(),
+                &mut RoundStats::new(),
+                None,
+            )
+        };
+        let uncapped = pass(u64::MAX);
+        assert_eq!(uncapped.capped_stages, 0);
+        assert!(
+            uncapped.max_steps_per_stage >= 2,
+            "no stage took a second step, so a cap of 1 cuts nothing"
+        );
+        let capped = pass(1);
+        assert!(capped.capped_stages >= 1);
+        assert_eq!(capped.max_steps_per_stage, 1);
+    }
+
+    #[test]
+    fn replay_counts_only_the_items_it_re_decides() {
+        let mut u = line_universe(19, 40);
+        let config = AlgorithmConfig::deterministic(0.1);
+        let mut warm = WarmState::new(&u, RaiseRule::Unit);
+        let fresh = solve_fresh(&u, &mut warm, &config);
+        // A fresh solve decides every instance on the stack.
+        assert!(fresh.timings.replayed_items > 0);
+        assert_eq!(
+            fresh.timings.replayed_items,
+            fresh.raised_instances.len() as u64
+        );
+
+        // An epoch no splice touched re-decides nothing.
+        let mut delta = UniverseDelta::new();
+        u.apply_demand_delta(&[], &[], &mut delta);
+        warm.splice(&u, &delta);
+        let clean = solve_fresh(&u, &mut warm, &config);
+        assert_eq!(clean.timings.replayed_items, 0);
+        assert_eq!(clean.selected, fresh.selected);
+
+        // An arrival on one network re-decides that network's stack items,
+        // plus whatever a moved commit cascades to.
+        let network = NetworkId::new(1);
+        let arrival = ArrivingDemand {
+            profit: 9.5,
+            height: 1.0,
+            instances: vec![(network, EdgePath::interval(10, 14), Some(10))],
+        };
+        u.apply_demand_delta(&[], &[arrival], &mut delta);
+        warm.splice(&u, &delta);
+        CASCADE_ROUNDS.with(|rounds| rounds.set(0));
+        let churned = solve_fresh(&u, &mut warm, &config);
+        let on_network = u
+            .instances_on_network(network)
+            .iter()
+            .filter(|d| warm.newest_layer[d.index()] != 0)
+            .count() as u64;
+        assert!(on_network > 0);
+        if CASCADE_ROUNDS.with(|rounds| rounds.get()) == 0 {
+            assert_eq!(churned.timings.replayed_items, on_network);
+        } else {
+            assert!(churned.timings.replayed_items > on_network);
+        }
+        assert!(churned.timings.replayed_items < churned.raised_instances.len() as u64);
+    }
+
+    /// The universes the replay-equivalence runs churn: demands reach 2–3
+    /// of [`SPREAD_NETWORKS`] networks, with two start slots apiece on a
+    /// line, so one demand's instances sit in several networks' replays,
+    /// and an epoch's churn leaves some of those networks clean.
+    #[derive(Clone, Copy, Debug)]
+    enum Churned {
+        Line,
+        NarrowLine,
+        Tree,
+    }
+
+    const SPREAD_NETWORKS: usize = 8;
+
+    /// 2–3 distinct random networks, ascending.
+    fn spread_access(rng: &mut StdRng) -> Vec<NetworkId> {
+        let mut access: Vec<NetworkId> = Vec::new();
+        let reach = rng.gen_range(2..=3usize);
+        while access.len() < reach {
+            let t = NetworkId::new(rng.gen_range(0..SPREAD_NETWORKS));
+            if !access.contains(&t) {
+                access.push(t);
+            }
+        }
+        access.sort_unstable();
+        access
+    }
+
+    /// Line windows of `len` slots starting at `start` or `start + 1` on
+    /// each network of `access`.
+    fn line_instances(
+        access: &[NetworkId],
+        start: u32,
+        len: u32,
+    ) -> Vec<(NetworkId, EdgePath, Option<u32>)> {
+        access
+            .iter()
+            .flat_map(|&t| {
+                (start..start + 2).map(move |s| {
+                    let path = EdgePath::interval(s as usize, (s + len - 1) as usize);
+                    (t, path, Some(s))
+                })
+            })
+            .collect()
+    }
+
+    /// Churns a universe of `kind` through `epochs` warm solves and checks
+    /// each one's incremental second phase against the full replay: the
+    /// solve equals, bit for bit, a solve on a copy of the state that
+    /// re-decides every network, and its selection equals a
+    /// [`replay_stack`] of the whole stack. Every fourth epoch runs under a
+    /// round budget; the middle epoch inflates a dual so the certificate
+    /// fails and the safety valve resets the state.
+    fn assert_replay_matches_full(seed: u64, kind: Churned, epochs: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rule, heights) = match kind {
+            Churned::NarrowLine => (RaiseRule::Narrow, (0.1, 0.5)),
+            Churned::Line | Churned::Tree => (RaiseRule::Unit, (1.0, 1.0)),
+        };
+        let height = |rng: &mut StdRng| {
+            if heights.0 == heights.1 {
+                heights.0
+            } else {
+                rng.gen_range(heights.0..heights.1)
+            }
+        };
+        let n = 16;
+        let mut tree = TreeProblem::new(n);
+        let (mut u, mut layering, layerer) = match kind {
+            Churned::Line | Churned::NarrowLine => {
+                let mut p = LineProblem::new(40, SPREAD_NETWORKS);
+                for _ in 0..40 {
+                    let len = rng.gen_range(2..=6u32);
+                    let release = rng.gen_range(0..=(39 - len));
+                    let access = spread_access(&mut rng);
+                    let h = height(&mut rng);
+                    p.add_demand(
+                        release,
+                        release + len,
+                        len,
+                        rng.gen_range(1.0..10.0),
+                        h,
+                        access,
+                    )
+                    .unwrap();
+                }
+                let u = p.universe();
+                let layering = InstanceLayering::line_length_classes(&u);
+                (u, layering, None)
+            }
+            Churned::Tree => {
+                for _ in 0..SPREAD_NETWORKS {
+                    let edges = (1..n)
+                        .map(|v| (VertexId::new(rng.gen_range(0..v)), VertexId::new(v)))
+                        .collect();
+                    tree.add_network(edges).unwrap();
+                }
+                for _ in 0..40 {
+                    let a = rng.gen_range(0..n - 1);
+                    let b = rng.gen_range(a + 1..n);
+                    let access = spread_access(&mut rng);
+                    tree.add_unit_demand(
+                        VertexId::new(a),
+                        VertexId::new(b),
+                        rng.gen_range(1.0..10.0),
+                        access,
+                    )
+                    .unwrap();
+                }
+                let u = tree.universe();
+                let layerer = TreeLayerer::new(&tree, TreeDecompositionKind::Ideal);
+                let layering = layerer.layering(&tree, &u);
+                (u, layering, Some(layerer))
+            }
+        };
+        let config = AlgorithmConfig::deterministic(0.1);
+        let mut warm = WarmState::new(&u, rule);
+        let mut delta = UniverseDelta::new();
+        let valve_epoch = epochs / 2;
+        for epoch in 0..epochs {
+            if epoch > 0 {
+                let m = u.num_demands();
+                let mut expired: Vec<DemandId> = (0..rng.gen_range(0..3))
+                    .map(|_| DemandId::new(rng.gen_range(0..m)))
+                    .collect();
+                expired.sort_unstable();
+                expired.dedup();
+                let mut arrivals = Vec::new();
+                let mut assignments = Vec::new();
+                for _ in 0..rng.gen_range(1..3) {
+                    let access = spread_access(&mut rng);
+                    let profit = 2f64.powi(rng.gen_range(0..8));
+                    let instances = match &layerer {
+                        None => {
+                            let len = rng.gen_range(2..=6u32);
+                            line_instances(&access, rng.gen_range(0..=(38 - len)), len)
+                        }
+                        Some(layerer) => {
+                            let a = VertexId::new(rng.gen_range(0..n - 1));
+                            let b = VertexId::new(rng.gen_range(a.index() + 1..n));
+                            access
+                                .iter()
+                                .map(|&t| {
+                                    let path = tree.network(t).path_edges(a, b);
+                                    assignments.push(layerer.assign(
+                                        tree.network(t),
+                                        t,
+                                        a,
+                                        b,
+                                        &path,
+                                    ));
+                                    (t, path, None)
+                                })
+                                .collect()
+                        }
+                    };
+                    arrivals.push(ArrivingDemand {
+                        profit,
+                        height: height(&mut rng),
+                        instances,
+                    });
+                }
+                u.apply_demand_delta(&expired, &arrivals, &mut delta);
+                match layerer {
+                    None => layering = InstanceLayering::line_length_classes(&u),
+                    Some(_) => layering.splice(delta.instance_remap(), assignments),
+                }
+                warm.splice(&u, &delta);
+            }
+            if epoch == valve_epoch {
+                // A β no raise record explains; marking its network dirty
+                // keeps that network's cached LHS exact.
+                let network = NetworkId::new(0);
+                warm.duals.subtract_beta(&u, network, EdgeId::new(0), -1e6);
+                warm.pending_dirty[network.index()] = true;
+            }
+            let conflict = ShardedConflictGraph::build(&u);
+            let rounds = (epoch % 4 == 2).then(|| rng.gen_range(1..4u64));
+            let budget = || rounds.map_or_else(Budget::unlimited, Budget::rounds);
+            let mut everything = warm.clone();
+            everything.replay_pending.fill(true);
+            let ours = run_two_phase_warm_on(
+                &u,
+                &conflict,
+                &layering,
+                rule,
+                &config,
+                &mut warm,
+                &budget(),
+            );
+            let full = run_two_phase_warm_on(
+                &u,
+                &conflict,
+                &layering,
+                rule,
+                &config,
+                &mut everything,
+                &budget(),
+            );
+            let at = format!("{kind:?}, seed {seed}, epoch {epoch}");
+            assert_eq!(ours, full, "{at}");
+            assert_eq!(ours.profit.to_bits(), full.profit.to_bits(), "{at}");
+            assert_eq!(
+                ours.diagnostics.lambda.to_bits(),
+                full.diagnostics.lambda.to_bits(),
+                "{at}"
+            );
+            assert_eq!(warm.committed_in, everything.committed_in, "{at}");
+            assert_eq!(warm.demand_commit, everything.demand_commit, "{at}");
+            assert_eq!(ours.selected, replay_stack(&u, &warm), "{at}");
+            let mut raised = warm.stack_items.clone();
+            raised.sort_unstable();
+            raised.dedup();
+            assert_eq!(ours.raised_instances, raised, "{at}");
+            if epoch == valve_epoch {
+                assert_eq!(
+                    warm.epochs_resumed(),
+                    1,
+                    "{at}: the safety valve did not fire"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Over churn on line (unit and narrow) and tree universes, with
+        /// budget cuts and a safety-valve reset, the incremental second
+        /// phase equals the full replay.
+        #[test]
+        fn incremental_replay_matches_the_full_replay(seed in proptest::prelude::any::<u64>()) {
+            for kind in [Churned::Line, Churned::NarrowLine, Churned::Tree] {
+                assert_replay_matches_full(seed, kind, 10);
+            }
+        }
+    }
+
+    #[test]
+    fn moved_commits_cascade_to_other_networks() {
+        CASCADE_ROUNDS.with(|rounds| rounds.set(0));
+        for seed in 0..3 {
+            assert_replay_matches_full(seed, Churned::Line, 10);
+            assert_replay_matches_full(seed, Churned::Tree, 10);
+        }
+        assert!(
+            CASCADE_ROUNDS.with(|rounds| rounds.get()) > 0,
+            "no moved commit re-marked another network"
+        );
+    }
+
+    #[test]
+    fn layer_numbers_relabel_before_they_run_out() {
+        let mut u = line_universe(5, 30);
+        let config = AlgorithmConfig::deterministic(0.1);
+        let mut warm = WarmState::new(&u, RaiseRule::Unit);
+        solve_fresh(&u, &mut warm, &config);
+        let mut high = warm.clone();
+        let columns = high
+            .layer_seq
+            .iter_mut()
+            .chain(&mut high.newest_layer)
+            .chain(&mut high.committed_in)
+            .chain(&mut high.demand_commit);
+        for seq in columns.filter(|seq| **seq != 0) {
+            *seq += u32::MAX / 2;
+        }
+        let mut delta = UniverseDelta::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        for round in 0..4 {
+            churn_round(&mut u, &mut rng, &mut delta);
+            warm.splice(&u, &delta);
+            high.splice(&u, &delta);
+            if round == 0 {
+                let relabelled: Vec<u32> = (1..=high.num_mises() as u32).collect();
+                assert_eq!(high.layer_seq, relabelled);
+            }
+            assert_same_next_solve(&u, &mut warm, &mut high);
+        }
     }
 }

@@ -80,6 +80,27 @@ impl DemandInstance {
     pub fn is_empty(&self) -> bool {
         self.path.is_empty()
     }
+
+    /// Returns `true` if this instance fits on top of `loads` without
+    /// exceeding `capacities` on any edge of its path; both are indexed by
+    /// the edges of the instance's own network.
+    #[inline]
+    pub fn fits_under(&self, loads: &[f64], capacities: &[f64]) -> bool {
+        self.path.runs().iter().all(|run| {
+            (run.start as usize..=run.end as usize)
+                .all(|e| loads[e] + self.height <= capacities[e] + EPS)
+        })
+    }
+
+    /// Adds this instance's height to `loads` on every edge of its path.
+    #[inline]
+    pub fn add_load(&self, loads: &mut [f64]) {
+        for run in self.path.runs() {
+            for load in &mut loads[run.start as usize..=run.end as usize] {
+                *load += self.height;
+            }
+        }
+    }
 }
 
 /// The full set of demand instances of a problem, plus edge capacities.
@@ -261,6 +282,12 @@ impl DemandInstanceUniverse {
     #[inline]
     pub fn capacity(&self, e: GlobalEdge) -> f64 {
         self.capacities[e.network.index()][e.edge.index()]
+    }
+
+    /// The per-edge capacities of network `t`.
+    #[inline]
+    pub fn capacities(&self, t: NetworkId) -> &[f64] {
+        &self.capacities[t.index()]
     }
 
     /// Profit `p(d)`.
@@ -922,16 +949,10 @@ impl LoadTracker {
         if self.selected[d.index()] || self.used_demand[inst.demand.index()] {
             return false;
         }
-        let loads = &self.loads[inst.network.index()];
-        let caps = &universe.capacities[inst.network.index()];
-        for run in inst.path.runs() {
-            for e in run.start as usize..=run.end as usize {
-                if loads[e] + inst.height > caps[e] + EPS {
-                    return false;
-                }
-            }
-        }
-        true
+        inst.fits_under(
+            &self.loads[inst.network.index()],
+            universe.capacities(inst.network),
+        )
     }
 
     /// Commits `d` to the selection (the caller must have checked
@@ -942,12 +963,7 @@ impl LoadTracker {
         debug_assert!(!self.used_demand[inst.demand.index()]);
         self.selected[d.index()] = true;
         self.used_demand[inst.demand.index()] = true;
-        let loads = &mut self.loads[inst.network.index()];
-        for run in inst.path.runs() {
-            for load in &mut loads[run.start as usize..=run.end as usize] {
-                *load += inst.height;
-            }
-        }
+        inst.add_load(&mut self.loads[inst.network.index()]);
     }
 
     /// Commits `d` if it fits; returns whether it was committed.

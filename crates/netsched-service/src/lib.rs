@@ -216,14 +216,16 @@
 //! | `engine.setup_ns` | histogram | solve setup: active list, group buckets, stage schedule |
 //! | `engine.repair_ns` | histogram | first-phase repair passes (MIS + raises) |
 //! | `engine.refresh_ns` | histogram | LHS cache refresh + per-network λ minima |
-//! | `engine.replay_ns` | histogram | second-phase replay of the MIS stack |
-//! | `engine.raised_set_ns` | histogram | sorted raised-instance set |
+//! | `engine.replay_ns` | histogram | second phase: re-decide the marked networks' stack items, read off the selection |
+//! | `engine.raised_set_ns` | histogram | raised-instance set, read off the newest-layer column |
+//! | `engine.replayed_items` | histogram | stack items the second phase re-decided (all on a fresh state) |
 //! | `engine.certify_ns` | histogram | verification, certificate checks, safety valve |
 //! | `epoch.count` | counter | epochs stepped |
 //! | `epoch.quarantined` | counter | batches rolled back by quarantine |
 //! | `engine.mis_rounds` | counter | first-phase MIS/raise rounds |
 //! | `engine.raises` | counter | dual raises performed |
 //! | `engine.truncated_epochs` | counter | budget-cut epochs |
+//! | `engine.capped_stages` | counter | first-phase stages cut by the Claim 5.2 step cap |
 //! | `service.queue_depth` | gauge | submissions waiting in the frontend |
 //! | `service.overloaded` | counter | submissions rejected by backpressure |
 //! | `service.latency_bulk_ns` | histogram | submit→delta, bulk class |

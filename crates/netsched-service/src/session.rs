@@ -506,6 +506,8 @@ struct SessionMetrics {
     /// phases, in [`EngineTimings::phases`](netsched_core::EngineTimings::phases)
     /// order, summed over both halves of a mixed solve.
     engine_phases: [Histogram; 6],
+    /// `engine.replayed_items` — stack items the second phase re-decided.
+    replayed_items: Histogram,
     /// `epoch.delta_emit_ns` — schedule diffing and delta assembly.
     delta_emit_ns: Histogram,
     /// `epoch.count` — epochs stepped (including empty fast-path epochs).
@@ -519,6 +521,9 @@ struct SessionMetrics {
     /// `engine.truncated_epochs` — epochs cut by a budget before full
     /// certification.
     truncated_epochs: Counter,
+    /// `engine.capped_stages` — first-phase stages cut by the Claim 5.2
+    /// step cap.
+    capped_stages: Counter,
 }
 
 impl SessionMetrics {
@@ -538,12 +543,14 @@ impl SessionMetrics {
                 obs.histogram("engine.raised_set_ns"),
                 obs.histogram("engine.certify_ns"),
             ],
+            replayed_items: obs.histogram("engine.replayed_items"),
             delta_emit_ns: obs.histogram("epoch.delta_emit_ns"),
             epochs: obs.counter("epoch.count"),
             quarantined: obs.counter("epoch.quarantined"),
             mis_rounds: obs.counter("engine.mis_rounds"),
             raises: obs.counter("engine.raises"),
             truncated_epochs: obs.counter("engine.truncated_epochs"),
+            capped_stages: obs.counter("engine.capped_stages"),
         }
     }
 }
@@ -1261,6 +1268,9 @@ impl ServiceSession {
         for (histogram, phase) in self.metrics.engine_phases.iter().zip(phases) {
             histogram.record_duration(phase);
         }
+        self.metrics
+            .replayed_items
+            .record(solution.timings.replayed_items);
 
         // ---- delta extraction -----------------------------------------
         let delta_start = std::time::Instant::now();
@@ -1331,6 +1341,9 @@ impl ServiceSession {
         self.metrics.epochs.inc();
         self.metrics.mis_rounds.add(solution.diagnostics.steps);
         self.metrics.raises.add(solution.diagnostics.raised);
+        self.metrics
+            .capped_stages
+            .add(solution.diagnostics.capped_stages);
         if quality.is_truncated() {
             self.metrics.truncated_epochs.inc();
         }

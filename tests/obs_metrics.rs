@@ -30,8 +30,8 @@ use netsched_graph::{LineProblem, NetworkId};
 use netsched_obs::MetricsReport;
 use netsched_persist::{Durability, DurableSession, PersistConfig};
 use netsched_service::{
-    parse_wal_record, replay_trace, wal_record, DemandEvent, DemandRequest, ServiceError,
-    ServiceSession, WalRecord,
+    parse_wal_record, replay_trace, wal_record, DemandEvent, DemandRequest, ResolveMode,
+    ServiceError, ServiceSession, WalRecord,
 };
 use netsched_workloads::json::JsonValue;
 use netsched_workloads::{
@@ -182,6 +182,50 @@ fn assert_engine_phases_tile_the_solve(report: &MetricsReport) {
         "engine phases cover only {engine}ns of {}ns solve time",
         solve.sum
     );
+}
+
+#[test]
+fn replayed_items_count_only_what_warm_epochs_re_decide() {
+    let base = many_networks_line(6, 160, 11);
+    let spec = ChurnSpec {
+        epochs: 12,
+        churn: 0.05,
+        focus: 2,
+        seed: 3,
+    };
+    let trace = poisson_arrivals_line(&base, &spec);
+    let problem = base.build().unwrap();
+    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.25))
+        .with_resolve_mode(ResolveMode::Warm);
+    session.step(&[]).expect("initial solve");
+    let replayed = |session: &ServiceSession| {
+        *session
+            .obs_registry()
+            .snapshot()
+            .histogram("engine.replayed_items")
+            .expect("`engine.replayed_items` missing from the report")
+    };
+    // The first solve is on a fresh state: it decides the whole stack.
+    let fresh = replayed(&session);
+    assert_eq!(fresh.count, 1);
+    assert!(fresh.sum > 0);
+
+    replay_trace(&mut session, &trace).expect("trace replays");
+    let report = session.obs_registry().snapshot();
+    let all = replayed(&session);
+    assert_eq!(
+        all.count,
+        report.histogram("epoch.solve_ns").unwrap().count,
+        "`engine.replayed_items` samples every solve"
+    );
+    // Warm epochs re-decide only the networks their churn touched.
+    let warm_mean = (all.sum - fresh.sum) as f64 / (all.count - 1) as f64;
+    assert!(
+        warm_mean < fresh.sum as f64,
+        "warm epochs re-decided {warm_mean} items on average, the fresh solve {}",
+        fresh.sum
+    );
+    assert_eq!(report.counter("engine.capped_stages"), Some(0));
 }
 
 #[test]

@@ -384,8 +384,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Incremental run-order maintenance is equivalent to a full re-sweep
-    /// on randomized hot-shard churn traces, at every worker count.
+    /// Spliced conflict degrees, and the adjacency induced over every
+    /// instance, match a fresh flat build on randomized hot-shard churn
+    /// traces, at every worker count. Run order is not checked here: the
+    /// run arrays are private, so the `conflict.rs` unit tests in
+    /// `netsched-distrib` compare them with a fresh build.
     #[test]
     fn incremental_run_order_matches_full_resweep_on_hot_shard_churn(seed in any::<u64>()) {
         for threads in [1usize, 2, 4] {
