@@ -178,11 +178,9 @@ impl DualState {
                 }
             })
             .collect();
-        Self {
-            alpha: vec![0.0; universe.num_demands()],
-            beta,
-            rule,
-        }
+        let mut alpha = Vec::with_capacity(universe.demand_slot_target());
+        alpha.resize(universe.demand_slots(), 0.0);
+        Self { alpha, beta, rule }
     }
 
     /// The raise rule this state was created with.
@@ -403,11 +401,26 @@ impl DualState {
         }
     }
 
-    /// Compacts the `α` vector through a demand renumbering (old id → new
-    /// id, `u32::MAX` = expired) and extends it with zeros to `new_len`
-    /// (the arriving demands). Expired demands' `α` variables simply
-    /// disappear — no surviving constraint references them, since expiry
-    /// removes whole demands.
+    /// Follows a universe splice: the expired demands' `α` variables drop
+    /// to zero — no surviving constraint references them, since expiry
+    /// removes whole demands, and a zero adds nothing to the objective —
+    /// and the vector extends with zeros over the arrivals' ids, up to
+    /// `universe`'s demand slots. `O(batch)`.
+    pub fn expire_alpha(
+        &mut self,
+        universe: &DemandInstanceUniverse,
+        expired: &[netsched_graph::DemandId],
+    ) {
+        for &a in expired {
+            self.alpha[a.index()] = 0.0;
+        }
+        netsched_graph::reserve_slots(&mut self.alpha, universe.demand_slot_target());
+        self.alpha.resize(universe.demand_slots(), 0.0);
+    }
+
+    /// Follows a universe compaction: the `α` vector drops the tombstoned
+    /// demands' slots through the demand relabelling (old id → new id,
+    /// `u32::MAX` = tombstone) and is cut to `new_len`.
     pub fn compact_alpha(&mut self, demand_remap: &[u32], new_len: usize) {
         debug_assert_eq!(demand_remap.len(), self.alpha.len());
         let mut next = 0usize;
@@ -456,11 +469,11 @@ impl DualState {
     /// count must match, and the capacitated-narrow mirror tree must be
     /// present exactly when the universe and rule call for one.
     pub fn validate_shape(&self, universe: &DemandInstanceUniverse) -> Result<(), String> {
-        if self.alpha.len() != universe.num_demands() {
+        if self.alpha.len() != universe.demand_slots() {
             return Err(format!(
-                "dual state has {} alpha entries, universe has {} demands",
+                "dual state has {} alpha entries, universe has {} demand slots",
                 self.alpha.len(),
-                universe.num_demands()
+                universe.demand_slots()
             ));
         }
         if self.beta.len() != universe.num_networks() {
@@ -507,6 +520,25 @@ impl DualState {
 
 impl ToJson for DualState {
     fn to_json(&self) -> JsonValue {
+        self.render(self.alpha.iter().copied())
+    }
+}
+
+impl DualState {
+    /// [`to_json`](ToJson::to_json) through `universe`'s order-preserving
+    /// relabel: the `α` of the live demands only, in id order — the
+    /// document the state would render after a compaction.
+    pub fn to_json_relabelled(&self, universe: &DemandInstanceUniverse) -> JsonValue {
+        self.render(
+            self.alpha
+                .iter()
+                .enumerate()
+                .filter(|&(a, _)| universe.is_live_demand(netsched_graph::DemandId::new(a)))
+                .map(|(_, &x)| x),
+        )
+    }
+
+    fn render(&self, alpha: impl Iterator<Item = f64>) -> JsonValue {
         let networks = self
             .beta
             .iter()
@@ -527,7 +559,7 @@ impl ToJson for DualState {
             ("rule", self.rule.to_json()),
             (
                 "alpha",
-                JsonValue::Array(self.alpha.iter().map(|&x| JsonValue::num(x)).collect()),
+                JsonValue::Array(alpha.map(JsonValue::num).collect()),
             ),
             ("networks", JsonValue::Array(networks)),
         ])

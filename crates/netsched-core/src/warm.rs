@@ -19,10 +19,12 @@
 //!   on [restore](WarmState::restore), relative heights and per-network
 //!   `λ` minima).
 //!
-//! [`WarmState::splice`] follows a universe splice: expired instances'
-//! `β` contributions are subtracted, expired demands' `α` variables are
-//! dropped, and every per-instance vector is renumbered through the
-//! [`UniverseDelta`] id maps. [`run_two_phase_warm_on`] then **repairs**
+//! [`WarmState::splice`] follows a universe splice in `O(batch)`: expired
+//! instances' `β` contributions are subtracted, expired demands' `α`
+//! variables drop to zero, and the per-instance columns keep tombstones
+//! in the expired instances' slots (ids never change between
+//! compactions); [`WarmState::compact`] follows a universe compaction.
+//! [`run_two_phase_warm_on`] then **repairs**
 //! the certificate: only the instances of *dirty* networks (the networks
 //! the splices touched since the last solve) can have lost satisfaction —
 //! a clean network's `β` range sums are untouched and `α` variables only
@@ -103,7 +105,10 @@ use crate::framework::derive_strategy;
 use crate::solution::{EngineTimings, RunDiagnostics, Solution};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::{sharded_mis, RoundStats, ShardedConflictGraph};
-use netsched_graph::{DemandInstanceUniverse, EdgeId, InstanceId, NetworkId, UniverseDelta, EPS};
+use netsched_graph::{
+    reserve_slots, Compaction, DemandInstanceUniverse, EdgeId, InstanceId, NetworkId,
+    UniverseDelta, EPS,
+};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
 use std::time::Instant;
 
@@ -125,8 +130,14 @@ const NIL: u32 = u32::MAX;
 ///   steady-state repair epochs never allocate; an expiring instance's
 ///   chain is point-cleared and returned to the freelist.
 /// * **Replay stack**: `stack_items` + `stack_offsets` (one `[start, end)`
-///   range per MIS, oldest first) + `layer_seq`. Splices compact all three
-///   in place.
+///   range per MIS, oldest first) + `layer_seq`. An item is *current*
+///   while its instance is live and the item sits in the instance's
+///   newest layer; splices only count items out, and compactions drop the
+///   others in place.
+///
+/// Per-instance and per-demand columns are indexed by the universe's
+/// stable ids, tombstones included: a splice costs `O(batch)`, and only a
+/// [compaction](WarmState::compact) walks every column.
 #[derive(Debug, Clone)]
 pub struct WarmState {
     rule: RaiseRule,
@@ -155,10 +166,23 @@ pub struct WarmState {
     /// stack_offsets[m + 1]]`.
     stack_offsets: Vec<u32>,
     /// MIS `m` of the stack has sequence number `layer_seq[m]`. Numbers
-    /// grow from 1, oldest to newest, and splices drop empty layers without
-    /// renumbering the rest, so two numbers order their layers in replay
-    /// order across networks and across epochs.
+    /// grow from 1, oldest to newest, and compactions drop empty layers
+    /// without renumbering the rest, so two numbers order their layers in
+    /// replay order across networks and across epochs.
     layer_seq: Vec<u32>,
+    /// MIS `m` of the stack holds `layer_live[m]` current items.
+    layer_live: Vec<u32>,
+    /// Current items over the whole stack.
+    current_items: usize,
+    /// Layers holding at least one current item.
+    live_layers: usize,
+    /// Items and layers that stopped being current through a re-raise
+    /// since the last splice. The stack as the engine reports it — round
+    /// counts and [`stack_mass`](WarmState::stack_mass) — drops stale
+    /// items and empty layers at every splice, so these still count until
+    /// the next one, whether or not a compaction dropped them already.
+    held_stale: usize,
+    held_dead_layers: usize,
     /// Per instance: the sequence number of the newest layer holding it
     /// (0 = not on the stack). Only that occurrence can commit: an older
     /// duplicate would see loads and served demands that only grew.
@@ -213,7 +237,7 @@ impl WarmState {
     /// pending. The first [`run_two_phase_warm_on`] on a fresh state is
     /// the cold solve.
     pub fn new(universe: &DemandInstanceUniverse, rule: RaiseRule) -> Self {
-        let n = universe.num_instances();
+        let n = universe.instance_slots();
         Self {
             rule,
             duals: DualState::new(universe, rule),
@@ -227,6 +251,11 @@ impl WarmState {
             stack_items: Vec::new(),
             stack_offsets: vec![0],
             layer_seq: Vec::new(),
+            layer_live: Vec::new(),
+            current_items: 0,
+            live_layers: 0,
+            held_stale: 0,
+            held_dead_layers: 0,
             newest_layer: Vec::new(),
             committed_in: Vec::new(),
             demand_commit: Vec::new(),
@@ -242,16 +271,23 @@ impl WarmState {
     }
 
     /// Fills in what the state derives from the universe, its stored LHS
-    /// cache and its stack: every instance's network and relative height,
-    /// every network's `λ` and height minima, and each instance's newest
-    /// stack layer. The commit decisions start undecided, so the next solve
-    /// replays every network.
+    /// cache and its stack: every instance's network and relative height
+    /// (`+∞` for a tombstone, so it is never eligible), every network's `λ`
+    /// and height minima, each instance's newest stack layer and the
+    /// stack's current-item counts. The commit decisions start undecided,
+    /// so the next solve replays every network.
     fn derive(mut self, universe: &DemandInstanceUniverse) -> Self {
-        let (n, networks) = (universe.num_instances(), universe.num_networks());
-        self.rec_network = universe.instances().map(|inst| inst.network).collect();
-        self.rel_height = universe
-            .instance_ids()
-            .map(|d| DualState::max_relative_height(universe, d))
+        let (n, networks) = (universe.instance_slots(), universe.num_networks());
+        let ids = (0..n).map(InstanceId::new);
+        self.rec_network = ids.clone().map(|d| universe.instance(d).network).collect();
+        self.rel_height = ids
+            .map(|d| {
+                if universe.is_live(d) {
+                    DualState::max_relative_height(universe, d)
+                } else {
+                    f64::INFINITY
+                }
+            })
             .collect();
         self.shard_min = vec![f64::INFINITY; networks];
         self.shard_h_min = vec![f64::INFINITY; networks];
@@ -267,10 +303,66 @@ impl WarmState {
                 self.newest_layer[d.index()] = seq;
             }
         }
+        self.recount_layers();
+        // A stored stack may hold items a splice would drop; they count
+        // until the next one.
+        self.held_stale = self.stack_items.len() - self.current_items;
+        self.held_dead_layers = self.num_mises() - self.live_layers;
         self.committed_in = vec![0; n];
-        self.demand_commit = vec![0; universe.num_demands()];
+        self.demand_commit = vec![0; universe.demand_slots()];
         self.replay_pending = vec![true; networks];
+        self.reserve(universe);
         self
+    }
+
+    /// Recounts every layer's current items from `newest_layer`.
+    fn recount_layers(&mut self) {
+        self.layer_live.clear();
+        for m in 0..self.num_mises() {
+            let seq = self.layer_seq[m];
+            let live = self
+                .mis(m)
+                .iter()
+                .filter(|d| self.newest_layer[d.index()] == seq)
+                .count();
+            self.layer_live.push(live as u32);
+        }
+        self.current_items = self.layer_live.iter().map(|&c| c as usize).sum();
+        self.live_layers = self.layer_live.iter().filter(|&&c| c > 0).count();
+    }
+
+    /// Grows the per-id columns' capacity to the universe's slot budget.
+    fn reserve(&mut self, universe: &DemandInstanceUniverse) {
+        let target = universe.instance_slot_target();
+        reserve_slots(&mut self.rec_network, target);
+        reserve_slots(&mut self.rec_head, target);
+        reserve_slots(&mut self.rec_tail, target);
+        reserve_slots(&mut self.lhs, target);
+        reserve_slots(&mut self.rel_height, target);
+        reserve_slots(&mut self.newest_layer, target);
+        reserve_slots(&mut self.committed_in, target);
+        reserve_slots(&mut self.demand_commit, universe.demand_slot_target());
+    }
+
+    /// Counts instance `d`'s newest stack item out of its layer (when it
+    /// has one). `re_raised`: it stops being current because `d` is pushed
+    /// again, so the reported stack holds it until the next splice.
+    fn uncount(&mut self, d: InstanceId, re_raised: bool) {
+        let seq = self.newest_layer[d.index()];
+        if seq == 0 {
+            return;
+        }
+        let m = self
+            .layer_seq
+            .binary_search(&seq)
+            .expect("a newest layer is on the stack");
+        self.layer_live[m] -= 1;
+        self.current_items -= 1;
+        self.held_stale += usize::from(re_raised);
+        if self.layer_live[m] == 0 {
+            self.live_layers -= 1;
+            self.held_dead_layers += usize::from(re_raised);
+        }
     }
 
     /// The raise rule this state resumes.
@@ -291,19 +383,26 @@ impl WarmState {
         &self.duals
     }
 
-    /// Total instance entries across the persisted first-phase stack: what
-    /// a splice walks and a fresh or restored state's first solve replays
-    /// (later solves re-decide only the marked networks' items). Lifecycle
-    /// policies reset states whose stack mass has grown far beyond the live
-    /// instance count (a cold re-epoch is certificate-safe by
-    /// construction).
+    /// Total instance entries across the persisted first-phase stack, as
+    /// of the last splice plus the items pushed since: what a fresh or
+    /// restored state's first solve replays (later solves re-decide only
+    /// the marked networks' items). Lifecycle policies reset states whose
+    /// stack mass has grown far beyond the live instance count (a cold
+    /// re-epoch is certificate-safe by construction).
     #[inline]
     pub fn stack_mass(&self) -> usize {
-        self.stack_items.len()
+        self.current_items + self.held_stale
     }
 
-    /// The number of instances this state tracks (one record per
-    /// instance of the spliced universe).
+    /// Stack layers as of the last splice plus the layers pushed since:
+    /// the second phase's rounds.
+    #[inline]
+    fn num_layers(&self) -> usize {
+        self.live_layers + self.held_dead_layers
+    }
+
+    /// The number of instance slots this state tracks (one record per
+    /// slot of the spliced universe, tombstones included).
     #[inline]
     fn instance_count(&self) -> usize {
         self.rec_head.len()
@@ -327,12 +426,20 @@ impl WarmState {
     fn push_mis(&mut self, mis: &[InstanceId]) {
         let seq = self.layer_seq.last().map_or(1, |&last| last + 1);
         for &d in mis {
+            self.uncount(d, true);
             self.newest_layer[d.index()] = seq;
             self.replay_pending[self.rec_network[d.index()].index()] = true;
         }
         self.stack_items.extend_from_slice(mis);
         self.stack_offsets.push(self.stack_items.len() as u32);
         self.layer_seq.push(seq);
+        self.layer_live.push(mis.len() as u32);
+        self.current_items += mis.len();
+        if mis.is_empty() {
+            self.held_dead_layers += 1;
+        } else {
+            self.live_layers += 1;
+        }
     }
 
     /// Renumbers the stack layers 1, 2, … oldest first, keeping their
@@ -412,6 +519,7 @@ impl WarmState {
             + self.stack_items.capacity() * size_of::<InstanceId>()
             + (self.stack_offsets.capacity()
                 + self.layer_seq.capacity()
+                + self.layer_live.capacity()
                 + self.newest_layer.capacity()
                 + self.committed_in.capacity()
                 + self.demand_commit.capacity())
@@ -456,123 +564,158 @@ impl WarmState {
             .max(EPS)
     }
 
-    /// Splices one universe delta through the persisted state. Must be
-    /// called **after** the universe splice, with the same
-    /// [`UniverseDelta`], exactly once per splice:
+    /// Splices one universe delta through the persisted state in
+    /// `O(batch)`. Must be called **after** the universe splice, with the
+    /// same [`UniverseDelta`], exactly once per splice:
     ///
     /// 1. every removed instance's recorded `β` contributions are
-    ///    subtracted from the Fenwick trees (point-clears),
-    /// 2. expired demands' `α` variables are dropped and survivors
-    ///    compacted through the demand id map,
-    /// 3. the per-instance vectors (records, LHS cache, relative heights,
-    ///    newest layers, commit decisions) renumber through the instance
-    ///    id map, with the arrivals' entries freshly computed,
-    /// 4. the stack renumbers likewise (expired members drop out; only the
-    ///    newest occurrence of a re-raised instance is kept — an older
-    ///    duplicate below a newer one can never commit in the second
-    ///    phase, since loads and served demands only grow), and
+    ///    subtracted from the Fenwick trees (point-clears), its chain goes
+    ///    back to the freelist, its stack item is counted out, and its
+    ///    slot becomes a tombstone (no layer, no commit, never eligible);
+    /// 2. expired demands' `α` variables and commit layers drop to zero;
+    /// 3. the per-instance and per-demand columns extend over the
+    ///    arrivals' ids with fresh entries;
+    /// 4. the stale stack items and empty layers stop counting — the stack
+    ///    the engine reports drops them here, while the arena keeps them
+    ///    until the next [compaction](WarmState::compact) (only the newest
+    ///    occurrence of a re-raised instance can commit in the second
+    ///    phase, since loads and served demands only grow); and
     /// 5. the delta's dirty networks accumulate into the pending set the
     ///    next repair and replay consume.
     pub fn splice(&mut self, universe: &DemandInstanceUniverse, delta: &UniverseDelta) {
         assert_eq!(
-            delta.old_num_instances(),
+            delta.first_added(),
             self.instance_count(),
             "warm state spliced against a delta of a different universe"
         );
-        let n_new = universe.num_instances();
-        let first_added = delta.first_added();
-        let remap = delta.instance_remap();
-        // Survivors form a prefix of the new id space; no removals means
-        // the remap is the identity on everything that existed before.
-        let has_removals = first_added < delta.old_num_instances();
-
-        if has_removals {
-            // 1. Point-clear the removed instances' β contributions and
-            //    return their chains to the freelist. The chain walks from
-            //    head to tail, so the subtracts happen in exactly the order
-            //    the raises accumulated — the float behavior of the old
-            //    per-record vector is preserved bit for bit.
-            for old in delta.removed_instances() {
-                let network = self.rec_network[old.index()];
-                // A committed instance loaded its network's edges.
-                if self.committed_in[old.index()] != 0 {
-                    self.replay_pending[network.index()] = true;
-                }
-                let mut cur = self.rec_head[old.index()];
-                while cur != NIL {
-                    let next = self.beta_next[cur as usize];
-                    self.duals.subtract_beta(
-                        universe,
-                        network,
-                        self.beta_edge[cur as usize],
-                        self.beta_amount[cur as usize],
-                    );
-                    self.beta_next[cur as usize] = self.free_head;
-                    self.free_head = cur;
-                    cur = next;
-                }
+        // 1. Point-clear the removed instances' β contributions and return
+        //    their chains to the freelist. The chain walks from head to
+        //    tail, so the subtracts happen in exactly the order the raises
+        //    accumulated, and the removed ids ascend, as they always did.
+        for &d in delta.removed_instances() {
+            let network = self.rec_network[d.index()];
+            // A committed instance loaded its network's edges.
+            if self.committed_in[d.index()] != 0 {
+                self.replay_pending[network.index()] = true;
             }
+            let mut cur = self.rec_head[d.index()];
+            while cur != NIL {
+                let next = self.beta_next[cur as usize];
+                self.duals.subtract_beta(
+                    universe,
+                    network,
+                    self.beta_edge[cur as usize],
+                    self.beta_amount[cur as usize],
+                );
+                self.beta_next[cur as usize] = self.free_head;
+                self.free_head = cur;
+                cur = next;
+            }
+            self.rec_head[d.index()] = NIL;
+            self.rec_tail[d.index()] = NIL;
+            self.uncount(d, false);
+            self.newest_layer[d.index()] = 0;
+            self.committed_in[d.index()] = 0;
+            self.rel_height[d.index()] = f64::INFINITY;
         }
 
-        // 2. Compact α and the demands' commit layers through the demand
-        //    renumbering (monotone on survivors, like the instance remap).
+        // 2. The expired demands' α and commit layers.
+        self.duals.expire_alpha(universe, delta.expired_demands());
+        for &a in delta.expired_demands() {
+            self.demand_commit[a.index()] = 0;
+        }
+        self.reserve(universe);
+        self.demand_commit.resize(universe.demand_slots(), 0);
+
+        // 3. The arrivals' columns.
+        let (first_added, n_new) = (delta.first_added(), universe.instance_slots());
+        self.rec_network
+            .extend((first_added..n_new).map(|d| universe.instance(InstanceId::new(d)).network));
+        self.rec_head.resize(n_new, NIL);
+        self.rec_tail.resize(n_new, NIL);
+        self.lhs.resize(n_new, 0.0);
+        self.rel_height.extend(
+            (first_added..n_new)
+                .map(|d| DualState::max_relative_height(universe, InstanceId::new(d))),
+        );
+        self.newest_layer.resize(n_new, 0);
+        self.committed_in.resize(n_new, 0);
+
+        // 4. The reported stack drops what is no longer current.
+        self.held_stale = 0;
+        self.held_dead_layers = 0;
+        if self.layer_seq.last().is_some_and(|&seq| seq > u32::MAX / 2) {
+            self.relabel_layers();
+        }
+
+        // 5. Accumulate the dirt for the next repair.
+        for (pending, &dirty) in self.pending_dirty.iter_mut().zip(delta.dirty()) {
+            *pending |= dirty;
+        }
+    }
+
+    /// Follows a universe [compaction](DemandInstanceUniverse::compact) —
+    /// the one `O(|D|)` pass. Must be called **after** the universe
+    /// compaction, with its [`Compaction`]:
+    ///
+    /// 1. `α` and the demands' commit layers drop the tombstoned demands'
+    ///    slots through the demand relabelling (monotone on survivors);
+    /// 2. the per-instance columns (records, LHS cache, relative heights,
+    ///    newest layers, commit decisions) drop the tombstones' slots
+    ///    through the instance relabelling;
+    /// 3. the stack keeps only its current items, relabelled, and drops
+    ///    its empty layers; the rest keep their numbers.
+    ///
+    /// Survivors keep their relative order, so nothing the engine decides
+    /// by id order changes.
+    pub fn compact(&mut self, universe: &DemandInstanceUniverse, compaction: &Compaction) {
+        let remap = compaction.instance_remap();
+        assert_eq!(
+            remap.len(),
+            self.instance_count(),
+            "warm state compacted against a different universe"
+        );
+        // 1. α and the demands' commit layers.
         self.duals
-            .compact_alpha(delta.demand_remap(), universe.num_demands());
+            .compact_alpha(compaction.demand_remap(), universe.demand_slots());
         let mut survivors = 0;
-        for (old, &new) in delta.demand_remap().iter().enumerate() {
+        for (old, &new) in compaction.demand_remap().iter().enumerate() {
             if new != u32::MAX {
                 self.demand_commit[new as usize] = self.demand_commit[old];
                 survivors += 1;
             }
         }
         self.demand_commit.truncate(survivors);
-        self.demand_commit.resize(universe.num_demands(), 0);
 
-        // 3. Renumber the per-instance columns in place. The remap is
-        //    monotone on survivors (new ≤ old), so a single forward pass
-        //    compacts every column without scratch; arrivals then extend
-        //    the columns with fresh entries.
-        if has_removals {
-            for (old, &new) in remap.iter().enumerate() {
-                if new == u32::MAX {
-                    continue;
-                }
-                let new = new as usize;
-                self.rec_network[new] = self.rec_network[old];
-                self.rec_head[new] = self.rec_head[old];
-                self.rec_tail[new] = self.rec_tail[old];
-                self.lhs[new] = self.lhs[old];
-                self.rel_height[new] = self.rel_height[old];
-                self.newest_layer[new] = self.newest_layer[old];
-                self.committed_in[new] = self.committed_in[old];
+        // 2. The per-instance columns, in place: the map is monotone on
+        //    survivors (new ≤ old), so one forward pass compacts every
+        //    column without scratch.
+        for (old, &new) in remap.iter().enumerate() {
+            if new == u32::MAX {
+                continue;
             }
+            let new = new as usize;
+            self.rec_network[new] = self.rec_network[old];
+            self.rec_head[new] = self.rec_head[old];
+            self.rec_tail[new] = self.rec_tail[old];
+            self.lhs[new] = self.lhs[old];
+            self.rel_height[new] = self.rel_height[old];
+            self.newest_layer[new] = self.newest_layer[old];
+            self.committed_in[new] = self.committed_in[old];
         }
-        self.rec_network.truncate(first_added);
-        self.rec_network
-            .extend((first_added..n_new).map(|d| universe.instance(InstanceId::new(d)).network));
-        self.rec_head.truncate(first_added);
-        self.rec_head.resize(n_new, NIL);
-        self.rec_tail.truncate(first_added);
-        self.rec_tail.resize(n_new, NIL);
-        self.lhs.truncate(first_added);
-        self.lhs.resize(n_new, 0.0);
-        self.rel_height.truncate(first_added);
-        self.rel_height.extend(
-            (first_added..n_new)
-                .map(|d| DualState::max_relative_height(universe, InstanceId::new(d))),
-        );
-        self.newest_layer.truncate(first_added);
-        self.newest_layer.resize(n_new, 0);
-        self.committed_in.truncate(first_added);
-        self.committed_in.resize(n_new, 0);
+        let n = universe.instance_slots();
+        self.rec_network.truncate(n);
+        self.rec_head.truncate(n);
+        self.rec_tail.truncate(n);
+        self.lhs.truncate(n);
+        self.rel_height.truncate(n);
+        self.newest_layer.truncate(n);
+        self.committed_in.truncate(n);
 
-        // 4. Renumber the stack, keeping only the newest occurrence (an
-        //    older duplicate below a newer one can never commit in the
-        //    second phase, since loads and served demands only grow): an
-        //    item stays when its layer is its instance's newest. One
-        //    forward pass compacts in place (the write cursor never passes
-        //    the read cursor); empty layers drop out, the rest keep their
-        //    numbers.
+        // 3. The stack: an item stays when its instance survives and the
+        //    item's layer is the instance's newest. One forward pass
+        //    compacts in place (the write cursor never passes the read
+        //    cursor); empty layers drop out, the rest keep their numbers.
         let mut iw = 0usize;
         let mut ow = 0usize;
         for m in 0..self.num_mises() {
@@ -592,6 +735,7 @@ impl WarmState {
             if iw > start_iw {
                 self.stack_offsets[ow] = start_iw as u32;
                 self.layer_seq[ow] = seq;
+                self.layer_live[ow] = (iw - start_iw) as u32;
                 ow += 1;
             }
         }
@@ -599,23 +743,30 @@ impl WarmState {
         self.stack_offsets.truncate(ow + 1);
         self.stack_items.truncate(iw);
         self.layer_seq.truncate(ow);
-        if self.layer_seq.last().is_some_and(|&seq| seq > u32::MAX / 2) {
-            self.relabel_layers();
-        }
-
-        // 5. Accumulate the dirt for the next repair.
-        for (pending, &dirty) in self.pending_dirty.iter_mut().zip(delta.dirty()) {
-            *pending |= dirty;
-        }
+        self.layer_live.truncate(ow);
+        debug_assert_eq!((iw, ow), (self.current_items, self.live_layers));
+        self.reserve(universe);
     }
 }
 
-impl ToJson for WarmState {
-    fn to_json(&self) -> JsonValue {
-        let records = (0..self.instance_count())
+impl WarmState {
+    /// The state's snapshot document, written through `universe`'s
+    /// order-preserving relabel (the universe the state was last spliced
+    /// or compacted with): the records and LHS entries of the live
+    /// instances in id order, the stack's current items under their
+    /// relabelled ids with empty layers left out, and the duals' live `α`
+    /// — the document a compacted state renders, so tombstones never
+    /// reach a snapshot. [`restore`](WarmState::restore) reads it back.
+    pub fn to_json(&self, universe: &DemandInstanceUniverse) -> JsonValue {
+        let mut dense = vec![u32::MAX; self.instance_count()];
+        for (rank, d) in universe.instance_ids().enumerate() {
+            dense[d.index()] = rank as u32;
+        }
+        let records = universe
+            .instance_ids()
             .map(|d| {
                 let mut beta = Vec::new();
-                let mut cur = self.rec_head[d];
+                let mut cur = self.rec_head[d.index()];
                 while cur != NIL {
                     beta.extend([
                         JsonValue::int(self.beta_edge[cur as usize].index()),
@@ -627,23 +778,30 @@ impl ToJson for WarmState {
             })
             .collect();
         let stack = (0..self.num_mises())
-            .map(|m| {
-                JsonValue::Array(
-                    self.mis(m)
-                        .iter()
-                        .map(|d| JsonValue::int(d.index()))
-                        .collect(),
-                )
+            .filter_map(|m| {
+                let seq = self.layer_seq[m];
+                let items: Vec<JsonValue> = self
+                    .mis(m)
+                    .iter()
+                    .filter(|d| self.newest_layer[d.index()] == seq)
+                    .map(|d| JsonValue::int(dense[d.index()] as usize))
+                    .collect();
+                (!items.is_empty()).then_some(JsonValue::Array(items))
             })
             .collect();
         JsonValue::object(vec![
             ("rule", self.rule.to_json()),
-            ("duals", self.duals.to_json()),
+            ("duals", self.duals.to_json_relabelled(universe)),
             ("records", JsonValue::Array(records)),
             ("stack", JsonValue::Array(stack)),
             (
                 "lhs",
-                JsonValue::Array(self.lhs.iter().map(|&x| JsonValue::num(x)).collect()),
+                JsonValue::Array(
+                    universe
+                        .instance_ids()
+                        .map(|d| JsonValue::num(self.lhs[d.index()]))
+                        .collect(),
+                ),
             ),
             (
                 "pending_dirty",
@@ -660,8 +818,9 @@ impl ToJson for WarmState {
 }
 
 impl WarmState {
-    /// Rebuilds a state from its [`to_json`](ToJson::to_json) document over
-    /// the universe it was rendered against. The document holds only what
+    /// Rebuilds a state from its [`to_json`](WarmState::to_json) document
+    /// over the universe it was rendered against, relabelled: the universe
+    /// must hold no tombstones. The document holds only what
     /// cannot be recomputed: the duals (with the Fenwick prefix nodes their
     /// range sums need to come back bit for bit), each instance's raise
     /// amounts per edge, the stack, the LHS cache, the pending-dirty
@@ -678,6 +837,9 @@ impl WarmState {
     /// stored: the first solve after a restore replays every network. So a
     /// restored state solves bit-identically to the original.
     pub fn restore(doc: &JsonValue, universe: &DemandInstanceUniverse) -> Result<Self, String> {
+        if universe.tombstones() > 0 || universe.demand_slots() > universe.num_demands() {
+            return Err("warm states restore onto a universe without tombstones".into());
+        }
         let (n, networks) = (universe.num_instances(), universe.num_networks());
         let record_rows = doc.field("records")?.as_array()?;
         if record_rows.len() != n {
@@ -779,6 +941,11 @@ impl WarmState {
             stack_items,
             stack_offsets,
             layer_seq,
+            layer_live: Vec::new(),
+            current_items: 0,
+            live_layers: 0,
+            held_stale: 0,
+            held_dead_layers: 0,
             newest_layer: Vec::new(),
             committed_in: Vec::new(),
             demand_commit: Vec::new(),
@@ -975,7 +1142,13 @@ fn replay_stack(universe: &DemandInstanceUniverse, warm: &WarmState) -> Vec<Inst
     let mut tracker = netsched_graph::LoadTracker::new(universe);
     let mut selected: Vec<InstanceId> = Vec::new();
     for m in (0..warm.num_mises()).rev() {
-        for &d in warm.mis(m) {
+        let seq = warm.layer_seq[m];
+        // Only current items can commit (see `WarmState::splice`).
+        for &d in warm
+            .mis(m)
+            .iter()
+            .filter(|d| warm.newest_layer[d.index()] == seq)
+        {
             if tracker.try_commit(universe, d) {
                 selected.push(d);
             }
@@ -1195,7 +1368,7 @@ pub(crate) fn warm_impl(
     );
     assert_eq!(
         warm.instance_count(),
-        universe.num_instances(),
+        universe.instance_slots(),
         "warm state missed a universe splice"
     );
     if universe.num_instances() == 0 {
@@ -1354,7 +1527,7 @@ pub(crate) fn warm_impl(
         "incremental replay diverged from the full replay"
     );
     // Every commit announces itself to its conflicting instances.
-    let layers = warm.num_mises() as u64;
+    let layers = warm.num_layers() as u64;
     if layers > 0 {
         let messages = selected.iter().map(|&d| conflict.degree(d) as u64).sum();
         stats.record_messages(messages, 1);
@@ -1480,6 +1653,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The `k`-th live demand of `u`: ids are stable, so after a splice
+    /// the live ones are not `0..m`.
+    fn live_demand(u: &DemandInstanceUniverse, k: usize) -> DemandId {
+        u.demand_ids()
+            .nth(k)
+            .expect("k is below the live demand count")
+    }
+
     fn line_universe(seed: u64, demands: usize) -> DemandInstanceUniverse {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut p = LineProblem::new(40, 3);
@@ -1567,8 +1748,8 @@ mod tests {
             // Expire two random demands, admit one fresh arrival.
             let m = u.num_demands();
             let mut expired = vec![
-                DemandId::new(rng.gen_range(0..m)),
-                DemandId::new(rng.gen_range(0..m)),
+                live_demand(&u, rng.gen_range(0..m)),
+                live_demand(&u, rng.gen_range(0..m)),
             ];
             expired.sort_unstable();
             expired.dedup();
@@ -1619,7 +1800,7 @@ mod tests {
         solve_fresh(&u, &mut warm, &config);
         assert!(warm.duals().objective() > 0.0);
 
-        let everyone: Vec<DemandId> = (0..u.num_demands()).map(DemandId::new).collect();
+        let everyone: Vec<DemandId> = u.demand_ids().collect();
         let mut delta = UniverseDelta::new();
         u.apply_demand_delta(&everyone, &[], &mut delta);
         warm.splice(&u, &delta);
@@ -1635,8 +1816,8 @@ mod tests {
     fn churn_round(u: &mut DemandInstanceUniverse, rng: &mut StdRng, delta: &mut UniverseDelta) {
         let m = u.num_demands();
         let mut expired = vec![
-            DemandId::new(rng.gen_range(0..m)),
-            DemandId::new(rng.gen_range(0..m)),
+            live_demand(u, rng.gen_range(0..m)),
+            live_demand(u, rng.gen_range(0..m)),
         ];
         expired.sort_unstable();
         expired.dedup();
@@ -1727,8 +1908,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         assert_repairs_shrink(u, layering, |u, delta, layering| {
             let m = u.num_demands();
-            let mut expired: Vec<DemandId> =
-                (0..4).map(|_| DemandId::new(rng.gen_range(0..m))).collect();
+            let mut expired: Vec<DemandId> = (0..4)
+                .map(|_| live_demand(u, rng.gen_range(0..m)))
+                .collect();
             expired.sort_unstable();
             expired.dedup();
             let arrivals: Vec<ArrivingDemand> = (0..6)
@@ -1787,8 +1969,9 @@ mod tests {
         let layering = layerer.layering(&problem, &u);
         assert_repairs_shrink(u, layering, |u, delta, layering| {
             let m = u.num_demands();
-            let mut expired: Vec<DemandId> =
-                (0..4).map(|_| DemandId::new(rng.gen_range(0..m))).collect();
+            let mut expired: Vec<DemandId> = (0..4)
+                .map(|_| live_demand(u, rng.gen_range(0..m)))
+                .collect();
             expired.sort_unstable();
             expired.dedup();
             let mut arrivals = Vec::new();
@@ -1806,7 +1989,7 @@ mod tests {
                 });
             }
             u.apply_demand_delta(&expired, &arrivals, delta);
-            layering.splice(delta.instance_remap(), assignments);
+            layering.splice(delta.removed_instances(), assignments);
         });
     }
 
@@ -1859,10 +2042,18 @@ mod tests {
         }
     }
 
-    /// Renders `warm` and restores it over `u`.
-    fn render_and_restore(warm: &WarmState, u: &DemandInstanceUniverse) -> WarmState {
-        let doc = JsonValue::parse(&warm.to_json().render()).unwrap();
-        WarmState::restore(&doc, u).unwrap()
+    /// Renders `warm` and restores it over `u`. A restore needs a universe
+    /// without tombstones, so `u` and `warm` are compacted first; the
+    /// document must not change with it, since snapshots are written
+    /// through the same relabel.
+    fn render_and_restore(warm: &mut WarmState, u: &mut DemandInstanceUniverse) -> WarmState {
+        let before = warm.to_json(u).render();
+        let mut compaction = Compaction::new();
+        u.compact(&mut compaction);
+        warm.compact(u, &compaction);
+        let text = warm.to_json(u).render();
+        assert_eq!(before, text, "a compaction changed the rendered state");
+        WarmState::restore(&JsonValue::parse(&text).unwrap(), u).unwrap()
     }
 
     /// Solves `u` from both states and asserts the solutions match bit for
@@ -1912,17 +2103,18 @@ mod tests {
             solve_fresh(&u, &mut warm, &config);
         }
 
-        let text = warm.to_json().render();
+        let text = warm.to_json(&u).render();
         for key in ["eligible", "rel_height", "shard_min", "primed"] {
             assert!(
                 !text.contains(&format!("\"{key}\"")),
                 "rendered warm state carries the derived `{key}`"
             );
         }
-        let mut restored = render_and_restore(&warm, &u);
+        let mut restored = render_and_restore(&mut warm, &mut u);
         assert_eq!(restored.rule(), warm.rule());
         assert_eq!(restored.epochs_resumed(), warm.epochs_resumed());
-        assert_eq!(restored.stack_mass(), warm.stack_mass());
+        // The document leaves out stack items the next splice drops.
+        assert_eq!(restored.stack_mass(), warm.current_items);
         assert_eq!(
             restored
                 .rel_height
@@ -1953,6 +2145,7 @@ mod tests {
             churn_round(&mut u, &mut rng, &mut delta);
             warm.splice(&u, &delta);
             restored.splice(&u, &delta);
+            assert_eq!(restored.stack_mass(), warm.stack_mass());
             assert_same_next_solve(&u, &mut warm, &mut restored);
         }
     }
@@ -1970,7 +2163,7 @@ mod tests {
         churn_round(&mut u, &mut rng, &mut delta);
         warm.splice(&u, &delta);
         assert!(warm.pending_dirty.iter().any(|&d| d));
-        let mut restored = render_and_restore(&warm, &u);
+        let mut restored = render_and_restore(&mut warm, &mut u);
         assert_same_next_solve(&u, &mut warm, &mut restored);
 
         // (b) After a budget-cut solve: the scanned networks stay pending.
@@ -1989,7 +2182,7 @@ mod tests {
         );
         assert!(cut.diagnostics.quality.is_truncated());
         assert!(warm.pending_dirty.iter().any(|&d| d));
-        let mut restored = render_and_restore(&warm, &u);
+        let mut restored = render_and_restore(&mut warm, &mut u);
         assert_same_next_solve(&u, &mut warm, &mut restored);
 
         // The restored state's first solve re-derived every commit
@@ -2003,8 +2196,8 @@ mod tests {
         }
 
         // (c) A fresh state restores fresh: its next solve is the cold one.
-        let fresh = WarmState::new(&u, RaiseRule::Unit);
-        let mut restored = render_and_restore(&fresh, &u);
+        let mut fresh = WarmState::new(&u, RaiseRule::Unit);
+        let mut restored = render_and_restore(&mut fresh, &mut u);
         assert_eq!(restored.epochs_resumed(), 0);
         assert_same_next_solve(&u, &mut fresh.clone(), &mut restored);
     }
@@ -2015,7 +2208,7 @@ mod tests {
         let config = AlgorithmConfig::deterministic(0.1);
         let mut warm = WarmState::new(&u, RaiseRule::Unit);
         solve_fresh(&u, &mut warm, &config);
-        let doc = JsonValue::parse(&warm.to_json().render()).unwrap();
+        let doc = JsonValue::parse(&warm.to_json(&u).render()).unwrap();
         assert!(WarmState::restore(&doc, &u).is_ok());
         let other = line_universe(4, 15);
         assert!(WarmState::restore(&doc, &other).is_err());
@@ -2261,7 +2454,7 @@ mod tests {
             if epoch > 0 {
                 let m = u.num_demands();
                 let mut expired: Vec<DemandId> = (0..rng.gen_range(0..3))
-                    .map(|_| DemandId::new(rng.gen_range(0..m)))
+                    .map(|_| live_demand(&u, rng.gen_range(0..m)))
                     .collect();
                 expired.sort_unstable();
                 expired.dedup();
@@ -2303,7 +2496,7 @@ mod tests {
                 u.apply_demand_delta(&expired, &arrivals, &mut delta);
                 match layerer {
                     None => layering = InstanceLayering::line_length_classes(&u),
-                    Some(_) => layering.splice(delta.instance_remap(), assignments),
+                    Some(_) => layering.splice(delta.removed_instances(), assignments),
                 }
                 warm.splice(&u, &delta);
             }
@@ -2348,7 +2541,9 @@ mod tests {
             assert_eq!(warm.committed_in, everything.committed_in, "{at}");
             assert_eq!(warm.demand_commit, everything.demand_commit, "{at}");
             assert_eq!(ours.selected, replay_stack(&u, &warm), "{at}");
+            // The arena keeps tombstoned items until a compaction.
             let mut raised = warm.stack_items.clone();
+            raised.retain(|d| u.is_live(*d));
             raised.sort_unstable();
             raised.dedup();
             assert_eq!(ours.raised_instances, raised, "{at}");

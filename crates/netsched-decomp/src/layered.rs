@@ -34,12 +34,38 @@ pub enum TreeDecompositionKind {
 }
 
 /// A layered decomposition over all instances of a universe.
+///
+/// Indexed by instance id, tombstones included: a tombstone's slot holds
+/// no group and no critical edges and counts towards neither maximum.
 #[derive(Debug, Clone)]
 pub struct InstanceLayering {
+    /// Per instance id: its group ([`TOMBSTONE`] for a tombstone).
     group: Vec<usize>,
     critical: Vec<Vec<EdgeId>>,
-    num_groups: usize,
-    max_critical: usize,
+    /// Live instances per group, without trailing zeros: its length is
+    /// the number of groups.
+    group_count: Vec<u32>,
+    /// Live instances per critical-set size, without trailing zeros.
+    critical_count: Vec<u32>,
+}
+
+/// The group of a tombstoned instance slot.
+const TOMBSTONE: usize = usize::MAX;
+
+/// Counts one entry into (`add`) or out of `counts[at]`, keeping the
+/// vector free of trailing zeros.
+fn count(counts: &mut Vec<u32>, at: usize, add: bool) {
+    if add {
+        if counts.len() <= at {
+            counts.resize(at + 1, 0);
+        }
+        counts[at] += 1;
+    } else {
+        counts[at] -= 1;
+        while counts.last() == Some(&0) {
+            counts.pop();
+        }
+    }
 }
 
 impl InstanceLayering {
@@ -47,14 +73,31 @@ impl InstanceLayering {
     /// sets.
     pub fn from_parts(group: Vec<usize>, critical: Vec<Vec<EdgeId>>) -> Self {
         assert_eq!(group.len(), critical.len());
-        let num_groups = group.iter().map(|g| g + 1).max().unwrap_or(0);
-        let max_critical = critical.iter().map(|c| c.len()).max().unwrap_or(0);
-        Self {
+        let mut layering = Self {
             group,
             critical,
-            num_groups,
-            max_critical,
+            group_count: Vec::new(),
+            critical_count: Vec::new(),
+        };
+        for (g, c) in layering.group.iter().zip(&layering.critical) {
+            if *g != TOMBSTONE {
+                count(&mut layering.group_count, *g, true);
+                count(&mut layering.critical_count, c.len(), true);
+            }
         }
+        layering
+    }
+
+    /// Empty columns over `universe`'s instance slots (every slot a
+    /// tombstone until assigned), with the universe's slot headroom
+    /// reserved.
+    fn columns(universe: &DemandInstanceUniverse) -> (Vec<usize>, Vec<Vec<EdgeId>>) {
+        let (slots, target) = (universe.instance_slots(), universe.instance_slot_target());
+        let mut group = Vec::with_capacity(target);
+        group.resize(slots, TOMBSTONE);
+        let mut critical = Vec::with_capacity(target);
+        critical.resize(slots, Vec::new());
+        (group, critical)
     }
 
     /// Lemma 4.2: transforms per-network tree decompositions into a layered
@@ -93,8 +136,7 @@ impl InstanceLayering {
             .iter()
             .map(|t| root_fixing_decomposition(t, VertexId::new(0)))
             .collect();
-        let mut group = vec![0usize; universe.num_instances()];
-        let mut critical = vec![Vec::new(); universe.num_instances()];
+        let (mut group, mut critical) = Self::columns(universe);
         for inst in universe.instances() {
             let tree = problem.network(inst.network);
             let h = &decomps[inst.network.index()];
@@ -121,8 +163,7 @@ impl InstanceLayering {
             .min()
             .unwrap_or(1)
             .max(1);
-        let mut group = vec![0usize; universe.num_instances()];
-        let mut critical = vec![Vec::new(); universe.num_instances()];
+        let (mut group, mut critical) = Self::columns(universe);
         for inst in universe.instances() {
             let (g, c) = line_assignment(l_min, &inst.path);
             group[inst.id.index()] = g;
@@ -147,60 +188,68 @@ impl InstanceLayering {
     /// Number of groups (`ℓ_max`).
     #[inline]
     pub fn num_groups(&self) -> usize {
-        self.num_groups
+        self.group_count.len()
     }
 
     /// Maximum critical-set size (`∆`).
     #[inline]
     pub fn max_critical(&self) -> usize {
-        self.max_critical
+        self.critical_count.len().saturating_sub(1)
     }
 
-    /// The instances of each group, in group order.
+    /// The live instances of each group, in group order.
     pub fn groups(&self) -> Vec<Vec<InstanceId>> {
-        let mut out = vec![Vec::new(); self.num_groups];
+        let mut out = vec![Vec::new(); self.num_groups()];
         for (i, &g) in self.group.iter().enumerate() {
-            out[g].push(InstanceId::new(i));
+            if g != TOMBSTONE {
+                out[g].push(InstanceId::new(i));
+            }
         }
         out
     }
 
-    /// Splices the layering in place after a universe splice
-    /// (`DemandInstanceUniverse::apply_demand_delta`): survivors keep their
-    /// per-instance assignment under the compacted ids given by `remap`
-    /// (old id → new id, `u32::MAX` = removed; must be monotone on
-    /// survivors, which the universe splice guarantees), and `additions`
-    /// supplies the `(group, critical)` assignment of every appended
-    /// instance in id order.
+    /// Follows a universe splice
+    /// (`DemandInstanceUniverse::apply_demand_delta`): the `removed`
+    /// instances become tombstones, and `additions` supplies the
+    /// `(group, critical)` assignment of every appended instance in id
+    /// order. The group and critical-size maxima follow from per-value
+    /// counts, so the splice costs `O(removed + additions)`.
     ///
     /// Per-instance assignments are position-independent (they depend only
     /// on the instance's own path and its network's decomposition), so the
-    /// spliced layering is byte-identical to a from-scratch build over the
-    /// new universe — at `O(|D|)` splice cost instead of a
-    /// `O(path)`-per-instance re-assignment.
-    pub fn splice(&mut self, remap: &[u32], additions: Vec<(usize, Vec<EdgeId>)>) {
+    /// spliced layering relabelled by [`compact`](InstanceLayering::compact)
+    /// is byte-identical to a from-scratch build over the new universe.
+    pub fn splice(&mut self, removed: &[InstanceId], additions: Vec<(usize, Vec<EdgeId>)>) {
+        for &d in removed {
+            let g = std::mem::replace(&mut self.group[d.index()], TOMBSTONE);
+            assert_ne!(g, TOMBSTONE, "instance {d} removed twice");
+            let critical = std::mem::take(&mut self.critical[d.index()]);
+            count(&mut self.group_count, g, false);
+            count(&mut self.critical_count, critical.len(), false);
+        }
+        for (group, critical) in additions {
+            count(&mut self.group_count, group, true);
+            count(&mut self.critical_count, critical.len(), true);
+            self.group.push(group);
+            self.critical.push(critical);
+        }
+    }
+
+    /// Follows a universe compaction: the tombstones' slots drop out
+    /// through `remap` (old id → new id, `u32::MAX` = tombstone; monotone
+    /// on survivors), and the columns reserve up to `slot_target`.
+    pub fn compact(&mut self, remap: &[u32], slot_target: usize) {
         assert_eq!(
             remap.len(),
             self.group.len(),
             "remap must cover the layering"
         );
-        let mut w = 0usize;
-        for (r, &m) in remap.iter().enumerate() {
-            if m != u32::MAX {
-                debug_assert_eq!(m as usize, w, "remap must be a stable compaction");
-                self.group.swap(w, r);
-                self.critical.swap(w, r);
-                w += 1;
-            }
-        }
-        self.group.truncate(w);
-        self.critical.truncate(w);
-        for (group, critical) in additions {
-            self.group.push(group);
-            self.critical.push(critical);
-        }
-        self.num_groups = self.group.iter().map(|g| g + 1).max().unwrap_or(0);
-        self.max_critical = self.critical.iter().map(|c| c.len()).max().unwrap_or(0);
+        let mut keep = remap.iter().map(|&m| m != u32::MAX);
+        self.group.retain(|_| keep.next() == Some(true));
+        let mut keep = remap.iter().map(|&m| m != u32::MAX);
+        self.critical.retain(|_| keep.next() == Some(true));
+        netsched_graph::reserve_slots(&mut self.group, slot_target);
+        netsched_graph::reserve_slots(&mut self.critical, slot_target);
     }
 
     /// Verifies the defining property of layered decompositions against a
@@ -365,8 +414,7 @@ impl TreeLayerer {
         problem: &TreeProblem,
         universe: &DemandInstanceUniverse,
     ) -> InstanceLayering {
-        let mut group = vec![0usize; universe.num_instances()];
-        let mut critical = vec![Vec::new(); universe.num_instances()];
+        let (mut group, mut critical) = InstanceLayering::columns(universe);
         for inst in universe.instances() {
             let demand = problem.demand(inst.demand);
             let (g, c) = self.assign(
@@ -598,19 +646,9 @@ mod tests {
         let full = InstanceLayering::for_tree_problem(&p, &u, TreeDecompositionKind::Ideal);
 
         // Remove instances 1 and 3, append copies of instances 0 and 2's
-        // assignments: the spliced layering must equal `from_parts` on the
-        // same per-instance data.
+        // assignments: the spliced layering, compacted, must equal
+        // `from_parts` on the same per-instance data.
         let n = u.num_instances();
-        let mut remap = vec![0u32; n];
-        let mut next = 0u32;
-        for (i, slot) in remap.iter_mut().enumerate() {
-            if i == 1 || i == 3 {
-                *slot = u32::MAX;
-            } else {
-                *slot = next;
-                next += 1;
-            }
-        }
         let additions: Vec<(usize, Vec<netsched_graph::EdgeId>)> = [0usize, 2]
             .iter()
             .map(|&i| {
@@ -620,29 +658,56 @@ mod tests {
             .collect();
 
         let mut spliced = full.clone();
-        spliced.splice(&remap, additions.clone());
+        spliced.splice(&[InstanceId(1), InstanceId(3)], additions.clone());
+        assert_eq!(spliced.groups().concat().len(), n);
 
         let mut group = Vec::new();
         let mut critical = Vec::new();
+        let mut remap = Vec::new();
         for i in 0..n {
-            if i != 1 && i != 3 {
+            if i == 1 || i == 3 {
+                remap.push(u32::MAX);
+            } else {
+                remap.push(group.len() as u32);
                 let d = InstanceId::new(i);
                 group.push(full.group(d));
                 critical.push(full.critical(d).to_vec());
             }
         }
         for (g, c) in additions {
+            remap.push(group.len() as u32);
             group.push(g);
             critical.push(c);
         }
         let fresh = InstanceLayering::from_parts(group, critical);
         assert_eq!(spliced.num_groups(), fresh.num_groups());
         assert_eq!(spliced.max_critical(), fresh.max_critical());
-        for i in 0..n - 2 + 2 {
+        spliced.compact(&remap, n);
+        assert_eq!(spliced.num_groups(), fresh.num_groups());
+        assert_eq!(spliced.max_critical(), fresh.max_critical());
+        for i in 0..n {
             let d = InstanceId::new(i);
             assert_eq!(spliced.group(d), fresh.group(d), "group of {d}");
             assert_eq!(spliced.critical(d), fresh.critical(d), "critical of {d}");
         }
+        assert_eq!(spliced.groups(), fresh.groups());
+    }
+
+    /// Removing every instance of the largest group and the largest
+    /// critical sets shrinks both maxima without a rescan.
+    #[test]
+    fn splice_keeps_the_maxima_from_counts() {
+        let layering = InstanceLayering::from_parts(
+            vec![0, 2, 1],
+            vec![vec![EdgeId(0)], vec![EdgeId(1), EdgeId(2)], vec![EdgeId(3)]],
+        );
+        assert_eq!((layering.num_groups(), layering.max_critical()), (3, 2));
+        let mut spliced = layering.clone();
+        spliced.splice(&[InstanceId(1)], Vec::new());
+        assert_eq!((spliced.num_groups(), spliced.max_critical()), (2, 1));
+        spliced.splice(&[InstanceId(0), InstanceId(2)], vec![(4, Vec::new())]);
+        assert_eq!((spliced.num_groups(), spliced.max_critical()), (5, 0));
+        assert_eq!(spliced.groups()[4], vec![InstanceId(3)]);
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //!   stores no edge, only each network's sorted runs, keyed by the
 //!   instances' positions in the universe's own per-network index.
 
-use netsched_graph::{DemandInstanceUniverse, InstanceId, NetworkId, UniverseDelta};
+use netsched_graph::{
+    reserve_slots, Compaction, DemandInstanceUniverse, InstanceId, NetworkId, UniverseDelta,
+};
 
 /// One interval run of one instance, ready for sweeping; runs sort by
 /// `(start, end, local)`.
@@ -60,8 +62,8 @@ impl ConflictGraph {
     pub fn build(universe: &DemandInstanceUniverse) -> Self {
         let mut sweep = Sweep::default();
         // Same-demand cliques.
-        for a in 0..universe.num_demands() {
-            let group = universe.instances_of_demand(netsched_graph::DemandId::new(a));
+        for a in universe.demand_ids() {
+            let group = universe.instances_of_demand(a);
             for (i, &d1) in group.iter().enumerate() {
                 for &d2 in &group[i + 1..] {
                     sweep.pairs.push(ordered(d1.0, d2.0));
@@ -83,7 +85,7 @@ impl ConflictGraph {
         }
         sweep.pairs.sort_unstable();
         sweep.pairs.dedup();
-        let (offsets, neighbors) = assemble_csr(universe.num_instances(), &sweep.pairs);
+        let (offsets, neighbors) = assemble_csr(universe.instance_slots(), &sweep.pairs);
         Self {
             offsets,
             neighbors: neighbors.into_iter().map(InstanceId).collect(),
@@ -91,7 +93,8 @@ impl ConflictGraph {
         }
     }
 
-    /// Number of vertices (demand instances).
+    /// Number of vertices: instance slots, tombstones included (their
+    /// degree is 0).
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
@@ -424,16 +427,17 @@ impl Sweep {
 /// Beside the degrees it keeps, per network, the runs of the network's
 /// instances sorted for sweeping, each tagged with the instance's
 /// position in [`DemandInstanceUniverse::instances_on_network`]. A splice
-/// leaves a clean network's list unchanged up to renumbering and keeps a
-/// dirty network's survivors as a prefix, so positions change only where
-/// the batch landed.
+/// leaves a clean network's list unchanged and keeps a dirty network's
+/// survivors as a prefix, and a compaction relabels ids without moving
+/// anyone in a list, so positions change only where the batch landed.
 #[derive(Debug, Clone)]
 pub struct ShardedConflictGraph {
     /// Per network: the runs of its instances, sorted by
     /// `(start, end, local)`, `local` being the instance's position in
     /// the network's instance list.
     runs: Vec<Vec<ShardRun>>,
-    /// Per instance id: its degree in the full conflict graph.
+    /// Per instance id: its degree in the full conflict graph (0 for a
+    /// tombstone).
     degree: Vec<u32>,
     /// Sweep buffers reused by every splice.
     sweep: Sweep,
@@ -445,7 +449,8 @@ impl ShardedConflictGraph {
     /// network.
     pub fn build(universe: &DemandInstanceUniverse) -> Self {
         let mut sweep = Sweep::default();
-        let mut degree = vec![0; universe.num_instances()];
+        let mut degree = vec![0; universe.instance_slots()];
+        reserve_slots(&mut degree, universe.instance_slot_target());
         let runs = (0..universe.num_networks())
             .map(|t| {
                 let list = universe.instances_on_network(NetworkId::new(t));
@@ -466,15 +471,15 @@ impl ShardedConflictGraph {
     /// Re-synchronizes the degrees with a universe that was just spliced
     /// by [`DemandInstanceUniverse::apply_demand_delta`]:
     ///
-    /// 1. the degree column is compacted through the delta's instance
-    ///    remap;
+    /// 1. the removed instances' degrees are zeroed and the column extends
+    ///    over the arrivals' ids (no survivor changes id);
     /// 2. on each **dirty** network, the departures (the delta's
     ///    [`removed_positions`](UniverseDelta::removed_positions)) are
     ///    swept against the old runs, and each survivor they overlapped
-    ///    loses one degree at its new id;
+    ///    loses one degree;
     /// 3. the departures' runs are dropped and the survivors' positions
-    ///    renumbered in place — the map is monotone, so the run order
-    ///    holds;
+    ///    shifted down past the gaps in place — the shift is monotone, so
+    ///    the run order holds;
     /// 4. the arrivals' runs (the list's suffix from the delta's
     ///    [`first_added`](UniverseDelta::first_added) on) are merged in
     ///    and swept.
@@ -483,13 +488,14 @@ impl ShardedConflictGraph {
     /// a clean-network epoch allocates nothing. Demands expire whole, so
     /// no survivor loses a same-demand neighbor.
     ///
-    /// Cost: `O(|D|)` for the compaction plus
-    /// `O(Σ_dirty (runs + arrival- and departure-driven pairs))`. The
-    /// result equals `ShardedConflictGraph::build(universe)`.
+    /// Cost: `O(batch + Σ_dirty (runs + arrival- and departure-driven
+    /// pairs))`. The result equals `ShardedConflictGraph::build(universe)`.
     pub fn apply_delta(&mut self, universe: &DemandInstanceUniverse, delta: &UniverseDelta) {
-        let mut remap = delta.instance_remap().iter();
-        self.degree.retain(|_| remap.next() != Some(&u32::MAX));
-        self.degree.resize(universe.num_instances(), 0);
+        for &d in delta.removed_instances() {
+            self.degree[d.index()] = 0;
+        }
+        reserve_slots(&mut self.degree, universe.instance_slot_target());
+        self.degree.resize(universe.instance_slots(), 0);
 
         let mut removed = delta.removed_positions();
         for network in delta.dirty_networks() {
@@ -525,13 +531,23 @@ impl ShardedConflictGraph {
         }
     }
 
+    /// Follows a [`DemandInstanceUniverse::compact`]: the degree column
+    /// drops the tombstones' slots through the relabelling. The run arrays
+    /// are keyed by list position, which a compaction leaves alone.
+    pub fn compact(&mut self, universe: &DemandInstanceUniverse, compaction: &Compaction) {
+        let mut remap = compaction.instance_remap().iter();
+        self.degree.retain(|_| remap.next() != Some(&u32::MAX));
+        reserve_slots(&mut self.degree, universe.instance_slot_target());
+    }
+
     /// Number of shards (== networks).
     #[inline]
     pub fn num_shards(&self) -> usize {
         self.runs.len()
     }
 
-    /// Number of vertices (demand instances).
+    /// Number of vertices: instance slots, tombstones included (their
+    /// degree is 0).
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.degree.len()
@@ -566,12 +582,12 @@ mod tests {
         assert_eq!(graph.num_vertices(), flat.num_vertices());
         let all: Vec<InstanceId> = universe.instance_ids().collect();
         let induced = InducedConflicts::build(universe, &all);
-        for d in universe.instance_ids() {
+        for (p, &d) in all.iter().enumerate() {
             assert_eq!(graph.degree(d), flat.degree(d), "degree of {d}");
             let row: Vec<InstanceId> = induced
-                .neighbors(d.index())
+                .neighbors(p)
                 .iter()
-                .map(|&p| InstanceId(p))
+                .map(|&q| all[q as usize])
                 .collect();
             assert_eq!(row, flat.neighbors(d), "adjacency of {d}");
         }
@@ -749,12 +765,12 @@ mod tests {
 
         // Epoch 1: expire demand 1 (network 0), add a demand on networks
         // 0 and 2. Epoch 2: expire demand 0, no arrivals. Epoch 3: expire
-        // the demand first listed as 2 (now id 0), which empties network
-        // 1. Epoch 4: a demand arrives on the empty network 1.
+        // demand 2, which empties network 1. Epoch 4: a demand arrives on
+        // the empty network 1. Then the tombstones are reclaimed.
         let batches: Vec<(Vec<DemandId>, Vec<ArrivingDemand>)> = vec![
             (vec![DemandId(1)], vec![arrival(&[t0, t2], 3, 6)]),
             (vec![DemandId(0)], vec![]),
-            (vec![DemandId(0)], vec![]),
+            (vec![DemandId(2)], vec![]),
             (vec![], vec![arrival(&[t1], 0, 5)]),
         ];
         for (epoch, (expired, arrivals)) in batches.into_iter().enumerate() {
@@ -768,6 +784,12 @@ mod tests {
             assert_matches_fresh_build(&universe, &incremental);
             assert_matches_flat(&universe, &incremental);
         }
+        let mut compaction = Compaction::new();
+        universe.compact(&mut compaction);
+        incremental.compact(&universe, &compaction);
+        assert_eq!(incremental.num_vertices(), universe.num_instances());
+        assert_matches_fresh_build(&universe, &incremental);
+        assert_matches_flat(&universe, &incremental);
     }
 
     #[test]

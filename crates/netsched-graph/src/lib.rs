@@ -20,7 +20,10 @@
 //!   is the universe's partition by [`NetworkId`], and a splice's
 //!   [`UniverseDelta`] says which networks changed and where their lists
 //!   lost instances, which is all the conflict-degree upkeep in
-//!   `netsched-distrib` needs to update only those networks,
+//!   `netsched-distrib` needs to update only those networks; ids are
+//!   stable slots, an expiry leaves a tombstone, and a [`Compaction`]
+//!   relabels the survivors in order once tombstones exceed
+//!   [`TOMBSTONE_DIVISOR`]'s share,
 //! * [`CapacityIndex`] — per-network sparse tables answering
 //!   range-minimum capacity queries in `O(1)`, which keep the capacitated
 //!   `can_add`/eligibility paths at the uniform path's `O(runs log E)`
@@ -97,7 +100,8 @@ pub use path::{EdgePath, EdgeRun};
 pub use problem::TreeProblem;
 pub use tree::TreeNetwork;
 pub use universe::{
-    ArrivingDemand, DemandInstance, DemandInstanceUniverse, LoadTracker, UniverseDelta,
+    reserve_slots, ArrivingDemand, Compaction, DemandInstance, DemandInstanceUniverse, LoadTracker,
+    UniverseDelta, TOMBSTONE_DIVISOR,
 };
 
 /// Tolerance used throughout the workspace when comparing floating-point

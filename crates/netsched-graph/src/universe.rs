@@ -104,10 +104,35 @@ impl DemandInstance {
 }
 
 /// The full set of demand instances of a problem, plus edge capacities.
+///
+/// # Stable ids
+///
+/// Instance and demand ids are slots that only grow: a splice
+/// ([`apply_demand_delta`](DemandInstanceUniverse::apply_demand_delta))
+/// appends arrivals behind the last slot and leaves a **tombstone** in
+/// every slot it expires, so the ids of survivors never change and a
+/// splice costs `O(churn + dirty lists)`. [`num_instances`] and
+/// [`num_demands`] count live entries; per-id columns are sized by
+/// [`instance_slots`] and [`demand_slots`]. The iterators and the
+/// per-demand and per-network lists skip tombstones. A [compaction]
+/// reclaims the tombstones by relabelling the survivors `0, 1, …` in id
+/// order, which is the universe a from-scratch build over the survivors
+/// would hold; it runs once tombstones pile up (see
+/// [`TOMBSTONE_DIVISOR`]).
+///
+/// [`num_instances`]: DemandInstanceUniverse::num_instances
+/// [`num_demands`]: DemandInstanceUniverse::num_demands
+/// [`instance_slots`]: DemandInstanceUniverse::instance_slots
+/// [`demand_slots`]: DemandInstanceUniverse::demand_slots
+/// [compaction]: DemandInstanceUniverse::compact
 #[derive(Debug, Clone)]
 pub struct DemandInstanceUniverse {
+    /// One slot per instance id; a tombstone keeps the fields it had.
     instances: Vec<DemandInstance>,
-    num_demands: usize,
+    /// Per demand id: `false` once the demand expired (a tombstone).
+    demand_live: Vec<bool>,
+    live_instances: usize,
+    live_demands: usize,
     num_networks: usize,
     /// Number of edges of each network.
     edges_per_network: Vec<usize>,
@@ -115,9 +140,9 @@ pub struct DemandInstanceUniverse {
     /// setting of the arXiv text; arbitrary positive values in the
     /// capacitated/IPPS setting).
     capacities: Vec<Vec<f64>>,
-    /// Instances of each demand (`Inst(a)`).
+    /// Instances of each demand (`Inst(a)`); empty for a tombstone.
     by_demand: Vec<Vec<InstanceId>>,
-    /// Instances on each network (`D(T)`).
+    /// Live instances on each network (`D(T)`), ascending by id.
     by_network: Vec<Vec<InstanceId>>,
     /// Cached: `true` when every capacity is exactly 1.0 (the
     /// uniform-bandwidth setting), enabling `O(runs)` feasibility checks.
@@ -125,13 +150,36 @@ pub struct DemandInstanceUniverse {
     /// Range-minimum index over the capacities; built only in the
     /// non-uniform setting (the uniform one never consults it).
     capacity_index: Option<CapacityIndex>,
-    /// Cached `(p_min, p_max)` over all instances, refreshed by every
-    /// splice; see [`DemandInstanceUniverse::min_profit`].
+    /// Cached `(p_min, p_max)` over the live instances, kept current by
+    /// every splice; see [`DemandInstanceUniverse::min_profit`].
     profit_range: (f64, f64),
+    /// Live instances whose profit is `p_min`, and those whose profit is
+    /// `p_max`: a splice rescans only when one of them drops to zero.
+    profit_range_counts: (usize, usize),
+    /// `(instance, demand)` slot counts the per-id columns were reserved
+    /// for at open or at the last compaction; `None` for a universe that
+    /// never reserved (a one-shot solve's).
+    slot_budget: Option<(usize, usize)>,
 }
 
 /// Empty-universe convention for the cached profit range.
 const NO_PROFITS: (f64, f64) = (1.0, 1.0);
+
+/// The compaction policy's one constant: a universe is due for
+/// [compaction](DemandInstanceUniverse::compact) once its tombstoned
+/// instance (or demand) slots exceed `1 / TOMBSTONE_DIVISOR` of its live
+/// ones, and the per-id columns reserve that much headroom at open and
+/// after each compaction, so tombstones cost at most about 6% of capacity
+/// and the columns never grow by amortized doubling between compactions.
+pub const TOMBSTONE_DIVISOR: usize = 16;
+
+/// Grows `column`'s capacity to exactly `target` elements when it holds
+/// less (no amortized doubling); a no-op otherwise.
+pub fn reserve_slots<T>(column: &mut Vec<T>, target: usize) {
+    if target > column.capacity() {
+        column.reserve_exact(target - column.len());
+    }
+}
 
 impl DemandInstanceUniverse {
     /// Assembles a universe from its parts.
@@ -162,18 +210,10 @@ impl DemandInstanceUniverse {
         }
         let mut by_demand = vec![Vec::new(); num_demands];
         let mut by_network = vec![Vec::new(); num_networks];
-        let mut profit_range = (f64::INFINITY, f64::NEG_INFINITY);
         for (i, inst) in instances.iter().enumerate() {
             assert_eq!(inst.id.index(), i, "instance ids must be dense");
             by_demand[inst.demand.index()].push(inst.id);
             by_network[inst.network.index()].push(inst.id);
-            profit_range = (
-                profit_range.0.min(inst.profit),
-                profit_range.1.max(inst.profit),
-            );
-        }
-        if instances.is_empty() {
-            profit_range = NO_PROFITS;
         }
         let uniform_capacity = capacities
             .iter()
@@ -184,9 +224,11 @@ impl DemandInstanceUniverse {
         } else {
             Some(CapacityIndex::build(&capacities))
         };
-        Self {
+        let mut universe = Self {
+            live_instances: instances.len(),
+            live_demands: num_demands,
             instances,
-            num_demands,
+            demand_live: vec![true; num_demands],
             num_networks,
             edges_per_network,
             capacities,
@@ -194,20 +236,50 @@ impl DemandInstanceUniverse {
             by_network,
             uniform_capacity,
             capacity_index,
-            profit_range,
-        }
+            profit_range: NO_PROFITS,
+            profit_range_counts: (0, 0),
+            slot_budget: None,
+        };
+        universe.rescan_profit_range();
+        universe
     }
 
-    /// Number of demand instances `|D|`.
+    /// Number of live demand instances `|D|`.
     #[inline]
     pub fn num_instances(&self) -> usize {
+        self.live_instances
+    }
+
+    /// Number of live demands `m`.
+    #[inline]
+    pub fn num_demands(&self) -> usize {
+        self.live_demands
+    }
+
+    /// One past the largest instance id: live instances plus tombstones.
+    /// Per-instance columns are sized by this.
+    #[inline]
+    pub fn instance_slots(&self) -> usize {
         self.instances.len()
     }
 
-    /// Number of demands `m`.
+    /// One past the largest demand id: live demands plus tombstones.
+    /// Per-demand columns are sized by this.
     #[inline]
-    pub fn num_demands(&self) -> usize {
-        self.num_demands
+    pub fn demand_slots(&self) -> usize {
+        self.demand_live.len()
+    }
+
+    /// `true` when instance `d` is live (not a tombstone).
+    #[inline]
+    pub fn is_live(&self, d: InstanceId) -> bool {
+        self.demand_live[self.instances[d.index()].demand.index()]
+    }
+
+    /// `true` when demand `a` is live (not a tombstone).
+    #[inline]
+    pub fn is_live_demand(&self, a: DemandId) -> bool {
+        self.demand_live[a.index()]
     }
 
     /// Number of networks `r`.
@@ -226,6 +298,7 @@ impl DemandInstanceUniverse {
         for inst in &self.instances {
             bytes += inst.path.heap_bytes();
         }
+        bytes += self.demand_live.capacity();
         bytes += self.edges_per_network.capacity() * std::mem::size_of::<usize>();
         for caps in &self.capacities {
             bytes += caps.capacity() * std::mem::size_of::<f64>();
@@ -256,23 +329,34 @@ impl DemandInstanceUniverse {
         &self.instances[d.index()]
     }
 
-    /// Iterates over all instances.
+    /// Iterates over the live instances, ascending by id.
     pub fn instances(&self) -> impl Iterator<Item = &DemandInstance> {
-        self.instances.iter()
+        self.instances
+            .iter()
+            .filter(|inst| self.demand_live[inst.demand.index()])
     }
 
-    /// Iterates over all instance identifiers.
-    pub fn instance_ids(&self) -> impl Iterator<Item = InstanceId> {
-        (0..self.instances.len()).map(InstanceId::new)
+    /// Iterates over the live instance identifiers, ascending.
+    pub fn instance_ids(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        self.instances().map(|inst| inst.id)
     }
 
-    /// The instances of demand `a` (`Inst(a)`).
+    /// Iterates over the live demand identifiers, ascending.
+    pub fn demand_ids(&self) -> impl Iterator<Item = DemandId> + '_ {
+        self.demand_live
+            .iter()
+            .enumerate()
+            .filter(|&(_, &live)| live)
+            .map(|(a, _)| DemandId::new(a))
+    }
+
+    /// The instances of demand `a` (`Inst(a)`); empty for a tombstone.
     #[inline]
     pub fn instances_of_demand(&self, a: DemandId) -> &[InstanceId] {
         &self.by_demand[a.index()]
     }
 
-    /// The instances on network `t` (`D(T)`).
+    /// The live instances on network `t` (`D(T)`), ascending by id.
     #[inline]
     pub fn instances_on_network(&self, t: NetworkId) -> &[InstanceId] {
         &self.by_network[t.index()]
@@ -308,33 +392,30 @@ impl DemandInstanceUniverse {
         self.instances[d.index()].demand
     }
 
-    /// Maximum profit over all instances (`p_max`); 1.0 for an empty
+    /// Maximum profit over the live instances (`p_max`); 1.0 for an empty
     /// universe. `O(1)`: cached at construction and on every splice.
     #[inline]
     pub fn max_profit(&self) -> f64 {
         self.profit_range.1
     }
 
-    /// Minimum profit over all instances (`p_min`); 1.0 for an empty
+    /// Minimum profit over the live instances (`p_min`); 1.0 for an empty
     /// universe. `O(1)`: cached at construction and on every splice.
     #[inline]
     pub fn min_profit(&self) -> f64 {
         self.profit_range.0
     }
 
-    /// Minimum height over all instances (`h_min`); 1.0 for an empty
+    /// Minimum height over the live instances (`h_min`); 1.0 for an empty
     /// universe.
     pub fn min_height(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(|d| d.height)
-            .fold(1.0_f64, f64::min)
+        self.instances().map(|d| d.height).fold(1.0_f64, f64::min)
     }
 
-    /// Returns `true` if every instance has height exactly 1 (the
+    /// Returns `true` if every live instance has height exactly 1 (the
     /// unit-height case).
     pub fn is_unit_height(&self) -> bool {
-        self.instances.iter().all(|d| (d.height - 1.0).abs() <= EPS)
+        self.instances().all(|d| (d.height - 1.0).abs() <= EPS)
     }
 
     /// Returns `true` if every capacity is exactly 1 (the uniform-bandwidth
@@ -455,7 +536,7 @@ impl DemandInstanceUniverse {
     pub fn is_feasible(&self, selection: &[InstanceId]) -> bool {
         // At most one instance per demand (which also rules out a repeated
         // instance); count the selection per network on the way.
-        let mut used = vec![false; self.num_demands];
+        let mut used = vec![false; self.demand_slots()];
         let mut bucket_start = vec![0usize; self.num_networks + 1];
         for &d in selection {
             let inst = &self.instances[d.index()];
@@ -628,41 +709,34 @@ pub struct ArrivingDemand {
     pub instances: Vec<(NetworkId, EdgePath, Option<u32>)>,
 }
 
-/// The renumbering produced by one
-/// [`DemandInstanceUniverse::apply_demand_delta`] splice, reusable across
-/// epochs (every buffer is cleared and refilled in place).
+/// What one [`DemandInstanceUniverse::apply_demand_delta`] splice changed,
+/// reusable across epochs (every buffer is cleared and refilled in place).
 ///
-/// A splice removes the instances of the expired demands and appends the
-/// instances of the arriving demands at the tail, renumbering both demand
-/// and instance ids so the result is **byte-identical** to a from-scratch
-/// universe over the surviving demand set (survivors keep their relative
-/// order; arrivals follow). The delta records the old→new id maps, which
-/// instances are new, the *dirty networks* — the networks that gained or
-/// lost at least one instance — and where each removed instance stood in
-/// its network's [`instances_on_network`](DemandInstanceUniverse::instances_on_network)
-/// list. A clean network's list changes only by the renumbering, and a
-/// dirty one keeps its survivors as a prefix, so per-network state keyed
-/// by list position (the conflict-degree upkeep in `netsched-distrib`)
-/// is updated where the batch actually landed and nowhere else.
+/// A splice leaves a tombstone in every slot of an expired demand and of
+/// its instances and appends the arrivals behind the last slot, so no
+/// surviving id changes and the delta carries no id map: it names the
+/// tombstoned instances and demands, where the arrivals start, the *dirty
+/// networks* — the networks that gained or lost at least one instance —
+/// and where each removed instance stood in its network's
+/// [`instances_on_network`](DemandInstanceUniverse::instances_on_network)
+/// list. A clean network's list does not change at all, and a dirty one
+/// keeps its survivors as a prefix in their order, so per-network state
+/// keyed by list position (the conflict-degree upkeep in
+/// `netsched-distrib`) is updated where the batch actually landed and
+/// nowhere else. Every field is `O(batch)`.
 #[derive(Debug, Clone, Default)]
 pub struct UniverseDelta {
-    /// Old instance id → new instance id; `u32::MAX` for removed instances.
-    instance_remap: Vec<u32>,
-    /// Old demand id → new demand id; `u32::MAX` for expired demands.
-    demand_remap: Vec<u32>,
-    /// Instances with new id `>= first_added` were appended by the splice.
+    /// Instances the splice tombstoned, ascending.
+    removed: Vec<InstanceId>,
+    /// Demands the splice tombstoned, ascending.
+    expired: Vec<DemandId>,
+    /// Instances with id `>= first_added` were appended by the splice.
     first_added: u32,
     /// Per-network flag: `true` when the network gained or lost instances.
     dirty: Vec<bool>,
     /// `(network, position)` of every removed instance, its position
     /// being its index in the network's pre-splice instance list; sorted.
     removed_positions: Vec<(NetworkId, u32)>,
-    /// Splice scratch: per-old-demand expiry marks, reused across epochs so
-    /// a steady-state splice allocates nothing.
-    expired_mark: Vec<bool>,
-    /// Splice scratch: per network, the pre-splice instances visited so
-    /// far (the next one's position in the network's list).
-    network_seen: Vec<u32>,
 }
 
 impl UniverseDelta {
@@ -671,53 +745,31 @@ impl UniverseDelta {
         Self::default()
     }
 
-    fn reset(&mut self, old_instances: usize, old_demands: usize, networks: usize) {
-        self.instance_remap.clear();
-        self.instance_remap.reserve(old_instances);
-        self.demand_remap.clear();
-        self.demand_remap.reserve(old_demands);
+    fn reset(&mut self, instance_slots: usize, networks: usize) {
+        self.removed.clear();
+        self.expired.clear();
         self.dirty.clear();
         self.dirty.resize(networks, false);
         self.removed_positions.clear();
-        self.expired_mark.clear();
-        self.expired_mark.resize(old_demands, false);
-        self.network_seen.clear();
-        self.network_seen.resize(networks, 0);
-        self.first_added = 0;
+        self.first_added = instance_slots as u32;
     }
 
-    /// Old instance id → new instance id map (`u32::MAX` = removed).
+    /// The instances the splice tombstoned, ascending — the query the warm
+    /// re-solve engine uses to clear their dual contributions.
     #[inline]
-    pub fn instance_remap(&self) -> &[u32] {
-        &self.instance_remap
+    pub fn removed_instances(&self) -> &[InstanceId] {
+        &self.removed
     }
 
-    /// The new id of a pre-splice instance, or `None` if it was removed.
+    /// The demands the splice tombstoned, ascending.
     #[inline]
-    pub fn map_instance(&self, old: InstanceId) -> Option<InstanceId> {
-        match self.instance_remap[old.index()] {
-            u32::MAX => None,
-            new => Some(InstanceId(new)),
-        }
-    }
-
-    /// Old demand id → new demand id map (`u32::MAX` = expired).
-    #[inline]
-    pub fn demand_remap(&self) -> &[u32] {
-        &self.demand_remap
-    }
-
-    /// The new id of a pre-splice demand, or `None` if it expired.
-    #[inline]
-    pub fn map_demand(&self, old: DemandId) -> Option<DemandId> {
-        match self.demand_remap[old.index()] {
-            u32::MAX => None,
-            new => Some(DemandId(new)),
-        }
+    pub fn expired_demands(&self) -> &[DemandId] {
+        &self.expired
     }
 
     /// First instance id that belongs to an arriving demand (all appended
-    /// instances form a suffix of the new id space).
+    /// instances form a suffix of the id space): the instance slot count
+    /// before the splice.
     #[inline]
     pub fn first_added(&self) -> usize {
         self.first_added as usize
@@ -744,20 +796,6 @@ impl UniverseDelta {
         self.dirty.iter().filter(|&&d| d).count()
     }
 
-    /// Number of instances the universe held **before** the splice (the
-    /// domain of [`instance_remap`](UniverseDelta::instance_remap)).
-    #[inline]
-    pub fn old_num_instances(&self) -> usize {
-        self.instance_remap.len()
-    }
-
-    /// Number of demands the universe held **before** the splice (the
-    /// domain of [`demand_remap`](UniverseDelta::demand_remap)).
-    #[inline]
-    pub fn old_num_demands(&self) -> usize {
-        self.demand_remap.len()
-    }
-
     /// `(network, position)` of every instance the splice removed, where
     /// `position` is its index in the network's **pre-splice**
     /// [`instances_on_network`](DemandInstanceUniverse::instances_on_network)
@@ -767,113 +805,151 @@ impl UniverseDelta {
     pub fn removed_positions(&self) -> &[(NetworkId, u32)] {
         &self.removed_positions
     }
+}
 
-    /// Iterates over the **old** ids of the instances the splice removed —
-    /// the stable id-map query the warm re-solve engine uses to clear the
-    /// expired instances' dual contributions.
-    pub fn removed_instances(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.instance_remap
-            .iter()
-            .enumerate()
-            .filter(|&(_, &new)| new == u32::MAX)
-            .map(|(old, _)| InstanceId::new(old))
+/// The relabelling of one [`DemandInstanceUniverse::compact`]: old → new
+/// instance and demand ids, `u32::MAX` for a reclaimed tombstone. Both
+/// maps are monotone on survivors (a stable compaction), so every
+/// consumer keeps its per-id state in the same relative order. Reusable
+/// across compactions.
+#[derive(Debug, Clone, Default)]
+pub struct Compaction {
+    instance_remap: Vec<u32>,
+    demand_remap: Vec<u32>,
+}
+
+impl Compaction {
+    /// An empty relabelling, ready to be filled by a compaction.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Old instance id → new instance id (`u32::MAX` = tombstone).
+    #[inline]
+    pub fn instance_remap(&self) -> &[u32] {
+        &self.instance_remap
+    }
+
+    /// Old demand id → new demand id (`u32::MAX` = tombstone).
+    #[inline]
+    pub fn demand_remap(&self) -> &[u32] {
+        &self.demand_remap
+    }
+
+    /// The new id of an instance, or `None` for a tombstone.
+    #[inline]
+    pub fn map_instance(&self, old: InstanceId) -> Option<InstanceId> {
+        match self.instance_remap[old.index()] {
+            u32::MAX => None,
+            new => Some(InstanceId(new)),
+        }
+    }
+
+    /// The new id of a demand, or `None` for a tombstone.
+    #[inline]
+    pub fn map_demand(&self, old: DemandId) -> Option<DemandId> {
+        match self.demand_remap[old.index()] {
+            u32::MAX => None,
+            new => Some(DemandId(new)),
+        }
     }
 }
 
 impl DemandInstanceUniverse {
-    /// Splices a demand batch into the universe in place: removes every
-    /// instance of the demands in `expired` (current dense ids) and appends
-    /// the instances of `arrivals` at the tail, renumbering demand and
-    /// instance ids densely.
+    /// Splices a demand batch into the universe in place: tombstones every
+    /// demand in `expired` (live ids) and its instances, and appends the
+    /// instances of `arrivals` as new slots at the tail (one new demand id
+    /// each, its instances in their given order).
     ///
-    /// The result is byte-identical to building a fresh universe over the
-    /// surviving demands (in their current relative order) followed by the
-    /// arrivals: survivors keep their relative order, so the compaction is
-    /// a stable shift, and all appended instances form a suffix. Paths of
-    /// surviving instances are moved, not recomputed — the splice costs
-    /// `O(|D| + Σ new instances)` with no per-edge or per-path work.
+    /// No surviving id changes, so the splice costs `O(batch log |D| +
+    /// Σ dirty-list tails + Σ new instances)`: each expired instance is
+    /// found in its network's sorted list by binary search, each dirty
+    /// list closes its gaps once, and no path is recomputed. Survivors
+    /// keep their relative order and arrivals follow, so the universe
+    /// relabelled by [`compact`](DemandInstanceUniverse::compact) equals a
+    /// fresh build over the surviving demands (in their current order)
+    /// followed by the arrivals.
     ///
-    /// `delta` is cleared and refilled with the old→new id maps, the
+    /// `delta` is cleared and refilled with the tombstoned ids, the
     /// dirty-network bitmap and the removed instances' list positions
     /// (reuse one [`UniverseDelta`] across epochs to avoid reallocation).
     ///
     /// # Panics
     ///
-    /// Panics when an expired id is out of range or listed twice, or when
-    /// an arriving instance names an unknown network.
+    /// Panics when an expired id is out of range, a tombstone or listed
+    /// twice, or when an arriving instance names an unknown network.
     pub fn apply_demand_delta(
         &mut self,
         expired: &[DemandId],
         arrivals: &[ArrivingDemand],
         delta: &mut UniverseDelta,
     ) {
-        delta.reset(self.instances.len(), self.num_demands, self.num_networks);
+        delta.reset(self.instances.len(), self.num_networks);
+        let mut rescan = false;
 
-        // Demand renumbering: survivors compact stably, arrivals append.
+        // Tombstone the expired demands and find their instances' list
+        // positions.
         for &a in expired {
-            assert!(a.index() < self.num_demands, "expired demand {a} unknown");
-            assert!(!delta.expired_mark[a.index()], "demand {a} expired twice");
-            delta.expired_mark[a.index()] = true;
-        }
-        let mut next_demand = 0u32;
-        for r in &delta.expired_mark {
-            delta
-                .demand_remap
-                .push(if *r { u32::MAX } else { next_demand });
-            if !*r {
-                next_demand += 1;
+            assert!(
+                a.index() < self.demand_live.len(),
+                "expired demand {a} unknown"
+            );
+            assert!(self.demand_live[a.index()], "demand {a} expired twice");
+            self.demand_live[a.index()] = false;
+            self.live_demands -= 1;
+            delta.expired.push(a);
+            let list = std::mem::take(&mut self.by_demand[a.index()]);
+            for &d in &list {
+                let inst = &self.instances[d.index()];
+                let t = inst.network;
+                let position = self.by_network[t.index()]
+                    .binary_search(&d)
+                    .expect("a live instance is on its network's list");
+                delta.removed.push(d);
+                delta.removed_positions.push((t, position as u32));
+                delta.dirty[t.index()] = true;
             }
+            if let Some(&d) = list.first() {
+                rescan |= self.drop_profit(self.instances[d.index()].profit, list.len());
+            }
+            self.live_instances -= list.len();
         }
-
-        // Compact the instance list in place (moves within the existing
-        // buffer — no path clones and no reallocation of the instance
-        // vector, so a clean steady-state epoch is allocation-free).
-        let mut next_instance = 0u32;
-        {
-            let UniverseDelta {
-                instance_remap,
-                demand_remap,
-                dirty,
-                removed_positions,
-                expired_mark,
-                network_seen,
-                ..
-            } = delta;
-            self.instances.retain_mut(|inst| {
-                let t = inst.network.index();
-                let position = network_seen[t];
-                network_seen[t] += 1;
-                if expired_mark[inst.demand.index()] {
-                    instance_remap.push(u32::MAX);
-                    dirty[t] = true;
-                    removed_positions.push((inst.network, position));
-                    false
-                } else {
-                    instance_remap.push(next_instance);
-                    inst.id = InstanceId(next_instance);
-                    inst.demand = DemandId(demand_remap[inst.demand.index()]);
-                    next_instance += 1;
-                    true
-                }
-            });
-        }
-        delta.first_added = next_instance;
-        // Positions were recorded in instance order; each network's are
-        // already ascending.
+        delta.expired.sort_unstable();
+        delta.removed.sort_unstable();
         delta.removed_positions.sort_unstable();
+
+        // Close each dirty list's gaps, from its first removed position on.
+        for gone in delta.removed_positions.chunk_by(|a, b| a.0 == b.0) {
+            let list = &mut self.by_network[gone[0].0.index()];
+            let first = gone[0].1 as usize;
+            let mut write = first;
+            let mut next = 0;
+            for read in first..list.len() {
+                if next < gone.len() && gone[next].1 as usize == read {
+                    next += 1;
+                } else {
+                    list[write] = list[read];
+                    write += 1;
+                }
+            }
+            list.truncate(write);
+        }
 
         // Append the arrivals.
         for arrival in arrivals {
-            let demand = DemandId(next_demand);
-            next_demand += 1;
+            let demand = DemandId::new(self.demand_live.len());
+            self.demand_live.push(true);
+            self.live_demands += 1;
+            let mut ids = Vec::with_capacity(arrival.instances.len());
             for (network, path, start) in &arrival.instances {
                 assert!(
                     network.index() < self.num_networks,
                     "arriving instance names unknown network {network}"
                 );
                 delta.dirty[network.index()] = true;
+                let id = InstanceId::new(self.instances.len());
                 self.instances.push(DemandInstance {
-                    id: InstanceId(next_instance),
+                    id,
                     demand,
                     network: *network,
                     profit: arrival.profit,
@@ -881,33 +957,202 @@ impl DemandInstanceUniverse {
                     path: path.clone(),
                     start: *start,
                 });
-                next_instance += 1;
+                self.by_network[network.index()].push(id);
+                ids.push(id);
+            }
+            self.add_profit(arrival.profit, ids.len());
+            self.live_instances += ids.len();
+            self.by_demand.push(ids);
+        }
+        if rescan {
+            self.rescan_profit_range();
+        }
+    }
+
+    /// Counts `k` live instances of profit `p` into the cached range.
+    fn add_profit(&mut self, p: f64, k: usize) {
+        if k == 0 {
+            return;
+        }
+        if self.live_instances == 0 {
+            self.profit_range = (p, p);
+            self.profit_range_counts = (k, k);
+            return;
+        }
+        let (range, counts) = (&mut self.profit_range, &mut self.profit_range_counts);
+        if p < range.0 {
+            *range = (p, range.1);
+            counts.0 = k;
+        } else if p == range.0 {
+            counts.0 += k;
+        }
+        if p > range.1 {
+            *range = (range.0, p);
+            counts.1 = k;
+        } else if p == range.1 {
+            counts.1 += k;
+        }
+    }
+
+    /// Counts `k` expiring instances of profit `p` out of the cached
+    /// range; returns `true` when an end of the range lost its last
+    /// instance and must be rescanned.
+    fn drop_profit(&mut self, p: f64, k: usize) -> bool {
+        let counts = &mut self.profit_range_counts;
+        let mut stale = false;
+        if p == self.profit_range.0 {
+            counts.0 -= k;
+            stale |= counts.0 == 0;
+        }
+        if p == self.profit_range.1 {
+            counts.1 -= k;
+            stale |= counts.1 == 0;
+        }
+        stale
+    }
+
+    /// Recomputes the cached profit range over the live instances.
+    fn rescan_profit_range(&mut self) {
+        let mut range = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut counts = (0, 0);
+        for inst in self.instances() {
+            let p = inst.profit;
+            if p < range.0 {
+                (range.0, counts.0) = (p, 0);
+            }
+            if p == range.0 {
+                counts.0 += 1;
+            }
+            if p > range.1 {
+                (range.1, counts.1) = (p, 0);
+            }
+            if p == range.1 {
+                counts.1 += 1;
             }
         }
-        self.num_demands = next_demand as usize;
-
-        // Rebuild the secondary indices (O(|D|), allocation-reusing).
-        for group in &mut self.by_demand {
-            group.clear();
-        }
-        self.by_demand.resize(self.num_demands, Vec::new());
-        for group in &mut self.by_network {
-            group.clear();
-        }
-        let mut profit_range = (f64::INFINITY, f64::NEG_INFINITY);
-        for inst in &self.instances {
-            self.by_demand[inst.demand.index()].push(inst.id);
-            self.by_network[inst.network.index()].push(inst.id);
-            profit_range = (
-                profit_range.0.min(inst.profit),
-                profit_range.1.max(inst.profit),
-            );
-        }
-        self.profit_range = if self.instances.is_empty() {
-            NO_PROFITS
+        (self.profit_range, self.profit_range_counts) = if self.live_instances == 0 {
+            (NO_PROFITS, (0, 0))
         } else {
-            profit_range
+            (range, counts)
         };
+    }
+
+    /// Tombstoned instance slots.
+    #[inline]
+    pub fn tombstones(&self) -> usize {
+        self.instances.len() - self.live_instances
+    }
+
+    /// `true` when the next splice, which removes `outgoing` live
+    /// instances and appends `incoming` new ones, should be preceded by a
+    /// [`compact`](DemandInstanceUniverse::compact): the tombstones would
+    /// then exceed `1 / TOMBSTONE_DIVISOR` of the live instances (or
+    /// demands), or the instance slots would outgrow the headroom reserved
+    /// at open or at the last compaction.
+    pub fn needs_compaction(&self, outgoing: usize, incoming: usize) -> bool {
+        let tombstones = self.tombstones() + outgoing;
+        let live = (self.live_instances + incoming).saturating_sub(outgoing);
+        let dead_demands = self.demand_live.len() - self.live_demands;
+        tombstones * TOMBSTONE_DIVISOR > live
+            || dead_demands * TOMBSTONE_DIVISOR > self.live_demands
+            || self
+                .slot_budget
+                .is_some_and(|(slots, _)| self.instances.len() + incoming > slots)
+    }
+
+    /// The instance slot count per-instance columns should reserve: the
+    /// slots plus the headroom reserved at open or at the last compaction
+    /// (0 for a universe that never reserved, whose columns grow as `Vec`s
+    /// do).
+    #[inline]
+    pub fn instance_slot_target(&self) -> usize {
+        self.slot_budget
+            .map_or(0, |(slots, _)| slots.max(self.instances.len()))
+    }
+
+    /// The demand slot count per-demand columns should reserve; see
+    /// [`instance_slot_target`](DemandInstanceUniverse::instance_slot_target).
+    #[inline]
+    pub fn demand_slot_target(&self) -> usize {
+        self.slot_budget
+            .map_or(0, |(_, slots)| slots.max(self.demand_live.len()))
+    }
+
+    /// Reserves headroom of `1 / TOMBSTONE_DIVISOR` of the live instances
+    /// (and demands) in the universe's per-id columns, and records the
+    /// budget the other per-id columns reserve up to
+    /// ([`instance_slot_target`](DemandInstanceUniverse::instance_slot_target)).
+    /// Serving cores call it at open; every compaction renews it.
+    pub fn reserve_headroom(&mut self) {
+        let budget = (
+            self.instances.len() + self.live_instances / TOMBSTONE_DIVISOR + 1,
+            self.demand_live.len() + self.live_demands / TOMBSTONE_DIVISOR + 1,
+        );
+        self.slot_budget = Some(budget);
+        reserve_slots(&mut self.instances, budget.0);
+        reserve_slots(&mut self.demand_live, budget.1);
+        reserve_slots(&mut self.by_demand, budget.1);
+    }
+
+    /// Reclaims every tombstone: the live instances and demands are
+    /// relabelled `0, 1, …` in id order, and `out` is refilled with the
+    /// old → new maps every per-id consumer follows. The result equals a
+    /// fresh build over the live demands in their current order. The only
+    /// `O(|D|)` pass of the splice path; a no-op relabelling (identity
+    /// maps) when there are no tombstones.
+    pub fn compact(&mut self, out: &mut Compaction) {
+        out.demand_remap.clear();
+        let mut next = 0u32;
+        out.demand_remap
+            .extend(self.demand_live.iter().map(|&live| {
+                if live {
+                    next += 1;
+                    next - 1
+                } else {
+                    u32::MAX
+                }
+            }));
+        out.instance_remap.clear();
+        let mut next_instance = 0u32;
+        {
+            let Compaction {
+                instance_remap,
+                demand_remap,
+            } = out;
+            self.instances
+                .retain_mut(|inst| match demand_remap[inst.demand.index()] {
+                    u32::MAX => {
+                        instance_remap.push(u32::MAX);
+                        false
+                    }
+                    demand => {
+                        instance_remap.push(next_instance);
+                        inst.id = InstanceId(next_instance);
+                        inst.demand = DemandId(demand);
+                        next_instance += 1;
+                        true
+                    }
+                });
+        }
+        let mut slot = 0;
+        self.by_demand.retain(|_| {
+            slot += 1;
+            self.demand_live[slot - 1]
+        });
+        for id in self
+            .by_demand
+            .iter_mut()
+            .chain(&mut self.by_network)
+            .flatten()
+        {
+            *id = InstanceId(out.instance_remap[id.index()]);
+        }
+        self.demand_live.clear();
+        self.demand_live.resize(self.live_demands, true);
+        self.rescan_profit_range();
+        if self.slot_budget.is_some() {
+            self.reserve_headroom();
+        }
     }
 }
 
@@ -937,8 +1182,8 @@ impl LoadTracker {
             loads: (0..universe.num_networks())
                 .map(|t| vec![0.0; universe.num_edges(NetworkId::new(t))])
                 .collect(),
-            used_demand: vec![false; universe.num_demands()],
-            selected: vec![false; universe.num_instances()],
+            used_demand: vec![false; universe.demand_slots()],
+            selected: vec![false; universe.instance_slots()],
         }
     }
 
@@ -1106,9 +1351,42 @@ mod tests {
         assert!(!u.is_feasible(&[InstanceId(0), InstanceId(1), InstanceId(2)]));
     }
 
+    /// Every field of `u` relabelled to dense ids (a compaction of a
+    /// clone) against a from-scratch build.
+    fn assert_relabels_to(u: &DemandInstanceUniverse, fresh: &DemandInstanceUniverse) {
+        let mut dense = u.clone();
+        dense.compact(&mut Compaction::new());
+        assert_eq!(dense.instance_slots(), fresh.instance_slots());
+        assert_eq!(dense.num_instances(), fresh.num_instances());
+        assert_eq!(dense.num_demands(), fresh.num_demands());
+        assert_eq!(dense.demand_slots(), fresh.demand_slots());
+        for d in fresh.instance_ids() {
+            assert_eq!(dense.instance(d), fresh.instance(d), "instance {d}");
+        }
+        for a in fresh.demand_ids() {
+            assert_eq!(
+                dense.instances_of_demand(a),
+                fresh.instances_of_demand(a),
+                "demand {a}"
+            );
+        }
+        for t in 0..fresh.num_networks() {
+            let t = NetworkId::new(t);
+            assert_eq!(dense.instances_on_network(t), fresh.instances_on_network(t));
+        }
+        assert_eq!(
+            (dense.min_profit(), dense.max_profit()),
+            (fresh.min_profit(), fresh.max_profit())
+        );
+        assert_eq!(
+            (u.min_profit(), u.max_profit()),
+            (fresh.min_profit(), fresh.max_profit())
+        );
+    }
+
     /// Splice vs from-scratch: removing demands 0 and 2 of the Figure 1
-    /// universe and appending a new one must reproduce the fresh build
-    /// exactly, field by field.
+    /// universe and appending a new one keeps every surviving id, and the
+    /// relabelled universe reproduces the fresh build field by field.
     #[test]
     fn splice_matches_from_scratch_rebuild() {
         let mut u = figure1_universe();
@@ -1162,36 +1440,38 @@ mod tests {
             vec![10],
             None,
         );
-        assert_eq!(u.num_instances(), fresh.num_instances());
-        assert_eq!(u.num_demands(), fresh.num_demands());
-        for d in u.instance_ids() {
-            assert_eq!(u.instance(d), fresh.instance(d), "instance {d}");
-        }
-        for a in 0..u.num_demands() {
-            assert_eq!(
-                u.instances_of_demand(DemandId::new(a)),
-                fresh.instances_of_demand(DemandId::new(a))
-            );
-        }
+        assert_relabels_to(&u, &fresh);
+        // Stable ids: the survivor keeps id 1, the arrivals take 3 and 4.
+        assert_eq!(u.instance_slots(), 5);
+        assert_eq!(u.num_instances(), 3);
+        assert_eq!(u.demand_slots(), 4);
+        assert!(!u.is_live(InstanceId(0)) && u.is_live(InstanceId(1)));
         assert_eq!(
-            u.instances_on_network(NetworkId(0)),
-            fresh.instances_on_network(NetworkId(0))
+            u.instance_ids().collect::<Vec<_>>(),
+            vec![InstanceId(1), InstanceId(3), InstanceId(4)]
         );
-        assert_eq!((u.min_profit(), u.max_profit()), (1.0, 4.0));
-        assert_eq!((fresh.min_profit(), fresh.max_profit()), (1.0, 4.0));
-        // Delta bookkeeping: old instance 1 survived as 0, the rest removed,
-        // the two new instances form the tail.
-        assert_eq!(delta.instance_remap(), &[u32::MAX, 0, u32::MAX]);
-        assert_eq!(delta.demand_remap(), &[u32::MAX, 0, u32::MAX]);
-        assert_eq!(delta.first_added(), 1);
-        assert_eq!(delta.map_instance(InstanceId(1)), Some(InstanceId(0)));
-        assert_eq!(delta.map_instance(InstanceId(0)), None);
-        assert_eq!(delta.map_demand(DemandId(1)), Some(DemandId(0)));
+        assert_eq!(
+            u.instances_of_demand(DemandId(3)),
+            &[InstanceId(3), InstanceId(4)]
+        );
+        assert!(u.instances_of_demand(DemandId(0)).is_empty());
+        // Delta bookkeeping: the tombstones, where the arrivals start.
+        assert_eq!(delta.removed_instances(), &[InstanceId(0), InstanceId(2)]);
+        assert_eq!(delta.expired_demands(), &[DemandId(0), DemandId(2)]);
+        assert_eq!(delta.first_added(), 3);
         assert_eq!(delta.num_dirty(), 1);
         assert_eq!(
             delta.dirty_networks().collect::<Vec<_>>(),
             vec![NetworkId(0)]
         );
+
+        // The compaction relabels in order and says so.
+        let mut compaction = Compaction::new();
+        u.compact(&mut compaction);
+        assert_eq!(compaction.instance_remap(), &[u32::MAX, 0, u32::MAX, 1, 2]);
+        assert_eq!(compaction.demand_remap(), &[u32::MAX, 0, u32::MAX, 1]);
+        assert_eq!(compaction.map_instance(InstanceId(3)), Some(InstanceId(1)));
+        assert_eq!(compaction.map_demand(DemandId(2)), None);
 
         // The cached profit range shrinks when its maximum expires.
         u.apply_demand_delta(&[DemandId(1)], &[], &mut delta);
@@ -1221,14 +1501,18 @@ mod tests {
         assert_eq!(delta.dirty(), &[false, true]);
         assert_eq!(u.num_instances(), 2);
         assert_eq!(u.num_demands(), 2);
-        // Survivors keep relative order under renumbered ids.
-        assert_eq!(u.instance(InstanceId(1)).demand, DemandId(1));
+        // Survivors keep their ids.
+        assert_eq!(u.instance(InstanceId(2)).demand, DemandId(2));
         assert_eq!(u.instances_on_network(NetworkId(1)), &[] as &[InstanceId]);
+        assert_eq!(
+            u.instances_on_network(NetworkId(0)),
+            &[InstanceId(0), InstanceId(2)]
+        );
     }
 
     /// The recorded positions are the removed instances' indices in the
     /// pre-splice per-network lists, sorted by network although the
-    /// splice visits them in instance order; network 2 loses every
+    /// splice visits them demand by demand; network 2 loses every
     /// instance. A batch that expires nothing records nothing.
     #[test]
     fn splice_records_removed_list_positions() {
@@ -1261,12 +1545,12 @@ mod tests {
             .map(|t| u.instances_on_network(NetworkId::new(t)).to_vec())
             .collect();
         let mut delta = UniverseDelta::new();
-        u.apply_demand_delta(&[DemandId(2), DemandId(3), DemandId(4)], &[], &mut delta);
+        u.apply_demand_delta(&[DemandId(4), DemandId(2), DemandId(3)], &[], &mut delta);
 
         let mut expected = Vec::new();
         for (t, list) in before.iter().enumerate() {
             for (position, &d) in list.iter().enumerate() {
-                if delta.map_instance(d).is_none() {
+                if !u.is_live(d) {
                     expected.push((NetworkId::new(t), position as u32));
                 }
             }
@@ -1296,6 +1580,152 @@ mod tests {
         u.apply_demand_delta(&[], &[], &mut delta);
         assert_eq!(delta.num_dirty(), 0);
         assert!(delta.removed_positions().is_empty());
+    }
+
+    /// A random multi-network universe: `demands` demands, each with one
+    /// or two instances on random networks and random profits from a
+    /// small set (so profit-range ends tie and expire).
+    fn random_arrival(rng: &mut u64, networks: usize) -> ArrivingDemand {
+        let mut next = |bound: u64| {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng % bound
+        };
+        let count = 1 + next(2) as usize;
+        let instances = (0..count)
+            .map(|_| {
+                let start = next(8) as usize;
+                (
+                    NetworkId::new(next(networks as u64) as usize),
+                    EdgePath::interval(start, start + next(4) as usize),
+                    Some(start as u32),
+                )
+            })
+            .collect();
+        ArrivingDemand {
+            profit: 1.0 + next(4) as f64,
+            height: 1.0,
+            instances,
+        }
+    }
+
+    /// The survivors plus arrivals, built from scratch in order.
+    fn rebuild(kept: &[ArrivingDemand], networks: usize) -> DemandInstanceUniverse {
+        let mut instances = Vec::new();
+        for (a, arrival) in kept.iter().enumerate() {
+            for (network, path, start) in &arrival.instances {
+                instances.push(DemandInstance {
+                    id: InstanceId::new(instances.len()),
+                    demand: DemandId::new(a),
+                    network: *network,
+                    profit: arrival.profit,
+                    height: arrival.height,
+                    path: path.clone(),
+                    start: *start,
+                });
+            }
+        }
+        DemandInstanceUniverse::new(instances, kept.len(), vec![12; networks], None)
+    }
+
+    /// After random splices (and a compaction now and then), the universe
+    /// relabelled to dense ids equals a from-scratch build over the
+    /// survivors plus arrivals; each dirty network list drops exactly its
+    /// expired members, in order; and every recorded position names the
+    /// removed instance in the pre-splice list (what the conflict upkeep
+    /// relies on).
+    #[test]
+    fn random_splices_relabel_to_the_from_scratch_universe() {
+        let networks = 4;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut kept: Vec<ArrivingDemand> = (0..12)
+            .map(|_| random_arrival(&mut rng, networks))
+            .collect();
+        let mut u = rebuild(&kept, networks);
+        // Live demand ids in the order `kept` lists them.
+        let mut ids: Vec<DemandId> = u.demand_ids().collect();
+        let mut delta = UniverseDelta::new();
+        let mut compaction = Compaction::new();
+        for round in 0..60u64 {
+            let mut pick = |bound: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % bound.max(1) as u64) as usize
+            };
+            let mut doomed: Vec<usize> = (0..pick(4)).map(|_| pick(kept.len())).collect();
+            doomed.sort_unstable();
+            doomed.dedup();
+            doomed.retain(|&k| k < kept.len());
+            let expired: Vec<DemandId> = doomed.iter().map(|&k| ids[k]).collect();
+            let arrivals: Vec<ArrivingDemand> = (0..pick(4))
+                .map(|_| random_arrival(&mut rng, networks))
+                .collect();
+            let before: Vec<Vec<InstanceId>> = (0..networks)
+                .map(|t| u.instances_on_network(NetworkId::new(t)).to_vec())
+                .collect();
+            u.apply_demand_delta(&expired, &arrivals, &mut delta);
+
+            let removed: Vec<InstanceId> = delta.removed_instances().to_vec();
+            for &(t, position) in delta.removed_positions() {
+                let d = before[t.index()][position as usize];
+                assert!(removed.binary_search(&d).is_ok(), "round {round}");
+                assert!(delta.dirty()[t.index()]);
+            }
+            assert_eq!(delta.removed_positions().len(), removed.len());
+            for (t, list) in before.iter().enumerate() {
+                let survivors: Vec<InstanceId> =
+                    list.iter().copied().filter(|d| u.is_live(*d)).collect();
+                let now = u.instances_on_network(NetworkId::new(t));
+                assert_eq!(&now[..survivors.len()], &survivors[..], "round {round}");
+                assert!(now[survivors.len()..]
+                    .iter()
+                    .all(|d| d.index() >= delta.first_added()));
+                if !delta.dirty()[t] {
+                    assert_eq!(now, &list[..]);
+                }
+            }
+
+            for &k in doomed.iter().rev() {
+                kept.remove(k);
+                ids.remove(k);
+            }
+            let first = u.demand_slots() - arrivals.len();
+            ids.extend((first..u.demand_slots()).map(DemandId::new));
+            kept.extend(arrivals);
+            assert_relabels_to(&u, &rebuild(&kept, networks));
+            if round % 17 == 16 {
+                u.compact(&mut compaction);
+                for id in &mut ids {
+                    *id = compaction.map_demand(*id).expect("live demands survive");
+                }
+                assert_eq!(u.tombstones(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn compaction_is_due_once_tombstones_pass_the_divisor() {
+        let mut rng = 7u64;
+        let kept: Vec<ArrivingDemand> = (0..64).map(|_| random_arrival(&mut rng, 2)).collect();
+        let mut u = rebuild(&kept, 2);
+        u.reserve_headroom();
+        let live = u.num_instances();
+        assert!(!u.needs_compaction(0, 0));
+        assert!(u.instances.capacity() >= live + live / TOMBSTONE_DIVISOR);
+        // Outgrowing the reserved slots is due too.
+        assert!(u.needs_compaction(0, live / TOMBSTONE_DIVISOR + 2));
+        let mut delta = UniverseDelta::new();
+        let mut a = 0;
+        while !u.needs_compaction(0, 0) {
+            u.apply_demand_delta(&[DemandId::new(a)], &[], &mut delta);
+            a += 1;
+        }
+        assert!(u.tombstones() * TOMBSTONE_DIVISOR > u.num_instances());
+        u.compact(&mut Compaction::new());
+        assert!(!u.needs_compaction(0, 0));
+        assert_eq!(u.instance_slots(), u.num_instances());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use netsched_core::{
 use netsched_decomp::{line_assignment, InstanceLayering, TreeDecompositionKind, TreeLayerer};
 use netsched_distrib::ShardedConflictGraph;
 use netsched_graph::{
-    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgeId, LineProblem, TreeProblem,
+    ArrivingDemand, Compaction, DemandId, DemandInstanceUniverse, EdgeId, LineProblem, TreeProblem,
     UniverseDelta,
 };
 use std::time::Instant;
@@ -24,15 +24,18 @@ use std::time::Instant;
 pub(crate) type TreeAssignments = Vec<(usize, Vec<EdgeId>)>;
 
 /// One universe + conflict degrees + layering triple, spliced in place per
-/// epoch. Equal to the from-scratch structures of a fresh
+/// epoch. Relabelled to dense ids (as a [`LiveCore::compact`] does), equal
+/// to the from-scratch structures of a fresh
 /// [`Scheduler`](netsched_core::Scheduler) over the same surviving demand
 /// set — the differential invariant the dynamic-equivalence suite pins.
 pub(crate) struct LiveCore {
     pub universe: DemandInstanceUniverse,
     pub conflict: ShardedConflictGraph,
     pub layering: InstanceLayering,
-    /// Reusable splice scratch (id remaps + dirty bitmap).
+    /// Reusable splice scratch (tombstoned ids + dirty bitmap).
     delta: UniverseDelta,
+    /// Reusable compaction scratch (the old → new id maps).
+    compaction: Compaction,
     /// For line cores: histogram of instance lengths, maintained across
     /// splices so the global minimum length (which the length-class groups
     /// depend on) is known without a scan. `None` for tree cores.
@@ -61,7 +64,8 @@ impl LiveCore {
     /// A core over a tree problem's current demand set, layered through the
     /// session's shared [`TreeLayerer`].
     pub(crate) fn new_tree(problem: &TreeProblem, layerer: &TreeLayerer) -> Self {
-        let universe = problem.universe();
+        let mut universe = problem.universe();
+        universe.reserve_headroom();
         let conflict = ShardedConflictGraph::build(&universe);
         let layering = layerer.layering(problem, &universe);
         Self {
@@ -69,6 +73,7 @@ impl LiveCore {
             conflict,
             layering,
             delta: UniverseDelta::new(),
+            compaction: Compaction::new(),
             line_lengths: None,
             layering_l_min: 1,
             warm: None,
@@ -78,7 +83,8 @@ impl LiveCore {
 
     /// A core over a line problem's current demand set.
     pub(crate) fn new_line(problem: &LineProblem) -> Self {
-        let universe = problem.universe();
+        let mut universe = problem.universe();
+        universe.reserve_headroom();
         let conflict = ShardedConflictGraph::build(&universe);
         let layering = InstanceLayering::line_length_classes(&universe);
         let mut counts = vec![0u32; problem.timeslots() + 1];
@@ -91,6 +97,7 @@ impl LiveCore {
             conflict,
             layering,
             delta: UniverseDelta::new(),
+            compaction: Compaction::new(),
             line_lengths: Some(counts),
             layering_l_min,
             warm: None,
@@ -98,18 +105,26 @@ impl LiveCore {
         }
     }
 
-    /// Splices one epoch's demand delta through every structure:
+    /// Splices one epoch's demand delta through every structure, in
+    /// `O(churn + dirty lists)`; no surviving id changes:
     ///
-    /// 1. the universe compacts expired instances and appends arrivals
-    ///    (`O(|D|)`, no path recomputation),
+    /// 1. the universe tombstones the expired demands' slots and appends
+    ///    the arrivals (no path recomputation),
     /// 2. the conflict degrees change **only** in the dirty shards, whose
     ///    departures and arrivals are swept against their runs,
-    /// 3. the layering splices survivor assignments and appends the
-    ///    arrivals' — tree assignments come pre-computed in `assignments`;
-    ///    line length classes are assigned on the spot against the
-    ///    histogram-tracked minimum length, falling back to a full
-    ///    `O(|D|)` re-derivation only on the rare epochs where `L_min`
+    /// 3. the warm state (if any) clears the departures' dual
+    ///    contributions and extends its columns over the arrivals,
+    /// 4. the layering tombstones the departures and appends the
+    ///    arrivals' assignments — tree assignments come pre-computed in
+    ///    `assignments`; line length classes are assigned on the spot
+    ///    against the histogram-tracked minimum length, falling back to a
+    ///    full `O(|D|)` re-derivation only on the rare epochs where `L_min`
     ///    itself changes (its groups are global ratios).
+    ///
+    /// Tombstones are reclaimed by [`LiveCore::compact`], which the session
+    /// runs before a splice once the universe's
+    /// [`needs_compaction`](DemandInstanceUniverse::needs_compaction) says
+    /// so.
     ///
     /// `assignments` must hold one `(group, critical)` entry per arriving
     /// instance, flattened in arrival order (ignored for line cores, which
@@ -120,8 +135,8 @@ impl LiveCore {
         arrivals: &[ArrivingDemand],
         assignments: TreeAssignments,
     ) -> usize {
-        // Expiring instance lengths must be read before the splice
-        // renumbers them away.
+        // Expiring instance lengths are read before the splice empties the
+        // demands' instance lists.
         if let Some(counts) = &mut self.line_lengths {
             for &a in expired {
                 for &d in self.universe.instances_of_demand(a) {
@@ -152,7 +167,8 @@ impl LiveCore {
                         .flat_map(|a| a.instances.iter())
                         .map(|(_, path, _)| line_assignment(new_min, path))
                         .collect();
-                    self.layering.splice(self.delta.instance_remap(), additions);
+                    self.layering
+                        .splice(self.delta.removed_instances(), additions);
                 } else {
                     self.layering = InstanceLayering::line_length_classes(&self.universe);
                     self.layering_l_min = new_min;
@@ -164,16 +180,34 @@ impl LiveCore {
                     arrivals.iter().map(|a| a.instances.len()).sum::<usize>()
                 );
                 self.layering
-                    .splice(self.delta.instance_remap(), assignments);
+                    .splice(self.delta.removed_instances(), assignments);
             }
         }
         self.delta.num_dirty()
     }
 
-    /// Old demand id → new demand id of the most recent
-    /// [`LiveCore::apply`] (`u32::MAX` = expired).
-    pub(crate) fn demand_remap(&self) -> &[u32] {
-        self.delta.demand_remap()
+    /// Reclaims every tombstone: the universe relabels its live instances
+    /// and demands `0, 1, …` in id order, and the conflict degrees, the
+    /// layering and the warm state follow the relabelling. Returns it.
+    /// The one `O(|D|)` pass of the serving path; order-preserving, so
+    /// every later solve decides exactly as it would have without it.
+    pub(crate) fn compact(&mut self) -> &Compaction {
+        self.universe.compact(&mut self.compaction);
+        self.conflict.compact(&self.universe, &self.compaction);
+        self.layering.compact(
+            self.compaction.instance_remap(),
+            self.universe.instance_slot_target(),
+        );
+        if let Some(warm) = &mut self.warm {
+            warm.compact(&self.universe, &self.compaction);
+        }
+        &self.compaction
+    }
+
+    /// `true` when the universe holds tombstones: an expired demand's slot
+    /// (and its instances' slots, if any).
+    pub(crate) fn has_tombstones(&self) -> bool {
+        self.universe.demand_slots() > self.universe.num_demands()
     }
 
     /// Runs the two-phase engine on the core's structures under a

@@ -4,10 +4,10 @@
 //! [`DemandEvent`]s: arrivals carry a full [`DemandRequest`] (the dynamic
 //! counterpart of `TreeProblem::add_demand` / `LineProblem::add_demand`),
 //! expiries name a previously issued [`DemandTicket`]. Tickets are the
-//! *stable* external identity of a demand — the dense `DemandId`s of the
-//! underlying universe are renumbered whenever an earlier demand expires,
-//! exactly as a from-scratch rebuild over the surviving set would number
-//! them, so callers never see them.
+//! *stable* external identity of a demand — the `DemandId`s of the
+//! underlying universe are relabelled whenever its tombstones are
+//! reclaimed, exactly as a from-scratch rebuild over the surviving set
+//! would number them, so callers never see them.
 
 use std::fmt;
 

@@ -16,17 +16,23 @@
 //!
 //! 1. **Validate** the batch (all-or-nothing; a failed batch leaves the
 //!    session untouched).
-//! 2. **Splice** the universe: expired instances compact out, arriving
-//!    instances append — ids renumber exactly as a from-scratch build over
-//!    the surviving set would number them.
+//! 2. **Splice** the universe: expired instances leave tombstones in their
+//!    id slots and arriving instances append new slots, so no surviving id
+//!    changes and the splice costs `O(batch + dirty lists)`. Once
+//!    tombstones exceed `1/16` of the live instances
+//!    ([`TOMBSTONE_DIVISOR`](netsched_graph::TOMBSTONE_DIVISOR)), an epoch
+//!    first **compacts**: every structure relabels its survivors `0, 1, …`
+//!    in id order — exactly as a from-scratch build over the surviving set
+//!    would number them — in the serving path's one `O(|D|)` pass.
 //! 3. **Update only the dirty shards' conflict degrees**: the departures
 //!    and arrivals of each network that gained or lost instances are swept
-//!    against its runs; clean shards are renumbered in `O(shard)` with no
-//!    sort or sweep. No conflict edge is stored: each MIS call sweeps the
-//!    edges among its own candidates.
+//!    against its runs; clean shards are not touched. No conflict edge is
+//!    stored: each MIS call sweeps the edges among its own candidates.
 //! 4. **Re-layer** incrementally: tree assignments are per-instance and
 //!    position-independent (only arrivals pay the `O(path)` cost); line
-//!    length classes re-derive in `O(|D|)` arithmetic.
+//!    length classes are assigned per arrival against a length histogram
+//!    and re-derive in `O(|D|)` arithmetic only when the minimum length
+//!    moves.
 //! 5. **Re-solve** with the existing two-phase engine and
 //!    emit a [`ScheduleDelta`] — admissions, evictions, reassignments and
 //!    the updated dual certificate — instead of a full schedule. Every
@@ -40,8 +46,8 @@
 //! # Delta semantics
 //!
 //! Deltas speak **tickets** ([`DemandTicket`]), the stable external
-//! identity of a demand; dense `DemandId`s renumber across epochs and never
-//! leak. `admitted` lists demands newly scheduled, `evicted` lists live
+//! identity of a demand; `DemandId`s are relabelled by every compaction
+//! and never leak. `admitted` lists demands newly scheduled, `evicted` lists live
 //! demands that lost their slot (expired demands are not re-reported), and
 //! `reassigned` lists demands whose network/start moved. Every delta
 //! carries the dual certificate of the *current* live set: the scaled dual
@@ -99,15 +105,16 @@
 //!
 //! | stage | from-scratch rebuild | incremental epoch |
 //! |---|---|---|
-//! | universe | `O(|D| log n)` path construction | `O(|D| + B log n)` splice |
-//! | shard partition | `O(|D| log |D|)` sort | clean shards `O(|D|)` renumber, dirty re-sort |
+//! | universe | `O(|D| log n)` path construction | `O(B log |D| + dirty lists)` splice; tombstones, no renumbering |
 //! | conflict degrees | every shard sweeps | only `k` dirty shards sweep their departures and arrivals |
 //! | tree layering | `O(|D| log n)` assignment + decompositions | decompositions cached; `O(B log n)` new assignments |
-//! | line layering | `O(|D|)` | `O(|D|)` |
+//! | line layering | `O(|D|)` | `O(B)`; `O(|D|)` when the minimum length moves |
+//! | warm state | — | `O(B)` dual point-clears and column appends |
+//! | id compaction | — | `O(|D|)` once tombstones exceed `|D|/16` (about once per `|D|/(16·B)` epochs) |
 //! | solve | two-phase engine | identical engine |
 //! | warm safety-valve `verify` | — | one pass over the selection + `O(Σ E_t)` over touched networks |
 //! | ticket lookup | — | `O(log live)` binary search on the ticket-sorted live list |
-//! | schedule delta | — | `O(live)` placement scatter + one merge walk of the old and new ticket-sorted schedules |
+//! | schedule delta | — | one merge walk of the old and new ticket-sorted schedules |
 //!
 //! `BENCH_dynamic_serving.json` (from the `dynamic_serving` bench) records
 //! the resulting epoch speedups over from-scratch rebuilds across churn
@@ -211,6 +218,8 @@
 //! | `epoch.journal_ns` | histogram | write-ahead journal record |
 //! | `epoch.splice_ns` | histogram | universe/layering/warm/split splices |
 //! | `epoch.conflict_rebuild_ns` | histogram | dirty conflict-shard rebuilds |
+//! | `epoch.compact_ns` | histogram | id compaction, on the epochs that run one (inside `epoch.splice_ns`) |
+//! | `epoch.compactions` | counter | id compactions (by epochs and by `compact`) |
 //! | `epoch.solve_ns` | histogram | two-phase engine solve |
 //! | `epoch.delta_emit_ns` | histogram | schedule diff + delta assembly |
 //! | `engine.setup_ns` | histogram | solve setup: active list, group buckets, stage schedule |

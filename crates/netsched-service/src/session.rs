@@ -25,8 +25,8 @@ use netsched_core::{
 use netsched_decomp::TreeLayerer;
 use netsched_distrib::ShardedConflictGraph;
 use netsched_graph::{
-    ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, GraphError, LineProblem, NetworkId,
-    TreeProblem,
+    reserve_slots, ArrivingDemand, DemandId, DemandInstanceUniverse, EdgePath, GraphError,
+    InstanceId, LineProblem, NetworkId, TreeProblem,
 };
 use netsched_obs::{Counter, Histogram, ObsRegistry};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};
@@ -160,6 +160,9 @@ pub struct CompactionReport {
     /// Warm states reset because their replay stack had grown past
     /// [`ServiceSession::STACK_MASS_FACTOR`] × live instances.
     pub warm_states_shed: usize,
+    /// Tombstoned instance slots of the full universe reclaimed by the
+    /// id compaction (0 when it held none).
+    pub tombstones_reclaimed: usize,
 }
 
 /// Where a scheduled demand runs: its network and, for windowed line
@@ -397,67 +400,135 @@ impl BaseProblem {
     /// cost paid on the first epoch whose height mix is mixed (identical
     /// to what a fresh `Scheduler`'s split caches would hold).
     fn split(&self, live: &[LiveDemand]) -> SplitState {
-        let half = |wide: bool| {
-            let (map, requests): (Vec<DemandId>, Vec<&DemandRequest>) = live
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.request.is_wide() == wide)
-                .map(|(i, d)| (DemandId::new(i), &d.request))
-                .unzip();
-            let core = self.core(requests).expect("live demands are valid");
-            (core, map)
+        let (wide_map, narrow_map) = SplitState::maps(live);
+        let half = |map: &[DemandId]| {
+            let requests = map.iter().map(|&a| live[a.index()].request());
+            self.core(requests).expect("live demands are valid")
         };
-        let (wide, wide_map) = half(true);
-        let (narrow, narrow_map) = half(false);
         SplitState {
-            wide,
-            narrow,
+            wide: half(&wide_map),
+            narrow: half(&narrow_map),
             wide_map,
             narrow_map,
         }
     }
 
-    /// Every core over `live`, built from scratch without warm states: the
-    /// full core and, when the height mix is mixed, the split. By the
-    /// session's differential invariant these are byte-identical to the
-    /// incrementally maintained cores of a session over the same live set.
+    /// Every core over `live` (which must hold no tombstones), built from
+    /// scratch without warm states: the full core and, when the height mix
+    /// is mixed, the split. By the session's differential invariant these
+    /// are byte-identical to the incrementally maintained cores of a
+    /// session over the same live set, relabelled.
     fn cores(&self, live: &[LiveDemand]) -> Result<(LiveCore, Option<SplitState>), String> {
-        let full = self.core(live.iter().map(|d| &d.request))?;
-        let split = uniform_rule(live).is_none().then(|| self.split(live));
+        let full = self.core(live.iter().map(LiveDemand::request))?;
+        let split = HeightMix::of(live)
+            .rule()
+            .is_none()
+            .then(|| self.split(live));
         Ok((full, split))
     }
 }
 
-/// The raise rule a live set solves under — [`RaiseRule::Unit`] when no
-/// demand is narrow, [`RaiseRule::Narrow`] when none is wide — or `None`
-/// when the height mix is mixed and the wide/narrow split solves the
-/// epoch.
-fn uniform_rule(live: &[LiveDemand]) -> Option<RaiseRule> {
-    let any_wide = live.iter().any(|d| d.request.is_wide());
-    let any_narrow = live.iter().any(|d| !d.request.is_wide());
-    match (any_wide, any_narrow) {
-        (true, true) => None,
-        (false, true) => Some(RaiseRule::Narrow),
-        _ => Some(RaiseRule::Unit),
+/// Live wide and narrow demands, kept current per arrival and expiry (the
+/// session checks them against a recount in debug builds).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HeightMix {
+    wide: usize,
+    narrow: usize,
+}
+
+impl HeightMix {
+    /// Counts the live entries of `live` (`O(live)`).
+    fn of(live: &[LiveDemand]) -> Self {
+        let mut mix = Self::default();
+        for request in live.iter().filter_map(|d| d.request.as_ref()) {
+            mix.count(request, true);
+        }
+        mix
+    }
+
+    /// Counts one request in (`arrives`) or out.
+    fn count(&mut self, request: &DemandRequest, arrives: bool) {
+        let side = if request.is_wide() {
+            &mut self.wide
+        } else {
+            &mut self.narrow
+        };
+        if arrives {
+            *side += 1;
+        } else {
+            *side -= 1;
+        }
+    }
+
+    /// The raise rule a live set with this mix solves under —
+    /// [`RaiseRule::Unit`] when no demand is narrow, [`RaiseRule::Narrow`]
+    /// when none is wide — or `None` when the mix is mixed and the
+    /// wide/narrow split solves the epoch.
+    fn rule(self) -> Option<RaiseRule> {
+        match (self.wide > 0, self.narrow > 0) {
+            (true, true) => None,
+            (false, true) => Some(RaiseRule::Narrow),
+            _ => Some(RaiseRule::Unit),
+        }
+    }
+
+    fn live(self) -> usize {
+        self.wide + self.narrow
     }
 }
 
-/// One live demand: its stable ticket plus the validated request.
+/// An instance named so that it survives a rebuild of the cores: its
+/// demand's ticket, its network and its start.
+type InstanceKey = (u64, NetworkId, Option<u32>);
+
+/// A solution's selected and raised instances as [`InstanceKey`]s.
+type SolutionKeys = (Vec<InstanceKey>, Vec<InstanceKey>);
+
+/// One entry of the live list: a demand's stable ticket plus its validated
+/// request, or `None` once it expired (a tombstone kept until the next
+/// id compaction, so positions stay the full universe's demand ids).
 #[derive(Clone)]
 struct LiveDemand {
     ticket: u64,
-    request: DemandRequest,
+    request: Option<DemandRequest>,
+}
+
+impl LiveDemand {
+    /// The request of a live entry.
+    fn request(&self) -> &DemandRequest {
+        self.request.as_ref().expect("a live entry has a request")
+    }
 }
 
 /// The lazily created wide/narrow split cores (see
 /// [`ServiceSession::step`]): each half mirrors the sub-problem a cached
 /// `Scheduler` split would build, maintained incrementally after creation.
+/// A half's demand ids ascend with their full ids, so each map is sorted
+/// (a full id's half id is its position), and after a joint id compaction
+/// the maps are the live list's wide and narrow entries in order.
 struct SplitState {
     wide: LiveCore,
     narrow: LiveCore,
-    /// Half demand index → full (current dense) demand id.
+    /// Half demand id → full demand id (a half's tombstones keep their
+    /// entries), ascending.
     wide_map: Vec<DemandId>,
     narrow_map: Vec<DemandId>,
+}
+
+impl SplitState {
+    /// The half → full maps of a live list: its wide and its narrow live
+    /// entries' positions, in order.
+    fn maps(live: &[LiveDemand]) -> (Vec<DemandId>, Vec<DemandId>) {
+        let (mut wide, mut narrow) = (Vec::new(), Vec::new());
+        for (i, d) in live.iter().enumerate() {
+            match &d.request {
+                Some(request) if request.is_wide() => wide.push(DemandId::new(i)),
+                Some(_) => narrow.push(DemandId::new(i)),
+                None => {}
+            }
+        }
+        (wide, narrow)
+    }
 }
 
 /// Per-layer heap commitment of a session's hot serving structures; see
@@ -500,6 +571,12 @@ struct SessionMetrics {
     splice_ns: Histogram,
     /// `epoch.conflict_rebuild_ns` — dirty shards' conflict-degree upkeep.
     conflict_rebuild_ns: Histogram,
+    /// `epoch.compact_ns` — an epoch's id compaction (inside the splice
+    /// window; recorded only on the epochs that compact).
+    compact_ns: Histogram,
+    /// `epoch.compactions` — id compactions run (by epochs and by
+    /// [`ServiceSession::compact`]).
+    compactions: Counter,
     /// `epoch.solve_ns` — the two-phase engine solve.
     solve_ns: Histogram,
     /// `engine.setup_ns` … `engine.certify_ns` — the solve's engine
@@ -534,6 +611,8 @@ impl SessionMetrics {
             journal_ns: obs.histogram("epoch.journal_ns"),
             splice_ns: obs.histogram("epoch.splice_ns"),
             conflict_rebuild_ns: obs.histogram("epoch.conflict_rebuild_ns"),
+            compact_ns: obs.histogram("epoch.compact_ns"),
+            compactions: obs.counter("epoch.compactions"),
             solve_ns: obs.histogram("epoch.solve_ns"),
             engine_phases: [
                 obs.histogram("engine.setup_ns"),
@@ -562,11 +641,13 @@ pub struct ServiceSession {
     base: BaseProblem,
     config: AlgorithmConfig,
     resolve: ResolveMode,
-    /// The live demands in dense-id order, which is also strictly
-    /// ascending ticket order: survivors keep their relative order and
-    /// arrivals take fresh, increasing tickets. A ticket's dense id is its
-    /// binary-search position.
+    /// One entry per demand id of the full universe, tombstones included,
+    /// in id order, which is also strictly ascending ticket order: ids and
+    /// tickets only grow, and an id compaction drops the tombstones from
+    /// both. A ticket's demand id is its binary-search position.
     live: Vec<LiveDemand>,
+    /// Live wide and narrow demands: the height mix without a scan.
+    mix: HeightMix,
     /// Exceeds every ticket ever issued.
     next_ticket: u64,
     full: LiveCore,
@@ -620,13 +701,13 @@ impl ServiceSession {
             .iter()
             .map(|d| LiveDemand {
                 ticket: d.id.index() as u64,
-                request: DemandRequest::Tree {
+                request: Some(DemandRequest::Tree {
                     u: d.u,
                     v: d.v,
                     profit: d.profit,
                     height: d.height,
                     access: problem.access(d.id).to_vec(),
-                },
+                }),
             })
             .collect();
         Self::assemble(BaseProblem::Tree(base, layerer), config, live, full)
@@ -641,14 +722,14 @@ impl ServiceSession {
             .iter()
             .map(|d| LiveDemand {
                 ticket: d.id.index() as u64,
-                request: DemandRequest::Line {
+                request: Some(DemandRequest::Line {
                     release: d.release,
                     deadline: d.deadline,
                     processing: d.processing,
                     profit: d.profit,
                     height: d.height,
                     access: problem.access(d.id).to_vec(),
-                },
+                }),
             })
             .collect();
         let base = LineProblem::new(problem.timeslots(), problem.num_resources());
@@ -668,6 +749,7 @@ impl ServiceSession {
             base,
             config,
             resolve: ResolveMode::env_default(),
+            mix: HeightMix::of(&live),
             live,
             next_ticket,
             full,
@@ -777,14 +859,18 @@ impl ServiceSession {
 
     /// Number of live demands.
     pub fn live_demands(&self) -> usize {
-        self.live.len()
+        self.mix.live()
     }
 
-    /// The tickets of all live demands, in current dense-id order — which
-    /// is strictly ascending ticket order (survivors keep their order,
-    /// arrivals take fresh increasing tickets). Allocates `O(live)`.
+    /// The tickets of all live demands, in demand-id order — which is
+    /// strictly ascending ticket order (ids and tickets only grow).
+    /// Allocates `O(live)`.
     pub fn live_tickets(&self) -> Vec<DemandTicket> {
-        self.live.iter().map(|d| DemandTicket(d.ticket)).collect()
+        self.live
+            .iter()
+            .filter(|d| d.request.is_some())
+            .map(|d| DemandTicket(d.ticket))
+            .collect()
     }
 
     /// `true` when the ticket names a live demand (`O(log live)`).
@@ -792,12 +878,13 @@ impl ServiceSession {
         self.dense_id(ticket).is_some()
     }
 
-    /// The current dense demand id of a live ticket: its position in the
+    /// The full universe's demand id of a live ticket: its position in the
     /// ticket-sorted live list.
     fn dense_id(&self, ticket: DemandTicket) -> Option<DemandId> {
         self.live
             .binary_search_by_key(&ticket.0, |d| d.ticket)
             .ok()
+            .filter(|&i| self.live[i].request.is_some())
             .map(DemandId::new)
     }
 
@@ -837,7 +924,8 @@ impl ServiceSession {
     /// before the first solve **and** right after
     /// [`from_snapshot`](ServiceSession::from_snapshot), until the next
     /// solved epoch). Instance ids refer to the **current** universe only
-    /// as long as no further mutating epoch runs.
+    /// as long as no further mutating epoch runs; an id compaction
+    /// ([`compact`](ServiceSession::compact)) relabels them with it.
     pub fn last_solution(&self) -> Option<&Solution> {
         self.last.as_ref()
     }
@@ -1008,18 +1096,21 @@ impl ServiceSession {
                 let reason = panic_reason(payload.as_ref());
                 // The panic may have left the live list and the cores
                 // mid-splice. Invert the batch on the live list — drop its
-                // arrivals (tickets from `next_ticket` on), put back the
-                // expiries it already removed — and rebuild the cores over
-                // it. The step commits nothing else before its last panic
-                // site.
+                // arrivals (tickets from `next_ticket` on) and every
+                // tombstone, put back the expiries it already removed —
+                // and rebuild the cores over it, which also restores the
+                // height mix. The step commits nothing else before its
+                // last panic site.
                 self.next_ticket = next_ticket;
-                self.live.retain(|d| d.ticket < next_ticket);
+                let last = self.last_solution_keys();
+                self.live
+                    .retain(|d| d.ticket < next_ticket && d.request.is_some());
                 self.live.extend(expiring);
                 // An ascending run plus a batch-sized tail: the stable sort
                 // merges them in O(live + batch log batch).
                 self.live.sort_by_key(|d| d.ticket);
                 self.live.dedup_by_key(|d| d.ticket);
-                self.rebuild_cores();
+                self.rebuild_cores(last);
                 // The poisoned epoch never published: clear its in-flight
                 // bit so readers' staleness returns to zero on the last
                 // certified snapshot.
@@ -1053,13 +1144,100 @@ impl ServiceSession {
     /// a quarantine cancelled a record, so a recovered session runs the
     /// solves the live session ran.
     pub fn replay_after_quarantine(&mut self) {
-        self.rebuild_cores();
+        let last = self.last_solution_keys();
+        self.live.retain(|d| d.request.is_some());
+        self.rebuild_cores(last);
     }
 
-    /// Rebuilds every core from scratch over the live list, in O(live):
-    /// what a quarantine does once it has put the live list back.
-    fn rebuild_cores(&mut self) {
+    /// Rebuilds every core from scratch over the live list (which must
+    /// hold no tombstones), in O(live): what a quarantine does once it has
+    /// put the live list back. Recounts the height mix, and moves the
+    /// last solution's ids (`last`, from
+    /// [`last_solution_keys`](Self::last_solution_keys)) into the rebuilt
+    /// universe.
+    fn rebuild_cores(&mut self, last: Option<SolutionKeys>) {
+        self.mix = HeightMix::of(&self.live);
         (self.full, self.split) = self.base.cores(&self.live).expect("live demands are valid");
+        let universe = &self.full.universe;
+        let find = |&(ticket, network, start): &InstanceKey| {
+            let a = self.dense_id(DemandTicket(ticket))?;
+            universe.instances_of_demand(a).iter().copied().find(|&d| {
+                let inst = universe.instance(d);
+                (inst.network, inst.start) == (network, start)
+            })
+        };
+        let moved = last.and_then(|(selected, raised)| {
+            Some((
+                selected.iter().map(find).collect::<Option<Vec<_>>>()?,
+                raised.iter().map(find).collect::<Option<Vec<_>>>()?,
+            ))
+        });
+        match (&mut self.last, moved) {
+            (Some(solution), Some((selected, raised))) => {
+                solution.selected = selected;
+                solution.raised_instances = raised;
+            }
+            (last, _) => *last = None,
+        }
+    }
+
+    /// The last solution's selected and raised instances as `(ticket,
+    /// network, start)` keys, which survive a rebuild of the cores
+    /// (instance ids do not). `None` when there is no last solution or the
+    /// universe no longer holds one of its instances.
+    fn last_solution_keys(&self) -> Option<SolutionKeys> {
+        let last = self.last.as_ref()?;
+        let universe = &self.full.universe;
+        let key = |d: &InstanceId| {
+            let inst = (d.index() < universe.instance_slots()).then(|| universe.instance(*d))?;
+            Some((
+                self.live.get(inst.demand.index())?.ticket,
+                inst.network,
+                inst.start,
+            ))
+        };
+        Some((
+            last.selected.iter().map(key).collect::<Option<_>>()?,
+            last.raised_instances
+                .iter()
+                .map(key)
+                .collect::<Option<_>>()?,
+        ))
+    }
+
+    /// Reclaims the tombstones of every core, of the live list and of the
+    /// split maps at once — the serving path's one `O(live)` pass — and
+    /// relabels `ids` (full demand ids) and the last solution's instance
+    /// ids with them. Order-preserving, so no later solve changes. Returns
+    /// the full universe's reclaimed instance slots.
+    fn compact_ids(&mut self, ids: &mut [DemandId]) -> usize {
+        let reclaimed = self.full.universe.tombstones();
+        let compaction = self.full.compact();
+        for a in ids.iter_mut() {
+            *a = compaction
+                .map_demand(*a)
+                .expect("a live demand survives a compaction");
+        }
+        if let Some(last) = &mut self.last {
+            for column in [&mut last.selected, &mut last.raised_instances] {
+                column.retain_mut(|d| match compaction.map_instance(*d) {
+                    Some(new) => {
+                        *d = new;
+                        true
+                    }
+                    None => false,
+                });
+            }
+        }
+        self.live.retain(|d| d.request.is_some());
+        reserve_slots(&mut self.live, self.full.universe.demand_slot_target());
+        if let Some(split) = &mut self.split {
+            split.wide.compact();
+            split.narrow.compact();
+            (split.wide_map, split.narrow_map) = SplitState::maps(&self.live);
+        }
+        self.metrics.compactions.inc();
+        reclaimed
     }
 
     /// Arms the fault-injection hook: the solve of each listed epoch (the
@@ -1085,10 +1263,8 @@ impl ServiceSession {
         let validate_start = std::time::Instant::now();
         let mut arrivals: Vec<DemandRequest> = Vec::new();
         let mut expired: Vec<DemandId> = Vec::new();
-        // Per-live-demand expiry marks (sized at the first expiry): an O(1)
-        // duplicate check here, and the survivor filter of the live-set
-        // bookkeeping below.
-        let mut removed: Vec<bool> = Vec::new();
+        // The batch's expiries so far: an O(1) duplicate check.
+        let mut expiring = std::collections::HashSet::new();
         for event in batch {
             match event {
                 DemandEvent::Arrive(request) => {
@@ -1099,8 +1275,7 @@ impl ServiceSession {
                     let id = self
                         .dense_id(*ticket)
                         .ok_or(ServiceError::UnknownTicket(*ticket))?;
-                    removed.resize(self.live.len(), false);
-                    if std::mem::replace(&mut removed[id.index()], true) {
+                    if !expiring.insert(id) {
                         return Err(ServiceError::DuplicateExpiry(*ticket));
                     }
                     expired.push(id);
@@ -1165,7 +1340,7 @@ impl ServiceSession {
                     expiries: 0,
                     dirty_shards: 0,
                     num_shards: self.full.conflict.num_shards(),
-                    live_demands: self.live.len(),
+                    live_demands: self.live_demands(),
                     instances: self.full.universe.num_instances(),
                     resolved: false,
                     warm_resolve: false,
@@ -1177,37 +1352,66 @@ impl ServiceSession {
             });
         }
 
-        // ---- splice the full core -------------------------------------
+        // ---- reclaim tombstones (the rare O(live) epoch) --------------
         let rebuild_start = std::time::Instant::now();
         let rebuild_span = netsched_obs::span!("epoch.rebuild");
         let (arrivings, assignments) = self.base.materialize(&arrivals);
+        let outgoing = expired
+            .iter()
+            .map(|&a| self.full.universe.instances_of_demand(a).len())
+            .sum();
+        let incoming = arrivings.iter().map(|a| a.instances.len()).sum();
+        if self.full.universe.needs_compaction(outgoing, incoming)
+            || self.split.as_ref().is_some_and(|split| {
+                split.wide.universe.needs_compaction(0, 0)
+                    || split.narrow.universe.needs_compaction(0, 0)
+            })
+        {
+            let compact_start = std::time::Instant::now();
+            self.compact_ids(&mut expired);
+            self.metrics
+                .compact_ns
+                .record_duration(compact_start.elapsed());
+        }
+
+        // ---- splice the full core and the split -----------------------
         let dirty_shards = self.full.apply(&expired, &arrivings, assignments.concat());
+        let mut conflict_ns = self.full.conflict_rebuild_ns;
+        if self.split.is_some() {
+            self.update_split(&expired, &arrivals, &arrivings, &assignments);
+            let split = self.split.as_ref().expect("split just updated");
+            conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
+        }
 
         // ---- live-set bookkeeping -------------------------------------
-        // Survivors keep their order and arrivals take fresh, increasing
-        // tickets, so `live` stays strictly ascending by ticket.
-        removed.resize(self.live.len(), false);
-        let mut marks = removed.iter();
-        self.live.retain(|_| marks.next() == Some(&false));
+        // Expiries leave tombstones and arrivals take fresh, increasing
+        // tickets at the tail, so `live` stays in lockstep with the full
+        // universe's demand ids and strictly ascending by ticket.
+        for &a in &expired {
+            let request = self.live[a.index()]
+                .request
+                .take()
+                .expect("an expired demand was live");
+            self.mix.count(&request, false);
+        }
+        reserve_slots(&mut self.live, self.full.universe.demand_slot_target());
         let mut new_tickets: Vec<DemandTicket> = Vec::with_capacity(arrivals.len());
         for request in &arrivals {
             let ticket = self.next_ticket;
             self.next_ticket += 1;
             new_tickets.push(DemandTicket(ticket));
+            self.mix.count(request, true);
             self.live.push(LiveDemand {
                 ticket,
-                request: request.clone(),
+                request: Some(request.clone()),
             });
         }
+        debug_assert_eq!(self.live.len(), self.full.universe.demand_slots());
+        debug_assert_eq!(self.mix, HeightMix::of(&self.live), "height mix counters");
 
-        // ---- wide/narrow split maintenance ----------------------------
-        let rule = uniform_rule(&self.live);
-        let mut conflict_ns = self.full.conflict_rebuild_ns;
-        if self.split.is_some() {
-            self.update_split(&arrivals, &arrivings, &assignments);
-            let split = self.split.as_ref().expect("split just updated");
-            conflict_ns += split.wide.conflict_rebuild_ns + split.narrow.conflict_rebuild_ns;
-        } else if rule.is_none() {
+        // ---- wide/narrow split creation -------------------------------
+        let rule = self.mix.rule();
+        if self.split.is_none() && rule.is_none() {
             self.split = Some(self.base.split(&self.live));
         }
 
@@ -1235,7 +1439,7 @@ impl ServiceSession {
                 core.solve(rule, config, budget)
             }
         };
-        let solution = if self.live.is_empty() {
+        let solution = if self.live_demands() == 0 {
             Solution::empty()
         } else if let Some(rule) = rule {
             solve(&mut self.full, rule)
@@ -1274,21 +1478,27 @@ impl ServiceSession {
 
         // ---- delta extraction -----------------------------------------
         let delta_start = std::time::Instant::now();
-        // The new schedule in dense-demand order, which is ticket order.
-        let mut placed: Vec<Option<Placement>> = vec![None; self.live.len()];
-        for &d in &solution.selected {
-            let inst = self.full.universe.instance(d);
-            placed[inst.demand.index()] = Some(Placement {
-                network: inst.network,
-                start: inst.start,
-            });
-        }
-        let new_schedule: Vec<(u64, Placement)> = self
-            .live
+        // The new schedule in ticket order, read off the selection alone:
+        // each demand's instances take one block of consecutive ids, in
+        // demand-id order, so the (id-sorted) selection — at most one
+        // instance per demand — lists demand ids ascending, which is
+        // ticket order.
+        let new_schedule: Vec<(u64, Placement)> = solution
+            .selected
             .iter()
-            .zip(placed)
-            .filter_map(|(d, placement)| Some((d.ticket, placement?)))
+            .map(|&d| {
+                let inst = self.full.universe.instance(d);
+                let placement = Placement {
+                    network: inst.network,
+                    start: inst.start,
+                };
+                (self.live[inst.demand.index()].ticket, placement)
+            })
             .collect();
+        debug_assert!(
+            new_schedule.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "the selection lists demands in ticket order"
+        );
         // One merge walk of the old and new ticket-sorted schedules.
         let mut admitted = Vec::new();
         let mut reassigned = Vec::new();
@@ -1376,10 +1586,10 @@ impl ServiceSession {
                 expiries: expired.len(),
                 dirty_shards,
                 num_shards: self.full.conflict.num_shards(),
-                live_demands: self.live.len(),
+                live_demands: self.live_demands(),
                 instances: self.full.universe.num_instances(),
                 resolved: true,
-                warm_resolve: warm && !self.live.is_empty(),
+                warm_resolve: warm && self.live_demands() > 0,
                 rebuild_seconds,
                 solve_seconds,
                 journal_seconds,
@@ -1388,58 +1598,51 @@ impl ServiceSession {
         })
     }
 
-    /// Splices the epoch's (already full-core-applied) delta through the
-    /// existing split cores: each half receives the expiries and arrivals
-    /// of its height class, and the half→full demand maps are renumbered
-    /// through the full core's demand remap (the dense live ids are the
-    /// full universe's demand ids).
+    /// Splices the epoch's delta (`expired`, as full demand ids, and the
+    /// arrivals) through the existing split cores in `O(batch log live)`:
+    /// each half receives the expiries and arrivals of its height class,
+    /// an expiry's half id found by binary search in the sorted half →
+    /// full map, and each map appends its half's arrivals.
+    /// Runs after the full core's splice and before the live list's
+    /// bookkeeping, which still holds the expiring requests.
     fn update_split(
         &mut self,
+        expired: &[DemandId],
         arrivals: &[DemandRequest],
         arrivings: &[ArrivingDemand],
         assignments: &[TreeAssignments],
     ) {
-        let split = self.split.as_mut().expect("caller checked");
-        let demand_remap = self.full.demand_remap();
-        let survivors = (self.full.universe.num_demands() - arrivals.len()) as u32;
-
-        for wide_half in [true, false] {
-            let (core, map) = if wide_half {
-                (&mut split.wide, &mut split.wide_map)
-            } else {
-                (&mut split.narrow, &mut split.narrow_map)
-            };
-            // Expired positions within this half, in half order.
-            let half_expired: Vec<DemandId> = map
+        let SplitState {
+            wide,
+            narrow,
+            wide_map,
+            narrow_map,
+        } = self.split.as_mut().expect("caller checked");
+        // The arrivals' full ids follow the live list's last entry.
+        let first_new = self.live.len();
+        for (core, map, wide_half) in [(wide, wide_map, true), (narrow, narrow_map, false)] {
+            // Expired ids within this half, ascending like the full ids.
+            let half_expired: Vec<DemandId> = expired
                 .iter()
-                .enumerate()
-                .filter(|&(_, full_id)| demand_remap[full_id.index()] == u32::MAX)
-                .map(|(i, _)| DemandId::new(i))
+                .filter(|a| self.live[a.index()].request().is_wide() == wide_half)
+                .map(|a| {
+                    let half = map.binary_search(a).expect("a live demand is in its half");
+                    DemandId::new(half)
+                })
                 .collect();
             // This half's arrivals, in batch order.
             let mut half_arrivings: Vec<ArrivingDemand> = Vec::new();
             let mut half_assignments: TreeAssignments = Vec::new();
-            let mut half_new_full: Vec<DemandId> = Vec::new();
             for (i, ((request, arriving), assigns)) in
                 arrivals.iter().zip(arrivings).zip(assignments).enumerate()
             {
                 if request.is_wide() == wide_half {
                     half_arrivings.push(arriving.clone());
                     half_assignments.extend(assigns.iter().cloned());
-                    half_new_full.push(DemandId(survivors + i as u32));
+                    map.push(DemandId::new(first_new + i));
                 }
             }
             core.apply(&half_expired, &half_arrivings, half_assignments);
-            // Renumber the half → full map and append the new arrivals.
-            let old_map = std::mem::take(map);
-            *map = old_map
-                .into_iter()
-                .filter_map(|full_id| match demand_remap[full_id.index()] {
-                    u32::MAX => None,
-                    new => Some(DemandId(new)),
-                })
-                .collect();
-            map.extend(half_new_full);
         }
     }
 
@@ -1454,6 +1657,11 @@ impl ServiceSession {
     /// The lifecycle/compaction policy of the durable serving tier, run
     /// before every snapshot (and callable on its own):
     ///
+    /// * every core's **tombstones are reclaimed**: the universes, the
+    ///   live list and the split maps relabel their live entries `0, 1, …`
+    ///   in id order (the epochs do this on their own once tombstones pile
+    ///   up; order-preserving, so no later solve changes), and the
+    ///   [last solution](ServiceSession::last_solution)'s ids with them;
     /// * the wide/narrow **split cores are dropped** once the live height
     ///   mix is no longer mixed — they are stale caches at that point, and
     ///   [`step`](ServiceSession::step) rebuilds byte-identical ones if
@@ -1466,7 +1674,15 @@ impl ServiceSession {
     ///   and certifies like any fresh state.
     pub fn compact(&mut self) -> CompactionReport {
         let mut report = CompactionReport::default();
-        if self.split.is_some() && uniform_rule(&self.live).is_some() {
+        let tombstones = self.full.has_tombstones()
+            || self
+                .split
+                .as_ref()
+                .is_some_and(|split| split.wide.has_tombstones() || split.narrow.has_tombstones());
+        if tombstones {
+            report.tombstones_reclaimed = self.compact_ids(&mut []);
+        }
+        if self.split.is_some() && self.mix.rule().is_some() {
             self.split = None;
             report.split_dropped = true;
         }
@@ -1487,7 +1703,8 @@ impl ServiceSession {
 
     /// Serializes the session as a versioned snapshot document holding
     /// only what cannot be recomputed: base topology, algorithm config,
-    /// resolve mode, live ticket table (dense order), ticket and epoch
+    /// resolve mode, live ticket table (id order, tombstones left out),
+    /// ticket and epoch
     /// counters, whether truncated certification work is pending
     /// (`anytime_pending`), the standing schedule, its profit and
     /// certificate, and every core's persisted [`WarmState`] (see
@@ -1506,8 +1723,12 @@ impl ServiceSession {
         let live = JsonValue::Array(
             self.live
                 .iter()
-                .map(|d| {
-                    JsonValue::Array(vec![JsonValue::u64_value(d.ticket), d.request.to_json()])
+                .filter_map(|d| {
+                    let request = d.request.as_ref()?;
+                    Some(JsonValue::Array(vec![
+                        JsonValue::u64_value(d.ticket),
+                        request.to_json(),
+                    ]))
                 })
                 .collect(),
         );
@@ -1517,9 +1738,12 @@ impl ServiceSession {
                 .map(|&(t, p)| JsonValue::Array(vec![JsonValue::u64_value(t), p.to_json()]))
                 .collect(),
         );
+        // Warm states write their ids through the universe's
+        // order-preserving relabel, so the document does not depend on
+        // when the tombstones were last reclaimed.
         let warm_or_null = |core: &LiveCore| {
             core.warm_state()
-                .map(ToJson::to_json)
+                .map(|warm| warm.to_json(&core.universe))
                 .unwrap_or(JsonValue::Null)
         };
         JsonValue::object(vec![
@@ -1579,7 +1803,7 @@ impl ServiceSession {
                 }
                 Ok(LiveDemand {
                     ticket: entry[0].as_u64()?,
-                    request: normalize(DemandRequest::from_json(&entry[1])?),
+                    request: Some(normalize(DemandRequest::from_json(&entry[1])?)),
                 })
             })
             .collect::<Result<_, String>>()?;
@@ -1699,7 +1923,7 @@ impl std::fmt::Debug for ServiceSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceSession")
             .field("epoch", &self.epoch)
-            .field("live_demands", &self.live.len())
+            .field("live_demands", &self.live_demands())
             .field("instances", &self.full.universe.num_instances())
             .field("scheduled", &self.schedule.len())
             .field("profit", &self.profit)

@@ -5,8 +5,8 @@
 //! whose delta leaves every network clean — performs **zero heap
 //! allocations** across all three layers
 //! (`DemandInstanceUniverse::apply_demand_delta`, whose delta reuses its
-//! remaps, removed-position list and per-network counters;
-//! `ShardedConflictGraph::apply_delta`, which compacts its degree column
+//! tombstone and removed-position lists;
+//! `ShardedConflictGraph::apply_delta`, which extends its degree column
 //! in place; `WarmState::splice`) once the session's scratch buffers
 //! have reached steady capacity — including
 //! the observability hooks the serving path runs every epoch (disabled
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use netsched_core::{run_two_phase_warm_on, AlgorithmConfig, Budget, RaiseRule, WarmState};
 use netsched_decomp::InstanceLayering;
 use netsched_distrib::ShardedConflictGraph;
-use netsched_graph::{ArrivingDemand, DemandId, EdgePath, NetworkId, UniverseDelta};
+use netsched_graph::{ArrivingDemand, EdgePath, NetworkId, UniverseDelta};
 use netsched_workloads::many_networks_line;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,11 +89,10 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     );
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..4 {
+        // Demand ids are stable, so the `k`-th live demand is not id `k`.
         let m = universe.num_demands();
-        let mut expired = vec![
-            DemandId::new(rng.gen_range(0..m)),
-            DemandId::new(rng.gen_range(0..m)),
-        ];
+        let live = |k: usize| universe.demand_ids().nth(k).expect("k < live demands");
+        let mut expired = vec![live(rng.gen_range(0..m)), live(rng.gen_range(0..m))];
         expired.sort_unstable();
         expired.dedup();
         let start = rng.gen_range(0..timeslots - 6);

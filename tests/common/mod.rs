@@ -18,7 +18,7 @@
 use netsched_core::{AlgorithmConfig, Scheduler, Solution};
 use netsched_distrib::{ConflictGraph, InducedConflicts, ShardedConflictGraph};
 use netsched_graph::{
-    DemandInstanceUniverse, InstanceId, LineProblem, NetworkId, TreeProblem, VertexId,
+    Compaction, DemandInstanceUniverse, InstanceId, LineProblem, NetworkId, TreeProblem, VertexId,
 };
 use netsched_service::{DemandEvent, DemandRequest, DemandTicket, ScheduleDelta, ServiceSession};
 use netsched_workloads::{
@@ -43,23 +43,65 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 // ---------------------------------------------------------------------
 // Byte-level equality helpers
 // ---------------------------------------------------------------------
+//
+// A serving universe keeps stable ids with tombstones; a from-scratch
+// build numbers the same survivors densely. Structural comparisons go
+// through the order-preserving relabel a compaction applies (of a clone),
+// which maps the one onto the other exactly.
+
+/// `universe` relabelled to dense ids, plus the relabelling.
+pub fn dense_universe(universe: &DemandInstanceUniverse) -> (DemandInstanceUniverse, Compaction) {
+    let mut dense = universe.clone();
+    let mut compaction = Compaction::new();
+    dense.compact(&mut compaction);
+    (dense, compaction)
+}
+
+/// A solution's instance ids mapped through a relabelling.
+pub fn relabel_solution(solution: &Solution, compaction: &Compaction) -> Solution {
+    let map = |ids: &[InstanceId]| -> Vec<InstanceId> {
+        ids.iter()
+            .map(|&d| {
+                compaction
+                    .map_instance(d)
+                    .expect("a solution names live instances")
+            })
+            .collect()
+    };
+    let mut out = solution.clone();
+    out.selected = map(&solution.selected);
+    out.raised_instances = map(&solution.raised_instances);
+    out
+}
+
+/// A session's last solution under its universe's dense relabel.
+pub fn dense_solution(session: &ServiceSession) -> Option<Solution> {
+    let (_, compaction) = dense_universe(session.universe());
+    session
+        .last_solution()
+        .map(|solution| relabel_solution(solution, &compaction))
+}
 
 /// Maintained conflict structures against the flat build of a
 /// from-scratch universe: every incrementally maintained degree, and the
-/// adjacency the engine induces over **all** of `universe`'s instances.
+/// adjacency the engine induces over **all** of `universe`'s instances,
+/// compared under `universe`'s dense relabel.
 pub fn assert_graph_matches(
     flat: &ConflictGraph,
     universe: &DemandInstanceUniverse,
     conflict: &ShardedConflictGraph,
     label: &str,
 ) {
+    let (universe, compaction) = dense_universe(universe);
+    let mut conflict = conflict.clone();
+    conflict.compact(&universe, &compaction);
     assert_eq!(
         conflict.num_vertices(),
         flat.num_vertices(),
         "{label}: vertex count"
     );
     let all: Vec<InstanceId> = universe.instance_ids().collect();
-    let induced = InducedConflicts::build(universe, &all);
+    let induced = InducedConflicts::build(&universe, &all);
     for &d in &all {
         assert_eq!(conflict.degree(d), flat.degree(d), "{label}: degree of {d}");
         let row: Vec<InstanceId> = induced
@@ -78,9 +120,9 @@ pub fn assert_conflicts_match(flat: &ConflictGraph, session: &ServiceSession, la
 
 /// Two sessions over the same live set (an uninterrupted reference and a
 /// recovered or restored one) both match the flat build of the
-/// reference's universe.
+/// reference's universe, relabelled.
 pub fn assert_same_conflicts(reference: &ServiceSession, other: &ServiceSession, label: &str) {
-    let flat = ConflictGraph::build(reference.universe());
+    let flat = ConflictGraph::build(&dense_universe(reference.universe()).0);
     assert_conflicts_match(&flat, reference, &format!("{label} (reference)"));
     assert_conflicts_match(&flat, other, label);
 }
@@ -349,8 +391,8 @@ pub fn check_trace(
         let rebuilt = mirror.rebuild();
         let (reference, flat) = rebuilt.solve(config);
         assert_conflicts_match(&flat, &session, &label);
-        let ours = session.last_solution().expect("stepped sessions solved");
-        assert_same_solution(&reference, ours, &label);
+        let ours = dense_solution(&session).expect("stepped sessions solved");
+        assert_same_solution(&reference, &ours, &label);
         assert_eq!(delta.profit, reference.profit, "{label}: delta profit");
         assert_eq!(
             delta.stats.live_demands,

@@ -18,8 +18,9 @@
 mod common;
 
 use common::{
-    assert_conflicts_match, assert_same_conflicts, assert_same_solution, line_trace, to_events,
-    tree_trace, with_threads, ChurnCase, ChurnCases, ChurnShape,
+    assert_conflicts_match, assert_same_conflicts, assert_same_solution, dense_solution,
+    dense_universe, line_trace, to_events, tree_trace, with_threads, ChurnCase, ChurnCases,
+    ChurnShape,
 };
 use netsched_core::AlgorithmConfig;
 use netsched_distrib::ConflictGraph;
@@ -168,9 +169,9 @@ fn check_kill_and_recover(
     match mode {
         ResolveMode::Cold => {
             // Byte-identical: schedule, certificate, standing state.
-            let (ours, theirs) = (recovered.last_solution(), reference.last_solution());
+            let (ours, theirs) = (dense_solution(&recovered), dense_solution(&reference));
             match (ours, theirs) {
-                (Some(ours), Some(theirs)) => assert_same_solution(theirs, ours, label),
+                (Some(ours), Some(theirs)) => assert_same_solution(&theirs, &ours, label),
                 (None, None) => {}
                 _ => panic!("{label}: one side solved, the other did not"),
             }
@@ -382,7 +383,7 @@ fn restored_sessions_keep_the_original_conflict_structures() {
     let mut original = base.session(config, ResolveMode::Cold);
     drive(&mut original, &trace, 0..4, &tickets);
     // Build the flat graph of the original before snapshotting.
-    let pre_crash = ConflictGraph::build(original.universe());
+    let pre_crash = ConflictGraph::build(&dense_universe(original.universe()).0);
 
     let mut restored = ServiceSession::from_snapshot(&original.snapshot()).expect("restores");
     assert_conflicts_match(&pre_crash, &restored, "post-restore");
@@ -392,8 +393,8 @@ fn restored_sessions_keep_the_original_conflict_structures() {
     drive(&mut original, &trace, 4..5, &tickets);
     drive(&mut restored, &trace, 4..5, &tickets);
     assert_same_conflicts(&original, &restored, "post-restore splice");
-    match (original.last_solution(), restored.last_solution()) {
-        (Some(a), Some(b)) => assert_same_solution(a, b, "post-restore splice"),
+    match (dense_solution(&original), dense_solution(&restored)) {
+        (Some(a), Some(b)) => assert_same_solution(&a, &b, "post-restore splice"),
         (None, None) => {}
         _ => panic!("post-restore splice: one side solved, the other did not"),
     }

@@ -20,8 +20,8 @@
 mod common;
 
 use common::{
-    assert_conflicts_match, check_trace, line_trace, line_trace_with_heights, tree_trace,
-    with_threads, ChurnCase, ChurnCases, ChurnShape, Mirror,
+    assert_conflicts_match, check_trace, dense_universe, line_trace, line_trace_with_heights,
+    tree_trace, with_threads, ChurnCase, ChurnCases, ChurnShape, Mirror,
 };
 use netsched_core::AlgorithmConfig;
 use netsched_distrib::{ConflictGraph, MisStrategy};
@@ -228,9 +228,13 @@ fn expiring_everything_empties_the_schedule_and_recovers() {
     assert!(session.schedule().is_empty());
     // Expired demands are not re-reported as evictions.
     assert!(delta.evicted.is_empty());
-    assert_eq!(session.conflict().num_vertices(), 0);
+    // Every slot is a tombstone: nothing is left once they are reclaimed.
+    let (dense, compaction) = dense_universe(session.universe());
+    let mut conflict = session.conflict().clone();
+    conflict.compact(&dense, &compaction);
+    assert_eq!(conflict.num_vertices(), 0);
     assert_conflicts_match(
-        &ConflictGraph::build(session.universe()),
+        &ConflictGraph::build(&dense),
         &session,
         "everything expired",
     );

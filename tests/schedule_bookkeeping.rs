@@ -15,7 +15,7 @@ mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use common::{line_trace_with_heights, to_events, tree_trace};
+use common::{dense_solution, dense_universe, line_trace_with_heights, to_events, tree_trace};
 use netsched_core::AlgorithmConfig;
 use netsched_graph::{LineProblem, NetworkId};
 use netsched_service::{
@@ -68,9 +68,10 @@ fn check_against_model(mut session: ServiceSession, trace: &EventTrace, label: &
         let unknown = DemandTicket(tickets.iter().map(|t| t.0).max().unwrap_or(0) + 1);
         assert!(!session.is_live(unknown), "{label}: unissued ticket");
 
-        // The new schedule, rebuilt from the engine's solution.
-        let solution = session.last_solution().expect("stepped sessions solved");
-        let universe = session.universe();
+        // The new schedule, rebuilt from the engine's solution; demand ids
+        // index the live tickets under the universe's dense relabel.
+        let solution = dense_solution(&session).expect("stepped sessions solved");
+        let (universe, _) = dense_universe(session.universe());
         let by_demand = session.live_tickets();
         let next: BTreeMap<u64, Placement> = solution
             .selected

@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-use common::{assert_graph_matches, with_threads};
+use common::{assert_graph_matches, dense_universe, with_threads};
 
 /// Exact equality of everything the solution certifies (stats are allowed
 /// to differ between the simulator-driven and array-driven Luby by
@@ -311,7 +311,7 @@ fn hot_shard_churn_case(seed: u64) {
         conflict.apply_delta(&universe, &delta);
 
         assert_graph_matches(
-            &ConflictGraph::build(&universe),
+            &ConflictGraph::build(&dense_universe(&universe).0),
             &universe,
             &conflict,
             &format!("round {round}"),
@@ -451,7 +451,10 @@ fn churned_conflicts_case(base: ChurnBase, mut universe: DemandInstanceUniverse,
     for round in 0..4 {
         let networks = universe.num_networks();
         let mut expired: Vec<DemandId> = (0..rng.gen_range(0..4))
-            .map(|_| DemandId::new(rng.gen_range(0..universe.num_demands())))
+            .map(|_| {
+                let k = rng.gen_range(0..universe.num_demands());
+                universe.demand_ids().nth(k).expect("k < live demands")
+            })
             .collect();
         expired.sort_unstable();
         expired.dedup();
@@ -478,7 +481,7 @@ fn churned_conflicts_case(base: ChurnBase, mut universe: DemandInstanceUniverse,
         for i in (1..shuffled.len()).rev() {
             shuffled.swap(i, rng.gen_range(0..=i));
         }
-        let mut member = vec![false; universe.num_instances()];
+        let mut member = vec![false; universe.instance_slots()];
         for &d in &sorted {
             member[d.index()] = true;
         }
