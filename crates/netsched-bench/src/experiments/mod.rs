@@ -1,8 +1,7 @@
-//! The experiment registry (E1–E11).
+//! The experiment registry (E1–E13).
 //!
 //! Each experiment regenerates one quantitative claim of the paper as one or
-//! more tables; see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded results.
+//! more tables; `experiments list` prints the index.
 
 pub mod decomp;
 pub mod line;

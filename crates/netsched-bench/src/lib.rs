@@ -2,9 +2,8 @@
 //!
 //! The paper is theoretical and contains no experimental tables or figures;
 //! every quantitative claim (approximation ratios, decomposition parameters,
-//! round complexities) is reproduced here as a measurable experiment. The
-//! experiment index lives in `DESIGN.md` (E1–E11) and the measured results
-//! are recorded in `EXPERIMENTS.md`.
+//! round complexities) is reproduced here as a measurable experiment
+//! (E1–E13; `experiments list` prints the index).
 //!
 //! Run all experiments with
 //!
@@ -12,7 +11,7 @@
 //! cargo run -p netsched-bench --release --bin experiments -- all
 //! ```
 //!
-//! or an individual one with its id (`e1` … `e11`). Pass `--quick` for a
+//! or an individual one with its id (`e1` … `e13`). Pass `--quick` for a
 //! reduced sweep.
 
 #![warn(missing_docs)]

@@ -117,8 +117,7 @@ pub fn run_two_phase_on(
 /// The pre-shard reference engine: single flat CSR, simulator-driven MIS,
 /// strictly sequential filters and raises. Kept as the differential-testing
 /// baseline for the sharded engine — the equivalence suite asserts that
-/// [`run_two_phase`] reproduces its schedules and certificates exactly —
-/// and as the honest "before" side of the `shard_scaling` bench.
+/// [`run_two_phase`] reproduces its schedules and certificates exactly.
 pub fn run_two_phase_reference(
     universe: &DemandInstanceUniverse,
     layering: &InstanceLayering,

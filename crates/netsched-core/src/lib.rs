@@ -74,11 +74,8 @@ pub use budget::{Budget, CertificateQuality, RoundCalibration};
 pub use config::{approximation_bound, stage_xi, stages_per_epoch, AlgorithmConfig, RaiseRule};
 pub use duals::DualState;
 pub use framework::{run_two_phase, run_two_phase_on, run_two_phase_reference};
-pub use line::{
-    solve_line_arbitrary, solve_line_arbitrary_on, solve_line_narrow, solve_line_narrow_on,
-    solve_line_unit, solve_line_unit_on,
-};
-pub use sequential::{run_sequential, solve_sequential_on, solve_sequential_tree};
+pub use line::{solve_line_arbitrary, solve_line_narrow, solve_line_unit};
+pub use sequential::{run_sequential, solve_sequential_tree};
 pub use solution::{EngineTimings, RunDiagnostics, Solution};
 pub use solver::{
     combine_wide_narrow, registry, ArbitraryTreeSolver, BuildCounts, HalfOutcome,
@@ -86,8 +83,5 @@ pub use solver::{
     PortfolioRun, Problem, ProblemKind, Scheduler, SequentialTreeSolver, SolveContext, Solver,
     SplitPart, UnitTreeSolver,
 };
-pub use tree::{
-    solve_arbitrary_tree, solve_arbitrary_tree_on, solve_narrow_tree, solve_narrow_tree_on,
-    solve_unit_tree, solve_unit_tree_on, subproblem,
-};
+pub use tree::{solve_arbitrary_tree, solve_narrow_tree, solve_unit_tree, subproblem};
 pub use warm::{run_two_phase_warm_on, WarmState};

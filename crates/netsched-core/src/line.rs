@@ -8,16 +8,13 @@
 //!
 //! The entry points are thin wrappers over the [`crate::Scheduler`] session
 //! API (the algorithm bodies live in [`crate::LineUnitSolver`],
-//! [`crate::LineNarrowSolver`] and [`crate::LineArbitrarySolver`]); the
-//! `_on` variants run directly on a prebuilt universe. All returned
-//! instance ids refer to `problem.universe()`.
+//! [`crate::LineNarrowSolver`] and [`crate::LineArbitrarySolver`]). All
+//! returned instance ids refer to `problem.universe()`.
 
-use crate::config::{AlgorithmConfig, RaiseRule};
-use crate::framework::run_two_phase;
+use crate::config::AlgorithmConfig;
 use crate::solution::Solution;
 use crate::solver::{LineArbitrarySolver, LineNarrowSolver, LineUnitSolver, Scheduler};
-use netsched_decomp::InstanceLayering;
-use netsched_graph::{DemandId, DemandInstanceUniverse, LineDemand, LineProblem};
+use netsched_graph::{DemandId, LineDemand, LineProblem};
 
 /// Theorem 7.1: the distributed `(4 + ε)`-approximation for the unit-height
 /// case of line networks with windows. Also used for the wide instances of
@@ -41,26 +38,10 @@ pub fn solve_line_unit(problem: &LineProblem, config: &AlgorithmConfig) -> Solut
     Scheduler::for_line(problem).solve_with(&LineUnitSolver, config)
 }
 
-/// As [`solve_line_unit`] but reusing an already built `problem.universe()`.
-pub fn solve_line_unit_on(universe: &DemandInstanceUniverse, config: &AlgorithmConfig) -> Solution {
-    let layering = InstanceLayering::line_length_classes(universe);
-    run_two_phase(universe, &layering, RaiseRule::Unit, config)
-}
-
 /// The `(19 + ε)`-approximation for line networks whose demands are all
 /// narrow (Section 7, arbitrary-height case, narrow part).
 pub fn solve_line_narrow(problem: &LineProblem, config: &AlgorithmConfig) -> Solution {
     Scheduler::for_line(problem).solve_with(&LineNarrowSolver, config)
-}
-
-/// As [`solve_line_narrow`] but reusing an already built
-/// `problem.universe()`.
-pub fn solve_line_narrow_on(
-    universe: &DemandInstanceUniverse,
-    config: &AlgorithmConfig,
-) -> Solution {
-    let layering = InstanceLayering::line_length_classes(universe);
-    run_two_phase(universe, &layering, RaiseRule::Narrow, config)
 }
 
 /// Theorem 7.2: the distributed `(23 + ε)`-approximation for line networks
@@ -68,16 +49,6 @@ pub fn solve_line_narrow_on(
 /// algorithm) and narrow schedules per resource.
 pub fn solve_line_arbitrary(problem: &LineProblem, config: &AlgorithmConfig) -> Solution {
     Scheduler::for_line(problem).solve_with(&LineArbitrarySolver, config)
-}
-
-/// As [`solve_line_arbitrary`] but reusing an already built
-/// `problem.universe()`.
-pub fn solve_line_arbitrary_on(
-    problem: &LineProblem,
-    universe: &DemandInstanceUniverse,
-    config: &AlgorithmConfig,
-) -> Solution {
-    Scheduler::for_line_with_universe(problem, universe).solve_with(&LineArbitrarySolver, config)
 }
 
 /// Builds the line sub-problem containing only the demands selected by
@@ -109,7 +80,7 @@ pub fn line_subproblem<F: Fn(&LineDemand) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::approximation_bound;
+    use crate::config::{approximation_bound, RaiseRule};
     use netsched_graph::fixtures::figure1_line_problem;
     use netsched_graph::NetworkId;
     use rand::rngs::StdRng;

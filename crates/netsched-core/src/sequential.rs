@@ -32,18 +32,8 @@ pub fn solve_sequential_tree(problem: &TreeProblem) -> Solution {
     )
 }
 
-/// As [`solve_sequential_tree`] but reusing an already-built universe
-/// (which must be `problem.universe()`).
-pub fn solve_sequential_on(problem: &TreeProblem, universe: &DemandInstanceUniverse) -> Solution {
-    if universe.num_instances() == 0 {
-        return Solution::empty();
-    }
-    let layering = InstanceLayering::appendix_a(problem, universe);
-    run_sequential(universe, &layering)
-}
-
 /// The Appendix A engine over a prebuilt wings-only layering — the single
-/// code path behind [`solve_sequential_tree`], [`solve_sequential_on`] and
+/// code path behind [`solve_sequential_tree`] and
 /// [`crate::SequentialTreeSolver`].
 pub fn run_sequential(universe: &DemandInstanceUniverse, layering: &InstanceLayering) -> Solution {
     if universe.num_instances() == 0 {

@@ -311,7 +311,6 @@ pub struct BuildCounts {
 /// strategy or the seed vary between calls.
 pub struct Scheduler<'p> {
     problem: Problem<'p>,
-    borrowed_universe: Option<&'p DemandInstanceUniverse>,
     universe: OnceLock<DemandInstanceUniverse>,
     layering: OnceLock<InstanceLayering>,
     sequential_layering: OnceLock<InstanceLayering>,
@@ -329,7 +328,6 @@ impl<'p> Scheduler<'p> {
     pub fn new(problem: Problem<'p>) -> Self {
         Self {
             problem,
-            borrowed_universe: None,
             universe: OnceLock::new(),
             layering: OnceLock::new(),
             sequential_layering: OnceLock::new(),
@@ -353,27 +351,6 @@ impl<'p> Scheduler<'p> {
         Self::new(Problem::Line(problem))
     }
 
-    /// A tree session adopting an already-built `problem.universe()`
-    /// instead of constructing its own.
-    pub fn for_tree_with_universe(
-        problem: &'p TreeProblem,
-        universe: &'p DemandInstanceUniverse,
-    ) -> Self {
-        let mut session = Self::for_tree(problem);
-        session.borrowed_universe = Some(universe);
-        session
-    }
-
-    /// A line session adopting an already-built `problem.universe()`.
-    pub fn for_line_with_universe(
-        problem: &'p LineProblem,
-        universe: &'p DemandInstanceUniverse,
-    ) -> Self {
-        let mut session = Self::for_line(problem);
-        session.borrowed_universe = Some(universe);
-        session
-    }
-
     /// The problem this session schedules.
     pub fn problem(&self) -> Problem<'p> {
         self.problem
@@ -382,9 +359,6 @@ impl<'p> Scheduler<'p> {
     /// The demand-instance universe, built on first use and cached for the
     /// lifetime of the session.
     pub fn universe(&self) -> &DemandInstanceUniverse {
-        if let Some(universe) = self.borrowed_universe {
-            return universe;
-        }
         self.universe.get_or_init(|| {
             self.universe_builds.fetch_add(1, Ordering::Relaxed);
             self.problem.build_universe()
@@ -666,7 +640,7 @@ fn line_split_part(problem: LineProblem, map: Vec<DemandId>) -> SplitPart {
 
 /// Translates instance ids of a split sub-universe back into instance ids of
 /// the session universe, matching on (original demand, network, start slot).
-pub fn translate_split_selection(
+fn translate_split_selection(
     sub_universe: &DemandInstanceUniverse,
     selection: &[InstanceId],
     demand_map: &[DemandId],
@@ -1126,17 +1100,6 @@ mod tests {
             setup + repair + refresh + replay + raised_set,
             Default::default()
         );
-    }
-
-    #[test]
-    fn borrowed_universe_is_not_rebuilt() {
-        let problem = figure6_problem();
-        let universe = problem.universe();
-        let session = Scheduler::for_tree_with_universe(&problem, &universe);
-        let solution = session.solve(&AlgorithmConfig::deterministic(0.1));
-        solution.verify(&universe).unwrap();
-        assert_eq!(session.build_counts().universe, 0);
-        assert!(std::ptr::eq(session.universe(), &universe));
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //! implementations ([`crate::UnitTreeSolver`], [`crate::NarrowTreeSolver`],
 //! [`crate::ArbitraryTreeSolver`]), and the session guarantees that the
 //! universe, the layered decomposition and the wide/narrow split are each
-//! built exactly once per call (or reused entirely with the `_on`
-//! variants). All returned instance ids refer to `problem.universe()`.
+//! built exactly once per call. All returned instance ids refer to
+//! `problem.universe()`.
 
 use crate::config::AlgorithmConfig;
 use crate::solution::Solution;
 use crate::solver::{ArbitraryTreeSolver, NarrowTreeSolver, Scheduler, UnitTreeSolver};
-use netsched_graph::{Demand, DemandId, DemandInstanceUniverse, NetworkId, TreeProblem};
+use netsched_graph::{Demand, DemandId, NetworkId, TreeProblem};
 
 /// Theorem 5.3: the distributed `(7 + ε)`-approximation for the unit-height
 /// case of tree networks. Also used for the *wide* instances of the
@@ -53,29 +53,10 @@ pub fn solve_unit_tree(problem: &TreeProblem, config: &AlgorithmConfig) -> Solut
     Scheduler::for_tree(problem).solve_with(&UnitTreeSolver, config)
 }
 
-/// As [`solve_unit_tree`] but reusing an already built `problem.universe()`.
-pub fn solve_unit_tree_on(
-    problem: &TreeProblem,
-    universe: &DemandInstanceUniverse,
-    config: &AlgorithmConfig,
-) -> Solution {
-    Scheduler::for_tree_with_universe(problem, universe).solve_with(&UnitTreeSolver, config)
-}
-
 /// Lemma 6.2: the distributed `(73 + ε)`-approximation for tree networks
 /// whose demands are all narrow (`h(a) ≤ 1/2`).
 pub fn solve_narrow_tree(problem: &TreeProblem, config: &AlgorithmConfig) -> Solution {
     Scheduler::for_tree(problem).solve_with(&NarrowTreeSolver, config)
-}
-
-/// As [`solve_narrow_tree`] but reusing an already built
-/// `problem.universe()`.
-pub fn solve_narrow_tree_on(
-    problem: &TreeProblem,
-    universe: &DemandInstanceUniverse,
-    config: &AlgorithmConfig,
-) -> Solution {
-    Scheduler::for_tree_with_universe(problem, universe).solve_with(&NarrowTreeSolver, config)
 }
 
 /// Theorem 6.3: the distributed `(80 + ε)`-approximation for tree networks
@@ -87,16 +68,6 @@ pub fn solve_narrow_tree_on(
 /// profitable of the two per-network schedules is kept.
 pub fn solve_arbitrary_tree(problem: &TreeProblem, config: &AlgorithmConfig) -> Solution {
     Scheduler::for_tree(problem).solve_with(&ArbitraryTreeSolver, config)
-}
-
-/// As [`solve_arbitrary_tree`] but reusing an already built
-/// `problem.universe()`.
-pub fn solve_arbitrary_tree_on(
-    problem: &TreeProblem,
-    universe: &DemandInstanceUniverse,
-    config: &AlgorithmConfig,
-) -> Solution {
-    Scheduler::for_tree_with_universe(problem, universe).solve_with(&ArbitraryTreeSolver, config)
 }
 
 /// Builds the sub-problem containing only the demands selected by `keep`

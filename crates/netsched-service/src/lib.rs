@@ -80,9 +80,9 @@
 //!   replays every churn trace through both paths and enforces the
 //!   relaxed contract epoch by epoch.
 //!
-//! Pick **Warm** for serving tiers (the solve is 60–85% of an incremental
-//! epoch; `BENCH_warm_resolve.json` records the resulting epoch speedups)
-//! and **Cold** whenever downstream consumers diff schedules against a
+//! Pick **Warm** for serving tiers (every workload of the repo benchmark,
+//! `perfbench`, serves warm) and **Cold** whenever downstream consumers
+//! diff schedules against a
 //! reference solver. Sessions default to Cold; the
 //! `NETSCHED_RESOLVE_MODE` environment variable (`warm` / `cold`) flips
 //! the default for deployments and the CI matrix, and
@@ -116,9 +116,8 @@
 //! | ticket lookup | — | `O(log live)` binary search on the ticket-sorted live list |
 //! | schedule delta | — | one merge walk of the old and new ticket-sorted schedules |
 //!
-//! `BENCH_dynamic_serving.json` (from the `dynamic_serving` bench) records
-//! the resulting epoch speedups over from-scratch rebuilds across churn
-//! rates.
+//! The repo benchmark's `line-1e5` workload (`perfbench`) reports the
+//! resulting warm epoch at 10⁵ live demands, phase by phase in traced runs.
 //!
 //! # Durability & recovery
 //!
@@ -297,9 +296,9 @@
 //!
 //! Sessions that never call [`ServiceSession::schedule_view`] pay nothing:
 //! the view is lazy and the step path is unchanged bit for bit
-//! (`tests/concurrent_serving.rs` pins both properties, and the
-//! `concurrent_serving` bench measures read latency and staleness against
-//! a lock-the-session baseline).
+//! (`tests/concurrent_serving.rs` pins both properties). The repo
+//! benchmark's `mixed-tree-durable` workload (`perfbench`) measures read
+//! latency beside a durable session and checks the staleness bound.
 //!
 //! # Frontend
 //!

@@ -57,8 +57,8 @@ use crate::view::{ScheduleSnapshot, ScheduleView};
 ///   builds assert, release builds fall back to a from-zero re-solve).
 ///
 /// Choose `Warm` for serving tiers where the engine solve dominates the
-/// epoch (the regime `BENCH_warm_resolve.json` measures); choose `Cold`
-/// when downstream consumers diff schedules against a reference solver.
+/// epoch; choose `Cold` when downstream consumers diff schedules against a
+/// reference solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResolveMode {
     /// From-zero re-solve every epoch (byte-equivalent to a fresh

@@ -14,7 +14,7 @@ use crate::tree_gen::{TreeTopology, TreeWorkload};
 use netsched_graph::{LineProblem, NetworkId, TreeProblem, VertexId};
 use std::path::Path;
 
-/// Serializes any [`ToJson`] value to pretty-printed JSON.
+/// Serializes any [`ToJson`] value to compact JSON (see [`JsonValue::render`]).
 pub fn to_json_string<T: ToJson>(value: &T) -> Result<String, String> {
     Ok(value.to_json().render())
 }

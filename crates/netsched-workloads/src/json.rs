@@ -2,7 +2,7 @@
 //! dependency (the build environment has no crates.io access).
 //!
 //! [`JsonValue`] is a plain JSON document tree with a recursive-descent
-//! parser and a pretty printer; [`ToJson`] / [`FromJson`] are the
+//! parser and a compact renderer; [`ToJson`] / [`FromJson`] are the
 //! serialization traits implemented by the workload descriptions and problem
 //! types that the experiment harness persists. The problem types serialize
 //! through their public constructor API (edges, capacities, demands), so
@@ -123,14 +123,16 @@ impl JsonValue {
         }
     }
 
-    /// Pretty-prints the document with two-space indentation.
+    /// Renders the document as compact JSON: no whitespace between tokens,
+    /// so no newline outside string values. The parser accepts whitespace,
+    /// so documents rendered with indentation still load.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render_into(&mut out);
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
+    fn render_into(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => {
@@ -139,37 +141,25 @@ impl JsonValue {
             JsonValue::Number(x) => render_number(out, *x),
             JsonValue::String(s) => render_string(out, s),
             JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, indent + 1);
-                    item.render_into(out, indent + 1);
+                    item.render_into(out);
                 }
-                newline(out, indent);
                 out.push(']');
             }
             JsonValue::Object(map) => {
-                if map.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (key, value)) in map.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, indent + 1);
                     render_string(out, key);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
+                    out.push(':');
+                    value.render_into(out);
                 }
-                newline(out, indent);
                 out.push('}');
             }
         }
@@ -185,14 +175,6 @@ impl JsonValue {
             return Err(format!("trailing characters at byte {pos}"));
         }
         Ok(value)
-    }
-}
-
-/// Starts a new line indented by `indent` levels of two spaces.
-fn newline(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
     }
 }
 
@@ -452,6 +434,13 @@ mod tests {
             ("s", JsonValue::String("a\"b\\c\n\u{1}".to_string())),
         ]);
         let expected = concat!(
+            "{\"outer\":[{\"n\":7,\"x\":0.5},[],{}],",
+            "\"s\":\"a\\\"b\\\\c\\n\\u0001\"}",
+        );
+        assert_eq!(doc.render(), expected);
+        // The same document as the former indented renderer wrote it:
+        // files written that way must keep loading.
+        let indented = concat!(
             "{\n",
             "  \"outer\": [\n",
             "    {\n",
@@ -464,7 +453,7 @@ mod tests {
             "  \"s\": \"a\\\"b\\\\c\\n\\u0001\"\n",
             "}",
         );
-        assert_eq!(doc.render(), expected);
+        assert_eq!(JsonValue::parse(indented).unwrap(), doc);
     }
 
     #[test]

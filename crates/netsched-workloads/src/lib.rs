@@ -28,8 +28,6 @@ pub use dynamic::{
 pub use fault::FaultPlan;
 pub use framing::{append_frame, crc32, encode_frame, scan_frames, FrameError, FrameScan};
 pub use line_gen::{LineWorkload, LineWorkloadBuilder};
-pub use multi_net::{
-    many_networks_line, many_networks_tree, skewed_networks_line, skewed_networks_tree,
-};
+pub use multi_net::{many_networks_line, many_networks_tree, skewed_networks_line};
 pub use scenarios::{named_scenarios, scenario_by_name, scenario_index, Scenario};
 pub use tree_gen::{random_tree_edges, tree_problem, TreeTopology, TreeWorkload};

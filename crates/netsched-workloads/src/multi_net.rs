@@ -8,8 +8,7 @@
 //! over and over). These generators parameterize the existing
 //! [`TreeWorkload`]/[`LineWorkload`] descriptions for exactly those shapes;
 //! [`crate::scenarios::named_scenarios`] registers instances of each so the
-//! scenario index, the end-to-end suite and the `shard_scaling` bench all
-//! draw from the same definitions.
+//! scenario index and the end-to-end suite draw from the same definitions.
 
 use crate::demand_gen::{HeightDistribution, ProfitDistribution};
 use crate::line_gen::LineWorkload;
@@ -72,14 +71,6 @@ pub fn skewed_networks_line(networks: usize, demands: usize, skew: f64, seed: u6
     w
 }
 
-/// A skewed-shard tree workload; see [`skewed_networks_line`].
-pub fn skewed_networks_tree(networks: usize, demands: usize, skew: f64, seed: u64) -> TreeWorkload {
-    let mut w = many_networks_tree(networks, demands, seed);
-    w.access_probability = 0.9;
-    w.access_skew = skew;
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,11 +114,6 @@ mod tests {
             sizes[0] > 4 * sizes[7].max(1),
             "expected skewed shard sizes: {sizes:?}"
         );
-        let tree = skewed_networks_tree(6, 80, 1.5, 3).build().unwrap();
-        let tu = tree.universe();
-        let first = tu.instances_on_network(NetworkId::new(0)).len();
-        let last = tu.instances_on_network(NetworkId::new(5)).len();
-        assert!(first > last, "tree skew: {first} vs {last}");
     }
 
     #[test]

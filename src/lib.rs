@@ -78,11 +78,10 @@
 //! order of [`TreeNetwork`](prelude::TreeNetwork). All congestion accounting
 //! (edge loads, feasibility, solution verification) uses difference arrays
 //! over run endpoints, and the conflict graph is built by a deterministic
-//! sort-based interval sweep into a flat CSR. Universe plus conflict-graph
-//! construction run 40–380× faster than the materialized representation on
-//! deep-tree / wide-window scenarios with 60–280× less path memory (see
-//! `BENCH_path_repr.json`, regenerated by the `path_repr` bench); the
-//! complexity table lives in the [`graph`] crate docs.
+//! sort-based interval sweep into a flat CSR. The runs answer every path
+//! query exactly as an explicit edge list would
+//! (`crates/netsched-graph/tests/path_equivalence.rs` checks them against
+//! one); the complexity table lives in the [`graph`] crate docs.
 //!
 //! ## Sharded conflict engine
 //!
@@ -97,10 +96,9 @@
 //! single-threaded; the paper's parallelism is the simulated rounds and
 //! messages it counts. The degrees and induced adjacency equal the flat
 //! CSR's, and schedules match the sequential reference engine exactly
-//! (`tests/shard_equivalence.rs`); `BENCH_shard_scaling.json` (from the
-//! `shard_scaling` bench) records the degree build and engine against the
-//! flat reference across shard counts. Sessions cache the degrees, so
-//! repeated solves never re-sweep.
+//! (`tests/shard_equivalence.rs`); the repo benchmark (`perfbench`) times
+//! the full degree build as `conflict.full_build_ms`. Sessions cache the
+//! degrees, so repeated solves never re-sweep.
 //!
 //! ## Dynamic serving
 //!
@@ -110,17 +108,17 @@
 //! [`ServiceSession`](prelude::ServiceSession) owns a **mutable** solving
 //! state and admits batches of
 //! [`DemandEvent`](prelude::DemandEvent)s in *epochs* — each epoch splices
-//! the universe (ids renumber exactly as a from-scratch rebuild would),
+//! the universe (ids are stable: an expiry leaves a tombstone slot),
 //! updates **only the dirty shards'** conflict degrees, splices the
 //! layerings, re-solves and emits a
 //! [`ScheduleDelta`](prelude::ScheduleDelta) (admitted / evicted /
 //! reassigned demands plus the updated dual certificate). The differential
-//! invariant — incremental state byte-identical to a from-scratch
-//! `Scheduler` over the surviving demand set at every thread count — is
-//! pinned by `tests/dynamic_equivalence.rs`; `BENCH_dynamic_serving.json`
-//! (from the `dynamic_serving` bench) records 3–5× epoch speedups over
-//! from-scratch rebuilds on the 8-shard churn scenarios (rebuild-only
-//! speedups 6–20×). [`Service`](prelude::Service) adds the frontend, with
+//! invariant — incremental state byte-identical, up to a dense relabel of
+//! the ids, to a from-scratch `Scheduler` over the surviving demand set at
+//! every thread count — is pinned by `tests/dynamic_equivalence.rs`; the
+//! repo benchmark's `line-1e5` workload reports the warm serving epoch at
+//! 10⁵ live demands (`epoch_p50_ms`, `epoch_p90_ms`, `epochs_per_s`).
+//! [`Service`](prelude::Service) adds the frontend, with
 //! no thread of its own: `submit` returns a handle, and the first `wait`
 //! whose submission is unresolved folds everything queued into a single
 //! epoch.
@@ -141,10 +139,10 @@
 //! [`Service::reader`](prelude::Service::reader) hands out the same
 //! readers from the frontend. Results are bit-identical with a view
 //! attached or not, and stepping through the frontend matches direct
-//! `step` calls (`tests/concurrent_serving.rs`);
-//! `BENCH_concurrent_serving.json` (the `concurrent_serving` bench)
-//! records reader throughput, staleness and the p99 gap against a
-//! lock-the-session baseline at the 10⁵ live-demand point.
+//! `step` calls (`tests/concurrent_serving.rs`); the repo benchmark's
+//! `mixed-tree-durable` workload runs a reader beside the epochs, reports
+//! its latency (`view.read_p50_ns`, `view.read_p99_ns`) and fails the run
+//! if it ever lags by more than one epoch (`view.staleness_max_epochs`).
 //!
 //! ## Warm vs Cold re-solve
 //!
@@ -170,9 +168,8 @@
 //!   re-solve on a failed repair).
 //!
 //! Choose Warm for serving tiers (the certificate is the product, not the
-//! exact schedule bytes): `BENCH_warm_resolve.json` records ~2× end-to-end
-//! epoch and 3.5–9× solve speedups over the cold path on the 8-shard churn
-//! scenarios. Choose Cold when consumers diff schedules against a
+//! exact schedule bytes); every workload of the repo benchmark serves
+//! warm. Choose Cold when consumers diff schedules against a
 //! reference solver. `NETSCHED_RESOLVE_MODE=warm|cold` flips the
 //! environment default;
 //! [`with_resolve_mode`](prelude::ServiceSession::with_resolve_mode) pins
@@ -356,10 +353,8 @@
 //! quarantined. The phase histograms must *agree* with the session's
 //! delta telemetry (same clock reads — pinned by `tests/obs_metrics.rs`
 //! along with the < 5% enabled-overhead and disabled-mode
-//! zero-allocation contracts), and the serving benches publish their
-//! p50/p95/p99 admission latency from the same histograms
-//! (`latency_p99_ms` in `BENCH_dynamic_serving.json`; the `perfbench`
-//! harness reports `epoch_p50_ms` / `epoch_p90_ms` from raw samples).
+//! zero-allocation contracts); the `perfbench` harness reports
+//! `epoch_p50_ms` / `epoch_p90_ms` from raw per-epoch samples.
 //! The per-session
 //! [`RoundCalibration`](prelude::RoundCalibration) EWMA learns
 //! rounds/second online and compiles wall-clock deadlines
@@ -484,9 +479,9 @@ pub mod prelude {
     // Workloads and scenarios.
     pub use netsched_workloads::{
         many_networks_line, many_networks_tree, named_scenarios, poisson_arrivals_line,
-        poisson_arrivals_tree, skewed_networks_line, skewed_networks_tree, ChurnSpec, EventTrace,
-        FaultPlan, HeightDistribution, LineWorkload, ProfitDistribution, Scenario, TraceEvent,
-        TreeTopology, TreeWorkload,
+        poisson_arrivals_tree, skewed_networks_line, ChurnSpec, EventTrace, FaultPlan,
+        HeightDistribution, LineWorkload, ProfitDistribution, Scenario, TraceEvent, TreeTopology,
+        TreeWorkload,
     };
 }
 

@@ -9,7 +9,8 @@
 //! validation and restore edges the sorted layout relies on: duplicate
 //! expiries in large batches, snapshots whose tickets are out of order or
 //! whose requests the base topology cannot hold, and snapshots that must
-//! survive a restore unchanged.
+//! survive a restore unchanged, including snapshots and write-ahead
+//! records written with whitespace between tokens.
 
 mod common;
 
@@ -19,8 +20,8 @@ use common::{dense_solution, dense_universe, line_trace_with_heights, to_events,
 use netsched_core::AlgorithmConfig;
 use netsched_graph::{LineProblem, NetworkId};
 use netsched_service::{
-    DemandEvent, DemandRequest, DemandTicket, Placement, ResolveMode, ScheduledDemand,
-    ServiceError, ServiceSession,
+    parse_wal_record, wal_record, DemandEvent, DemandRequest, DemandTicket, Placement, ResolveMode,
+    ScheduledDemand, ServiceError, ServiceSession, WalRecord,
 };
 use netsched_workloads::json::{JsonValue, ToJson};
 use netsched_workloads::{EventTrace, HeightDistribution, TraceEvent};
@@ -354,4 +355,67 @@ fn snapshots_round_trip_through_from_snapshot_after_every_epoch() {
             );
         }
     }
+}
+
+/// `text` with a newline and indentation after every `{`, `[` and `,`,
+/// before every `}` and `]`, and a space after every `:` outside string
+/// values, close to the layout the indented renderer used to write.
+fn with_whitespace(text: &str) -> String {
+    let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+    for c in text.chars() {
+        if in_string {
+            out.push(c);
+            (in_string, escaped) = (escaped || c != '"', !escaped && c == '\\');
+            continue;
+        }
+        match c {
+            '}' | ']' => out.push('\n'),
+            '"' => in_string = true,
+            _ => {}
+        }
+        out.push(c);
+        match c {
+            '{' | '[' | ',' => out.push_str("\n  "),
+            ':' => out.push(' '),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Snapshots and write-ahead records rendered with whitespace between
+/// tokens (as files written before rendering became compact are) restore
+/// to the same session and parse to the same batch.
+#[test]
+fn snapshots_and_wal_records_written_with_whitespace_still_load() {
+    let config = AlgorithmConfig::deterministic(0.1);
+    let heights = HeightDistribution::Uniform { min: 0.1, max: 1.0 };
+    let (tree, churn) = tree_trace(3, 30, 29, 0.3, heights);
+    let mut session = ServiceSession::for_tree(&tree, config).with_resolve_mode(ResolveMode::Warm);
+    let mut tickets = session.live_tickets();
+    let mut events = Vec::new();
+    for batch in churn.batches.iter().take(4) {
+        events = to_events(batch, &tickets);
+        tickets.extend(session.step(&events).unwrap().tickets);
+    }
+    assert!(!events.is_empty(), "the last batch carries events");
+
+    let compact = session.snapshot().render();
+    assert!(
+        !compact.contains('\n'),
+        "a rendered snapshot has no newline"
+    );
+    let spaced = with_whitespace(&compact);
+    assert!(spaced.len() > compact.len());
+    let restored = ServiceSession::from_snapshot(&JsonValue::parse(&spaced).unwrap()).unwrap();
+    assert_eq!(restored.snapshot().render(), compact);
+
+    let record = with_whitespace(&wal_record(5, &events).render());
+    assert_eq!(
+        parse_wal_record(&JsonValue::parse(&record).unwrap()).unwrap(),
+        WalRecord::Batch {
+            epoch: 5,
+            batch: events
+        }
+    );
 }
