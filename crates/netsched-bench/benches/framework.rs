@@ -1,7 +1,7 @@
 //! Criterion bench: the generic two-phase engine and its building blocks
 //! (dual raises, feasibility checks, exact solver), plus an ablation of the
-//! layering choice (ideal vs balancing vs root-fixing) called out in
-//! DESIGN.md.
+//! layering choice (ideal vs balancing vs root-fixing; experiment E12
+//! tabulates the same choice).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsched_baseline::exact_optimum;

@@ -321,11 +321,13 @@ pub fn e8_sequential_vs_distributed(quick: bool) -> Vec<Table> {
 
 /// E12 — ablation: which layered decomposition feeds the engine.
 ///
-/// DESIGN.md calls out the layering as the central design choice; this
-/// experiment runs the same unit-rule engine with the ideal, balancing and
-/// root-fixing layerings (Lemma 4.2 applied to each tree decomposition) and
-/// the Appendix A wings-only layering, and reports the resulting ∆, number
-/// of epochs, certificates and rounds.
+/// The layered decomposition fixes `∆`, which bounds the engine's
+/// certified ratio by `(∆ + 1)/λ` (Lemma 3.1; the `netsched-decomp` crate
+/// docs list each layering's `∆`). This experiment runs the same
+/// unit-rule engine with the ideal, balancing and root-fixing layerings
+/// (Lemma 4.2 applied to each tree decomposition) and the Appendix A
+/// wings-only layering, and reports the resulting ∆, number of epochs,
+/// certificates and rounds.
 pub fn e12_layering_ablation(quick: bool) -> Vec<Table> {
     use netsched_core::{run_two_phase, RaiseRule};
     use netsched_decomp::{InstanceLayering, TreeDecompositionKind};

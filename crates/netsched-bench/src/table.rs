@@ -1,8 +1,8 @@
 //! Plain-text tables for the experiment harness.
 
 /// A simple aligned text table with a title and caption, rendered in a
-/// Markdown-friendly way so experiment output can be pasted into
-/// `EXPERIMENTS.md`.
+/// Markdown-friendly way so experiment output can be pasted into a
+/// Markdown document.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,

@@ -3,11 +3,13 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use netsched_core::Budget;
 use netsched_service::{
     wal_record, CompactionReport, DemandEvent, ScheduleDelta, ServiceError, ServiceSession,
 };
+use netsched_workloads::json::ToJson;
 use netsched_workloads::FaultPlan;
 
 use crate::restore::restore_inner;
@@ -20,6 +22,12 @@ use crate::{Durability, PersistConfig, PersistError, RestoreReport, WalHealth};
 /// Snapshot files are named `snapshot-<epoch>.json`, epoch zero-padded so
 /// lexicographic directory order equals epoch order.
 pub const SNAPSHOT_PREFIX: &str = "snapshot-";
+
+/// The file holding the session's topology
+/// ([`SessionTopology`](netsched_service::SessionTopology)), written once
+/// by [`DurableSession::create`]; every snapshot file is restored against
+/// it.
+pub const TOPOLOGY_FILE: &str = "topology.json";
 
 /// The snapshot file path for `epoch` inside `dir`.
 pub fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -48,11 +56,15 @@ pub struct DurableSession {
 
 impl DurableSession {
     /// Starts a durable session in `dir` (created if absent): writes the
-    /// initial snapshot (so a restore is possible before the first
-    /// cadence snapshot), opens the write-ahead log for appending and
-    /// attaches the journal. The directory should be empty or belong to
-    /// this session's own history — recovering someone else's log into a
-    /// fresh session is what [`DurableSession::recover`] is for.
+    /// session's topology to [`TOPOLOGY_FILE`] (once: it never changes,
+    /// so no later snapshot repeats it), opens the write-ahead log for
+    /// appending, attaches the journal and writes the initial snapshot
+    /// (so a restore is possible before the first cadence snapshot). Both
+    /// files are written atomically (temp file + rename), fsynced unless
+    /// running [`Durability::None`]. The directory should be empty or
+    /// belong to this session's own history — recovering someone else's
+    /// log into a fresh session is what [`DurableSession::recover`] is
+    /// for.
     pub fn create(
         dir: impl AsRef<Path>,
         mut session: ServiceSession,
@@ -64,6 +76,12 @@ impl DurableSession {
             path: dir.clone(),
             source: e,
         })?;
+        write_atomically(
+            &dir,
+            &dir.join(TOPOLOGY_FILE),
+            &session.topology().to_json().render(),
+            config.durability != Durability::None,
+        )?;
         let wal = open_wal(&dir, config.durability).map_err(PersistError::Wal)?;
         install_obs(&wal, session.obs_registry());
         session.attach_journal(Box::new(WalJournal::new(wal.clone())));
@@ -258,72 +276,48 @@ impl DurableSession {
 
     /// Writes a snapshot now (outside the cadence): compacts the session
     /// ([`ServiceSession::compact`] — the lifecycle policy dropping stale
-    /// split cores and oversized warm replay stacks), renders the
-    /// versioned document and writes it atomically (temp file + rename,
-    /// fsynced unless running [`Durability::None`]). Returns what the
-    /// compaction shed.
+    /// split cores and oversized warm replay stacks), renders the session
+    /// state ([`ServiceSession::state_snapshot`]: the snapshot without the
+    /// topology, which [`create`](DurableSession::create) wrote to
+    /// [`TOPOLOGY_FILE`] once) and writes it to `snapshot-<epoch>.json`
+    /// atomically (temp file + rename, fsynced unless running
+    /// [`Durability::None`]). Returns what the compaction shed.
     ///
     /// A successful snapshot also **compacts the on-disk history**,
     /// mirroring the in-memory policy: log records at or before the
     /// *previous* snapshot's epoch are dropped from the write-ahead log
     /// (every retained restore path — this snapshot, or a fallback to the
     /// previous one — replays only records after that epoch), and
-    /// snapshot files older than the previous one are deleted. The log
-    /// and the snapshot directory therefore stay bounded at roughly two
-    /// cadences of history instead of growing without bound.
+    /// snapshot files older than the previous one are deleted
+    /// ([`TOPOLOGY_FILE`] is never touched). The log and the snapshot
+    /// directory therefore stay bounded at roughly two cadences of
+    /// history instead of growing without bound.
+    ///
+    /// The session registry records the whole call, compaction through
+    /// pruning, in the `durable.snapshot_ns` histogram and the state
+    /// file's size in `durable.snapshot_bytes`.
     pub fn snapshot_now(&mut self) -> Result<CompactionReport, PersistError> {
+        let start = Instant::now();
         let compaction = self.session.compact();
-        let doc = self.session.snapshot();
+        let state = self.session.state_snapshot().render();
         let epoch = self.session.epoch();
-        let path = snapshot_path(&self.dir, epoch);
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut file = File::create(&tmp).map_err(|e| PersistError::Io {
-                op: "creating",
-                path: tmp.clone(),
-                source: e,
-            })?;
-            file.write_all(doc.render().as_bytes())
-                .map_err(|e| PersistError::Io {
-                    op: "writing",
-                    path: tmp.clone(),
-                    source: e,
-                })?;
-            if self.config.durability != Durability::None {
-                file.sync_all().map_err(|e| PersistError::Io {
-                    op: "syncing",
-                    path: tmp.clone(),
-                    source: e,
-                })?;
-            }
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| PersistError::Io {
-            op: "publishing",
-            path: path.clone(),
-            source: e,
-        })?;
-        if self.config.durability != Durability::None {
-            // Make the rename itself durable; best-effort on filesystems
-            // that refuse directory fsyncs.
-            if let Ok(d) = File::open(&self.dir) {
-                let _ = d.sync_all();
-            }
-        }
+        let sync = self.config.durability != Durability::None;
+        write_atomically(&self.dir, &snapshot_path(&self.dir, epoch), &state, sync)?;
         // The snapshot is durable: shed the history no retained restore
         // path can need. Records at or before the *previous* snapshot's
         // epoch are unreachable (restoring from this snapshot skips them;
         // falling back to the previous one starts after them), as are
         // snapshot files older than the previous one.
         let retain_after = self.last_snapshot_epoch.min(epoch);
-        compact_wal(
-            &self.wal,
-            &self.dir.join(WAL_FILE),
-            retain_after,
-            self.config.durability != Durability::None,
-        )
-        .map_err(PersistError::Wal)?;
+        compact_wal(&self.wal, &self.dir.join(WAL_FILE), retain_after, sync)
+            .map_err(PersistError::Wal)?;
         prune_snapshots(&self.dir, retain_after);
         self.last_snapshot_epoch = epoch;
+        let obs = self.session.obs_registry();
+        obs.histogram("durable.snapshot_bytes")
+            .record(state.len() as u64);
+        obs.histogram("durable.snapshot_ns")
+            .record_duration(start.elapsed());
         Ok(compaction)
     }
 
@@ -379,6 +373,32 @@ impl DurableSession {
     pub fn config(&self) -> &PersistConfig {
         &self.config
     }
+}
+
+/// Writes `text` to `path` inside `dir` atomically: a temp file beside
+/// it, fsynced when `sync`, renamed over `path`, then (when `sync`) the
+/// directory fsynced so the rename itself is durable.
+fn write_atomically(dir: &Path, path: &Path, text: &str, sync: bool) -> Result<(), PersistError> {
+    let tmp = path.with_extension("json.tmp");
+    let io = |op, path: &Path| {
+        let path = path.to_path_buf();
+        move |source| PersistError::Io { op, path, source }
+    };
+    let mut file = File::create(&tmp).map_err(io("creating", &tmp))?;
+    file.write_all(text.as_bytes())
+        .map_err(io("writing", &tmp))?;
+    if sync {
+        file.sync_all().map_err(io("syncing", &tmp))?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(io("publishing", path))?;
+    if sync {
+        // Best-effort on filesystems that refuse directory fsyncs.
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 /// Deletes snapshot files with an epoch below `keep_from` (best-effort:

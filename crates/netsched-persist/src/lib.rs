@@ -9,22 +9,31 @@
 //! [`ServiceSession`](netsched_service::ServiceSession) and owns a
 //! directory:
 //!
-//! * `wal.log` — an append-only concatenation of framed, CRC-checksummed
-//!   records ([`netsched_workloads::framing`]), one per accepted epoch
-//!   batch. The record is appended through the session's
+//! * `wal.log` ([`WAL_FILE`]) — an append-only concatenation of framed,
+//!   CRC-checksummed records ([`netsched_workloads::framing`]), one per
+//!   accepted epoch batch. The record is appended through the session's
 //!   [`EpochJournal`](netsched_service::EpochJournal) hook **before** the
 //!   epoch executes (write-ahead: a journal failure aborts the step with
 //!   the session unchanged).
-//! * `snapshot-<epoch>.json` — versioned full-state snapshots
-//!   ([`ServiceSession::snapshot`](netsched_service::ServiceSession::snapshot)),
-//!   written atomically (temp file + rename) on a configurable epoch
-//!   cadence; [`compact`](netsched_service::ServiceSession::compact) runs
-//!   first, so stale split cores and oversized warm replay stacks never
-//!   reach disk.
+//! * `topology.json` ([`TOPOLOGY_FILE`]) — the session's networks
+//!   ([`SessionTopology`](netsched_service::SessionTopology)), written
+//!   once by [`DurableSession::create`]. The networks never change during
+//!   a session, so no snapshot repeats them and nothing rewrites or
+//!   prunes this file.
+//! * `snapshot-<epoch>.json` ([`snapshot_path`]) — versioned session
+//!   state documents
+//!   ([`ServiceSession::state_snapshot`](netsched_service::ServiceSession::state_snapshot):
+//!   a snapshot without its topology), written atomically (temp file +
+//!   rename) on a configurable epoch cadence;
+//!   [`compact`](netsched_service::ServiceSession::compact) runs first,
+//!   so stale split cores and oversized warm replay stacks never reach
+//!   disk.
 //!
-//! [`restore`] loads the newest snapshot that parses and validates
-//! (corrupt ones are skipped, counted in
-//! [`RestoreReport::dropped_snapshots`]), scans the log to its longest
+//! [`restore`] reads the topology once and restores the newest snapshot
+//! that parses and validates against it (corrupt ones are skipped,
+//! counted in [`RestoreReport::dropped_snapshots`]; without a readable
+//! topology nothing restores, and the error names the file), scans the
+//! log to its longest
 //! valid frame prefix (truncated tails, flipped checksum bytes and
 //! zero-length files all degrade to a shorter prefix, never a panic) and
 //! replays the records past the snapshot's epoch through the normal
@@ -111,7 +120,10 @@
 //! histograms plus counters that mirror [`WalHealth`] field-for-field —
 //! `wal.append_retries` ↔ [`WalHealth::append_retries`],
 //! `wal.sync_failures` ↔ [`WalHealth::sync_failures`],
-//! `wal.degrade_events` ↔ `WalHealth::degrade_events.len()`. Recovery
+//! `wal.degrade_events` ↔ `WalHealth::degrade_events.len()`. Every
+//! snapshot (`create`'s included) records `durable.snapshot_ns`, the
+//! whole [`DurableSession::snapshot_now`] from the compaction through the
+//! pruning, and `durable.snapshot_bytes`, the state file's size. Recovery
 //! records its phase timings (`restore.snapshot_load_ns`,
 //! `restore.scan_ns`, `restore.replay_ns`) into the recovered session's
 //! registry. [`DurableSession::set_metrics_dump_every`] writes periodic
@@ -130,7 +142,7 @@ mod wal;
 
 use std::path::PathBuf;
 
-pub use durable::{snapshot_path, DurableSession, SNAPSHOT_PREFIX};
+pub use durable::{snapshot_path, DurableSession, SNAPSHOT_PREFIX, TOPOLOGY_FILE};
 pub use restore::{restore, RecoveredSession, RestoreReport};
 pub use wal::WAL_FILE;
 

@@ -2,11 +2,11 @@
 
 use std::path::{Path, PathBuf};
 
-use netsched_service::{parse_wal_record, DemandEvent, ServiceSession, WalRecord};
+use netsched_service::{parse_wal_record, DemandEvent, ServiceSession, SessionTopology, WalRecord};
 use netsched_workloads::framing::{scan_frames, FRAME_HEADER_LEN};
-use netsched_workloads::json::JsonValue;
+use netsched_workloads::json::{FromJson, JsonValue};
 
-use crate::durable::SNAPSHOT_PREFIX;
+use crate::durable::{SNAPSHOT_PREFIX, TOPOLOGY_FILE};
 use crate::wal::WAL_FILE;
 
 /// What a [`restore`] recovered and what it had to discard. Every count
@@ -53,8 +53,10 @@ pub struct RecoveredSession {
 /// Rebuilds the session a crash interrupted, **read-only** (log and
 /// snapshot files are left untouched):
 ///
-/// 1. snapshots are tried newest-first; the first one that reads, parses
-///    and shape-validates wins (failures are counted, not fatal);
+/// 1. the topology is read from [`TOPOLOGY_FILE`] once; then the
+///    snapshot files (the session state) are tried newest-first against
+///    it, and the first one that reads, parses and shape-validates wins
+///    (failures are counted, not fatal);
 /// 2. the log is cut to its longest valid frame prefix
 ///    ([`scan_frames`] — a truncated tail, a flipped checksum byte and a
 ///    zero-length file all land here, never in a panic);
@@ -72,9 +74,10 @@ pub struct RecoveredSession {
 ///    [`replay_after_quarantine`](ServiceSession::replay_after_quarantine)
 ///    so the session continues as the quarantine left it.
 ///
-/// Fails only when no snapshot in the directory is valid or a valid
-/// record fails to replay (which indicates a log/snapshot mismatch, not
-/// ordinary corruption).
+/// Fails only when no snapshot in the directory is valid — a missing or
+/// corrupt [`TOPOLOGY_FILE`] makes every snapshot invalid, and the error
+/// names that file — or a valid record fails to replay (which indicates
+/// a log/snapshot mismatch, not ordinary corruption).
 pub fn restore(dir: impl AsRef<Path>) -> Result<RecoveredSession, String> {
     let (session, report, _) = restore_inner(dir.as_ref())?;
     Ok(RecoveredSession { session, report })
@@ -89,12 +92,14 @@ pub fn restore(dir: impl AsRef<Path>) -> Result<RecoveredSession, String> {
 /// over the same dead suffix.
 pub(crate) fn restore_inner(dir: &Path) -> Result<(ServiceSession, RestoreReport, u64), String> {
     let load_start = std::time::Instant::now();
+    let topology = load_topology(&dir.join(TOPOLOGY_FILE))
+        .map_err(|e| format!("no valid snapshot under {}: {e}", dir.display()))?;
     let mut snapshots = list_snapshots(dir)?;
     snapshots.sort_by_key(|s| std::cmp::Reverse(s.0));
     let mut dropped_snapshots = 0usize;
     let mut restored = None;
     for (_, path) in &snapshots {
-        match load_snapshot(path) {
+        match load_snapshot(&topology, path) {
             Ok(session) => {
                 restored = Some(session);
                 break;
@@ -249,8 +254,16 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
     Ok(snapshots)
 }
 
-fn load_snapshot(path: &Path) -> Result<ServiceSession, String> {
+fn load_topology(path: &Path) -> Result<SessionTopology, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    JsonValue::parse(&text)
+        .and_then(|doc| SessionTopology::from_json(&doc))
+        .map_err(|e| format!("parsing {}: {e}", path.display()))
+}
+
+fn load_snapshot(topology: &SessionTopology, path: &Path) -> Result<ServiceSession, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = JsonValue::parse(&text)?;
-    ServiceSession::from_snapshot(&doc)
+    ServiceSession::from_state(topology, &doc)
 }

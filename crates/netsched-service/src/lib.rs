@@ -94,7 +94,10 @@
 //! is byte-identical to — and its schedule and certificate equal to — a
 //! from-scratch [`Scheduler`](netsched_core::Scheduler) built over the same
 //! surviving demand set, at every thread count
-//! (`tests/dynamic_equivalence.rs`). Warm sessions keep the incremental
+//! (`tests/dynamic_equivalence.rs`), once the session's ids are relabelled
+//! densely: instance and demand ids are stable slots that leave
+//! tombstones on expiry, so the suite compares through that relabel
+//! (`tests/common::dense_universe` / `dense_solution`). Warm sessions keep the incremental
 //! structures byte-identical (the splices are mode-independent) and
 //! relax only the solve, as above.
 //!
@@ -136,12 +139,17 @@
 //!   [`WarmState`](netsched_core::WarmState)s without their derived
 //!   columns) behind a versioned header; [`ServiceSession::compact`] runs first, dropping stale split
 //!   cores and oversized warm replay stacks so snapshots don't grow
-//!   without bound. Snapshot cadence trades write amplification against
+//!   without bound. The snapshot is the union of the
+//!   [`SessionTopology`] ([`ServiceSession::topology`]), which never
+//!   changes, and the session state
+//!   ([`ServiceSession::state_snapshot`]); the durable tier writes the
+//!   topology once per directory and only the state on its cadence. Snapshot cadence trades write amplification against
 //!   recovery time: frequent snapshots shorten the log suffix a restore
 //!   must replay, sparse snapshots make epochs cheaper but recovery
 //!   longer.
-//! * **Restore** — [`ServiceSession::from_snapshot`] rebuilds every core
-//!   from the base topology and the live requests, through the same
+//! * **Restore** — [`ServiceSession::from_snapshot`] (or
+//!   [`ServiceSession::from_state`], given the topology apart) rebuilds
+//!   every core from the base topology and the live requests, through the same
 //!   request-to-core builder that creates the split cores, and re-applies
 //!   the logged suffix through the normal [`step`](ServiceSession::step)
 //!   path.
@@ -357,7 +365,7 @@ pub use replay::replay_trace;
 pub use service::{AdmissionClass, BudgetSpec, Service, ServicePolicy, SubmitHandle};
 pub use session::{
     Certificate, CompactionReport, EpochJournal, EpochStats, MemoryFootprint, Placement,
-    ResolveMode, ScheduleDelta, ScheduledDemand, ServiceSession,
+    ResolveMode, ScheduleDelta, ScheduledDemand, ServiceSession, SessionTopology,
 };
 pub use snapshot::{
     parse_wal_record, wal_record, wal_rollback_record, WalRecord, SNAPSHOT_FORMAT_VERSION,

@@ -16,7 +16,12 @@
 //! > conflicts among its instances equal, and its schedule and certificate
 //! > equal, those of a from-scratch
 //! > [`Scheduler`](netsched_core::Scheduler) built over the surviving
-//! > demand set.
+//! > demand set,
+//!
+//! compared through a dense relabel of the session's ids (they are
+//! stable slots with tombstones; see `tests/common::dense_universe`).
+
+use std::sync::Arc;
 
 use netsched_core::{
     combine_wide_narrow, subproblem, AlgorithmConfig, Budget, CertificateQuality, HalfOutcome,
@@ -282,7 +287,72 @@ enum BaseProblem {
     Line(LineProblem),
 }
 
+/// The topology a session serves: its demand-free networks (and, for
+/// trees, their cached decompositions). It never changes during a
+/// session, so the snapshot splits into this part and the session state
+/// ([`ServiceSession::state_snapshot`]). The durable tier writes it once
+/// per directory and restores every state document against one parsed
+/// copy through [`ServiceSession::from_state`]. Cloning is cheap: clones
+/// share one topology.
+///
+/// Its JSON document is the `format`, `shape` and `base` members of a
+/// [`snapshot`](ServiceSession::snapshot), so [`FromJson`] also reads the
+/// topology out of a whole snapshot.
+#[derive(Clone)]
+pub struct SessionTopology(Arc<BaseProblem>);
+
+impl ToJson for SessionTopology {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object(vec![
+            ("format", JsonValue::int(SNAPSHOT_FORMAT_VERSION as usize)),
+            ("shape", JsonValue::String(self.0.shape().into())),
+            ("base", self.0.problem_json()),
+        ])
+    }
+}
+
+impl FromJson for SessionTopology {
+    fn from_json(doc: &JsonValue) -> Result<Self, String> {
+        check_format(doc)?;
+        let base = match doc.field("shape")?.as_str()? {
+            "tree" => {
+                let base = TreeProblem::from_json(doc.field("base")?)?;
+                let layerer = TreeLayerer::new(&base, TREE_LAYERING);
+                BaseProblem::Tree(base, layerer)
+            }
+            "line" => BaseProblem::Line(LineProblem::from_json(doc.field("base")?)?),
+            other => return Err(format!("unknown session shape `{other}`")),
+        };
+        Ok(Self(Arc::new(base)))
+    }
+}
+
+/// Rejects a snapshot or topology document of another format version.
+fn check_format(doc: &JsonValue) -> Result<(), String> {
+    let format = doc.field("format")?.as_u32()?;
+    if format != SNAPSHOT_FORMAT_VERSION {
+        return Err(format!(
+            "unsupported snapshot format {format} (this build reads {SNAPSHOT_FORMAT_VERSION})"
+        ));
+    }
+    Ok(())
+}
+
 impl BaseProblem {
+    fn shape(&self) -> &'static str {
+        match self {
+            BaseProblem::Tree(..) => "tree",
+            BaseProblem::Line(_) => "line",
+        }
+    }
+
+    fn problem_json(&self) -> JsonValue {
+        match self {
+            BaseProblem::Tree(p, _) => p.to_json(),
+            BaseProblem::Line(p) => p.to_json(),
+        }
+    }
+
     /// A core over this topology holding `requests` as its demands, in
     /// order — the one place live requests become problem demands. Fails
     /// on a request of the other shape or one the topology rejects.
@@ -638,7 +708,7 @@ impl SessionMetrics {
 /// [module docs](self) for the epoch model and [`crate`] docs for the
 /// amortized cost table.
 pub struct ServiceSession {
-    base: BaseProblem,
+    base: SessionTopology,
     config: AlgorithmConfig,
     resolve: ResolveMode,
     /// One entry per demand id of the full universe, tombstones included,
@@ -710,7 +780,8 @@ impl ServiceSession {
                 }),
             })
             .collect();
-        Self::assemble(BaseProblem::Tree(base, layerer), config, live, full)
+        let base = SessionTopology(Arc::new(BaseProblem::Tree(base, layerer)));
+        Self::assemble(base, config, live, full)
     }
 
     /// Opens a session over a line problem; see
@@ -733,11 +804,12 @@ impl ServiceSession {
             })
             .collect();
         let base = LineProblem::new(problem.timeslots(), problem.num_resources());
-        Self::assemble(BaseProblem::Line(base), config, live, full)
+        let base = SessionTopology(Arc::new(BaseProblem::Line(base)));
+        Self::assemble(base, config, live, full)
     }
 
     fn assemble(
-        base: BaseProblem,
+        base: SessionTopology,
         config: AlgorithmConfig,
         live: Vec<LiveDemand>,
         full: LiveCore,
@@ -987,7 +1059,7 @@ impl ServiceSession {
     /// `add_demand` runs, so the admission surface and the constructors
     /// cannot drift apart — without mutating anything.
     pub fn validate_request(&self, request: &DemandRequest) -> Result<(), ServiceError> {
-        match (&self.base, request) {
+        match (&*self.base.0, request) {
             (
                 BaseProblem::Tree(base, _),
                 DemandRequest::Tree {
@@ -1157,7 +1229,11 @@ impl ServiceSession {
     /// universe.
     fn rebuild_cores(&mut self, last: Option<SolutionKeys>) {
         self.mix = HeightMix::of(&self.live);
-        (self.full, self.split) = self.base.cores(&self.live).expect("live demands are valid");
+        (self.full, self.split) = self
+            .base
+            .0
+            .cores(&self.live)
+            .expect("live demands are valid");
         let universe = &self.full.universe;
         let find = |&(ticket, network, start): &InstanceKey| {
             let a = self.dense_id(DemandTicket(ticket))?;
@@ -1355,7 +1431,7 @@ impl ServiceSession {
         // ---- reclaim tombstones (the rare O(live) epoch) --------------
         let rebuild_start = std::time::Instant::now();
         let rebuild_span = netsched_obs::span!("epoch.rebuild");
-        let (arrivings, assignments) = self.base.materialize(&arrivals);
+        let (arrivings, assignments) = self.base.0.materialize(&arrivals);
         let outgoing = expired
             .iter()
             .map(|&a| self.full.universe.instances_of_demand(a).len())
@@ -1412,7 +1488,7 @@ impl ServiceSession {
         // ---- wide/narrow split creation -------------------------------
         let rule = self.mix.rule();
         if self.split.is_none() && rule.is_none() {
-            self.split = Some(self.base.split(&self.live));
+            self.split = Some(self.base.0.split(&self.live));
         }
 
         // ---- solve -----------------------------------------------------
@@ -1702,24 +1778,41 @@ impl ServiceSession {
     }
 
     /// Serializes the session as a versioned snapshot document holding
-    /// only what cannot be recomputed: base topology, algorithm config,
-    /// resolve mode, live ticket table (id order, tombstones left out),
-    /// ticket and epoch
+    /// only what cannot be recomputed: the [topology](Self::topology)
+    /// (`base`) plus the [session state](Self::state_snapshot). The
+    /// document is their union; [`from_snapshot`](Self::from_snapshot)
+    /// reads it back.
+    pub fn snapshot(&self) -> JsonValue {
+        let mut members = self.state_members();
+        members.push(("base", self.base.0.problem_json()));
+        JsonValue::object(members)
+    }
+
+    /// The topology the session serves, shared with the session (no
+    /// copy). Its document is the part of a
+    /// [`snapshot`](Self::snapshot) that never changes.
+    pub fn topology(&self) -> SessionTopology {
+        self.base.clone()
+    }
+
+    /// The [`snapshot`](Self::snapshot) without its topology (`base`): the
+    /// format version and shape, algorithm config, resolve mode, live
+    /// ticket table (id order, tombstones left out), ticket and epoch
     /// counters, whether truncated certification work is pending
     /// (`anytime_pending`), the standing schedule, its profit and
     /// certificate, and every core's persisted [`WarmState`] (see
     /// [`WarmState::restore`] for what that keeps). The schedule is stored,
     /// not replayed: a Cold session has no stack to replay, and a
     /// mixed-height schedule combines two halves. The cores themselves are
-    /// **not** serialized — [`from_snapshot`](ServiceSession::from_snapshot)
-    /// rebuilds them from the live set (byte-identical by the session's
-    /// differential invariant) — only their warm states travel. The
-    /// `last` engine solution is transient telemetry and is not captured.
-    pub fn snapshot(&self) -> JsonValue {
-        let (shape, base) = match &self.base {
-            BaseProblem::Tree(p, _) => ("tree", p.to_json()),
-            BaseProblem::Line(p) => ("line", p.to_json()),
-        };
+    /// **not** serialized — [`from_state`](Self::from_state) rebuilds them
+    /// from the live set (byte-identical by the session's differential
+    /// invariant) — only their warm states travel. The `last` engine
+    /// solution is transient telemetry and is not captured.
+    pub fn state_snapshot(&self) -> JsonValue {
+        JsonValue::object(self.state_members())
+    }
+
+    fn state_members(&self) -> Vec<(&'static str, JsonValue)> {
         let live = JsonValue::Array(
             self.live
                 .iter()
@@ -1746,10 +1839,9 @@ impl ServiceSession {
                 .map(|warm| warm.to_json(&core.universe))
                 .unwrap_or(JsonValue::Null)
         };
-        JsonValue::object(vec![
+        vec![
             ("format", JsonValue::int(SNAPSHOT_FORMAT_VERSION as usize)),
-            ("shape", JsonValue::String(shape.into())),
-            ("base", base),
+            ("shape", JsonValue::String(self.base.0.shape().into())),
             ("config", self.config.to_json()),
             ("resolve", self.resolve.to_json()),
             ("live", live),
@@ -1770,24 +1862,35 @@ impl ServiceSession {
                     ]),
                 },
             ),
-        ])
+        ]
     }
 
     /// Reconstructs a session from a [`snapshot`](ServiceSession::snapshot)
-    /// document: the base topology plus the live requests (in recorded
-    /// dense order) rebuild every core through the same request-to-core
-    /// builder the split uses — so the restored universe, conflict degrees and
-    /// layerings are byte-identical to the uninterrupted session's — and
-    /// the recorded tickets, counters, pending-anytime flag, schedule,
-    /// profit, certificate and warm states are installed on top. Each warm
-    /// state is rebuilt by [`WarmState::restore`] against its rebuilt
-    /// universe, which checks its shape and recomputes what the snapshot
-    /// leaves out.
+    /// document: [`from_state`](Self::from_state) with the topology the
+    /// document carries.
     pub fn from_snapshot(doc: &JsonValue) -> Result<Self, String> {
-        let format = doc.field("format")?.as_u32()?;
-        if format != SNAPSHOT_FORMAT_VERSION {
+        Self::from_state(&SessionTopology::from_json(doc)?, doc)
+    }
+
+    /// Reconstructs a session from its topology and a
+    /// [state document](Self::state_snapshot) (a whole snapshot also
+    /// works; its `base` is ignored). The topology plus the live requests
+    /// (in recorded dense order) rebuild every core through the same
+    /// request-to-core builder the split uses — so the restored universe,
+    /// conflict degrees and layerings are byte-identical to the
+    /// uninterrupted session's — and the recorded tickets, counters,
+    /// pending-anytime flag, schedule, profit, certificate and warm states
+    /// are installed on top. Each warm state is rebuilt by
+    /// [`WarmState::restore`] against its rebuilt universe, which checks
+    /// its shape and recomputes what the snapshot leaves out. The session
+    /// shares `topology`; nothing of it is copied.
+    pub fn from_state(topology: &SessionTopology, doc: &JsonValue) -> Result<Self, String> {
+        check_format(doc)?;
+        let shape = doc.field("shape")?.as_str()?;
+        if shape != topology.0.shape() {
             return Err(format!(
-                "unsupported snapshot format {format} (this build reads {SNAPSHOT_FORMAT_VERSION})"
+                "snapshot shape `{shape}` does not match the topology's `{}`",
+                topology.0.shape()
             ));
         }
         let config = AlgorithmConfig::from_json(doc.field("config")?)?;
@@ -1812,18 +1915,12 @@ impl ServiceSession {
         if live.windows(2).any(|pair| pair[0].ticket >= pair[1].ticket) {
             return Err("snapshot live tickets are not strictly ascending".into());
         }
-        let base = match doc.field("shape")?.as_str()? {
-            "tree" => {
-                let base = TreeProblem::from_json(doc.field("base")?)?;
-                let layerer = TreeLayerer::new(&base, TREE_LAYERING);
-                BaseProblem::Tree(base, layerer)
-            }
-            "line" => BaseProblem::Line(LineProblem::from_json(doc.field("base")?)?),
-            other => return Err(format!("unknown session shape `{other}`")),
-        };
         let epoch = doc.field("epoch")?.as_u64()?;
-        let (full, split) = base.cores(&live).map_err(|e| format!("snapshot {e}"))?;
-        let mut session = Self::assemble(base, config, live, full);
+        let (full, split) = topology
+            .0
+            .cores(&live)
+            .map_err(|e| format!("snapshot {e}"))?;
+        let mut session = Self::assemble(topology.clone(), config, live, full);
         session.split = split;
         session.resolve = resolve;
         session.epoch = epoch;

@@ -15,7 +15,12 @@
 //!   certificate, per-core warm states without their derived relative
 //!   heights and `λ` minima) behind a versioned header
 //!   ([`SNAPSHOT_FORMAT_VERSION`]). A reader accepts exactly its own
-//!   version and rejects every other one.
+//!   version and rejects every other one. A snapshot splits into the
+//!   topology document
+//!   ([`SessionTopology`](crate::SessionTopology): `format`, `shape`,
+//!   `base`) and the state document
+//!   ([`state_snapshot`](crate::ServiceSession::state_snapshot):
+//!   everything but `base`), both under the same version.
 
 use netsched_graph::{NetworkId, VertexId};
 use netsched_workloads::json::{FromJson, JsonValue, ToJson};

@@ -135,9 +135,7 @@ impl JsonValue {
     fn render_into(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Number(x) => render_number(out, *x),
             JsonValue::String(s) => render_string(out, s),
             JsonValue::Array(items) => {
@@ -180,27 +178,54 @@ impl JsonValue {
 
 fn render_number(out: &mut String, x: f64) {
     if x.fract() == 0.0 && x.abs() < 9.0e15 {
-        let _ = write!(out, "{}", x as i64);
+        // Integer-valued: the digits of `x as i64`, written backwards into
+        // a stack buffer (the same bytes `write!` would produce, `-0.0`
+        // included, which renders as `0`).
+        let mut digits = [0u8; 16];
+        let mut at = digits.len();
+        let mut n = x.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if x < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{x}");
     }
 }
 
 fn render_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Copy each run of bytes that need no escape as one slice. Every
+    // escaped byte is ASCII, so the runs end on char boundaries.
+    let mut plain = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(HEX[usize::from(byte >> 4)] as char);
+            out.push(HEX[usize::from(byte & 0xf)] as char);
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -454,6 +479,44 @@ mod tests {
             "}",
         );
         assert_eq!(JsonValue::parse(indented).unwrap(), doc);
+    }
+
+    #[test]
+    fn render_pins_the_exact_bytes_of_numbers_and_escapes() {
+        let numbers = [
+            0.0,
+            -0.0,
+            7.0,
+            -7.0,
+            -123_456_789.0,
+            8_999_999_999_999_999.0,
+            -8_999_999_999_999_999.0,
+            MAX_SAFE_INTEGER,
+            1e16,
+            0.5,
+            -2.25,
+        ];
+        let doc = JsonValue::Array(numbers.iter().map(|&x| JsonValue::num(x)).collect());
+        assert_eq!(
+            doc.render(),
+            concat!(
+                "[0,0,7,-7,-123456789,8999999999999999,-8999999999999999,",
+                "9007199254740992,10000000000000000,0.5,-2.25]",
+            )
+        );
+        let escapes = JsonValue::String("q\"b\\s/n\nr\rt\tu\u{1}\u{1f}é€".to_string());
+        assert_eq!(
+            escapes.render(),
+            "\"q\\\"b\\\\s/n\\nr\\rt\\tu\\u0001\\u001fé€\""
+        );
+        for plain in ["", "plain", "é€ π"] {
+            assert_eq!(
+                JsonValue::String(plain.to_string()).render(),
+                format!("\"{plain}\"")
+            );
+        }
+        let flags = JsonValue::Array(vec![JsonValue::Bool(true), JsonValue::Bool(false)]);
+        assert_eq!(flags.render(), "[true,false]");
     }
 
     #[test]

@@ -26,10 +26,12 @@ use netsched_core::AlgorithmConfig;
 use netsched_distrib::ConflictGraph;
 use netsched_graph::{LineProblem, TreeProblem};
 use netsched_persist::{
-    restore, snapshot_path, Durability, DurableSession, PersistConfig, RestoreReport, WAL_FILE,
+    restore, snapshot_path, Durability, DurableSession, PersistConfig, RestoreReport,
+    TOPOLOGY_FILE, WAL_FILE,
 };
 use netsched_service::{wal_record, DemandTicket, ResolveMode, ServiceSession};
 use netsched_workloads::framing::{encode_frame, scan_frames, FRAME_HEADER_LEN};
+use netsched_workloads::json::{JsonValue, ToJson};
 use netsched_workloads::{EventTrace, HeightDistribution};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -636,6 +638,165 @@ fn missing_snapshot_files_fail_cleanly() {
     std::fs::write(snapshot_path(&dir, 0), b"garbage").unwrap();
     let err = restore(&dir).expect_err("corrupt-only snapshots must error");
     assert!(err.contains("no valid snapshot"), "unexpected error: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// S4: directory layout — the topology written once, state-only snapshots
+// ---------------------------------------------------------------------
+
+fn mixed_tree() -> (Base, EventTrace) {
+    let (problem, trace) = tree_trace(
+        3,
+        20,
+        41,
+        0.25,
+        HeightDistribution::Mixed {
+            wide_fraction: 0.5,
+            min_narrow: 0.1,
+        },
+    );
+    (Base::Tree(problem), trace)
+}
+
+#[test]
+fn the_topology_is_written_once_and_snapshots_carry_only_the_state() {
+    let (base, trace) = mixed_tree();
+    let tickets = ticket_table(&base, &trace);
+    let config = AlgorithmConfig::deterministic(0.1);
+    let persist = PersistConfig {
+        durability: Durability::Epoch,
+        snapshot_every: 2,
+    };
+    let dir = temp_dir();
+    let topology_path = dir.join(TOPOLOGY_FILE);
+    let mut durable =
+        DurableSession::create(&dir, base.session(config, ResolveMode::Warm), persist)
+            .expect("create");
+    let topology = std::fs::read(&topology_path).expect("create writes the topology");
+    assert_eq!(
+        topology,
+        durable.session().topology().to_json().render().into_bytes()
+    );
+    let half = trace.batches.len() / 2;
+    for (i, batch) in trace.batches[..half].iter().enumerate() {
+        durable.step(&to_events(batch, &tickets)).unwrap();
+        let epoch = durable.session().epoch();
+        assert_eq!(
+            std::fs::read(&topology_path).unwrap(),
+            topology,
+            "epoch {}: a snapshot rewrote the topology",
+            i + 1
+        );
+        if epoch == durable.last_snapshot_epoch() {
+            // A cadence snapshot just landed: the file is the session
+            // state, the live snapshot without its topology.
+            let text = std::fs::read_to_string(snapshot_path(&dir, epoch)).unwrap();
+            let doc = JsonValue::parse(&text).unwrap();
+            assert!(doc.field("base").is_err(), "epoch {epoch}: `base` on disk");
+            assert_eq!(doc, durable.session().state_snapshot());
+        }
+    }
+    drop(durable);
+
+    // A recovered session that keeps stepping (and snapshotting) leaves
+    // the topology alone too.
+    let (mut recovered, _) = DurableSession::recover(&dir, persist).expect("recover");
+    for batch in &trace.batches[half..] {
+        recovered.step(&to_events(batch, &tickets)).unwrap();
+    }
+    assert!(recovered.last_snapshot_epoch() > half as u64);
+    assert_eq!(std::fs::read(&topology_path).unwrap(), topology);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restore_at_a_cadence_epoch_reproduces_the_live_snapshot_bytes() {
+    let (base, trace) = mixed_tree();
+    let tickets = ticket_table(&base, &trace);
+    let config = AlgorithmConfig::deterministic(0.1);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let dir = temp_dir();
+        let mut durable = DurableSession::create(
+            &dir,
+            base.session(config, mode),
+            PersistConfig {
+                durability: Durability::None,
+                snapshot_every: 3,
+            },
+        )
+        .expect("create");
+        for batch in &trace.batches[..6] {
+            durable.step(&to_events(batch, &tickets)).unwrap();
+        }
+        assert_eq!(durable.last_snapshot_epoch(), 6);
+        let live = durable.session().snapshot().render();
+        drop(durable);
+        let recovered = restore(&dir).expect("restores");
+        assert_eq!(recovered.report.snapshot_epoch, 6);
+        assert_eq!(recovered.report.replayed_epochs, 0);
+        assert_eq!(recovered.session.snapshot().render(), live, "{mode:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_missing_or_corrupt_topology_fails_restore_by_name() {
+    let (problem, trace) = line_trace(3, 16, 37, 0.2);
+    let base = Base::Line(problem);
+    let config = AlgorithmConfig::deterministic(0.1);
+    let dir = logged_run(&base, &trace, config);
+    let topology_path = dir.join(TOPOLOGY_FILE);
+    let topology = std::fs::read(&topology_path).unwrap();
+    assert!(restore(&dir).is_ok());
+
+    std::fs::remove_file(&topology_path).unwrap();
+    let err = restore(&dir).expect_err("no topology, no restore");
+    assert!(err.contains(TOPOLOGY_FILE), "unexpected error: {err}");
+    let err = DurableSession::recover(&dir, PersistConfig::default())
+        .expect_err("recover needs the topology too")
+        .to_string();
+    assert!(err.contains(TOPOLOGY_FILE), "unexpected error: {err}");
+
+    for corrupt in [&b"{ not json"[..], &topology[..topology.len() / 2], b"{}"] {
+        std::fs::write(&topology_path, corrupt).unwrap();
+        let err = restore(&dir).expect_err("a corrupt topology must not restore");
+        assert!(err.contains(TOPOLOGY_FILE), "unexpected error: {err}");
+    }
+
+    // A topology of the other shape makes every snapshot invalid.
+    let (tree, _) = tree_trace(2, 4, 1, 0.2, HeightDistribution::Unit);
+    let tree_topology = ServiceSession::for_tree(&tree, config).topology();
+    std::fs::write(&topology_path, tree_topology.to_json().render()).unwrap();
+    let err = restore(&dir).expect_err("a tree topology cannot hold line snapshots");
+    assert!(err.contains("no valid snapshot"), "unexpected error: {err}");
+
+    std::fs::write(&topology_path, &topology).unwrap();
+    assert!(restore(&dir).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stray_snapshot_temp_file_is_ignored() {
+    let (problem, trace) = line_trace(3, 16, 43, 0.2);
+    let base = Base::Line(problem);
+    let config = AlgorithmConfig::deterministic(0.1);
+    let dir = logged_run(&base, &trace, config);
+    let epochs = trace.batches.len() as u64;
+    let clean = restore(&dir).expect("restores").report;
+
+    // A crash between creating and renaming a snapshot leaves its temp
+    // file behind, newer than every published snapshot; it holds a
+    // whole, valid state document, which restore must still not read.
+    let state = reference_at(&base, &trace, config, trace.batches.len())
+        .state_snapshot()
+        .render();
+    let stray = snapshot_path(&dir, epochs + 100).with_extension("json.tmp");
+    std::fs::write(&stray, state).unwrap();
+    let recovered = restore(&dir).expect("restores");
+    assert_eq!(recovered.report, clean);
+    assert_eq!(recovered.report.snapshot_epoch, 0);
+    assert_eq!(recovered.report.dropped_snapshots, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

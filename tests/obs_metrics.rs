@@ -20,6 +20,9 @@
 //! * **Quarantine forensics** — a quarantined batch leaves a
 //!   `quarantine/epoch-<N>/` dump whose `batch.json` round-trips through
 //!   the write-ahead record parser byte-for-byte.
+//! * **Durable snapshots** — every snapshot, `create`'s included, records
+//!   one `durable.snapshot_ns` sample and one `durable.snapshot_bytes`
+//!   sample equal to the state file's size.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,7 +31,7 @@ use std::time::{Duration, Instant};
 use netsched_core::{AlgorithmConfig, Budget};
 use netsched_graph::{LineProblem, NetworkId};
 use netsched_obs::MetricsReport;
-use netsched_persist::{Durability, DurableSession, PersistConfig};
+use netsched_persist::{snapshot_path, Durability, DurableSession, PersistConfig};
 use netsched_service::{
     parse_wal_record, replay_trace, wal_record, DemandEvent, DemandRequest, ResolveMode,
     ServiceError, ServiceSession, WalRecord,
@@ -458,4 +461,61 @@ fn quarantine_forensics_dump_round_trips_through_the_wal_parser() {
     durable.inject_faults(FaultPlan::none());
     durable.step(&batch).expect("retry serves");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn durable_snapshots_record_their_time_and_state_size() {
+    let dir = temp_dir();
+    let mut problem = LineProblem::new(24, 2);
+    problem
+        .add_demand(0, 8, 4, 3.0, 1.0, vec![NetworkId::new(0)])
+        .unwrap();
+    let mut durable = DurableSession::create(
+        &dir,
+        ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1)),
+        PersistConfig {
+            durability: Durability::None,
+            snapshot_every: 2,
+        },
+    )
+    .unwrap();
+    // One sample per snapshot, the one `create` writes included; each
+    // size sample is the state file's length on disk.
+    let file_len = |durable: &DurableSession| {
+        std::fs::metadata(snapshot_path(durable.dir(), durable.session().epoch()))
+            .unwrap()
+            .len()
+    };
+    let mut sizes = vec![file_len(&durable)];
+    for start in [1u32, 5, 9, 13, 17] {
+        durable.step(&[arrival(start)]).unwrap();
+        if durable.last_snapshot_epoch() == durable.session().epoch() {
+            sizes.push(file_len(&durable));
+        }
+    }
+    durable.snapshot_now().unwrap();
+    sizes.push(file_len(&durable));
+    // create, epochs 2 and 4, and the explicit one at epoch 5.
+    assert_eq!(sizes.len(), 4);
+
+    let report = durable.session().obs_registry().snapshot();
+    let time = report.histogram("durable.snapshot_ns").unwrap();
+    let bytes = report.histogram("durable.snapshot_bytes").unwrap();
+    assert_eq!(time.count, sizes.len() as u64);
+    assert!(time.sum > 0);
+    assert_eq!(bytes.count, sizes.len() as u64);
+    assert_eq!(bytes.sum, sizes.iter().sum::<u64>());
+    assert_eq!(bytes.max, *sizes.iter().max().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn arrival(start: u32) -> DemandEvent {
+    DemandEvent::Arrive(DemandRequest::Line {
+        release: start,
+        deadline: start + 6,
+        processing: 3,
+        profit: 2.5,
+        height: 1.0,
+        access: vec![NetworkId::new(0)],
+    })
 }
