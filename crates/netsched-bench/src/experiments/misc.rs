@@ -331,23 +331,6 @@ pub fn e11_distributed_substrate(quick: bool) -> Vec<Table> {
     vec![mis_table, comm_table, msg_table]
 }
 
-/// Re-exported helper used by the CLI to also dump scenario descriptions.
-pub fn scenario_overview() -> Table {
-    let mut table = Table::new("Named scenarios", &["name", "kind", "description"]);
-    for s in netsched_workloads::named_scenarios() {
-        let kind = match &s {
-            netsched_workloads::Scenario::Tree { .. } => "tree",
-            netsched_workloads::Scenario::Line { .. } => "line",
-        };
-        table.add_row(vec![
-            s.name().to_string(),
-            kind.to_string(),
-            s.description().chars().take(70).collect::<String>(),
-        ]);
-    }
-    table
-}
-
 /// E13 — the Scheduler session: cold solve (universe + decomposition built)
 /// vs cached solves across an ε sweep, and the total cost of the old
 /// one-call-one-rebuild pattern vs one session.

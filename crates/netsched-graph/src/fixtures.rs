@@ -4,7 +4,7 @@
 //! that the figures of the paper (Figures 1, 2, 3 and 6) have a single
 //! canonical encoding.
 
-use crate::ids::{DemandId, NetworkId, VertexId};
+use crate::ids::{NetworkId, VertexId};
 use crate::line::LineProblem;
 use crate::problem::TreeProblem;
 use crate::tree::TreeNetwork;
@@ -117,14 +117,10 @@ pub fn two_tree_problem() -> TreeProblem {
     p
 }
 
-/// The demand ids used by [`figure6_problem`].
-pub fn figure6_demand_ids() -> [DemandId; 3] {
-    [DemandId::new(0), DemandId::new(1), DemandId::new(2)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::DemandId;
 
     #[test]
     fn figure6_tree_shape() {

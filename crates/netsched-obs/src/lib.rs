@@ -1,6 +1,6 @@
-//! Observability spine for `netsched`: a lock-cheap metrics registry and a
-//! span tracer, hand-rolled with zero dependencies (the workspace's
-//! vendored-shim discipline — no crates.io).
+//! Observability spine for `netsched`: a lock-cheap metrics registry,
+//! hand-rolled with zero dependencies (the workspace's vendored-shim
+//! discipline — no crates.io).
 //!
 //! # Metrics
 //!
@@ -18,46 +18,10 @@
 //! relative bucket error above, full `u64` range in 496 buckets); quantiles
 //! report bucket upper bounds clamped to the exact maximum, so they never
 //! under-report a latency. See [`metrics`] for the layout.
-//!
-//! # Spans
-//!
-//! [`span!`] opens an RAII region guard:
-//!
-//! ```
-//! netsched_obs::set_tracing(true);
-//! {
-//!     let _epoch = netsched_obs::span!("epoch.step");
-//!     let _solve = netsched_obs::span!("epoch.solve"); // nested
-//! }
-//! let spans = netsched_obs::recent_spans();
-//! assert!(spans.iter().any(|s| s.name == "epoch.solve" && s.depth == 1));
-//! netsched_obs::set_tracing(false);
-//! ```
-//!
-//! Tracing is off by default: a disabled [`span!`] costs one relaxed
-//! atomic load, takes no timestamp and allocates nothing. Enable with
-//! `NETSCHED_OBS=on` (read once) or [`set_tracing`]. Completed spans land
-//! in a global ring of the most recent [`trace::RING_CAPACITY`] spans —
-//! a flight recorder, drained with [`recent_spans`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod metrics;
-pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsReport, ObsRegistry};
-pub use trace::{
-    clear_spans, recent_spans, set_tracing, span, spans_recorded, tracing_enabled, SpanGuard,
-    SpanRecord,
-};
-
-/// Opens a named span and returns its RAII guard; sugar for
-/// [`trace::span`]. Bind the guard (`let _span = span!("...")`) — an
-/// unbound guard drops immediately and measures nothing.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::trace::span($name)
-    };
-}

@@ -170,11 +170,6 @@ impl Histogram {
         self.record(duration.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Records a duration given in (non-negative) seconds, as nanoseconds.
-    pub fn record_secs(&self, seconds: f64) {
-        self.record((seconds.max(0.0) * 1e9) as u64);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)

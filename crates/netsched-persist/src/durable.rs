@@ -34,6 +34,15 @@ pub fn snapshot_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("{SNAPSHOT_PREFIX}{epoch:020}.json"))
 }
 
+/// The epoch a snapshot file name carries, or `None` when `name` is not a
+/// snapshot file.
+pub(crate) fn snapshot_epoch(name: &str) -> Option<u64> {
+    name.strip_prefix(SNAPSHOT_PREFIX)?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
 /// A [`ServiceSession`] wrapped in the durable serving tier: every
 /// accepted batch is journaled to the directory's write-ahead log before
 /// it executes, snapshots are written on an epoch cadence, and
@@ -46,12 +55,6 @@ pub struct DurableSession {
     wal: WalHandle,
     config: PersistConfig,
     last_snapshot_epoch: u64,
-    /// Dump a `MetricsReport` JSON to `<dir>/metrics/` every this many
-    /// epochs (`0` = off; see
-    /// [`set_metrics_dump_every`](DurableSession::set_metrics_dump_every)).
-    metrics_dump_every: u64,
-    /// The epoch of the most recent metrics dump.
-    last_metrics_dump_epoch: u64,
 }
 
 impl DurableSession {
@@ -87,12 +90,10 @@ impl DurableSession {
         session.attach_journal(Box::new(WalJournal::new(wal.clone())));
         let mut this = Self {
             last_snapshot_epoch: session.epoch(),
-            last_metrics_dump_epoch: session.epoch(),
             session,
             dir,
             wal,
             config,
-            metrics_dump_every: 0,
         };
         this.snapshot_now()?;
         Ok(this)
@@ -151,12 +152,10 @@ impl DurableSession {
         Ok((
             Self {
                 last_snapshot_epoch: report.snapshot_epoch,
-                last_metrics_dump_epoch: session.epoch(),
                 session,
                 dir,
                 wal,
                 config,
-                metrics_dump_every: 0,
             },
             report,
         ))
@@ -212,8 +211,7 @@ impl DurableSession {
     }
 
     /// The post-step durability work shared by every stepping surface:
-    /// the epoch-cadence fsync, the snapshot cadence and the metrics-dump
-    /// cadence.
+    /// the epoch-cadence fsync and the snapshot cadence.
     fn after_step(&mut self) -> Result<(), ServiceError> {
         if self.health().effective_durability == Durability::Epoch {
             sync_wal(&self.wal, self.session.epoch()).map_err(ServiceError::Journal)?;
@@ -224,34 +222,7 @@ impl DurableSession {
             self.snapshot_now()
                 .map_err(|e| ServiceError::Journal(e.to_string()))?;
         }
-        if self.metrics_dump_every > 0
-            && self.session.epoch() - self.last_metrics_dump_epoch >= self.metrics_dump_every
-        {
-            self.dump_metrics_now();
-            self.last_metrics_dump_epoch = self.session.epoch();
-        }
         Ok(())
-    }
-
-    /// Enables (or, with `0`, disables) the periodic metrics dump: every
-    /// `every` epochs the session registry's
-    /// [`MetricsReport`](netsched_obs::MetricsReport) is written as JSON
-    /// to `<dir>/metrics/epoch-<N>.json`. Dumps are best-effort
-    /// observability output — an unwritable file never fails the epoch.
-    pub fn set_metrics_dump_every(&mut self, every: u64) {
-        self.metrics_dump_every = every;
-        self.last_metrics_dump_epoch = self.session.epoch();
-    }
-
-    /// Writes the current metrics report to
-    /// `<dir>/metrics/epoch-<N>.json` now, best-effort.
-    pub fn dump_metrics_now(&self) {
-        let dir = self.dir.join("metrics");
-        if std::fs::create_dir_all(&dir).is_err() {
-            return;
-        }
-        let path = dir.join(format!("epoch-{:020}.json", self.session.epoch()));
-        let _ = std::fs::write(path, self.session.obs_registry().snapshot().to_json());
     }
 
     /// Persists a quarantined batch's forensics bundle, best-effort.
@@ -408,13 +379,7 @@ fn prune_snapshots(dir: &Path, keep_from: u64) {
         return;
     };
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(epoch) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix(SNAPSHOT_PREFIX))
-            .and_then(|n| n.strip_suffix(".json"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
+        let Some(epoch) = entry.file_name().to_str().and_then(snapshot_epoch) else {
             continue;
         };
         if epoch < keep_from {
@@ -431,5 +396,26 @@ impl std::fmt::Debug for DurableSession {
             .field("last_snapshot_epoch", &self.last_snapshot_epoch)
             .field("config", &self.config)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_file_names_round_trip_through_their_epoch() {
+        for epoch in [0, 7, u64::MAX] {
+            let path = snapshot_path(Path::new("dir"), epoch);
+            let name = path.file_name().unwrap().to_str().unwrap();
+            assert_eq!(snapshot_epoch(name), Some(epoch), "{name}");
+        }
+        let tmp = snapshot_path(Path::new("dir"), 7).with_extension("json.tmp");
+        assert_eq!(
+            snapshot_epoch(tmp.file_name().unwrap().to_str().unwrap()),
+            None
+        );
+        assert_eq!(snapshot_epoch(TOPOLOGY_FILE), None);
+        assert_eq!(snapshot_epoch(WAL_FILE), None);
     }
 }

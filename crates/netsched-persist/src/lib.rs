@@ -126,12 +126,9 @@
 //! pruning, and `durable.snapshot_bytes`, the state file's size. Recovery
 //! records its phase timings (`restore.snapshot_load_ns`,
 //! `restore.scan_ns`, `restore.replay_ns`) into the recovered session's
-//! registry. [`DurableSession::set_metrics_dump_every`] writes periodic
-//! [`MetricsReport`](netsched_obs::MetricsReport) JSONs under
-//! `<dir>/metrics/`, and
-//! [`DurableSession::step_with_deadline`] persists a quarantined batch's
-//! forensics bundle (batch + panic payload + metrics) under
-//! `<dir>/quarantine/epoch-<N>/`.
+//! registry. [`DurableSession::step_with_deadline`] persists a
+//! quarantined batch's forensics bundle (batch + panic payload + metrics)
+//! under `<dir>/quarantine/epoch-<N>/`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

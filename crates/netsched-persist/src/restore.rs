@@ -6,7 +6,7 @@ use netsched_service::{parse_wal_record, DemandEvent, ServiceSession, SessionTop
 use netsched_workloads::framing::{scan_frames, FRAME_HEADER_LEN};
 use netsched_workloads::json::{FromJson, JsonValue};
 
-use crate::durable::{SNAPSHOT_PREFIX, TOPOLOGY_FILE};
+use crate::durable::{snapshot_epoch, TOPOLOGY_FILE};
 use crate::wal::WAL_FILE;
 
 /// What a [`restore`] recovered and what it had to discard. Every count
@@ -240,16 +240,9 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
     let mut snapshots = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("reading {}: {e}", dir.display()))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(epoch) = name
-            .strip_prefix(SNAPSHOT_PREFIX)
-            .and_then(|s| s.strip_suffix(".json"))
-            .and_then(|s| s.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        snapshots.push((epoch, entry.path()));
+        if let Some(epoch) = entry.file_name().to_str().and_then(snapshot_epoch) {
+            snapshots.push((epoch, entry.path()));
+        }
     }
     Ok(snapshots)
 }

@@ -83,23 +83,22 @@
 //! Pick **Warm** for serving tiers (every workload of the repo benchmark,
 //! `perfbench`, serves warm) and **Cold** whenever downstream consumers
 //! diff schedules against a
-//! reference solver. Sessions default to Cold; the
-//! `NETSCHED_RESOLVE_MODE` environment variable (`warm` / `cold`) flips
-//! the default for deployments and the CI matrix, and
-//! [`ServiceSession::with_resolve_mode`] pins a session explicitly.
+//! reference solver. Sessions start Cold;
+//! [`ServiceSession::with_resolve_mode`] is the one way to choose the
+//! mode.
 //!
 //! # Correctness anchor
 //!
 //! After **any** event sequence, a **Cold** session's conflict graph
 //! is byte-identical to — and its schedule and certificate equal to — a
 //! from-scratch [`Scheduler`](netsched_core::Scheduler) built over the same
-//! surviving demand set, at every thread count
-//! (`tests/dynamic_equivalence.rs`), once the session's ids are relabelled
-//! densely: instance and demand ids are stable slots that leave
-//! tombstones on expiry, so the suite compares through that relabel
-//! (`tests/common::dense_universe` / `dense_solution`). Warm sessions keep the incremental
-//! structures byte-identical (the splices are mode-independent) and
-//! relax only the solve, as above.
+//! surviving demand set (`tests/dynamic_equivalence.rs`), once the
+//! session's ids are relabelled densely: instance and demand ids are
+//! stable slots that leave tombstones on expiry, so the suite compares
+//! through that relabel (`tests/common::dense_universe` /
+//! `dense_solution`). Warm sessions keep the incremental structures
+//! byte-identical (the splices are mode-independent) and relax only the
+//! solve, as above.
 //!
 //! # Amortized epoch cost
 //!
@@ -158,8 +157,7 @@
 //!   uninterrupted run (schedule, certificate, conflict degrees);
 //!   **Warm** restores are certificate-equivalent (every replayed epoch
 //!   re-certifies `λ ≥ 1 − ε` within the worst-case ratio). The
-//!   kill-and-recover suite (`tests/durability_recovery.rs`) pins both,
-//!   at 1/2/4 threads.
+//!   kill-and-recover suite (`tests/durability_recovery.rs`) pins both.
 //!
 //! # Degraded modes & fault model
 //!
@@ -268,10 +266,7 @@
 //!
 //! The phase histograms tile the step: `splice + conflict_rebuild` equals
 //! the delta's `stats.rebuild_seconds` and `solve_ns` equals
-//! `stats.solve_seconds` (same clock reads). Span tracing
-//! (`NETSCHED_OBS=on` or [`netsched_obs::set_tracing`]) additionally
-//! records `epoch.step` → `epoch.rebuild` / `epoch.solve` regions into
-//! the flight-recorder ring; disabled spans cost one atomic load.
+//! `stats.solve_seconds` (same clock reads).
 //!
 //! Epoch solves also feed an online
 //! [`RoundCalibration`](netsched_core::RoundCalibration) (EWMA of engine
@@ -322,7 +317,7 @@
 //! ```
 //! use netsched_core::AlgorithmConfig;
 //! use netsched_graph::{TreeProblem, VertexId};
-//! use netsched_service::{DemandEvent, DemandRequest, Service, ServiceSession};
+//! use netsched_service::{DemandEvent, DemandRequest, ResolveMode, Service, ServiceSession};
 //!
 //! let mut problem = TreeProblem::new(4);
 //! let t = problem.add_network(vec![
@@ -332,21 +327,24 @@
 //! ]).unwrap();
 //! problem.add_unit_demand(VertexId(0), VertexId(2), 3.0, vec![t]).unwrap();
 //!
-//! let service = Service::new(ServiceSession::for_tree(
-//!     &problem,
-//!     AlgorithmConfig::deterministic(0.1),
-//! ));
-//! let mut reader = service.reader().unwrap();
-//! // Two submissions queued before anyone waits fold into a single epoch.
-//! let a = service.submit(vec![DemandEvent::Arrive(DemandRequest::Tree {
-//!     u: VertexId(1), v: VertexId(3), profit: 2.0, height: 1.0, access: vec![t],
-//! })]).unwrap();
-//! let b = service.submit(vec![]).unwrap();
-//! let delta = a.wait().unwrap();
-//! assert_eq!(delta.epoch, 1);
-//! assert!(std::sync::Arc::ptr_eq(&delta, &b.wait().unwrap())); // one shared delta
-//! assert!(!delta.admitted.is_empty());
-//! assert_eq!(reader.read().epoch(), 1); // published for readers
+//! // Folding is the frontend's, not the solver's: both modes behave alike.
+//! for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+//!     let service = Service::new(
+//!         ServiceSession::for_tree(&problem, AlgorithmConfig::deterministic(0.1))
+//!             .with_resolve_mode(mode),
+//!     );
+//!     let mut reader = service.reader().unwrap();
+//!     // Two submissions queued before anyone waits fold into a single epoch.
+//!     let a = service.submit(vec![DemandEvent::Arrive(DemandRequest::Tree {
+//!         u: VertexId(1), v: VertexId(3), profit: 2.0, height: 1.0, access: vec![t],
+//!     })]).unwrap();
+//!     let b = service.submit(vec![]).unwrap();
+//!     let delta = a.wait().unwrap();
+//!     assert_eq!(delta.epoch, 1);
+//!     assert!(std::sync::Arc::ptr_eq(&delta, &b.wait().unwrap())); // one shared delta
+//!     assert!(!delta.admitted.is_empty());
+//!     assert_eq!(reader.read().epoch(), 1); // published for readers
+//! }
 //! ```
 
 #![warn(missing_docs)]

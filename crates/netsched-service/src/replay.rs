@@ -75,6 +75,7 @@ pub fn replay_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ResolveMode;
     use netsched_core::AlgorithmConfig;
     use netsched_workloads::{many_networks_line, poisson_arrivals_line, ChurnSpec};
 
@@ -91,18 +92,22 @@ mod tests {
                 seed: 9,
             },
         );
-        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
-        let deltas = replay_trace(&mut session, &trace).unwrap();
-        assert_eq!(deltas.len(), 20);
-        assert_eq!(session.epoch(), 20);
-        let live = session.live_demands();
-        assert!(
-            live > 10 && live < 100,
-            "steady-state pool stays near target, got {live}"
-        );
-        // Every epoch carried a valid certificate for its standing schedule.
-        for delta in &deltas {
-            assert!(delta.certificate.optimum_upper_bound + 1e-9 >= delta.profit);
+        for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+            let mut session =
+                ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+                    .with_resolve_mode(mode);
+            let deltas = replay_trace(&mut session, &trace).unwrap();
+            assert_eq!(deltas.len(), 20);
+            assert_eq!(session.epoch(), 20);
+            let live = session.live_demands();
+            assert!(
+                live > 10 && live < 100,
+                "{mode:?}: steady-state pool stays near target, got {live}"
+            );
+            // Every epoch carried a valid certificate for its standing schedule.
+            for delta in &deltas {
+                assert!(delta.certificate.optimum_upper_bound + 1e-9 >= delta.profit);
+            }
         }
     }
 }

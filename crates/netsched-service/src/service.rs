@@ -435,7 +435,7 @@ impl SubmitHandle {
 mod tests {
     use super::*;
     use crate::event::DemandRequest;
-    use crate::session::ServiceSession;
+    use crate::session::{ResolveMode, ServiceSession};
     use netsched_core::AlgorithmConfig;
     use netsched_graph::{LineProblem, NetworkId};
 
@@ -444,7 +444,11 @@ mod tests {
         problem
             .add_demand(0, 9, 4, 3.0, 1.0, vec![NetworkId::new(0)])
             .unwrap();
+        // Cold: these tests pin the queue, the fold and its errors, which
+        // never look at the mode; `Service` over Warm sessions is
+        // exercised by the crate doctest and `tests/concurrent_serving.rs`.
         ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+            .with_resolve_mode(ResolveMode::Cold)
     }
 
     fn service() -> Service {

@@ -84,49 +84,6 @@ impl ResolveMode {
             _ => None,
         }
     }
-
-    /// The mode named by the `NETSCHED_RESOLVE_MODE` environment variable.
-    /// Used by the session constructors as the default, so a deployment
-    /// (or the CI matrix) can flip every default-constructed session to
-    /// warm re-solving without code changes; sessions built with
-    /// [`ServiceSession::with_resolve_mode`] are unaffected.
-    ///
-    /// Returns `Ok(None)` when the variable is unset and a descriptive
-    /// error when it is set to something other than `cold`/`warm` — a
-    /// typo'd deployment variable must not silently run the wrong mode.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var("NETSCHED_RESOLVE_MODE") {
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(raw)) => Err(format!(
-                "NETSCHED_RESOLVE_MODE is set to non-unicode value {raw:?} \
-                 (expected `cold` or `warm`)"
-            )),
-            Ok(raw) => match Self::parse(&raw) {
-                Some(mode) => Ok(Some(mode)),
-                None => Err(format!(
-                    "NETSCHED_RESOLVE_MODE is set to unrecognized value `{raw}` \
-                     (expected `cold` or `warm`)"
-                )),
-            },
-        }
-    }
-
-    /// [`ResolveMode::from_env`], falling back to [`ResolveMode::Cold`]
-    /// when the variable is unset **or** invalid. An invalid value is
-    /// reported once to stderr instead of being swallowed, so a typo'd
-    /// deployment shows up in operator logs.
-    pub fn env_default() -> Self {
-        match Self::from_env() {
-            Ok(mode) => mode.unwrap_or_default(),
-            Err(why) => {
-                static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                WARN_ONCE.call_once(|| {
-                    eprintln!("netsched-service: {why}; falling back to cold re-solves");
-                });
-                ResolveMode::Cold
-            }
-        }
-    }
 }
 
 /// A write-ahead hook for epoch batches: the durable serving tier
@@ -820,7 +777,7 @@ impl ServiceSession {
         Self {
             base,
             config,
-            resolve: ResolveMode::env_default(),
+            resolve: ResolveMode::default(),
             mix: HeightMix::of(&live),
             live,
             next_ticket,
@@ -870,8 +827,8 @@ impl ServiceSession {
         fp
     }
 
-    /// Pins the session's [`ResolveMode`] explicitly, overriding the
-    /// `NETSCHED_RESOLVE_MODE` environment default. Call before the first
+    /// Pins the session's [`ResolveMode`] (sessions start
+    /// [`Cold`](ResolveMode::Cold)). Call before the first
     /// [`step`](ServiceSession::step): switching an already-stepped
     /// session is supported (a warm state is simply created — or ignored —
     /// from the next epoch on) but the mode is part of the session's
@@ -1333,7 +1290,6 @@ impl ServiceSession {
         budget: &Budget,
     ) -> Result<ScheduleDelta, ServiceError> {
         let step_start = std::time::Instant::now();
-        let _step_span = netsched_obs::span!("epoch.step");
 
         // ---- validate & partition (no mutation before this block ends) --
         let validate_start = std::time::Instant::now();
@@ -1430,7 +1386,6 @@ impl ServiceSession {
 
         // ---- reclaim tombstones (the rare O(live) epoch) --------------
         let rebuild_start = std::time::Instant::now();
-        let rebuild_span = netsched_obs::span!("epoch.rebuild");
         let (arrivings, assignments) = self.base.0.materialize(&arrivals);
         let outgoing = expired
             .iter()
@@ -1493,7 +1448,6 @@ impl ServiceSession {
 
         // ---- solve -----------------------------------------------------
         let rebuild_elapsed = rebuild_start.elapsed();
-        drop(rebuild_span);
         let rebuild_seconds = rebuild_elapsed.as_secs_f64();
         let rebuild_ns = rebuild_elapsed.as_nanos().min(u64::MAX as u128) as u64;
         self.metrics.conflict_rebuild_ns.record(conflict_ns);
@@ -1501,7 +1455,6 @@ impl ServiceSession {
             .splice_ns
             .record(rebuild_ns.saturating_sub(conflict_ns));
         let solve_start = std::time::Instant::now();
-        let solve_span = netsched_obs::span!("epoch.solve");
         if self.panic_epochs.contains(&(self.epoch + 1)) {
             panic!("injected solve fault at epoch {}", self.epoch + 1);
         }
@@ -1541,7 +1494,6 @@ impl ServiceSession {
             )
         };
         let solve_elapsed = solve_start.elapsed();
-        drop(solve_span);
         let solve_seconds = solve_elapsed.as_secs_f64();
         self.metrics.solve_ns.record_duration(solve_elapsed);
         let phases = solution.timings.phases();

@@ -114,8 +114,8 @@
 //! [`ScheduleDelta`](prelude::ScheduleDelta) (admitted / evicted /
 //! reassigned demands plus the updated dual certificate). The differential
 //! invariant — incremental state byte-identical, up to a dense relabel of
-//! the ids, to a from-scratch `Scheduler` over the surviving demand set at
-//! every thread count — is pinned by `tests/dynamic_equivalence.rs`; the
+//! the ids, to a from-scratch `Scheduler` over the surviving demand set —
+//! is pinned by `tests/dynamic_equivalence.rs`; the
 //! repo benchmark's `line-1e5` workload reports the warm serving epoch at
 //! 10⁵ live demands (`epoch_p50_ms`, `epoch_p90_ms`, `epochs_per_s`).
 //! [`Service`](prelude::Service) adds the frontend, with
@@ -170,10 +170,9 @@
 //! Choose Warm for serving tiers (the certificate is the product, not the
 //! exact schedule bytes); every workload of the repo benchmark serves
 //! warm. Choose Cold when consumers diff schedules against a
-//! reference solver. `NETSCHED_RESOLVE_MODE=warm|cold` flips the
-//! environment default;
-//! [`with_resolve_mode`](prelude::ServiceSession::with_resolve_mode) pins
-//! a session explicitly.
+//! reference solver. Sessions start Cold;
+//! [`with_resolve_mode`](prelude::ServiceSession::with_resolve_mode) is
+//! the one way to choose the mode.
 //!
 //! ## Durability & recovery
 //!
@@ -200,8 +199,8 @@
 //! recovered session inherits the serving tier's own equivalence
 //! contract — **Cold** restores are byte-identical to the uninterrupted
 //! run (schedule, certificate, merged conflict CSR), **Warm** restores
-//! are certificate-equivalent — pinned by `tests/durability_recovery.rs`
-//! at several thread counts, including against truncated, bit-flipped
+//! are certificate-equivalent — pinned by `tests/durability_recovery.rs`,
+//! including against truncated, bit-flipped
 //! and empty logs (recovery degrades to the longest valid prefix, with
 //! the losses counted in a
 //! [`RestoreReport`](prelude::RestoreReport), never a panic).
@@ -328,14 +327,10 @@
 //! ## Observability
 //!
 //! Every hot layer self-reports through [`obs`] (`netsched-obs`), a
-//! hand-rolled metrics + tracing layer with no external dependencies: an
+//! hand-rolled metrics layer with no external dependencies: an
 //! [`ObsRegistry`](prelude::ObsRegistry) of lock-cheap atomic counters,
 //! gauges and log₂-bucketed latency histograms (p50/p95/p99/max within
-//! ≤ 12.5% relative error, exact below 16 ns), plus RAII spans
-//! ([`netsched_obs::span!`]) that cost one relaxed atomic load when
-//! tracing is off (`NETSCHED_OBS=on` or
-//! [`set_tracing`](prelude::set_tracing) enables the in-memory span
-//! ring).
+//! ≤ 12.5% relative error, exact below 16 ns).
 //!
 //! Each [`ServiceSession`](prelude::ServiceSession) owns a registry
 //! ([`obs_registry`](prelude::ServiceSession::obs_registry)) whose
@@ -377,7 +372,7 @@
 //!   the same `Solver` trait;
 //! * [`obs`] (`netsched-obs`) — the observability layer: atomic
 //!   counters/gauges, log-bucketed latency histograms, JSON/Prometheus
-//!   exporters and the near-zero-cost span tracer;
+//!   exporters;
 //! * [`service`] (`netsched-service`) — the dynamic serving subsystem:
 //!   incremental per-shard rebuild epochs and the batch-admission
 //!   scheduler service;
@@ -462,8 +457,7 @@ pub mod prelude {
     };
     // The observability layer.
     pub use netsched_obs::{
-        set_tracing, tracing_enabled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsReport,
-        ObsRegistry, SpanRecord,
+        Counter, Gauge, Histogram, HistogramSnapshot, MetricsReport, ObsRegistry,
     };
     // The dynamic serving subsystem.
     pub use netsched_service::{

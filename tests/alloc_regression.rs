@@ -9,8 +9,8 @@
 //! `ShardedConflictGraph::apply_delta`, which extends its degree column
 //! in place; `WarmState::splice`) once the session's scratch buffers
 //! have reached steady capacity — including
-//! the observability hooks the serving path runs every epoch (disabled
-//! spans, pre-resolved histogram/counter/gauge handles). This binary
+//! the observability hooks the serving path runs every epoch
+//! (pre-resolved histogram/counter/gauge handles). This binary
 //! installs a counting global allocator and pins that contract; a
 //! regression (a stray `Vec::new` + `push`, a `collect`, a `mem::take`
 //! realloc) fails the count assertion rather than silently re-introducing
@@ -118,12 +118,10 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     }
 
     // The serving path's observability hooks ride inside the same loop:
-    // with tracing disabled, a span is one relaxed atomic load and the
-    // pre-resolved metric handles are pure atomics — none of it may touch
+    // the pre-resolved metric handles are pure atomics and may not touch
     // the heap either. Handles are resolved (and the registry's interior
     // maps populated) before measurement starts, mirroring how
     // `ServiceSession` pre-resolves its `SessionMetrics` at assembly.
-    netsched_obs::set_tracing(false);
     let obs = netsched_obs::ObsRegistry::default();
     let step_hist = obs.histogram("epoch.step_ns");
     let epoch_counter = obs.counter("epoch.count");
@@ -132,7 +130,6 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     let live_before = universe.num_instances();
     let before = allocations();
     for i in 0..8 {
-        let _epoch_span = netsched_obs::span!("epoch.step");
         universe.apply_demand_delta(&[], &[], &mut delta);
         conflict.apply_delta(&universe, &delta);
         warm.splice(&universe, &delta);
@@ -144,8 +141,8 @@ fn steady_state_clean_shard_splice_epochs_are_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "steady-state clean-shard splice epochs (with disabled-mode obs \
-         hooks) must not touch the heap ({} allocations over 8 epochs)",
+        "steady-state clean-shard splice epochs (with their obs hooks) \
+         must not touch the heap ({} allocations over 8 epochs)",
         after - before
     );
     // The epochs were real splices, not no-ops short-circuited upstream.

@@ -32,9 +32,8 @@
 //!    than the full run's; at or above the step count it is bit-identical
 //!    to the unlimited run.
 //!
-//! The round budget of the randomized sweep can be forced with the
-//! `NETSCHED_FORCE_DEADLINE_ROUNDS` environment variable (the CI
-//! fault-injection leg sets it to exercise hard cuts).
+//! The randomized sweep replays each trace twice: once with every epoch
+//! cut hard after 1 MIS round, once at a sampled round budget.
 
 mod common;
 
@@ -54,13 +53,6 @@ use netsched_service::{
 use netsched_workloads::{many_networks_line, many_networks_tree};
 use proptest::prelude::*;
 
-/// The round budget the CI fault leg forces on the randomized sweep.
-fn forced_rounds() -> Option<u64> {
-    std::env::var("NETSCHED_FORCE_DEADLINE_ROUNDS")
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-}
-
 fn warm_session(case: &ChurnCase, config: AlgorithmConfig) -> ServiceSession {
     match case.shape {
         ChurnShape::Line => ServiceSession::for_line(case.line_problem(), config),
@@ -74,7 +66,6 @@ fn warm_session(case: &ChurnCase, config: AlgorithmConfig) -> ServiceSession {
 /// undeadlined empty step.
 fn check_anytime(case: &ChurnCase, rounds: u64) {
     let config = AlgorithmConfig::deterministic(0.1);
-    let rounds = forced_rounds().unwrap_or(rounds);
     let mut session = warm_session(case, config);
     let mut mirror = match case.shape {
         ChurnShape::Line => Mirror::for_line(case.line_problem()),
@@ -159,6 +150,7 @@ proptest! {
         case in ChurnCases { shape: ChurnShape::Line },
         rounds in 0u64..6,
     ) {
+        check_anytime(&case, 1);
         check_anytime(&case, rounds);
     }
 
@@ -167,6 +159,7 @@ proptest! {
         case in ChurnCases { shape: ChurnShape::Tree },
         rounds in 0u64..6,
     ) {
+        check_anytime(&case, 1);
         check_anytime(&case, rounds);
     }
 }

@@ -26,19 +26,6 @@ use netsched_workloads::{
     ChurnSpec, EventTrace, HeightDistribution, TraceEvent,
 };
 use proptest::{Strategy, TestRng};
-use rayon::ThreadPoolBuilder;
-
-// ---------------------------------------------------------------------
-// Thread-count control
-// ---------------------------------------------------------------------
-
-/// Runs `f` under a global rayon pool of `n` workers (0 = default).
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new().num_threads(n).build_global().ok();
-    let out = f();
-    ThreadPoolBuilder::new().num_threads(0).build_global().ok();
-    out
-}
 
 // ---------------------------------------------------------------------
 // Byte-level equality helpers

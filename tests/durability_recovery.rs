@@ -8,7 +8,7 @@
 //! **byte-identical** in [`ResolveMode::Cold`] (schedule, certificate,
 //! conflict degrees and adjacency), **certificate-equivalent** in
 //! [`ResolveMode::Warm`] (feasible schedule, `λ ≥ 1 − ε`, upper bound
-//! dominating the uninterrupted profit) — at every thread count.
+//! dominating the uninterrupted profit).
 //!
 //! The corruption arm pins the longest-valid-prefix recovery semantics:
 //! a truncated tail record, a flipped checksum byte and a zero-length log
@@ -19,8 +19,7 @@ mod common;
 
 use common::{
     assert_conflicts_match, assert_same_conflicts, assert_same_solution, dense_solution,
-    dense_universe, line_trace, to_events, tree_trace, with_threads, ChurnCase, ChurnCases,
-    ChurnShape,
+    dense_universe, line_trace, to_events, tree_trace, ChurnCase, ChurnCases, ChurnShape,
 };
 use netsched_core::AlgorithmConfig;
 use netsched_distrib::ConflictGraph;
@@ -229,20 +228,16 @@ fn cold_line_recovery_is_byte_identical_at_every_thread_count() {
     let base = Base::Line(problem);
     let config = AlgorithmConfig::deterministic(0.1);
     let epochs = trace.batches.len();
-    for threads in [1usize, 2, 4] {
-        with_threads(threads, || {
-            for kill_at in [1, epochs / 2, epochs] {
-                check_kill_and_recover(
-                    &base,
-                    &trace,
-                    config,
-                    ResolveMode::Cold,
-                    kill_at,
-                    PersistConfig::default(),
-                    &format!("cold-line @ {threads} threads, killed at {kill_at}"),
-                );
-            }
-        });
+    for kill_at in [1, epochs / 2, epochs] {
+        check_kill_and_recover(
+            &base,
+            &trace,
+            config,
+            ResolveMode::Cold,
+            kill_at,
+            PersistConfig::default(),
+            &format!("cold-line killed at {kill_at}"),
+        );
     }
 }
 
@@ -286,23 +281,19 @@ fn warm_recovery_is_certificate_equivalent_at_every_thread_count() {
     let base = Base::Line(problem);
     let config = AlgorithmConfig::deterministic(0.1);
     let epochs = trace.batches.len();
-    for threads in [1usize, 2, 4] {
-        with_threads(threads, || {
-            for kill_at in [2, epochs] {
-                check_kill_and_recover(
-                    &base,
-                    &trace,
-                    config,
-                    ResolveMode::Warm,
-                    kill_at,
-                    PersistConfig {
-                        durability: Durability::Epoch,
-                        snapshot_every: 3,
-                    },
-                    &format!("warm-line @ {threads} threads, killed at {kill_at}"),
-                );
-            }
-        });
+    for kill_at in [2, epochs] {
+        check_kill_and_recover(
+            &base,
+            &trace,
+            config,
+            ResolveMode::Warm,
+            kill_at,
+            PersistConfig {
+                durability: Durability::Epoch,
+                snapshot_every: 3,
+            },
+            &format!("warm-line killed at {kill_at}"),
+        );
     }
 }
 
@@ -399,6 +390,43 @@ fn restored_sessions_keep_the_original_conflict_structures() {
         (Some(a), Some(b)) => assert_same_solution(&a, &b, "post-restore splice"),
         (None, None) => {}
         _ => panic!("post-restore splice: one side solved, the other did not"),
+    }
+}
+
+/// Sessions start Cold, so the snapshot's `resolve` member is the only
+/// way a restored session runs Warm: every restore path must keep it.
+#[test]
+fn restores_keep_the_recorded_resolve_mode() {
+    let (base, trace) = mixed_tree();
+    let tickets = ticket_table(&base, &trace);
+    let config = AlgorithmConfig::deterministic(0.1);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let mut session = base.session(config, mode);
+        drive(&mut session, &trace, 0..3, &tickets);
+        let restored = ServiceSession::from_snapshot(&session.snapshot()).expect("from_snapshot");
+        assert_eq!(restored.resolve_mode(), mode, "from_snapshot");
+        let restored = ServiceSession::from_state(&session.topology(), &session.state_snapshot())
+            .expect("from_state");
+        assert_eq!(restored.resolve_mode(), mode, "from_state");
+
+        let dir = temp_dir();
+        let persist = PersistConfig {
+            durability: Durability::None,
+            snapshot_every: 2,
+        };
+        let mut durable =
+            DurableSession::create(&dir, base.session(config, mode), persist).expect("create");
+        for batch in &trace.batches[..3] {
+            durable.step(&to_events(batch, &tickets)).unwrap();
+        }
+        drop(durable);
+        let (recovered, report) = DurableSession::recover(&dir, persist).expect("recover");
+        assert_eq!(
+            report.snapshot_epoch, 2,
+            "{mode:?}: restored from a cadence snapshot"
+        );
+        assert_eq!(recovered.session().resolve_mode(), mode, "recover");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -5,13 +5,10 @@
 //! arrive/expire batches, the session's incrementally maintained conflict
 //! graph must be byte-identical to — and its schedule and dual certificate
 //! equal to — a from-scratch `Scheduler` built over the same surviving
-//! demand set, at every thread count. These tests replay generated and
-//! randomized traces, rebuilding the reference from scratch after every
-//! epoch. Sessions are pinned to `Cold` explicitly, so the suite keeps
-//! anchoring the byte-equivalence contract even when the environment
-//! (`NETSCHED_RESOLVE_MODE=warm`, the CI warm matrix leg) flips the
-//! default mode; the relaxed warm contract has its own suite in
-//! `tests/warm_equivalence.rs`.
+//! demand set. These tests replay generated and randomized traces,
+//! rebuilding the reference from scratch after every epoch. Sessions are
+//! pinned to `Cold` explicitly, the mode this contract is about; the
+//! relaxed warm contract has its own suite in `tests/warm_equivalence.rs`.
 //!
 //! The randomized traces bind a [`common::ChurnCase`] — the event trace
 //! itself is the proptest strategy value, so a failing trace shrinks to a
@@ -21,7 +18,7 @@ mod common;
 
 use common::{
     assert_conflicts_match, check_trace, dense_universe, line_trace, line_trace_with_heights,
-    tree_trace, with_threads, ChurnCase, ChurnCases, ChurnShape, Mirror,
+    tree_trace, ChurnCase, ChurnCases, ChurnShape, Mirror,
 };
 use netsched_core::AlgorithmConfig;
 use netsched_distrib::{ConflictGraph, MisStrategy};
@@ -42,27 +39,23 @@ fn cold_tree(problem: &netsched_graph::TreeProblem, config: AlgorithmConfig) -> 
 #[test]
 fn line_sessions_match_from_scratch_rebuilds_at_every_thread_count() {
     let (problem, trace) = line_trace(4, 30, 11, 0.2);
-    for threads in [1usize, 2, 4] {
-        for config in [
-            AlgorithmConfig::deterministic(0.1),
-            AlgorithmConfig {
-                epsilon: 0.1,
-                mis: MisStrategy::Luby { seed: 77 },
-                seed: 77,
-            },
-        ] {
-            with_threads(threads, || {
-                let session = cold_line(&problem, config);
-                let mirror = Mirror::for_line(&problem);
-                check_trace(
-                    session,
-                    mirror,
-                    &trace,
-                    &config,
-                    &format!("line @ {threads} threads / {:?}", config.mis),
-                );
-            });
-        }
+    for config in [
+        AlgorithmConfig::deterministic(0.1),
+        AlgorithmConfig {
+            epsilon: 0.1,
+            mis: MisStrategy::Luby { seed: 77 },
+            seed: 77,
+        },
+    ] {
+        let session = cold_line(&problem, config);
+        let mirror = Mirror::for_line(&problem);
+        check_trace(
+            session,
+            mirror,
+            &trace,
+            &config,
+            &format!("line / {:?}", config.mis),
+        );
     }
 }
 
@@ -70,19 +63,9 @@ fn line_sessions_match_from_scratch_rebuilds_at_every_thread_count() {
 fn tree_sessions_match_from_scratch_rebuilds_at_every_thread_count() {
     let (problem, trace) = tree_trace(4, 28, 5, 0.2, HeightDistribution::Unit);
     let config = AlgorithmConfig::deterministic(0.1);
-    for threads in [1usize, 2, 4] {
-        with_threads(threads, || {
-            let session = cold_tree(&problem, config);
-            let mirror = Mirror::for_tree(&problem);
-            check_trace(
-                session,
-                mirror,
-                &trace,
-                &config,
-                &format!("tree @ {threads} threads"),
-            );
-        });
-    }
+    let session = cold_tree(&problem, config);
+    let mirror = Mirror::for_tree(&problem);
+    check_trace(session, mirror, &trace, &config, "tree");
 }
 
 #[test]

@@ -69,10 +69,19 @@ fn arrival(start: u32) -> DemandEvent {
     })
 }
 
-fn durable(dir: &PathBuf, durability: Durability) -> DurableSession {
+/// Both re-solve modes, for the scenarios whose solves or recovery
+/// replays depend on the mode.
+const MODES: [ResolveMode; 2] = [ResolveMode::Cold, ResolveMode::Warm];
+
+/// The mode of the scenarios whose faults hit only the log: an append or
+/// fsync fault acts before or after the solve, never through it.
+const LOG_ONLY_MODE: ResolveMode = ResolveMode::Cold;
+
+fn durable(dir: &PathBuf, durability: Durability, mode: ResolveMode) -> DurableSession {
     DurableSession::create(
         dir,
-        ServiceSession::for_line(&line_problem(), AlgorithmConfig::deterministic(0.1)),
+        ServiceSession::for_line(&line_problem(), AlgorithmConfig::deterministic(0.1))
+            .with_resolve_mode(mode),
         PersistConfig {
             durability,
             snapshot_every: 0,
@@ -84,7 +93,7 @@ fn durable(dir: &PathBuf, durability: Durability) -> DurableSession {
 #[test]
 fn transient_append_failures_retry_and_serve_the_epoch() {
     let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
+    let mut session = durable(&dir, Durability::Batch, LOG_ONLY_MODE);
     // Ops 0 and 1 fail, the op-2 retry lands: one logical append survives
     // two injected faults.
     session.inject_faults(FaultPlan::none().fail_appends([0, 1]));
@@ -100,29 +109,31 @@ fn transient_append_failures_retry_and_serve_the_epoch() {
 
 #[test]
 fn torn_appends_roll_back_and_leave_a_clean_log() {
-    let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Epoch);
-    session.inject_faults(FaultPlan::none().short_appends([0, 2]));
-    for start in [1u32, 5, 9] {
-        session
-            .step(&[arrival(start)])
-            .expect("torn writes retried");
+    for mode in MODES {
+        let dir = temp_dir();
+        let mut session = durable(&dir, Durability::Epoch, mode);
+        session.inject_faults(FaultPlan::none().short_appends([0, 2]));
+        for start in [1u32, 5, 9] {
+            session
+                .step(&[arrival(start)])
+                .expect("torn writes retried");
+        }
+        let profit = session.session().profit();
+        drop(session); // the crash
+        let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
+        // The rollbacks kept every frame boundary clean: nothing dropped.
+        assert_eq!(report.dropped_records, 0);
+        assert_eq!(report.replayed_epochs, 3);
+        assert_eq!(recovered.session().epoch(), 3);
+        assert_eq!(recovered.session().profit(), profit);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let profit = session.session().profit();
-    drop(session); // the crash
-    let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
-    // The rollbacks kept every frame boundary clean: nothing dropped.
-    assert_eq!(report.dropped_records, 0);
-    assert_eq!(report.replayed_epochs, 3);
-    assert_eq!(recovered.session().epoch(), 3);
-    assert_eq!(recovered.session().profit(), profit);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn persistent_append_failures_fail_the_step_with_the_session_unchanged() {
     let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
+    let mut session = durable(&dir, Durability::Batch, LOG_ONLY_MODE);
     session.step(&[arrival(1)]).unwrap();
     let epoch = session.session().epoch();
     let schedule = session.session().schedule();
@@ -149,7 +160,7 @@ fn persistent_append_failures_fail_the_step_with_the_session_unchanged() {
 #[test]
 fn persistent_fsync_failures_walk_the_durability_ladder() {
     let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
+    let mut session = durable(&dir, Durability::Batch, LOG_ONLY_MODE);
     // Six sync failures: 3 exhaust the batch-append sync (Batch → Epoch),
     // the epoch-cadence sync of the same step then exhausts its own
     // retries (Epoch → None). The step itself still succeeds.
@@ -181,7 +192,7 @@ fn persistent_fsync_failures_walk_the_durability_ladder() {
 #[test]
 fn epoch_mode_degrades_to_none_and_stops_syncing() {
     let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Epoch);
+    let mut session = durable(&dir, Durability::Epoch, LOG_ONLY_MODE);
     session.inject_faults(FaultPlan::none().fail_syncs([0, 1, 2]));
     session.step(&[arrival(1)]).expect("degrade, not crash");
     let health = session.health();
@@ -199,7 +210,7 @@ fn epoch_mode_degrades_to_none_and_stops_syncing() {
 #[test]
 fn slow_appends_only_add_latency() {
     let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
+    let mut session = durable(&dir, Durability::Batch, LOG_ONLY_MODE);
     session.inject_faults(FaultPlan::none().slow_appends(200));
     session.step(&[arrival(1)]).expect("slow disk still serves");
     let health = session.health();
@@ -210,37 +221,40 @@ fn slow_appends_only_add_latency() {
 
 #[test]
 fn injected_solve_panics_quarantine_the_batch_and_restore_the_session() {
-    let problem = line_problem();
-    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
-    session.step(&[arrival(1)]).unwrap();
-    let epoch = session.epoch();
-    let schedule = session.schedule();
-    let profit = session.profit();
+    for mode in MODES {
+        let problem = line_problem();
+        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+            .with_resolve_mode(mode);
+        session.step(&[arrival(1)]).unwrap();
+        let epoch = session.epoch();
+        let schedule = session.schedule();
+        let profit = session.profit();
 
-    session.inject_solve_panics(vec![epoch + 1]);
-    match session.step_with_deadline(&[arrival(5)], &Budget::unlimited()) {
-        Err(ServiceError::Quarantined { reason }) => {
-            assert!(reason.contains("injected solve fault"), "{reason}");
+        session.inject_solve_panics(vec![epoch + 1]);
+        match session.step_with_deadline(&[arrival(5)], &Budget::unlimited()) {
+            Err(ServiceError::Quarantined { reason }) => {
+                assert!(reason.contains("injected solve fault"), "{reason}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
         }
-        other => panic!("expected quarantine, got {other:?}"),
-    }
-    // The poisoned batch left nothing behind.
-    assert_eq!(session.epoch(), epoch);
-    assert_eq!(session.schedule(), schedule);
-    assert_eq!(session.profit(), profit);
+        // The poisoned batch left nothing behind.
+        assert_eq!(session.epoch(), epoch);
+        assert_eq!(session.schedule(), schedule);
+        assert_eq!(session.profit(), profit);
 
-    // Disarmed, the same batch serves — the session was not poisoned.
-    session.inject_solve_panics(Vec::new());
-    let delta = session
-        .step_with_deadline(&[arrival(5)], &Budget::unlimited())
-        .expect("restored session serves");
-    assert_eq!(delta.stats.quality, CertificateQuality::Full);
-    assert_eq!(session.epoch(), epoch + 1);
-    session
-        .last_solution()
-        .expect("solved")
-        .verify(session.universe())
-        .expect("post-quarantine schedule feasible");
+        // Disarmed, the same batch serves — the session was not poisoned.
+        session.inject_solve_panics(Vec::new());
+        let delta = session
+            .step_with_deadline(&[arrival(5)], &Budget::unlimited())
+            .expect("restored session serves");
+        assert_eq!(delta.stats.quality, CertificateQuality::Full);
+        assert_eq!(session.epoch(), epoch + 1);
+        session
+            .last_solution()
+            .expect("solved")
+            .verify(session.universe())
+            .expect("post-quarantine schedule feasible");
+    }
 }
 
 /// A tree problem whose demands mix wide and narrow heights, so every
@@ -363,144 +377,152 @@ fn warm_quarantine_reprimes_to_a_full_certificate() {
 
 #[test]
 fn quarantine_through_the_durable_tier_keeps_serving() {
-    let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Epoch);
-    session.step(&[arrival(1)]).unwrap();
-    // Arm the solve fault through the same plan surface as the I/O faults.
-    session.inject_faults(FaultPlan::none().panic_at_epochs([2]));
-    let budget = Budget::unlimited();
-    match session
-        .session_mut()
-        .step_with_deadline(&[arrival(5)], &budget)
-    {
-        Err(ServiceError::Quarantined { .. }) => {}
-        other => panic!("expected quarantine, got {other:?}"),
+    for mode in MODES {
+        let dir = temp_dir();
+        let mut session = durable(&dir, Durability::Epoch, mode);
+        session.step(&[arrival(1)]).unwrap();
+        // Arm the solve fault through the same plan surface as the I/O faults.
+        session.inject_faults(FaultPlan::none().panic_at_epochs([2]));
+        let budget = Budget::unlimited();
+        match session
+            .session_mut()
+            .step_with_deadline(&[arrival(5)], &budget)
+        {
+            Err(ServiceError::Quarantined { .. }) => {}
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert_eq!(session.session().epoch(), 1);
+        session.inject_faults(FaultPlan::none());
+        session
+            .step(&[arrival(9)])
+            .expect("tier serves after quarantine");
+        assert_eq!(session.session().epoch(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(session.session().epoch(), 1);
-    session.inject_faults(FaultPlan::none());
-    session
-        .step(&[arrival(9)])
-        .expect("tier serves after quarantine");
-    assert_eq!(session.session().epoch(), 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn quarantined_batches_never_resurrect_across_a_crash() {
-    // The write-ahead journal records a batch before its solve, so a
-    // quarantine leaves a dead record in the log. The rollback tombstone
-    // appended after the restore must make replay skip it — and keep
-    // every acknowledged record after the retried epoch.
-    let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
-    session.step(&[arrival(1)]).unwrap();
-    session.inject_faults(FaultPlan::none().panic_at_epochs([2]));
-    match session
-        .session_mut()
-        .step_with_deadline(&[arrival(5)], &Budget::unlimited())
-    {
-        Err(ServiceError::Quarantined { .. }) => {}
-        other => panic!("expected quarantine, got {other:?}"),
-    }
-    session.inject_faults(FaultPlan::none());
-    // The retry re-uses epoch 2 with a *different* batch, then a further
-    // acknowledged epoch lands on top.
-    session.step(&[arrival(9)]).expect("retry serves");
-    session.step(&[arrival(13)]).expect("later epoch serves");
-    let epoch = session.session().epoch();
-    let profit = session.session().profit();
-    let schedule = session.session().schedule();
-    drop(session); // the crash
+    for mode in MODES {
+        // The write-ahead journal records a batch before its solve, so a
+        // quarantine leaves a dead record in the log. The rollback tombstone
+        // appended after the restore must make replay skip it — and keep
+        // every acknowledged record after the retried epoch.
+        let dir = temp_dir();
+        let mut session = durable(&dir, Durability::Batch, mode);
+        session.step(&[arrival(1)]).unwrap();
+        session.inject_faults(FaultPlan::none().panic_at_epochs([2]));
+        match session
+            .session_mut()
+            .step_with_deadline(&[arrival(5)], &Budget::unlimited())
+        {
+            Err(ServiceError::Quarantined { .. }) => {}
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        session.inject_faults(FaultPlan::none());
+        // The retry re-uses epoch 2 with a *different* batch, then a further
+        // acknowledged epoch lands on top.
+        session.step(&[arrival(9)]).expect("retry serves");
+        session.step(&[arrival(13)]).expect("later epoch serves");
+        let epoch = session.session().epoch();
+        let profit = session.session().profit();
+        let schedule = session.session().schedule();
+        drop(session); // the crash
 
-    let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(report.rolled_back_records, 1, "dead record not cancelled");
-    assert_eq!(report.dropped_records, 0, "acknowledged records dropped");
-    assert_eq!(report.final_epoch, epoch);
-    assert_eq!(recovered.session().epoch(), epoch);
-    assert_eq!(recovered.session().profit(), profit);
-    assert_eq!(recovered.session().schedule(), schedule);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(report.rolled_back_records, 1, "dead record not cancelled");
+        assert_eq!(report.dropped_records, 0, "acknowledged records dropped");
+        assert_eq!(report.final_epoch, epoch);
+        assert_eq!(recovered.session().epoch(), epoch);
+        assert_eq!(recovered.session().profit(), profit);
+        assert_eq!(recovered.session().schedule(), schedule);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn failed_tombstone_appends_fall_back_to_supersede_on_replay() {
-    // Worst case: the quarantine's own tombstone append fails too (the
-    // disk is misbehaving). The retried batch re-uses the dead record's
-    // epoch, and replay must let the last record of a duplicated epoch
-    // supersede the dead one.
-    let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Epoch);
-    session.step(&[arrival(1)]).unwrap();
-    // Counters reset at installation: op 0 is the quarantined batch's
-    // (successful) record append, ops 1..=4 exhaust the tombstone's
-    // initial attempt + 3 retries.
-    session.inject_faults(
-        FaultPlan::none()
-            .panic_at_epochs([2])
-            .fail_appends([1, 2, 3, 4]),
-    );
-    match session
-        .session_mut()
-        .step_with_deadline(&[arrival(5)], &Budget::unlimited())
-    {
-        Err(ServiceError::Quarantined { .. }) => {}
-        other => panic!("expected quarantine, got {other:?}"),
-    }
-    assert!(
-        session.health().append_retries >= 4,
-        "tombstone append was expected to fail"
-    );
-    session.inject_faults(FaultPlan::none());
-    session.step(&[arrival(9)]).expect("retry serves");
-    session.step(&[arrival(13)]).expect("later epoch serves");
-    let epoch = session.session().epoch();
-    let profit = session.session().profit();
-    drop(session); // the crash
+    for mode in MODES {
+        // Worst case: the quarantine's own tombstone append fails too (the
+        // disk is misbehaving). The retried batch re-uses the dead record's
+        // epoch, and replay must let the last record of a duplicated epoch
+        // supersede the dead one.
+        let dir = temp_dir();
+        let mut session = durable(&dir, Durability::Epoch, mode);
+        session.step(&[arrival(1)]).unwrap();
+        // Counters reset at installation: op 0 is the quarantined batch's
+        // (successful) record append, ops 1..=4 exhaust the tombstone's
+        // initial attempt + 3 retries.
+        session.inject_faults(
+            FaultPlan::none()
+                .panic_at_epochs([2])
+                .fail_appends([1, 2, 3, 4]),
+        );
+        match session
+            .session_mut()
+            .step_with_deadline(&[arrival(5)], &Budget::unlimited())
+        {
+            Err(ServiceError::Quarantined { .. }) => {}
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert!(
+            session.health().append_retries >= 4,
+            "tombstone append was expected to fail"
+        );
+        session.inject_faults(FaultPlan::none());
+        session.step(&[arrival(9)]).expect("retry serves");
+        session.step(&[arrival(13)]).expect("later epoch serves");
+        let epoch = session.session().epoch();
+        let profit = session.session().profit();
+        drop(session); // the crash
 
-    let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(report.rolled_back_records, 1, "dead record not superseded");
-    assert_eq!(report.dropped_records, 0);
-    assert_eq!(recovered.session().epoch(), epoch);
-    assert_eq!(recovered.session().profit(), profit);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(report.rolled_back_records, 1, "dead record not superseded");
+        assert_eq!(report.dropped_records, 0);
+        assert_eq!(recovered.session().epoch(), epoch);
+        assert_eq!(recovered.session().profit(), profit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn faults_deadlines_and_recovery_compose() {
-    // The CI fault leg's end-to-end scenario: torn and failed appends,
-    // exhausted fsyncs and deadline-cut epochs all at once, then a crash.
-    let dir = temp_dir();
-    let mut session = durable(&dir, Durability::Batch);
-    session.inject_faults(
-        FaultPlan::none()
-            .fail_appends([1])
-            .short_appends([3])
-            .fail_syncs([0, 1, 2])
-            .slow_appends(50),
-    );
-    let mut truncated = 0;
-    for start in [1u32, 5, 9, 13] {
-        // A fresh budget per epoch: round accounting is per-`Budget`.
-        let delta = session
-            .session_mut()
-            .step_with_deadline(&[arrival(start)], &Budget::rounds(1))
-            .expect("faulted, budgeted epoch still serves");
-        if delta.stats.quality.is_truncated() {
-            truncated += 1;
+    for mode in MODES {
+        // The end-to-end scenario: torn and failed appends,
+        // exhausted fsyncs and deadline-cut epochs all at once, then a crash.
+        let dir = temp_dir();
+        let mut session = durable(&dir, Durability::Batch, mode);
+        session.inject_faults(
+            FaultPlan::none()
+                .fail_appends([1])
+                .short_appends([3])
+                .fail_syncs([0, 1, 2])
+                .slow_appends(50),
+        );
+        let mut truncated = 0;
+        for start in [1u32, 5, 9, 13] {
+            // A fresh budget per epoch: round accounting is per-`Budget`.
+            let delta = session
+                .session_mut()
+                .step_with_deadline(&[arrival(start)], &Budget::rounds(1))
+                .expect("faulted, budgeted epoch still serves");
+            if delta.stats.quality.is_truncated() {
+                truncated += 1;
+            }
         }
-    }
-    assert!(truncated > 0, "round budget 1 never cut a solve");
-    // Lift the deadline: the carried work converges.
-    let delta = session.step(&[]).unwrap();
-    assert_eq!(delta.stats.quality, CertificateQuality::Full);
-    assert!(session.health().degraded());
-    let epoch = session.session().epoch();
-    let profit = session.session().profit();
-    drop(session); // the crash
+        assert!(truncated > 0, "round budget 1 never cut a solve");
+        // Lift the deadline: the carried work converges.
+        let delta = session.step(&[]).unwrap();
+        assert_eq!(delta.stats.quality, CertificateQuality::Full);
+        assert!(session.health().degraded());
+        let epoch = session.session().epoch();
+        let profit = session.session().profit();
+        drop(session); // the crash
 
-    let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
-    assert_eq!(report.dropped_records, 0);
-    assert_eq!(recovered.session().epoch(), epoch);
-    assert_eq!(recovered.session().profit(), profit);
-    let _ = std::fs::remove_dir_all(&dir);
+        let (recovered, report) = DurableSession::recover(&dir, PersistConfig::default()).unwrap();
+        assert_eq!(report.dropped_records, 0);
+        assert_eq!(recovered.session().epoch(), epoch);
+        assert_eq!(recovered.session().profit(), profit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

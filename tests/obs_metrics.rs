@@ -12,8 +12,8 @@
 //!   correlate; the engine-phase histograms (`engine.setup_ns` …
 //!   `engine.certify_ns`) tile `epoch.solve_ns` to within 2%, on a
 //!   single-rule line session and on a mixed-height tree session.
-//! * **Enabled overhead** — a traced + metered epoch pays well under 5%
-//!   of the epoch's own duration for its spans and histogram records.
+//! * **Enabled overhead** — a metered epoch pays well under 5% of the
+//!   epoch's own duration for its histogram and counter records.
 //! * **Calibrated deadlines** — after a few epochs the session's
 //!   [`RoundCalibration`] is primed and compiles a wall-clock deadline
 //!   into a round cap the engine never exceeds.
@@ -54,10 +54,13 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
+/// Both re-solve modes: each runs its own engine phases.
+const MODES: [ResolveMode; 2] = [ResolveMode::Cold, ResolveMode::Warm];
+
 /// A churned line session: warm-up solve plus `epochs` replayed batches,
 /// returning the session and the summed per-delta telemetry
 /// `(rebuild_seconds, solve_seconds)`.
-fn churned_session(epochs: usize) -> (ServiceSession, f64, f64) {
+fn churned_session(epochs: usize, mode: ResolveMode) -> (ServiceSession, f64, f64) {
     let base = many_networks_line(6, 160, 11);
     let spec = ChurnSpec {
         epochs,
@@ -67,7 +70,8 @@ fn churned_session(epochs: usize) -> (ServiceSession, f64, f64) {
     };
     let trace = poisson_arrivals_line(&base, &spec);
     let problem = base.build().unwrap();
-    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.25));
+    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.25))
+        .with_resolve_mode(mode);
     session.step(&[]).expect("initial solve");
     let deltas = replay_trace(&mut session, &trace).expect("trace replays");
     let rebuild_s: f64 = deltas.iter().map(|d| d.stats.rebuild_seconds).sum();
@@ -77,79 +81,81 @@ fn churned_session(epochs: usize) -> (ServiceSession, f64, f64) {
 
 #[test]
 fn phase_histograms_tile_the_epoch_telemetry() {
-    let epochs = 16;
-    let (session, rebuild_s, solve_s) = churned_session(epochs);
-    let report = session.obs_registry().snapshot();
+    for mode in MODES {
+        let epochs = 16;
+        let (session, rebuild_s, solve_s) = churned_session(epochs, mode);
+        let report = session.obs_registry().snapshot();
 
-    let hist = |name: &str| {
-        *report
-            .histogram(name)
-            .unwrap_or_else(|| panic!("histogram `{name}` missing from the report"))
-    };
-    let step = hist("epoch.step_ns");
-    let splice = hist("epoch.splice_ns");
-    let conflict = hist("epoch.conflict_rebuild_ns");
-    let solve = hist("epoch.solve_ns");
-    let validate = hist("epoch.validate_ns");
-    let journal = hist("epoch.journal_ns");
-    let delta_emit = hist("epoch.delta_emit_ns");
+        let hist = |name: &str| {
+            *report
+                .histogram(name)
+                .unwrap_or_else(|| panic!("histogram `{name}` missing from the report"))
+        };
+        let step = hist("epoch.step_ns");
+        let splice = hist("epoch.splice_ns");
+        let conflict = hist("epoch.conflict_rebuild_ns");
+        let solve = hist("epoch.solve_ns");
+        let validate = hist("epoch.validate_ns");
+        let journal = hist("epoch.journal_ns");
+        let delta_emit = hist("epoch.delta_emit_ns");
 
-    // Warm-up + replayed epochs each record exactly one step sample.
-    assert_eq!(step.count, epochs as u64 + 1);
-    assert_eq!(report.counter("epoch.count"), Some(epochs as u64 + 1));
-    assert_eq!(solve.count, epochs as u64 + 1);
+        // Warm-up + replayed epochs each record exactly one step sample.
+        assert_eq!(step.count, epochs as u64 + 1);
+        assert_eq!(report.counter("epoch.count"), Some(epochs as u64 + 1));
+        assert_eq!(solve.count, epochs as u64 + 1);
 
-    // splice + conflict_rebuild is recorded from the same elapsed reading
-    // as `DeltaStats::rebuild_seconds`, and solve from the same reading as
-    // `solve_seconds`; only f64→ns conversion rounding may separate them
-    // (the histogram sums are exact, not bucketized). The delta telemetry
-    // excludes the warm-up epoch, so subtract its samples via the count
-    // difference being impossible — instead compare against telemetry
-    // summed over *all* emitted deltas below.
-    let rebuild_ns_obs = (splice.sum + conflict.sum) as f64;
-    let solve_ns_obs = solve.sum as f64;
+        // splice + conflict_rebuild is recorded from the same elapsed reading
+        // as `DeltaStats::rebuild_seconds`, and solve from the same reading as
+        // `solve_seconds`; only f64→ns conversion rounding may separate them
+        // (the histogram sums are exact, not bucketized). The delta telemetry
+        // excludes the warm-up epoch, so subtract its samples via the count
+        // difference being impossible — instead compare against telemetry
+        // summed over *all* emitted deltas below.
+        let rebuild_ns_obs = (splice.sum + conflict.sum) as f64;
+        let solve_ns_obs = solve.sum as f64;
 
-    // The warm-up epoch's delta was consumed inside `churned_session`'s
-    // `step(&[])`; its stats are not in rebuild_s/solve_s. Re-derive its
-    // contribution as the report-minus-telemetry remainder and require
-    // that remainder to be one epoch's worth, i.e. the telemetry sums are
-    // a *lower* bound within one mean epoch plus rounding slack.
-    let tol = 0.01 * rebuild_ns_obs.max(solve_ns_obs) + 50_000.0 * (epochs as f64 + 1.0);
-    assert!(
-        rebuild_ns_obs >= rebuild_s * 1e9 - tol,
-        "splice+conflict sum {rebuild_ns_obs}ns under-counts telemetry {}ns",
-        rebuild_s * 1e9
-    );
-    assert!(
-        solve_ns_obs >= solve_s * 1e9 - tol,
-        "solve sum {solve_ns_obs}ns under-counts telemetry {}ns",
-        solve_s * 1e9
-    );
+        // The warm-up epoch's delta was consumed inside `churned_session`'s
+        // `step(&[])`; its stats are not in rebuild_s/solve_s. Re-derive its
+        // contribution as the report-minus-telemetry remainder and require
+        // that remainder to be one epoch's worth, i.e. the telemetry sums are
+        // a *lower* bound within one mean epoch plus rounding slack.
+        let tol = 0.01 * rebuild_ns_obs.max(solve_ns_obs) + 50_000.0 * (epochs as f64 + 1.0);
+        assert!(
+            rebuild_ns_obs >= rebuild_s * 1e9 - tol,
+            "splice+conflict sum {rebuild_ns_obs}ns under-counts telemetry {}ns",
+            rebuild_s * 1e9
+        );
+        assert!(
+            solve_ns_obs >= solve_s * 1e9 - tol,
+            "solve sum {solve_ns_obs}ns under-counts telemetry {}ns",
+            solve_s * 1e9
+        );
 
-    // Every phase nests inside the step: the tiled sum can never exceed
-    // the whole-epoch sum.
-    let phases =
-        validate.sum + journal.sum + splice.sum + conflict.sum + solve.sum + delta_emit.sum;
-    assert!(
-        phases <= step.sum,
-        "phase sums {phases}ns exceed the step total {}ns",
-        step.sum
-    );
-    // And the phases account for the bulk of the epoch — the step is not
-    // dominated by un-instrumented gaps.
-    assert!(
-        phases as f64 >= 0.80 * step.sum as f64,
-        "phases cover only {phases}ns of {}ns step time",
-        step.sum
-    );
+        // Every phase nests inside the step: the tiled sum can never exceed
+        // the whole-epoch sum.
+        let phases =
+            validate.sum + journal.sum + splice.sum + conflict.sum + solve.sum + delta_emit.sum;
+        assert!(
+            phases <= step.sum,
+            "phase sums {phases}ns exceed the step total {}ns",
+            step.sum
+        );
+        // And the phases account for the bulk of the epoch — the step is not
+        // dominated by un-instrumented gaps.
+        assert!(
+            phases as f64 >= 0.80 * step.sum as f64,
+            "phases cover only {phases}ns of {}ns step time",
+            step.sum
+        );
 
-    assert_engine_phases_tile_the_solve(&report);
+        assert_engine_phases_tile_the_solve(&report);
 
-    // Exporters carry the same histograms.
-    let json = report.to_json();
-    assert!(json.contains("epoch.step_ns"));
-    let prom = report.to_prometheus();
-    assert!(prom.contains("netsched_epoch_step_ns"));
+        // Exporters carry the same histograms.
+        let json = report.to_json();
+        assert!(json.contains("epoch.step_ns"));
+        let prom = report.to_prometheus();
+        assert!(prom.contains("netsched_epoch_step_ns"));
+    }
 }
 
 /// The engine's own phases are consecutive laps inside the solve, so they
@@ -233,80 +239,87 @@ fn replayed_items_count_only_what_warm_epochs_re_decide() {
 
 #[test]
 fn engine_phases_tile_mixed_height_solves() {
-    // Wide and narrow demands together: every epoch solves both halves of
-    // the split and combines them, and the combination counts as the
-    // `certify` phase.
-    let mut base = many_networks_tree(4, 80, 5);
-    base.heights = HeightDistribution::Mixed {
-        wide_fraction: 0.4,
-        min_narrow: 0.1,
-    };
-    let spec = ChurnSpec {
-        epochs: 16,
-        churn: 0.05,
-        focus: 2,
-        seed: 9,
-    };
-    let trace = poisson_arrivals_tree(&base, &spec);
-    let problem = base.build().unwrap();
-    let heights: Vec<f64> = problem.demands().iter().map(|d| d.height).collect();
-    assert!(heights.iter().any(|&h| h > 0.5) && heights.iter().any(|&h| h <= 0.5));
-    let mut session = ServiceSession::for_tree(&problem, AlgorithmConfig::deterministic(0.25));
-    session.step(&[]).expect("initial solve");
-    replay_trace(&mut session, &trace).expect("trace replays");
-    assert_engine_phases_tile_the_solve(&session.obs_registry().snapshot());
+    for mode in MODES {
+        // Wide and narrow demands together: every epoch solves both halves of
+        // the split and combines them, and the combination counts as the
+        // `certify` phase.
+        let mut base = many_networks_tree(4, 80, 5);
+        base.heights = HeightDistribution::Mixed {
+            wide_fraction: 0.4,
+            min_narrow: 0.1,
+        };
+        let spec = ChurnSpec {
+            epochs: 16,
+            churn: 0.05,
+            focus: 2,
+            seed: 9,
+        };
+        let trace = poisson_arrivals_tree(&base, &spec);
+        let problem = base.build().unwrap();
+        let heights: Vec<f64> = problem.demands().iter().map(|d| d.height).collect();
+        assert!(heights.iter().any(|&h| h > 0.5) && heights.iter().any(|&h| h <= 0.5));
+        let mut session = ServiceSession::for_tree(&problem, AlgorithmConfig::deterministic(0.25))
+            .with_resolve_mode(mode);
+        session.step(&[]).expect("initial solve");
+        replay_trace(&mut session, &trace).expect("trace replays");
+        assert_engine_phases_tile_the_solve(&session.obs_registry().snapshot());
+    }
 }
 
 #[test]
 fn phase_sums_match_delta_telemetry_exactly_per_epoch() {
-    // Single-epoch variant with no warm-up mismatch: one tracked step, so
-    // the histogram sums and the emitted delta's stats come from the very
-    // same two clock reads.
-    let base = many_networks_line(4, 80, 19);
-    let spec = ChurnSpec {
-        epochs: 1,
-        churn: 0.05,
-        focus: 2,
-        seed: 5,
-    };
-    let trace = poisson_arrivals_line(&base, &spec);
-    let problem = base.build().unwrap();
-    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.25));
-    session.step(&[]).expect("initial solve");
-    // Fresh registry: the measured epoch is the only sample.
-    let mut session = session.with_obs(netsched_obs::ObsRegistry::default());
-    let deltas = replay_trace(&mut session, &trace).expect("trace replays");
-    assert_eq!(deltas.len(), 1);
-    let stats = &deltas[0].stats;
+    for mode in MODES {
+        // Single-epoch variant with no warm-up mismatch: one tracked step, so
+        // the histogram sums and the emitted delta's stats come from the very
+        // same two clock reads.
+        let base = many_networks_line(4, 80, 19);
+        let spec = ChurnSpec {
+            epochs: 1,
+            churn: 0.05,
+            focus: 2,
+            seed: 5,
+        };
+        let trace = poisson_arrivals_line(&base, &spec);
+        let problem = base.build().unwrap();
+        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.25))
+            .with_resolve_mode(mode);
+        session.step(&[]).expect("initial solve");
+        // Fresh registry: the measured epoch is the only sample.
+        let mut session = session.with_obs(netsched_obs::ObsRegistry::default());
+        let deltas = replay_trace(&mut session, &trace).expect("trace replays");
+        assert_eq!(deltas.len(), 1);
+        let stats = &deltas[0].stats;
 
-    let report = session.obs_registry().snapshot();
-    let splice = report.histogram("epoch.splice_ns").unwrap();
-    let conflict = report.histogram("epoch.conflict_rebuild_ns").unwrap();
-    let solve = report.histogram("epoch.solve_ns").unwrap();
+        let report = session.obs_registry().snapshot();
+        let splice = report.histogram("epoch.splice_ns").unwrap();
+        let conflict = report.histogram("epoch.conflict_rebuild_ns").unwrap();
+        let solve = report.histogram("epoch.solve_ns").unwrap();
 
-    // f64 seconds → integer ns rounding is the only permitted slack.
-    let rebuild_ns = (splice.sum + conflict.sum) as f64;
-    let solve_ns = solve.sum as f64;
-    assert!(
-        (rebuild_ns - stats.rebuild_seconds * 1e9).abs() <= 1_000.0,
-        "rebuild: obs {rebuild_ns}ns vs telemetry {}ns",
-        stats.rebuild_seconds * 1e9
-    );
-    assert!(
-        (solve_ns - stats.solve_seconds * 1e9).abs() <= 1_000.0,
-        "solve: obs {solve_ns}ns vs telemetry {}ns",
-        stats.solve_seconds * 1e9
-    );
+        // f64 seconds → integer ns rounding is the only permitted slack.
+        let rebuild_ns = (splice.sum + conflict.sum) as f64;
+        let solve_ns = solve.sum as f64;
+        assert!(
+            (rebuild_ns - stats.rebuild_seconds * 1e9).abs() <= 1_000.0,
+            "rebuild: obs {rebuild_ns}ns vs telemetry {}ns",
+            stats.rebuild_seconds * 1e9
+        );
+        assert!(
+            (solve_ns - stats.solve_seconds * 1e9).abs() <= 1_000.0,
+            "solve: obs {solve_ns}ns vs telemetry {}ns",
+            stats.solve_seconds * 1e9
+        );
+    }
 }
 
 #[test]
 fn enabled_instrumentation_costs_under_five_percent_of_an_epoch() {
     // Measure the marginal cost of the instrumentation an epoch performs
-    // (3 spans + ~13 histogram/counter operations with tracing *enabled*)
-    // and compare it against the measured mean epoch duration of a real
-    // churned session. The bound must hold with an order of magnitude to
-    // spare — it pins the "near-zero cost" contract, not a lucky timing.
-    let (session, _, _) = churned_session(16);
+    // (~13 histogram/counter operations) and compare it against the
+    // measured mean epoch duration of a real churned session. The bound
+    // must hold with an order of magnitude to spare — it pins the
+    // "near-zero cost" contract, not a lucky timing. Warm only: it is the
+    // serving mode, and its shorter epochs make the bound the stricter.
+    let (session, _, _) = churned_session(16, ResolveMode::Warm);
     let step = session
         .obs_registry()
         .snapshot()
@@ -318,20 +331,15 @@ fn enabled_instrumentation_costs_under_five_percent_of_an_epoch() {
     let obs = netsched_obs::ObsRegistry::default();
     let hist = obs.histogram("overhead.probe_ns");
     let counter = obs.counter("overhead.probe");
-    netsched_obs::set_tracing(true);
     let iters = 20_000u32;
     let start = Instant::now();
     for i in 0..iters {
-        let _outer = netsched_obs::span!("overhead.outer");
-        let _mid = netsched_obs::span!("overhead.mid");
-        let _inner = netsched_obs::span!("overhead.inner");
         for _ in 0..13 {
             hist.record(u64::from(i));
         }
         counter.inc();
     }
     let per_epoch_cost = start.elapsed().as_secs_f64() * 1e9 / f64::from(iters);
-    netsched_obs::set_tracing(false);
 
     assert!(
         per_epoch_cost < 0.05 * mean_epoch_ns,
@@ -342,171 +350,179 @@ fn enabled_instrumentation_costs_under_five_percent_of_an_epoch() {
 
 #[test]
 fn calibrated_deadlines_compile_to_round_caps_the_engine_respects() {
-    let (mut session, _, _) = churned_session(12);
-    let calibration = *session.calibration();
-    assert!(
-        calibration.is_primed(),
-        "12 solved epochs must prime the EWMA ({} observations)",
-        calibration.observations()
-    );
-    let rate = calibration.secs_per_round().expect("primed rate");
-    assert!(rate > 0.0);
+    for mode in MODES {
+        let (mut session, _, _) = churned_session(12, mode);
+        let calibration = *session.calibration();
+        assert!(
+            calibration.is_primed(),
+            "12 solved epochs must prime the EWMA ({} observations)",
+            calibration.observations()
+        );
+        let rate = calibration.secs_per_round().expect("primed rate");
+        assert!(rate > 0.0);
 
-    let deadline = Duration::from_millis(5);
-    let cap = calibration
-        .rounds_for(deadline)
-        .expect("primed calibration compiles deadlines");
-    // The compiled cap never predicts past the deadline (one-round floor
-    // aside): cap * rate ≤ deadline, so a correct EWMA means the engine
-    // stops before the wall clock does.
-    assert!(
-        cap == 1 || cap as f64 * rate <= deadline.as_secs_f64() * (1.0 + 1e-6),
-        "cap {cap} at {rate}s/round overshoots the {deadline:?} deadline"
-    );
+        let deadline = Duration::from_millis(5);
+        let cap = calibration
+            .rounds_for(deadline)
+            .expect("primed calibration compiles deadlines");
+        // The compiled cap never predicts past the deadline (one-round floor
+        // aside): cap * rate ≤ deadline, so a correct EWMA means the engine
+        // stops before the wall clock does.
+        assert!(
+            cap == 1 || cap as f64 * rate <= deadline.as_secs_f64() * (1.0 + 1e-6),
+            "cap {cap} at {rate}s/round overshoots the {deadline:?} deadline"
+        );
 
-    let rounds_before = session.obs_registry().counter("engine.mis_rounds").get();
-    let budget = session.calibrated_budget(deadline);
-    let events = vec![DemandEvent::Arrive(DemandRequest::Line {
-        release: 0,
-        deadline: 8,
-        processing: 3,
-        profit: 2.5,
-        height: 1.0,
-        access: vec![NetworkId::new(0)],
-    })];
-    session
-        .step_with_deadline(&events, &budget)
-        .expect("bounded epoch serves");
-    let rounds_used = session.obs_registry().counter("engine.mis_rounds").get() - rounds_before;
-    assert!(
-        rounds_used <= cap,
-        "engine ran {rounds_used} rounds against a cap of {cap}"
-    );
+        let rounds_before = session.obs_registry().counter("engine.mis_rounds").get();
+        let budget = session.calibrated_budget(deadline);
+        let events = vec![DemandEvent::Arrive(DemandRequest::Line {
+            release: 0,
+            deadline: 8,
+            processing: 3,
+            profit: 2.5,
+            height: 1.0,
+            access: vec![NetworkId::new(0)],
+        })];
+        session
+            .step_with_deadline(&events, &budget)
+            .expect("bounded epoch serves");
+        let rounds_used = session.obs_registry().counter("engine.mis_rounds").get() - rounds_before;
+        assert!(
+            rounds_used <= cap,
+            "engine ran {rounds_used} rounds against a cap of {cap}"
+        );
+    }
 }
 
 #[test]
 fn quarantine_forensics_dump_round_trips_through_the_wal_parser() {
-    let dir = temp_dir();
-    let mut problem = LineProblem::new(24, 2);
-    problem
-        .add_demand(
-            0,
-            8,
-            4,
-            3.0,
-            1.0,
-            vec![NetworkId::new(0), NetworkId::new(1)],
+    for mode in MODES {
+        let dir = temp_dir();
+        let mut problem = LineProblem::new(24, 2);
+        problem
+            .add_demand(
+                0,
+                8,
+                4,
+                3.0,
+                1.0,
+                vec![NetworkId::new(0), NetworkId::new(1)],
+            )
+            .unwrap();
+        let mut durable = DurableSession::create(
+            &dir,
+            ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+                .with_resolve_mode(mode),
+            PersistConfig {
+                durability: Durability::Epoch,
+                snapshot_every: 0,
+            },
         )
         .unwrap();
-    let mut durable = DurableSession::create(
-        &dir,
-        ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1)),
-        PersistConfig {
-            durability: Durability::Epoch,
-            snapshot_every: 0,
-        },
-    )
-    .unwrap();
 
-    let batch = vec![DemandEvent::Arrive(DemandRequest::Line {
-        release: 2,
-        deadline: 9,
-        processing: 3,
-        profit: 2.5,
-        height: 1.0,
-        access: vec![NetworkId::new(1)],
-    })];
-    durable.step(&[]).unwrap();
-    durable.inject_faults(FaultPlan::none().panic_at_epochs([2]));
-    match durable.step_with_deadline(&batch, &Budget::unlimited()) {
-        Err(ServiceError::Quarantined { .. }) => {}
-        other => panic!("expected quarantine, got {other:?}"),
-    }
-
-    let forensics = dir.join("quarantine").join("epoch-2");
-    let raw = std::fs::read_to_string(forensics.join("batch.json"))
-        .expect("quarantine dump writes batch.json");
-    // Byte-identical to the write-ahead record the journal carried...
-    assert_eq!(raw, wal_record(2, &batch).render());
-    // ...and it round-trips through the recovery parser.
-    let parsed = parse_wal_record(&JsonValue::parse(&raw).unwrap()).unwrap();
-    assert_eq!(
-        parsed,
-        WalRecord::Batch {
-            epoch: 2,
-            batch: batch.clone()
+        let batch = vec![DemandEvent::Arrive(DemandRequest::Line {
+            release: 2,
+            deadline: 9,
+            processing: 3,
+            profit: 2.5,
+            height: 1.0,
+            access: vec![NetworkId::new(1)],
+        })];
+        durable.step(&[]).unwrap();
+        durable.inject_faults(FaultPlan::none().panic_at_epochs([2]));
+        match durable.step_with_deadline(&batch, &Budget::unlimited()) {
+            Err(ServiceError::Quarantined { .. }) => {}
+            other => panic!("expected quarantine, got {other:?}"),
         }
-    );
 
-    let panic_txt = std::fs::read_to_string(forensics.join("panic.txt"))
-        .expect("quarantine dump writes panic.txt");
-    assert!(
-        panic_txt.contains("injected solve fault"),
-        "panic payload missing: {panic_txt:?}"
-    );
+        let forensics = dir.join("quarantine").join("epoch-2");
+        let raw = std::fs::read_to_string(forensics.join("batch.json"))
+            .expect("quarantine dump writes batch.json");
+        // Byte-identical to the write-ahead record the journal carried...
+        assert_eq!(raw, wal_record(2, &batch).render());
+        // ...and it round-trips through the recovery parser.
+        let parsed = parse_wal_record(&JsonValue::parse(&raw).unwrap()).unwrap();
+        assert_eq!(
+            parsed,
+            WalRecord::Batch {
+                epoch: 2,
+                batch: batch.clone()
+            }
+        );
 
-    let metrics = std::fs::read_to_string(forensics.join("metrics.json"))
-        .expect("quarantine dump writes metrics.json");
-    let doc = JsonValue::parse(&metrics).expect("metrics dump is valid JSON");
-    assert_eq!(
-        doc.field("counters")
-            .and_then(|c| c.field("epoch.quarantined"))
-            .and_then(|v| v.as_u64())
-            .ok(),
-        Some(1),
-        "the dumped report must already count the quarantine"
-    );
+        let panic_txt = std::fs::read_to_string(forensics.join("panic.txt"))
+            .expect("quarantine dump writes panic.txt");
+        assert!(
+            panic_txt.contains("injected solve fault"),
+            "panic payload missing: {panic_txt:?}"
+        );
 
-    // The tier keeps serving after the dump, with the batch retryable.
-    durable.inject_faults(FaultPlan::none());
-    durable.step(&batch).expect("retry serves");
-    let _ = std::fs::remove_dir_all(&dir);
+        let metrics = std::fs::read_to_string(forensics.join("metrics.json"))
+            .expect("quarantine dump writes metrics.json");
+        let doc = JsonValue::parse(&metrics).expect("metrics dump is valid JSON");
+        assert_eq!(
+            doc.field("counters")
+                .and_then(|c| c.field("epoch.quarantined"))
+                .and_then(|v| v.as_u64())
+                .ok(),
+            Some(1),
+            "the dumped report must already count the quarantine"
+        );
+
+        // The tier keeps serving after the dump, with the batch retryable.
+        durable.inject_faults(FaultPlan::none());
+        durable.step(&batch).expect("retry serves");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn durable_snapshots_record_their_time_and_state_size() {
-    let dir = temp_dir();
-    let mut problem = LineProblem::new(24, 2);
-    problem
-        .add_demand(0, 8, 4, 3.0, 1.0, vec![NetworkId::new(0)])
+    for mode in MODES {
+        let dir = temp_dir();
+        let mut problem = LineProblem::new(24, 2);
+        problem
+            .add_demand(0, 8, 4, 3.0, 1.0, vec![NetworkId::new(0)])
+            .unwrap();
+        let mut durable = DurableSession::create(
+            &dir,
+            ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+                .with_resolve_mode(mode),
+            PersistConfig {
+                durability: Durability::None,
+                snapshot_every: 2,
+            },
+        )
         .unwrap();
-    let mut durable = DurableSession::create(
-        &dir,
-        ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1)),
-        PersistConfig {
-            durability: Durability::None,
-            snapshot_every: 2,
-        },
-    )
-    .unwrap();
-    // One sample per snapshot, the one `create` writes included; each
-    // size sample is the state file's length on disk.
-    let file_len = |durable: &DurableSession| {
-        std::fs::metadata(snapshot_path(durable.dir(), durable.session().epoch()))
-            .unwrap()
-            .len()
-    };
-    let mut sizes = vec![file_len(&durable)];
-    for start in [1u32, 5, 9, 13, 17] {
-        durable.step(&[arrival(start)]).unwrap();
-        if durable.last_snapshot_epoch() == durable.session().epoch() {
-            sizes.push(file_len(&durable));
+        // One sample per snapshot, the one `create` writes included; each
+        // size sample is the state file's length on disk.
+        let file_len = |durable: &DurableSession| {
+            std::fs::metadata(snapshot_path(durable.dir(), durable.session().epoch()))
+                .unwrap()
+                .len()
+        };
+        let mut sizes = vec![file_len(&durable)];
+        for start in [1u32, 5, 9, 13, 17] {
+            durable.step(&[arrival(start)]).unwrap();
+            if durable.last_snapshot_epoch() == durable.session().epoch() {
+                sizes.push(file_len(&durable));
+            }
         }
-    }
-    durable.snapshot_now().unwrap();
-    sizes.push(file_len(&durable));
-    // create, epochs 2 and 4, and the explicit one at epoch 5.
-    assert_eq!(sizes.len(), 4);
+        durable.snapshot_now().unwrap();
+        sizes.push(file_len(&durable));
+        // create, epochs 2 and 4, and the explicit one at epoch 5.
+        assert_eq!(sizes.len(), 4);
 
-    let report = durable.session().obs_registry().snapshot();
-    let time = report.histogram("durable.snapshot_ns").unwrap();
-    let bytes = report.histogram("durable.snapshot_bytes").unwrap();
-    assert_eq!(time.count, sizes.len() as u64);
-    assert!(time.sum > 0);
-    assert_eq!(bytes.count, sizes.len() as u64);
-    assert_eq!(bytes.sum, sizes.iter().sum::<u64>());
-    assert_eq!(bytes.max, *sizes.iter().max().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
+        let report = durable.session().obs_registry().snapshot();
+        let time = report.histogram("durable.snapshot_ns").unwrap();
+        let bytes = report.histogram("durable.snapshot_bytes").unwrap();
+        assert_eq!(time.count, sizes.len() as u64);
+        assert!(time.sum > 0);
+        assert_eq!(bytes.count, sizes.len() as u64);
+        assert_eq!(bytes.sum, sizes.iter().sum::<u64>());
+        assert_eq!(bytes.max, *sizes.iter().max().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 fn arrival(start: u32) -> DemandEvent {

@@ -186,7 +186,10 @@ fn a_large_batch_with_one_duplicate_expiry_reports_the_first_error() {
             .add_demand(2 * i, 2 * i + 1, 2, 1.0, 1.0, vec![NetworkId::new(0)])
             .unwrap();
     }
-    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
+    // Cold: validation runs before the solve, and the one step that
+    // passes it leaves nothing live to solve.
+    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+        .with_resolve_mode(ResolveMode::Cold);
     let tickets = session.live_tickets();
     assert_eq!(tickets.len(), 1500);
     let unknown = DemandTicket(u64::MAX);
@@ -238,39 +241,42 @@ fn set_ticket(entry: &mut JsonValue, ticket: u64) {
 
 #[test]
 fn from_snapshot_rejects_live_tickets_out_of_ascending_order() {
-    let (problem, trace) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
-    let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1));
-    let mut tickets = session.live_tickets();
-    session.step(&[]).unwrap();
-    let batch = to_events(&trace.batches[0], &tickets);
-    tickets.extend(session.step(&batch).unwrap().tickets);
-    let doc = session.snapshot();
-    assert!(ServiceSession::from_snapshot(&doc).is_ok());
-    let live = session.live_tickets();
-    assert!(live.len() >= 3);
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let (problem, trace) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
+        let mut session = ServiceSession::for_line(&problem, AlgorithmConfig::deterministic(0.1))
+            .with_resolve_mode(mode);
+        let mut tickets = session.live_tickets();
+        session.step(&[]).unwrap();
+        let batch = to_events(&trace.batches[0], &tickets);
+        tickets.extend(session.step(&batch).unwrap().tickets);
+        let doc = session.snapshot();
+        assert!(ServiceSession::from_snapshot(&doc).is_ok());
+        let live = session.live_tickets();
+        assert!(live.len() >= 3);
 
-    // Two entries swapped: distinct, but descending.
-    let swapped = with_live_tickets(&doc, |entries| {
-        set_ticket(&mut entries[0], live[1].0);
-        set_ticket(&mut entries[1], live[0].0);
-    });
-    let err = ServiceSession::from_snapshot(&swapped).unwrap_err();
-    assert!(err.contains("strictly ascending"), "{err}");
+        // Two entries swapped: distinct, but descending.
+        let swapped = with_live_tickets(&doc, |entries| {
+            set_ticket(&mut entries[0], live[1].0);
+            set_ticket(&mut entries[1], live[0].0);
+        });
+        let err = ServiceSession::from_snapshot(&swapped).unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
 
-    // A repeated ticket is not strictly ascending either.
-    let repeated = with_live_tickets(&doc, |entries| {
-        set_ticket(&mut entries[1], live[0].0);
-    });
-    let err = ServiceSession::from_snapshot(&repeated).unwrap_err();
-    assert!(err.contains("strictly ascending"), "{err}");
+        // A repeated ticket is not strictly ascending either.
+        let repeated = with_live_tickets(&doc, |entries| {
+            set_ticket(&mut entries[1], live[0].0);
+        });
+        let err = ServiceSession::from_snapshot(&repeated).unwrap_err();
+        assert!(err.contains("strictly ascending"), "{err}");
 
-    // A live ticket at or past `next_ticket` would collide with arrivals.
-    let last = live.len() - 1;
-    let too_new = with_live_tickets(&doc, |entries| {
-        set_ticket(&mut entries[last], u64::from(u32::MAX));
-    });
-    let err = ServiceSession::from_snapshot(&too_new).unwrap_err();
-    assert!(err.contains("next_ticket"), "{err}");
+        // A live ticket at or past `next_ticket` would collide with arrivals.
+        let last = live.len() - 1;
+        let too_new = with_live_tickets(&doc, |entries| {
+            set_ticket(&mut entries[last], u64::from(u32::MAX));
+        });
+        let err = ServiceSession::from_snapshot(&too_new).unwrap_err();
+        assert!(err.contains("next_ticket"), "{err}");
+    }
 }
 
 fn set_request(entry: &mut JsonValue, request: &DemandRequest) {
@@ -282,37 +288,39 @@ fn set_request(entry: &mut JsonValue, request: &DemandRequest) {
 
 #[test]
 fn from_snapshot_rejects_requests_the_base_cannot_hold() {
-    let config = AlgorithmConfig::deterministic(0.1);
-    let line_request = |access: Vec<NetworkId>| DemandRequest::Line {
-        release: 0,
-        deadline: 5,
-        processing: 2,
-        profit: 1.0,
-        height: 1.0,
-        access,
-    };
+    for mode in [ResolveMode::Cold, ResolveMode::Warm] {
+        let config = AlgorithmConfig::deterministic(0.1);
+        let line_request = |access: Vec<NetworkId>| DemandRequest::Line {
+            release: 0,
+            deadline: 5,
+            processing: 2,
+            profit: 1.0,
+            height: 1.0,
+            access,
+        };
 
-    // A line request in a tree snapshot.
-    let (tree, _) = tree_trace(2, 12, 5, 0.3, HeightDistribution::Unit);
-    let mut session = ServiceSession::for_tree(&tree, config);
-    session.step(&[]).unwrap();
-    let doc = session.snapshot();
-    assert!(ServiceSession::from_snapshot(&doc).is_ok());
-    let wrong_shape = with_live_tickets(&doc, |entries| {
-        set_request(&mut entries[0], &line_request(vec![NetworkId::new(0)]));
-    });
-    assert!(ServiceSession::from_snapshot(&wrong_shape).is_err());
+        // A line request in a tree snapshot.
+        let (tree, _) = tree_trace(2, 12, 5, 0.3, HeightDistribution::Unit);
+        let mut session = ServiceSession::for_tree(&tree, config).with_resolve_mode(mode);
+        session.step(&[]).unwrap();
+        let doc = session.snapshot();
+        assert!(ServiceSession::from_snapshot(&doc).is_ok());
+        let wrong_shape = with_live_tickets(&doc, |entries| {
+            set_request(&mut entries[0], &line_request(vec![NetworkId::new(0)]));
+        });
+        assert!(ServiceSession::from_snapshot(&wrong_shape).is_err());
 
-    // A request that accesses a network the base does not have.
-    let (line, _) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
-    let mut session = ServiceSession::for_line(&line, config);
-    session.step(&[]).unwrap();
-    let doc = session.snapshot();
-    assert!(ServiceSession::from_snapshot(&doc).is_ok());
-    let no_such_network = with_live_tickets(&doc, |entries| {
-        set_request(&mut entries[0], &line_request(vec![NetworkId::new(99)]));
-    });
-    assert!(ServiceSession::from_snapshot(&no_such_network).is_err());
+        // A request that accesses a network the base does not have.
+        let (line, _) = line_trace_with_heights(2, 12, 3, 0.3, HeightDistribution::Unit);
+        let mut session = ServiceSession::for_line(&line, config).with_resolve_mode(mode);
+        session.step(&[]).unwrap();
+        let doc = session.snapshot();
+        assert!(ServiceSession::from_snapshot(&doc).is_ok());
+        let no_such_network = with_live_tickets(&doc, |entries| {
+            set_request(&mut entries[0], &line_request(vec![NetworkId::new(99)]));
+        });
+        assert!(ServiceSession::from_snapshot(&no_such_network).is_err());
+    }
 }
 
 /// After every churn epoch, restoring a snapshot and snapshotting the

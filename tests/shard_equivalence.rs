@@ -7,9 +7,7 @@
 //! equal the flat single-CSR build, the MIS over the induced adjacency
 //! must return the flat MIS, and the two-phase engine must reproduce the
 //! reference engine's schedules and certificates exactly. These tests pin that contract on random
-//! multi-network tree and line instances, under both MIS strategies. Some
-//! of them run under several rayon worker counts: the engine uses no
-//! worker pool, so those runs pin that no output depends on the pool size.
+//! multi-network tree and line instances, under both MIS strategies.
 //! The reference anchors both engine entry points: the cold one and the
 //! warm one on a fresh state.
 
@@ -33,7 +31,7 @@ use rand::{Rng, SeedableRng};
 
 mod common;
 
-use common::{assert_graph_matches, dense_universe, with_threads};
+use common::{assert_graph_matches, dense_universe};
 
 /// Exact equality of everything the solution certifies (stats are allowed
 /// to differ between the simulator-driven and array-driven Luby by
@@ -78,11 +76,8 @@ fn universes() -> Vec<(String, DemandInstanceUniverse, InstanceLayering)> {
 fn degrees_and_induced_adjacency_match_the_flat_build_across_thread_counts() {
     for (name, universe, _) in universes() {
         let flat = ConflictGraph::build(&universe);
-        for threads in [1usize, 2, 4] {
-            let sharded = with_threads(threads, || ShardedConflictGraph::build(&universe));
-            let label = format!("{name} @ {threads} threads");
-            assert_graph_matches(&flat, &universe, &sharded, &label);
-        }
+        let sharded = ShardedConflictGraph::build(&universe);
+        assert_graph_matches(&flat, &universe, &sharded, &name);
     }
 }
 
@@ -102,12 +97,8 @@ fn sharded_mis_equals_flat_mis_at_every_thread_count() {
     ] {
         let mut stats = RoundStats::new();
         let reference = maximal_independent_set(&flat, &active, strategy, &mut stats);
-        for threads in [1usize, 2, 4] {
-            let ours = with_threads(threads, || {
-                sharded_mis(&universe, &active, strategy, &mut RoundStats::new())
-            });
-            assert_eq!(reference, ours, "{strategy:?} @ {threads} threads");
-        }
+        let ours = sharded_mis(&universe, &active, strategy, &mut RoundStats::new());
+        assert_eq!(reference, ours, "{strategy:?}");
     }
 }
 
@@ -124,25 +115,17 @@ fn engine_schedules_match_the_reference_engine_exactly() {
     for (name, universe, layering) in universes() {
         for config in &configs {
             let reference = run_two_phase_reference(&universe, &layering, RaiseRule::Unit, config);
-            for threads in [1usize, 4] {
-                let ours = with_threads(threads, || {
-                    let conflict = ShardedConflictGraph::build(&universe);
-                    run_two_phase_on(
-                        &universe,
-                        &conflict,
-                        &layering,
-                        RaiseRule::Unit,
-                        config,
-                        &Budget::unlimited(),
-                    )
-                });
-                ours.verify(&universe).unwrap();
-                assert_same_solution(
-                    &reference,
-                    &ours,
-                    &format!("{name} / {:?} @ {threads} threads", config.mis),
-                );
-            }
+            let conflict = ShardedConflictGraph::build(&universe);
+            let ours = run_two_phase_on(
+                &universe,
+                &conflict,
+                &layering,
+                RaiseRule::Unit,
+                config,
+                &Budget::unlimited(),
+            );
+            ours.verify(&universe).unwrap();
+            assert_same_solution(&reference, &ours, &format!("{name} / {:?}", config.mis));
         }
     }
 }
@@ -228,32 +211,28 @@ fn fresh_warm_states_match_the_reference_engine_exactly() {
     for (name, universe, layering, rule) in &cases {
         for config in &configs {
             let reference = run_two_phase_reference(universe, layering, *rule, config);
-            for threads in [1usize, 2, 4] {
-                let ours = with_threads(threads, || {
-                    let conflict = ShardedConflictGraph::build(universe);
-                    let mut warm = WarmState::new(universe, *rule);
-                    run_two_phase_warm_on(
-                        universe,
-                        &conflict,
-                        layering,
-                        *rule,
-                        config,
-                        &mut warm,
-                        &Budget::unlimited(),
-                    )
-                });
-                let label = format!("{name} / {rule:?} / {:?} @ {threads} threads", config.mis);
-                assert_same_solution(&reference, &ours, &label);
-                let (a, b) = (reference.diagnostics, ours.diagnostics);
-                assert_eq!(reference.profit.to_bits(), ours.profit.to_bits(), "{label}");
-                assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{label}: λ bits");
-                assert_eq!(
-                    a.dual_objective.to_bits(),
-                    b.dual_objective.to_bits(),
-                    "{label}: dual bits"
-                );
-                assert_eq!(a.max_steps_per_stage, b.max_steps_per_stage, "{label}");
-            }
+            let conflict = ShardedConflictGraph::build(universe);
+            let mut warm = WarmState::new(universe, *rule);
+            let ours = run_two_phase_warm_on(
+                universe,
+                &conflict,
+                layering,
+                *rule,
+                config,
+                &mut warm,
+                &Budget::unlimited(),
+            );
+            let label = format!("{name} / {rule:?} / {:?}", config.mis);
+            assert_same_solution(&reference, &ours, &label);
+            let (a, b) = (reference.diagnostics, ours.diagnostics);
+            assert_eq!(reference.profit.to_bits(), ours.profit.to_bits(), "{label}");
+            assert_eq!(a.lambda.to_bits(), b.lambda.to_bits(), "{label}: λ bits");
+            assert_eq!(
+                a.dual_objective.to_bits(),
+                b.dual_objective.to_bits(),
+                "{label}: dual bits"
+            );
+            assert_eq!(a.max_steps_per_stage, b.max_steps_per_stage, "{label}");
         }
     }
 }
@@ -386,14 +365,12 @@ proptest! {
 
     /// Spliced conflict degrees, and the adjacency induced over every
     /// instance, match a fresh flat build on randomized hot-shard churn
-    /// traces, at every worker count. Run order is not checked here: the
+    /// traces. Run order is not checked here: the
     /// run arrays are private, so the `conflict.rs` unit tests in
     /// `netsched-distrib` compare them with a fresh build.
     #[test]
     fn incremental_run_order_matches_full_resweep_on_hot_shard_churn(seed in any::<u64>()) {
-        for threads in [1usize, 2, 4] {
-            with_threads(threads, || hot_shard_churn_case(seed));
-        }
+        hot_shard_churn_case(seed);
     }
 }
 

@@ -16,7 +16,7 @@
 //!    the same OPT), and
 //! 6. the delta bookkeeping matches the standing schedule.
 //!
-//! The matrix covers 1/2/4 rayon workers, both MIS strategies, and
+//! The matrix covers both MIS strategies and
 //! line / tree / mixed-height (split-core) / capacitated instances, via
 //! generated Poisson churn traces AND proptest-randomized shrinkable
 //! traces. A final section pins the **Cold regression**: a warm-capable
@@ -27,8 +27,8 @@
 mod common;
 
 use common::{
-    check_trace, line_trace, line_trace_with_heights, tree_trace, with_threads, ChurnCase,
-    ChurnCases, ChurnShape, Mirror, TraceOracle,
+    check_trace, line_trace, line_trace_with_heights, tree_trace, ChurnCase, ChurnCases,
+    ChurnShape, Mirror, TraceOracle,
 };
 use netsched_core::AlgorithmConfig;
 use netsched_distrib::MisStrategy;
@@ -70,48 +70,40 @@ fn check_warm_tree(
 #[test]
 fn warm_line_sessions_certify_at_every_thread_count_and_strategy() {
     let (problem, trace) = line_trace(4, 30, 11, 0.2);
-    for threads in [1usize, 2, 4] {
-        for config in [
-            AlgorithmConfig::deterministic(0.1),
-            AlgorithmConfig {
-                epsilon: 0.1,
-                mis: MisStrategy::Luby { seed: 77 },
-                seed: 77,
-            },
-        ] {
-            with_threads(threads, || {
-                check_warm_line(
-                    &problem,
-                    &trace,
-                    config,
-                    &format!("warm-line @ {threads} threads / {:?}", config.mis),
-                );
-            });
-        }
+    for config in [
+        AlgorithmConfig::deterministic(0.1),
+        AlgorithmConfig {
+            epsilon: 0.1,
+            mis: MisStrategy::Luby { seed: 77 },
+            seed: 77,
+        },
+    ] {
+        check_warm_line(
+            &problem,
+            &trace,
+            config,
+            &format!("warm-line / {:?}", config.mis),
+        );
     }
 }
 
 #[test]
 fn warm_tree_sessions_certify_at_every_thread_count_and_strategy() {
     let (problem, trace) = tree_trace(4, 28, 5, 0.2, HeightDistribution::Unit);
-    for threads in [1usize, 2, 4] {
-        for config in [
-            AlgorithmConfig::deterministic(0.1),
-            AlgorithmConfig {
-                epsilon: 0.1,
-                mis: MisStrategy::Luby { seed: 31 },
-                seed: 31,
-            },
-        ] {
-            with_threads(threads, || {
-                check_warm_tree(
-                    &problem,
-                    &trace,
-                    config,
-                    &format!("warm-tree @ {threads} threads / {:?}", config.mis),
-                );
-            });
-        }
+    for config in [
+        AlgorithmConfig::deterministic(0.1),
+        AlgorithmConfig {
+            epsilon: 0.1,
+            mis: MisStrategy::Luby { seed: 31 },
+            seed: 31,
+        },
+    ] {
+        check_warm_tree(
+            &problem,
+            &trace,
+            config,
+            &format!("warm-tree / {:?}", config.mis),
+        );
     }
 }
 
